@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-runner bench-profile bench-inspect bench-mtrace bench-engine bench-fabric bench-fabricobs profile-smoke inspect-smoke mtrace-smoke engine-smoke fuzz-smoke fabric-smoke fabricobs-smoke figures figures-golden validate validate-smoke validate-sensitivity
+.PHONY: all build test check fmt vet race bench profile-smoke inspect-smoke mtrace-smoke engine-smoke fuzz-smoke fabric-smoke fabricobs-smoke figures figures-golden validate validate-smoke validate-sensitivity
 
 all: build
 
@@ -26,63 +26,11 @@ race:
 # suite under the race detector.
 check: fmt vet race
 
-bench: bench-runner
-	$(GO) test -bench . -benchmem ./...
-
-# bench-runner captures the parallel-runner and pooled hot-path benchmarks
-# (BenchmarkRunMany*, timer reset, pooled schedule/GRO) as JSON for
-# regression tracking.
-bench-runner:
-	$(GO) test -run '^$$' -bench 'RunMany|TimerReset|ScheduleFirePooled|GROPooled' \
-		-benchmem -json . ./internal/sim ./internal/skb > BENCH_runner.json
-
-# bench-profile records the profiler's end-to-end overhead (profiler off
-# vs on for the same run) plus the exec-layer charge-path microbenchmarks
-# as JSON for regression tracking.
-bench-profile:
-	$(GO) test -run '^$$' -bench 'ProfileOff|ProfileOn|SoftirqNilChargeLog|SoftirqWithChargeLog' \
-		-benchmem -json . ./internal/exec > BENCH_profile.json
-
-# bench-inspect records the wire-level inspector's end-to-end overhead
-# (inspector off vs on for the same run) as JSON for regression tracking.
-bench-inspect:
-	$(GO) test -run '^$$' -bench 'InspectOff|InspectOn' \
-		-benchmem -json . > BENCH_inspect.json
-
-# bench-mtrace records the message tracer's end-to-end overhead (tracer
-# off vs on for the same run) as JSON for regression tracking.
-bench-mtrace:
-	$(GO) test -run '^$$' -bench 'MsgTraceOff|MsgTraceOn' \
-		-benchmem -json . > BENCH_mtrace.json
-
-# bench-engine records the event-scheduler benchmarks as JSON for
-# regression tracking: end-to-end wheel-vs-heap pairs over three timer
-# profiles (bulk flow, RPC incast, lossy mixed) plus the scheduler
-# microbenchmarks and the allocation-purge headline number
-# (RunMsgTraceOff). Compare captures with `go run ./cmd/benchdiff`.
-bench-engine:
-	$(GO) test -run '^$$' -bench 'Engine|RunMsgTraceOff' \
-		-benchmem -json . ./internal/sim > BENCH_engine.json
-
-# bench-fabric records the switch-fabric topology benchmarks as JSON for
-# regression tracking: the 2-host fabric vs direct-link overhead pair
-# (RunCheckOff is the direct baseline of the same scenario), incast
-# scaling at 16 and 64 hosts, all-to-all port pressure, and the
-# shared-buffer admission cost. Compare captures with
-# `go run ./cmd/benchdiff -threshold <pct> BENCH_fabric.json <new>`.
-bench-fabric:
-	$(GO) test -run '^$$' -bench 'FabricRun|RunCheckOff' \
-		-benchmem -json . > BENCH_fabric.json
-
-# bench-fabricobs records the fabric observatory's end-to-end overhead
-# (observatory off vs on for the same buffered 15:1 incast) as JSON for
-# regression tracking. The off run's only residue is a nil-observer test
-# per forwarded frame and a nil-tap test per egress event; the pair must
-# stay within noise of each other. Compare captures with
-# `go run ./cmd/benchdiff BENCH_fabricobs.json <new>`.
-bench-fabricobs:
-	$(GO) test -run '^$$' -bench 'FabricObsOff|FabricObsOn' \
-		-benchmem -json . > BENCH_fabricobs.json
+# bench runs the simulator-speed ledger (bench/README.md): one set of the
+# six workloads, end-to-end metrics and the per-layer CPU split. Pass
+# ledger flags through ARGS, e.g. make bench ARGS='-workload iperf -trace 0'.
+bench:
+	bash bench/run.sh $(ARGS)
 
 # profile-smoke is the CI profile-golden check: run netsim with profiling
 # enabled and validate the emitted profile.proto with the in-repo parser.

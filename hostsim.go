@@ -360,7 +360,8 @@ type CheckOptions struct {
 
 // InspectOptions configures the wire-level inspector (see Config.Inspect).
 // Pcap, Probe and SS select the exporters; all three false (the zero
-// value) enables all of them.
+// value) enables all of them. Pcap needs a 2-host topology (the direct
+// link or a 2-host fabric); Run rejects it on a larger fabric.
 type InspectOptions struct {
 	Pcap  bool // capture both link directions into Result.PacketCaptures
 	Probe bool // tcp_probe-style congestion traces into Result.ProbeTrace

@@ -324,6 +324,39 @@ func TestProbeGolden(t *testing.T) {
 	}
 }
 
+// TestInspectPcapOnLargeFabric pins the public API's no-panic rule for
+// packet capture on a fabric: the synthesized capture addressing knows two
+// hosts, so pcap on more than two is an error — whether asked for
+// explicitly or through the zero-value options — while probe traces and
+// socket snapshots still work there, and a 2-host fabric still captures.
+func TestInspectPcapOnLargeFabric(t *testing.T) {
+	run := func(hosts int, o hostsim.InspectOptions) (*hostsim.Result, error) {
+		cfg := shortCfg(1)
+		cfg.Fabric = &hostsim.FabricOptions{Hosts: hosts}
+		cfg.Inspect = &o
+		return hostsim.Run(cfg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0))
+	}
+	for _, o := range []hostsim.InspectOptions{{}, {Pcap: true}, {Pcap: true, Probe: true}} {
+		if _, err := run(4, o); err == nil {
+			t.Errorf("%+v on a 4-host fabric: want an error", o)
+		}
+	}
+	res, err := run(4, hostsim.InspectOptions{Probe: true, SS: true})
+	if err != nil {
+		t.Fatalf("probe+ss on a 4-host fabric: %v", err)
+	}
+	if res.ProbeTrace == nil || res.SocketSnapshots == nil || res.PacketCaptures != nil {
+		t.Fatal("probe+ss on a 4-host fabric: wrong artifact set")
+	}
+	res, err = run(2, hostsim.InspectOptions{})
+	if err != nil {
+		t.Fatalf("pcap on a 2-host fabric: %v", err)
+	}
+	if len(res.PacketCaptures) != 2 {
+		t.Fatalf("2-host fabric captured %d directions, want 2", len(res.PacketCaptures))
+	}
+}
+
 // TestFlowStatsAlwaysOn checks the zero-config satellite: every run
 // reports terminal per-flow TCP stats, and they reconcile with the host
 // aggregates.

@@ -45,6 +45,12 @@ func attachInspector(o *InspectOptions, eng *sim.Engine, hosts []*core.Host, tap
 	if !pcap && !probe && !ss {
 		pcap, probe, ss = true, true, true
 	}
+	if pcap && len(taps) > 2 {
+		// The synthesized capture addressing knows two hosts (10.0.0.1 and
+		// 10.0.0.2), one per link direction.
+		return nil, fmt.Errorf("hostsim: Inspect.Pcap captures a 2-host topology, not a %d-host fabric; "+
+			"set only Probe and/or SS", len(taps))
+	}
 	insp := &inspector{}
 	if pcap {
 		for i, tp := range taps {

@@ -57,24 +57,22 @@ func (s DCAStats) MissRate() float64 {
 	return float64(s.Misses) / float64(total)
 }
 
-type dcaEntry struct {
-	page PageID
-	prev int // index into entries, -1 = none (LRU end)
-	next int
-}
-
 // DCA is the DDIO cache. The zero value is not usable; construct with
 // NewDCA.
+//
+// The cache is one flat tag array: set s owns tags[s*ways:(s+1)*ways], of
+// which the first lens[s] entries are its resident pages, LRU first. A
+// page's set is a pure function of its id, so every lookup recomputes it
+// and scans at most ways tags: no per-page index, no allocation.
 type DCA struct {
 	numSets  int
 	ways     int
 	pageSize units.Bytes
 	hazard   float64
 	rng      *rand.Rand
-	// sets[s] is an LRU-ordered list of resident pages; small (<=ways) so a
-	// slice scan is fast and allocation-free.
-	sets     [][]PageID
-	resident map[PageID]int // page -> set index
+	tags     []PageID
+	lens     []int
+	resident int // pages resident across all sets
 	stats    DCAStats
 }
 
@@ -98,15 +96,14 @@ func NewDCA(cfg DCAConfig) *DCA {
 	if numSets < 1 {
 		numSets = 1
 	}
-	d := &DCA{
+	return &DCA{
 		numSets:  numSets,
 		ways:     ways,
 		pageSize: cfg.PageSize,
 		rng:      cfg.Rand,
-		sets:     make([][]PageID, numSets),
-		resident: make(map[PageID]int, numSets*ways),
+		tags:     make([]PageID, numSets*ways),
+		lens:     make([]int, numSets),
 	}
-	return d
 }
 
 // SetHazard sets the per-insert probability of a hazard eviction (a DCA
@@ -135,34 +132,53 @@ func (d *DCA) setOf(p PageID) int {
 	return int(z % uint64(d.numSets))
 }
 
+// set returns set s's resident pages, LRU first. Its capacity ends at the
+// set's last way, so appending stays inside the set's slice of tags.
+func (d *DCA) set(s int) []PageID {
+	base := s * d.ways
+	return d.tags[base : base+d.lens[s] : base+d.ways]
+}
+
+// find returns p's set and p's position in it, or -1 if p is not resident.
+func (d *DCA) find(p PageID) (s, i int) {
+	s = d.setOf(p)
+	for i, q := range d.set(s) {
+		if q == p {
+			return s, i
+		}
+	}
+	return s, -1
+}
+
+// remove deletes the entry at position i of set s, keeping LRU order.
+func (d *DCA) remove(s, i int) {
+	set := d.set(s)
+	copy(set[i:], set[i+1:])
+	d.lens[s]--
+	d.resident--
+}
+
 // Insert records a DMA write of page p into the cache. If p's set is full
 // the least recently inserted page in that set is evicted. Re-inserting a
 // resident page refreshes its LRU position.
 func (d *DCA) Insert(p PageID) {
-	s := d.setOf(p)
-	set := d.sets[s]
-	if _, ok := d.resident[p]; ok {
+	s, i := d.find(p)
+	if i >= 0 {
 		// Refresh: move to MRU position.
-		for i, q := range set {
-			if q == p {
-				copy(set[i:], set[i+1:])
-				set[len(set)-1] = p
-				break
-			}
-		}
+		set := d.set(s)
+		copy(set[i:], set[i+1:])
+		set[len(set)-1] = p
 		return
 	}
 	d.stats.Inserts++
-	if len(set) >= d.ways {
-		victim := set[0]
-		copy(set, set[1:])
-		set = set[:len(set)-1]
-		delete(d.resident, victim)
+	if d.lens[s] >= d.ways {
+		d.remove(s, 0)
 		d.stats.Evictions++
 	}
-	d.sets[s] = append(set, p)
-	d.resident[p] = s
-	if d.hazard > 0 && len(d.resident) > 1 && d.rng.Float64() < d.hazard {
+	d.tags[s*d.ways+d.lens[s]] = p
+	d.lens[s]++
+	d.resident++
+	if d.hazard > 0 && d.resident > 1 && d.rng.Float64() < d.hazard {
 		d.hazardEvict(p)
 	}
 }
@@ -175,23 +191,13 @@ func (d *DCA) hazardEvict(justInserted PageID) {
 	// which is the correct behaviour (nothing to displace).
 	for attempt := 0; attempt < 4; attempt++ {
 		s := d.rng.Intn(d.numSets)
-		set := d.sets[s]
-		if len(set) == 0 {
+		set := d.set(s)
+		// An insert lands at the MRU end, so the just-inserted page is a
+		// set's LRU entry only when it is alone there.
+		if len(set) == 0 || set[0] == justInserted {
 			continue
 		}
-		victim := set[0]
-		if victim == justInserted {
-			if len(set) == 1 {
-				continue
-			}
-			victim = set[1]
-			copy(set[1:], set[2:])
-			d.sets[s] = set[:len(set)-1]
-		} else {
-			copy(set, set[1:])
-			d.sets[s] = set[:len(set)-1]
-		}
-		delete(d.resident, victim)
+		d.remove(s, 0)
 		d.stats.Evictions++
 		return
 	}
@@ -201,7 +207,7 @@ func (d *DCA) hazardEvict(justInserted PageID) {
 // does not change residency: the consumer calls Drop once the data has
 // been copied out and the page is released.
 func (d *DCA) Probe(p PageID) bool {
-	if _, ok := d.resident[p]; ok {
+	if d.Contains(p) {
 		d.stats.Hits++
 		return true
 	}
@@ -211,31 +217,23 @@ func (d *DCA) Probe(p PageID) bool {
 
 // Contains reports residency without touching the stats.
 func (d *DCA) Contains(p PageID) bool {
-	_, ok := d.resident[p]
-	return ok
+	_, i := d.find(p)
+	return i >= 0
 }
 
 // Drop invalidates page p (called when the copied-out page is freed),
 // releasing its slot. Dropping a non-resident page is a no-op.
 func (d *DCA) Drop(p PageID) {
-	s, ok := d.resident[p]
-	if !ok {
+	s, i := d.find(p)
+	if i < 0 {
 		return
 	}
-	set := d.sets[s]
-	for i, q := range set {
-		if q == p {
-			copy(set[i:], set[i+1:])
-			d.sets[s] = set[:len(set)-1]
-			break
-		}
-	}
-	delete(d.resident, p)
+	d.remove(s, i)
 	d.stats.Drops++
 }
 
 // Resident returns the number of resident pages.
-func (d *DCA) Resident() int { return len(d.resident) }
+func (d *DCA) Resident() int { return d.resident }
 
 // Capacity returns the total page slots.
 func (d *DCA) Capacity() int { return d.numSets * d.ways }
@@ -248,7 +246,7 @@ func (d *DCA) Stats() DCAStats { return d.stats }
 func (d *DCA) ResetStats() { d.stats = DCAStats{} }
 
 func (d *DCA) String() string {
-	return fmt.Sprintf("DCA(%d sets x %d ways, %d resident)", d.numSets, d.ways, len(d.resident))
+	return fmt.Sprintf("DCA(%d sets x %d ways, %d resident)", d.numSets, d.ways, d.resident)
 }
 
 // WorkingSet is a coarse miss-rate estimator for a cache accessed with a

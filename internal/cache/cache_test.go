@@ -231,6 +231,190 @@ func TestOverflowInFlightMissesHard(t *testing.T) {
 	}
 }
 
+// mapDCA is the reference oracle for DCA: the original map-indexed
+// implementation, with per-set LRU slices and a page -> set residency map.
+// It is deliberately naive; the differential test below pins the flat
+// tag-array DCA to it draw for draw.
+type mapDCA struct {
+	numSets  int
+	ways     int
+	hazard   float64
+	rng      *rand.Rand
+	sets     [][]PageID
+	resident map[PageID]int
+	stats    DCAStats
+}
+
+func newMapDCA(numSets, ways int, hazard float64, rng *rand.Rand) *mapDCA {
+	return &mapDCA{numSets: numSets, ways: ways, hazard: hazard, rng: rng,
+		sets: make([][]PageID, numSets), resident: make(map[PageID]int)}
+}
+
+func (d *mapDCA) setOf(p PageID) int { return (&DCA{numSets: d.numSets}).setOf(p) }
+
+func (d *mapDCA) Insert(p PageID) {
+	s := d.setOf(p)
+	set := d.sets[s]
+	if _, ok := d.resident[p]; ok {
+		for i, q := range set {
+			if q == p {
+				copy(set[i:], set[i+1:])
+				set[len(set)-1] = p
+				break
+			}
+		}
+		return
+	}
+	d.stats.Inserts++
+	if len(set) >= d.ways {
+		victim := set[0]
+		copy(set, set[1:])
+		set = set[:len(set)-1]
+		delete(d.resident, victim)
+		d.stats.Evictions++
+	}
+	d.sets[s] = append(set, p)
+	d.resident[p] = s
+	if d.hazard > 0 && len(d.resident) > 1 && d.rng.Float64() < d.hazard {
+		d.hazardEvict(p)
+	}
+}
+
+func (d *mapDCA) hazardEvict(justInserted PageID) {
+	for attempt := 0; attempt < 4; attempt++ {
+		s := d.rng.Intn(d.numSets)
+		set := d.sets[s]
+		if len(set) == 0 {
+			continue
+		}
+		victim := set[0]
+		if victim == justInserted {
+			if len(set) == 1 {
+				continue
+			}
+			victim = set[1]
+			copy(set[1:], set[2:])
+			d.sets[s] = set[:len(set)-1]
+		} else {
+			copy(set, set[1:])
+			d.sets[s] = set[:len(set)-1]
+		}
+		delete(d.resident, victim)
+		d.stats.Evictions++
+		return
+	}
+}
+
+func (d *mapDCA) Probe(p PageID) bool {
+	if _, ok := d.resident[p]; ok {
+		d.stats.Hits++
+		return true
+	}
+	d.stats.Misses++
+	return false
+}
+
+func (d *mapDCA) Contains(p PageID) bool {
+	_, ok := d.resident[p]
+	return ok
+}
+
+func (d *mapDCA) Drop(p PageID) {
+	s, ok := d.resident[p]
+	if !ok {
+		return
+	}
+	set := d.sets[s]
+	for i, q := range set {
+		if q == p {
+			copy(set[i:], set[i+1:])
+			d.sets[s] = set[:len(set)-1]
+			break
+		}
+	}
+	delete(d.resident, p)
+	d.stats.Drops++
+}
+
+// TestDCAMatchesMapOracle drives the DCA and the map oracle with the same
+// random Insert/Probe/Drop stream, hazard on, each with its own RNG from
+// the same seed. Stats, residency of every page touched, and the next RNG
+// draw must agree: the last one proves both consumed the identical number
+// of hazard draws, so LRU order and eviction choice never diverged.
+func TestDCAMatchesMapOracle(t *testing.T) {
+	geoms := []struct{ pages, ways int }{{1, 1}, {2, 2}, {16, 4}, {64, 8}, {96, 8}, {768, 8}}
+	for _, g := range geoms {
+		for seed := int64(1); seed <= 5; seed++ {
+			hazard := 0.1 * float64(seed)
+			d := NewDCA(DCAConfig{
+				Capacity: units.Bytes(g.pages) * 4 * units.KB,
+				PageSize: 4 * units.KB,
+				Ways:     g.ways,
+				Rand:     rand.New(rand.NewSource(seed)),
+			})
+			d.SetHazard(hazard)
+			ref := newMapDCA(d.numSets, d.ways, hazard, rand.New(rand.NewSource(seed)))
+			ops := rand.New(rand.NewSource(100 + seed))
+			universe := 3 * g.pages
+			for i := 0; i < 20000; i++ {
+				p := PageID(ops.Intn(universe))
+				switch ops.Intn(3) {
+				case 0:
+					d.Insert(p)
+					ref.Insert(p)
+				case 1:
+					if got, want := d.Probe(p), ref.Probe(p); got != want {
+						t.Fatalf("pages %d ways %d seed %d op %d: Probe(%d) = %v, oracle %v",
+							g.pages, g.ways, seed, i, p, got, want)
+					}
+				default:
+					d.Drop(p)
+					ref.Drop(p)
+				}
+			}
+			if d.Stats() != ref.stats {
+				t.Fatalf("pages %d ways %d seed %d: stats %+v, oracle %+v", g.pages, g.ways, seed, d.Stats(), ref.stats)
+			}
+			if d.Resident() != len(ref.resident) {
+				t.Fatalf("pages %d ways %d seed %d: resident %d, oracle %d",
+					g.pages, g.ways, seed, d.Resident(), len(ref.resident))
+			}
+			for p := PageID(0); p < PageID(universe); p++ {
+				if d.Contains(p) != ref.Contains(p) {
+					t.Fatalf("pages %d ways %d seed %d: Contains(%d) = %v, oracle %v",
+						g.pages, g.ways, seed, p, d.Contains(p), ref.Contains(p))
+				}
+			}
+			if got, want := d.rng.Int63(), ref.rng.Int63(); got != want {
+				t.Fatalf("pages %d ways %d seed %d: RNG streams diverged (%d vs %d)", g.pages, g.ways, seed, got, want)
+			}
+		}
+	}
+}
+
+// Steady-state Insert/Probe/Drop — the per-packet DDIO path — must not
+// allocate.
+func TestDCASteadyStateAllocationFree(t *testing.T) {
+	d := NewDCA(DCAConfig{
+		Capacity: 3 * units.MB,
+		PageSize: 4 * units.KB,
+		Rand:     rand.New(rand.NewSource(1)),
+	})
+	d.SetHazard(0.5)
+	next := PageID(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			d.Insert(next)
+			d.Probe(next - 32)
+			d.Drop(next - 32)
+			next++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Insert/Probe/Drop allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
 func TestMissRateZeroWhenUnused(t *testing.T) {
 	if (DCAStats{}).MissRate() != 0 {
 		t.Error("MissRate of empty stats should be 0")

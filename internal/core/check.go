@@ -1,13 +1,11 @@
 package core
 
 import (
-	"sort"
 	"strings"
 	"time"
 
 	"hostsim/internal/check"
 	"hostsim/internal/cpumodel"
-	"hostsim/internal/skb"
 	"hostsim/internal/wire"
 )
 
@@ -49,8 +47,8 @@ func AttachChecker(ck *check.Checker, a, b *Host, ab, ba *wire.Link) {
 		nicRxConservation(fail, a, ba)
 	})
 	ck.AddRule("tcp-seqspace", func(fail check.FailFunc) {
-		tcpSeqSpace(fail, a, b)
-		tcpSeqSpace(fail, b, a)
+		tcpSeqSpace(fail, a)
+		tcpSeqSpace(fail, b)
 	})
 	ck.AddRule("skb-pool-conservation", func(fail check.FailFunc) {
 		skbConservation(fail, a, b)
@@ -106,34 +104,20 @@ func nicRxConservation(fail check.FailFunc, h *Host, inbound *wire.Link) {
 	}
 }
 
-// sortedEndpoints returns h's sender endpoints in tx-flow order, so audit
-// failures are reported deterministically.
-func sortedEndpoints(h *Host) []*Endpoint {
-	flows := make([]skb.FlowID, 0, len(h.byTx))
-	for f := range h.byTx {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i] < flows[j] })
-	eps := make([]*Endpoint, len(flows))
-	for i, f := range flows {
-		eps[i] = h.byTx[f]
-	}
-	return eps
-}
-
-func tcpSeqSpace(fail check.FailFunc, h, peer *Host) {
-	for _, ep := range sortedEndpoints(h) {
+// tcpSeqSpace audits h's endpoints in tx-flow order, so failures are
+// reported deterministically: each connection's own sequence bookkeeping,
+// and sndUna <= rcvNxt <= sndNxt against the peer endpoint receiving the
+// flow, wherever the pair or cluster placed it.
+func tcpSeqSpace(fail check.FailFunc, h *Host) {
+	for _, ep := range h.eps {
 		ep.conn.CheckInvariants(fail)
-		pep := peer.byRx[ep.txFlow]
-		if pep == nil {
-			continue
-		}
+		pep := h.flows.ends[ep.txFlow].rx
 		una, nxt := ep.conn.SndUna(), ep.conn.SndNxt()
 		rcv := pep.conn.RcvNxt()
 		if una > rcv || rcv > nxt {
 			fail("tcp flow %d: cross-host sequence drift: %s sndUna %d, %s rcvNxt %d, sndNxt %d "+
 				"(want sndUna <= rcvNxt <= sndNxt)",
-				ep.txFlow, h.name, una, peer.name, rcv, nxt)
+				ep.txFlow, h.name, una, pep.host.name, rcv, nxt)
 		}
 	}
 }
@@ -151,7 +135,7 @@ func skbConservationHosts(fail check.FailFunc, scope string, hosts []*Host) {
 	for _, h := range hosts {
 		groN, _ := h.NIC.GROHeld()
 		held += int64(groN)
-		for _, ep := range sortedEndpoints(h) {
+		for _, ep := range h.eps {
 			held += int64(ep.conn.RecvQLen() + ep.conn.OOOLen())
 		}
 		held += h.unsteered + h.rpsInFlight
@@ -243,7 +227,7 @@ func AttachClusterChecker(ck *check.Checker, c *Cluster) {
 	})
 	ck.AddRule("tcp-seqspace", func(fail check.FailFunc) {
 		for _, h := range hosts {
-			clusterSeqSpace(fail, h, c)
+			tcpSeqSpace(fail, h)
 		}
 	})
 	ck.AddRule("skb-pool-conservation", func(fail check.FailFunc) {
@@ -262,29 +246,6 @@ func AttachClusterChecker(ck *check.Checker, c *Cluster) {
 			dcaOccupancy(fail, h)
 		}
 	})
-}
-
-// clusterSeqSpace is tcpSeqSpace with the peer host resolved through the
-// cluster's routing table instead of an implicit pair.
-func clusterSeqSpace(fail check.FailFunc, h *Host, c *Cluster) {
-	for _, ep := range sortedEndpoints(h) {
-		ep.conn.CheckInvariants(fail)
-		peer := c.peer[ep.txFlow]
-		if peer == nil {
-			continue
-		}
-		pep := peer.byRx[ep.txFlow]
-		if pep == nil {
-			continue
-		}
-		una, nxt := ep.conn.SndUna(), ep.conn.SndNxt()
-		rcv := pep.conn.RcvNxt()
-		if una > rcv || rcv > nxt {
-			fail("tcp flow %d: cross-host sequence drift: %s sndUna %d, %s rcvNxt %d, sndNxt %d "+
-				"(want sndUna <= rcvNxt <= sndNxt)",
-				ep.txFlow, h.name, una, peer.name, rcv, nxt)
-		}
-	}
 }
 
 func cycleConservation(fail check.FailFunc, h *Host) {

@@ -12,7 +12,7 @@ import (
 // Cluster is N hosts attached to a single-stage switch fabric — the
 // generalization of the Connect host pair. Construction wires every
 // host's NIC to its fabric ingress port and shares the fast-path pools
-// and the flow-ID counter cluster-wide.
+// and the flow table (ids and endpoints by id) cluster-wide.
 //
 // The pools are cluster-wide (not per-host) for the same reason the pair
 // shares them: a frame is born on one host and dies on another, so only a
@@ -23,9 +23,6 @@ import (
 type Cluster struct {
 	hosts []*Host
 	fab   *fabric.Fabric
-	// peer maps each endpoint's tx flow to the host holding the receiving
-	// endpoint, for the cross-host sequence-space audit.
-	peer map[skb.FlowID]*Host
 }
 
 // ConnectFabric attaches hosts to a new switch fabric and instantiates
@@ -50,12 +47,12 @@ func ConnectFabric(hosts []*Host, fcfg fabric.Config) *Cluster {
 	if fcfg.Delay == 0 {
 		fcfg.Delay = time.Duration(spec.OneWayDelay) * time.Nanosecond
 	}
-	c := &Cluster{hosts: hosts, peer: make(map[skb.FlowID]*Host)}
+	c := &Cluster{hosts: hosts}
 	c.fab = fabric.New(hosts[0].eng, fcfg, func(port int, f *skb.Frame) {
 		c.hosts[port].NIC.ReceiveFromWire(f)
 	})
-	// Cluster-wide pools and flow numbering, exactly as Connect scopes
-	// them to the pair.
+	// Cluster-wide pools and flow table, exactly as Connect scopes them to
+	// the pair.
 	skbs, frames := &skb.Pool{}, &skb.FramePool{}
 	flows := hosts[0].flows
 	for i, h := range hosts {
@@ -87,7 +84,5 @@ func (c *Cluster) OpenConn(a, aCore, b, bCore int) (*Endpoint, *Endpoint) {
 	// ingress-exclusion routing rule handles without per-frame state.
 	c.fab.Register(epA.TxFlow(), a, b)
 	c.fab.Register(epA.RxFlow(), b, a)
-	c.peer[epA.TxFlow()] = c.hosts[b]
-	c.peer[epB.TxFlow()] = c.hosts[a]
 	return epA, epB
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"hostsim/internal/exec"
 	"hostsim/internal/sim"
 	"hostsim/internal/topology"
+	"hostsim/internal/trace"
 	"hostsim/internal/units"
 )
 
@@ -136,6 +139,15 @@ func TestOpenConnBeforeConnectPanics(t *testing.T) {
 // transfer pushes bytes from epA's app to epB's and returns delivered.
 func transfer(t *testing.T, r *rig, epA, epB *Endpoint, total units.Bytes, d time.Duration) units.Bytes {
 	t.Helper()
+	got := startTransfer(r, epA, epB, total)
+	r.run(d)
+	return *got
+}
+
+// startTransfer arms a writer thread on epA's app core and a reader on
+// epB's, without running the engine, so several transfers can share one
+// run. It returns the reader's running byte count.
+func startTransfer(r *rig, epA, epB *Endpoint, total units.Bytes) *units.Bytes {
 	var sent units.Bytes
 	sendCore := r.a.Sys.Core(epA.AppCore())
 	th := sendCore.NewThread("writer", func(ctx *exec.Ctx) {
@@ -161,8 +173,57 @@ func transfer(t *testing.T, r *rig, epA, epB *Endpoint, total units.Bytes, d tim
 	})
 	epB.SetNotify(Notify{Readable: func(ctx *exec.Ctx, _ *Endpoint) { ctx.Wake(rth) }})
 	th.Wake()
-	r.run(d)
-	return got
+	return &got
+}
+
+// TestRcvSchedulerDeterministic runs the receiver-driven scheduler with
+// more flows than K on two receiving app cores, so every rotation tick
+// re-clamps windows on both cores. The tick visits the cores in order, so
+// two same-seed runs must match exactly, down to the order of the traced
+// events.
+func TestRcvSchedulerDeterministic(t *testing.T) {
+	run := func() string {
+		opts := AllOpts()
+		opts.RcvSchedulerK = 1
+		r := newRig(t, opts)
+		tr := trace.New(1 << 20)
+		r.a.SetTracer(tr)
+		r.b.SetTracer(tr)
+		var got []*units.Bytes
+		for core := 0; core < 2; core++ {
+			for i := 0; i < 3; i++ {
+				epA, epB := OpenConn(r.a, core, r.b, core)
+				got = append(got, startTransfer(r, epA, epB, 64*units.MB))
+			}
+		}
+		r.run(12 * time.Millisecond)
+		var b strings.Builder
+		for i, g := range got {
+			fmt.Fprintf(&b, "flow %d delivered %d\n", i, *g)
+		}
+		for _, h := range []*Host{r.a, r.b} {
+			fmt.Fprintf(&b, "%s conn %+v\nnic %+v\ndca %+v\n",
+				h.Name(), h.AggregateConnStats(), h.NIC.Stats(), h.DCA.Stats())
+			for c := 0; c < h.Spec().NumCores(); c++ {
+				fmt.Fprintf(&b, "core %d busy %v\n", c, h.Sys.Core(c).BusyTime())
+			}
+		}
+		fmt.Fprintf(&b, "events %d\n", r.eng.Fired())
+		if err := tr.Dump(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	first := strings.Split(run(), "\n")
+	second := strings.Split(run(), "\n")
+	if len(first) != len(second) {
+		t.Fatalf("two same-seed runs diverged: %d vs %d lines", len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("two same-seed runs diverged at line %d:\n  %s\n  %s", i, first[i], second[i])
+		}
+	}
 }
 
 func TestEndToEndByteConservation(t *testing.T) {

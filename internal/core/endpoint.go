@@ -24,6 +24,7 @@ type Notify struct {
 type Endpoint struct {
 	host    *Host
 	appCore int
+	irqCore int // where the NIC steers this socket's frames under pinned steering
 	txFlow  skb.FlowID
 	rxFlow  skb.FlowID
 	conn    *tcp.Conn

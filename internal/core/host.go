@@ -52,10 +52,8 @@ type Host struct {
 	DCA   *cache.DCA
 	NIC   *nic.NIC
 
-	flows      *flowIDs // shared with the peer host after Connect
-	steerTable map[skb.FlowID]int
-	byTx       map[skb.FlowID]*Endpoint // local sender endpoints by tx flow
-	byRx       map[skb.FlowID]*Endpoint // local receiver endpoints by rx flow
+	flows *flowTable  // shared with the peer host (or cluster) after Connect
+	eps   []*Endpoint // local endpoints in tx-flow order
 
 	sndInUse units.Bytes // in-use send-buffer bytes (sender cache model)
 	senderWS cache.WorkingSet
@@ -79,9 +77,9 @@ type Host struct {
 	telemetry    *telemetry.Registry // nil = telemetry off
 	ctrSteerMiss *telemetry.Counter  // Rx processed off the app core
 
-	// Receiver-driven scheduler state (Options.RcvSchedulerK).
-	schedGroups  map[int][]*Endpoint // receiving endpoints by app core
-	schedIdx     map[int]int
+	// Receiver-driven scheduler state (Options.RcvSchedulerK), by app core.
+	schedGroups  [][]*Endpoint // receiving endpoints
+	schedIdx     []int         // rotation offset into schedGroups
 	schedStarted bool
 }
 
@@ -148,22 +146,21 @@ func NewHost(name string, eng *sim.Engine, spec topology.MachineSpec,
 		panic(err)
 	}
 	h := &Host{
-		name:        name,
-		eng:         eng,
-		spec:        spec,
-		costs:       costs,
-		opts:        opts,
-		Sys:         exec.NewSystem(eng, spec, costs),
-		Alloc:       mem.NewAllocator(spec, costs),
-		flows:       &flowIDs{},
-		steerTable:  make(map[skb.FlowID]int),
-		byTx:        make(map[skb.FlowID]*Endpoint),
-		byRx:        make(map[skb.FlowID]*Endpoint),
-		senderWS:    cache.WorkingSet{Capacity: spec.L3PerNode, BaseMiss: senderBaseMiss},
-		latency:     metrics.NewLatency(),
-		skbSizes:    metrics.NewSize(),
-		schedGroups: make(map[int][]*Endpoint),
-		schedIdx:    make(map[int]int),
+		name:     name,
+		eng:      eng,
+		spec:     spec,
+		costs:    costs,
+		opts:     opts,
+		Sys:      exec.NewSystem(eng, spec, costs),
+		Alloc:    mem.NewAllocator(spec, costs),
+		flows:    newFlowTable(),
+		senderWS: cache.WorkingSet{Capacity: spec.L3PerNode, BaseMiss: senderBaseMiss},
+		latency:  metrics.NewLatency(),
+		skbSizes: metrics.NewSize(),
+	}
+	if opts.RcvSchedulerK > 0 {
+		h.schedGroups = make([][]*Endpoint, spec.NumCores())
+		h.schedIdx = make([]int, spec.NumCores())
 	}
 	h.Alloc.SetIOMMU(opts.IOMMU)
 	if opts.SchedGranularity > 0 {
@@ -211,8 +208,8 @@ func Connect(a, b *Host) (ab, ba *wire.Link) {
 	b.NIC = nic.New(b.eng, b.Sys, b.Alloc, b.DCA, b.opts.nicConfig(), ba, b.deliver)
 	a.NIC.SetTxComplete(a.txComplete)
 	b.NIC.SetTxComplete(b.txComplete)
-	// Share the fast-path pools and the flow-ID counter across the pair:
-	// frames and skbs are born on one host and die on the other, so only a
+	// Share the fast-path pools and the flow table across the pair: frames
+	// and skbs are born on one host and die on the other, so only a
 	// pair-wide pool stays balanced, and per-pair flow numbering keeps
 	// concurrent simulations independent (no global state).
 	skbs, frames := &skb.Pool{}, &skb.FramePool{}
@@ -227,7 +224,7 @@ func Connect(a, b *Host) (ab, ba *wire.Link) {
 // txComplete is the NIC's wire-departure notification: batch it per
 // endpoint and process in softirq (TSQ completion).
 func (h *Host) txComplete(flow skb.FlowID, bytes units.Bytes) {
-	ep := h.byTx[flow]
+	ep := h.sender(flow)
 	if ep == nil {
 		return
 	}
@@ -239,12 +236,8 @@ func (h *Host) txComplete(flow skb.FlowID, bytes units.Bytes) {
 	ep.softirq(ep.txCompFn)
 }
 
-// installSteering (re)builds the NIC steering table from the endpoints
-// registered so far and the configured policy.
+// installSteering installs the NIC steering for the configured policy.
 func (h *Host) installSteering() {
-	if h.NIC == nil {
-		return
-	}
 	all := make([]int, h.spec.NumCores())
 	for i := range all {
 		all[i] = i
@@ -254,8 +247,28 @@ func (h *Host) installSteering() {
 		// Hardware only hashes (RSS); software modes forward afterwards.
 		h.NIC.SetSteering(nic.RSS{Cores: all})
 	default:
-		h.NIC.SetSteering(nic.Pinned{Table: h.steerTable, Fallback: nic.RSS{Cores: all}})
+		h.NIC.SetSteering(pinnedSteering{h: h, rss: nic.RSS{Cores: all}})
 	}
+}
+
+// pinnedSteering is the NIC steering of the pinned policies (aRFS and the
+// fixed IRQ mappings): incoming data and the ACKs for outgoing data both
+// land on the IRQ core of the local endpoint of their flow. Flows with no
+// local endpoint hash (RSS).
+type pinnedSteering struct {
+	h   *Host
+	rss nic.RSS
+}
+
+// QueueFor implements nic.Steering.
+func (p pinnedSteering) QueueFor(flow skb.FlowID) int {
+	if ep := p.h.sender(flow); ep != nil {
+		return ep.irqCore
+	}
+	if ep := p.h.receiver(flow); ep != nil {
+		return ep.irqCore
+	}
+	return p.rss.QueueFor(flow)
 }
 
 // steeringCoreFor returns where a flow's hardware IRQ lands given the
@@ -302,9 +315,9 @@ func (h *Host) processingCoreFor(ep *Endpoint) int {
 func (h *Host) deliver(ctx *exec.Ctx, s *skb.SKB) {
 	var ep *Endpoint
 	if s.Ack != nil {
-		ep = h.byTx[s.Flow]
+		ep = h.sender(s.Flow)
 	} else {
-		ep = h.byRx[s.Flow]
+		ep = h.receiver(s.Flow)
 	}
 	if ep == nil {
 		h.unsteered++
@@ -466,12 +479,12 @@ func (h *Host) Latency() *metrics.Histogram { return h.latency }
 func (h *Host) SKBSizes() *metrics.Histogram { return h.skbSizes }
 
 // Endpoints returns the number of registered endpoints (tests).
-func (h *Host) Endpoints() int { return len(h.byTx) }
+func (h *Host) Endpoints() int { return len(h.eps) }
 
 // AggregateConnStats sums TCP statistics over all local endpoints.
 func (h *Host) AggregateConnStats() tcp.Stats {
 	var out tcp.Stats
-	for _, ep := range h.byTx {
+	for _, ep := range h.eps {
 		st := ep.conn.Stats()
 		out.SentBytes += st.SentBytes
 		out.RetransBytes += st.RetransBytes
@@ -500,16 +513,52 @@ func (h *Host) senderMissRate() float64 {
 	return m
 }
 
-// flowIDs hands out unique flow identifiers for one connected host pair.
-// Scoping the counter to the pair (instead of a package global) keeps
-// concurrent simulations deterministic and data-race free.
-type flowIDs struct {
-	next skb.FlowID
+// flowTable hands out the flow ids of one connected host pair or cluster
+// and indexes both ends of every flow by id. Ids are dense (1, 2, ...),
+// so the index is a slice, not a map: the per-packet lookups on the
+// receive, deliver and Tx-completion paths are one bounds check and a
+// load. The table is shared by every host of the pair or cluster rather
+// than kept per host: it grows with the flow count, where per-host
+// flow-indexed tables would grow with hosts×flows (about 256×130k
+// entries on a 256-host all-to-all). Scoping it to the pair (instead of a
+// package global) keeps concurrent simulations deterministic and
+// data-race free.
+type flowTable struct {
+	ends []flowEnds // by flow id; id 0 is never handed out
 }
 
-func (f *flowIDs) alloc() skb.FlowID {
-	f.next++
-	return f.next
+// flowEnds is one flow's two endpoints: the one transmitting its data and
+// the one receiving it (and sending its ACKs). They live on different
+// hosts.
+type flowEnds struct {
+	tx, rx *Endpoint
+}
+
+func newFlowTable() *flowTable { return &flowTable{ends: make([]flowEnds, 1)} }
+
+func (t *flowTable) alloc() skb.FlowID {
+	t.ends = append(t.ends, flowEnds{})
+	return skb.FlowID(len(t.ends) - 1)
+}
+
+// sender returns the local endpoint transmitting on flow, or nil.
+func (h *Host) sender(flow skb.FlowID) *Endpoint {
+	if uint(flow) < uint(len(h.flows.ends)) {
+		if ep := h.flows.ends[flow].tx; ep != nil && ep.host == h {
+			return ep
+		}
+	}
+	return nil
+}
+
+// receiver returns the local endpoint receiving flow, or nil.
+func (h *Host) receiver(flow skb.FlowID) *Endpoint {
+	if uint(flow) < uint(len(h.flows.ends)) {
+		if ep := h.flows.ends[flow].rx; ep != nil && ep.host == h {
+			return ep
+		}
+	}
+	return nil
 }
 
 // OpenConn opens a connection between aCore on host a and bCore on host
@@ -529,17 +578,12 @@ func OpenConn(a *Host, aCore int, b *Host, bCore int) (*Endpoint, *Endpoint) {
 }
 
 func (h *Host) register(ep *Endpoint) {
-	if _, dup := h.byTx[ep.txFlow]; dup {
-		panic(fmt.Sprintf("core: duplicate tx flow %d", ep.txFlow))
-	}
-	h.byTx[ep.txFlow] = ep
-	h.byRx[ep.rxFlow] = ep
-	irqCore := h.steeringCoreFor(ep.appCore)
+	h.flows.ends[ep.txFlow].tx = ep
+	h.flows.ends[ep.rxFlow].rx = ep
+	h.eps = append(h.eps, ep)
 	// Both incoming data (rxFlow) and incoming ACKs (txFlow) steer to the
 	// same queue.
-	h.steerTable[ep.rxFlow] = irqCore
-	h.steerTable[ep.txFlow] = irqCore
-	h.installSteering()
+	ep.irqCore = h.steeringCoreFor(ep.appCore)
 	if h.telemetry != nil {
 		h.registerFlowTelemetry(ep)
 	}

@@ -9,9 +9,9 @@ import (
 // ForEachEndpoint visits the host's local sender endpoints in tx-flow
 // order — the same deterministic iteration the invariant checker uses —
 // so callers can attach observers or collect terminal per-flow stats
-// without reaching into the endpoint maps.
+// without reaching into the endpoint tables.
 func (h *Host) ForEachEndpoint(fn func(*Endpoint)) {
-	for _, ep := range sortedEndpoints(h) {
+	for _, ep := range h.eps {
 		fn(ep)
 	}
 }
@@ -38,7 +38,7 @@ func (h *Host) RegisterInspect(reg *telemetry.Registry) {
 		reg.Gauge(fmt.Sprintf("%score%02d/softirq_backlog", p, i),
 			func() float64 { return float64(c.SoftirqBacklog()) })
 	}
-	for _, ep := range sortedEndpoints(h) {
+	for _, ep := range h.eps {
 		conn := ep.conn
 		fp := fmt.Sprintf("%sflow%03d/", p, ep.txFlow)
 		reg.Gauge(fp+"cwnd_bytes", func() float64 { return float64(conn.CC().Cwnd()) })

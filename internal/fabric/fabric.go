@@ -111,11 +111,14 @@ type Observer interface {
 // Fabric is the switch: Ports ports, a static flow routing table, and
 // the shared-buffer admission state.
 type Fabric struct {
-	cfg    Config
-	alpha  float64
-	ports  []*Port
-	routes map[skb.FlowID][2]int // flow -> the two attached ports
-	obs    Observer              // nil = observation off
+	cfg   Config
+	alpha float64
+	ports []*Port
+	// routes[f] is flow f's two attached ports. Flow ids are dense, so the
+	// table is a slice; the zero entry {0, 0} means unrouted, since
+	// Register never pins a flow to a single port.
+	routes [][2]int
+	obs    Observer // nil = observation off
 }
 
 // Port is one host attachment. It implements wire.Egress: the host NIC's
@@ -138,10 +141,9 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Fabric {
 		panic("fabric: nil engine or delivery callback")
 	}
 	fb := &Fabric{
-		cfg:    cfg,
-		alpha:  cfg.Alpha,
-		ports:  make([]*Port, cfg.Ports),
-		routes: make(map[skb.FlowID][2]int),
+		cfg:   cfg,
+		alpha: cfg.Alpha,
+		ports: make([]*Port, cfg.Ports),
 	}
 	if fb.alpha == 0 {
 		fb.alpha = 1
@@ -202,7 +204,13 @@ func (fb *Fabric) Register(flow skb.FlowID, srcPort int, candidates ...int) int 
 	if srcPort == dst {
 		panic("fabric: flow routed to its own ingress port")
 	}
-	if _, dup := fb.routes[flow]; dup {
+	if flow < 0 {
+		panic(fmt.Sprintf("fabric: negative flow id %d", flow))
+	}
+	if n := int(flow) + 1; n > len(fb.routes) {
+		fb.routes = append(fb.routes, make([][2]int, n-len(fb.routes))...)
+	}
+	if fb.routes[flow] != ([2]int{}) {
 		panic(fmt.Sprintf("fabric: duplicate route for flow %d", flow))
 	}
 	fb.routes[flow] = [2]int{srcPort, dst}
@@ -237,8 +245,11 @@ func (p *Port) Send(f *skb.Frame) {
 	fb := p.fab
 	p.stats.In++
 	p.stats.InPayload += f.Len
-	r, ok := fb.routes[f.Flow]
-	if !ok {
+	var r [2]int
+	if uint(f.Flow) < uint(len(fb.routes)) {
+		r = fb.routes[f.Flow]
+	}
+	if r[0] == r[1] {
 		panic(fmt.Sprintf("fabric: no route for flow %d (ingress port %d)", f.Flow, p.id))
 	}
 	dst := r[0]

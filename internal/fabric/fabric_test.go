@@ -89,7 +89,10 @@ func TestRoutingPanics(t *testing.T) {
 	expectPanic("duplicate route", func() { fb.Register(1, 0, 3) })
 	expectPanic("self route", func() { fb.Register(2, 2, 2) })
 	expectPanic("out of range", func() { fb.Register(3, 0, 9) })
+	expectPanic("negative flow", func() { fb.Register(-1, 0, 2) })
 	expectPanic("unrouted flow", func() { fb.Port(0).Send(&skb.Frame{Flow: 99, Len: 10}) })
+	expectPanic("unrouted flow below the highest route", func() { fb.Port(0).Send(&skb.Frame{Flow: 0, Len: 10}) })
+	expectPanic("unrouted negative flow", func() { fb.Port(0).Send(&skb.Frame{Flow: -3, Len: 10}) })
 }
 
 // burst offers `frames` MTU-sized frames of one flow to an ingress port

@@ -20,16 +20,13 @@ func init() {
 // mechanisms of Table 2 for a set of flows whose applications run on
 // known cores.
 func table2(rc RunConfig) (*Table, error) {
-	appCores := map[skb.FlowID]int{1: 3, 2: 9, 3: 15, 4: 21}
+	appCores := []int{-1, 3, 9, 15, 21} // by flow id; flow 0 is unused
 	all := make([]int, 24)
 	for i := range all {
 		all[i] = i
 	}
 	rss := nic.RSS{Cores: all}
-	arfs := nic.Pinned{Table: map[skb.FlowID]int{}, Fallback: rss}
-	for f, c := range appCores {
-		arfs.Table[f] = c
-	}
+	arfs := nic.Pinned{Table: appCores, Fallback: rss}
 	// The paper's deterministic "aRFS disabled" worst case: IRQs pinned
 	// to a single remote core.
 	worst := nic.FixedCore(6)

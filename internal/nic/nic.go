@@ -102,16 +102,18 @@ func (r RSS) QueueFor(flow skb.FlowID) int {
 }
 
 // Pinned steers flows via an explicit table (aRFS: the NIC learns the core
-// the application runs on), with a fallback for unknown flows.
+// the application runs on), with a fallback for unknown flows. Table is
+// indexed by flow id; flows past its end or with a negative entry are
+// unknown.
 type Pinned struct {
-	Table    map[skb.FlowID]int
+	Table    []int
 	Fallback Steering
 }
 
 // QueueFor implements Steering.
 func (p Pinned) QueueFor(flow skb.FlowID) int {
-	if c, ok := p.Table[flow]; ok {
-		return c
+	if uint(flow) < uint(len(p.Table)) && p.Table[flow] >= 0 {
+		return p.Table[flow]
 	}
 	if p.Fallback == nil {
 		panic(fmt.Sprintf("nic: no steering entry or fallback for flow %d", flow))
@@ -164,15 +166,15 @@ type NIC struct {
 	egress  wire.Egress
 	deliver DeliverFunc
 	steer   Steering
-	queues  map[int]*rxQueue // by core id
+	queues  []*rxQueue // by core id; nil until the core first receives
 	stats   Stats
 
 	// Egress: one Tx queue per submitting core, drained round-robin one
 	// frame at a time — the frame-level interleaving of a multi-queue
 	// NIC's DMA scheduler. This is what breaks per-flow burst adjacency
 	// on the wire when many cores transmit (Fig. 8c).
-	txqs       map[int]*txq
-	txOrder    []int
+	txqs       []*txq // by core id; nil until the core first transmits
+	txOrder    []*txq // round-robin order: queue creation order
 	txNext     int
 	txBusy     bool
 	txComplete TxCompleteFunc
@@ -241,8 +243,8 @@ func New(eng *sim.Engine, sys *exec.System, alloc *mem.Allocator, dca *cache.DCA
 		eng: eng, sys: sys, alloc: alloc, dca: dca, cfg: cfg,
 		egress: egress, deliver: deliver,
 		steer:  RSS{Cores: []int{0}},
-		queues: make(map[int]*rxQueue),
-		txqs:   make(map[int]*txq),
+		queues: make([]*rxQueue, sys.Spec().NumCores()),
+		txqs:   make([]*txq, sys.Spec().NumCores()),
 	}
 	n.txDone = func() {
 		n.txBusy = false
@@ -288,8 +290,8 @@ func (n *NIC) Egress() wire.Egress { return n.egress }
 
 // queue returns (creating if needed) the Rx queue bound to core.
 func (n *NIC) queue(core int) *rxQueue {
-	q, ok := n.queues[core]
-	if !ok {
+	q := n.queues[core]
+	if q == nil {
 		q = &rxQueue{nic: n, core: core, posted: n.cfg.RxRing}
 		q.pollFn = q.poll
 		q.modFn = func() {
@@ -336,7 +338,9 @@ func (n *NIC) SetTrace(tr *trace.Tracer, host string) {
 func (n *NIC) RingOccupancy() int {
 	occ := 0
 	for _, q := range n.queues {
-		occ += n.cfg.RxRing - q.posted
+		if q != nil {
+			occ += n.cfg.RxRing - q.posted
+		}
 	}
 	return occ
 }
@@ -347,6 +351,9 @@ func (n *NIC) RxBacklog() (int, units.Bytes) {
 	var frames int
 	var payload units.Bytes
 	for _, q := range n.queues {
+		if q == nil {
+			continue
+		}
 		frames += q.pendingRx()
 		for _, f := range q.backlog[q.bhead:] {
 			payload += f.Len
@@ -361,7 +368,7 @@ func (n *NIC) GROHeld() (int, units.Bytes) {
 	var skbs int
 	var payload units.Bytes
 	for _, q := range n.queues {
-		if q.gro == nil {
+		if q == nil || q.gro == nil {
 			continue
 		}
 		skbs += q.gro.Held()
@@ -376,7 +383,7 @@ func (n *NIC) GROHeld() (int, units.Bytes) {
 func (n *NIC) TxQueued() (int, units.Bytes) {
 	frames := n.txPendingFrames
 	payload := n.txPendingPayload
-	for _, t := range n.txqs {
+	for _, t := range n.txOrder {
 		frames += t.pending()
 		for _, f := range t.frames[t.head:] {
 			payload += f.Len
@@ -392,6 +399,9 @@ func (n *NIC) PostedBounds() (lo, hi int) {
 	lo, hi = n.cfg.RxRing, n.cfg.RxRing
 	first := true
 	for _, q := range n.queues {
+		if q == nil {
+			continue
+		}
 		if first || q.posted < lo {
 			lo = q.posted
 		}
@@ -508,11 +518,11 @@ func (n *NIC) enqueueTx(core int, frames []*skb.Frame) {
 	for _, f := range frames {
 		n.stats.TxBytes += f.WireSize()
 	}
-	t, ok := n.txqs[core]
-	if !ok {
+	t := n.txqs[core]
+	if t == nil {
 		t = &txq{}
 		n.txqs[core] = t
-		n.txOrder = append(n.txOrder, core)
+		n.txOrder = append(n.txOrder, t)
 	}
 	t.frames = append(t.frames, frames...)
 	n.pumpTx()
@@ -540,7 +550,7 @@ func (n *NIC) pumpTx() {
 func (n *NIC) nextTxFrame() *skb.Frame {
 	for i := 0; i < len(n.txOrder); i++ {
 		n.txNext = (n.txNext + 1) % len(n.txOrder)
-		t := n.txqs[n.txOrder[n.txNext]]
+		t := n.txOrder[n.txNext]
 		if t.head >= len(t.frames) {
 			continue
 		}

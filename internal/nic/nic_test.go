@@ -244,19 +244,21 @@ func TestRSSDeterministicSpread(t *testing.T) {
 
 func TestPinnedSteeringWithFallback(t *testing.T) {
 	p := Pinned{
-		Table:    map[skb.FlowID]int{7: 3},
+		Table:    []int{-1, -1, -1, -1, -1, -1, -1, 3},
 		Fallback: FixedCore(9),
 	}
 	if p.QueueFor(7) != 3 {
 		t.Error("pinned entry ignored")
 	}
-	if p.QueueFor(8) != 9 {
-		t.Error("fallback ignored")
+	for _, f := range []skb.FlowID{-1, 0, 6, 8} {
+		if p.QueueFor(f) != 9 {
+			t.Errorf("flow %d: fallback ignored", f)
+		}
 	}
 }
 
 func TestPinnedWithoutFallbackPanics(t *testing.T) {
-	p := Pinned{Table: map[skb.FlowID]int{}}
+	p := Pinned{Table: []int{-1}}
 	defer func() {
 		if recover() == nil {
 			t.Error("missing entry without fallback should panic")

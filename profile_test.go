@@ -223,6 +223,7 @@ func benchProfile(b *testing.B, cfg hostsim.Config) {
 }
 
 // BenchmarkProfileOff/On measure the end-to-end cost of the profiler on
-// a full run — `make bench-profile` records the pair to BENCH_profile.json.
+// a full run; the ledger's observed16 workload (`make bench`) measures
+// every observer armed at once.
 func BenchmarkProfileOff(b *testing.B) { benchProfile(b, shortCfg(1)) }
 func BenchmarkProfileOn(b *testing.B)  { benchProfile(b, profCfg(1)) }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench profile-smoke inspect-smoke mtrace-smoke engine-smoke fuzz-smoke fabric-smoke fabricobs-smoke figures figures-golden validate validate-smoke validate-sensitivity
+.PHONY: all build test check fmt vet race bench profile-smoke inspect-smoke mtrace-smoke fuzz-smoke fabric-smoke fabricobs-smoke figures figures-golden validate validate-smoke validate-sensitivity
 
 all: build
 
@@ -57,14 +57,6 @@ mtrace-smoke:
 		-mtrace-out /tmp/hostsim-smoke.spans.json \
 		-tail-report /tmp/hostsim-smoke.tail.txt > /dev/null
 	$(GO) run ./cmd/tailcheck /tmp/hostsim-smoke.spans.json /tmp/hostsim-smoke.tail.txt
-
-# engine-smoke is the CI scheduler-equivalence gate: the shared
-# Stop/Reset edge-case table and the randomized wheel-vs-heap
-# differential tests under the race detector, plus the end-to-end
-# result-equivalence and allocation-budget checks at the API surface.
-engine-smoke:
-	$(GO) test -race -run 'TimerEdgeCases|SchedulerEquivalence' ./internal/sim
-	$(GO) test -race -run 'SchedulerResultEquivalence|RunUnknownScheduler|RunAllocationBudget' .
 
 # fuzz-smoke is the CI fuzz gate: a short coverage-guided walk of the
 # configuration space with the conservation-law checker as the oracle.

@@ -163,13 +163,6 @@ type Config struct {
 	Duration  time.Duration // measurement window; 0 = 30ms
 	Seed      int64         // RNG seed; runs are deterministic per seed
 
-	// Scheduler selects the simulation engine's event scheduler: "wheel"
-	// (hierarchical timing wheel, the default) or "heap" (binary heap,
-	// the reference implementation). The two produce byte-identical
-	// results on every workload; the knob exists for differential testing
-	// and benchmarking. "" means "wheel".
-	Scheduler string
-
 	// TraceEvents, when positive, records the most recent N data-path
 	// events (writes, segments, deliveries, acks, retransmissions, NIC
 	// drops and GRO flushes) into Result.Trace. TraceFlow restricts
@@ -853,15 +846,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		return nil, err
 	}
 
-	sched := cfg.Scheduler
-	if sched == "" {
-		sched = sim.SchedWheel
-	}
-	if sched != sim.SchedWheel && sched != sim.SchedHeap {
-		return nil, fmt.Errorf("hostsim: unknown Scheduler %q (want %q or %q)",
-			cfg.Scheduler, sim.SchedWheel, sim.SchedHeap)
-	}
-	eng := sim.NewEngineSched(cfg.Seed, sched)
+	eng := sim.NewEngine(cfg.Seed)
 	costs := cpumodel.Default()
 	// Apply cost scales in sorted-key order so a bad map reports the
 	// same first error on every run.

@@ -1,25 +1,253 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// schedKinds enumerates the scheduler implementations under test. Every
-// behavioral test in this file runs against all of them: the heap is the
-// reference, the wheel must be indistinguishable from it.
-var schedKinds = []string{SchedHeap, SchedWheel}
+// The differential tests in this file drive the engine and a reference
+// oracle through the same randomized workloads and require identical
+// dispatch traces. The oracle is the simplest scheduler that obviously
+// dispatches in (at, seq) order: a binary min-heap of event pointers. It
+// schedules a reserved sequence number at reservation time, so it is also
+// the ground truth for Engine.ReserveSeq/AtArgSeq deferred schedules.
 
-func forEachSched(t *testing.T, f func(t *testing.T, kind string)) {
-	t.Helper()
-	for _, kind := range schedKinds {
-		t.Run(kind, func(t *testing.T) { f(t, kind) })
+// oracleEvent is one oracle schedule; idx < 0 means not pending.
+type oracleEvent struct {
+	at  Time
+	seq uint64
+	fn  func()
+	idx int
+}
+
+// heapSched is the oracle's queue: a binary min-heap ordered by (at, seq).
+type heapSched struct {
+	q []*oracleEvent
+}
+
+func (h *heapSched) len() int { return len(h.q) }
+
+func (h *heapSched) less(i, j int) bool {
+	a, b := h.q[i], h.q[j]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (h *heapSched) swap(i, j int) {
+	h.q[i], h.q[j] = h.q[j], h.q[i]
+	h.q[i].idx = i
+	h.q[j].idx = j
+}
+
+func (h *heapSched) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
 	}
 }
 
-// TestTimerEdgeCases is the shared table of Timer.Stop/Reset corner
-// semantics: both schedulers must agree on every row.
+func (h *heapSched) down(i int) {
+	n := len(h.q)
+	for {
+		left := 2*i + 1
+		if left >= n {
+			return
+		}
+		least := left
+		if right := left + 1; right < n && h.less(right, left) {
+			least = right
+		}
+		if !h.less(least, i) {
+			return
+		}
+		h.swap(i, least)
+		i = least
+	}
+}
+
+func (h *heapSched) schedule(ev *oracleEvent) {
+	ev.idx = len(h.q)
+	h.q = append(h.q, ev)
+	h.up(len(h.q) - 1)
+}
+
+func (h *heapSched) unschedule(ev *oracleEvent) {
+	i := ev.idx
+	last := len(h.q) - 1
+	if i != last {
+		h.swap(i, last)
+	}
+	h.q[last] = nil
+	h.q = h.q[:last]
+	if i != last {
+		h.down(i)
+		h.up(i)
+	}
+	ev.idx = -1
+}
+
+func (h *heapSched) popBefore(limit Time) *oracleEvent {
+	if len(h.q) == 0 || h.q[0].at >= limit {
+		return nil
+	}
+	ev := h.q[0]
+	last := len(h.q) - 1
+	if last > 0 {
+		h.swap(0, last)
+	}
+	h.q[last] = nil
+	h.q = h.q[:last]
+	h.down(0)
+	ev.idx = -1
+	return ev
+}
+
+// subject is what the differential scripts drive: the engine, or the
+// oracle. Timers are addressed by the order they were scheduled in.
+type subject interface {
+	Now() Time
+	Run(horizon Time) Time
+	Pending() int
+	schedule(t Time, fn func())
+	stop(i int) bool
+	reset(i int, at Time) bool
+	timers() int
+	// reserve takes a sequence number for an event at t; commit schedules
+	// it. Between the two, other schedules may take later numbers.
+	reserve(t Time, fn func()) int
+	commit(r int)
+}
+
+// reservation is a reserved-but-uncommitted schedule.
+type reservation struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+type engineSubject struct {
+	*Engine
+	tms      []Timer
+	reserved []reservation
+}
+
+func (s *engineSubject) schedule(t Time, fn func()) { s.tms = append(s.tms, s.At(t, fn)) }
+func (s *engineSubject) stop(i int) bool            { return s.tms[i].Stop() }
+func (s *engineSubject) reset(i int, at Time) bool  { return s.tms[i].Reset(at) }
+func (s *engineSubject) timers() int                { return len(s.tms) }
+
+func (s *engineSubject) reserve(t Time, fn func()) int {
+	s.reserved = append(s.reserved, reservation{t, s.ReserveSeq(), fn})
+	return len(s.reserved) - 1
+}
+
+func (s *engineSubject) commit(r int) {
+	rv := s.reserved[r]
+	s.AtArgSeq(rv.at, rv.seq, func(any) { rv.fn() }, nil)
+}
+
+type oracle struct {
+	now  Time
+	seq  uint64
+	h    heapSched
+	evs  []*oracleEvent
+	resv int
+}
+
+func (o *oracle) Now() Time    { return o.now }
+func (o *oracle) Pending() int { return o.h.len() }
+func (o *oracle) timers() int  { return len(o.evs) }
+
+func (o *oracle) add(t Time, fn func()) *oracleEvent {
+	if t < o.now {
+		panic("oracle: scheduling in the past")
+	}
+	ev := &oracleEvent{at: t, seq: o.seq, fn: fn}
+	o.seq++
+	o.h.schedule(ev)
+	return ev
+}
+
+func (o *oracle) schedule(t Time, fn func()) { o.evs = append(o.evs, o.add(t, fn)) }
+
+func (o *oracle) stop(i int) bool {
+	ev := o.evs[i]
+	if ev.idx < 0 {
+		return false
+	}
+	o.h.unschedule(ev)
+	return true
+}
+
+func (o *oracle) reset(i int, at Time) bool {
+	ev := o.evs[i]
+	if ev.idx < 0 {
+		return false
+	}
+	if at < o.now {
+		panic("oracle: resetting into the past")
+	}
+	o.h.unschedule(ev)
+	ev.at, ev.seq = at, o.seq
+	o.seq++
+	o.h.schedule(ev)
+	return true
+}
+
+// reserve schedules at once: the oracle's answer for where a deferred
+// schedule under a reserved sequence number must dispatch.
+func (o *oracle) reserve(t Time, fn func()) int {
+	o.add(t, fn)
+	o.resv++
+	return o.resv - 1
+}
+
+func (o *oracle) commit(int) {}
+
+func (o *oracle) Run(horizon Time) Time {
+	for {
+		ev := o.h.popBefore(horizon)
+		if ev == nil {
+			break
+		}
+		o.now = ev.at
+		ev.fn()
+	}
+	if o.now < horizon {
+		o.now = horizon
+	}
+	return o.now
+}
+
+func newSubjects(seed int64) (eng, ref subject) {
+	return &engineSubject{Engine: NewEngine(seed)}, &oracle{}
+}
+
+// compareTraces fails t at the first dispatch where the engine and the
+// oracle disagree.
+func compareTraces(t *testing.T, label string, et, ot []traceRec, ep, op int) {
+	t.Helper()
+	if len(et) != len(ot) || ep != op {
+		t.Fatalf("%s: engine fired %d (pending %d), oracle fired %d (pending %d)",
+			label, len(et), ep, len(ot), op)
+	}
+	for i := range et {
+		if et[i] != ot[i] {
+			t.Fatalf("%s: dispatch %d diverged: engine %+v, oracle %+v", label, i, et[i], ot[i])
+		}
+	}
+}
+
+// TestTimerEdgeCases is the table of Timer.Stop/Reset corner semantics,
+// run against the engine's heap.
 func TestTimerEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
@@ -71,8 +299,8 @@ func TestTimerEdgeCases(t *testing.T) {
 			e.At(100, func() {
 				order = append(order, "a")
 				// tm is pending at 200; pull it into the tick being
-				// dispatched right now. It must join the back of this
-				// tick's batch.
+				// dispatched right now. It must fire after every event
+				// already queued at this tick.
 				tm.Reset(100)
 			})
 			tm = e.At(200, func() { order = append(order, "b") })
@@ -101,8 +329,7 @@ func TestTimerEdgeCases(t *testing.T) {
 		{"reset far future then near", func(t *testing.T, e *Engine) {
 			fired := Time(-1)
 			tm := e.At(10, func() { fired = e.Now() })
-			// Far past the wheel span (forces the overflow ladder), then
-			// back near.
+			// Far future (days of simulated time), then back near.
 			if !tm.Reset(Time(1) << 50) {
 				t.Fatal("Reset to far future should succeed")
 			}
@@ -132,10 +359,10 @@ func TestTimerEdgeCases(t *testing.T) {
 			}
 		}},
 	}
-	forEachSched(t, func(t *testing.T, kind string) {
+	t.Run("heap", func(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
-				tc.run(t, NewEngineSched(1, kind))
+				tc.run(t, NewEngine(1))
 			})
 		}
 	})
@@ -148,43 +375,46 @@ type traceRec struct {
 	id int
 }
 
-// dispatchTrace drives one engine through a randomized workload derived
+// farFuture is a delay well past every other timescale in the scripts,
+// about 73 simulated minutes.
+const farFuture = Time(1) << 42
+
+// dispatchTrace drives one subject through a randomized workload derived
 // deterministically from seed — mixed timescales (same-tick collisions
-// through overflow-ladder far futures), Stop/Reset churn from inside
-// callbacks, and multiple Run segments with non-decreasing horizons — and
-// records the (time, id) dispatch sequence. The RNG is consumed inside
-// callbacks too, so the streams only stay aligned between two engines if
-// their dispatch orders are identical; any divergence cascades into an
-// obvious trace mismatch.
-func dispatchTrace(kind string, seed int64) ([]traceRec, int) {
-	e := NewEngineSched(seed, kind)
+// through far futures), Stop/Reset churn from inside callbacks, deferred
+// schedules under reserved sequence numbers, and multiple Run segments —
+// and records the (time, id) dispatch sequence. The RNG is consumed
+// inside callbacks too, so the streams only stay aligned between two
+// subjects if their dispatch orders are identical; any divergence
+// cascades into an obvious trace mismatch.
+func dispatchTrace(s subject, seed int64) ([]traceRec, int) {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []traceRec
-	var timers []Timer
 	nextID := 0
+	delay := func() Time {
+		switch rng.Intn(8) {
+		case 0:
+			return 0 // same tick
+		case 1:
+			return Time(rng.Intn(64))
+		case 2:
+			return Time(rng.Intn(10_000))
+		case 3:
+			return Time(rng.Intn(1_000_000))
+		case 4:
+			return Time(rng.Intn(1_000_000_000)) // RTO-ish
+		case 5:
+			return farFuture + Time(rng.Intn(1_000_000))
+		default:
+			return Time(rng.Intn(4096))
+		}
+	}
 	var schedule func(depth int)
 	schedule = func(depth int) {
 		id := nextID
 		nextID++
-		var d Time
-		switch rng.Intn(8) {
-		case 0:
-			d = 0 // same tick
-		case 1:
-			d = Time(rng.Intn(64)) // level 0/1
-		case 2:
-			d = Time(rng.Intn(10_000))
-		case 3:
-			d = Time(rng.Intn(1_000_000))
-		case 4:
-			d = Time(rng.Intn(1_000_000_000)) // RTO-ish
-		case 5:
-			d = wheelSpan + Time(rng.Intn(1_000_000)) // overflow ladder
-		default:
-			d = Time(rng.Intn(4096))
-		}
-		tm := e.At(e.Now()+d, func() {
-			trace = append(trace, traceRec{e.Now(), id})
+		s.schedule(s.Now()+delay(), func() {
+			trace = append(trace, traceRec{s.Now(), id})
 			if depth >= 3 {
 				return
 			}
@@ -192,57 +422,59 @@ func dispatchTrace(kind string, seed int64) ([]traceRec, int) {
 			case 0, 1: // schedule more from inside the dispatch
 				schedule(depth + 1)
 			case 2: // stop a random timer (possibly a same-tick sibling)
-				timers[rng.Intn(len(timers))].Stop()
+				s.stop(rng.Intn(s.timers()))
 			case 3: // reset a random timer (possibly to this very tick)
-				timers[rng.Intn(len(timers))].Reset(e.Now() + Time(rng.Intn(1000)))
+				s.reset(rng.Intn(s.timers()), s.Now()+Time(rng.Intn(1000)))
 			case 4: // no churn
 			}
 		})
-		timers = append(timers, tm)
 	}
 	horizon := Time(0)
 	for seg := 0; seg < 6; seg++ {
+		var held []int
 		for i := 0; i < 50; i++ {
+			if rng.Intn(4) == 0 {
+				// Reserve now, commit after later schedules have taken
+				// higher sequence numbers, some at the same time.
+				id := nextID
+				nextID++
+				held = append(held, s.reserve(s.Now()+delay(), func() {
+					trace = append(trace, traceRec{s.Now(), id})
+				}))
+				continue
+			}
 			schedule(0)
 		}
+		for i := len(held) - 1; i >= 0; i-- {
+			s.commit(held[i])
+		}
 		horizon += Time(rng.Intn(2_000_000) + 1)
-		e.Run(horizon)
+		s.Run(horizon)
 	}
-	// Final drain far enough to pull the overflow ladder in.
-	e.Run(horizon + 2*wheelSpan)
-	return trace, e.Pending()
+	s.Run(horizon + 2*farFuture)
+	return trace, s.Pending()
 }
 
-// TestSchedulerEquivalence cross-checks the wheel against the heap on
+// TestSchedulerEquivalence cross-checks the engine against the oracle on
 // randomized workloads: identical dispatch sequences (times, identities,
 // same-tick FIFO order) and identical leftover counts.
 func TestSchedulerEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		wt, wp := dispatchTrace(SchedWheel, seed)
-		ht, hp := dispatchTrace(SchedHeap, seed)
-		if len(wt) != len(ht) {
-			t.Fatalf("seed %d: wheel fired %d events, heap %d", seed, len(wt), len(ht))
-		}
-		for i := range wt {
-			if wt[i] != ht[i] {
-				t.Fatalf("seed %d: dispatch %d diverged: wheel %+v, heap %+v",
-					seed, i, wt[i], ht[i])
-			}
-		}
-		if wp != hp {
-			t.Fatalf("seed %d: pending after drain: wheel %d, heap %d", seed, wp, hp)
-		}
+		eng, ref := newSubjects(seed)
+		et, ep := dispatchTrace(eng, seed)
+		ot, op := dispatchTrace(ref, seed)
+		compareTraces(t, fmt.Sprintf("seed %d", seed), et, ot, ep, op)
 	}
 }
 
 // runScript interprets data as a deterministic op stream against one
-// engine: schedule (with a delta whose shift can reach the overflow
-// ladder), stop, reset, and run-to-horizon. Returns the dispatch trace and
-// the leftover pending count.
-func runScript(kind string, data []byte) ([]traceRec, int) {
-	e := NewEngineSched(1, kind)
+// subject: schedule (with a delta whose shift reaches far futures), stop,
+// reset, run-to-horizon, and a reserved sequence number taken now and
+// committed by a later op or before the next run. Returns the dispatch
+// trace and the leftover pending count.
+func runScript(s subject, data []byte) ([]traceRec, int) {
 	var trace []traceRec
-	var timers []Timer
+	var held []int
 	id := 0
 	pos := 0
 	next := func() byte {
@@ -253,91 +485,86 @@ func runScript(kind string, data []byte) ([]traceRec, int) {
 		pos++
 		return b
 	}
+	record := func() func() {
+		myID := id
+		id++
+		return func() { trace = append(trace, traceRec{s.Now(), myID}) }
+	}
+	commitAll := func() {
+		for _, r := range held {
+			s.commit(r)
+		}
+		held = held[:0]
+	}
 	for pos < len(data) {
-		switch next() % 4 {
-		case 0: // schedule at now + (b << s), s up to 44 to reach overflow
-			b, s := Time(next()), uint(next())%45
-			myID := id
-			id++
-			timers = append(timers, e.At(e.Now()+(b<<s), func() {
-				trace = append(trace, traceRec{e.Now(), myID})
-			}))
+		switch next() % 6 {
+		case 0: // schedule at now + (b << s), s up to 44
+			b, sh := Time(next()), uint(next())%45
+			s.schedule(s.Now()+(b<<sh), record())
 		case 1: // stop
-			if len(timers) > 0 {
-				timers[int(next())%len(timers)].Stop()
+			if s.timers() > 0 {
+				s.stop(int(next()) % s.timers())
 			}
 		case 2: // reset to now + delta (never the past)
-			if len(timers) > 0 {
-				i := int(next()) % len(timers)
-				timers[i].Reset(e.Now() + Time(next()))
+			if s.timers() > 0 {
+				i := int(next()) % s.timers()
+				s.reset(i, s.Now()+Time(next()))
 			}
-		case 3: // run forward (horizons are strictly non-decreasing)
-			e.Run(e.Now() + Time(next())*17 + 1)
+		case 3: // run forward; reserved schedules must be in before
+			commitAll()
+			s.Run(s.Now() + Time(next())*17 + 1)
+		case 4: // reserve a sequence number for an event at now + delta
+			held = append(held, s.reserve(s.Now()+Time(next()), record()))
+		case 5: // commit the oldest held reservation
+			if len(held) > 0 {
+				s.commit(held[0])
+				held = held[1:]
+			}
 		}
 	}
-	e.Run(e.Now() + Time(1)<<21)
-	return trace, e.Pending()
+	commitAll()
+	s.Run(s.Now() + Time(1)<<21)
+	return trace, s.Pending()
 }
 
-// FuzzScheduler feeds the same op script to both schedulers and requires
-// identical dispatch traces, with the heap as the oracle.
+// FuzzScheduler feeds the same op script to the engine and the oracle and
+// requires identical dispatch traces.
 func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 20, 0, 3, 200})
 	f.Add([]byte{0, 255, 40, 0, 1, 0, 3, 9, 0, 3, 3, 1, 0, 2, 0, 77, 3, 255})
 	f.Add([]byte{0, 1, 0, 0, 1, 0, 0, 1, 0, 2, 0, 0, 3, 1})
+	f.Add([]byte{4, 9, 0, 9, 0, 0, 9, 0, 5, 4, 9, 3, 2, 4, 0, 5, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return
 		}
-		wt, wp := runScript(SchedWheel, data)
-		ht, hp := runScript(SchedHeap, data)
-		if len(wt) != len(ht) || wp != hp {
-			t.Fatalf("wheel fired %d (pending %d), heap fired %d (pending %d)",
-				len(wt), wp, len(ht), hp)
-		}
-		for i := range wt {
-			if wt[i] != ht[i] {
-				t.Fatalf("dispatch %d diverged: wheel %+v, heap %+v", i, wt[i], ht[i])
-			}
-		}
+		eng, ref := newSubjects(1)
+		et, ep := runScript(eng, data)
+		ot, op := runScript(ref, data)
+		compareTraces(t, "script", et, ot, ep, op)
 	})
 }
 
-// TestEngineDefaultIsWheel pins the default scheduler choice.
-func TestEngineDefaultIsWheel(t *testing.T) {
-	if _, ok := NewEngine(1).sched.(*wheel); !ok {
-		t.Error("NewEngine should default to the timing wheel")
-	}
-}
-
-// TestNewEngineSchedUnknownPanics pins the constructor's validation.
-func TestNewEngineSchedUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown scheduler kind should panic")
-		}
-	}()
-	NewEngineSched(1, "bogus")
-}
-
-// TestSchedulerEquivalenceLongHaul exercises repeated cascades: sparse
-// timers marching across many wheel slots and levels over a long horizon.
+// TestSchedulerEquivalenceLongHaul marches a sparse self-rescheduling
+// timer across a long horizon with strides of growing length.
 func TestSchedulerEquivalenceLongHaul(t *testing.T) {
-	for _, kind := range schedKinds {
-		e := NewEngineSched(9, kind)
-		var fired []Time
-		var tick func()
-		tick = func() {
-			fired = append(fired, e.Now())
-			if len(fired) < 500 {
-				// Strides chosen to straddle slot and level boundaries.
-				e.After(time.Duration(63+len(fired)*641), tick)
-			}
+	e := NewEngine(9)
+	var fired []Time
+	var tick func()
+	tick = func() {
+		fired = append(fired, e.Now())
+		if len(fired) < 500 {
+			e.After(time.Duration(63+len(fired)*641), tick)
 		}
-		e.At(0, tick)
-		e.Run(Time(1) << 40)
-		if len(fired) != 500 {
-			t.Fatalf("%s: fired %d, want 500", kind, len(fired))
+	}
+	e.At(0, tick)
+	e.Run(Time(1) << 40)
+	if len(fired) != 500 {
+		t.Fatalf("fired %d, want 500", len(fired))
+	}
+	for i := 1; i < len(fired); i++ {
+		if want := fired[i-1] + Time(63+i*641); fired[i] != want {
+			t.Fatalf("tick %d fired at %v, want %v", i, fired[i], want)
 		}
 	}
 }

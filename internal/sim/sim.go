@@ -1,21 +1,18 @@
 // Package sim implements the discrete-event simulation engine at the heart
 // of hostsim.
 //
-// The engine owns a virtual clock (nanosecond resolution), a pluggable
-// event scheduler, and a seeded random source. Everything in a simulation
-// — packet arrivals, CPU work completions, timers — is an event. The
-// engine is strictly single-threaded and deterministic: events at the same
-// timestamp fire in scheduling order, and all randomness flows from the
-// engine's seed.
+// The engine owns a virtual clock (nanosecond resolution), one pending
+// event queue, and a seeded random source. Everything in a simulation —
+// packet arrivals, CPU work completions, timers — is an event. The engine
+// is strictly single-threaded and deterministic: events dispatch in
+// strictly ascending (time, sequence) order, where the sequence number is
+// taken from a per-engine counter when the event is scheduled (or
+// reserved, see ReserveSeq), so events at the same timestamp fire in
+// scheduling order. All randomness flows from the engine's seed.
 //
-// Two scheduler implementations exist behind one contract (dispatch in
-// (time, scheduling-sequence) order):
-//
-//   - SchedWheel (the default): a hierarchical timing wheel with an
-//     overflow ladder — amortized O(1) schedule/cancel/expire, same-tick
-//     events dispatched as a seq-sorted batch. See wheel.go.
-//   - SchedHeap: the classic binary heap, O(log n) per operation. Kept as
-//     the differential-testing reference; see heapq.go.
+// The queue is a 4-ary min-heap of {at, seq, *event} entries: sift
+// comparisons read the keys stored inline in the heap slice and never
+// dereference an event. Schedule, cancel and reset are O(log n).
 //
 // The scheduling fast path is allocation-free in steady state: fired and
 // stopped events return to a per-engine free list, Timer.Reset reschedules
@@ -34,9 +31,6 @@ import (
 // run.
 type Time int64
 
-// maxTime is the horizon used when no bound applies (Step).
-const maxTime = Time(1<<63 - 1)
-
 // Duration converts t to a time.Duration from the simulation epoch.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
@@ -45,56 +39,31 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Scheduler kinds accepted by NewEngineSched.
-const (
-	SchedWheel = "wheel" // hierarchical timing wheel + overflow ladder (default)
-	SchedHeap  = "heap"  // binary heap (reference implementation)
-)
-
-// location says where a pending event currently lives. Values 0 through
-// numLevels-1 are wheel levels; the named values cover everything else.
-type location int8
-
-const (
-	locNone     location = -1            // not pending: fired, stopped, or never scheduled
-	locOverflow location = numLevels     // wheel overflow ladder
-	locBatch    location = numLevels + 1 // wheel same-tick dispatch batch
-	locHeap     location = numLevels + 2 // binary-heap queue
-)
-
-// An event is a callback scheduled at a time. seq breaks timestamp ties in
-// FIFO order so the simulation is deterministic; it also doubles as the
-// generation guard that keeps stale Timer handles from touching a pooled
-// event after it has been recycled for a new schedule.
+// An event is a callback scheduled at a time. Its dispatch key (at, seq)
+// lives in the heap entry that points at it; the event keeps its own copy
+// of seq as the generation guard that stops stale Timer handles from
+// touching a pooled event after it has been recycled for a new schedule.
 //
 // An event carries either fn (niladic) or fnA+arg (one-argument): the
 // argument form lets hot paths schedule a prebound function with a pointer
 // payload instead of allocating a capturing closure per event.
 type event struct {
-	at  Time
 	seq uint64
 	fn  func()
 	fnA func(any)
 	arg any
-	loc location // where the event lives; locNone once popped or cancelled
-	idx int32    // index within its container (heap, bucket, batch, or overflow)
+	idx int32 // heap index; negative when not pending (fired, stopped, never scheduled)
 }
 
-// scheduler is the pending-event store. Both implementations dispatch in
-// strictly ascending (at, seq) order; the engine owns now, seq assignment
-// and the free list.
-type scheduler interface {
-	schedule(*event)   // insert a pending event (at, seq set)
-	unschedule(*event) // remove a pending event (Stop, Reset)
-	// popBefore removes and returns the earliest pending event by
-	// (at, seq), or nil if the queue is empty or the earliest event is at
-	// or past limit. The wheel implementation relies on limit for
-	// correctness: it never advances its internal clock floor past a
-	// returned limit, which keeps every future schedule (at >= now) ahead
-	// of the floor. Consequently Run horizons must not move backward
-	// across calls; hostsim's warmup-then-measure horizons are monotone.
-	popBefore(limit Time) *event
-	len() int
+// entry is one heap slot: the dispatch key inline, then the event.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
+
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Timer is a handle to a scheduled event that may be cancelled or
@@ -109,7 +78,7 @@ type Timer struct {
 // valid reports whether the handle still refers to its own live event
 // (pending in the queue, not fired, not recycled).
 func (t *Timer) valid() bool {
-	return t != nil && t.e != nil && t.e.seq == t.seq && t.e.loc != locNone
+	return t != nil && t.e != nil && t.e.seq == t.seq && t.e.idx >= 0
 }
 
 // Stop cancels the timer. It reports whether the timer was pending (false
@@ -124,7 +93,7 @@ func (t *Timer) Stop() bool {
 		t.e = nil
 		return false
 	}
-	t.eng.sched.unschedule(t.e)
+	t.eng.remove(int(t.e.idx))
 	t.eng.release(t.e)
 	t.e = nil
 	return true
@@ -139,14 +108,15 @@ func (t *Timer) When() Time {
 	if !t.valid() {
 		return 0
 	}
-	return t.e.at
+	return t.eng.q[t.e.idx].at
 }
 
 // Reset reschedules a pending timer to fire at absolute time at, keeping
-// its callback. The event is re-placed without allocation. Like a fresh
-// schedule, the reset timer moves to the back of the FIFO tie-break order
-// at its new timestamp. Reset reports whether the timer was pending; a
-// fired or stopped timer cannot be revived — schedule a new one instead.
+// its callback. The heap entry is re-keyed in place without allocation.
+// Like a fresh schedule, the reset timer moves to the back of the FIFO
+// tie-break order at its new timestamp. Reset reports whether the timer
+// was pending; a fired or stopped timer cannot be revived — schedule a new
+// one instead.
 func (t *Timer) Reset(at Time) bool {
 	if !t.valid() {
 		return false
@@ -156,12 +126,13 @@ func (t *Timer) Reset(at Time) bool {
 		panic(fmt.Sprintf("sim: resetting timer to %v before now %v", at, eng.now))
 	}
 	ev := t.e
-	eng.sched.unschedule(ev)
-	ev.at = at
 	ev.seq = eng.seq
 	eng.seq++
 	t.seq = ev.seq
-	eng.sched.schedule(ev)
+	i := int(ev.idx)
+	eng.q[i].at = at
+	eng.q[i].seq = ev.seq
+	eng.fix(i)
 	return true
 }
 
@@ -172,29 +143,13 @@ type Engine struct {
 	rng    *rand.Rand
 	fired  uint64
 	halted bool
-	sched  scheduler
+	q      []entry  // 4-ary min-heap on (at, seq)
 	free   []*event // recycled event structs (steady-state scheduling is allocation-free)
 }
 
-// NewEngine returns an engine whose random source is seeded with seed,
-// using the default wheel scheduler.
-func NewEngine(seed int64) *Engine { return NewEngineSched(seed, SchedWheel) }
-
-// NewEngineSched returns an engine using the named scheduler kind
-// (SchedWheel or SchedHeap). The two kinds dispatch any workload in an
-// identical order; heap is retained as the differential-testing reference.
-// Unknown kinds panic.
-func NewEngineSched(seed int64, kind string) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
-	switch kind {
-	case SchedWheel:
-		e.sched = newWheel()
-	case SchedHeap:
-		e.sched = &heapSched{}
-	default:
-		panic(fmt.Sprintf("sim: unknown scheduler kind %q", kind))
-	}
-	return e
+// NewEngine returns an engine whose random source is seeded with seed.
+func NewEngine(seed int64) *Engine {
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulated time.
@@ -203,8 +158,11 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return e.sched.len() }
+// Pending returns the number of scheduled events. Work that a component
+// keeps queued outside the engine is not counted: a wire link holds one
+// event for the frame at the head of its in-flight FIFO, and the frames
+// behind the head are not engine events until they reach it.
+func (e *Engine) Pending() int { return len(e.q) }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -216,33 +174,43 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{loc: locNone}
+	return &event{idx: -1}
 }
 
 // release returns a fired or cancelled event to the free list. The seq it
 // carries stays in place until the struct is reused, so stale Timer
-// handles see locNone (not pending) now and a mismatched seq later.
+// handles see a negative idx (not pending) now and a mismatched seq later.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.fnA = nil
 	ev.arg = nil
-	ev.loc = locNone
+	ev.idx = -1
 	e.free = append(e.free, ev)
 }
 
-func (e *Engine) scheduleAt(t Time, fn func(), fnA func(any), arg any) Timer {
+// ReserveSeq takes the next scheduling sequence number without scheduling
+// anything. An event later scheduled under it with AtArgSeq dispatches
+// exactly where it would have if it had been scheduled at the moment of
+// the reservation. Components that release work in order (a link's frame
+// FIFO) use it to keep one pending event instead of one per queued item.
+func (e *Engine) ReserveSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+func (e *Engine) schedule(t Time, seq uint64, fn func(), fnA func(any), arg any) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
-	ev.at = t
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.fn = fn
 	ev.fnA = fnA
 	ev.arg = arg
-	e.seq++
-	e.sched.schedule(ev)
-	return Timer{e: ev, eng: e, seq: ev.seq}
+	e.q = append(e.q, entry{at: t, seq: seq, ev: ev})
+	e.up(len(e.q) - 1)
+	return Timer{e: ev, eng: e, seq: seq}
 }
 
 // At schedules fn at absolute time t and returns a cancellable Timer.
@@ -251,7 +219,7 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: scheduling nil event")
 	}
-	return e.scheduleAt(t, fn, nil, nil)
+	return e.schedule(t, e.ReserveSeq(), fn, nil, nil)
 }
 
 // AtArg schedules fn(arg) at absolute time t. It is At for hot paths: the
@@ -261,7 +229,23 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("sim: scheduling nil event")
 	}
-	return e.scheduleAt(t, nil, fn, arg)
+	return e.schedule(t, e.ReserveSeq(), nil, fn, arg)
+}
+
+// AtArgSeq schedules fn(arg) at absolute time t under seq, a number taken
+// earlier from ReserveSeq. Dispatch order is strict (at, seq), so the
+// event lands exactly where a schedule made at reservation time would
+// have, provided nothing ordered after (t, seq) has dispatched yet: always
+// true when t is after Now(), and at t == Now() when seq is above that of
+// the event now dispatching.
+func (e *Engine) AtArgSeq(t Time, seq uint64, fn func(any), arg any) Timer {
+	if fn == nil {
+		panic("sim: scheduling nil event")
+	}
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: sequence %d was never reserved", seq))
+	}
+	return e.schedule(t, seq, nil, fn, arg)
 }
 
 // After schedules fn after delay d.
@@ -289,19 +273,16 @@ func (e *Engine) Halt() { e.halted = true }
 //
 // The horizon is exclusive: an event scheduled exactly at the horizon does
 // not run, so a run to horizon H observes the half-open interval [0, H).
+// The clock never moves backward: a horizon at or before Now() dispatches
+// nothing and leaves the clock where it is.
 func (e *Engine) Run(horizon Time) Time {
 	e.halted = false
-	for e.sched.len() > 0 && !e.halted {
-		ev := e.sched.popBefore(horizon)
-		if ev == nil {
-			e.now = horizon
-			return e.now
-		}
-		e.dispatch(ev)
+	for len(e.q) > 0 && !e.halted && e.q[0].at < horizon {
+		e.dispatch(e.pop())
 	}
-	if e.now < horizon && e.sched.len() == 0 {
-		// Queue drained before the horizon: time still advances to it so
-		// rate metrics divide by the full window.
+	if e.now < horizon && (!e.halted || len(e.q) == 0) {
+		// The horizon was reached or the queue drained before it: time
+		// still advances to it so rate metrics divide by the full window.
 		e.now = horizon
 	}
 	return e.now
@@ -309,20 +290,20 @@ func (e *Engine) Run(horizon Time) Time {
 
 // Step executes the single next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	ev := e.sched.popBefore(maxTime)
-	if ev == nil {
+	if len(e.q) == 0 {
 		return false
 	}
-	e.dispatch(ev)
+	e.dispatch(e.pop())
 	return true
 }
 
-// dispatch advances the clock to ev, recycles the record, and runs the
+// dispatch advances the clock to en, recycles the event, and runs the
 // callback. The callback fields are read out first: the event struct may
 // be reused for a schedule performed inside the callback itself.
-func (e *Engine) dispatch(ev *event) {
-	e.now = ev.at
+func (e *Engine) dispatch(en entry) {
+	e.now = en.at
 	e.fired++
+	ev := en.ev
 	fn, fnA, arg := ev.fn, ev.fnA, ev.arg
 	e.release(ev)
 	if fnA != nil {
@@ -330,4 +311,93 @@ func (e *Engine) dispatch(ev *event) {
 	} else {
 		fn()
 	}
+}
+
+// pop removes and returns the earliest entry. The queue must be non-empty.
+func (e *Engine) pop() entry {
+	top := e.q[0]
+	last := len(e.q) - 1
+	if last > 0 {
+		e.q[0] = e.q[last]
+		e.q[last] = entry{}
+		e.q = e.q[:last]
+		e.down(0)
+	} else {
+		e.q[0] = entry{}
+		e.q = e.q[:0]
+	}
+	top.ev.idx = -1
+	return top
+}
+
+// remove deletes the entry at heap index i (Timer.Stop).
+func (e *Engine) remove(i int) {
+	last := len(e.q) - 1
+	e.q[i].ev.idx = -1
+	if i != last {
+		e.q[i] = e.q[last]
+	}
+	e.q[last] = entry{}
+	e.q = e.q[:last]
+	if i != last {
+		e.fix(i)
+	}
+}
+
+// fix restores heap order after the key at index i changed.
+func (e *Engine) fix(i int) {
+	if i > 0 && e.q[i].before(e.q[(i-1)/4]) {
+		e.up(i)
+	} else {
+		e.down(i)
+	}
+}
+
+// up sifts the entry at i toward the root, moving parents down into the
+// hole instead of swapping.
+func (e *Engine) up(i int) {
+	q := e.q
+	x := q[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.idx = int32(i)
+		i = p
+	}
+	q[i] = x
+	x.ev.idx = int32(i)
+}
+
+// down sifts the entry at i toward the leaves.
+func (e *Engine) down(i int) {
+	q := e.q
+	n := len(q)
+	x := q[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(x) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.idx = int32(i)
+		i = m
+	}
+	q[i] = x
+	x.ev.idx = int32(i)
 }

@@ -49,11 +49,11 @@ func BenchmarkTimerStop(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerReset measures the in-place heap.Fix reschedule — the RTO
+// BenchmarkTimerReset measures the in-place heap re-key — the RTO
 // re-arm fast path. Zero allocations expected.
 func BenchmarkTimerReset(b *testing.B) {
 	e := NewEngine(1)
-	// A little background population so heap.Fix does real sift work.
+	// A little background population so the re-key does real sift work.
 	for i := 0; i < 63; i++ {
 		e.At(Time(i+1)<<30, func() {})
 	}

@@ -433,3 +433,55 @@ func TestNegativeAfterClampsToNow(t *testing.T) {
 		t.Error("negative After should clamp to now and fire")
 	}
 }
+
+// Run never moves the clock backward, and a horizon at or before Now()
+// dispatches nothing — not even an event scheduled exactly at Now().
+func TestRunNeverRewindsClock(t *testing.T) {
+	e := NewEngine(1)
+	var fired []Time
+	rec := func() { fired = append(fired, e.Now()) }
+	e.At(100, rec)
+	e.At(50, rec)
+	if end := e.Run(60); end != 60 || len(fired) != 1 {
+		t.Fatalf("Run(60) = %v with %d fired, want 60 with 1", end, len(fired))
+	}
+	e.At(60, rec)
+	for _, h := range []Time{30, 60} {
+		if end := e.Run(h); end != 60 || e.Now() != 60 {
+			t.Fatalf("Run(%v) moved the clock to %v (returned %v), want it left at 60", h, e.Now(), end)
+		}
+		if len(fired) != 1 || e.Pending() != 2 {
+			t.Fatalf("Run(%v) dispatched: fired %v, %d pending", h, fired, e.Pending())
+		}
+	}
+	e.Run(1000)
+	if want := []Time{50, 60, 100}; len(fired) != 3 || fired[1] != want[1] || fired[2] != want[2] {
+		t.Errorf("fired at %v, want %v", fired, want)
+	}
+}
+
+// A deferred schedule under a reserved sequence number dispatches where a
+// schedule made at reservation time would have: ahead of same-time events
+// scheduled after the reservation, behind those scheduled before it.
+func TestReservedSeqKeepsOrder(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	e.At(100, func() { order = append(order, "before") })
+	seq := e.ReserveSeq()
+	e.At(100, func() { order = append(order, "after") })
+	e.AtArgSeq(100, seq, func(a any) { order = append(order, a.(string)) }, "reserved")
+	e.Run(1000)
+	if len(order) != 3 || order[0] != "before" || order[1] != "reserved" || order[2] != "after" {
+		t.Errorf("fire order = %v, want [before reserved after]", order)
+	}
+}
+
+func TestAtArgSeqUnreservedPanics(t *testing.T) {
+	e := NewEngine(1)
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling under a sequence number never reserved should panic")
+		}
+	}()
+	e.AtArgSeq(10, 5, func(any) {}, nil)
+}

@@ -41,6 +41,14 @@ type Stats struct {
 
 // Link is one direction of the inter-host path. Frames serialize in FIFO
 // order at the link rate, then propagate for Delay before delivery.
+//
+// A frame's delivery time is the serializer's free time plus the fixed
+// Delay, and the free time never decreases, so frames reach the far end in
+// the order they were sent. The link therefore keeps its in-flight frames
+// in a ring and holds one engine event, for the head. Each frame reserves
+// its engine sequence number at Send, and the head's event is scheduled
+// under it, so every delivery dispatches exactly where a per-frame event
+// scheduled at Send would have.
 type Link struct {
 	eng      *sim.Engine
 	rate     units.BitRate
@@ -57,9 +65,22 @@ type Link struct {
 	deliverEv    func(any)                        // bound deliverFrame, allocated once
 
 	// Frames past the switch but not yet delivered (serializing or
-	// propagating). Audited by the conservation checker.
+	// propagating), oldest first: ring[head] onward, inflightFrames of
+	// them, in a circular buffer whose length is a power of two. Only
+	// ring[head] has a pending engine event. The two counters are
+	// audited by the conservation checker.
+	ring            []inflight
+	head            int
 	inflightFrames  int64
 	inflightPayload units.Bytes
+}
+
+// inflight is one frame on the link: its delivery time and the engine
+// sequence number reserved for its delivery event at Send.
+type inflight struct {
+	f   *skb.Frame
+	at  sim.Time
+	seq uint64
 }
 
 // NewLink builds a link delivering frames to deliver.
@@ -183,21 +204,48 @@ func (l *Link) Send(f *skb.Frame) {
 		l.stats.DroppedPayload += f.Len
 		return // consumed wire time, then died at the switch
 	}
+	it := inflight{f: f, at: l.nextFree.Add(l.delay), seq: l.eng.ReserveSeq()}
+	n := int(l.inflightFrames)
+	if n == len(l.ring) {
+		l.grow()
+	}
+	l.ring[(l.head+n)&(len(l.ring)-1)] = it
 	l.inflightFrames++
 	l.inflightPayload += f.Len
-	l.eng.AtArg(l.nextFree.Add(l.delay), l.deliverEv, f)
+	if n == 0 {
+		l.eng.AtArgSeq(it.at, it.seq, l.deliverEv, nil)
+	}
 }
 
-// deliverFrame is the wire-delivery event. In-flight frames are immutable
-// (only the receiver mutates frames, after delivery), so f.Len here equals
-// its value at Send — but it is read before l.deliver, which may recycle f.
-func (l *Link) deliverFrame(a any) {
-	f := a.(*skb.Frame)
+// grow doubles the ring, unwrapping it so the head lands at index 0.
+func (l *Link) grow() {
+	ring := make([]inflight, max(16, 2*len(l.ring)))
+	for i := 0; i < int(l.inflightFrames); i++ {
+		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring = ring
+	l.head = 0
+}
+
+// deliverFrame is the wire-delivery event for the ring's head. It pops the
+// head and schedules the next one before delivering, so a Send made from
+// inside the delivery callback finds the ring consistent. In-flight frames
+// are immutable (only the receiver mutates frames, after delivery), so
+// f.Len here equals its value at Send — but it is read before l.deliver,
+// which may recycle f.
+func (l *Link) deliverFrame(any) {
+	f := l.ring[l.head].f
+	l.ring[l.head] = inflight{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
 	pl := f.Len
-	l.stats.Delivered++
-	l.stats.DeliveredPayload += pl
 	l.inflightFrames--
 	l.inflightPayload -= pl
+	if l.inflightFrames > 0 {
+		nx := &l.ring[l.head]
+		l.eng.AtArgSeq(nx.at, nx.seq, l.deliverEv, nil)
+	}
+	l.stats.Delivered++
+	l.stats.DeliveredPayload += pl
 	if l.deliverTap != nil {
 		l.deliverTap(f)
 	}

@@ -4,29 +4,49 @@ package hostsim_test
 
 import (
 	"testing"
+	"time"
 
 	"hostsim"
 )
 
-// TestRunAllocationBudget guards the hot-path allocation purge: a default
-// single-flow run must stay within a fixed allocation budget. With dense
-// id tables instead of maps on the per-packet path and one event heap
-// whose pending set grows with links and timers rather than with frames in
-// flight, the run makes roughly 1.13k allocations (setup + unavoidable
-// growth); the bound below leaves ~2.5x headroom so it only trips on a
-// real regression (a per-event or per-packet allocation reappearing
-// multiplies the count by orders of magnitude, not percentages).
+// TestRunAllocationBudget guards the hot-path allocation purge on three
+// runs that reach different datapaths: the default single flow (aRFS),
+// the same flow with every optimization off (worst-case IRQ steering,
+// 1500 B frames, no GRO), and a 64-host incast through the switch fabric
+// (per-host build cost, slab warm-up, idle ACK-only Rx queues). Each
+// budget leaves ~2.5x headroom over the measured count, so it only trips
+// on a real regression: a per-packet or per-event allocation reappearing
+// multiplies the count by orders of magnitude, not percentages.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting run is not short")
 	}
-	const budget = 2800
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := hostsim.Run(benchRunCfg(), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > budget {
-		t.Errorf("default Run allocated %.0f objects, budget %d; a hot-path allocation has crept back in", allocs, budget)
+	noOpt := benchRunCfg()
+	noOpt.Stack = hostsim.NoOptimizations()
+	incast := benchRunCfg()
+	incast.Warmup, incast.Duration = 5*time.Millisecond, 5*time.Millisecond
+	incast.Fabric = &hostsim.FabricOptions{Hosts: 64}
+	single := hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)
+	for _, c := range []struct {
+		name   string
+		cfg    hostsim.Config
+		wl     hostsim.Workload
+		budget float64
+	}{
+		{"default", benchRunCfg(), single, 1800},
+		{"no-optimizations", noOpt, single, 4000},
+		{"incast64", incast, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), 42000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := hostsim.Run(c.cfg, c.wl); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%.0f allocations", allocs)
+			if allocs > c.budget {
+				t.Errorf("Run allocated %.0f objects, budget %.0f; a hot-path allocation has crept back in", allocs, c.budget)
+			}
+		})
 	}
 }

@@ -279,23 +279,24 @@ func (h *Host) steeringCoreFor(appCore int) int {
 	case SteerARFS:
 		return appCore
 	case SteerWorstCase:
-		// First core of the next NUMA node (wrapping): deterministic and
-		// always NUMA-remote from the application, as in the paper.
-		node := h.spec.NodeOf(appCore)
-		remote := (node + 1) % h.spec.NUMANodes
-		return h.spec.CoresOnNode(remote)[appCore%h.spec.CoresPerNode]
+		// The same-index core of the next NUMA node (wrapping):
+		// deterministic and always NUMA-remote from the application, as
+		// in the paper.
+		per := h.spec.CoresPerNode
+		remote := (h.spec.NodeOf(appCore) + 1) % h.spec.NUMANodes
+		return remote*per + appCore%per
 	case SteerSameNUMA:
-		// The paper's IRQ-mapping case 2: another core on the same node.
-		node := h.spec.NodeOf(appCore)
-		cores := h.spec.CoresOnNode(node)
-		return cores[(appCore-cores[0]+1)%len(cores)]
+		// The paper's IRQ-mapping case 2: the next core on the same node.
+		per := h.spec.CoresPerNode
+		return h.spec.NodeOf(appCore)*per + (appCore%per+1)%per
 	default:
 		return appCore // table unused under RSS-based modes
 	}
 }
 
 // processingCoreFor returns where a flow's TCP/IP processing runs: under
-// software steering (RPS/RFS) this differs from the hardware IRQ core.
+// software steering (RPS/RFS) this differs from the hardware IRQ core,
+// which register computed once as ep.irqCore.
 func (h *Host) processingCoreFor(ep *Endpoint) int {
 	switch h.opts.Steering {
 	case SteerRFS:
@@ -305,7 +306,7 @@ func (h *Host) processingCoreFor(ep *Endpoint) int {
 		hsh := uint32(ep.rxFlow)*2654435761 + 0x9e37
 		return int((hsh >> 8) % uint32(h.spec.NumCores()))
 	default:
-		return h.steeringCoreFor(ep.appCore)
+		return ep.irqCore
 	}
 }
 

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"hostsim"
@@ -54,48 +53,6 @@ func init() {
 	})
 }
 
-// fabOpts returns a canonical *hostsim.FabricOptions per parameter tuple.
-// The run memo keys on "%+v" of the config, which renders pointer fields
-// as addresses — a shared pointer per tuple keeps keys stable so repeated
-// scenarios dedupe instead of re-running.
-type fabKey struct {
-	hosts, bufKB int
-	alpha        float64
-}
-
-var (
-	fabMu   sync.Mutex
-	fabPool = map[fabKey]*hostsim.FabricOptions{}
-)
-
-func fabOpts(o hostsim.FabricOptions) *hostsim.FabricOptions {
-	k := fabKey{o.Hosts, o.SharedBufferKB, o.Alpha}
-	fabMu.Lock()
-	defer fabMu.Unlock()
-	p, ok := fabPool[k]
-	if !ok {
-		o := o
-		p = &o
-		fabPool[k] = p
-	}
-	return p
-}
-
-// fabObsOpts canonicalizes *hostsim.FabricObsOptions the same way
-// fabOpts does FabricOptions, keeping the run memo's "%+v" keys stable.
-var fabObsPool = map[int]*hostsim.FabricObsOptions{}
-
-func fabObsOpts(burstKB int) *hostsim.FabricObsOptions {
-	fabMu.Lock()
-	defer fabMu.Unlock()
-	p, ok := fabObsPool[burstKB]
-	if !ok {
-		p = &hostsim.FabricObsOptions{BurstThresholdKB: burstKB}
-		fabObsPool[burstKB] = p
-	}
-	return p
-}
-
 // fabricScales is the host-count ladder shared by fab1 and fab2.
 var fabricScales = []int{2, 4, 8, 16, 64}
 
@@ -109,7 +66,7 @@ func fab1Incast(rc RunConfig) (*Table, error) {
 	specs := make([]runSpec, len(fabricScales))
 	for i, h := range fabricScales {
 		cfg := rc.config(hostsim.AllOptimizations())
-		cfg.Fabric = fabOpts(hostsim.FabricOptions{Hosts: h})
+		cfg.Fabric = &hostsim.FabricOptions{Hosts: h}
 		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)}
 	}
 	results, err := runBatch(rc, specs)
@@ -142,7 +99,7 @@ func fab2Outcast(rc RunConfig) (*Table, error) {
 	specs := make([]runSpec, len(fabricScales))
 	for i, h := range fabricScales {
 		cfg := rc.config(hostsim.AllOptimizations())
-		cfg.Fabric = fabOpts(hostsim.FabricOptions{Hosts: h})
+		cfg.Fabric = &hostsim.FabricOptions{Hosts: h}
 		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternOutcast, 0)}
 	}
 	results, err := runBatch(rc, specs)
@@ -176,7 +133,7 @@ func fab3AllToAll(rc RunConfig) (*Table, error) {
 	specs := make([]runSpec, len(scales))
 	for i, h := range scales {
 		cfg := rc.config(hostsim.AllOptimizations())
-		cfg.Fabric = fabOpts(hostsim.FabricOptions{Hosts: h})
+		cfg.Fabric = &hostsim.FabricOptions{Hosts: h}
 		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternAllToAll, 0)}
 	}
 	results, err := runBatch(rc, specs)
@@ -236,7 +193,7 @@ func fab4Buffer(rc RunConfig) (*Table, error) {
 		s.CC = v.cc
 		cfg := rc.config(s)
 		cfg.ECNMarkKB = v.ecnKB
-		cfg.Fabric = fabOpts(hostsim.FabricOptions{Hosts: 16, SharedBufferKB: v.bufKB})
+		cfg.Fabric = &hostsim.FabricOptions{Hosts: 16, SharedBufferKB: v.bufKB}
 		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)}
 	}
 	results, err := runBatch(rc, specs)
@@ -278,8 +235,8 @@ func fab5Bursts(rc RunConfig) (*Table, error) {
 	specs := make([]runSpec, len(fab5Ladder))
 	for i, kb := range fab5Ladder {
 		cfg := rc.config(hostsim.AllOptimizations())
-		cfg.Fabric = fabOpts(hostsim.FabricOptions{Hosts: 16, SharedBufferKB: kb})
-		cfg.FabricObs = fabObsOpts(64)
+		cfg.Fabric = &hostsim.FabricOptions{Hosts: 16, SharedBufferKB: kb}
+		cfg.FabricObs = &hostsim.FabricObsOptions{BurstThresholdKB: 64}
 		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)}
 	}
 	results, err := runBatch(rc, specs)
@@ -341,8 +298,8 @@ func fab6Attribution(rc RunConfig) (*Table, error) {
 		cfg := rc.config(s)
 		cfg.ECNMarkKB = v.ecnKB
 		cfg.LossRate = v.lossPct / 100
-		cfg.Fabric = fabOpts(hostsim.FabricOptions{Hosts: 8, SharedBufferKB: v.bufKB})
-		cfg.FabricObs = fabObsOpts(0)
+		cfg.Fabric = &hostsim.FabricOptions{Hosts: 8, SharedBufferKB: v.bufKB}
+		cfg.FabricObs = &hostsim.FabricObsOptions{}
 		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)}
 	}
 	results, err := runBatch(rc, specs)

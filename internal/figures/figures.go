@@ -6,6 +6,7 @@
 package figures
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -34,15 +35,10 @@ type RunConfig struct {
 	// CostScale perturbs individual per-operation cycle costs (see
 	// hostsim.Config.CostScale); the validate sensitivity sweeps use it
 	// to regenerate tables under a perturbed cost model. The run memo
-	// keys on the rendered config, so runs at different scales never
+	// keys on the config's value, so runs at different scales never
 	// alias.
 	CostScale map[string]float64
 }
-
-// checkOpts is the one CheckOptions value shared by every checked run.
-// A single package-level pointer keeps the run memo's "%+v" keys stable:
-// the pointer field renders as the same address for every config.
-var checkOpts = &hostsim.CheckOptions{}
 
 // jobs returns the effective parallelism degree.
 func (rc RunConfig) jobs() int {
@@ -61,7 +57,7 @@ func (rc RunConfig) config(s hostsim.Stack) hostsim.Config {
 	cfg := hostsim.Config{Stack: s, Seed: rc.Seed, Warmup: rc.Warmup, Duration: rc.Duration,
 		CostScale: rc.CostScale}
 	if rc.Check {
-		cfg.Check = checkOpts
+		cfg.Check = &hostsim.CheckOptions{}
 	}
 	return cfg
 }
@@ -240,6 +236,11 @@ func ByID(id string) (Experiment, bool) {
 // a singleflight: when experiments run concurrently (RunAll with Jobs > 1)
 // the first caller of a key executes the simulation and everyone else
 // blocks on its completion, so no scenario ever runs twice.
+//
+// The key is the JSON encoding of the (config, workload) pair: it follows
+// pointers to their values and orders map keys, so configs that are equal
+// in value share a run however their option structs were allocated, and
+// an option struct changed in place never hits a stale entry.
 
 type memoEntry struct {
 	once sync.Once
@@ -252,8 +253,23 @@ var (
 	runCache = map[string]*memoEntry{}
 )
 
+// memoKey renders a (config, workload) pair as its run-memo key.
+func memoKey(cfg hostsim.Config, wl hostsim.Workload) (string, error) {
+	b, err := json.Marshal(struct {
+		Cfg hostsim.Config
+		WL  hostsim.Workload
+	}{cfg, wl})
+	if err != nil {
+		return "", fmt.Errorf("figures: run memo key: %w", err)
+	}
+	return string(b), nil
+}
+
 func run(cfg hostsim.Config, wl hostsim.Workload) (*hostsim.Result, error) {
-	key := fmt.Sprintf("%+v|%+v", cfg, wl)
+	key, err := memoKey(cfg, wl)
+	if err != nil {
+		return nil, err
+	}
 	cacheMu.Lock()
 	e, ok := runCache[key]
 	if !ok {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hostsim"
 )
 
 // quick returns a fast measurement window for tests.
@@ -115,6 +117,48 @@ func TestRunCache(t *testing.T) {
 	ClearCache()
 	if CacheSize() != 0 {
 		t.Error("ClearCache left entries")
+	}
+}
+
+// TestMemoKeyByValue pins the run memo's key to the config's value: an
+// option struct changed in place must change the key (a key built from
+// the pointer's address would not), and distinct pointers to equal values
+// must share one, so the memo still dedupes.
+func TestMemoKeyByValue(t *testing.T) {
+	wl := hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)
+	tun := &hostsim.Tuning{DCAHazardFactor: 0.07}
+	cfg := Default().config(hostsim.AllOptimizations())
+	cfg.Tuning = tun
+	k1, err := memoKey(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tun.DCAHazardFactor = -1
+	k2, err := memoKey(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1 == k2 {
+		t.Fatal("changing *Tuning in place left the memo key unchanged")
+	}
+
+	a, b := cfg, cfg
+	a.Tuning = &hostsim.Tuning{TSQBytes: 1 << 18}
+	b.Tuning = &hostsim.Tuning{TSQBytes: 1 << 18}
+	a.Fabric = &hostsim.FabricOptions{Hosts: 4}
+	b.Fabric = &hostsim.FabricOptions{Hosts: 4}
+	a.CostScale = map[string]float64{"x": 2, "y": 3}
+	b.CostScale = map[string]float64{"y": 3, "x": 2}
+	ka, err := memoKey(a, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := memoKey(b, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ka != kb {
+		t.Errorf("equal configs behind distinct pointers got different keys:\n%s\n%s", ka, kb)
 	}
 }
 

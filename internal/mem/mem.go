@@ -94,29 +94,72 @@ func (a *Allocator) Alloc(ch cpumodel.Charger, core, n int) []Page {
 }
 
 // AppendAlloc is Alloc appending into dst, so hot paths can hand in a
-// reusable slice and avoid the per-call allocation.
+// reusable slice and avoid the per-call allocation. A dst too short for n
+// more pages is reallocated once, to room for all of them (at least
+// doubling, as append would), instead of through append's doubling chain.
 func (a *Allocator) AppendAlloc(ch cpumodel.Charger, core, n int, dst []Page) []Page {
+	checkCount(n)
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]Page, 0, max(len(dst)+n, 2*cap(dst))), dst...)
+	}
+	dst, fresh := a.reserve(ch, core, n, dst)
+	for i := 0; i < fresh.N; i++ {
+		dst = append(dst, fresh.Page(i))
+	}
+	return dst
+}
+
+// Fresh is a run of pages the global allocator has just handed out: ids
+// First, First+1, ..., First+N-1, all on node Node.
+type Fresh struct {
+	First cache.PageID
+	N     int
+	Node  int
+}
+
+// Page returns the i-th page of the run.
+func (f Fresh) Page(i int) Page { return Page{ID: f.First + cache.PageID(i), Node: f.Node} }
+
+// Reserve is Alloc with no CPU charge whose global-allocator pages stay a
+// range: pageset pages are appended to dst in Alloc's order, and the fresh
+// pages that would follow them come back as a Fresh run instead of a
+// slice. Ids, Stats and InUse advance exactly as Alloc's do. It is for
+// bulk set-up, such as a driver filling a whole Rx ring at ifup, whose
+// pages are mostly never touched.
+func (a *Allocator) Reserve(core, n int, dst []Page) ([]Page, Fresh) {
+	checkCount(n)
+	return a.reserve(cpumodel.Discard{}, core, n, dst)
+}
+
+func checkCount(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("mem: Alloc(%d)", n))
 	}
+}
+
+// reserve serves n >= 0 pages for core: pageset pages appended to dst,
+// the rest as a fresh run, each page charged to ch.
+func (a *Allocator) reserve(ch cpumodel.Charger, core, n int, dst []Page) ([]Page, Fresh) {
 	node := a.spec.NodeOf(core)
-	want := len(dst) + n
 	fl := a.freelists[core]
-	for len(dst) < want && len(fl) > 0 {
-		dst = append(dst, fl[len(fl)-1])
-		fl = fl[:len(fl)-1]
-		a.stats.AllocPCP++
-		ch.Charge(cpumodel.Memory, a.costs.PageAllocPCP)
+	k := min(n, len(fl))
+	for i := 1; i <= k; i++ {
+		dst = append(dst, fl[len(fl)-i])
 	}
-	a.freelists[core] = fl
-	for len(dst) < want {
-		a.nextID++
-		dst = append(dst, Page{ID: a.nextID, Node: node})
-		a.stats.AllocGlobal++
-		ch.Charge(cpumodel.Memory, a.costs.PageAllocGlobal)
+	a.freelists[core] = fl[:len(fl)-k]
+	fresh := Fresh{First: a.nextID + 1, N: n - k, Node: node}
+	// Charges are additive, so one per kind equals one per page.
+	if k > 0 {
+		ch.Charge(cpumodel.Memory, a.costs.PageAllocPCP*units.Cycles(k))
 	}
+	if fresh.N > 0 {
+		ch.Charge(cpumodel.Memory, a.costs.PageAllocGlobal*units.Cycles(fresh.N))
+	}
+	a.nextID += cache.PageID(fresh.N)
+	a.stats.AllocPCP += int64(k)
+	a.stats.AllocGlobal += int64(fresh.N)
 	a.inUse += int64(n)
-	return dst
+	return dst, fresh
 }
 
 // Free returns pages from code running on core. Local pages go back to the

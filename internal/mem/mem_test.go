@@ -224,3 +224,69 @@ func TestPagesFor(t *testing.T) {
 		t.Errorf("PagesFor(9000) = %d, want 3", a.PagesFor(9000))
 	}
 }
+
+// TestReserveMatchesAlloc checks that Reserve is Alloc with the fresh
+// pages left as a range: expanding the run after the pageset pages gives
+// Alloc's ids in Alloc's order (pageset pages last-freed first), and the
+// allocator's ids, Stats and InUse advance identically, for n below,
+// equal to and above the pageset length.
+func TestReserveMatchesAlloc(t *testing.T) {
+	const pageset = 8
+	for _, n := range []int{0, 3, pageset, pageset + 5} {
+		var twins [2]*Allocator
+		var freed []Page
+		for i := range twins {
+			a := newAlloc()
+			freed = a.Alloc(cpumodel.Discard{}, 2, pageset)
+			a.Free(cpumodel.Discard{}, 2, freed)
+			a.Alloc(cpumodel.Discard{}, 9, 4) // another core's ids in between
+			twins[i] = a
+		}
+		want := twins[0].Alloc(cpumodel.Discard{}, 2, n)
+		for i := 0; i < min(n, pageset); i++ {
+			if want[i] != freed[pageset-1-i] {
+				t.Fatalf("n=%d: Alloc page %d = %+v, want the pageset's LIFO %+v", n, i, want[i], freed[pageset-1-i])
+			}
+		}
+		prefix := []Page{{ID: 999, Node: 0}}
+		got, fresh := twins[1].Reserve(2, n, prefix)
+		if got[0] != prefix[0] {
+			t.Fatalf("n=%d: Reserve overwrote dst", n)
+		}
+		got = got[1:]
+		if wantPCP := min(n, pageset); len(got) != wantPCP || fresh.N != n-wantPCP {
+			t.Fatalf("n=%d: %d pageset pages + %d fresh, want %d + %d",
+				n, len(got), fresh.N, wantPCP, n-wantPCP)
+		}
+		for i := 0; i < fresh.N; i++ {
+			got = append(got, fresh.Page(i))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: page %d = %+v, want %+v", n, i, got[i], want[i])
+			}
+		}
+		if twins[0].Stats() != twins[1].Stats() || twins[0].InUse() != twins[1].InUse() ||
+			twins[0].PagesetLen(2) != twins[1].PagesetLen(2) {
+			t.Errorf("n=%d: allocator state diverged: %+v/%d vs %+v/%d", n,
+				twins[0].Stats(), twins[0].InUse(), twins[1].Stats(), twins[1].InUse())
+		}
+		// The next allocation continues the same id sequence.
+		if a, b := twins[0].Alloc(cpumodel.Discard{}, 5, 1)[0], twins[1].Alloc(cpumodel.Discard{}, 5, 1)[0]; a != b {
+			t.Errorf("n=%d: next page %+v, want %+v", n, b, a)
+		}
+	}
+}
+
+// TestAppendAllocGrowsOnce checks that AppendAlloc sizes a short dst in
+// one allocation rather than through append's doubling chain.
+func TestAppendAllocGrowsOnce(t *testing.T) {
+	a := newAlloc()
+	allocs := testing.AllocsPerRun(10, func() {
+		pages := a.AppendAlloc(cpumodel.Discard{}, 0, 20, nil)
+		a.Free(cpumodel.Discard{}, 0, pages)
+	})
+	if allocs > 1 {
+		t.Errorf("AppendAlloc of 20 pages into nil made %.0f allocations, want 1", allocs)
+	}
+}

@@ -194,7 +194,14 @@ type NIC struct {
 	// pool spanning both ends stays balanced.
 	skbPool   *skb.Pool
 	framePool *skb.FramePool
+
+	// pageArena is the unused tail of the block that frames arriving with
+	// too little page capacity carve their Pages from.
+	pageArena []mem.Page
 }
+
+// pageArenaLen is the page count of one frame-Pages arena block.
+const pageArenaLen = 1024
 
 // txq is one core's egress queue: frames append at the tail and drain from
 // a head index, so the backing array is reused instead of reallocated by
@@ -210,7 +217,7 @@ type rxQueue struct {
 	nic          *NIC
 	core         int
 	posted       int // descriptors with buffers available
-	stash        []mem.Page
+	stash        pageStash
 	stashDeficit int          // pages taken by DMA since the last replenish
 	descDeficit  int          // descriptors consumed since the last replenish
 	backlog      []*skb.Frame // arrivals append at the tail, NAPI drains from bhead
@@ -223,6 +230,38 @@ type rxQueue struct {
 	pollFn func(*exec.Ctx) // bound poll, allocated once
 	modFn  func()          // bound moderation-timer body, allocated once
 	out    []*skb.SKB      // per-poll delivery scratch
+}
+
+// pageStash is an Rx queue's page stash: logically one stack, base ++
+// fresh ++ top, that DMA pops from the top. base holds the pageset pages
+// of the ifup pre-fill and fresh the rest of that pre-fill, still the
+// range the allocator reserved, so a queue that never receives a page
+// (an ACK-only queue) never materialises its ring's worth. Emergency
+// refills and replenishes push onto top.
+type pageStash struct {
+	base  []mem.Page
+	fresh mem.Fresh
+	top   []mem.Page
+}
+
+func (s *pageStash) len() int { return len(s.base) + s.fresh.N + len(s.top) }
+
+// take pops len(dst) pages into dst, bottom-most first: the order a copy
+// from the end of the flat stack would give.
+func (s *pageStash) take(dst []mem.Page) {
+	k := len(dst)
+	t := min(k, len(s.top))
+	k -= t
+	copy(dst[k:], s.top[len(s.top)-t:])
+	s.top = s.top[:len(s.top)-t]
+	f := min(k, s.fresh.N)
+	k -= f
+	s.fresh.N -= f
+	for i := 0; i < f; i++ {
+		dst[k+i] = s.fresh.Page(s.fresh.N + i)
+	}
+	copy(dst[:k], s.base[len(s.base)-k:])
+	s.base = s.base[:len(s.base)-k]
 }
 
 // pendingRx is the frames DMA-ed into the ring but not yet polled.
@@ -302,7 +341,7 @@ func (n *NIC) queue(core int) *rxQueue {
 		// Pre-fill the page stash for all posted descriptors, as the
 		// driver does at ifup. Boot-time cost is not accounted.
 		pages := n.cfg.RxRing * n.alloc.PagesFor(n.cfg.MTU)
-		q.stash = n.alloc.Alloc(cpumodel.Discard{}, core, pages)
+		q.stash.base, q.stash.fresh = n.alloc.Reserve(core, pages, nil)
 		n.queues[core] = q
 	}
 	return q
@@ -589,18 +628,17 @@ func (n *NIC) ReceiveFromWire(f *skb.Frame) {
 	// DMA: attach pages and, if the memory lands on the NIC-local node
 	// with DCA enabled, push the lines into the L3 (DDIO).
 	need := n.alloc.PagesFor(f.Len)
-	if need > len(q.stash) {
+	if have := q.stash.len(); need > have {
 		// Stash exhausted (replenish lag): emergency refill with no CPU
 		// cost attribution (the DMA engine stalls, not the CPU).
-		q.stash = append(q.stash, n.alloc.Alloc(cpumodel.Discard{}, q.core, need-len(q.stash))...)
+		q.stash.top = n.alloc.AppendAlloc(cpumodel.Discard{}, q.core, need-have, q.stash.top)
 	}
 	if cap(f.Pages) >= need {
 		f.Pages = f.Pages[:need]
 	} else {
-		f.Pages = make([]mem.Page, need)
+		f.Pages = n.framePages(need)
 	}
-	copy(f.Pages, q.stash[len(q.stash)-need:])
-	q.stash = q.stash[:len(q.stash)-need]
+	q.stash.take(f.Pages)
 	q.stashDeficit += need
 	q.descDeficit++
 	if n.dca != nil {
@@ -617,6 +655,18 @@ func (n *NIC) ReceiveFromWire(f *skb.Frame) {
 		q.backlog = append(q.backlog, f)
 	}
 	q.maybeInterrupt()
+}
+
+// framePages carves a need-page slice from the NIC's arena. Its capacity
+// is capped at need, so a later append (LRO) copies out rather than
+// overrunning the next frame's pages.
+func (n *NIC) framePages(need int) []mem.Page {
+	if len(n.pageArena) < need {
+		n.pageArena = make([]mem.Page, max(need, pageArenaLen))
+	}
+	p := n.pageArena[:need:need]
+	n.pageArena = n.pageArena[need:]
+	return p
 }
 
 // tryLRO coalesces f into the last backlog frame if contiguous, same-flow
@@ -741,7 +791,7 @@ func (q *rxQueue) poll(ctx *exec.Ctx) {
 	// restock exactly the pages DMA took from the stash.
 	if consumed > 0 {
 		if q.stashDeficit > 0 {
-			q.stash = n.alloc.AppendAlloc(ctx, q.core, q.stashDeficit, q.stash)
+			q.stash.top = n.alloc.AppendAlloc(ctx, q.core, q.stashDeficit, q.stash.top)
 			n.alloc.DMAMap(ctx, q.stashDeficit)
 			q.stashDeficit = 0
 		}

@@ -437,3 +437,81 @@ func TestMSS(t *testing.T) {
 		t.Errorf("MSS = %d", cfg.MSS())
 	}
 }
+
+// TestRxPagesFollowFlatStashOrder checks the base ++ fresh ++ top stash
+// against the flat slice it replaces: a twin allocator replays the flat
+// stash (pre-fill by Alloc, DMA copying from its end, emergency refill
+// and replenish appending to it), and every frame's pages must match it
+// id for id. The queue is created while its core's pageset holds pages,
+// so the pre-fill starts with pageset pages, and the first round drains
+// past the whole pre-fill into the emergency refill.
+func TestRxPagesFollowFlatStashOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RxRing = 4
+	r := newRig(t, cfg, false)
+	r.nic.SetSteering(FixedCore(0))
+	twin := mem.NewAllocator(topology.Default(), cpumodel.Default())
+	for _, a := range []*mem.Allocator{r.alloc, twin} {
+		a.Alloc(cpumodel.Discard{}, 9, 2)
+		a.Free(cpumodel.Discard{}, 0, a.Alloc(cpumodel.Discard{}, 0, 5))
+	}
+	page := topology.Default().PageSize
+	var flat []mem.Page
+	var horizon time.Duration
+	round := func(lens []units.Bytes) {
+		t.Helper()
+		deficit := 0
+		for i, l := range lens {
+			f := &skb.Frame{Flow: 1, Seq: int64(i) * int64(l), Len: l}
+			r.nic.ReceiveFromWire(f)
+			if flat == nil {
+				flat = twin.Alloc(cpumodel.Discard{}, 0, cfg.RxRing*twin.PagesFor(cfg.MTU))
+			}
+			need := twin.PagesFor(l)
+			if need > len(flat) {
+				flat = append(flat, twin.Alloc(cpumodel.Discard{}, 0, need-len(flat))...)
+			}
+			want := flat[len(flat)-need:]
+			if len(f.Pages) != need {
+				t.Fatalf("frame %d: %d pages, want %d", i, len(f.Pages), need)
+			}
+			for j := range want {
+				if f.Pages[j] != want[j] {
+					t.Fatalf("frame %d page %d = %+v, want %+v", i, j, f.Pages[j], want[j])
+				}
+			}
+			flat = flat[:len(flat)-need]
+			deficit += need
+		}
+		horizon += time.Millisecond
+		r.run(horizon) // NAPI polls and replenishes the stash
+		flat = twin.AppendAlloc(cpumodel.Discard{}, 0, deficit, flat)
+	}
+	// 1 + 3 + 5 + 5 pages against a 12-page pre-fill.
+	round([]units.Bytes{page, 3 * page, 5 * page, 5 * page})
+	round([]units.Bytes{2 * page, 4 * page, 0, page})
+	if r.alloc.Stats() != twin.Stats() || r.alloc.InUse() != twin.InUse() {
+		t.Errorf("allocator state %+v/%d, want %+v/%d",
+			r.alloc.Stats(), r.alloc.InUse(), twin.Stats(), twin.InUse())
+	}
+	if got := twin.Stats().AllocPCP; got != 5 {
+		t.Errorf("pre-fill took %d pageset pages, want all 5", got)
+	}
+}
+
+// An ACK-only queue takes no pages, so its pre-fill stays a reserved range
+// and no page slice is ever built for it.
+func TestAckOnlyQueueLeavesPrefillReserved(t *testing.T) {
+	cfg := DefaultConfig()
+	r := newRig(t, cfg, false)
+	r.nic.SetSteering(FixedCore(0))
+	for i := 0; i < 50; i++ {
+		r.nic.ReceiveFromWire(&skb.Frame{Flow: 1, Ack: &skb.AckInfo{Cum: int64(i)}})
+	}
+	r.run(time.Millisecond)
+	st := r.nic.queues[0].stash
+	if want := cfg.RxRing * r.alloc.PagesFor(cfg.MTU); st.fresh.N != want || st.base != nil || st.top != nil {
+		t.Errorf("stash = %d fresh, %d base, %d top; want %d fresh and no slices",
+			st.fresh.N, len(st.base), len(st.top), want)
+	}
+}

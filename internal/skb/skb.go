@@ -215,8 +215,9 @@ func (p *Pool) Outstanding() int64 {
 // a single pool shared by both hosts of a link stays balanced. A nil
 // *FramePool allocates plainly.
 type FramePool struct {
-	free []*Frame
-	acks []*AckInfo // recycled AckInfo records (see GetAck)
+	free  []*Frame
+	block []Frame    // unused tail of the block fresh frames are carved from
+	acks  []*AckInfo // recycled AckInfo records (see GetAck)
 	// Gets/Puts count frames handed out and returned.
 	Gets int64
 	Puts int64
@@ -264,8 +265,16 @@ func (p *FramePool) Get() *Frame {
 		p.free = p.free[:n-1]
 		return f
 	}
-	return &Frame{}
+	if len(p.block) == 0 {
+		p.block = make([]Frame, frameBlockLen)
+	}
+	f := &p.block[0]
+	p.block = p.block[1:]
+	return f
 }
+
+// frameBlockLen is how many fresh frames one FramePool allocation carves.
+const frameBlockLen = 64
 
 // Put recycles a dead frame. The caller must not touch f afterwards.
 func (p *FramePool) Put(f *Frame) {
@@ -287,7 +296,8 @@ func (p *FramePool) Put(f *Frame) {
 	p.free = append(p.free, f)
 }
 
-// Held returns the number of pooled frames (tests).
+// Held returns the number of recycled frames in the pool (tests); frames
+// not yet carved from the current block do not count.
 func (p *FramePool) Held() int {
 	if p == nil {
 		return 0

@@ -386,6 +386,40 @@ func TestFramePoolClearsState(t *testing.T) {
 	}
 }
 
+// Fresh frames come out of blocks, but the counters see only frames:
+// Held counts recycled frames, never a block's uncarved tail, and every
+// Get and Put moves Outstanding by one.
+func TestFramePoolBlocksKeepCounters(t *testing.T) {
+	fp := &FramePool{}
+	n := frameBlockLen + 3 // spill into a second block
+	frames := make([]*Frame, n)
+	seen := map[*Frame]bool{}
+	for i := range frames {
+		frames[i] = fp.Get()
+		if seen[frames[i]] {
+			t.Fatalf("Get %d returned a frame already handed out", i)
+		}
+		seen[frames[i]] = true
+		if fp.Held() != 0 || fp.Outstanding() != int64(i+1) {
+			t.Fatalf("after Get %d: Held=%d Outstanding=%d, want 0 and %d",
+				i, fp.Held(), fp.Outstanding(), i+1)
+		}
+	}
+	for i, f := range frames {
+		fp.Put(f)
+		if fp.Held() != i+1 || fp.Outstanding() != int64(n-i-1) {
+			t.Fatalf("after Put %d: Held=%d Outstanding=%d, want %d and %d",
+				i, fp.Held(), fp.Outstanding(), i+1, n-i-1)
+		}
+	}
+	if f := fp.Get(); f != frames[n-1] || fp.Held() != n-1 {
+		t.Errorf("Get after Puts should recycle the last frame put (Held=%d)", fp.Held())
+	}
+	if fp.Gets != int64(n+1) || fp.Puts != int64(n) {
+		t.Errorf("Gets=%d Puts=%d, want %d and %d", fp.Gets, fp.Puts, n+1, n)
+	}
+}
+
 // GRO with pools: frames are recycled as they are absorbed and steady
 // state allocates nothing once the pools are primed.
 func TestGROPooledRecyclesFrames(t *testing.T) {

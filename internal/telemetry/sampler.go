@@ -86,7 +86,11 @@ func (s *Sampler) Count() int { return len(s.times) }
 // Evicted returns how many samples the ring has discarded.
 func (s *Sampler) Evicted() int64 { return s.evicted }
 
-// Timeline copies the retained samples, oldest first, into a Timeline.
+// Timeline returns the retained samples, oldest first. Sample never
+// writes into a row once it has stored it, so full-width rows are shared
+// rather than copied; only rows sampled before a later metric
+// registration are copied, padded to one column per name. Callers must
+// treat the rows as read-only.
 func (s *Sampler) Timeline() *Timeline {
 	t := &Timeline{
 		Names: s.reg.Names(),
@@ -95,12 +99,9 @@ func (s *Sampler) Timeline() *Timeline {
 	}
 	appendFrom := func(i int) {
 		t.Times = append(t.Times, s.times[i].Duration())
-		row := make([]float64, len(s.rows[i]))
-		copy(row, s.rows[i])
-		// Rows sampled before later metric registrations are shorter;
-		// pad so every row has one column per name.
-		for len(row) < len(t.Names) {
-			row = append(row, 0)
+		row := s.rows[i]
+		if pad := len(t.Names) - len(row); pad > 0 {
+			row = append(row[:len(row):len(row)], make([]float64, pad)...)
 		}
 		t.Rows = append(t.Rows, row)
 	}

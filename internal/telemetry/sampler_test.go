@@ -175,3 +175,51 @@ func TestTimelineSerializationDeterministic(t *testing.T) {
 		t.Errorf("JSONL header = %q", strings.SplitN(jsonl1, "\n", 2)[0])
 	}
 }
+
+// TestTimelineSharesRowsExactly checks the shared-row Timeline: rows
+// equal the sampled values oldest first across a ring wrap, short rows are
+// padded without touching the sampler's copy, and Samples taken after
+// Timeline returned (overwriting ring slots) leave it unchanged.
+func TestTimelineSharesRowsExactly(t *testing.T) {
+	eng := sim.NewEngine(1)
+	reg := NewRegistry()
+	v := 0.0
+	reg.Gauge("a", func() float64 { return v })
+	s := NewSampler(eng, reg, time.Microsecond, 3)
+	for i := 1; i <= 4; i++ { // the ring wraps: samples 2, 3, 4 remain
+		v = float64(i)
+		s.Sample()
+	}
+	reg.Gauge("late", func() float64 { return 10 * v })
+	v = 5
+	s.Sample() // samples 3, 4, 5 remain; only 5 is full width
+
+	tl := s.Timeline()
+	want := [][]float64{{3, 0}, {4, 0}, {5, 50}}
+	check := func(when string) {
+		t.Helper()
+		if len(tl.Rows) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", when, len(tl.Rows), len(want))
+		}
+		for i := range want {
+			if len(tl.Rows[i]) != len(want[i]) || tl.Rows[i][0] != want[i][0] || tl.Rows[i][1] != want[i][1] {
+				t.Errorf("%s: row %d = %v, want %v", when, i, tl.Rows[i], want[i])
+			}
+		}
+	}
+	check("fresh")
+	short := 0
+	for _, row := range s.rows {
+		if len(row) == 1 {
+			short++
+		}
+	}
+	if short != 2 {
+		t.Errorf("padding changed the sampler's own short rows: %v", s.rows)
+	}
+	for i := 6; i <= 9; i++ {
+		v = float64(i)
+		s.Sample()
+	}
+	check("after later samples")
+}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench profile-smoke inspect-smoke mtrace-smoke fuzz-smoke fabric-smoke fabricobs-smoke figures figures-golden validate validate-smoke validate-sensitivity
+.PHONY: all build test check fmt vet race bench profile-smoke inspect-smoke mtrace-smoke fuzz-smoke fabricobs-smoke figures figures-golden validate validate-smoke validate-sensitivity
 
 all: build
 
@@ -63,13 +63,6 @@ mtrace-smoke:
 # Run `go test -fuzz=FuzzConfig .` (no -fuzztime) to hunt open-ended.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzConfig -fuzztime=30s -run FuzzConfig .
-
-# fabric-smoke is the CI switch-fabric gate: the fabric package's unit
-# tests plus the checker-armed 16-host incast and the fabric-vs-direct
-# byte-identity property, all under the race detector.
-fabric-smoke:
-	$(GO) test -race -count=1 ./internal/fabric
-	$(GO) test -race -count=1 -run 'TestFabricIncast16Checked|TestFabricIncastN1MatchesDirect|TestFabricSharedBufferDropsAndECN' .
 
 # fabricobs-smoke is the CI fabric-observability gate: the observatory's
 # unit tests and the root transparency/reconciliation properties under

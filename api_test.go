@@ -34,6 +34,33 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestPairWorkloadScaleErrors pins each out-of-range pair workload scale
+// to its error: Run validates the scale before placing connections, so a
+// bad N, client count or short-flow count never reaches the placement
+// code's assertions.
+func TestPairWorkloadScaleErrors(t *testing.T) {
+	cases := []struct {
+		wl   Workload
+		want string
+	}{
+		{LongFlowWorkload(PatternIncast, 0), "hostsim: incast workload N 0 outside [1,24]"},
+		{LongFlowWorkload(PatternIncast, 25), "hostsim: incast workload N 25 outside [1,24]"},
+		{LongFlowWorkload(PatternOneToOne, 0), "hostsim: one-to-one workload N 0 outside [1,24]"},
+		{LongFlowWorkload(PatternOneToOne, 25), "hostsim: one-to-one workload N 25 outside [1,24]"},
+		{LongFlowWorkload(PatternOutcast, -1), "hostsim: outcast workload N -1 outside [1,24]"},
+		{LongFlowWorkload(PatternOutcast, 25), "hostsim: outcast workload N 25 outside [1,24]"},
+		{LongFlowWorkload(PatternAllToAll, 25), "hostsim: all-to-all workload N 25 outside [1,24]"},
+		{RPCIncastWorkload(25, 4096), "hostsim: rpc workload RPCClients 25 exceeds 24 client cores"},
+		{MixedWorkload(-1, 4096), "hostsim: negative mixed workload MixedShort -1"},
+	}
+	for _, c := range cases {
+		_, err := Run(quickCfg(AllOptimizations()), c.wl)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%+v: got error %v, want %q", c.wl, err, c.want)
+		}
+	}
+}
+
 func TestRunDefaultsWindows(t *testing.T) {
 	res, err := Run(Config{Stack: AllOptimizations(), Seed: 2}, LongFlowWorkload(PatternSingle, 1))
 	if err != nil {

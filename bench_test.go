@@ -272,19 +272,6 @@ func benchFabricCfg(hosts int) hostsim.Config {
 	return cfg
 }
 
-// BenchmarkFabricRunSingle2 runs the same single flow as the direct-link
-// baselines above but through a 2-host fabric; the pair quantifies the
-// switch's event overhead (the two are event-for-event identical, so any
-// gap is per-event constant cost, not extra events).
-func BenchmarkFabricRunSingle2(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := hostsim.Run(benchFabricCfg(2), hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFabricRunIncast16 is the scaling headline: 15 hosts into one.
 func BenchmarkFabricRunIncast16(b *testing.B) {
 	b.ReportAllocs()

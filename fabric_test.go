@@ -161,15 +161,14 @@ func fabricFingerprint(r *hostsim.Result) string {
 		r.FlowGbps, r.FairnessIndex, r.Hosts, r.Fabric)
 }
 
-// TestFabricIncastN1MatchesDirect is the topology refactor's anchor
-// property: a 2-host fabric with unbounded buffer is event-for-event
-// identical to the direct two-host link, so the 1:1 "incast" must
-// reproduce the direct single-flow run byte for byte. Naming the fabric
-// hosts after the direct pair (receiver on port 0, where incast places
-// the server) makes every field comparable, Bottleneck and Flows
-// included.
+// TestFabricIncastN1MatchesDirect pins that port order and placement do
+// not move the physics: an explicit 2-host fabric whose 1:1 "incast"
+// puts the server on port 0 must reproduce the default pair's single
+// flow (sender on port 0, core-based placement) byte for byte. Naming
+// the fabric hosts after the pair (receiver on port 0) makes every field
+// comparable, Bottleneck and Flows included.
 func TestFabricIncastN1MatchesDirect(t *testing.T) {
-	direct, err := hostsim.Run(metaCfg(hostsim.AllOptimizations()), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1))
+	pair, err := hostsim.Run(metaCfg(hostsim.AllOptimizations()), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +178,12 @@ func TestFabricIncastN1MatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := fingerprint(direct), fingerprint(fab); a != b {
-		t.Errorf("2-host fabric diverged from the direct link:\ndirect: %s\nfabric: %s", a, b)
+	if a, b := fingerprint(pair), fingerprint(fab); a != b {
+		t.Errorf("2-host fabric diverged from the default pair:\n  pair: %s\nfabric: %s", a, b)
 	}
-	df, ff := sortFlows(direct.Flows), sortFlows(fab.Flows)
+	df, ff := sortFlows(pair.Flows), sortFlows(fab.Flows)
 	if a, b := fmt.Sprintf("%+v", df), fmt.Sprintf("%+v", ff); a != b {
-		t.Errorf("terminal flow stats diverged:\ndirect: %s\nfabric: %s", a, b)
+		t.Errorf("terminal flow stats diverged:\n  pair: %s\nfabric: %s", a, b)
 	}
 }
 

@@ -83,7 +83,7 @@ func FuzzConfig(f *testing.F) {
 
 		// fabHosts >= 2 moves a long workload onto the switch fabric
 		// (fabric mode supports only long workloads; RPC/mixed and
-		// RemoteNUMA stay on the direct link). The same checker oracle
+		// RemoteNUMA stay on the default pair). The same checker oracle
 		// audits per-port conservation and the shared-buffer ledger.
 		if fabHosts >= 2 && wl.Kind == "long" && !wl.RemoteNUMA {
 			hosts := 2 + int(fabHosts)%63 // [2, 64]

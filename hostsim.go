@@ -156,8 +156,13 @@ type Config struct {
 	// for sensitivity analysis: cmd/validate sweeps one knob at a time
 	// and re-checks every paper claim at each point.
 	CostScale map[string]float64
-	LinkGbps  int           // access link bandwidth; 0 = the testbed's 100
-	LossRate  float64       // random drop probability at the switch
+	LinkGbps  int // access link bandwidth; 0 = the testbed's 100
+	// LossRate is the switch's Bernoulli drop probability. On the
+	// default pair it is asymmetric: only the egress toward the receiver
+	// drops (the sender->receiver data, RPC requests included), while the
+	// egress back to the sender (ACKs and RPC responses) is lossless. On
+	// an explicit Fabric it applies at every egress, ACK paths included.
+	LossRate  float64
 	ECNMarkKB int           // ECN marking threshold in KB (0 = off; for DCTCP)
 	Warmup    time.Duration // excluded from measurement; 0 = 20ms
 	Duration  time.Duration // measurement window; 0 = 30ms
@@ -215,17 +220,18 @@ type Config struct {
 	// while capturing. A nil Inspect costs nothing on the hot path.
 	Inspect *InspectOptions
 
-	// Fabric, when non-nil, replaces the direct two-host link with a
-	// single-stage switch fabric (a ToR): Hosts hosts, each attached to
-	// its own port with a per-port egress buffer, an optional shared
-	// buffer pool with dynamic-threshold drops, and per-port ECN marking
-	// (threshold ECNMarkKB, as on the direct link). LossRate applies at
-	// every egress serializer. Long-flow patterns then place connections
-	// across hosts — incast opens one flow from each of hosts 1..H-1 into
-	// host 0 — and Result.Hosts reports per-host stats. A nil Fabric keeps
-	// the two-host direct link, bit-identical to previous releases; a
-	// 2-host fabric with unbounded buffer is event-for-event identical to
-	// the direct link (see DESIGN.md "Switch fabric").
+	// Fabric configures the single-stage switch fabric (a ToR) every run
+	// is built on: Hosts hosts, each attached to its own port with a
+	// per-port egress buffer, an optional shared buffer pool with
+	// dynamic-threshold drops, and per-port ECN marking (threshold
+	// ECNMarkKB). A nil Fabric builds the paper's testbed pair — hosts
+	// "sender" and "receiver" on a 2-port fabric with unbounded buffer —
+	// keeps the pair's core-based pattern placement, drops data only
+	// (see LossRate), and reports no Result.Fabric and no fabric/
+	// telemetry gauges. A non-nil Fabric places long-flow patterns across
+	// hosts — incast opens one flow from each of hosts 1..H-1 into host 0
+	// — applies LossRate at every egress, and fills Result.Fabric (see
+	// DESIGN.md "Switch fabric").
 	Fabric *FabricOptions
 
 	// FabricObs, when non-nil, attaches the fabric observatory: an
@@ -328,8 +334,8 @@ type PortReport = fabricobs.PortReport
 type BurstEvent = fabricobs.BurstEvent
 
 // FabricStats summarizes the switch fabric's activity over the whole run,
-// warmup included (drops during slow start count too). Nil on direct-link
-// runs.
+// warmup included (drops during slow start count too). Nil unless
+// Config.Fabric was set.
 type FabricStats struct {
 	InFrames        int64 // frames offered to ingress ports
 	Delivered       int64 // frames handed to hosts by egress links
@@ -590,13 +596,13 @@ type Result struct {
 	Sender                HostStats
 	Receiver              HostStats
 
-	// Hosts reports every host's stats in host order (direct link: sender
-	// then receiver; fabric: port order). Sender and Receiver above are
-	// the workload's primary transmitting and receiving hosts.
+	// Hosts reports every host's stats in port order (the default pair:
+	// sender then receiver). Sender and Receiver above are the workload's
+	// primary transmitting and receiving hosts.
 	Hosts []HostStats
 
 	// Fabric summarizes switch activity when Config.Fabric was set (nil
-	// on direct-link runs).
+	// on the default pair).
 	Fabric       *FabricStats
 	RPCCompleted int64   // finished ping-pongs (rpc/mixed)
 	LongFlowGbps float64 // long-flow-only goodput (mixed workloads)
@@ -633,9 +639,10 @@ type Result struct {
 	// transmitting sides, sender first, tx-flow order). Always populated.
 	Flows []FlowStats
 
-	// PacketCaptures holds the per-direction packet captures when
-	// Config.Inspect enabled pcap (sender->receiver first); serialize
-	// them with WritePcap. Nil otherwise.
+	// PacketCaptures holds the per-direction packet captures of a 2-host
+	// run when Config.Inspect enabled pcap, one per host's transmissions
+	// in port order (sender->receiver first on the default pair);
+	// serialize them with WritePcap. Nil otherwise.
 	PacketCaptures []*PacketCapture
 
 	// ProbeTrace holds the tcp_probe-style congestion trace when
@@ -818,6 +825,9 @@ func (r *Result) WriteChromeTrace(w io.Writer) error {
 	return telemetry.WriteChromeTrace(w, r.traceEvents)
 }
 
+// pairNames names the default topology's two hosts (Config.Fabric nil).
+var pairNames = []string{"sender", "receiver"}
+
 // Run executes one simulation and reports the measured window.
 func Run(cfg Config, wl Workload) (*Result, error) {
 	if cfg.Warmup == 0 {
@@ -862,55 +872,46 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	if cfg.LinkGbps > 0 {
 		spec.LinkRate = units.BitRate(cfg.LinkGbps) * units.Gbps
 	}
-	// Topology: a direct two-host link by default, or N hosts on a switch
-	// fabric when Config.Fabric is set.
-	var (
-		hosts   []*core.Host
-		cluster *core.Cluster
-		taps    []linkTap // named link directions for the inspector
-	)
-	if fo := cfg.Fabric; fo == nil {
-		sender := core.NewHost("sender", eng, spec, costs, opts)
-		receiver := core.NewHost("receiver", eng, spec, costs, opts)
-		ab, ba := core.Connect(sender, receiver)
-		ab.SetLossRate(cfg.LossRate)
-		if cfg.ECNMarkKB > 0 {
-			ab.SetECNThreshold(units.Bytes(cfg.ECNMarkKB) * units.KB)
-			ba.SetECNThreshold(units.Bytes(cfg.ECNMarkKB) * units.KB)
+	// Topology: every run is a switch fabric. Config.Fabric nil builds the
+	// paper's testbed pair, sender and receiver on a 2-port fabric.
+	fo := FabricOptions{Hosts: 2, HostNames: pairNames}
+	if cfg.Fabric != nil {
+		fo = *cfg.Fabric
+	}
+	if fo.Hosts < 2 || fo.Hosts > 256 {
+		return nil, fmt.Errorf("hostsim: Fabric.Hosts %d outside [2,256]", fo.Hosts)
+	}
+	if fo.SharedBufferKB < 0 {
+		return nil, fmt.Errorf("hostsim: negative Fabric.SharedBufferKB")
+	}
+	if fo.Alpha < 0 {
+		return nil, fmt.Errorf("hostsim: negative Fabric.Alpha")
+	}
+	if len(fo.HostNames) != 0 && len(fo.HostNames) != fo.Hosts {
+		return nil, fmt.Errorf("hostsim: %d Fabric.HostNames for %d hosts", len(fo.HostNames), fo.Hosts)
+	}
+	hosts := make([]*core.Host, fo.Hosts)
+	for i := range hosts {
+		var name string
+		if len(fo.HostNames) > 0 {
+			name = fo.HostNames[i]
+		} else {
+			name = fmt.Sprintf("host%03d", i)
 		}
-		hosts = []*core.Host{sender, receiver}
-		taps = []linkTap{{"sender->receiver", ab}, {"receiver->sender", ba}}
-	} else {
-		if fo.Hosts < 2 || fo.Hosts > 256 {
-			return nil, fmt.Errorf("hostsim: Fabric.Hosts %d outside [2,256]", fo.Hosts)
-		}
-		if fo.SharedBufferKB < 0 {
-			return nil, fmt.Errorf("hostsim: negative Fabric.SharedBufferKB")
-		}
-		if fo.Alpha < 0 {
-			return nil, fmt.Errorf("hostsim: negative Fabric.Alpha")
-		}
-		if len(fo.HostNames) != 0 && len(fo.HostNames) != fo.Hosts {
-			return nil, fmt.Errorf("hostsim: %d Fabric.HostNames for %d hosts", len(fo.HostNames), fo.Hosts)
-		}
-		hosts = make([]*core.Host, fo.Hosts)
-		for i := range hosts {
-			name := fmt.Sprintf("host%03d", i)
-			if len(fo.HostNames) > 0 {
-				name = fo.HostNames[i]
-			}
-			hosts[i] = core.NewHost(name, eng, spec, costs, opts)
-		}
-		cluster = core.ConnectFabric(hosts, fabric.Config{
-			LinkRate:     spec.LinkRate,
-			SharedBuffer: units.Bytes(fo.SharedBufferKB) * units.KB,
-			Alpha:        fo.Alpha,
-			ECNThreshold: units.Bytes(cfg.ECNMarkKB) * units.KB,
-			LossRate:     cfg.LossRate,
-		})
-		for i, h := range hosts {
-			taps = append(taps, linkTap{"fabric->" + h.Name(), cluster.Fabric().Port(i).Out()})
-		}
+		hosts[i] = core.NewHost(name, eng, spec, costs, opts)
+	}
+	cluster := core.ConnectFabric(hosts, fabric.Config{
+		LinkRate:     spec.LinkRate,
+		SharedBuffer: units.Bytes(fo.SharedBufferKB) * units.KB,
+		Alpha:        fo.Alpha,
+		ECNThreshold: units.Bytes(cfg.ECNMarkKB) * units.KB,
+		LossRate:     cfg.LossRate,
+	})
+	if cfg.Fabric == nil {
+		// The pair drops sender->receiver traffic only: the egress toward
+		// the sender (ACKs, RPC responses) is lossless, and a lossless
+		// link draws no random numbers.
+		cluster.Fabric().Port(0).Out().SetLossRate(0)
 	}
 
 	var checker *check.Checker
@@ -923,11 +924,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 			Collect:       cfg.Check.Collect,
 			MaxViolations: cfg.Check.MaxViolations,
 		})
-		if cluster != nil {
-			core.AttachClusterChecker(checker, cluster)
-		} else {
-			core.AttachChecker(checker, hosts[0], hosts[1], taps[0].link, taps[1].link)
-		}
+		core.AttachChecker(checker, cluster)
 		checker.Start()
 	}
 
@@ -965,7 +962,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		for _, h := range hosts {
 			h.EnableTelemetry(reg)
 		}
-		if cluster != nil {
+		if cfg.Fabric != nil {
 			// Fabric runs expose switch state in the same timeline as the
 			// host gauges, so one -telemetry-out artifact covers both.
 			cluster.Fabric().RegisterTelemetry(reg, "fabric/")
@@ -974,8 +971,8 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	}
 
 	var run *builtWorkload
-	if cluster != nil {
-		run, err = buildFabricWorkload(cluster, wl)
+	if cfg.Fabric != nil {
+		run, err = buildFabricWorkload(hosts, wl)
 	} else {
 		run, err = buildWorkload(hosts[0], hosts[1], wl)
 	}
@@ -1036,7 +1033,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	// The inspector attaches after the workload so the connections it
 	// hooks exist, and before the warmup run so captures and probe traces
 	// include slow start.
-	insp, err := attachInspector(cfg.Inspect, eng, hosts, taps)
+	insp, err := attachInspector(cfg.Inspect, eng, cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -1046,7 +1043,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	// run so bursts and hop latencies cover slow start.
 	var fobs *fabricobs.Observer
 	if fo := cfg.FabricObs; fo != nil {
-		if cluster == nil {
+		if cfg.Fabric == nil {
 			return nil, fmt.Errorf("hostsim: FabricObs requires Fabric")
 		}
 		if fo.SampleInterval < 0 || fo.MaxSamples < 0 || fo.BurstThresholdKB < 0 ||
@@ -1233,7 +1230,7 @@ func assemble(cfg Config, hosts []*core.Host, cluster *core.Cluster, run *builtW
 	for _, h := range hosts {
 		res.Flows = append(res.Flows, collectFlowStats(h)...)
 	}
-	if cluster != nil {
+	if cfg.Fabric != nil {
 		tot := cluster.Fabric().Totals()
 		res.Fabric = &FabricStats{
 			InFrames: tot.In, Delivered: tot.Delivered,

@@ -393,3 +393,42 @@ func TestFlowStatsAlwaysOn(t *testing.T) {
 		t.Fatalf("flow 0 terminal state not populated: %+v", fl)
 	}
 }
+
+// TestFabric2HostPcapAddressing pins the capture addressing on an explicit
+// 2-host fabric to the pair's rule: interface i carries host i's
+// transmissions, so host000's first data packet decodes as
+// 10.0.0.1:40001 -> 10.0.0.2:5001 on interface host000->host001.
+func TestFabric2HostPcapAddressing(t *testing.T) {
+	cfg := shortCfg(3)
+	cfg.Fabric = &hostsim.FabricOptions{Hosts: 2}
+	cfg.Inspect = &hostsim.InspectOptions{Pcap: true}
+	res, err := hostsim.Run(cfg, hostsim.LongFlowWorkload(hostsim.PatternSingle, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.WritePcap(&buf); err != nil {
+		t.Fatal(err)
+	}
+	f, err := inspect.ReadPcap(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Interfaces) != 2 || f.Interfaces[0].Name != "host000->host001" || f.Interfaces[1].Name != "host001->host000" {
+		t.Fatalf("unexpected interfaces %+v", f.Interfaces)
+	}
+	for _, p := range f.Packets {
+		if !p.Decoded || p.PayloadLen == 0 {
+			continue
+		}
+		if got := f.Interfaces[p.Interface].Name; got != "host000->host001" {
+			t.Errorf("first data packet on interface %q, want host000->host001", got)
+		}
+		if p.SrcIP != 0x0A000001 || p.DstIP != 0x0A000002 || p.SrcPort != 40001 || p.DstPort != 5001 {
+			t.Errorf("first data packet decodes as %08x:%d -> %08x:%d, want 10.0.0.1:40001 -> 10.0.0.2:5001",
+				p.SrcIP, p.SrcPort, p.DstIP, p.DstPort)
+		}
+		return
+	}
+	t.Fatal("capture holds no data packet")
+}

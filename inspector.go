@@ -7,15 +7,7 @@ import (
 	"hostsim/internal/inspect"
 	"hostsim/internal/sim"
 	"hostsim/internal/telemetry"
-	"hostsim/internal/wire"
 )
-
-// linkTap is one tappable link direction: the direct link's two
-// directions, or one fabric egress port per host.
-type linkTap struct {
-	name string
-	link *wire.Link
-}
 
 // inspector bundles the run's attached wire-level observers (see
 // Config.Inspect) until assemble hands them to the Result.
@@ -25,13 +17,13 @@ type inspector struct {
 	sampler  *telemetry.Sampler
 }
 
-// attachInspector installs the requested observers: packet taps on every
-// link direction, tcp_probe hooks on every connection, and an ss-style
-// snapshot sampler over a dedicated registry (independent of
-// Config.Telemetry, so the two can coexist without name clashes). Must run
-// after the workload built its connections and before the warmup run.
-// Returns nil when o is nil.
-func attachInspector(o *InspectOptions, eng *sim.Engine, hosts []*core.Host, taps []linkTap) (*inspector, error) {
+// attachInspector installs the requested observers: packet taps on both
+// directions of a 2-host topology, tcp_probe hooks on every connection,
+// and an ss-style snapshot sampler over a dedicated registry (independent
+// of Config.Telemetry, so the two can coexist without name clashes).
+// Must run after the workload built its connections and before the
+// warmup run. Returns nil when o is nil.
+func attachInspector(o *InspectOptions, eng *sim.Engine, c *core.Cluster) (*inspector, error) {
 	if o == nil {
 		return nil, nil
 	}
@@ -45,17 +37,21 @@ func attachInspector(o *InspectOptions, eng *sim.Engine, hosts []*core.Host, tap
 	if !pcap && !probe && !ss {
 		pcap, probe, ss = true, true, true
 	}
-	if pcap && len(taps) > 2 {
+	hosts := c.Hosts()
+	if pcap && len(hosts) > 2 {
 		// The synthesized capture addressing knows two hosts (10.0.0.1 and
 		// 10.0.0.2), one per link direction.
 		return nil, fmt.Errorf("hostsim: Inspect.Pcap captures a 2-host topology, not a %d-host fabric; "+
-			"set only Probe and/or SS", len(taps))
+			"set only Probe and/or SS", len(hosts))
 	}
 	insp := &inspector{}
 	if pcap {
-		for i, tp := range taps {
-			cap := inspect.NewCapture(eng, tp.name, i, o.SnapLen, o.MaxPackets)
-			tp.link.SetTap(cap.Tap())
+		// Interface i carries host i's transmissions: the egress toward the
+		// other host, addressed from 10.0.0.(i+1).
+		for i, h := range hosts {
+			peer := hosts[1-i]
+			cap := inspect.NewCapture(eng, h.Name()+"->"+peer.Name(), i, o.SnapLen, o.MaxPackets)
+			c.Fabric().Port(1 - i).Out().SetTap(cap.Tap())
 			insp.captures = append(insp.captures, cap)
 		}
 	}

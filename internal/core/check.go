@@ -9,181 +9,34 @@ import (
 	"hostsim/internal/wire"
 )
 
-// AttachChecker registers the conservation-law audit rules for a
-// connected host pair on ck and arms each host's cycle ledger. Call after
-// Connect and before the simulation runs; the rules are pure reads, so a
-// checked run follows the exact trajectory of an unchecked one.
+// AttachChecker registers the conservation-law audit rules for a cluster
+// on ck and arms each host's cycle ledger. Call after ConnectFabric and
+// before the simulation runs; the rules are pure reads, so a checked run
+// follows the exact trajectory of an unchecked one.
 //
 // The laws, each exact at event boundaries:
 //
-//   - wire: per link, frames (and payload bytes) sent = delivered +
-//     dropped at the switch + in flight;
-//   - nic-rx: per host, payload delivered by the inbound link = NIC
-//     RxBytes + ring-dropped bytes, and RxBytes = bytes handed up the
+//   - wire: per fabric egress link, frames (and payload bytes) sent =
+//     delivered + loss-dropped + in flight;
+//   - fabric-port: per switch port, every frame entering the ingress side
+//     is either forwarded to an egress queue or a counted shared-buffer
+//     drop;
+//   - nic-rx: per host, payload delivered by the inbound egress link =
+//     NIC RxBytes + ring-dropped bytes, and RxBytes = bytes handed up the
 //     stack + ring backlog + GRO-held; posted descriptors stay in
 //     [0, RxRing];
 //   - tcp-seqspace: per connection, sequence bookkeeping is internally
 //     consistent (see tcp.Conn.CheckInvariants) and cross-host
 //     sndUna <= peer rcvNxt <= sndNxt;
-//   - skb-pool / frame-pool: every buffer handed out by the pair's shared
-//     pools is accounted for by a live queue, a counted leak-by-design
-//     (switch drops, unsteered skbs), or an in-flight counter;
+//   - skb-pool / frame-pool: every buffer handed out by the cluster's
+//     shared pools is accounted for by a live queue, a counted
+//     leak-by-design (loss drops, shared-buffer drops, unsteered skbs),
+//     or an in-flight counter;
 //   - cycles: per host, the charge log's per-category tally reconciles
 //     exactly with the core Breakdown accounting, and busy time matches
 //     the cycle total within per-item truncation slack;
 //   - dca: DDIO occupancy never exceeds the configured L3 share.
-func AttachChecker(ck *check.Checker, a, b *Host, ab, ba *wire.Link) {
-	for _, h := range []*Host{a, b} {
-		h.chkLedger = &check.CycleLedger{}
-		h.installChargeLog()
-	}
-
-	ck.AddRule("wire-conservation", func(fail check.FailFunc) {
-		wireConservation(fail, a.name+"->"+b.name, ab)
-		wireConservation(fail, b.name+"->"+a.name, ba)
-	})
-	ck.AddRule("nic-rx-conservation", func(fail check.FailFunc) {
-		nicRxConservation(fail, b, ab) // ab delivers into b's NIC
-		nicRxConservation(fail, a, ba)
-	})
-	ck.AddRule("tcp-seqspace", func(fail check.FailFunc) {
-		tcpSeqSpace(fail, a)
-		tcpSeqSpace(fail, b)
-	})
-	ck.AddRule("skb-pool-conservation", func(fail check.FailFunc) {
-		skbConservation(fail, a, b)
-	})
-	ck.AddRule("frame-pool-conservation", func(fail check.FailFunc) {
-		frameConservation(fail, a, b, ab, ba)
-	})
-	ck.AddRule("cycle-conservation", func(fail check.FailFunc) {
-		cycleConservation(fail, a)
-		cycleConservation(fail, b)
-	})
-	ck.AddRule("dca-occupancy", func(fail check.FailFunc) {
-		dcaOccupancy(fail, a)
-		dcaOccupancy(fail, b)
-	})
-}
-
-func wireConservation(fail check.FailFunc, name string, l *wire.Link) {
-	st := l.Stats()
-	frames, payload := l.InFlight()
-	if frames < 0 || payload < 0 {
-		fail("link %s: negative in-flight (%d frames, %d bytes)", name, frames, payload)
-	}
-	if st.Sent != st.Delivered+st.Dropped+frames {
-		fail("link %s: %d frames sent != %d delivered + %d dropped + %d in flight (leak of %d)",
-			name, st.Sent, st.Delivered, st.Dropped, frames,
-			st.Sent-st.Delivered-st.Dropped-frames)
-	}
-	if st.SentPayload != st.DeliveredPayload+st.DroppedPayload+payload {
-		fail("link %s: %d payload bytes sent != %d delivered + %d dropped + %d in flight (leak of %d)",
-			name, st.SentPayload, st.DeliveredPayload, st.DroppedPayload, payload,
-			st.SentPayload-st.DeliveredPayload-st.DroppedPayload-payload)
-	}
-}
-
-func nicRxConservation(fail check.FailFunc, h *Host, inbound *wire.Link) {
-	st := h.NIC.Stats()
-	if got := inbound.Stats().DeliveredPayload; got != st.RxBytes+st.RxDroppedBytes {
-		fail("host %s: link delivered %d payload bytes but NIC accounts %d accepted + %d ring-dropped",
-			h.name, got, st.RxBytes, st.RxDroppedBytes)
-	}
-	_, backlogB := h.NIC.RxBacklog()
-	_, groB := h.NIC.GROHeld()
-	if st.RxBytes != st.RxDelivered+backlogB+groB {
-		fail("host %s: NIC accepted %d bytes != %d delivered up + %d ring backlog + %d GRO-held (leak of %d)",
-			h.name, st.RxBytes, st.RxDelivered, backlogB, groB,
-			st.RxBytes-st.RxDelivered-backlogB-groB)
-	}
-	ring := h.NIC.Config().RxRing
-	if lo, hi := h.NIC.PostedBounds(); lo < 0 || hi > ring {
-		fail("host %s: posted descriptors out of bounds: [%d, %d] not within [0, %d]",
-			h.name, lo, hi, ring)
-	}
-}
-
-// tcpSeqSpace audits h's endpoints in tx-flow order, so failures are
-// reported deterministically: each connection's own sequence bookkeeping,
-// and sndUna <= rcvNxt <= sndNxt against the peer endpoint receiving the
-// flow, wherever the pair or cluster placed it.
-func tcpSeqSpace(fail check.FailFunc, h *Host) {
-	for _, ep := range h.eps {
-		ep.conn.CheckInvariants(fail)
-		pep := h.flows.ends[ep.txFlow].rx
-		una, nxt := ep.conn.SndUna(), ep.conn.SndNxt()
-		rcv := pep.conn.RcvNxt()
-		if una > rcv || rcv > nxt {
-			fail("tcp flow %d: cross-host sequence drift: %s sndUna %d, %s rcvNxt %d, sndNxt %d "+
-				"(want sndUna <= rcvNxt <= sndNxt)",
-				ep.txFlow, h.name, una, pep.host.name, rcv, nxt)
-		}
-	}
-}
-
-func skbConservation(fail check.FailFunc, a, b *Host) {
-	skbConservationHosts(fail, a.name+"/"+b.name, []*Host{a, b})
-}
-
-func skbConservationHosts(fail check.FailFunc, scope string, hosts []*Host) {
-	pool := hosts[0].NIC.SKBPool()
-	if pool == nil {
-		return
-	}
-	var held int64
-	for _, h := range hosts {
-		groN, _ := h.NIC.GROHeld()
-		held += int64(groN)
-		for _, ep := range h.eps {
-			held += int64(ep.conn.RecvQLen() + ep.conn.OOOLen())
-		}
-		held += h.unsteered + h.rpsInFlight
-	}
-	if out := pool.Outstanding(); out != held {
-		fail("skb pool: %d outstanding but only %d accounted for "+
-			"(gro+recvq+ooo+unsteered+rps across %s) — %d skbs leaked",
-			out, held, scope, out-held)
-	}
-}
-
-func frameConservation(fail check.FailFunc, a, b *Host, ab, ba *wire.Link) {
-	frameConservationHosts(fail, a.name+"/"+b.name, []*Host{a, b}, []*wire.Link{ab, ba}, 0)
-}
-
-// frameConservationHosts audits the shared frame pool over an arbitrary
-// host set: every outstanding frame must sit in a NIC Tx queue, an Rx
-// backlog, on a wire, or be a counted abandonment (a switch loss drop or
-// a fabric shared-buffer drop).
-func frameConservationHosts(fail check.FailFunc, scope string, hosts []*Host, links []*wire.Link, fabricDropped int64) {
-	fp := hosts[0].NIC.FramePool()
-	if fp == nil {
-		return
-	}
-	held := fabricDropped
-	for _, h := range hosts {
-		txN, _ := h.NIC.TxQueued()
-		backlogN, _ := h.NIC.RxBacklog()
-		held += int64(txN + backlogN)
-	}
-	for _, l := range links {
-		inflight, _ := l.InFlight()
-		held += inflight + l.Stats().Dropped // switch drops abandon the frame
-	}
-	if out := fp.Outstanding(); out != held {
-		fail("frame pool: %d outstanding but only %d accounted for "+
-			"(txq+rx backlog+wire+switch drops across %s) — %d frames leaked",
-			out, held, scope, out-held)
-	}
-}
-
-// AttachClusterChecker registers the conservation-law audit rules for a
-// fabric-connected cluster: the pair rules of AttachChecker restated
-// per egress link and per host, plus a per-switch-port rule (every frame
-// entering an ingress port is either forwarded to an egress queue or a
-// counted shared-buffer drop) and the cluster-wide pool audits, which
-// absorb fabric buffer drops as counted abandonments.
-func AttachClusterChecker(ck *check.Checker, c *Cluster) {
+func AttachChecker(ck *check.Checker, c *Cluster) {
 	hosts := c.hosts
 	for _, h := range hosts {
 		h.chkLedger = &check.CycleLedger{}
@@ -231,10 +84,10 @@ func AttachClusterChecker(ck *check.Checker, c *Cluster) {
 		}
 	})
 	ck.AddRule("skb-pool-conservation", func(fail check.FailFunc) {
-		skbConservationHosts(fail, scope, hosts)
+		skbConservation(fail, scope, hosts)
 	})
 	ck.AddRule("frame-pool-conservation", func(fail check.FailFunc) {
-		frameConservationHosts(fail, scope, hosts, links, c.fab.Totals().BufDropped)
+		frameConservation(fail, scope, hosts, links, c.fab.Totals().BufDropped)
 	})
 	ck.AddRule("cycle-conservation", func(fail check.FailFunc) {
 		for _, h := range hosts {
@@ -246,6 +99,109 @@ func AttachClusterChecker(ck *check.Checker, c *Cluster) {
 			dcaOccupancy(fail, h)
 		}
 	})
+}
+
+func wireConservation(fail check.FailFunc, name string, l *wire.Link) {
+	st := l.Stats()
+	frames, payload := l.InFlight()
+	if frames < 0 || payload < 0 {
+		fail("link %s: negative in-flight (%d frames, %d bytes)", name, frames, payload)
+	}
+	if st.Sent != st.Delivered+st.Dropped+frames {
+		fail("link %s: %d frames sent != %d delivered + %d dropped + %d in flight (leak of %d)",
+			name, st.Sent, st.Delivered, st.Dropped, frames,
+			st.Sent-st.Delivered-st.Dropped-frames)
+	}
+	if st.SentPayload != st.DeliveredPayload+st.DroppedPayload+payload {
+		fail("link %s: %d payload bytes sent != %d delivered + %d dropped + %d in flight (leak of %d)",
+			name, st.SentPayload, st.DeliveredPayload, st.DroppedPayload, payload,
+			st.SentPayload-st.DeliveredPayload-st.DroppedPayload-payload)
+	}
+}
+
+func nicRxConservation(fail check.FailFunc, h *Host, inbound *wire.Link) {
+	st := h.NIC.Stats()
+	if got := inbound.Stats().DeliveredPayload; got != st.RxBytes+st.RxDroppedBytes {
+		fail("host %s: link delivered %d payload bytes but NIC accounts %d accepted + %d ring-dropped",
+			h.name, got, st.RxBytes, st.RxDroppedBytes)
+	}
+	_, backlogB := h.NIC.RxBacklog()
+	_, groB := h.NIC.GROHeld()
+	if st.RxBytes != st.RxDelivered+backlogB+groB {
+		fail("host %s: NIC accepted %d bytes != %d delivered up + %d ring backlog + %d GRO-held (leak of %d)",
+			h.name, st.RxBytes, st.RxDelivered, backlogB, groB,
+			st.RxBytes-st.RxDelivered-backlogB-groB)
+	}
+	ring := h.NIC.Config().RxRing
+	if lo, hi := h.NIC.PostedBounds(); lo < 0 || hi > ring {
+		fail("host %s: posted descriptors out of bounds: [%d, %d] not within [0, %d]",
+			h.name, lo, hi, ring)
+	}
+}
+
+// tcpSeqSpace audits h's endpoints in tx-flow order, so failures are
+// reported deterministically: each connection's own sequence bookkeeping,
+// and sndUna <= rcvNxt <= sndNxt against the peer endpoint receiving the
+// flow, wherever the cluster placed it.
+func tcpSeqSpace(fail check.FailFunc, h *Host) {
+	for _, ep := range h.eps {
+		ep.conn.CheckInvariants(fail)
+		pep := h.flows.ends[ep.txFlow].rx
+		una, nxt := ep.conn.SndUna(), ep.conn.SndNxt()
+		rcv := pep.conn.RcvNxt()
+		if una > rcv || rcv > nxt {
+			fail("tcp flow %d: cross-host sequence drift: %s sndUna %d, %s rcvNxt %d, sndNxt %d "+
+				"(want sndUna <= rcvNxt <= sndNxt)",
+				ep.txFlow, h.name, una, pep.host.name, rcv, nxt)
+		}
+	}
+}
+
+func skbConservation(fail check.FailFunc, scope string, hosts []*Host) {
+	pool := hosts[0].NIC.SKBPool()
+	if pool == nil {
+		return
+	}
+	var held int64
+	for _, h := range hosts {
+		groN, _ := h.NIC.GROHeld()
+		held += int64(groN)
+		for _, ep := range h.eps {
+			held += int64(ep.conn.RecvQLen() + ep.conn.OOOLen())
+		}
+		held += h.unsteered + h.rpsInFlight
+	}
+	if out := pool.Outstanding(); out != held {
+		fail("skb pool: %d outstanding but only %d accounted for "+
+			"(gro+recvq+ooo+unsteered+rps across %s) — %d skbs leaked",
+			out, held, scope, out-held)
+	}
+}
+
+// frameConservation audits the shared frame pool over a cluster's
+// hosts: every outstanding frame must sit in a NIC Tx queue, an Rx
+// backlog, on a wire, or be a counted abandonment (a switch loss drop or
+// a fabric shared-buffer drop).
+func frameConservation(fail check.FailFunc, scope string, hosts []*Host, links []*wire.Link, fabricDropped int64) {
+	fp := hosts[0].NIC.FramePool()
+	if fp == nil {
+		return
+	}
+	held := fabricDropped
+	for _, h := range hosts {
+		txN, _ := h.NIC.TxQueued()
+		backlogN, _ := h.NIC.RxBacklog()
+		held += int64(txN + backlogN)
+	}
+	for _, l := range links {
+		inflight, _ := l.InFlight()
+		held += inflight + l.Stats().Dropped // switch drops abandon the frame
+	}
+	if out := fp.Outstanding(); out != held {
+		fail("frame pool: %d outstanding but only %d accounted for "+
+			"(txq+rx backlog+wire+switch drops across %s) — %d frames leaked",
+			out, held, scope, out-held)
+	}
 }
 
 func cycleConservation(fail check.FailFunc, h *Host) {

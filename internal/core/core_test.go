@@ -8,6 +8,7 @@ import (
 
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/exec"
+	"hostsim/internal/fabric"
 	"hostsim/internal/sim"
 	"hostsim/internal/topology"
 	"hostsim/internal/trace"
@@ -27,7 +28,7 @@ func newRig(t *testing.T, opts Options) *rig {
 	spec := topology.Default()
 	a := NewHost("a", eng, spec, costs, opts)
 	b := NewHost("b", eng, spec, costs, opts)
-	Connect(a, b)
+	ConnectFabric([]*Host{a, b}, fabric.Config{})
 	return &rig{eng: eng, a: a, b: b}
 }
 
@@ -118,10 +119,10 @@ func TestConnectTwicePanics(t *testing.T) {
 	r := newRig(t, AllOpts())
 	defer func() {
 		if recover() == nil {
-			t.Error("second Connect should panic")
+			t.Error("second ConnectFabric should panic")
 		}
 	}()
-	Connect(r.a, r.b)
+	ConnectFabric([]*Host{r.a, r.b}, fabric.Config{})
 }
 
 func TestOpenConnBeforeConnectPanics(t *testing.T) {
@@ -130,7 +131,7 @@ func TestOpenConnBeforeConnectPanics(t *testing.T) {
 	b := NewHost("b", eng, topology.Default(), cpumodel.Default(), AllOpts())
 	defer func() {
 		if recover() == nil {
-			t.Error("OpenConn before Connect should panic")
+			t.Error("OpenConn before ConnectFabric should panic")
 		}
 	}()
 	OpenConn(a, 0, b, 0)

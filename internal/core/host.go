@@ -8,6 +8,7 @@ import (
 	"hostsim/internal/check"
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/exec"
+	"hostsim/internal/fabric"
 	"hostsim/internal/mem"
 	"hostsim/internal/metrics"
 	"hostsim/internal/mtrace"
@@ -20,7 +21,6 @@ import (
 	"hostsim/internal/topology"
 	"hostsim/internal/trace"
 	"hostsim/internal/units"
-	"hostsim/internal/wire"
 )
 
 // senderWSFraction scales the host's in-use send-buffer bytes into an
@@ -52,7 +52,7 @@ type Host struct {
 	DCA   *cache.DCA
 	NIC   *nic.NIC
 
-	flows *flowTable  // shared with the peer host (or cluster) after Connect
+	flows *flowTable  // shared cluster-wide after ConnectFabric
 	eps   []*Endpoint // local endpoints in tx-flow order
 
 	sndInUse units.Bytes // in-use send-buffer bytes (sender cache model)
@@ -81,6 +81,9 @@ type Host struct {
 	schedGroups  [][]*Endpoint // receiving endpoints
 	schedIdx     []int         // rotation offset into schedGroups
 	schedStarted bool
+
+	fab  *fabric.Fabric // the switch this host attaches to (ConnectFabric)
+	port int            // this host's port on fab
 }
 
 // SetTracer installs an event tracer (nil disables tracing). The NIC, if
@@ -136,7 +139,7 @@ func (h *Host) Profiler() *profile.Profiler { return h.prof }
 // detached tracer costs nothing on the hot path.
 func (h *Host) EnableMsgTrace(t *mtrace.Tracer) { h.mt = t }
 
-// NewHost builds a host. The NIC's egress is connected later via Connect.
+// NewHost builds a host. The NIC is instantiated later by ConnectFabric.
 func NewHost(name string, eng *sim.Engine, spec topology.MachineSpec,
 	costs *cpumodel.Costs, opts Options) *Host {
 	if err := opts.Validate(); err != nil {
@@ -192,34 +195,6 @@ func (h *Host) Options() Options { return h.opts }
 
 // Spec returns the machine description.
 func (h *Host) Spec() topology.MachineSpec { return h.spec }
-
-// Connect joins two hosts with a full-duplex link and instantiates their
-// NICs. Call exactly once per host pair, before opening connections.
-// It returns the a->b and b->a links so experiments can inject loss or
-// ECN marking.
-func Connect(a, b *Host) (ab, ba *wire.Link) {
-	if a.NIC != nil || b.NIC != nil {
-		panic("core: hosts already connected")
-	}
-	delay := time.Duration(a.spec.OneWayDelay) * time.Nanosecond
-	ab = wire.NewLink(a.eng, a.spec.LinkRate, delay, func(f *skb.Frame) { b.NIC.ReceiveFromWire(f) })
-	ba = wire.NewLink(b.eng, b.spec.LinkRate, delay, func(f *skb.Frame) { a.NIC.ReceiveFromWire(f) })
-	a.NIC = nic.New(a.eng, a.Sys, a.Alloc, a.DCA, a.opts.nicConfig(), ab, a.deliver)
-	b.NIC = nic.New(b.eng, b.Sys, b.Alloc, b.DCA, b.opts.nicConfig(), ba, b.deliver)
-	a.NIC.SetTxComplete(a.txComplete)
-	b.NIC.SetTxComplete(b.txComplete)
-	// Share the fast-path pools and the flow table across the pair: frames
-	// and skbs are born on one host and die on the other, so only a
-	// pair-wide pool stays balanced, and per-pair flow numbering keeps
-	// concurrent simulations independent (no global state).
-	skbs, frames := &skb.Pool{}, &skb.FramePool{}
-	a.NIC.SetPools(skbs, frames)
-	b.NIC.SetPools(skbs, frames)
-	b.flows = a.flows
-	a.installSteering()
-	b.installSteering()
-	return ab, ba
-}
 
 // txComplete is the NIC's wire-departure notification: batch it per
 // endpoint and process in softirq (TSQ completion).
@@ -369,7 +344,7 @@ func (h *Host) process(ctx *exec.Ctx, ep *Endpoint, s *skb.SKB) {
 }
 
 // EnableTelemetry registers this host's metrics into reg, prefixed with
-// the host name (e.g. "sender/copied_bytes"). Call after Connect (the
+// the host name (e.g. "sender/copied_bytes"). Call after ConnectFabric (the
 // NIC's gauges ride along) and before opening connections (endpoints
 // register per-flow gauges as they appear). No-op on a nil registry.
 func (h *Host) EnableTelemetry(reg *telemetry.Registry) {
@@ -514,16 +489,15 @@ func (h *Host) senderMissRate() float64 {
 	return m
 }
 
-// flowTable hands out the flow ids of one connected host pair or cluster
-// and indexes both ends of every flow by id. Ids are dense (1, 2, ...),
-// so the index is a slice, not a map: the per-packet lookups on the
-// receive, deliver and Tx-completion paths are one bounds check and a
-// load. The table is shared by every host of the pair or cluster rather
-// than kept per host: it grows with the flow count, where per-host
-// flow-indexed tables would grow with hosts×flows (about 256×130k
-// entries on a 256-host all-to-all). Scoping it to the pair (instead of a
-// package global) keeps concurrent simulations deterministic and
-// data-race free.
+// flowTable hands out the flow ids of one cluster and indexes both ends
+// of every flow by id. Ids are dense (1, 2, ...), so the index is a
+// slice, not a map: the per-packet lookups on the receive, deliver and
+// Tx-completion paths are one bounds check and a load. The table is
+// shared by every host of the cluster rather than kept per host: it grows
+// with the flow count, where per-host flow-indexed tables would grow with
+// hosts×flows (about 256×130k entries on a 256-host all-to-all). Scoping
+// it to the cluster (instead of a package global) keeps concurrent
+// simulations deterministic and data-race free.
 type flowTable struct {
 	ends []flowEnds // by flow id; id 0 is never handed out
 }
@@ -564,13 +538,18 @@ func (h *Host) receiver(flow skb.FlowID) *Endpoint {
 
 // OpenConn opens a connection between aCore on host a and bCore on host
 // b, returning the two endpoints. Both directions are set up (full
-// duplex); steering entries are installed per each host's policy.
+// duplex); steering entries are installed per each host's policy, and
+// both flows are routed through the hosts' shared fabric. Pure ACKs
+// traverse the fabric in reverse, which the ingress-exclusion routing
+// rule handles without per-frame state.
 func OpenConn(a *Host, aCore int, b *Host, bCore int) (*Endpoint, *Endpoint) {
-	if a.NIC == nil || b.NIC == nil {
-		panic("core: Connect the hosts before opening connections")
+	if a.fab == nil || a.fab != b.fab {
+		panic("core: OpenConn needs two hosts attached to one fabric by ConnectFabric")
 	}
 	flowAB := a.flows.alloc()
 	flowBA := a.flows.alloc()
+	a.fab.Register(flowAB, a.port, b.port)
+	a.fab.Register(flowBA, b.port, a.port)
 	epA := newEndpoint(a, aCore, flowAB, flowBA)
 	epB := newEndpoint(b, bCore, flowBA, flowAB)
 	a.register(epA)

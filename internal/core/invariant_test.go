@@ -7,11 +7,11 @@ import (
 
 	"hostsim/internal/check"
 	"hostsim/internal/cpumodel"
+	"hostsim/internal/fabric"
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
 	"hostsim/internal/topology"
 	"hostsim/internal/units"
-	"hostsim/internal/wire"
 )
 
 // checkedRig is a connected host pair with the invariant checker attached
@@ -19,8 +19,7 @@ import (
 // panics).
 type checkedRig struct {
 	*rig
-	ck     *check.Checker
-	ab, ba *wire.Link
+	ck *check.Checker
 }
 
 func newCheckedRig(t *testing.T, opts Options) *checkedRig {
@@ -30,10 +29,10 @@ func newCheckedRig(t *testing.T, opts Options) *checkedRig {
 	spec := topology.Default()
 	a := NewHost("a", eng, spec, costs, opts)
 	b := NewHost("b", eng, spec, costs, opts)
-	ab, ba := Connect(a, b)
+	c := ConnectFabric([]*Host{a, b}, fabric.Config{})
 	ck := check.New(eng, check.Options{Collect: true})
-	AttachChecker(ck, a, b, ab, ba)
-	return &checkedRig{rig: &rig{eng: eng, a: a, b: b}, ck: ck, ab: ab, ba: ba}
+	AttachChecker(ck, c)
+	return &checkedRig{rig: &rig{eng: eng, a: a, b: b}, ck: ck}
 }
 
 // violationsFor filters the collected violations down to one rule.
@@ -109,9 +108,9 @@ func TestCheckerFailFastPanicsWithFailure(t *testing.T) {
 	spec := topology.Default()
 	a := NewHost("a", eng, spec, costs, AllOpts())
 	b := NewHost("b", eng, spec, costs, AllOpts())
-	ab, ba := Connect(a, b)
+	c := ConnectFabric([]*Host{a, b}, fabric.Config{})
 	ck := check.New(eng, check.Options{}) // fail-fast
-	AttachChecker(ck, a, b, ab, ba)
+	AttachChecker(ck, c)
 	a.NIC.SKBPool().Get(&skb.Frame{Len: 100})
 	defer func() {
 		f, ok := recover().(*check.Failure)

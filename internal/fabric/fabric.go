@@ -1,10 +1,12 @@
 // Package fabric models a single-stage switch (a top-of-rack) connecting
-// N hosts. Each host attaches to one port: the port's ingress side
-// accepts frames from the host's NIC at zero cost (cut-through — the
-// fabric's internal crossbar is never the bottleneck), routes them by
-// flow id, and hands them to the destination port's egress serializer, a
-// plain wire.Link carrying the propagation delay, the optional ECN
-// marking threshold and the optional Bernoulli loss.
+// N hosts. It is hostsim's only network: the paper's two-server testbed
+// is a 2-port fabric, larger topologies add ports. Each host attaches to
+// one port: the port's ingress side accepts frames from the host's NIC
+// at zero cost (cut-through — the fabric's internal crossbar is never the
+// bottleneck), routes them by flow id, and hands them to the destination
+// port's egress serializer, a plain wire.Link carrying the propagation
+// delay, the optional ECN marking threshold and the optional Bernoulli
+// loss.
 //
 // Congestion lives entirely in the egress queues. An optional shared
 // buffer pool bounds their sum: a frame is admitted to egress queue q
@@ -13,12 +15,17 @@
 // shared-memory switch policy — uncongested ports keep their queues,
 // a single hot incast port is throttled before it starves the rest.
 //
+// Loss is per egress: Config.LossRate sets every egress serializer, and
+// a caller may override one port with Port(i).Out().SetLossRate — the
+// two-host pair keeps its ACK path (the egress toward the sender)
+// lossless that way.
+//
 // Determinism contract: ingress routing and admission draw no random
 // numbers and consume no simulated time; the only randomness is the
-// egress links' loss draw (skipped entirely at LossRate 0) and the only
+// egress links' loss draw (skipped entirely at loss rate 0) and the only
 // event scheduling is the egress links' delivery. A 2-host fabric with
-// unbounded buffer is therefore event-for-event identical to the direct
-// two-host link.
+// unbounded buffer therefore schedules exactly the events of a
+// point-to-point full-duplex link: one serializer per direction.
 package fabric
 
 import (
@@ -91,8 +98,10 @@ type IngressStats struct {
 	BufDroppedBytes  units.Bytes
 }
 
-// DeliverFunc hands a frame leaving the fabric to the host on port.
-type DeliverFunc func(port int, f *skb.Frame)
+// DeliverFunc returns the receiver of the frames leaving the fabric toward
+// port. New calls it once per port, so each egress link hands its frames
+// straight to the attached host.
+type DeliverFunc func(port int) func(*skb.Frame)
 
 // Observer receives the fabric's ingress-side frame events — the INT-style
 // stamp point. FrameIngress fires once per frame offered to ingress port
@@ -111,14 +120,14 @@ type Observer interface {
 // Fabric is the switch: Ports ports, a static flow routing table, and
 // the shared-buffer admission state.
 type Fabric struct {
-	cfg   Config
-	alpha float64
-	ports []*Port
 	// routes[f] is flow f's two attached ports. Flow ids are dense, so the
 	// table is a slice; the zero entry {0, 0} means unrouted, since
 	// Register never pins a flow to a single port.
 	routes [][2]int
+	ports  []Port   // by port id, one allocation for the whole switch
 	obs    Observer // nil = observation off
+	cfg    Config
+	alpha  float64
 }
 
 // Port is one host attachment. It implements wire.Egress: the host NIC's
@@ -131,8 +140,8 @@ type Port struct {
 	stats IngressStats
 }
 
-// New builds the switch. deliver is invoked for every frame leaving an
-// egress link, tagged with the destination port.
+// New builds the switch. deliver supplies each port's receiver for the
+// frames leaving its egress link.
 func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Fabric {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -143,20 +152,22 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Fabric {
 	fb := &Fabric{
 		cfg:   cfg,
 		alpha: cfg.Alpha,
-		ports: make([]*Port, cfg.Ports),
+		ports: make([]Port, cfg.Ports),
+		// Room for one connection per port (two flow ids each, after
+		// the never-issued id 0) before the first regrowth.
+		routes: make([][2]int, 0, 2*cfg.Ports+1),
 	}
 	if fb.alpha == 0 {
 		fb.alpha = 1
 	}
 	for i := range fb.ports {
-		i := i
-		p := &Port{fab: fb, id: i}
-		p.out = wire.NewLink(eng, cfg.LinkRate, cfg.Delay, func(f *skb.Frame) { deliver(i, f) })
+		p := &fb.ports[i]
+		p.fab, p.id = fb, i
+		p.out = wire.NewLink(eng, cfg.LinkRate, cfg.Delay, deliver(i))
 		if cfg.ECNThreshold > 0 {
 			p.out.SetECNThreshold(cfg.ECNThreshold)
 		}
 		p.out.SetLossRate(cfg.LossRate)
-		fb.ports[i] = p
 	}
 	return fb
 }
@@ -172,15 +183,15 @@ func (fb *Fabric) SetObserver(obs Observer) { fb.obs = obs }
 func (fb *Fabric) Ports() int { return len(fb.ports) }
 
 // Port returns port i.
-func (fb *Fabric) Port(i int) *Port { return fb.ports[i] }
+func (fb *Fabric) Port(i int) *Port { return &fb.ports[i] }
 
 // Occupancy is the shared buffer's current fill: the sum of all egress
 // backlogs, in wire bytes. Integer arithmetic over link serializer state,
 // so it is exact and deterministic.
 func (fb *Fabric) Occupancy() units.Bytes {
 	var total units.Bytes
-	for _, p := range fb.ports {
-		total += p.out.Backlog()
+	for i := range fb.ports {
+		total += fb.ports[i].out.Backlog()
 	}
 	return total
 }
@@ -230,7 +241,7 @@ func PickPath(flow skb.FlowID, n int) int {
 }
 
 // Rate implements wire.Egress: the port's line rate paces the host NIC's
-// Tx pump exactly as a direct link would.
+// Tx pump.
 func (p *Port) Rate() units.BitRate { return p.fab.cfg.LinkRate }
 
 // Send implements wire.Egress: ingress from the attached host. Routing
@@ -239,9 +250,6 @@ func (p *Port) Rate() units.BitRate { return p.fab.cfg.LinkRate }
 // serializer, a rejected one is counted and abandoned (the frame pool
 // checker accounts fabric drops like switch drops).
 func (p *Port) Send(f *skb.Frame) {
-	if f == nil {
-		panic("fabric: nil frame")
-	}
 	fb := p.fab
 	p.stats.In++
 	p.stats.InPayload += f.Len
@@ -304,7 +312,8 @@ type FabricTotals struct {
 // Totals sums every port's ingress and egress counters.
 func (fb *Fabric) Totals() FabricTotals {
 	var t FabricTotals
-	for _, p := range fb.ports {
+	for i := range fb.ports {
+		p := &fb.ports[i]
 		t.In += p.stats.In
 		t.BufDropped += p.stats.BufDropped
 		t.BufDroppedBytes += p.stats.BufDroppedBytes
@@ -326,8 +335,8 @@ func (fb *Fabric) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 		return
 	}
 	reg.Gauge(prefix+"occupancy_bytes", func() float64 { return float64(fb.Occupancy()) })
-	for _, p := range fb.ports {
-		p := p
+	for i := range fb.ports {
+		p := &fb.ports[i]
 		pp := fmt.Sprintf("%sport%03d/", prefix, p.id)
 		reg.Gauge(pp+"backlog_bytes", func() float64 { return float64(p.out.Backlog()) })
 		reg.Gauge(pp+"in_frames", func() float64 { return float64(p.stats.In) })

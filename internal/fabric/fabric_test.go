@@ -9,6 +9,14 @@ import (
 	"hostsim/internal/units"
 )
 
+// deliverTo adapts one callback tagged with the delivery port to New's
+// per-port receivers.
+func deliverTo(fn func(port int, f *skb.Frame)) DeliverFunc {
+	return func(port int) func(*skb.Frame) {
+		return func(f *skb.Frame) { fn(port, f) }
+	}
+}
+
 func testCfg(ports int) Config {
 	return Config{Ports: ports, LinkRate: 100 * units.Gbps, Delay: time.Microsecond}
 }
@@ -59,7 +67,7 @@ func TestPickPath(t *testing.T) {
 func TestRoutingBothDirections(t *testing.T) {
 	eng := sim.NewEngine(1)
 	got := make(map[int]int) // delivery port -> frames
-	fb := New(eng, testCfg(4), func(port int, f *skb.Frame) { got[port]++ })
+	fb := New(eng, testCfg(4), deliverTo(func(port int, f *skb.Frame) { got[port]++ }))
 	fb.Register(7, 1, 3)
 
 	fb.Port(1).Send(&skb.Frame{Flow: 7, Len: 1000})           // data: 1 -> 3
@@ -76,7 +84,7 @@ func TestRoutingBothDirections(t *testing.T) {
 
 func TestRoutingPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
-	fb := New(eng, testCfg(4), func(int, *skb.Frame) {})
+	fb := New(eng, testCfg(4), deliverTo(func(int, *skb.Frame) {}))
 	fb.Register(1, 0, 2)
 	expectPanic := func(name string, fn func()) {
 		defer func() {
@@ -104,7 +112,7 @@ func offerIncast(t *testing.T, buffer units.Bytes, alpha float64, senders, frame
 	cfg.SharedBuffer = buffer
 	cfg.Alpha = alpha
 	var got int64
-	fb := New(eng, cfg, func(int, *skb.Frame) { got++ })
+	fb := New(eng, cfg, deliverTo(func(int, *skb.Frame) { got++ }))
 	for s := 0; s < senders; s++ {
 		fb.Register(skb.FlowID(s+1), s+1, 0)
 	}
@@ -169,11 +177,11 @@ func TestOccupancyBounded(t *testing.T) {
 	const buffer = 256 * units.KB
 	cfg.SharedBuffer = buffer
 	var fb *Fabric
-	fb = New(eng, cfg, func(int, *skb.Frame) {
+	fb = New(eng, cfg, deliverTo(func(int, *skb.Frame) {
 		if occ := fb.Occupancy(); occ > buffer {
 			t.Fatalf("occupancy %v exceeds buffer %v", occ, buffer)
 		}
-	})
+	}))
 	for s := 0; s < 4; s++ {
 		fb.Register(skb.FlowID(s+1), s+1, 0)
 	}
@@ -195,7 +203,7 @@ func TestPortStatsConservation(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := testCfg(3)
 	cfg.SharedBuffer = 64 * units.KB
-	fb := New(eng, cfg, func(int, *skb.Frame) {})
+	fb := New(eng, cfg, deliverTo(func(int, *skb.Frame) {}))
 	fb.Register(1, 1, 0)
 	fb.Register(2, 2, 0)
 	for i := 0; i < 300; i++ {

@@ -13,13 +13,17 @@ import (
 	"hostsim/internal/units"
 )
 
+// discard receives nothing: the observatory tests read the fabric's own
+// counters, not the delivered frames.
+func discard(int) func(*skb.Frame) { return func(*skb.Frame) {} }
+
 // testFabric builds an N-port fabric with a slow (1Gbps) egress so
 // backlogs build deterministically, plus an observer with the given
 // options. Flows s (1..N-1) are registered port s -> port 0.
 func testFabric(t *testing.T, cfg fabric.Config, opts Options) (*sim.Engine, *fabric.Fabric, *Observer) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	fb := fabric.New(eng, cfg, func(int, *skb.Frame) {})
+	fb := fabric.New(eng, cfg, discard)
 	for s := 1; s < cfg.Ports; s++ {
 		fb.Register(skb.FlowID(s), s, 0)
 	}
@@ -177,7 +181,7 @@ func TestTransparency(t *testing.T) {
 		cfg := slowCfg(4)
 		cfg.SharedBuffer = 32 * units.KB
 		cfg.LossRate = 0.1
-		fb := fabric.New(eng, cfg, func(int, *skb.Frame) {})
+		fb := fabric.New(eng, cfg, discard)
 		for s := 1; s < 4; s++ {
 			fb.Register(skb.FlowID(s), s, 0)
 		}
@@ -289,7 +293,7 @@ func TestWritersDeterministic(t *testing.T) {
 // TestNewPanics pins constructor validation.
 func TestNewPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
-	fb := fabric.New(eng, slowCfg(2), func(int, *skb.Frame) {})
+	fb := fabric.New(eng, slowCfg(2), discard)
 	expectPanic := func(name string, fn func()) {
 		defer func() {
 			if recover() == nil {

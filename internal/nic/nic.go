@@ -164,6 +164,7 @@ type NIC struct {
 	dca     *cache.DCA // nil = DCA disabled
 	cfg     Config
 	egress  wire.Egress
+	txRate  units.BitRate // egress.Rate(), fixed for the attachment's life
 	deliver DeliverFunc
 	steer   Steering
 	queues  []*rxQueue // by core id; nil until the core first receives
@@ -268,8 +269,8 @@ func (s *pageStash) take(dst []mem.Page) {
 func (q *rxQueue) pendingRx() int { return len(q.backlog) - q.bhead }
 
 // New builds a NIC. dca may be nil (DCA disabled). egress is the wire
-// attachment (a direct link or a fabric ingress port); deliver is the Rx
-// upcall.
+// attachment — the host's fabric ingress port, whose egress twin toward
+// this host calls ReceiveFromWire; deliver is the Rx upcall.
 func New(eng *sim.Engine, sys *exec.System, alloc *mem.Allocator, dca *cache.DCA,
 	cfg Config, egress wire.Egress, deliver DeliverFunc) *NIC {
 	if err := cfg.Validate(); err != nil {
@@ -280,7 +281,7 @@ func New(eng *sim.Engine, sys *exec.System, alloc *mem.Allocator, dca *cache.DCA
 	}
 	n := &NIC{
 		eng: eng, sys: sys, alloc: alloc, dca: dca, cfg: cfg,
-		egress: egress, deliver: deliver,
+		egress: egress, txRate: egress.Rate(), deliver: deliver,
 		steer:  RSS{Cores: []int{0}},
 		queues: make([]*rxQueue, sys.Spec().NumCores()),
 		txqs:   make([]*txq, sys.Spec().NumCores()),
@@ -583,7 +584,7 @@ func (n *NIC) pumpTx() {
 	if n.txComplete != nil && !f.IsAck() && f.Len > 0 {
 		n.txComplete(f.Flow, f.Len)
 	}
-	n.eng.After(n.egress.Rate().Serialize(f.WireSize()), n.txDone)
+	n.eng.After(n.txRate.Serialize(f.WireSize()), n.txDone)
 }
 
 func (n *NIC) nextTxFrame() *skb.Frame {

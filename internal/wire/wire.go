@@ -13,11 +13,12 @@ import (
 	"hostsim/internal/units"
 )
 
-// Egress is a NIC's attachment point to the network: either a direct
-// point-to-point Link (the two-host testbed) or a switch-fabric ingress
-// port. Send consumes the frame without charging CPU (transmission is
-// "hardware"); Rate is the attachment's line rate, which the NIC uses to
-// pace its Tx pump one frame at a time.
+// Egress is a NIC's attachment point to the network: a switch-fabric
+// ingress port in every assembled topology (the two-host testbed is a
+// 2-port fabric), or a bare point-to-point Link in unit rigs. Send
+// consumes the frame without charging CPU (transmission is "hardware");
+// Rate is the attachment's fixed line rate, which the NIC uses to pace
+// its Tx pump one frame at a time.
 type Egress interface {
 	Send(f *skb.Frame)
 	Rate() units.BitRate

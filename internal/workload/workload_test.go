@@ -6,6 +6,7 @@ import (
 
 	"hostsim/internal/core"
 	"hostsim/internal/cpumodel"
+	"hostsim/internal/fabric"
 	"hostsim/internal/sim"
 	"hostsim/internal/topology"
 	"hostsim/internal/units"
@@ -18,7 +19,7 @@ func newPair(t *testing.T) (*sim.Engine, *core.Host, *core.Host) {
 	spec := topology.Default()
 	a := core.NewHost("a", eng, spec, costs, core.AllOpts())
 	b := core.NewHost("b", eng, spec, costs, core.AllOpts())
-	core.Connect(a, b)
+	core.ConnectFabric([]*core.Host{a, b}, fabric.Config{})
 	return eng, a, b
 }
 

@@ -1,0 +1,123 @@
+package hostsim_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"testing"
+	"time"
+
+	"hostsim"
+)
+
+// pairDigest hashes every deterministic output of a default-pair run:
+// the top-line fingerprint, the per-host stat blocks, the terminal flow
+// states, the recorded trace and every exporter the run armed.
+func pairDigest(t *testing.T, r *hostsim.Result) string {
+	t.Helper()
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\nhosts=%+v\nflows=%+v\nfab=%+v\nviol=%+v\ntrace=%+v\n",
+		fingerprint(r), r.Hosts, r.Flows, r.Fabric, r.Violations, r.Trace)
+	write := func(name string, fn func(io.Writer) error) {
+		fmt.Fprintf(h, "--- %s\n", name)
+		if err := fn(h); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if r.Timeline != nil {
+		write("telemetry", r.Timeline.WriteCSV)
+	}
+	if len(r.PacketCaptures) > 0 {
+		write("pcap", r.WritePcap)
+	}
+	if r.ProbeTrace != nil {
+		write("probe", r.WriteProbeCSV)
+	}
+	if r.SocketSnapshots != nil {
+		write("ss", r.WriteSocketCSV)
+	}
+	if r.CycleProfile != nil {
+		write("folded", r.WriteFolded)
+		write("pprof", r.WritePprof)
+	}
+	if r.MessageLatency != nil {
+		write("tail", r.WriteTailReport)
+		write("spans", r.WriteSpans)
+	}
+	if len(r.Trace) > 0 {
+		write("chrome", r.WriteChromeTrace)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestPairPinnedDigests pins the default sender/receiver pair's bytes:
+// the digests were computed when the pair still ran on a hand-wired
+// direct link, before it became a 2-port switch fabric, and must hold
+// unchanged on the fabric. They cover the plain workloads, the lossy
+// paths (loss is data-only on the pair), the wire inspector's pcap,
+// tcp_probe and ss exports with the checker armed, the telemetry CSV,
+// and every observer at once.
+func TestPairPinnedDigests(t *testing.T) {
+	base := func() hostsim.Config {
+		return hostsim.Config{Stack: hostsim.AllOptimizations(), Seed: 7,
+			Warmup: 4 * time.Millisecond, Duration: 6 * time.Millisecond}
+	}
+	lossy := func() hostsim.Config {
+		cfg := base()
+		cfg.LossRate = 0.005
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  func() hostsim.Config
+		wl   hostsim.Workload
+		pin  string
+	}{
+		{"single", base, hostsim.LongFlowWorkload(hostsim.PatternSingle, 1), "683a412f7397c035ba0883caeafb44d6ac865aea60c4217ea16afeb580b8ec19"},
+		{"lossy-mixed", lossy, hostsim.MixedWorkload(4, 4096), "5fb6b7166640100a06a1720194f0e64821792f7358c1cf46cc006c9d20841995"},
+		{"rpc16", base, hostsim.RPCIncastWorkload(16, 4096), "ca6abd2b6a0fc0368c2f1a233e4946eb6d43a52ced32571ef572eafc8be570d5"},
+		{"inspected-lossy-incast", func() hostsim.Config {
+			cfg := base()
+			cfg.LossRate = 0.01
+			cfg.Check = &hostsim.CheckOptions{}
+			cfg.Inspect = &hostsim.InspectOptions{}
+			return cfg
+		}, hostsim.LongFlowWorkload(hostsim.PatternIncast, 4), "4bb49929d1c5d9abd9da25e6cf46e2af99167192935c04fe7b010483f05f0d4d"},
+		{"telemetry", func() hostsim.Config {
+			cfg := base()
+			cfg.Telemetry = &hostsim.Telemetry{}
+			return cfg
+		}, hostsim.LongFlowWorkload(hostsim.PatternSingle, 1), "d4cf87ec31be48fb6bb32eb3f380c135c63e41e29b772d256e52673dcc18ebac"},
+		{"observed-lossy-mixed", func() hostsim.Config {
+			cfg := lossy()
+			cfg.Check = &hostsim.CheckOptions{}
+			cfg.Inspect = &hostsim.InspectOptions{}
+			cfg.Telemetry = &hostsim.Telemetry{}
+			cfg.Profile = &hostsim.ProfileOptions{}
+			cfg.MsgTrace = &hostsim.MsgTraceOptions{}
+			cfg.TraceEvents = 2000
+			cfg.TraceSpans = true
+			return cfg
+		}, hostsim.MixedWorkload(4, 4096), "05e5d8f3bb281cdcfaca9b1fac8fb374339534821652b4c10deda7fbdf3748e9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := hostsim.Run(tc.cfg(), tc.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Fabric != nil {
+				t.Error("default pair reports switch stats")
+			}
+			var retx int64
+			for _, f := range res.Flows {
+				retx += f.Retransmits
+			}
+			if lossy := tc.cfg().LossRate > 0; lossy != (retx > 0) {
+				t.Errorf("loss rate %v produced %d retransmits", tc.cfg().LossRate, retx)
+			}
+			if got := pairDigest(t, res); got != tc.pin {
+				t.Errorf("pair output moved:\n got: %s\nwant: %s", got, tc.pin)
+			}
+		})
+	}
+}

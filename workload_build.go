@@ -78,6 +78,8 @@ func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, er
 		n := wl.N
 		if p == workload.Single {
 			n = 1
+		} else if cores := sender.Spec().NumCores(); n < 1 || n > cores {
+			return nil, fmt.Errorf("hostsim: %v workload N %d outside [1,%d]", p, n, cores)
 		}
 		if wl.RemoteNUMA {
 			if p != workload.Single {
@@ -96,6 +98,9 @@ func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, er
 		if wl.RPCClients <= 0 || wl.RPCSize <= 0 {
 			return nil, fmt.Errorf("hostsim: rpc workload needs RPCClients and RPCSize")
 		}
+		if cores := sender.Spec().NumCores(); wl.RPCClients > cores {
+			return nil, fmt.Errorf("hostsim: rpc workload RPCClients %d exceeds %d client cores", wl.RPCClients, cores)
+		}
 		serverCore := 0
 		if wl.RemoteNUMA {
 			serverCore = receiver.Spec().CoresOnNode(2)[0]
@@ -105,6 +110,9 @@ func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, er
 		return b, nil
 
 	case "mixed":
+		if wl.MixedShort < 0 {
+			return nil, fmt.Errorf("hostsim: negative mixed workload MixedShort %d", wl.MixedShort)
+		}
 		if wl.RPCSize <= 0 {
 			wl.RPCSize = 4096
 		}
@@ -130,7 +138,7 @@ func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, er
 // ignored; cores on a hot host fill round-robin like the paper's
 // multi-flow placements. RPC and mixed workloads (and RemoteNUMA) remain
 // pair-topology options.
-func buildFabricWorkload(c *core.Cluster, wl Workload) (*builtWorkload, error) {
+func buildFabricWorkload(hosts []*core.Host, wl Workload) (*builtWorkload, error) {
 	if wl.Kind != "long" {
 		return nil, fmt.Errorf("hostsim: fabric topologies support the long workload only (got %q)", wl.Kind)
 	}
@@ -141,12 +149,11 @@ func buildFabricWorkload(c *core.Cluster, wl Workload) (*builtWorkload, error) {
 	if err != nil {
 		return nil, err
 	}
-	hosts := c.Hosts()
 	h := len(hosts)
 	cores := hosts[0].Spec().NumCores()
 	b := &builtWorkload{receiverIdx: 1}
 	open := func(s, sCore, r, rCore int) {
-		sEP, rEP := c.OpenConn(s, sCore, r, rCore)
+		sEP, rEP := core.OpenConn(hosts[s], sCore, hosts[r], rCore)
 		b.long = append(b.long, workload.StartLongFlow(sEP, rEP))
 	}
 	switch p {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench profile-smoke inspect-smoke mtrace-smoke fuzz-smoke fabricobs-smoke figures figures-golden validate validate-smoke validate-sensitivity
+.PHONY: all build test check fmt vet race bench smoke fuzz-smoke figures figures-golden validate validate-smoke validate-sensitivity
 
 all: build
 
@@ -32,51 +32,33 @@ check: fmt vet race
 bench:
 	bash bench/run.sh $(ARGS)
 
-# profile-smoke is the CI profile-golden check: run netsim with profiling
-# enabled and validate the emitted profile.proto with the in-repo parser.
-profile-smoke:
-	$(GO) run ./cmd/netsim -dur 3ms -warmup 3ms -profile-out /tmp/hostsim-smoke.pb.gz \
-		-folded-out /tmp/hostsim-smoke.folded -latency-breakdown > /dev/null
-	$(GO) run ./cmd/profcheck /tmp/hostsim-smoke.pb.gz
-
-# inspect-smoke is the CI wire-inspector check: run netsim with all three
-# exporters and validate the emitted pcapng with the in-repo reader.
-inspect-smoke:
-	$(GO) run ./cmd/netsim -dur 3ms -warmup 3ms -loss 0.01 \
-		-pcap-out /tmp/hostsim-smoke.pcapng -probe-out /tmp/hostsim-smoke.probe.jsonl \
-		-ss-out /tmp/hostsim-smoke.ss.csv > /dev/null
-	$(GO) run ./cmd/inspectcheck /tmp/hostsim-smoke.pcapng
-	test -s /tmp/hostsim-smoke.probe.jsonl && test -s /tmp/hostsim-smoke.ss.csv
-
-# mtrace-smoke is the CI message-tracing check: run netsim on the golden
-# lossy RPC scenario with both mtrace exporters and validate the span
-# telescoping and the report shape with the in-repo checker.
-mtrace-smoke:
+# smoke is the CI artifact gate. Two netsim runs arm every exporter: a
+# lossy RPC pair (profile, pcap, probe, ss, message spans, tail report,
+# data-path trace, telemetry) and a buffered 8-host fabric incast (fabric
+# report, time series, trace). One artifactcheck call then checks every
+# file they write; probe traces and folded stacks only need content.
+SMOKE := /tmp/hostsim-smoke
+smoke:
 	$(GO) run ./cmd/netsim -workload rpc -rpcclients 8 -rpcsize 65536 \
-		-loss 0.01 -warmup 2ms -dur 20ms -seed 7 \
-		-mtrace-out /tmp/hostsim-smoke.spans.json \
-		-tail-report /tmp/hostsim-smoke.tail.txt > /dev/null
-	$(GO) run ./cmd/tailcheck /tmp/hostsim-smoke.spans.json /tmp/hostsim-smoke.tail.txt
+		-loss 0.01 -warmup 2ms -dur 20ms -seed 7 -check \
+		-profile-out $(SMOKE).pb.gz -folded-out $(SMOKE).folded -latency-breakdown \
+		-pcap-out $(SMOKE).pcapng -probe-out $(SMOKE).probe.jsonl -ss-out $(SMOKE).ss.csv \
+		-mtrace-out $(SMOKE).spans.json -tail-report $(SMOKE).tail.txt \
+		-trace-out $(SMOKE).trace.json -telemetry-out $(SMOKE).telemetry.jsonl > /dev/null
+	$(GO) run ./cmd/netsim -fabric-hosts 8 -fabric-buffer-kb 256 -pattern incast \
+		-dur 10ms -warmup 5ms -check -burst-kb 64 \
+		-fabric-report $(SMOKE).fab.csv -fabric-ts-out $(SMOKE).fabts.csv \
+		-fabric-trace-out $(SMOKE).fab.json > /dev/null
+	test -s $(SMOKE).probe.jsonl && test -s $(SMOKE).folded
+	$(GO) run ./cmd/artifactcheck $(SMOKE).pb.gz $(SMOKE).pcapng $(SMOKE).ss.csv \
+		$(SMOKE).spans.json $(SMOKE).tail.txt $(SMOKE).trace.json $(SMOKE).telemetry.jsonl \
+		$(SMOKE).fab.csv $(SMOKE).fabts.csv $(SMOKE).fab.json
 
 # fuzz-smoke is the CI fuzz gate: a short coverage-guided walk of the
 # configuration space with the conservation-law checker as the oracle.
 # Run `go test -fuzz=FuzzConfig .` (no -fuzztime) to hunt open-ended.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzConfig -fuzztime=30s -run FuzzConfig .
-
-# fabricobs-smoke is the CI fabric-observability gate: the observatory's
-# unit tests and the root transparency/reconciliation properties under
-# the race detector, then an end-to-end netsim run emitting all three
-# artifacts, re-validated with the in-repo fabcheck checker.
-fabricobs-smoke:
-	$(GO) test -race -count=1 ./internal/fabricobs
-	$(GO) test -race -count=1 -run 'TestFabricObsTransparency|TestFabricObsLedgerReconciliation|TestFabricObsRejects' .
-	$(GO) run ./cmd/netsim -fabric-hosts 8 -fabric-buffer-kb 256 -pattern incast \
-		-dur 10ms -warmup 5ms -check -burst-kb 64 \
-		-fabric-report /tmp/hostsim-smoke.fab.csv \
-		-fabric-ts-out /tmp/hostsim-smoke.fabts.csv \
-		-fabric-trace-out /tmp/hostsim-smoke.fab.json > /dev/null
-	$(GO) run ./cmd/fabcheck /tmp/hostsim-smoke.fab.csv /tmp/hostsim-smoke.fabts.csv
 
 figures:
 	$(GO) run ./cmd/figures

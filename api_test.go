@@ -26,6 +26,10 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		{"rpc no size", Config{Stack: AllOptimizations()}, Workload{Kind: "rpc", RPCClients: 4}},
 		{"remote multi-flow", Config{Stack: AllOptimizations()},
 			Workload{Kind: "long", Pattern: PatternIncast, N: 4, RemoteNUMA: true}},
+		{"negative duration", Config{Stack: AllOptimizations(), Duration: -time.Millisecond}, LongFlowWorkload(PatternSingle, 1)},
+		{"negative warmup", Config{Stack: AllOptimizations(), Warmup: -time.Millisecond, Duration: 5 * time.Millisecond},
+			LongFlowWorkload(PatternSingle, 1)},
+		{"negative trace events", Config{Stack: AllOptimizations(), TraceEvents: -1}, LongFlowWorkload(PatternSingle, 1)},
 	}
 	for _, c := range cases {
 		if _, err := Run(c.cfg, c.wl); err == nil {

@@ -80,7 +80,7 @@ func main() {
 		slowest    = flag.Int("slowest", 8, "worst-latency exemplar messages kept for -mtrace-out")
 		msgBytes   = flag.Int64("msg-bytes", 0, "message size override for tracing (0 = workload-derived)")
 
-		fabHosts = flag.Int("fabric-hosts", 0, "route traffic through an N-host ToR switch fabric instead of a point-to-point link (0 = off)")
+		fabHosts = flag.Int("fabric-hosts", 0, "run N hosts on one ToR switch fabric (0 = the sender/receiver pair on a 2-port fabric)")
 		fabBufKB = flag.Int("fabric-buffer-kb", 0, "fabric shared packet buffer in KB (0 = unbounded)")
 		fabAlpha = flag.Float64("fabric-alpha", 0, "fabric dynamic-threshold alpha (0 = 1.0)")
 

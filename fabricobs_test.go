@@ -1,13 +1,18 @@
 package hostsim_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"hostsim"
+	"hostsim/internal/fabricobs"
+	"hostsim/internal/mtrace"
+	"hostsim/internal/telemetry"
 )
 
 // fpHash compresses a fabric fingerprint to a pinnable hex digest (the
@@ -114,22 +119,33 @@ func TestFabricObsLedgerReconciliation(t *testing.T) {
 }
 
 // fabObsArtifacts renders every observatory export of one result as a
-// single byte string.
+// single byte string, checking each file with the check artifactcheck
+// runs on it, and the report against the time series.
 func fabObsArtifacts(t *testing.T, r *hostsim.Result) string {
 	t.Helper()
 	var sb strings.Builder
+	var report, ts bytes.Buffer
 	for _, step := range []struct {
 		name  string
-		write func() error
+		buf   *bytes.Buffer
+		write func(io.Writer) error
+		check func([]byte) (string, error)
 	}{
-		{"report", func() error { return r.WriteFabricReport(&sb) }},
-		{"jsonl", func() error { return r.WriteFabricReportJSONL(&sb) }},
-		{"trace", func() error { return r.WriteFabricTrace(&sb) }},
-		{"ts", func() error { return r.FabricTimeline.WriteCSV(&sb) }},
+		{"report", &report, r.WriteFabricReport, fabricobs.CheckReport},
+		{"jsonl", new(bytes.Buffer), r.WriteFabricReportJSONL, fabricobs.CheckReport},
+		{"trace", new(bytes.Buffer), r.WriteFabricTrace, mtrace.CheckSpans},
+		{"ts", &ts, r.FabricTimeline.WriteCSV, telemetry.CheckTimeline},
 	} {
-		if err := step.write(); err != nil {
+		if err := step.write(step.buf); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
+		if _, err := step.check(step.buf.Bytes()); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		sb.Write(step.buf.Bytes())
+	}
+	if err := fabricobs.CheckSeries(report.Bytes(), ts.Bytes()); err != nil {
+		t.Fatal(err)
 	}
 	sb.WriteString(r.FormatFabricReport())
 	return sb.String()

@@ -359,8 +359,8 @@ type CheckOptions struct {
 
 // InspectOptions configures the wire-level inspector (see Config.Inspect).
 // Pcap, Probe and SS select the exporters; all three false (the zero
-// value) enables all of them. Pcap needs a 2-host topology (the direct
-// link or a 2-host fabric); Run rejects it on a larger fabric.
+// value) enables all of them. Pcap needs a 2-host topology (the default
+// pair or a 2-host Config.Fabric); Run rejects it on a larger fabric.
 type InspectOptions struct {
 	Pcap  bool // capture both link directions into Result.PacketCaptures
 	Probe bool // tcp_probe-style congestion traces into Result.ProbeTrace
@@ -830,6 +830,12 @@ var pairNames = []string{"sender", "receiver"}
 
 // Run executes one simulation and reports the measured window.
 func Run(cfg Config, wl Workload) (*Result, error) {
+	if cfg.Warmup < 0 || cfg.Duration < 0 {
+		return nil, fmt.Errorf("hostsim: negative Warmup or Duration")
+	}
+	if cfg.TraceEvents < 0 {
+		return nil, fmt.Errorf("hostsim: negative TraceEvents")
+	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 20 * time.Millisecond
 	}

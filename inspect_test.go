@@ -43,11 +43,11 @@ func TestInspectArtifacts(t *testing.T) {
 	if err := res.WritePcap(&buf); err != nil {
 		t.Fatal(err)
 	}
-	f, err := inspect.ReadPcap(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if _, err := inspect.CheckPcap(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Validate(); err != nil {
+	f, err := inspect.ReadPcap(bytes.NewReader(buf.Bytes()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Interfaces) != 2 {

@@ -14,7 +14,7 @@ import (
 
 // encodeFlows renders a burst's contributing flows as "flow:frames"
 // pairs joined by ';' — compact enough for a CSV cell, exact enough for
-// fabcheck to re-read.
+// CheckReport to re-read.
 func encodeFlows(flows []FlowFrames) string {
 	var b strings.Builder
 	for i, ff := range flows {
@@ -30,13 +30,14 @@ func encodeFlows(flows []FlowFrames) string {
 // same convention as the telemetry timeline writers.
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// portCSVHeader is the port-ledger section header of the CSV report;
-// cmd/fabcheck parses it by these exact column names.
+// portCSVHeader is the port-ledger section header of the CSV report. Its
+// column names are portJSON's keys, so CheckReport decodes CSV and JSONL
+// rows through the same struct.
 const portCSVHeader = "port,host,in_frames,forwarded,admission_drops,admission_drop_bytes," +
 	"enqueued,delivered,wire_loss_drops,in_flight,ecn_marks,tx_bytes,utilization," +
 	"peak_backlog_bytes,peak_occupancy_bytes,hop_mean_ns,hop_p50_ns,hop_p99_ns,hop_max_ns,bursts"
 
-// burstCSVHeader is the microburst section header.
+// burstCSVHeader is the microburst section header, burstJSON's keys.
 const burstCSVHeader = "port,host,start_ns,duration_ns,peak_backlog_bytes," +
 	"peak_occupancy_bytes,frames,admission_drops,truncated,flows"
 
@@ -137,6 +138,179 @@ func WriteReportJSONL(w io.Writer, ports []PortReport, bursts []BurstEvent) erro
 		}
 	}
 	return bw.Flush()
+}
+
+// CheckReport checks a report written by WriteReportCSV or
+// WriteReportJSONL, told apart by content. The ledger is exact on every
+// port: in_frames == forwarded + admission_drops and enqueued ==
+// delivered + wire_loss_drops + in_flight, with no negative counter. The
+// hop-latency quantiles are ordered and utilization lies in [0,1].
+// Bursts are sorted by start time. Each burst names a ledger port with
+// its host, and its contributing flows carry at most its frames. No port
+// retains more bursts than its ledger counts.
+func CheckReport(data []byte) (string, error) {
+	ports, bursts, err := readReport(data)
+	if err != nil {
+		return "", err
+	}
+	if len(ports) == 0 {
+		return "", fmt.Errorf("fabricobs: report has no port rows")
+	}
+	byPort := make(map[int]portJSON, len(ports))
+	var drops, marks int64
+	for _, p := range ports {
+		for _, v := range []int64{p.InFrames, p.Forwarded, p.AdmissionDrops, p.AdmissionDropBytes,
+			p.Enqueued, p.Delivered, p.WireLossDrops, p.InFlight, p.ECNMarks, p.TxBytes, p.Bursts} {
+			if v < 0 {
+				return "", fmt.Errorf("fabricobs: port %d (%s): negative counter %d", p.Port, p.Host, v)
+			}
+		}
+		switch {
+		case p.InFrames != p.Forwarded+p.AdmissionDrops:
+			return "", fmt.Errorf("fabricobs: port %d (%s): ingress ledger inexact: in %d != forwarded %d + admission_drops %d",
+				p.Port, p.Host, p.InFrames, p.Forwarded, p.AdmissionDrops)
+		case p.Enqueued != p.Delivered+p.WireLossDrops+p.InFlight:
+			return "", fmt.Errorf("fabricobs: port %d (%s): egress ledger inexact: enqueued %d != delivered %d + wire_loss %d + in_flight %d",
+				p.Port, p.Host, p.Enqueued, p.Delivered, p.WireLossDrops, p.InFlight)
+		// Quantiles come from a log-bucketed histogram (bucket growth
+		// 1.165x) while mean and max are exact, so p99 may land up to one
+		// bucket above the true max; order within each family is strict.
+		case p.HopP50NS > p.HopP99NS || p.HopMeanNS > p.HopMaxNS ||
+			float64(p.HopP99NS) > float64(p.HopMaxNS)*1.166+1:
+			return "", fmt.Errorf("fabricobs: port %d (%s): hop-latency quantiles out of order: p50 %d p99 %d mean %d max %d",
+				p.Port, p.Host, p.HopP50NS, p.HopP99NS, p.HopMeanNS, p.HopMaxNS)
+		case p.Utilization < 0 || p.Utilization > 1.001:
+			return "", fmt.Errorf("fabricobs: port %d (%s): utilization %g outside [0,1]", p.Port, p.Host, p.Utilization)
+		}
+		byPort[p.Port] = p
+		drops += p.AdmissionDrops + p.WireLossDrops
+		marks += p.ECNMarks
+	}
+	retained := make(map[int]int64)
+	for i, b := range bursts {
+		p, ok := byPort[b.Port]
+		var flowFrames int64
+		for _, pair := range strings.Split(b.Flows, ";") {
+			var flow, frames int64
+			if _, err := fmt.Sscanf(pair, "%d:%d", &flow, &frames); err != nil && b.Flows != "" {
+				return "", fmt.Errorf("fabricobs: burst %d: malformed flow pair %q", i, pair)
+			}
+			flowFrames += frames
+		}
+		switch {
+		case !ok || b.Host != p.Host:
+			return "", fmt.Errorf("fabricobs: burst %d: port %d host %q is not a ledger port", i, b.Port, b.Host)
+		case i > 0 && b.StartNS < bursts[i-1].StartNS:
+			return "", fmt.Errorf("fabricobs: burst %d: starts at %dns, before burst %d", i, b.StartNS, i-1)
+		case b.DurationNS < 0 || b.Frames < 0 || b.AdmissionDrops < 0:
+			return "", fmt.Errorf("fabricobs: burst %d: negative duration, frames or drops", i)
+		case flowFrames > b.Frames:
+			return "", fmt.Errorf("fabricobs: burst %d: contributing flows carry %d frames, burst saw only %d", i, flowFrames, b.Frames)
+		}
+		if retained[b.Port]++; retained[b.Port] > p.Bursts {
+			return "", fmt.Errorf("fabricobs: port %d retains more than the %d bursts its ledger counts", b.Port, p.Bursts)
+		}
+	}
+	return fmt.Sprintf("%d ports, %d bursts, ledger exact (%d drops, %d marks attributed)",
+		len(ports), len(bursts), drops, marks), nil
+}
+
+// CheckSeries cross-checks a report against its run's time series (a
+// Timeline from WriteCSV or WriteJSONL). The series must carry the
+// occupancy_bytes column and one portNNN/backlog_bytes column per ledger
+// port. A timeline with neither an occupancy_bytes nor a port column is
+// not an observatory series, and passes.
+func CheckSeries(report, series []byte) error {
+	ports, _, err := readReport(report)
+	if err != nil {
+		return err
+	}
+	tl, err := telemetry.ReadTimeline(series)
+	if err != nil {
+		return err
+	}
+	have := make(map[string]bool, len(tl.Names))
+	observatory := false
+	for _, n := range tl.Names {
+		have[n] = true
+		observatory = observatory || n == "occupancy_bytes" || strings.HasPrefix(n, "port")
+	}
+	if !observatory {
+		return nil
+	}
+	if !have["occupancy_bytes"] {
+		return fmt.Errorf("fabricobs: series lacks the occupancy_bytes column")
+	}
+	for _, p := range ports {
+		if col := fmt.Sprintf("port%03d/backlog_bytes", p.Port); !have[col] {
+			return fmt.Errorf("fabricobs: series lacks %s for ledger port %d", col, p.Port)
+		}
+	}
+	return nil
+}
+
+// readReport decodes either report encoding. The CSV report is first
+// rewritten as the JSONL report's lines.
+func readReport(data []byte) (ports []portJSON, bursts []burstJSON, err error) {
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if lines[0] == portCSVHeader {
+		if lines, err = csvAsJSONL(lines); err != nil {
+			return nil, nil, err
+		}
+	}
+	for i, line := range lines {
+		var typ struct {
+			Type string `json:"type"`
+		}
+		if err = json.Unmarshal([]byte(line), &typ); err == nil {
+			switch typ.Type {
+			case "port":
+				ports = append(ports, portJSON{})
+				err = json.Unmarshal([]byte(line), &ports[len(ports)-1])
+			case "burst":
+				bursts = append(bursts, burstJSON{})
+				err = json.Unmarshal([]byte(line), &bursts[len(bursts)-1])
+			default:
+				err = fmt.Errorf("unknown type %q", typ.Type)
+			}
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("fabricobs: report row %d: %w", i+1, err)
+		}
+	}
+	return ports, bursts, nil
+}
+
+// csvAsJSONL rewrites the two CSV sections, the port rows and then the
+// burst rows after one blank line and their header, as JSONL rows.
+func csvAsJSONL(lines []string) ([]string, error) {
+	typ, cols := "port", strings.Split(portCSVHeader, ",")
+	var out []string
+	for i := 1; i < len(lines); i++ {
+		if lines[i] == "" && typ == "port" && i+1 < len(lines) && lines[i+1] == burstCSVHeader {
+			typ, cols = "burst", strings.Split(burstCSVHeader, ",")
+			i++
+			continue
+		}
+		cells := strings.Split(lines[i], ",")
+		if len(cells) != len(cols) {
+			return nil, fmt.Errorf("fabricobs: report line %d has %d fields, want %d", i+1, len(cells), len(cols))
+		}
+		b := []byte(`{"type":"` + typ + `"`)
+		for j, c := range cols {
+			b = append(strconv.AppendQuote(append(b, ','), c), ':')
+			if c == "host" || c == "flows" {
+				b = strconv.AppendQuote(b, cells[j])
+			} else {
+				b = append(b, cells[j]...)
+			}
+		}
+		out = append(out, string(append(b, '}')))
+	}
+	if typ != "burst" {
+		return nil, fmt.Errorf("fabricobs: report lacks the burst section")
+	}
+	return out, nil
 }
 
 // FormatReport renders the ledger as an aligned text table (for stdout).

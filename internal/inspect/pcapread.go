@@ -1,6 +1,7 @@
 package inspect
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -52,7 +53,7 @@ type Packet struct {
 // ReadPcap parses a little-endian pcapng section, validating the framing
 // strictly (leading/trailing block lengths, 4-byte padding, SHB first,
 // interfaces declared before use). It is the round-trip check for
-// WritePcap and the backend of cmd/inspectcheck.
+// WritePcap and the first half of CheckPcap.
 func ReadPcap(r io.Reader) (*File, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -285,4 +286,28 @@ func (f *File) Validate() error {
 		last[p.Interface] = p.At
 	}
 	return nil
+}
+
+// CheckPcap checks a capture written by WritePcap: ReadPcap's strict
+// framing, then File.Validate.
+func CheckPcap(data []byte) (string, error) {
+	f, err := ReadPcap(bytes.NewReader(data))
+	if err == nil {
+		err = f.Validate()
+	}
+	if err != nil {
+		return "", err
+	}
+	var payload, acks, ce int
+	for _, p := range f.Packets {
+		payload += p.PayloadLen
+		if p.PayloadLen == 0 {
+			acks++
+		}
+		if p.CE {
+			ce++
+		}
+	}
+	return fmt.Sprintf("%d packets on %d interfaces, %d payload bytes, %d pure acks, %d CE-marked",
+		len(f.Packets), len(f.Interfaces), payload, acks, ce), nil
 }

@@ -131,3 +131,18 @@ func (s Summary) Format() string {
 	}
 	return sb.String()
 }
+
+// CheckTailReport checks a report written by Summary.Format: it opens
+// with the "messages N" header and has one row per percentile band.
+func CheckTailReport(data []byte) (string, error) {
+	var n int64
+	if _, err := fmt.Sscanf(string(data), "messages %d", &n); err != nil || n < 0 {
+		return "", fmt.Errorf("mtrace: tail report lacks its \"messages N\" header")
+	}
+	for _, bb := range bandBounds {
+		if !strings.Contains(string(data), "\n"+bb.name+" ") {
+			return "", fmt.Errorf("mtrace: tail report lacks the %s band row", bb.name)
+		}
+	}
+	return fmt.Sprintf("%d messages, all %d bands present", n, len(bandBounds)), nil
+}

@@ -2,16 +2,17 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/trace"
 )
 
-// traceObj is one entry of the Chrome trace-event JSON array
+// ChromeEvent is one entry of the Chrome trace-event JSON array
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
 // Timestamps and durations are in microseconds, as the format requires.
-type traceObj struct {
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -33,7 +34,7 @@ func usOf(ns int64) float64 { return float64(ns) / 1e3 }
 type chromeEnc struct {
 	pids map[string]int
 	tids map[[2]int]bool // (pid, tid) pairs with thread_name emitted
-	objs []traceObj
+	objs []ChromeEvent
 }
 
 func newChromeEnc() *chromeEnc {
@@ -48,7 +49,7 @@ func (e *chromeEnc) pid(process string) int {
 	}
 	p := len(e.pids) + 1
 	e.pids[process] = p
-	e.objs = append(e.objs, traceObj{
+	e.objs = append(e.objs, ChromeEvent{
 		Name: "process_name", Ph: "M", Pid: p,
 		Args: map[string]any{"name": process},
 	})
@@ -61,7 +62,7 @@ func (e *chromeEnc) threadName(pid, tid int, name string) {
 		return
 	}
 	e.tids[[2]int{pid, tid}] = true
-	e.objs = append(e.objs, traceObj{
+	e.objs = append(e.objs, ChromeEvent{
 		Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 		Args: map[string]any{"name": name},
 	})
@@ -71,9 +72,35 @@ func (e *chromeEnc) threadName(pid, tid int, name string) {
 // accumulation encodes as a valid empty trace.
 func (e *chromeEnc) flush(w io.Writer) error {
 	if e.objs == nil {
-		e.objs = []traceObj{}
+		e.objs = []ChromeEvent{}
 	}
 	return json.NewEncoder(w).Encode(e.objs)
+}
+
+// ReadChromeTrace decodes a trace written by WriteChromeTrace or
+// WriteChromeSpans and checks the rules chromeEnc keeps for every
+// producer: each event has a known phase (M, X, i or C), non-negative ts
+// and dur, and a pid whose process_name metadata came earlier. Checks of
+// one producer's own rules (mtrace.CheckSpans) start from its result.
+func ReadChromeTrace(data []byte) ([]ChromeEvent, error) {
+	var evs []ChromeEvent
+	if err := json.Unmarshal(data, &evs); err != nil {
+		return nil, fmt.Errorf("telemetry: chrome trace: %w", err)
+	}
+	named := make(map[int]bool)
+	for i, e := range evs {
+		switch {
+		case e.Ph != "M" && e.Ph != "X" && e.Ph != "i" && e.Ph != "C":
+			return nil, fmt.Errorf("telemetry: event %d (%q): unknown phase %q", i, e.Name, e.Ph)
+		case e.Ts < 0 || e.Dur < 0:
+			return nil, fmt.Errorf("telemetry: event %d (%q): negative ts or dur", i, e.Name)
+		case e.Ph == "M" && e.Name == "process_name":
+			named[e.Pid] = true
+		case !named[e.Pid]:
+			return nil, fmt.Errorf("telemetry: event %d (%q): pid %d used before its process_name", i, e.Name, e.Pid)
+		}
+	}
+	return evs, nil
 }
 
 // WriteChromeTrace renders traced events as a Chrome trace-event JSON
@@ -111,7 +138,7 @@ func WriteChromeTrace(w io.Writer, events []trace.Event) error {
 			if e.Kind == trace.ThreadEnd {
 				ctxName = "thread"
 			}
-			enc.objs = append(enc.objs, traceObj{
+			enc.objs = append(enc.objs, ChromeEvent{
 				Name: cpumodel.Category(e.A).String(),
 				Cat:  ctxName,
 				Ph:   "X",
@@ -122,7 +149,7 @@ func WriteChromeTrace(w io.Writer, events []trace.Event) error {
 				Args: map[string]any{"cycles": e.B},
 			})
 		default:
-			enc.objs = append(enc.objs, traceObj{
+			enc.objs = append(enc.objs, ChromeEvent{
 				Name: e.Kind.String(),
 				Cat:  "flow",
 				Ph:   "i",
@@ -169,7 +196,7 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 			if args == nil {
 				args = map[string]any{"value": s.Value}
 			}
-			enc.objs = append(enc.objs, traceObj{
+			enc.objs = append(enc.objs, ChromeEvent{
 				Name: s.Name, Cat: s.Cat, Ph: "C",
 				Ts: usOf(s.StartNS), Pid: pid, Tid: s.Thread,
 				Args: args,
@@ -177,14 +204,14 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 			continue
 		}
 		if s.Instant {
-			enc.objs = append(enc.objs, traceObj{
+			enc.objs = append(enc.objs, ChromeEvent{
 				Name: s.Name, Cat: s.Cat, Ph: "i",
 				Ts: usOf(s.StartNS), Pid: pid, Tid: s.Thread,
 				S: "t", Args: s.Args,
 			})
 			continue
 		}
-		enc.objs = append(enc.objs, traceObj{
+		enc.objs = append(enc.objs, ChromeEvent{
 			Name: s.Name, Cat: s.Cat, Ph: "X",
 			Ts: usOf(s.StartNS), Dur: usOf(s.DurNS),
 			Pid: pid, Tid: s.Thread, Args: s.Args,

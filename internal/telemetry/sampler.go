@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"time"
 
 	"hostsim/internal/sim"
@@ -202,6 +203,63 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadTimeline decodes a timeline written by WriteCSV (a time_ns header)
+// or WriteJSONL (a {"names":...} header) and checks its rules: every row
+// is as wide as the header, and sample times strictly increase.
+func ReadTimeline(data []byte) (*Timeline, error) {
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	t := &Timeline{}
+	cols := strings.Split(lines[0], ",")
+	csv := cols[0] == "time_ns"
+	if csv {
+		t.Names = cols[1:]
+	} else if err := json.Unmarshal([]byte(lines[0]), &struct {
+		Names *[]string `json:"names"`
+	}{&t.Names}); err != nil {
+		return nil, fmt.Errorf("telemetry: timeline header: %w", err)
+	}
+	for i, line := range lines[1:] {
+		var row struct {
+			T int64     `json:"t_ns"`
+			V []float64 `json:"v"`
+		}
+		var err error
+		if csv {
+			cells := strings.Split(line, ",")
+			row.T, err = strconv.ParseInt(cells[0], 10, 64)
+			for _, c := range cells[1:] {
+				v, perr := strconv.ParseFloat(c, 64)
+				if perr != nil {
+					err = perr
+				}
+				row.V = append(row.V, v)
+			}
+		} else {
+			err = json.Unmarshal([]byte(line), &row)
+		}
+		switch at := time.Duration(row.T); {
+		case err != nil:
+			return nil, fmt.Errorf("telemetry: timeline line %d: %w", i+2, err)
+		case len(row.V) != len(t.Names):
+			return nil, fmt.Errorf("telemetry: timeline line %d: %d values for %d metrics", i+2, len(row.V), len(t.Names))
+		case len(t.Times) > 0 && at <= t.Times[len(t.Times)-1]:
+			return nil, fmt.Errorf("telemetry: timeline line %d: time %dns not after %dns", i+2, at, t.Times[len(t.Times)-1])
+		default:
+			t.Times, t.Rows = append(t.Times, at), append(t.Rows, row.V)
+		}
+	}
+	return t, nil
+}
+
+// CheckTimeline is ReadTimeline with a one-line summary.
+func CheckTimeline(data []byte) (string, error) {
+	t, err := ReadTimeline(data)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%d samples x %d metrics, times strictly increasing", t.Len(), len(t.Names)), nil
 }
 
 // Column returns the values of one metric across all samples; ok is false

@@ -7,6 +7,7 @@ package hostsim_test
 // determinism of the report and span artifacts across parallelism.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"hostsim"
+	"hostsim/internal/mtrace"
 )
 
 // tailCfg is the pinned golden scenario: an 8-client 64KB RPC incast
@@ -171,6 +173,19 @@ func TestMsgTraceTelescoping(t *testing.T) {
 			if qs[i] < qs[i-1] {
 				t.Errorf("%s: quantiles not monotone: %v", name, qs)
 			}
+		}
+		var spans, report bytes.Buffer
+		if err := res.WriteSpans(&spans); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.WriteTailReport(&report); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mtrace.CheckSpans(spans.Bytes()); err != nil {
+			t.Errorf("%s: spans: %v", name, err)
+		}
+		if _, err := mtrace.CheckTailReport(report.Bytes()); err != nil {
+			t.Errorf("%s: tail report: %v", name, err)
 		}
 	}
 }

@@ -123,12 +123,12 @@ func TestProfilePprofRoundTrip(t *testing.T) {
 	if err := res.WritePprof(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := profile.CheckPprof(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
 	p, err := profile.ParseData(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p.DefaultSampleType != "cycles" {
-		t.Errorf("default sample type = %q, want cycles", p.DefaultSampleType)
 	}
 	if len(p.Samples) != len(res.CycleProfile) {
 		t.Fatalf("parsed %d samples, Result has %d stacks", len(p.Samples), len(res.CycleProfile))

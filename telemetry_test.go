@@ -2,10 +2,11 @@ package hostsim
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
+
+	"hostsim/internal/telemetry"
 )
 
 func TestTimelineNilWithoutTelemetry(t *testing.T) {
@@ -121,21 +122,16 @@ func TestWriteChromeTraceRoundTrips(t *testing.T) {
 	if err := res.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("chrome trace is not a JSON array: %v", err)
+	events, err := telemetry.ReadChromeTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(events) == 0 {
 		t.Fatal("chrome trace empty")
 	}
 	phases := make(map[string]int)
 	for _, e := range events {
-		for _, field := range []string{"name", "ph", "ts", "pid", "tid"} {
-			if _, ok := e[field]; !ok {
-				t.Fatalf("event missing %q: %v", field, e)
-			}
-		}
-		phases[e["ph"].(string)]++
+		phases[e.Ph]++
 	}
 	if phases["M"] != 2 {
 		t.Errorf("want 2 process metadata events, got %d", phases["M"])

@@ -17,7 +17,7 @@ type builtWorkload struct {
 	clients []*workload.RPCClient
 
 	// senderIdx/receiverIdx pick the representative hosts for the
-	// Result.Sender/Result.Receiver views. Direct mode is always (0, 1);
+	// Result.Sender/Result.Receiver views. The default pair is always (0, 1);
 	// fabric incast swaps to (1, 0) so Sender is one of the sending hosts.
 	senderIdx   int
 	receiverIdx int

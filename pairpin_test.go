@@ -47,6 +47,12 @@ func pairDigest(t *testing.T, r *hostsim.Result) string {
 	if len(r.Trace) > 0 {
 		write("chrome", r.WriteChromeTrace)
 	}
+	if r.FabricTimeline != nil {
+		write("fabric-report", r.WriteFabricReport)
+		write("fabric-report-jsonl", r.WriteFabricReportJSONL)
+		write("fabric-trace", r.WriteFabricTrace)
+		write("fabric-timeline", r.FabricTimeline.WriteCSV)
+	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
@@ -56,11 +62,20 @@ func pairDigest(t *testing.T, r *hostsim.Result) string {
 // unchanged on the fabric. They cover the plain workloads, the lossy
 // paths (loss is data-only on the pair), the wire inspector's pcap,
 // tcp_probe and ss exports with the checker armed, the telemetry CSV,
-// and every observer at once.
+// and every observer at once. The last case pins a buffered 16-host
+// fabric incast with every observer armed except pcap (which needs two
+// hosts), fabric observatory included, and requires its fingerprint to
+// equal the unobserved twin's: observers compose without perturbing the
+// run.
 func TestPairPinnedDigests(t *testing.T) {
 	base := func() hostsim.Config {
 		return hostsim.Config{Stack: hostsim.AllOptimizations(), Seed: 7,
 			Warmup: 4 * time.Millisecond, Duration: 6 * time.Millisecond}
+	}
+	observedFabric := func() hostsim.Config {
+		cfg := base()
+		cfg.Fabric = &hostsim.FabricOptions{Hosts: 16, SharedBufferKB: 256}
+		return cfg
 	}
 	lossy := func() hostsim.Config {
 		cfg := base()
@@ -99,21 +114,47 @@ func TestPairPinnedDigests(t *testing.T) {
 			cfg.TraceSpans = true
 			return cfg
 		}, hostsim.MixedWorkload(4, 4096), "05e5d8f3bb281cdcfaca9b1fac8fb374339534821652b4c10deda7fbdf3748e9"},
+		{"observed-fabric-incast16", func() hostsim.Config {
+			cfg := observedFabric()
+			cfg.Check = &hostsim.CheckOptions{Collect: true}
+			cfg.Inspect = &hostsim.InspectOptions{Probe: true, SS: true}
+			cfg.Telemetry = &hostsim.Telemetry{}
+			cfg.Profile = &hostsim.ProfileOptions{}
+			cfg.MsgTrace = &hostsim.MsgTraceOptions{}
+			cfg.FabricObs = &hostsim.FabricObsOptions{}
+			cfg.TraceEvents = 4096
+			cfg.TraceSpans = true
+			return cfg
+		}, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), "0db5556013e2330d59e9a3f4c859c37514b8ad85d482786837ed16d4accfeda4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := hostsim.Run(tc.cfg(), tc.wl)
+			cfg := tc.cfg()
+			res, err := hostsim.Run(cfg, tc.wl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Fabric != nil {
-				t.Error("default pair reports switch stats")
-			}
-			var retx int64
-			for _, f := range res.Flows {
-				retx += f.Retransmits
-			}
-			if lossy := tc.cfg().LossRate > 0; lossy != (retx > 0) {
-				t.Errorf("loss rate %v produced %d retransmits", tc.cfg().LossRate, retx)
+			if cfg.Fabric != nil {
+				twin, err := hostsim.Run(observedFabric(), tc.wl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := fingerprint(res), fingerprint(twin); got != want {
+					t.Errorf("observers perturbed the run:\n got: %s\nwant: %s", got, want)
+				}
+				if len(res.Violations) != 0 || len(res.PortReports) != 16 {
+					t.Errorf("%d violations, %d port reports", len(res.Violations), len(res.PortReports))
+				}
+			} else {
+				if res.Fabric != nil {
+					t.Error("default pair reports switch stats")
+				}
+				var retx int64
+				for _, f := range res.Flows {
+					retx += f.Retransmits
+				}
+				if lossy := cfg.LossRate > 0; lossy != (retx > 0) {
+					t.Errorf("loss rate %v produced %d retransmits", cfg.LossRate, retx)
+				}
 			}
 			if got := pairDigest(t, res); got != tc.pin {
 				t.Errorf("pair output moved:\n got: %s\nwant: %s", got, tc.pin)

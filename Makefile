@@ -54,11 +54,14 @@ smoke:
 		$(SMOKE).spans.json $(SMOKE).tail.txt $(SMOKE).trace.json $(SMOKE).telemetry.jsonl \
 		$(SMOKE).fab.csv $(SMOKE).fabts.csv $(SMOKE).fab.json
 
-# fuzz-smoke is the CI fuzz gate: a short coverage-guided walk of the
+# fuzz-smoke is the CI fuzz gate: short coverage-guided walks of the
 # configuration space with the conservation-law checker as the oracle.
-# Run `go test -fuzz=FuzzConfig .` (no -fuzztime) to hunt open-ended.
+# FuzzConfig sanitizes its input into valid configs; FuzzRunRaw feeds raw
+# fields and also requires that Run never panics. Run `go test
+# -fuzz=FuzzConfig .` (no -fuzztime) to hunt open-ended.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzConfig -fuzztime=30s -run FuzzConfig .
+	$(GO) test -fuzz=FuzzRunRaw -fuzztime=30s -run FuzzRunRaw .
 
 figures:
 	$(GO) run ./cmd/figures

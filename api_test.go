@@ -1,6 +1,7 @@
 package hostsim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -10,38 +11,118 @@ func quickCfg(s Stack) Config {
 	return Config{Stack: s, Seed: 5, Warmup: 6 * time.Millisecond, Duration: 8 * time.Millisecond}
 }
 
+// TestRunRejectsBadConfigs pins each bad input to its error. Several of
+// them once panicked inside a constructor (a negative or overflowing ECN
+// threshold, an overflowing link rate, duplicate host names under
+// telemetry or socket snapshots) or were accepted silently (NaN loss or
+// alpha, negative checker or trace bounds); Run now validates every input
+// before it builds anything.
 func TestRunRejectsBadConfigs(t *testing.T) {
+	single := LongFlowWorkload(PatternSingle, 1)
+	incast := LongFlowWorkload(PatternIncast, 0)
+	stack := func(edit func(*Stack)) Config {
+		s := AllOptimizations()
+		edit(&s)
+		return Config{Stack: s}
+	}
+	fab := func(edit func(*Config)) Config {
+		cfg := Config{Stack: AllOptimizations(), Fabric: &FabricOptions{Hosts: 3, HostNames: []string{"a", "a", "b"}}}
+		edit(&cfg)
+		return cfg
+	}
 	cases := []struct {
 		name string
 		cfg  Config
 		wl   Workload
+		want string
 	}{
-		{"bad loss", Config{Stack: AllOptimizations(), LossRate: 1.5}, LongFlowWorkload(PatternSingle, 1)},
-		{"bad cc", func() Config { s := AllOptimizations(); s.CC = "vegas"; return Config{Stack: s} }(), LongFlowWorkload(PatternSingle, 1)},
-		{"bad steering", func() Config { s := AllOptimizations(); s.Steering = "magic"; return Config{Stack: s} }(), LongFlowWorkload(PatternSingle, 1)},
-		{"lro+gro", func() Config { s := AllOptimizations(); s.LRO = true; return Config{Stack: s} }(), LongFlowWorkload(PatternSingle, 1)},
-		{"bad pattern", Config{Stack: AllOptimizations()}, LongFlowWorkload("ring", 2)},
-		{"bad kind", Config{Stack: AllOptimizations()}, Workload{Kind: "quic"}},
-		{"rpc no clients", Config{Stack: AllOptimizations()}, Workload{Kind: "rpc", RPCSize: 4096}},
-		{"rpc no size", Config{Stack: AllOptimizations()}, Workload{Kind: "rpc", RPCClients: 4}},
+		{"bad loss", Config{Stack: AllOptimizations(), LossRate: 1.5}, single, "hostsim: loss rate 1.5 outside [0,1]"},
+		{"NaN loss", Config{Stack: AllOptimizations(), LossRate: math.NaN()}, single, "hostsim: loss rate NaN outside [0,1]"},
+		{"bad cc", stack(func(s *Stack) { s.CC = "vegas" }), single, `core: unknown congestion control "vegas"`},
+		{"bad steering", stack(func(s *Stack) { s.Steering = "magic" }), single, `hostsim: unknown steering "magic"`},
+		{"lro+gro", stack(func(s *Stack) { s.LRO = true }), single, "core: LRO and GRO are mutually exclusive"},
+		{"bad pattern", Config{Stack: AllOptimizations()}, LongFlowWorkload("ring", 2), `hostsim: unknown pattern "ring"`},
+		{"bad kind", Config{Stack: AllOptimizations()}, Workload{Kind: "quic"}, `hostsim: unknown workload kind "quic"`},
+		{"rpc no clients", Config{Stack: AllOptimizations()}, Workload{Kind: "rpc", RPCSize: 4096},
+			"hostsim: rpc workload needs RPCClients and RPCSize"},
+		{"rpc no size", Config{Stack: AllOptimizations()}, Workload{Kind: "rpc", RPCClients: 4},
+			"hostsim: rpc workload needs RPCClients and RPCSize"},
 		{"remote multi-flow", Config{Stack: AllOptimizations()},
-			Workload{Kind: "long", Pattern: PatternIncast, N: 4, RemoteNUMA: true}},
-		{"negative duration", Config{Stack: AllOptimizations(), Duration: -time.Millisecond}, LongFlowWorkload(PatternSingle, 1)},
+			Workload{Kind: "long", Pattern: PatternIncast, N: 4, RemoteNUMA: true},
+			"hostsim: RemoteNUMA supports the single pattern only"},
+		{"negative duration", Config{Stack: AllOptimizations(), Duration: -time.Millisecond}, single,
+			"hostsim: negative Warmup or Duration"},
 		{"negative warmup", Config{Stack: AllOptimizations(), Warmup: -time.Millisecond, Duration: 5 * time.Millisecond},
-			LongFlowWorkload(PatternSingle, 1)},
-		{"negative trace events", Config{Stack: AllOptimizations(), TraceEvents: -1}, LongFlowWorkload(PatternSingle, 1)},
+			single, "hostsim: negative Warmup or Duration"},
+		{"window overflow", Config{Stack: AllOptimizations(), Warmup: time.Millisecond, Duration: math.MaxInt64}, single,
+			"hostsim: Warmup + Duration overflows"},
+		{"negative trace events", Config{Stack: AllOptimizations(), TraceEvents: -1}, single, "hostsim: negative TraceEvents"},
+		{"spans without events", Config{Stack: AllOptimizations(), TraceSpans: true}, single,
+			"hostsim: TraceSpans requires TraceEvents > 0"},
+		{"negative trace flow", Config{Stack: AllOptimizations(), TraceEvents: 10, TraceFlow: -1}, single,
+			"hostsim: negative TraceFlow"},
+		{"negative ECN threshold", Config{Stack: AllOptimizations(), ECNMarkKB: -5}, single, "hostsim: negative ECNMarkKB"},
+		{"overflowing ECN threshold", Config{Stack: AllOptimizations(), ECNMarkKB: 1 << 60}, single,
+			"hostsim: ECNMarkKB 1152921504606846976 exceeds 9007199254740991"},
+		{"overflowing link rate", Config{Stack: AllOptimizations(), LinkGbps: 1 << 40}, single,
+			"hostsim: LinkGbps 1099511627776 exceeds 9223372036"},
+		{"negative link rate", Config{Stack: AllOptimizations(), LinkGbps: -1}, single, "hostsim: negative LinkGbps"},
+		{"duplicate names, telemetry", fab(func(c *Config) { c.Telemetry = &Telemetry{} }), incast,
+			`hostsim: duplicate Fabric.HostNames entry "a"`},
+		{"duplicate names, ss", fab(func(c *Config) { c.Inspect = &InspectOptions{SS: true} }), incast,
+			`hostsim: duplicate Fabric.HostNames entry "a"`},
+		{"name with separator", fab(func(c *Config) { c.Fabric.HostNames = []string{"a", "a/core00", "b"} }), incast,
+			`hostsim: Fabric.HostNames[1] "a/core00" contains '/'`},
+		{"NaN alpha", fab(func(c *Config) { c.Fabric = &FabricOptions{Hosts: 4, Alpha: math.NaN()} }), incast,
+			"hostsim: Fabric.Alpha NaN is not finite"},
+		{"overflowing shared buffer", fab(func(c *Config) { c.Fabric = &FabricOptions{Hosts: 4, SharedBufferKB: math.MaxInt64} }),
+			incast, "hostsim: Fabric.SharedBufferKB 9223372036854775807 exceeds 9007199254740991"},
+		{"overflowing burst threshold", fab(func(c *Config) {
+			c.Fabric = &FabricOptions{Hosts: 4}
+			c.FabricObs = &FabricObsOptions{BurstThresholdKB: math.MaxInt64}
+		}), incast, "hostsim: FabricObs.BurstThresholdKB 9223372036854775807 exceeds 9007199254740991"},
+		{"send buffer below one skb", stack(func(s *Stack) { s.SndBufBytes = 67 }), single,
+			"core: SndBufBytes 67 below the 65536-byte transmit skb"},
+		{"negative max violations", Config{Stack: AllOptimizations(), Check: &CheckOptions{Collect: true, MaxViolations: -1}},
+			single, "hostsim: negative Check.MaxViolations"},
 	}
 	for _, c := range cases {
-		if _, err := Run(c.cfg, c.wl); err == nil {
-			t.Errorf("%s: expected an error", c.name)
+		if _, err := Run(c.cfg, c.wl); err == nil || err.Error() != c.want {
+			t.Errorf("%s: got error %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestBadOptionFailsBeforeBuild shows that validation finishes before any
+// host exists: a bad observer option on a 256-host fabric costs a handful
+// of allocations, not the cluster's build.
+func TestBadOptionFailsBeforeBuild(t *testing.T) {
+	fab := &FabricOptions{Hosts: 256}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"fabricobs", Config{Stack: AllOptimizations(), Fabric: fab, FabricObs: &FabricObsOptions{MaxBursts: -1}},
+			"hostsim: negative FabricObs option"},
+		{"pcap", Config{Stack: AllOptimizations(), Fabric: fab, Check: &CheckOptions{}, Inspect: &InspectOptions{}},
+			"hostsim: Inspect.Pcap captures a 2-host topology, not a 256-host fabric; set only Probe and/or SS"},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Run(c.cfg, LongFlowWorkload(PatternIncast, 0)); err == nil || err.Error() != c.want {
+				t.Fatalf("%s: got error %v, want %q", c.name, err, c.want)
+			}
+		})
+		if allocs > 64 {
+			t.Errorf("%s: rejecting the option allocated %.0f objects; validation must finish before the build", c.name, allocs)
 		}
 	}
 }
 
 // TestPairWorkloadScaleErrors pins each out-of-range pair workload scale
-// to its error: Run validates the scale before placing connections, so a
-// bad N, client count or short-flow count never reaches the placement
-// code's assertions.
+// to its error: Run validates the scale before building anything, so a
+// bad N, client count, short-flow count or RPC size never reaches the
+// placement code. The single pattern is one flow and takes N 0 or 1.
 func TestPairWorkloadScaleErrors(t *testing.T) {
 	cases := []struct {
 		wl   Workload
@@ -56,6 +137,10 @@ func TestPairWorkloadScaleErrors(t *testing.T) {
 		{LongFlowWorkload(PatternAllToAll, 25), "hostsim: all-to-all workload N 25 outside [1,24]"},
 		{RPCIncastWorkload(25, 4096), "hostsim: rpc workload RPCClients 25 exceeds 24 client cores"},
 		{MixedWorkload(-1, 4096), "hostsim: negative mixed workload MixedShort -1"},
+		{LongFlowWorkload(PatternSingle, 100), "hostsim: single workload N 100 outside [0,1]"},
+		{LongFlowWorkload(PatternSingle, -1), "hostsim: single workload N -1 outside [0,1]"},
+		{MixedWorkload(2, 0), "hostsim: mixed workload needs RPCSize"},
+		{MixedWorkload(2, -4096), "hostsim: mixed workload needs RPCSize"},
 	}
 	for _, c := range cases {
 		_, err := Run(quickCfg(AllOptimizations()), c.wl)
@@ -422,6 +507,9 @@ func TestJainIndex(t *testing.T) {
 func TestPatternsAllRun(t *testing.T) {
 	for _, p := range []Pattern{PatternSingle, PatternOneToOne, PatternIncast, PatternOutcast, PatternAllToAll} {
 		n := 4
+		if p == PatternSingle {
+			n = 1 // single is one flow; the pair rejects any other N
+		}
 		res, err := Run(quickCfg(AllOptimizations()), LongFlowWorkload(p, n))
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)

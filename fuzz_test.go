@@ -1,8 +1,12 @@
 package hostsim
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"hostsim/internal/check"
 )
 
 // FuzzConfig explores the configuration space with the fail-fast
@@ -70,7 +74,10 @@ func FuzzConfig(f *testing.F) {
 		case 0:
 			p := patterns[int(patIdx)%len(patterns)]
 			n := 1 + int(flows)%8
-			if p == PatternAllToAll {
+			switch p {
+			case PatternSingle:
+				n = 1
+			case PatternAllToAll:
 				n = 1 + n%3 // n^2 flows: keep the grid small
 			}
 			wl = LongFlowWorkload(p, n)
@@ -106,6 +113,211 @@ func FuzzConfig(f *testing.F) {
 		}
 		if len(res.Violations) != 0 {
 			t.Fatalf("violations escaped fail-fast mode: %v", res.Violations)
+		}
+	})
+}
+
+// rawRun is one FuzzRunRaw input: raw fields that reach Run's Config,
+// Workload and observer options without being made valid first.
+type rawRun struct {
+	Seed           int64
+	Kind, Pattern  uint8 // indexes into kinds/patterns; the last entry of each is unknown
+	Scale          int8  // Workload.N, RPCClients and MixedShort
+	RPCSize        int32
+	StackBits      uint16 // Stack toggles, then Segregate and RemoteNUMA
+	CC, Steering   string
+	Ring           int16
+	RcvBuf, SndBuf int32
+	SchedK         int8
+	Tuning         []byte // int16 fields, two bytes each; empty = nil Tuning
+	Hazard         float64
+	CostIdx        uint8 // 0 = no CostScale; the last index is an unknown name
+	CostFactor     float64
+	LinkGbps       int64
+	Loss           float64
+	ECNKB          int64
+	Warmup, Dur    int8  // ×100µs; 0 = the default window
+	Hosts          int16 // 0 = the default pair
+	BufKB          int64
+	Alpha          float64
+	Names          uint8  // HostNames mode: see names
+	ObsBits        uint16 // which observers are armed
+	Obs            []byte // int8 observer bounds and intervals
+	BurstKB        int64
+}
+
+// Observer bits of rawRun.ObsBits.
+const (
+	rawCheck = 1 << iota
+	rawCollect
+	rawSpans
+	rawTelemetry
+	rawInspect
+	rawPcap
+	rawProbe
+	rawSS
+	rawProfile
+	rawMsgTrace
+	rawFabricObs
+	rawAllObs = 1<<11 - 1
+)
+
+// build turns the raw fields into Run's inputs. Only magnitudes are
+// bounded, and only to keep one execution small: windows, sample
+// intervals and ring bounds are int8-scaled, and a host count inside the
+// valid [2,256] folds into [2,16]. Signs, zeros, NaN, infinities, unknown
+// names and out-of-range counts all pass through.
+func (r rawRun) build() (Config, Workload) {
+	kinds := []string{"long", "rpc", "mixed", "quic"}
+	patterns := []Pattern{PatternSingle, PatternOneToOne, PatternIncast, PatternOutcast, PatternAllToAll, "ring"}
+	bit := func(i uint) bool { return r.StackBits&(1<<i) != 0 }
+	wl := Workload{
+		Kind: kinds[int(r.Kind)%len(kinds)], Pattern: patterns[int(r.Pattern)%len(patterns)],
+		N: int(r.Scale), RPCClients: int(r.Scale), MixedShort: int(r.Scale), RPCSize: int64(r.RPCSize),
+		Segregate: bit(11), RemoteNUMA: bit(12),
+	}
+	cfg := Config{
+		Stack: Stack{
+			TSO: bit(0), GSO: bit(1), GRO: bit(2), LRO: bit(3), JumboFrames: bit(4), ARFS: bit(5),
+			DCA: bit(6), IOMMU: bit(7), ZeroCopyTx: bit(8), ZeroCopyRx: bit(9), DCAAwareDRS: bit(10),
+			CC: r.CC, Steering: r.Steering, RcvSchedulerK: int(r.SchedK), RxDescriptors: int(r.Ring),
+			RcvBufBytes: int64(r.RcvBuf), SndBufBytes: int64(r.SndBuf),
+		},
+		LinkGbps: int(r.LinkGbps), LossRate: r.Loss, ECNMarkKB: int(r.ECNKB), Seed: r.Seed,
+		Warmup:   time.Duration(r.Warmup) * 100 * time.Microsecond,
+		Duration: time.Duration(r.Dur) * 100 * time.Microsecond,
+	}
+	if len(r.Tuning) > 0 {
+		tn := func(i int) int64 {
+			if 2*i+1 < len(r.Tuning) {
+				return int64(int16(uint16(r.Tuning[2*i]) | uint16(r.Tuning[2*i+1])<<8))
+			}
+			return 0
+		}
+		cfg.Tuning = &Tuning{
+			TSQBytes: tn(0), SchedGranularity: time.Duration(tn(1)) * time.Microsecond,
+			SleeperCredit: time.Duration(tn(2)) * time.Microsecond, ModerationDelay: time.Duration(tn(3)) * time.Microsecond,
+			ModerationFrames: int(tn(4)), PagesetCap: int(tn(5)), DCAHazardFactor: r.Hazard,
+		}
+	}
+	if r.CostIdx > 0 {
+		names := append(CostNames(), "NoSuchCost")
+		cfg.CostScale = map[string]float64{names[int(r.CostIdx-1)%len(names)]: r.CostFactor}
+	}
+	if h := int(r.Hosts); h != 0 {
+		if h >= 2 && h <= 256 {
+			h = 2 + h%15
+		}
+		cfg.Fabric = &FabricOptions{Hosts: h, SharedBufferKB: int(r.BufKB), Alpha: r.Alpha, HostNames: r.names(h)}
+	}
+
+	ob := func(i int) int {
+		if i < len(r.Obs) {
+			return int(int8(r.Obs[i]))
+		}
+		return 0
+	}
+	tick := func(i int) time.Duration { return time.Duration(ob(i)) * 10 * time.Microsecond }
+	armed := func(b uint16) bool { return r.ObsBits&b != 0 }
+	if armed(rawCheck) {
+		cfg.Check = &CheckOptions{Interval: tick(0), Collect: armed(rawCollect), MaxViolations: ob(1)}
+	}
+	cfg.TraceEvents, cfg.TraceFlow, cfg.TraceSpans = ob(2), int32(ob(3)), armed(rawSpans)
+	if armed(rawTelemetry) {
+		cfg.Telemetry = &Telemetry{SampleInterval: tick(4), MaxSamples: ob(5)}
+	}
+	if armed(rawInspect) {
+		cfg.Inspect = &InspectOptions{Pcap: armed(rawPcap), Probe: armed(rawProbe), SS: armed(rawSS),
+			SnapLen: ob(6), MaxPackets: ob(7), MaxProbeEvents: ob(8), SSInterval: tick(9), SSMaxSamples: ob(10)}
+	}
+	if armed(rawProfile) {
+		cfg.Profile = &ProfileOptions{}
+	}
+	if armed(rawMsgTrace) {
+		cfg.MsgTrace = &MsgTraceOptions{MsgBytes: int64(ob(11)) * 1024, Slowest: ob(12), MaxMessages: ob(13)}
+	}
+	if armed(rawFabricObs) {
+		cfg.FabricObs = &FabricObsOptions{SampleInterval: tick(14), MaxSamples: ob(15),
+			BurstThresholdKB: int(r.BurstKB), BurstFlows: ob(16), MaxBursts: ob(17)}
+	}
+	return cfg, wl
+}
+
+// names builds Fabric.HostNames for h hosts: none when Names is 0,
+// otherwise "h<i mod k>" for k = the low six bits (k 0 means all distinct,
+// k < h repeats names), one name short with bit 6, and a '/' in the last
+// name with bit 7.
+func (r rawRun) names(h int) []string {
+	if r.Names == 0 || h <= 0 || h > 256 {
+		return nil
+	}
+	k := int(r.Names & 0x3f)
+	out := make([]string, h)
+	for i := range out {
+		j := i
+		if k > 0 {
+			j = i % k
+		}
+		out[i] = fmt.Sprintf("h%d", j)
+	}
+	if r.Names&0x80 != 0 {
+		out[h-1] += "/x"
+	}
+	if r.Names&0x40 != 0 {
+		out = out[:h-1]
+	}
+	return out
+}
+
+// FuzzRunRaw drives Run's whole public input surface with raw values
+// (see rawRun.build): nothing is sanitized into a valid config first. The
+// oracle: Run returns a result or an error and never panics, a fail-fast
+// checker failure is a bug, and a collecting checker reports no
+// violations. `go test -fuzz=FuzzRunRaw .` hunts open-ended; CI smokes it
+// briefly beside FuzzConfig.
+//
+// Reproduce a crasher with:
+//
+//	go test -run 'FuzzRunRaw/<name>' .
+//
+// after copying the reported file into testdata/fuzz/FuzzRunRaw/.
+func FuzzRunRaw(f *testing.F) {
+	valid := rawRun{Seed: 3, Kind: 0, Scale: 1, StackBits: 0x77, CC: "cubic", Warmup: 20, Dur: 20,
+		ObsBits: rawAllObs &^ rawFabricObs, Obs: []byte{0, 0, 64}}
+	fabric := valid
+	fabric.Pattern, fabric.Hosts, fabric.BufKB, fabric.ObsBits = 2, 6, 256, rawAllObs&^rawPcap
+	rpc := valid
+	rpc.Kind, rpc.Scale, rpc.RPCSize, rpc.Loss = 1, 8, 4096, 0.01
+	// Inputs that once panicked inside a constructor.
+	negECN := valid
+	negECN.ECNKB = -5
+	fastLink := valid
+	fastLink.LinkGbps = 1 << 40
+	dupTelemetry := fabric
+	dupTelemetry.Hosts, dupTelemetry.Names, dupTelemetry.ObsBits = 3, 2, rawTelemetry
+	dupSS := dupTelemetry
+	dupSS.ObsBits = rawInspect | rawSS
+	for _, r := range []rawRun{valid, fabric, rpc, negECN, fastLink, dupTelemetry, dupSS} {
+		f.Add(r.Seed, r.Kind, r.Pattern, r.Scale, r.RPCSize, r.StackBits, r.CC, r.Steering,
+			r.Ring, r.RcvBuf, r.SndBuf, r.SchedK, r.Tuning, r.Hazard, r.CostIdx, r.CostFactor,
+			r.LinkGbps, r.Loss, r.ECNKB, r.Warmup, r.Dur, r.Hosts, r.BufKB, r.Alpha, r.Names,
+			r.ObsBits, r.Obs, r.BurstKB)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, kind, pattern uint8, scale int8, rpcSize int32, stackBits uint16,
+		cc, steering string, ring int16, rcvBuf, sndBuf int32, schedK int8, tuning []byte, hazard float64,
+		costIdx uint8, costFactor float64, linkGbps int64, loss float64, ecnKB int64, warmup, dur int8,
+		hosts int16, bufKB int64, alpha float64, names uint8, obsBits uint16, obs []byte, burstKB int64) {
+
+		cfg, wl := rawRun{seed, kind, pattern, scale, rpcSize, stackBits, cc, steering, ring, rcvBuf, sndBuf,
+			schedK, tuning, hazard, costIdx, costFactor, linkGbps, loss, ecnKB, warmup, dur, hosts, bufKB,
+			alpha, names, obsBits, obs, burstKB}.build()
+		res, err := Run(cfg, wl)
+		var fail *check.Failure
+		if errors.As(err, &fail) {
+			t.Fatalf("invariant failure: %v\nconfig: %+v\nworkload: %+v", err, cfg, wl)
+		}
+		if err == nil && len(res.Violations) != 0 {
+			t.Fatalf("violations: %v\nconfig: %+v\nworkload: %+v", res.Violations, cfg, wl)
 		}
 	})
 }

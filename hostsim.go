@@ -35,10 +35,7 @@ import (
 	"hostsim/internal/mtrace"
 	"hostsim/internal/profile"
 	"hostsim/internal/sim"
-	"hostsim/internal/skb"
-	"hostsim/internal/stage"
 	"hostsim/internal/telemetry"
-	"hostsim/internal/topology"
 	"hostsim/internal/trace"
 	"hostsim/internal/units"
 )
@@ -156,14 +153,17 @@ type Config struct {
 	// for sensitivity analysis: cmd/validate sweeps one knob at a time
 	// and re-checks every paper claim at each point.
 	CostScale map[string]float64
-	LinkGbps  int // access link bandwidth; 0 = the testbed's 100
+	// LinkGbps is the access link bandwidth in Gbps (0 = the testbed's
+	// 100). Its bit rate must fit in an int64, which bounds it at
+	// 9223372036; larger values are an error.
+	LinkGbps int
 	// LossRate is the switch's Bernoulli drop probability. On the
 	// default pair it is asymmetric: only the egress toward the receiver
 	// drops (the sender->receiver data, RPC requests included), while the
 	// egress back to the sender (ACKs and RPC responses) is lossless. On
 	// an explicit Fabric it applies at every egress, ACK paths included.
 	LossRate  float64
-	ECNMarkKB int           // ECN marking threshold in KB (0 = off; for DCTCP)
+	ECNMarkKB int           // ECN marking threshold in KB (0 = off; for DCTCP; at most MaxInt64/1024)
 	Warmup    time.Duration // excluded from measurement; 0 = 20ms
 	Duration  time.Duration // measurement window; 0 = 30ms
 	Seed      int64         // RNG seed; runs are deterministic per seed
@@ -172,7 +172,7 @@ type Config struct {
 	// events (writes, segments, deliveries, acks, retransmissions, NIC
 	// drops and GRO flushes) into Result.Trace. TraceFlow restricts
 	// recording to one flow id (flows are numbered from 1 in
-	// connection-creation order; 0 = all).
+	// connection-creation order; 0 = all; negative is an error).
 	TraceEvents int
 	TraceFlow   int32
 
@@ -298,8 +298,9 @@ type FabricOptions struct {
 	// Alpha is the dynamic-threshold scale factor (0 = 1.0).
 	Alpha float64
 	// HostNames overrides the default host00..hostNN naming; must be
-	// empty or exactly Hosts entries. Names label stats and traces only —
-	// relabeling never changes the physics.
+	// empty or exactly Hosts distinct entries, none containing '/' (the
+	// separator of the metric names they prefix). Names label stats and
+	// traces only — relabeling never changes the physics.
 	HostNames []string
 }
 
@@ -353,7 +354,8 @@ type CheckOptions struct {
 	// Collect accumulates violations into Result.Violations instead of
 	// aborting the run at the first one.
 	Collect bool
-	// MaxViolations caps Collect-mode accumulation; 0 = 64.
+	// MaxViolations caps Collect-mode accumulation; 0 = 64, negative is
+	// an error.
 	MaxViolations int
 }
 
@@ -539,7 +541,7 @@ type Workload struct {
 	N       int     // long flows: scale (flows, or grid side for all-to-all)
 
 	RPCClients int   // rpc: number of client cores
-	RPCSize    int64 // rpc & mixed: request/response bytes
+	RPCSize    int64 // rpc & mixed: request/response bytes (> 0)
 
 	MixedShort int // mixed: short (RPC) connections sharing the core
 	// Segregate places the mixed workload's short flows on their own
@@ -553,7 +555,9 @@ type Workload struct {
 	RemoteNUMA bool
 }
 
-// LongFlowWorkload builds an iPerf-style bulk-transfer workload.
+// LongFlowWorkload builds an iPerf-style bulk-transfer workload. On the
+// default pair n is the flow count (or grid side for all-to-all), in
+// [1, cores]; PatternSingle is one flow and takes n 0 or 1.
 func LongFlowWorkload(p Pattern, n int) Workload {
 	return Workload{Kind: "long", Pattern: p, N: n}
 }
@@ -825,346 +829,78 @@ func (r *Result) WriteChromeTrace(w io.Writer) error {
 	return telemetry.WriteChromeTrace(w, r.traceEvents)
 }
 
-// pairNames names the default topology's two hosts (Config.Fabric nil).
-var pairNames = []string{"sender", "receiver"}
-
-// Run executes one simulation and reports the measured window.
+// Run executes one simulation and reports the measured window. It runs
+// in fixed phases: validate every input, build the cluster, attach the
+// armed observers around the workload build, warm up, reset at the
+// warm-up boundary, measure, and finish into the Result.
 func Run(cfg Config, wl Workload) (*Result, error) {
-	if cfg.Warmup < 0 || cfg.Duration < 0 {
-		return nil, fmt.Errorf("hostsim: negative Warmup or Duration")
-	}
-	if cfg.TraceEvents < 0 {
-		return nil, fmt.Errorf("hostsim: negative TraceEvents")
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 20 * time.Millisecond
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 30 * time.Millisecond
-	}
-	if cfg.LossRate < 0 || cfg.LossRate > 1 {
-		return nil, fmt.Errorf("hostsim: loss rate %v outside [0,1]", cfg.LossRate)
-	}
-	opts, err := cfg.Stack.options()
+	p, err := validate(cfg, wl)
 	if err != nil {
 		return nil, err
 	}
-	if tn := cfg.Tuning; tn != nil {
-		opts.TSQBytes = units.Bytes(tn.TSQBytes)
-		opts.SchedGranularity = tn.SchedGranularity
-		opts.SleeperCredit = tn.SleeperCredit
-		opts.ModerationDelay = tn.ModerationDelay
-		opts.ModerationFrames = tn.ModerationFrames
-		opts.PagesetCap = tn.PagesetCap
-		opts.DCAHazardFactor = tn.DCAHazardFactor
+	w := p.build()
+	for _, o := range p.obs[:p.preBuild] {
+		o.attach(w)
 	}
-	if err := opts.Validate(); err != nil {
+	if w.cfg.Fabric != nil {
+		w.wl = buildFabricWorkload(w.hosts, p.pattern)
+	} else {
+		w.wl = buildWorkload(w.hosts[0], w.hosts[1], wl, p.pattern)
+	}
+	for _, o := range p.obs[p.preBuild:] {
+		o.attach(w)
+	}
+
+	if err := guardFailure(func() { w.eng.Run(sim.Time(p.cfg.Warmup)) }); err != nil {
+		return nil, err
+	}
+	for _, h := range w.hosts {
+		h.ResetMetrics()
+	}
+	w.wl.snapshot()
+	for _, o := range p.obs {
+		o.reset(w)
+	}
+	if err := guardFailure(func() { w.eng.Run(sim.Time(p.cfg.Warmup + p.cfg.Duration)) }); err != nil {
 		return nil, err
 	}
 
-	eng := sim.NewEngine(cfg.Seed)
-	costs := cpumodel.Default()
-	// Apply cost scales in sorted-key order so a bad map reports the
-	// same first error on every run.
-	for _, name := range sortedKeys(cfg.CostScale) {
-		if err := costs.Scale(name, cfg.CostScale[name]); err != nil {
-			return nil, fmt.Errorf("hostsim: %w", err)
+	res := assemble(w)
+	for _, o := range p.obs {
+		if err := o.finish(res); err != nil {
+			return nil, err
 		}
 	}
-	spec := topology.Default()
-	if cfg.LinkGbps < 0 {
-		return nil, fmt.Errorf("hostsim: negative LinkGbps")
-	}
-	if cfg.LinkGbps > 0 {
-		spec.LinkRate = units.BitRate(cfg.LinkGbps) * units.Gbps
-	}
-	// Topology: every run is a switch fabric. Config.Fabric nil builds the
-	// paper's testbed pair, sender and receiver on a 2-port fabric.
-	fo := FabricOptions{Hosts: 2, HostNames: pairNames}
-	if cfg.Fabric != nil {
-		fo = *cfg.Fabric
-	}
-	if fo.Hosts < 2 || fo.Hosts > 256 {
-		return nil, fmt.Errorf("hostsim: Fabric.Hosts %d outside [2,256]", fo.Hosts)
-	}
-	if fo.SharedBufferKB < 0 {
-		return nil, fmt.Errorf("hostsim: negative Fabric.SharedBufferKB")
-	}
-	if fo.Alpha < 0 {
-		return nil, fmt.Errorf("hostsim: negative Fabric.Alpha")
-	}
-	if len(fo.HostNames) != 0 && len(fo.HostNames) != fo.Hosts {
-		return nil, fmt.Errorf("hostsim: %d Fabric.HostNames for %d hosts", len(fo.HostNames), fo.Hosts)
-	}
-	hosts := make([]*core.Host, fo.Hosts)
+	return res, nil
+}
+
+// build creates the plan's hosts on one switch fabric.
+func (p *plan) build() *world {
+	eng := sim.NewEngine(p.cfg.Seed)
+	hosts := make([]*core.Host, p.fab.Hosts)
 	for i := range hosts {
 		var name string
-		if len(fo.HostNames) > 0 {
-			name = fo.HostNames[i]
+		if len(p.fab.HostNames) > 0 {
+			name = p.fab.HostNames[i]
 		} else {
 			name = fmt.Sprintf("host%03d", i)
 		}
-		hosts[i] = core.NewHost(name, eng, spec, costs, opts)
+		hosts[i] = core.NewHost(name, eng, p.spec, p.costs, p.opts)
 	}
 	cluster := core.ConnectFabric(hosts, fabric.Config{
-		LinkRate:     spec.LinkRate,
-		SharedBuffer: units.Bytes(fo.SharedBufferKB) * units.KB,
-		Alpha:        fo.Alpha,
-		ECNThreshold: units.Bytes(cfg.ECNMarkKB) * units.KB,
-		LossRate:     cfg.LossRate,
+		LinkRate:     p.spec.LinkRate,
+		SharedBuffer: units.Bytes(p.fab.SharedBufferKB) * units.KB,
+		Alpha:        p.fab.Alpha,
+		ECNThreshold: units.Bytes(p.cfg.ECNMarkKB) * units.KB,
+		LossRate:     p.cfg.LossRate,
 	})
-	if cfg.Fabric == nil {
+	if p.cfg.Fabric == nil {
 		// The pair drops sender->receiver traffic only: the egress toward
 		// the sender (ACKs, RPC responses) is lossless, and a lossless
 		// link draws no random numbers.
 		cluster.Fabric().Port(0).Out().SetLossRate(0)
 	}
-
-	var checker *check.Checker
-	if cfg.Check != nil {
-		if cfg.Check.Interval < 0 {
-			return nil, fmt.Errorf("hostsim: negative Check.Interval")
-		}
-		checker = check.New(eng, check.Options{
-			Interval:      cfg.Check.Interval,
-			Collect:       cfg.Check.Collect,
-			MaxViolations: cfg.Check.MaxViolations,
-		})
-		core.AttachChecker(checker, cluster)
-		checker.Start()
-	}
-
-	var tracer *trace.Tracer
-	if cfg.TraceEvents > 0 {
-		tracer = trace.New(cfg.TraceEvents)
-		tracer.FilterFlow(skb.FlowID(cfg.TraceFlow))
-		for _, h := range hosts {
-			h.SetTracer(tracer)
-			if cfg.TraceSpans {
-				h.EnableSpanTrace()
-			}
-		}
-	} else if cfg.TraceSpans {
-		return nil, fmt.Errorf("hostsim: TraceSpans requires TraceEvents > 0")
-	}
-
-	var sampler *telemetry.Sampler
-	if cfg.Telemetry != nil {
-		interval := cfg.Telemetry.SampleInterval
-		if interval == 0 {
-			interval = 100 * time.Microsecond
-		}
-		if interval < 0 {
-			return nil, fmt.Errorf("hostsim: negative Telemetry.SampleInterval")
-		}
-		maxSamples := cfg.Telemetry.MaxSamples
-		if maxSamples == 0 {
-			maxSamples = 4096
-		}
-		if maxSamples < 0 {
-			return nil, fmt.Errorf("hostsim: negative Telemetry.MaxSamples")
-		}
-		reg := telemetry.NewRegistry()
-		for _, h := range hosts {
-			h.EnableTelemetry(reg)
-		}
-		if cfg.Fabric != nil {
-			// Fabric runs expose switch state in the same timeline as the
-			// host gauges, so one -telemetry-out artifact covers both.
-			cluster.Fabric().RegisterTelemetry(reg, "fabric/")
-		}
-		sampler = telemetry.NewSampler(eng, reg, interval, maxSamples)
-	}
-
-	var run *builtWorkload
-	if cfg.Fabric != nil {
-		run, err = buildFabricWorkload(hosts, wl)
-	} else {
-		run, err = buildWorkload(hosts[0], hosts[1], wl)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	var mt *mtrace.Tracer
-	if cfg.MsgTrace != nil {
-		mo := cfg.MsgTrace
-		if mo.MsgBytes < 0 || mo.Slowest < 0 || mo.MaxMessages < 0 {
-			return nil, fmt.Errorf("hostsim: negative MsgTrace option")
-		}
-		sizes := msgSizes(run, mo.MsgBytes)
-		// Workload setup can execute a first write synchronously at build
-		// time (thread wakeups dispatch immediately), before the tracer
-		// attaches; record each flow's committed stream offset so message
-		// numbering stays aligned with TCP sequence space.
-		starts := make(map[skb.FlowID]int64, len(sizes))
-		for _, h := range hosts {
-			h.ForEachEndpoint(func(ep *core.Endpoint) {
-				if _, ok := sizes[ep.TxFlow()]; ok {
-					starts[ep.TxFlow()] = ep.Conn().AppLimit()
-				}
-			})
-		}
-		mt = mtrace.New(mtrace.Options{
-			MsgBytes:    sizes,
-			Start:       starts,
-			Slowest:     mo.Slowest,
-			MaxMessages: mo.MaxMessages,
-		})
-		for _, h := range hosts {
-			h.EnableMsgTrace(mt)
-		}
-		// Loss-recovery context for the exemplars rides the existing
-		// tcp_probe emit sites; AddProbe composes with the inspector's
-		// congestion trace when both are armed.
-		if hook := mt.ProbeHook(); hook != nil {
-			for _, h := range hosts {
-				h.ForEachEndpoint(func(ep *core.Endpoint) { ep.Conn().AddProbe(hook) })
-			}
-		}
-	}
-
-	var prof *profile.Profiler
-	if cfg.Profile != nil {
-		popts := *cfg.Profile
-		if popts.FlowClasses == nil {
-			popts.FlowClasses = flowClasses(run)
-		}
-		prof = profile.New(popts, spec.Frequency)
-		for _, h := range hosts {
-			h.EnableProfiler(prof)
-		}
-	}
-
-	// The inspector attaches after the workload so the connections it
-	// hooks exist, and before the warmup run so captures and probe traces
-	// include slow start.
-	insp, err := attachInspector(cfg.Inspect, eng, cluster)
-	if err != nil {
-		return nil, err
-	}
-
-	// The fabric observatory attaches after the inspector (its link taps
-	// chain onto the inspector's, preserving both) and before the warmup
-	// run so bursts and hop latencies cover slow start.
-	var fobs *fabricobs.Observer
-	if fo := cfg.FabricObs; fo != nil {
-		if cfg.Fabric == nil {
-			return nil, fmt.Errorf("hostsim: FabricObs requires Fabric")
-		}
-		if fo.SampleInterval < 0 || fo.MaxSamples < 0 || fo.BurstThresholdKB < 0 ||
-			fo.BurstFlows < 0 || fo.MaxBursts < 0 {
-			return nil, fmt.Errorf("hostsim: negative FabricObs option")
-		}
-		names := make([]string, len(hosts))
-		for i, h := range hosts {
-			names[i] = h.Name()
-		}
-		fobs = fabricobs.New(eng, cluster.Fabric(), names, fabricobs.Options{
-			SampleInterval: fo.SampleInterval,
-			MaxSamples:     fo.MaxSamples,
-			BurstThreshold: units.Bytes(fo.BurstThresholdKB) * units.KB,
-			BurstFlows:     fo.BurstFlows,
-			MaxBursts:      fo.MaxBursts,
-		})
-	}
-
-	if err := guardFailure(checker, func() { eng.Run(sim.Time(cfg.Warmup)) }); err != nil {
-		return nil, err
-	}
-	for _, h := range hosts {
-		h.ResetMetrics()
-	}
-	// The profiler observes charges at the same point core accounting
-	// merges them (work-item completion), so resetting it here — next to
-	// ResetMetrics — makes its totals reconcile exactly with the window's
-	// category accounting.
-	prof.Reset()
-	run.snapshot()
-	if sampler != nil {
-		// First sample at the start of the measurement window, right
-		// after the warm-up reset.
-		sampler.Start(sim.Time(cfg.Warmup))
-	}
-	if err := guardFailure(checker, func() {
-		eng.Run(sim.Time(cfg.Warmup + cfg.Duration))
-		if checker != nil {
-			// Drain-point audit at the horizon, so a leak in the final
-			// stretch is caught even if the periodic timer missed it.
-			checker.Audit()
-		}
-	}); err != nil {
-		return nil, err
-	}
-
-	if fobs != nil {
-		fobs.Finalize()
-	}
-
-	res := assemble(cfg, hosts, cluster, run)
-	if checker != nil {
-		res.Violations = checker.Violations()
-	}
-	if insp != nil {
-		insp.attach(res)
-	}
-	if sampler != nil {
-		res.Timeline = sampler.Timeline()
-	}
-	if fobs != nil {
-		res.fobs = fobs
-		res.FabricTimeline = fobs.Timeline()
-		res.PortReports = fobs.PortReports()
-		res.BurstEvents = fobs.Bursts()
-	}
-	if prof != nil {
-		res.prof = prof
-		for _, s := range prof.Stacks() {
-			res.CycleProfile = append(res.CycleProfile, CycleStack{Frames: s.Frames, Cycles: int64(s.Cycles)})
-		}
-		pb := prof.Lifecycle().Breakdown(prof.Freq())
-		lb := &LatencyBreakdown{Dropped: pb.Dropped, text: pb.Format()}
-		for _, s := range pb.Stages {
-			lb.Stages = append(lb.Stages, LatencyStage{
-				Stage: s.Stage, Count: s.Count,
-				Mean: time.Duration(s.MeanNS), P50: time.Duration(s.P50NS),
-				P90: time.Duration(s.P90NS), P99: time.Duration(s.P99NS),
-			})
-		}
-		res.LatencyBreakdown = lb
-	}
-	if mt != nil {
-		res.mt = mt
-		s := mt.Summary()
-		ml := &MessageLatency{
-			Count: s.Count, Dropped: s.Dropped, Truncated: s.Truncated,
-			P50: time.Duration(s.P50), P90: time.Duration(s.P90),
-			P99: time.Duration(s.P99), P999: time.Duration(s.P999),
-			Max:  time.Duration(s.Max),
-			text: s.Format(),
-		}
-		for _, b := range s.Bands {
-			tb := TailBand{Band: b.Name, Count: b.Count, Total: time.Duration(b.MeanTotal)}
-			for i, v := range b.Stages {
-				tb.Stages = append(tb.Stages, TailStage{
-					Stage: stage.Message[i].String(), Mean: time.Duration(v),
-				})
-			}
-			ml.Bands = append(ml.Bands, tb)
-		}
-		res.MessageLatency = ml
-	}
-	if tracer != nil {
-		res.traceEvents = tracer.Events()
-		for _, e := range res.traceEvents {
-			res.Trace = append(res.Trace, TraceEvent{
-				At:   e.At.Duration(),
-				Host: e.Host, Core: e.Core, Flow: int32(e.Flow),
-				Kind: e.Kind.String(), A: e.A, B: e.B,
-			})
-		}
-	}
-	return res, nil
+	return &world{cfg: &p.cfg, eng: eng, spec: p.spec, cluster: cluster, hosts: hosts}
 }
 
 // CostNames lists the valid Config.CostScale keys: every scalar knob of
@@ -1184,13 +920,9 @@ func sortedKeys(m map[string]float64) []string {
 }
 
 // guardFailure runs fn, converting a fail-fast invariant panic into the
-// checker's error. With no checker attached it is a plain call: any panic
-// propagates, as before.
-func guardFailure(checker *check.Checker, fn func()) (err error) {
-	if checker == nil {
-		fn()
-		return nil
-	}
+// checker's error. Any other panic propagates: only an armed checker
+// raises a check.Failure.
+func guardFailure(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			f, ok := r.(*check.Failure)
@@ -1204,8 +936,9 @@ func guardFailure(checker *check.Checker, fn func()) (err error) {
 	return nil
 }
 
-func assemble(cfg Config, hosts []*core.Host, cluster *core.Cluster, run *builtWorkload) *Result {
-	window := cfg.Duration
+func assemble(w *world) *Result {
+	hosts, run := w.hosts, w.wl
+	window := w.cfg.Duration
 	res := &Result{Duration: window}
 	res.Hosts = make([]HostStats, len(hosts))
 	var copied units.Bytes
@@ -1236,8 +969,8 @@ func assemble(cfg Config, hosts []*core.Host, cluster *core.Cluster, run *builtW
 	for _, h := range hosts {
 		res.Flows = append(res.Flows, collectFlowStats(h)...)
 	}
-	if cfg.Fabric != nil {
-		tot := cluster.Fabric().Totals()
+	if w.cfg.Fabric != nil {
+		tot := w.cluster.Fabric().Totals()
 		res.Fabric = &FabricStats{
 			InFrames: tot.In, Delivered: tot.Delivered,
 			BufferDrops: tot.BufDropped, BufferDropBytes: int64(tot.BufDroppedBytes),

@@ -163,6 +163,9 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: negative RxRing")
 	case o.RcvBufBytes < 0 || o.SndBufBytes < 0:
 		return fmt.Errorf("core: negative buffer size")
+	case o.SndBufBytes > 0 && o.SndBufBytes < o.SegmentBytes():
+		// TCP never splits a transmit skb across the send buffer.
+		return fmt.Errorf("core: SndBufBytes %d below the %d-byte transmit skb", o.SndBufBytes, o.SegmentBytes())
 	case o.Steering < SteerARFS || o.Steering > SteerSameNUMA:
 		return fmt.Errorf("core: invalid steering mode")
 	}

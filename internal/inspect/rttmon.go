@@ -18,7 +18,7 @@ import (
 // stage): rtt_last_ns, rtt_min_ns, rtt_mean_ns, rtt_p50_ns, rtt_p99_ns
 // and rtt_samples.
 type RTTMonitor struct {
-	flows map[skb.FlowID]*rttFlow
+	flows []*rttFlow // by flow id (ids are dense); nil = not watched
 }
 
 // rttFlow is one monitored connection's running RTT state.
@@ -28,9 +28,7 @@ type rttFlow struct {
 }
 
 // NewRTTMonitor builds an empty monitor.
-func NewRTTMonitor() *RTTMonitor {
-	return &RTTMonitor{flows: make(map[skb.FlowID]*rttFlow)}
-}
+func NewRTTMonitor() *RTTMonitor { return &RTTMonitor{} }
 
 // Watch registers flow's RTT gauges into reg under prefix (ending in
 // "/") and returns the tcp.ProbeFunc feeding them. Install the hook with
@@ -38,6 +36,9 @@ func NewRTTMonitor() *RTTMonitor {
 // probe, it is a pure observer.
 func (m *RTTMonitor) Watch(reg *telemetry.Registry, prefix string, flow skb.FlowID) tcp.ProbeFunc {
 	f := &rttFlow{hist: metrics.NewLogLinear()}
+	if n := int(flow) + 1; n > len(m.flows) {
+		m.flows = append(m.flows, make([]*rttFlow, n-len(m.flows))...)
+	}
 	m.flows[flow] = f
 	reg.Gauge(prefix+"rtt_last_ns", func() float64 { return float64(f.last) })
 	reg.Gauge(prefix+"rtt_min_ns", func() float64 { return float64(f.hist.Min()) })
@@ -64,9 +65,8 @@ func (m *RTTMonitor) Watch(reg *telemetry.Registry, prefix string, flow skb.Flow
 // Samples returns the number of RTT samples folded in for flow (0 when
 // the flow is not watched).
 func (m *RTTMonitor) Samples(flow skb.FlowID) int64 {
-	f := m.flows[flow]
-	if f == nil {
+	if uint(flow) >= uint(len(m.flows)) || m.flows[flow] == nil {
 		return 0
 	}
-	return f.hist.Count()
+	return m.flows[flow].hist.Count()
 }

@@ -40,16 +40,16 @@ const (
 
 // Options configures a Tracer.
 type Options struct {
-	// MsgBytes maps each traced flow to its fixed message size: message
-	// k of a flow is its byte range [k*size, (k+1)*size). Flows absent
-	// from the map are not traced.
-	MsgBytes map[skb.FlowID]units.Bytes
-	// Start maps a flow to the stream bytes the application had already
+	// MsgBytes is each traced flow's fixed message size, indexed by flow
+	// id (ids are dense): message k of a flow is its byte range
+	// [k*size, (k+1)*size). Flows without a positive entry are not traced.
+	MsgBytes []units.Bytes
+	// Start is, by flow id, the stream bytes the application had already
 	// committed when the tracer attached (workload setup can run a first
 	// write before observers exist). Messages wholly inside the
 	// pre-attach prefix are skipped, keeping later message ids aligned
-	// with the flow's TCP sequence space.
-	Start map[skb.FlowID]int64
+	// with the flow's TCP sequence space. It may be shorter than MsgBytes.
+	Start []int64
 	// Slowest bounds the exemplar span trees kept (0 = 8).
 	Slowest int
 	// MaxMessages caps the retained per-message records that back the
@@ -118,7 +118,7 @@ type Record struct {
 type Tracer struct {
 	slowest   int
 	maxRecs   int
-	flows     map[skb.FlowID]*flowState
+	flows     []*flowState // by flow id; nil = not traced
 	recs      []Record
 	dropped   int64 // incomplete or non-monotonic stamp chains
 	truncated int64 // completions beyond MaxMessages
@@ -131,7 +131,7 @@ func New(o Options) *Tracer {
 	t := &Tracer{
 		slowest: o.Slowest,
 		maxRecs: o.MaxMessages,
-		flows:   make(map[skb.FlowID]*flowState, len(o.MsgBytes)),
+		flows:   make([]*flowState, len(o.MsgBytes)),
 		hist:    metrics.NewLogLinear(),
 	}
 	if t.slowest <= 0 {
@@ -145,7 +145,8 @@ func New(o Options) *Tracer {
 			continue
 		}
 		fs := &flowState{msgBytes: int64(sz)}
-		if off := o.Start[f]; off > 0 {
+		if f < len(o.Start) && o.Start[f] > 0 {
+			off := o.Start[f]
 			// Writes before attach were not observed: align the write
 			// cursor with the TCP stream and start numbering at the first
 			// message whose bytes are wholly post-attach.
@@ -157,6 +158,14 @@ func New(o Options) *Tracer {
 	return t
 }
 
+// flow returns the traced flow's state, nil when the flow is not traced.
+func (t *Tracer) flow(id skb.FlowID) *flowState {
+	if uint(id) < uint(len(t.flows)) {
+		return t.flows[id]
+	}
+	return nil
+}
+
 // OnWrite observes one accepted application write of n stream bytes on
 // flow at the given time, creating the messages whose first byte it
 // carries. Call before TCP gets the bytes, so segments emitted inside
@@ -165,7 +174,7 @@ func (t *Tracer) OnWrite(flow skb.FlowID, n int64, at sim.Time) {
 	if t == nil || n <= 0 {
 		return
 	}
-	fs := t.flows[flow]
+	fs := t.flow(flow)
 	if fs == nil {
 		return
 	}
@@ -184,7 +193,7 @@ func (t *Tracer) OnSegment(flow skb.FlowID, seq int64, length units.Bytes, retra
 	if t == nil || length <= 0 {
 		return
 	}
-	fs := t.flows[flow]
+	fs := t.flow(flow)
 	if fs == nil {
 		return
 	}
@@ -210,7 +219,7 @@ func (t *Tracer) OnDeliver(s *skb.SKB, readAt sim.Time) {
 	if t == nil {
 		return
 	}
-	fs := t.flows[s.Flow]
+	fs := t.flow(s.Flow)
 	if fs == nil || s.Ack != nil || s.Len == 0 {
 		return
 	}
@@ -329,7 +338,7 @@ func (t *Tracer) ProbeHook() tcp.ProbeFunc {
 		return nil
 	}
 	return func(ev tcp.ProbeEvent) {
-		fs := t.flows[ev.Flow]
+		fs := t.flow(ev.Flow)
 		if fs == nil {
 			return
 		}

@@ -22,7 +22,7 @@ func deliver(t *Tracer, flow skb.FlowID, seq, n int64, txAt, readAt sim.Time) {
 }
 
 func newFlowTracer(msgBytes int64) *Tracer {
-	return New(Options{MsgBytes: map[skb.FlowID]units.Bytes{1: units.Bytes(msgBytes)}})
+	return New(Options{MsgBytes: []units.Bytes{1: units.Bytes(msgBytes)}})
 }
 
 func TestTelescopingSimple(t *testing.T) {
@@ -129,7 +129,7 @@ func TestUntracedFlowIgnored(t *testing.T) {
 
 func TestBandsAndExemplars(t *testing.T) {
 	tr := New(Options{
-		MsgBytes: map[skb.FlowID]units.Bytes{1: 100},
+		MsgBytes: []units.Bytes{1: 100},
 		Slowest:  4,
 	})
 	// 2000 messages with strictly increasing latency.
@@ -192,7 +192,7 @@ func TestBandsAndExemplars(t *testing.T) {
 }
 
 func TestRecordCap(t *testing.T) {
-	tr := New(Options{MsgBytes: map[skb.FlowID]units.Bytes{1: 100}, MaxMessages: 3})
+	tr := New(Options{MsgBytes: []units.Bytes{1: 100}, MaxMessages: 3})
 	var off int64
 	for i := 0; i < 5; i++ {
 		w := sim.Time(1 + i*100)

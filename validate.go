@@ -1,0 +1,223 @@
+package hostsim
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"time"
+
+	"hostsim/internal/core"
+	"hostsim/internal/cpumodel"
+	"hostsim/internal/topology"
+	"hostsim/internal/units"
+	"hostsim/internal/workload"
+)
+
+// pairNames names the default topology's two hosts (Config.Fabric nil).
+var pairNames = []string{"sender", "receiver"}
+
+// maxLinkGbps is the largest LinkGbps whose bit rate fits in an int64.
+const maxLinkGbps = math.MaxInt64 / int64(units.Gbps)
+
+// maxKB is the largest KB count whose byte size fits in an int64.
+const maxKB = math.MaxInt64 / int64(units.KB)
+
+// plan is a validated run: the Config with its windows defaulted, the
+// model inputs derived from it, and the armed observers in attach order.
+type plan struct {
+	cfg      Config
+	opts     core.Options
+	costs    *cpumodel.Costs
+	spec     topology.MachineSpec
+	fab      FabricOptions    // the topology; the testbed pair when Config.Fabric is nil
+	pattern  workload.Pattern // long workloads only
+	obs      []observer
+	preBuild int // obs[:preBuild] attach before the workload is built
+}
+
+// validate checks every input of a run before anything is built: the
+// Config (windows, loss, stack, tuning, cost scales, link and topology),
+// the workload's scale against the testbed's cores, and each armed
+// observer's options. Run builds nothing until it passes, so bad input is
+// an error and never reaches a constructor's assertions.
+func validate(cfg Config, wl Workload) (*plan, error) {
+	if cfg.Warmup < 0 || cfg.Duration < 0 {
+		return nil, fmt.Errorf("hostsim: negative Warmup or Duration")
+	}
+	if cfg.Warmup == 0 {
+		cfg.Warmup = 20 * time.Millisecond
+	}
+	if cfg.Duration == 0 {
+		cfg.Duration = 30 * time.Millisecond
+	}
+	if cfg.Duration > math.MaxInt64-cfg.Warmup {
+		return nil, fmt.Errorf("hostsim: Warmup + Duration overflows")
+	}
+	// The negated form also rejects NaN.
+	if !(cfg.LossRate >= 0 && cfg.LossRate <= 1) {
+		return nil, fmt.Errorf("hostsim: loss rate %v outside [0,1]", cfg.LossRate)
+	}
+	opts, err := cfg.Stack.options()
+	if err != nil {
+		return nil, err
+	}
+	if tn := cfg.Tuning; tn != nil {
+		opts.TSQBytes = units.Bytes(tn.TSQBytes)
+		opts.SchedGranularity = tn.SchedGranularity
+		opts.SleeperCredit = tn.SleeperCredit
+		opts.ModerationDelay = tn.ModerationDelay
+		opts.ModerationFrames = tn.ModerationFrames
+		opts.PagesetCap = tn.PagesetCap
+		opts.DCAHazardFactor = tn.DCAHazardFactor
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	costs := cpumodel.Default()
+	// Apply cost scales in sorted-key order so a bad map reports the
+	// same first error on every run.
+	for _, name := range sortedKeys(cfg.CostScale) {
+		if err := costs.Scale(name, cfg.CostScale[name]); err != nil {
+			return nil, fmt.Errorf("hostsim: %w", err)
+		}
+	}
+	spec := topology.Default()
+	if cfg.LinkGbps < 0 {
+		return nil, fmt.Errorf("hostsim: negative LinkGbps")
+	}
+	if int64(cfg.LinkGbps) > maxLinkGbps {
+		return nil, fmt.Errorf("hostsim: LinkGbps %d exceeds %d", cfg.LinkGbps, maxLinkGbps)
+	}
+	if cfg.LinkGbps > 0 {
+		spec.LinkRate = units.BitRate(cfg.LinkGbps) * units.Gbps
+	}
+	if err := checkKB("ECNMarkKB", cfg.ECNMarkKB); err != nil {
+		return nil, err
+	}
+	// Topology: every run is a switch fabric. Config.Fabric nil builds the
+	// paper's testbed pair, sender and receiver on a 2-port fabric.
+	fo := FabricOptions{Hosts: 2, HostNames: pairNames}
+	if cfg.Fabric != nil {
+		fo = *cfg.Fabric
+	}
+	if err := fo.validate(); err != nil {
+		return nil, err
+	}
+	pat, err := wl.validate(cfg.Fabric != nil, fo.Hosts, spec.NumCores())
+	if err != nil {
+		return nil, err
+	}
+	p := &plan{cfg: cfg, opts: opts, costs: costs, spec: spec, fab: fo, pattern: pat}
+	for _, a := range attachOrder {
+		o := a.arm(&p.cfg)
+		if o == nil {
+			continue
+		}
+		if err := o.validate(&p.cfg); err != nil {
+			return nil, err
+		}
+		p.obs = append(p.obs, o)
+		if !a.afterBuild {
+			p.preBuild++
+		}
+	}
+	return p, nil
+}
+
+// checkKB checks a KB-denominated option: not negative, and small enough
+// that its byte count fits in an int64.
+func checkKB(name string, kb int) error {
+	if kb < 0 {
+		return fmt.Errorf("hostsim: negative %s", name)
+	}
+	if int64(kb) > maxKB {
+		return fmt.Errorf("hostsim: %s %d exceeds %d", name, kb, maxKB)
+	}
+	return nil
+}
+
+func (fo *FabricOptions) validate() error {
+	if fo.Hosts < 2 || fo.Hosts > 256 {
+		return fmt.Errorf("hostsim: Fabric.Hosts %d outside [2,256]", fo.Hosts)
+	}
+	if err := checkKB("Fabric.SharedBufferKB", fo.SharedBufferKB); err != nil {
+		return err
+	}
+	if fo.Alpha < 0 {
+		return fmt.Errorf("hostsim: negative Fabric.Alpha")
+	}
+	if math.IsNaN(fo.Alpha) || math.IsInf(fo.Alpha, 0) {
+		return fmt.Errorf("hostsim: Fabric.Alpha %v is not finite", fo.Alpha)
+	}
+	if len(fo.HostNames) != 0 && len(fo.HostNames) != fo.Hosts {
+		return fmt.Errorf("hostsim: %d Fabric.HostNames for %d hosts", len(fo.HostNames), fo.Hosts)
+	}
+	// Names prefix every metric and trace label ("name/..."), so they must
+	// be distinct and free of the '/' separator.
+	for i, n := range fo.HostNames {
+		if strings.Contains(n, "/") {
+			return fmt.Errorf("hostsim: Fabric.HostNames[%d] %q contains '/'", i, n)
+		}
+		for _, m := range fo.HostNames[:i] {
+			if m == n {
+				return fmt.Errorf("hostsim: duplicate Fabric.HostNames entry %q", n)
+			}
+		}
+	}
+	return nil
+}
+
+// validate checks the workload against the topology: a fabric of hosts
+// runs long-flow patterns only, scaled by the host count; the pair places
+// patterns across its cores, so their scale is bounded by the core count.
+// It returns the parsed long-flow pattern.
+func (wl Workload) validate(fabric bool, hosts, cores int) (workload.Pattern, error) {
+	if fabric {
+		if wl.Kind != "long" {
+			return 0, fmt.Errorf("hostsim: fabric topologies support the long workload only (got %q)", wl.Kind)
+		}
+		if wl.RemoteNUMA {
+			return 0, fmt.Errorf("hostsim: RemoteNUMA is a pair-topology option")
+		}
+		p, err := parsePattern(wl.Pattern)
+		if err == nil && p == workload.OneToOne && hosts%2 != 0 {
+			err = fmt.Errorf("hostsim: one-to-one needs an even host count (got %d)", hosts)
+		}
+		return p, err
+	}
+	switch wl.Kind {
+	case "long":
+		p, err := parsePattern(wl.Pattern)
+		if err != nil {
+			return 0, err
+		}
+		if p == workload.Single {
+			if wl.N < 0 || wl.N > 1 {
+				return 0, fmt.Errorf("hostsim: single workload N %d outside [0,1]", wl.N)
+			}
+		} else if wl.N < 1 || wl.N > cores {
+			return 0, fmt.Errorf("hostsim: %v workload N %d outside [1,%d]", p, wl.N, cores)
+		}
+		if wl.RemoteNUMA && p != workload.Single {
+			return 0, fmt.Errorf("hostsim: RemoteNUMA supports the single pattern only")
+		}
+		return p, nil
+	case "rpc":
+		if wl.RPCClients <= 0 || wl.RPCSize <= 0 {
+			return 0, fmt.Errorf("hostsim: rpc workload needs RPCClients and RPCSize")
+		}
+		if wl.RPCClients > cores {
+			return 0, fmt.Errorf("hostsim: rpc workload RPCClients %d exceeds %d client cores", wl.RPCClients, cores)
+		}
+	case "mixed":
+		if wl.MixedShort < 0 {
+			return 0, fmt.Errorf("hostsim: negative mixed workload MixedShort %d", wl.MixedShort)
+		}
+		if wl.RPCSize <= 0 {
+			return 0, fmt.Errorf("hostsim: mixed workload needs RPCSize")
+		}
+	default:
+		return 0, fmt.Errorf("hostsim: unknown workload kind %q", wl.Kind)
+	}
+	return 0, nil
+}

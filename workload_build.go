@@ -44,78 +44,59 @@ func flowClasses(b *builtWorkload) map[int32]string {
 	return m
 }
 
-// msgSizes derives the message tracer's flow → message-size map from the
-// workload: long flows message on their 128KB iPerf write unit (tx
-// direction only — the reverse direction carries no data), RPC
-// connections on the request/response size in both directions (requests
-// out, responses back). A positive override replaces every natural size.
-func msgSizes(b *builtWorkload, override int64) map[skb.FlowID]units.Bytes {
-	m := make(map[skb.FlowID]units.Bytes)
-	size := func(natural units.Bytes) units.Bytes {
+// msgSizes derives the message tracer's per-flow message sizes, indexed
+// by flow id, from the workload: long flows message on their 128KB iPerf
+// write unit (tx direction only — the reverse direction carries no data),
+// RPC connections on the request/response size in both directions
+// (requests out, responses back). A positive override replaces every
+// natural size. Untraced flows keep size 0.
+func msgSizes(b *builtWorkload, override int64) []units.Bytes {
+	var sizes []units.Bytes
+	set := func(f skb.FlowID, natural units.Bytes) {
 		if override > 0 {
-			return units.Bytes(override)
+			natural = units.Bytes(override)
 		}
-		return natural
+		if n := int(f) + 1; n > len(sizes) {
+			sizes = append(sizes, make([]units.Bytes, n-len(sizes))...)
+		}
+		sizes[f] = natural
 	}
 	for _, lf := range b.long {
-		m[lf.Sender.TxFlow()] = size(workload.WriteChunk)
+		set(lf.Sender.TxFlow(), workload.WriteChunk)
 	}
 	for _, c := range b.clients {
-		m[c.EP.TxFlow()] = size(c.Size)
-		m[c.EP.RxFlow()] = size(c.Size)
+		set(c.EP.TxFlow(), c.Size)
+		set(c.EP.RxFlow(), c.Size)
 	}
-	return m
+	return sizes
 }
 
-func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, error) {
+// buildWorkload places the workload on the default pair's cores. Run
+// validated the workload first, so the pattern and every scale are in
+// range.
+func buildWorkload(sender, receiver *core.Host, wl Workload, p workload.Pattern) *builtWorkload {
 	b := &builtWorkload{receiverIdx: 1}
 	switch wl.Kind {
 	case "long":
-		p, err := parsePattern(wl.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		n := wl.N
-		if p == workload.Single {
-			n = 1
-		} else if cores := sender.Spec().NumCores(); n < 1 || n > cores {
-			return nil, fmt.Errorf("hostsim: %v workload N %d outside [1,%d]", p, n, cores)
-		}
 		if wl.RemoteNUMA {
-			if p != workload.Single {
-				return nil, fmt.Errorf("hostsim: RemoteNUMA supports the single pattern only")
-			}
 			// Application on the first core of NUMA node 2 (NIC on node 0).
 			rc := receiver.Spec().CoresOnNode(2)[0]
 			sEP, rEP := core.OpenConn(sender, 0, receiver, rc)
 			b.long = []*workload.LongFlow{workload.StartLongFlow(sEP, rEP)}
-			return b, nil
+			return b
+		}
+		n := wl.N
+		if p == workload.Single {
+			n = 1
 		}
 		b.long = workload.LongFlows(sender, receiver, p, n)
-		return b, nil
-
 	case "rpc":
-		if wl.RPCClients <= 0 || wl.RPCSize <= 0 {
-			return nil, fmt.Errorf("hostsim: rpc workload needs RPCClients and RPCSize")
-		}
-		if cores := sender.Spec().NumCores(); wl.RPCClients > cores {
-			return nil, fmt.Errorf("hostsim: rpc workload RPCClients %d exceeds %d client cores", wl.RPCClients, cores)
-		}
 		serverCore := 0
 		if wl.RemoteNUMA {
 			serverCore = receiver.Spec().CoresOnNode(2)[0]
 		}
-		clients, _ := workload.RPCIncast(sender, receiver, wl.RPCClients, serverCore, units.Bytes(wl.RPCSize))
-		b.clients = clients
-		return b, nil
-
+		b.clients, _ = workload.RPCIncast(sender, receiver, wl.RPCClients, serverCore, units.Bytes(wl.RPCSize))
 	case "mixed":
-		if wl.MixedShort < 0 {
-			return nil, fmt.Errorf("hostsim: negative mixed workload MixedShort %d", wl.MixedShort)
-		}
-		if wl.RPCSize <= 0 {
-			wl.RPCSize = 4096
-		}
 		shortCore := 0
 		if wl.Segregate {
 			shortCore = 1
@@ -123,11 +104,8 @@ func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, er
 		lf, clients, _ := workload.MixedSplit(sender, receiver, 0, shortCore, wl.MixedShort, units.Bytes(wl.RPCSize))
 		b.long = []*workload.LongFlow{lf}
 		b.clients = clients
-		return b, nil
-
-	default:
-		return nil, fmt.Errorf("hostsim: unknown workload kind %q", wl.Kind)
 	}
+	return b
 }
 
 // buildFabricWorkload places the long-flow patterns across the cluster's
@@ -137,18 +115,8 @@ func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, er
 // pair. The pattern scale comes from the host count, so Workload.N is
 // ignored; cores on a hot host fill round-robin like the paper's
 // multi-flow placements. RPC and mixed workloads (and RemoteNUMA) remain
-// pair-topology options.
-func buildFabricWorkload(hosts []*core.Host, wl Workload) (*builtWorkload, error) {
-	if wl.Kind != "long" {
-		return nil, fmt.Errorf("hostsim: fabric topologies support the long workload only (got %q)", wl.Kind)
-	}
-	if wl.RemoteNUMA {
-		return nil, fmt.Errorf("hostsim: RemoteNUMA is a pair-topology option")
-	}
-	p, err := parsePattern(wl.Pattern)
-	if err != nil {
-		return nil, err
-	}
+// pair-topology options, which Run's validation enforces.
+func buildFabricWorkload(hosts []*core.Host, p workload.Pattern) *builtWorkload {
 	h := len(hosts)
 	cores := hosts[0].Spec().NumCores()
 	b := &builtWorkload{receiverIdx: 1}
@@ -160,9 +128,6 @@ func buildFabricWorkload(hosts []*core.Host, wl Workload) (*builtWorkload, error
 	case workload.Single:
 		open(0, 0, 1, 0)
 	case workload.OneToOne:
-		if h%2 != 0 {
-			return nil, fmt.Errorf("hostsim: one-to-one needs an even host count (got %d)", h)
-		}
 		for i := 0; i < h; i += 2 {
 			open(i, 0, i+1, 0)
 		}
@@ -196,7 +161,7 @@ func buildFabricWorkload(hosts []*core.Host, wl Workload) (*builtWorkload, error
 			}
 		}
 	}
-	return b, nil
+	return b
 }
 
 func parsePattern(p Pattern) (workload.Pattern, error) {

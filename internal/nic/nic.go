@@ -8,6 +8,7 @@ package nic
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"hostsim/internal/cache"
@@ -174,17 +175,25 @@ type NIC struct {
 	// frame at a time — the frame-level interleaving of a multi-queue
 	// NIC's DMA scheduler. This is what breaks per-flow burst adjacency
 	// on the wire when many cores transmit (Fig. 8c).
-	txqs       []*txq // by core id; nil until the core first transmits
-	txOrder    []*txq // round-robin order: queue creation order
-	txNext     int
+	txqs     []*txq   // by core id; nil until the core first transmits
+	txOrder  []*txq   // round-robin order: queue creation order
+	txReady  []uint64 // bit i set: txOrder[i] holds frames
+	txFrames int      // frames queued across txOrder
+	txNext   int      // txOrder position of the last queue served
+
+	// A frame is serializing while txBusy; its Tx-done is keyed (txAt,
+	// txSeq). txHeld: that Tx-done is reserved but not scheduled, because
+	// no frame was waiting for it (see enqueueTx).
 	txBusy     bool
+	txHeld     bool
+	txAt       sim.Time
+	txSeq      uint64
 	txComplete TxCompleteFunc
 
 	// Frames accepted by SendFrames but still riding the Defer to the
 	// caller's logical completion time (not yet in any Tx queue).
 	txPendingFrames  int
 	txPendingPayload units.Bytes
-	txDone           func() // bound pump-restart event, allocated once
 	txBatchFree      []*txBatch
 
 	tracer    *trace.Tracer // nil = no tracing
@@ -210,9 +219,8 @@ const pageArenaLen = 1024
 type txq struct {
 	frames []*skb.Frame
 	head   int
+	pos    int // index in txOrder, and bit in txReady
 }
-
-func (t *txq) pending() int { return len(t.frames) - t.head }
 
 type rxQueue struct {
 	nic          *NIC
@@ -279,16 +287,14 @@ func New(eng *sim.Engine, sys *exec.System, alloc *mem.Allocator, dca *cache.DCA
 	if eng == nil || sys == nil || alloc == nil || egress == nil || deliver == nil {
 		panic("nic: nil dependency")
 	}
+	cores := sys.Spec().NumCores()
 	n := &NIC{
 		eng: eng, sys: sys, alloc: alloc, dca: dca, cfg: cfg,
 		egress: egress, txRate: egress.Rate(), deliver: deliver,
-		steer:  RSS{Cores: []int{0}},
-		queues: make([]*rxQueue, sys.Spec().NumCores()),
-		txqs:   make([]*txq, sys.Spec().NumCores()),
-	}
-	n.txDone = func() {
-		n.txBusy = false
-		n.pumpTx()
+		steer:   RSS{Cores: []int{0}},
+		queues:  make([]*rxQueue, cores),
+		txqs:    make([]*txq, cores),
+		txReady: make([]uint64, (cores+63)/64),
 	}
 	if dca != nil {
 		dca.SetHazard(n.DCAHazard())
@@ -324,9 +330,6 @@ func (n *NIC) Config() Config { return n.cfg }
 
 // Stats returns a copy of the counters.
 func (n *NIC) Stats() Stats { return n.stats }
-
-// Egress returns the wire attachment (tests).
-func (n *NIC) Egress() wire.Egress { return n.egress }
 
 // queue returns (creating if needed) the Rx queue bound to core.
 func (n *NIC) queue(core int) *rxQueue {
@@ -421,10 +424,9 @@ func (n *NIC) GROHeld() (int, units.Bytes) {
 // still in flight toward them, accepted by SendFrames but not yet pushed
 // onto the wire.
 func (n *NIC) TxQueued() (int, units.Bytes) {
-	frames := n.txPendingFrames
+	frames := n.txPendingFrames + n.txFrames
 	payload := n.txPendingPayload
 	for _, t := range n.txOrder {
-		frames += t.pending()
 		for _, f := range t.frames[t.head:] {
 			payload += f.Len
 		}
@@ -547,12 +549,6 @@ func (n *NIC) SendFrames(ctx *exec.Ctx, frames []*skb.Frame) {
 	ctx.DeferArg(sendFramesEv, b)
 }
 
-// SendFramesNow is SendFrames for non-CPU contexts. It enqueues on queue
-// 0 immediately with no CPU charge; prefer SendFrames.
-func (n *NIC) SendFramesNow(frames []*skb.Frame) {
-	n.enqueueTx(0, frames)
-}
-
 func (n *NIC) enqueueTx(core int, frames []*skb.Frame) {
 	n.stats.TxFrames += int64(len(frames))
 	for _, f := range frames {
@@ -560,51 +556,100 @@ func (n *NIC) enqueueTx(core int, frames []*skb.Frame) {
 	}
 	t := n.txqs[core]
 	if t == nil {
-		t = &txq{}
+		t = &txq{pos: len(n.txOrder)}
 		n.txqs[core] = t
 		n.txOrder = append(n.txOrder, t)
 	}
 	t.frames = append(t.frames, frames...)
+	n.txFrames += len(frames)
+	n.txReady[t.pos/64] |= 1 << (t.pos % 64)
+	if n.txHeld {
+		// A frame now waits on the held Tx-done. If that event would still
+		// be pending, schedule it where it would have dispatched; if it
+		// would already have fired (finding nothing to send), send now.
+		n.txHeld = false
+		if !n.eng.Passed(n.txAt, n.txSeq) {
+			n.eng.AtArgSeq(n.txAt, n.txSeq, txDoneEv, n)
+			return
+		}
+		n.txBusy = false
+	}
 	n.pumpTx()
 }
 
 // pumpTx drains the Tx queues round-robin, one frame per service slot, at
-// line rate.
+// line rate. It reserves the sent frame's Tx-done seq and schedules the
+// event only if another frame is waiting for it; otherwise the Tx-done is
+// held, and the next enqueueTx schedules it or finds it passed.
 func (n *NIC) pumpTx() {
-	if n.txBusy {
+	if n.txBusy || n.txFrames == 0 {
 		return
 	}
 	f := n.nextTxFrame()
-	if f == nil {
-		return
-	}
 	n.txBusy = true
 	f.NICTxAt = n.eng.Now()
 	n.egress.Send(f)
 	if n.txComplete != nil && !f.IsAck() && f.Len > 0 {
 		n.txComplete(f.Flow, f.Len)
 	}
-	n.eng.After(n.txRate.Serialize(f.WireSize()), n.txDone)
+	n.txAt = n.eng.Now().Add(n.txRate.Serialize(f.WireSize()))
+	n.txSeq = n.eng.ReserveSeq()
+	if n.txFrames > 0 {
+		n.eng.AtArgSeq(n.txAt, n.txSeq, txDoneEv, n)
+	} else {
+		n.txHeld = true
+	}
 }
 
+// txDoneEv ends a frame's serialization slot and starts the next frame.
+func txDoneEv(a any) {
+	n := a.(*NIC)
+	n.txBusy = false
+	n.pumpTx()
+}
+
+// nextTxFrame pops the head frame of the first non-empty queue after
+// txNext in txOrder, wrapping. Some queue must hold a frame.
 func (n *NIC) nextTxFrame() *skb.Frame {
-	for i := 0; i < len(n.txOrder); i++ {
-		n.txNext = (n.txNext + 1) % len(n.txOrder)
-		t := n.txOrder[n.txNext]
-		if t.head >= len(t.frames) {
-			continue
-		}
-		f := t.frames[t.head]
-		t.frames[t.head] = nil
-		t.head++
-		if t.head == len(t.frames) {
-			// Drained: rewind so the backing array is reused from the front.
-			t.frames = t.frames[:0]
-			t.head = 0
-		}
-		return f
+	start := n.txNext + 1
+	if start == len(n.txOrder) {
+		start = 0
 	}
-	return nil
+	i := n.nextReady(start)
+	n.txNext = i
+	t := n.txOrder[i]
+	f := t.frames[t.head]
+	t.frames[t.head] = nil
+	t.head++
+	n.txFrames--
+	if t.head == len(t.frames) {
+		// Drained: rewind so the backing array is reused from the front.
+		t.frames = t.frames[:0]
+		t.head = 0
+		n.txReady[i/64] &^= 1 << (i % 64)
+	}
+	return f
+}
+
+// nextReady returns the first txOrder position at or after start whose
+// ready bit is set, wrapping from the last word to the first and round to
+// the start word's lower bits. Some bit must be set.
+func (n *NIC) nextReady(start int) int {
+	words := n.txReady
+	w := start / 64
+	if b := words[w] >> (uint(start) % 64); b != 0 {
+		return start + bits.TrailingZeros64(b)
+	}
+	for k := 1; k <= len(words); k++ {
+		j := w + k
+		if j >= len(words) {
+			j -= len(words)
+		}
+		if b := words[j]; b != 0 {
+			return j*64 + bits.TrailingZeros64(b)
+		}
+	}
+	panic("nic: no Tx queue holds a frame")
 }
 
 // ReceiveFromWire is the link delivery callback: DMA the frame into host

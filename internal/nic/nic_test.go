@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -513,5 +514,324 @@ func TestAckOnlyQueueLeavesPrefillReserved(t *testing.T) {
 	if want := cfg.RxRing * r.alloc.PagesFor(cfg.MTU); st.fresh.N != want || st.base != nil || st.top != nil {
 		t.Errorf("stash = %d fresh, %d base, %d top; want %d fresh and no slices",
 			st.fresh.N, len(st.base), len(st.top), want)
+	}
+}
+
+// refTx is the Tx pump the NIC's is checked against: per-core queues
+// drained round-robin in creation order by a linear walk, with one engine
+// event per frame sent, scheduled whether or not another frame waits.
+type refTx struct {
+	eng      *sim.Engine
+	egress   wire.Egress
+	complete TxCompleteFunc
+	qs       [][]*skb.Frame // by creation order
+	pos      map[int]int    // core → index in qs
+	next     int
+	busy     bool
+	idle     int // Tx-done events that found every queue empty
+}
+
+// send is SendFrames: the same doorbell charge and one deferred landing.
+func (r *refTx) send(ctx *exec.Ctx, frames []*skb.Frame) {
+	ctx.Charge(cpumodel.Netdev, ctx.Costs().TxDoorbell)
+	core, batch := ctx.Core().ID(), append([]*skb.Frame(nil), frames...)
+	ctx.DeferArg(func(any) { r.land(core, batch) }, nil)
+}
+
+func (r *refTx) land(core int, frames []*skb.Frame) {
+	i, ok := r.pos[core]
+	if !ok {
+		i = len(r.qs)
+		r.pos[core] = i
+		r.qs = append(r.qs, nil)
+	}
+	r.qs[i] = append(r.qs[i], frames...)
+	r.pump()
+}
+
+// pump sends one frame if the wire is free and a frame waits, and reports
+// whether it sent.
+func (r *refTx) pump() bool {
+	if r.busy {
+		return false
+	}
+	for range r.qs {
+		r.next = (r.next + 1) % len(r.qs)
+		q := r.qs[r.next]
+		if len(q) == 0 {
+			continue
+		}
+		f := q[0]
+		r.qs[r.next] = q[1:]
+		r.busy = true
+		f.NICTxAt = r.eng.Now()
+		r.egress.Send(f)
+		if r.complete != nil && !f.IsAck() && f.Len > 0 {
+			r.complete(f.Flow, f.Len)
+		}
+		r.eng.After(r.egress.Rate().Serialize(f.WireSize()), r.done)
+		return true
+	}
+	return false
+}
+
+func (r *refTx) done() {
+	r.busy = false
+	if !r.pump() {
+		r.idle++
+	}
+}
+
+// txPath is a Tx pump under test: send is the SendFrames entry, land a
+// deferred batch reaching its queue at an exact instant.
+type txPath struct {
+	send func(ctx *exec.Ctx, frames []*skb.Frame)
+	land func(core int, frames []*skb.Frame)
+}
+
+// txEgress records each frame handed to the wire and lets the scenario
+// aim events at the frame's Tx-done instant.
+type txEgress struct {
+	rate   units.BitRate
+	onSend func(*skb.Frame)
+}
+
+func (e *txEgress) Send(f *skb.Frame)   { e.onSend(f) }
+func (e *txEgress) Rate() units.BitRate { return e.rate }
+
+// txRec is one step of a Tx scenario: an unrelated event (kind 'm'), a
+// frame sent (kind 's', a = frame id, b = NICTxAt) or a completion (kind
+// 'c', a = flow, b = bytes), at the engine time it happened.
+type txRec struct {
+	kind byte
+	at   sim.Time
+	a, b int64
+}
+
+// txScenario drives one Tx pump with a seeded mix. One chain of ticks
+// submits multi-core SendFrames bursts or lands a batch directly, with
+// idle gaps long enough for every queue to drain. Leaf events aimed
+// exactly at Tx-done instants land batches there: scheduled from the
+// egress and the completion callback, before the Tx-done's seq is
+// reserved, and from a tick after it. Every random draw happens inside a
+// callback, so two pumps stay in step only if they dispatch in the same
+// order. It returns the trace and the engine's fired count.
+func txScenario(seed int64, mk func(eng *sim.Engine, sys *exec.System, egress wire.Egress, complete TxCompleteFunc) txPath) ([]txRec, uint64) {
+	const maxFrames, ticks = 3000, 1500
+	eng := sim.NewEngine(1)
+	spec := topology.Default()
+	sys := exec.NewSystem(eng, spec, cpumodel.Default())
+	rng := rand.New(rand.NewSource(seed))
+	egress := &txEgress{rate: spec.LinkRate}
+	var path txPath
+	var trace []txRec
+	var lastDone sim.Time // Tx-done instant of the frame sent last
+	ids, marks := 0, 0
+	burst := func(core int) []*skb.Frame {
+		out := make([]*skb.Frame, 1+rng.Intn(3))
+		for i := range out {
+			f := &skb.Frame{Flow: skb.FlowID(core), Seq: int64(ids)}
+			if rng.Intn(4) == 0 {
+				f.Ack = &skb.AckInfo{Cum: int64(ids)}
+			} else {
+				f.Len = units.Bytes(64 + rng.Intn(8934))
+			}
+			ids++
+			out[i] = f
+		}
+		return out
+	}
+	land := func() {
+		if ids < maxFrames {
+			core := rng.Intn(spec.NumCores())
+			path.land(core, burst(core))
+		}
+	}
+	// mark schedules an unrelated event at; leaf marks land a batch or not,
+	// the tick chain also submits bursts and schedules its successor.
+	var mark func(at sim.Time, tick bool)
+	mark = func(at sim.Time, tick bool) {
+		k := marks
+		marks++
+		eng.At(at, func() {
+			trace = append(trace, txRec{kind: 'm', at: eng.Now(), a: int64(k)})
+			if !tick {
+				if rng.Intn(2) == 0 {
+					land()
+				}
+				return
+			}
+			switch rng.Intn(3) {
+			case 0: // bursts from several cores at once
+				for c := rng.Intn(3); c >= 0 && ids < maxFrames; c-- {
+					core := rng.Intn(spec.NumCores())
+					fs := burst(core)
+					sys.Core(core).RaiseSoftirq(func(ctx *exec.Ctx) {
+						ctx.Charge(cpumodel.TCPIP, units.Cycles(rng.Intn(3000)))
+						path.send(ctx, fs)
+					})
+				}
+			case 1:
+				land()
+			}
+			now := eng.Now()
+			if lastDone >= now && rng.Intn(2) == 0 {
+				mark(lastDone, false) // after the Tx-done's seq was reserved
+			}
+			if k >= ticks {
+				return
+			}
+			if rng.Intn(3) == 0 { // an idle gap: every queue drains first
+				mark(now+sim.Time(20_000+rng.Intn(20_000)), true)
+			} else {
+				mark(now+sim.Time(rng.Intn(3000)), true)
+			}
+		})
+	}
+	egress.onSend = func(f *skb.Frame) {
+		trace = append(trace, txRec{kind: 's', at: eng.Now(), a: f.Seq, b: int64(f.NICTxAt)})
+		lastDone = eng.Now().Add(egress.rate.Serialize(f.WireSize()))
+		if rng.Intn(3) == 0 {
+			mark(lastDone, false) // before the Tx-done's seq is reserved
+		}
+	}
+	complete := func(flow skb.FlowID, b units.Bytes) {
+		trace = append(trace, txRec{kind: 'c', at: eng.Now(), a: int64(flow), b: int64(b)})
+		if rng.Intn(4) == 0 {
+			mark(lastDone, false)
+		}
+	}
+	path = mk(eng, sys, egress, complete)
+	mark(0, true)
+	eng.Run(sim.Time(time.Second))
+	return trace, eng.Fired()
+}
+
+// The NIC's Tx pump, which schedules a Tx-done only when a frame waits for
+// it, sends every frame and completes it exactly where one event per frame
+// would, with every event around it in the same order, and fires exactly
+// the reference's events less the Tx-dones that found every queue empty.
+func TestTxPumpMatchesPerFrameEvents(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		var n *NIC
+		got, gotFired := txScenario(seed, func(eng *sim.Engine, sys *exec.System, egress wire.Egress, complete TxCompleteFunc) txPath {
+			alloc := mem.NewAllocator(topology.Default(), cpumodel.Default())
+			n = New(eng, sys, alloc, nil, DefaultConfig(), egress, func(*exec.Ctx, *skb.SKB) {})
+			n.SetTxComplete(complete)
+			return txPath{send: n.SendFrames, land: n.enqueueTx}
+		})
+		var ref *refTx
+		want, wantFired := txScenario(seed, func(eng *sim.Engine, _ *exec.System, egress wire.Egress, complete TxCompleteFunc) txPath {
+			ref = &refTx{eng: eng, egress: egress, complete: complete, pos: map[int]int{}}
+			return txPath{send: ref.send, land: ref.land}
+		})
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d records, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: record %d = %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
+		if ref.idle == 0 || gotFired != wantFired-uint64(ref.idle) {
+			t.Errorf("seed %d: fired %d, reference %d with %d idle Tx-dones; want exactly the idle ones saved",
+				seed, gotFired, wantFired, ref.idle)
+		}
+		// Drained, the last Tx-done is held (not an engine event) and past.
+		if f, _ := n.TxQueued(); f != 0 || !n.txHeld || !n.eng.Passed(n.txAt, n.txSeq) {
+			t.Errorf("seed %d: pump not idle at the end: %d queued, held %v", seed, f, n.txHeld)
+		}
+	}
+}
+
+// TestTxRoundRobinPastOneWord runs the ready bitmap on a 2 × 40-core
+// machine with all 80 Tx queues in use, created in a scrambled core order,
+// and checks every frame sent against a linear walk over txOrder from the
+// last queue served: across words, from the last word back to the first,
+// and round to a lower bit of the word the scan started in.
+func TestTxRoundRobinPastOneWord(t *testing.T) {
+	eng := sim.NewEngine(1)
+	spec := topology.Default()
+	spec.NUMANodes, spec.CoresPerNode = 2, 40
+	sys := exec.NewSystem(eng, spec, cpumodel.Default())
+	alloc := mem.NewAllocator(spec, cpumodel.Default())
+	nq := spec.NumCores()
+	// Shadow of the NIC's queues by txOrder position, and the walk's state.
+	order := rand.New(rand.NewSource(3)).Perm(nq) // txOrder position → core
+	posOf := make([]int, nq)
+	for p, c := range order {
+		posOf[c] = p
+	}
+	shadow := make([]int, nq)
+	last := 0
+	sent, crossWord, lastToFirst, sameWord := 0, 0, 0, 0
+	egress := &txEgress{rate: spec.LinkRate}
+	egress.onSend = func(f *skb.Frame) {
+		want := -1
+		for k := 1; k <= nq; k++ {
+			if p := (last + k) % nq; shadow[p] > 0 {
+				want = p
+				break
+			}
+		}
+		got := posOf[f.Flow]
+		if got != want {
+			t.Fatalf("frame %d: sent from position %d (core %d), linear walk from %d picks %d",
+				sent, got, f.Flow, last, want)
+		}
+		start := (last + 1) % nq
+		switch {
+		case got/64 == 0 && start/64 == 1:
+			lastToFirst++
+		case got/64 == 1 && start/64 == 0:
+			crossWord++
+		case got < start:
+			sameWord++
+		}
+		shadow[got]--
+		last = got
+		sent++
+	}
+	n := New(eng, sys, alloc, nil, DefaultConfig(), egress, func(*exec.Ctx, *skb.SKB) {})
+	land := func(p, k int) {
+		fs := make([]*skb.Frame, k)
+		for i := range fs {
+			fs[i] = &skb.Frame{Flow: skb.FlowID(order[p]), Len: 1434}
+		}
+		shadow[p] += k
+		n.enqueueTx(order[p], fs)
+	}
+	at := sim.Time(0)
+	step := func(gap sim.Time, fn func()) {
+		at += gap
+		eng.At(at, fn)
+	}
+	// Create every queue in txOrder order, with uneven depths so queues
+	// drop out of the rotation at different rounds.
+	step(0, func() {
+		for p := 0; p < nq; p++ {
+			land(p, 1+p%5)
+		}
+	})
+	// After an idle gap, single queues: the scan from the last queue served
+	// wraps to a lower bit of its own word, or on to the other word.
+	for _, p := range []int{75, 70, 3, 1, 66, 64, 79, 0} {
+		step(100_000, func() { land(p, 1) })
+	}
+	// Random refills landing mid-drain.
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		step(sim.Time(rng.Intn(2000)), func() { land(rng.Intn(nq), 1+rng.Intn(3)) })
+	}
+	eng.Run(at + sim.Time(time.Millisecond))
+	if int64(sent) != n.Stats().TxFrames {
+		t.Errorf("sent %d frames, NIC counted %d", sent, n.Stats().TxFrames)
+	}
+	if f, _ := n.TxQueued(); f != 0 {
+		t.Errorf("%d frames still queued", f)
+	}
+	if lastToFirst == 0 || crossWord == 0 || sameWord == 0 {
+		t.Errorf("scan coverage: %d last-to-first-word wraps, %d cross-word steps, %d same-word wraps; want each > 0",
+			lastToFirst, crossWord, sameWord)
 	}
 }

@@ -12,14 +12,17 @@ import (
 // dispatch traces. The oracle is the simplest scheduler that obviously
 // dispatches in (at, seq) order: a binary min-heap of event pointers. It
 // schedules a reserved sequence number at reservation time, so it is also
-// the ground truth for Engine.ReserveSeq/AtArgSeq deferred schedules.
+// the ground truth for Engine.ReserveSeq/AtArgSeq deferred schedules, and
+// for Engine.Passed: a reservation has passed once the oracle dispatched
+// its event.
 
 // oracleEvent is one oracle schedule; idx < 0 means not pending.
 type oracleEvent struct {
-	at  Time
-	seq uint64
-	fn  func()
-	idx int
+	at    Time
+	seq   uint64
+	fn    func()
+	idx   int
+	fired bool
 }
 
 // heapSched is the oracle's queue: a binary min-heap ordered by (at, seq).
@@ -124,6 +127,9 @@ type subject interface {
 	// it. Between the two, other schedules may take later numbers.
 	reserve(t Time, fn func()) int
 	commit(r int)
+	// passed reports whether reservation r's event has dispatched, or
+	// would have if it had been committed.
+	passed(r int) bool
 }
 
 // reservation is a reserved-but-uncommitted schedule.
@@ -154,12 +160,17 @@ func (s *engineSubject) commit(r int) {
 	s.AtArgSeq(rv.at, rv.seq, func(any) { rv.fn() }, nil)
 }
 
+func (s *engineSubject) passed(r int) bool {
+	rv := s.reserved[r]
+	return s.Passed(rv.at, rv.seq)
+}
+
 type oracle struct {
 	now  Time
 	seq  uint64
 	h    heapSched
 	evs  []*oracleEvent
-	resv int
+	resv []*oracleEvent
 }
 
 func (o *oracle) Now() Time    { return o.now }
@@ -205,12 +216,13 @@ func (o *oracle) reset(i int, at Time) bool {
 // reserve schedules at once: the oracle's answer for where a deferred
 // schedule under a reserved sequence number must dispatch.
 func (o *oracle) reserve(t Time, fn func()) int {
-	o.add(t, fn)
-	o.resv++
-	return o.resv - 1
+	o.resv = append(o.resv, o.add(t, fn))
+	return len(o.resv) - 1
 }
 
 func (o *oracle) commit(int) {}
+
+func (o *oracle) passed(r int) bool { return o.resv[r].fired }
 
 func (o *oracle) Run(horizon Time) Time {
 	for {
@@ -219,6 +231,7 @@ func (o *oracle) Run(horizon Time) Time {
 			break
 		}
 		o.now = ev.at
+		ev.fired = true
 		ev.fn()
 	}
 	if o.now < horizon {
@@ -368,6 +381,117 @@ func TestTimerEdgeCases(t *testing.T) {
 	})
 }
 
+// TestPassedEdgeCases pins Engine.Passed where its answer turns: the
+// same-instant keys on both sides of the dispatching one, a run that
+// advances the clock to its horizon, and the state Halt and Step leave.
+func TestPassedEdgeCases(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, e *Engine)
+	}{
+		{"fresh engine has passed nothing", func(t *testing.T, e *Engine) {
+			s := e.ReserveSeq()
+			if e.Passed(0, s) {
+				t.Error("Passed(0, first seq) before any dispatch")
+			}
+		}},
+		{"same instant, both sides of the dispatching seq", func(t *testing.T, e *Engine) {
+			before, self, after := e.ReserveSeq(), e.ReserveSeq(), e.ReserveSeq()
+			var ranAt Time
+			e.AtArgSeq(100, self, func(any) {
+				for _, c := range []struct {
+					at   Time
+					seq  uint64
+					want bool
+				}{
+					{100, before, true},
+					{100, self, true},
+					{100, after, false},
+					{99, after, true},
+					{101, before, false},
+				} {
+					if got := e.Passed(c.at, c.seq); got != c.want {
+						t.Errorf("Passed(%v, %d) = %v during seq %d, want %v", c.at, c.seq, got, self, c.want)
+					}
+				}
+				// The later key is still schedulable and lands this instant.
+				e.AtArgSeq(100, after, func(any) { ranAt = e.Now() }, nil)
+			}, nil)
+			e.Run(1000)
+			if ranAt != 100 {
+				t.Errorf("the later same-instant key dispatched at %v, want 100", ranAt)
+			}
+		}},
+		{"run to the horizon clears the instant", func(t *testing.T, e *Engine) {
+			e.At(50, func() {})
+			late := e.ReserveSeq()
+			if got := e.Run(100); got != 100 {
+				t.Fatalf("Run(100) = %v", got)
+			}
+			if e.Passed(100, 0) || e.Passed(100, late) {
+				t.Error("Passed(H, s) after Run(H): nothing at H has dispatched")
+			}
+			if !e.Passed(99, late) {
+				t.Error("Passed(H-1, s) after Run(H) must be true")
+			}
+		}},
+		{"event at the horizon has not passed", func(t *testing.T, e *Engine) {
+			s := e.ReserveSeq()
+			e.AtArgSeq(100, s, func(any) {}, nil)
+			e.Run(100)
+			if e.Passed(100, s) {
+				t.Error("an event at the exclusive horizon reported passed")
+			}
+		}},
+		{"halt keeps the halting instant", func(t *testing.T, e *Engine) {
+			halter, held := e.ReserveSeq(), e.ReserveSeq()
+			e.AtArgSeq(100, halter, func(any) { e.Halt() }, nil)
+			e.At(200, func() {})
+			e.Run(1000)
+			if e.Now() != 100 {
+				t.Fatalf("halted at %v, want 100", e.Now())
+			}
+			// A horizon at Now() moves nothing, so it clears nothing.
+			e.Run(100)
+			if !e.Passed(100, halter) || e.Passed(100, held) {
+				t.Error("after Halt: the halting seq must have passed, a later one not")
+			}
+			fired := false
+			e.AtArgSeq(100, held, func(any) { fired = true }, nil)
+			e.Run(1000)
+			if !fired {
+				t.Error("a held seq scheduled after Halt did not dispatch")
+			}
+		}},
+		{"step dispatches one key", func(t *testing.T, e *Engine) {
+			a, b := e.ReserveSeq(), e.ReserveSeq()
+			e.AtArgSeq(10, a, func(any) {}, nil)
+			e.AtArgSeq(10, b, func(any) {}, nil)
+			e.Step()
+			if !e.Passed(10, a) || e.Passed(10, b) {
+				t.Error("after one Step only the first same-instant key has passed")
+			}
+		}},
+		{"scheduling a passed key panics", func(t *testing.T, e *Engine) {
+			a, b := e.ReserveSeq(), e.ReserveSeq()
+			e.AtArgSeq(10, b, func(any) {
+				defer func() {
+					if recover() == nil {
+						t.Error("AtArgSeq under a passed key should panic")
+					}
+				}()
+				e.AtArgSeq(10, a, func(any) {}, nil)
+			}, nil)
+			e.Run(100)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run(t, NewEngine(1))
+		})
+	}
+}
+
 // traceRec is one dispatched event: when it fired and which logical event
 // it was. Equal traces mean equal dispatch order.
 type traceRec struct {
@@ -467,14 +591,23 @@ func TestSchedulerEquivalence(t *testing.T) {
 	}
 }
 
+// Passed answers go into the trace as these ids, so the oracle checks them.
+const (
+	passedYes = -1
+	passedNo  = -2
+)
+
 // runScript interprets data as a deterministic op stream against one
 // subject: schedule (with a delta whose shift reaches far futures), stop,
-// reset, run-to-horizon, and a reserved sequence number taken now and
-// committed by a later op or before the next run. Returns the dispatch
-// trace and the leftover pending count.
+// reset, run-to-horizon, a reserved sequence number taken now and
+// committed by a later op or before the run that reaches it, and a Passed
+// query on a reservation. Every dispatch also asks Passed of one
+// reservation, so same-instant keys on both sides of the dispatching one
+// are queried. Returns the trace and the leftover pending count.
 func runScript(s subject, data []byte) ([]traceRec, int) {
 	var trace []traceRec
-	var held []int
+	var resv []Time // each reservation's time, by reservation index
+	var held []int  // reservations not yet committed, oldest first
 	id := 0
 	pos := 0
 	next := func() byte {
@@ -485,19 +618,38 @@ func runScript(s subject, data []byte) ([]traceRec, int) {
 		pos++
 		return b
 	}
+	ask := func(r int) {
+		ans := passedNo
+		if s.passed(r) {
+			ans = passedYes
+		}
+		trace = append(trace, traceRec{s.Now(), ans})
+	}
 	record := func() func() {
 		myID := id
 		id++
-		return func() { trace = append(trace, traceRec{s.Now(), myID}) }
-	}
-	commitAll := func() {
-		for _, r := range held {
-			s.commit(r)
+		return func() {
+			trace = append(trace, traceRec{s.Now(), myID})
+			if len(resv) > 0 {
+				ask(myID % len(resv))
+			}
 		}
-		held = held[:0]
+	}
+	// commitBefore commits the held reservations a run to horizon would
+	// reach; the rest stay held across the run.
+	commitBefore := func(horizon Time) {
+		kept := held[:0]
+		for _, r := range held {
+			if resv[r] < horizon {
+				s.commit(r)
+			} else {
+				kept = append(kept, r)
+			}
+		}
+		held = kept
 	}
 	for pos < len(data) {
-		switch next() % 6 {
+		switch next() % 7 {
 		case 0: // schedule at now + (b << s), s up to 44
 			b, sh := Time(next()), uint(next())%45
 			s.schedule(s.Now()+(b<<sh), record())
@@ -510,30 +662,41 @@ func runScript(s subject, data []byte) ([]traceRec, int) {
 				i := int(next()) % s.timers()
 				s.reset(i, s.Now()+Time(next()))
 			}
-		case 3: // run forward; reserved schedules must be in before
-			commitAll()
-			s.Run(s.Now() + Time(next())*17 + 1)
+		case 3: // run forward; reservations it reaches must be in before
+			h := s.Now() + Time(next())*17 + 1
+			commitBefore(h)
+			s.Run(h)
 		case 4: // reserve a sequence number for an event at now + delta
-			held = append(held, s.reserve(s.Now()+Time(next()), record()))
-		case 5: // commit the oldest held reservation
-			if len(held) > 0 {
+			at := s.Now() + Time(next())
+			resv = append(resv, at)
+			held = append(held, s.reserve(at, record()))
+		case 5: // commit the oldest held reservation, possibly after runs
+			if len(held) > 0 && !s.passed(held[0]) {
 				s.commit(held[0])
 				held = held[1:]
 			}
+		case 6: // ask whether a reservation, held or committed, has passed
+			if len(resv) > 0 {
+				ask(int(next()) % len(resv))
+			}
 		}
 	}
-	commitAll()
-	s.Run(s.Now() + Time(1)<<21)
+	h := s.Now() + Time(1)<<21
+	commitBefore(h)
+	s.Run(h)
 	return trace, s.Pending()
 }
 
 // FuzzScheduler feeds the same op script to the engine and the oracle and
-// requires identical dispatch traces.
+// requires identical traces: dispatches, and Passed answers equal to
+// whether the oracle has dispatched the reservation's event.
 func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 20, 0, 3, 200})
 	f.Add([]byte{0, 255, 40, 0, 1, 0, 3, 9, 0, 3, 3, 1, 0, 2, 0, 77, 3, 255})
 	f.Add([]byte{0, 1, 0, 0, 1, 0, 0, 1, 0, 2, 0, 0, 3, 1})
 	f.Add([]byte{4, 9, 0, 9, 0, 0, 9, 0, 5, 4, 9, 3, 2, 4, 0, 5, 3, 1})
+	f.Add([]byte{4, 40, 4, 0, 0, 40, 0, 4, 40, 6, 0, 3, 1, 6, 2, 5, 3, 3, 6, 0, 6, 1, 6, 2})
+	f.Add([]byte{4, 18, 0, 5, 0, 3, 1, 6, 0, 5, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return

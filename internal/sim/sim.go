@@ -142,6 +142,7 @@ type Engine struct {
 	seq    uint64
 	rng    *rand.Rand
 	fired  uint64
+	dseq   uint64 // seq+1 of the event dispatched at now; 0 if none has yet
 	halted bool
 	q      []entry  // 4-ary min-heap on (at, seq)
 	free   []*event // recycled event structs (steady-state scheduling is allocation-free)
@@ -161,8 +162,19 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Pending returns the number of scheduled events. Work that a component
 // keeps queued outside the engine is not counted: a wire link holds one
 // event for the frame at the head of its in-flight FIFO, and the frames
-// behind the head are not engine events until they reach it.
+// behind the head are not engine events until they reach it; a NIC whose
+// Tx queues are empty holds its Tx-done as a reserved seq, not an event.
 func (e *Engine) Pending() int { return len(e.q) }
+
+// Passed reports whether an event keyed (at, seq) would already have
+// dispatched: at is before Now(), or at == Now() and seq is at or below
+// that of the event dispatching now (or last dispatched, between Steps or
+// after a Halt). After Run advances the clock to its horizon, nothing at
+// the new Now() has dispatched. A reservation that has not Passed may
+// still be scheduled with AtArgSeq and lands where it would have.
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	return at < e.now || (at == e.now && seq < e.dseq)
+}
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -235,15 +247,17 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) Timer {
 // AtArgSeq schedules fn(arg) at absolute time t under seq, a number taken
 // earlier from ReserveSeq. Dispatch order is strict (at, seq), so the
 // event lands exactly where a schedule made at reservation time would
-// have, provided nothing ordered after (t, seq) has dispatched yet: always
-// true when t is after Now(), and at t == Now() when seq is above that of
-// the event now dispatching.
+// have, provided nothing ordered after (t, seq) has dispatched yet, that
+// is, provided !Passed(t, seq). Scheduling under a passed key panics.
 func (e *Engine) AtArgSeq(t Time, seq uint64, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("sim: scheduling nil event")
 	}
 	if seq >= e.seq {
 		panic(fmt.Sprintf("sim: sequence %d was never reserved", seq))
+	}
+	if e.Passed(t, seq) {
+		panic(fmt.Sprintf("sim: scheduling at %v under sequence %d, which has passed", t, seq))
 	}
 	return e.schedule(t, seq, nil, fn, arg)
 }
@@ -283,7 +297,9 @@ func (e *Engine) Run(horizon Time) Time {
 	if e.now < horizon && (!e.halted || len(e.q) == 0) {
 		// The horizon was reached or the queue drained before it: time
 		// still advances to it so rate metrics divide by the full window.
+		// Nothing at the new instant has dispatched yet.
 		e.now = horizon
+		e.dseq = 0
 	}
 	return e.now
 }
@@ -302,6 +318,7 @@ func (e *Engine) Step() bool {
 // be reused for a schedule performed inside the callback itself.
 func (e *Engine) dispatch(en entry) {
 	e.now = en.at
+	e.dseq = en.seq + 1
 	e.fired++
 	ev := en.ev
 	fn, fnA, arg := ev.fn, ev.fnA, ev.arg

@@ -57,11 +57,14 @@ smoke:
 # fuzz-smoke is the CI fuzz gate: short coverage-guided walks of the
 # configuration space with the conservation-law checker as the oracle.
 # FuzzConfig sanitizes its input into valid configs; FuzzRunRaw feeds raw
-# fields and also requires that Run never panics. Run `go test
-# -fuzz=FuzzConfig .` (no -fuzztime) to hunt open-ended.
+# fields and also requires that Run never panics. FuzzScheduler drives the
+# event engine and a binary-heap oracle with one op script and requires
+# identical traces. Run `go test -fuzz=FuzzConfig .` (no -fuzztime) to
+# hunt open-ended.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzConfig -fuzztime=30s -run FuzzConfig .
 	$(GO) test -fuzz=FuzzRunRaw -fuzztime=30s -run FuzzRunRaw .
+	$(GO) test -fuzz=FuzzScheduler -fuzztime=30s -run FuzzScheduler ./internal/sim
 
 figures:
 	$(GO) run ./cmd/figures

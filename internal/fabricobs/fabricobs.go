@@ -140,14 +140,56 @@ type PortReport struct {
 	Bursts int64 // microbursts detected on the port (including unretained)
 }
 
-// burst is an open (unclosed) microburst.
+// burst is an open (unclosed) microburst. Its per-flow frame counts are
+// dense by flow id and kept across bursts: closing one zeroes only the
+// counts it touched.
 type burst struct {
 	start    sim.Time
 	peakBack units.Bytes
 	peakOcc  units.Bytes
 	frames   int64
 	drops    int64
-	flows    map[skb.FlowID]int64
+	flows    []int64      // frames per flow id; zero for flows not in ids
+	ids      []skb.FlowID // flows with a nonzero count, in first-frame order
+}
+
+// count adds one frame of flow id to the burst.
+func (b *burst) count(id skb.FlowID) {
+	if int(id) >= len(b.flows) {
+		b.flows = append(b.flows, make([]int64, int(id)+1-len(b.flows))...)
+	}
+	if b.flows[id] == 0 {
+		b.ids = append(b.ids, id)
+	}
+	b.flows[id]++
+}
+
+// stamps is a FIFO of send times, one per frame in flight on a port's
+// egress link. A link delivers in send order and a dropped frame never
+// enters it, so the head is the stamp of the next frame delivered.
+type stamps struct {
+	ring []sim.Time // power-of-two length
+	head int
+	n    int
+}
+
+func (q *stamps) push(t sim.Time) {
+	if q.n == len(q.ring) {
+		ring := make([]sim.Time, max(16, 2*len(q.ring)))
+		for i := 0; i < q.n; i++ {
+			ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+		}
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = t
+	q.n++
+}
+
+func (q *stamps) pop() sim.Time {
+	t := q.ring[q.head]
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return t
 }
 
 // portState is one port's accumulation state.
@@ -165,14 +207,17 @@ type portState struct {
 	// stale counts deliveries of frames sent before the observer attached
 	// (possible when workload setup transmits synchronously); they carry
 	// no send stamp, so they are excluded from the hop histogram and the
-	// egress ledger identity.
-	stale int64
+	// egress ledger identity. The link was carrying them at attach and
+	// delivers in order, so they are its first deliveries after attach.
+	stale     int64
+	unstamped int64 // frames in flight at attach, not yet delivered
 
 	peakBacklog, peakOccupancy units.Bytes
 	hop                        *metrics.Histogram
-	sendAt                     map[*skb.Frame]sim.Time
+	sendAt                     stamps // frames stamped at send, not yet delivered
 
-	cur        *burst
+	cur        *burst // &open while a burst is open, else nil
+	open       burst
 	burstCount int64
 
 	// Private-registry rate-gauge state (read only by the observer's own
@@ -250,12 +295,12 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 			out:         p.Out(),
 			port:        p,
 			hop:         metrics.NewLatency(),
-			sendAt:      make(map[*skb.Frame]sim.Time),
 			utilT:       o.attachedAt,
 			markT:       o.attachedAt,
 			baseIngress: p.Stats(),
 			baseLink:    p.Out().Stats(),
 		}
+		ps.unstamped, _ = p.Out().InFlight()
 		ps.baseOnWire = ps.onWire()
 		ps.utilTx = ps.baseOnWire
 		ps.markN = ps.baseLink.Marked
@@ -265,7 +310,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 	for _, ps := range o.ports {
 		ps := ps
 		ps.out.AddTap(func(f *skb.Frame, dropped bool) { o.wireTap(ps, f, dropped) })
-		ps.out.SetDeliverTap(func(f *skb.Frame) { o.deliverTap(ps, f) })
+		ps.out.SetDeliverTap(func(*skb.Frame) { o.deliverTap(ps) })
 	}
 	o.registerTimeline()
 	o.smp = telemetry.NewSampler(eng, o.reg, o.opts.SampleInterval, o.opts.MaxSamples)
@@ -312,18 +357,17 @@ func (o *Observer) wireTap(ds *portState, f *skb.Frame, dropped bool) {
 		ds.wireLoss++
 		return
 	}
-	ds.sendAt[f] = o.eng.Now()
+	ds.sendAt.push(o.eng.Now())
 }
 
 // deliverTap is the egress-edge stamp closing the hop.
-func (o *Observer) deliverTap(ds *portState, f *skb.Frame) {
-	t0, ok := ds.sendAt[f]
-	if !ok {
+func (o *Observer) deliverTap(ds *portState) {
+	if ds.unstamped > 0 {
+		ds.unstamped--
 		ds.stale++ // sent before attach: no stamp, keep the ledger exact
 	} else {
 		ds.delivered++
-		delete(ds.sendAt, f)
-		ds.hop.Record(float64(o.eng.Now() - t0))
+		ds.hop.Record(float64(o.eng.Now() - ds.sendAt.pop()))
 	}
 	if b := ds.cur; b != nil && ds.out.Backlog() <= o.opts.BurstThreshold/2 {
 		o.closeBurst(ds, o.eng.Now(), false)
@@ -333,7 +377,7 @@ func (o *Observer) deliverTap(ds *portState, f *skb.Frame) {
 func (o *Observer) burstEnqueue(ds *portState, f *skb.Frame, depth, occ units.Bytes) {
 	if b := ds.cur; b != nil {
 		b.frames++
-		b.flows[f.Flow]++
+		b.count(f.Flow)
 		if depth > b.peakBack {
 			b.peakBack = depth
 		}
@@ -343,13 +387,14 @@ func (o *Observer) burstEnqueue(ds *portState, f *skb.Frame, depth, occ units.By
 		return
 	}
 	if depth >= o.opts.BurstThreshold {
-		ds.cur = &burst{
-			start:    o.eng.Now(),
-			peakBack: depth,
-			peakOcc:  occ,
-			frames:   1,
-			flows:    map[skb.FlowID]int64{f.Flow: 1},
-		}
+		b := &ds.open
+		b.start = o.eng.Now()
+		b.peakBack = depth
+		b.peakOcc = occ
+		b.frames = 1
+		b.drops = 0
+		b.count(f.Flow)
+		ds.cur = b
 	}
 }
 
@@ -357,31 +402,35 @@ func (o *Observer) closeBurst(ds *portState, end sim.Time, truncated bool) {
 	b := ds.cur
 	ds.cur = nil
 	ds.burstCount++
-	if len(o.bursts) >= o.opts.MaxBursts {
+	if len(o.bursts) < o.opts.MaxBursts {
+		o.bursts = append(o.bursts, BurstEvent{
+			Port:           ds.id,
+			Host:           o.names[ds.id],
+			Start:          b.start.Duration(),
+			Duration:       (end - b.start).Duration(),
+			PeakBacklog:    int64(b.peakBack),
+			PeakOccupancy:  int64(b.peakOcc),
+			Frames:         b.frames,
+			AdmissionDrops: b.drops,
+			Truncated:      truncated,
+			Flows:          topFlows(b.flows, b.ids, o.opts.BurstFlows),
+		})
+	} else {
 		o.overflow++
-		return
 	}
-	ev := BurstEvent{
-		Port:           ds.id,
-		Host:           o.names[ds.id],
-		Start:          b.start.Duration(),
-		Duration:       (end - b.start).Duration(),
-		PeakBacklog:    int64(b.peakBack),
-		PeakOccupancy:  int64(b.peakOcc),
-		Frames:         b.frames,
-		AdmissionDrops: b.drops,
-		Truncated:      truncated,
+	for _, id := range b.ids {
+		b.flows[id] = 0
 	}
-	ev.Flows = topFlows(b.flows, o.opts.BurstFlows)
-	o.bursts = append(o.bursts, ev)
+	b.ids = b.ids[:0]
 }
 
-// topFlows returns the k largest contributors, frames descending, flow id
-// ascending on ties — deterministic regardless of map iteration order.
-func topFlows(flows map[skb.FlowID]int64, k int) []FlowFrames {
-	out := make([]FlowFrames, 0, len(flows))
-	for id, n := range flows {
-		out = append(out, FlowFrames{Flow: int32(id), Frames: n})
+// topFlows returns the k largest contributors among ids, whose frame
+// counts flows holds by flow id: frames descending, flow id ascending on
+// ties.
+func topFlows(flows []int64, ids []skb.FlowID, k int) []FlowFrames {
+	out := make([]FlowFrames, 0, len(ids))
+	for _, id := range ids {
+		out = append(out, FlowFrames{Flow: int32(id), Frames: flows[id]})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Frames != out[j].Frames {
@@ -477,7 +526,7 @@ func (o *Observer) Finalize() {
 			Enqueued:           ps.enqueued,
 			Delivered:          ps.delivered,
 			WireLossDrops:      ps.wireLoss,
-			InFlight:           int64(len(ps.sendAt)),
+			InFlight:           int64(ps.sendAt.n),
 			ECNMarks:           ps.marked,
 			TxBytes:            int64(tx),
 			Utilization:        util,
@@ -539,7 +588,7 @@ func (o *Observer) Reconcile() error {
 			{"wire_loss", ps.wireLoss, lnk.Dropped - ps.baseLink.Dropped},
 			{"ecn_marks", ps.marked, lnk.Marked - ps.baseLink.Marked},
 			{"in==forwarded+admission", ps.in, ps.forwarded + ps.admissionDrops},
-			{"enqueued==delivered+loss+inflight", ps.enqueued, ps.delivered + ps.wireLoss + int64(len(ps.sendAt))},
+			{"enqueued==delivered+loss+inflight", ps.enqueued, ps.delivered + ps.wireLoss + int64(ps.sendAt.n)},
 		}
 		for _, c := range checks {
 			if c.obs != c.want {

@@ -82,6 +82,39 @@ func TestLedgerIdentities(t *testing.T) {
 	}
 }
 
+// TestAttachMidFlight attaches the observer while frames are on the
+// wire. Those frames carry no send stamp: they are stale, not delivered,
+// and the frames sent after attach get their own hop latencies.
+func TestAttachMidFlight(t *testing.T) {
+	eng := sim.NewEngine(1)
+	fb := fabric.New(eng, slowCfg(2), discard)
+	fb.Register(1, 1, 0)
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			fb.Port(1).Send(&skb.Frame{Flow: 1, Len: 1500})
+		}
+	}
+	send(5)
+	attach := sim.Time(20 * time.Microsecond) // the first frame is delivered by then
+	eng.Run(attach)
+	obs := New(eng, fb, []string{"ha", "hb"}, Options{})
+	send(3)
+	eng.Run(sim.Time(time.Millisecond))
+	if err := obs.Reconcile(); err != nil {
+		t.Fatalf("reconcile: %v", err)
+	}
+	rep := obs.PortReports()[0]
+	if rep.Enqueued != 3 || rep.Delivered != 3 || rep.InFlight != 0 {
+		t.Fatalf("enqueued %d, delivered %d, in flight %d; want 3, 3, 0", rep.Enqueued, rep.Delivered, rep.InFlight)
+	}
+	// The last frame leaves the serializer after all eight, 1566 wire
+	// bytes each at 1Gbps, then propagates for 1µs.
+	last := time.Duration(8*1566*8)*time.Nanosecond + time.Microsecond
+	if want := last - attach.Duration(); rep.HopLatencyMax != want {
+		t.Errorf("max hop latency %v, want %v", rep.HopLatencyMax, want)
+	}
+}
+
 // TestBurstDetection pins the microburst detector against a hand-computed
 // open-loop burst: 10 MTU frames back to back on a 1Gbps egress with a
 // 4KB threshold open one burst at the third frame, absorb the rest, and
@@ -159,7 +192,7 @@ func TestHopLatency(t *testing.T) {
 }
 
 func TestTopFlows(t *testing.T) {
-	got := topFlows(map[skb.FlowID]int64{5: 3, 2: 7, 9: 3, 1: 1}, 3)
+	got := topFlows([]int64{0, 1, 7, 0, 0, 3, 0, 0, 0, 3}, []skb.FlowID{9, 1, 5, 2}, 3)
 	want := []FlowFrames{{2, 7}, {5, 3}, {9, 3}}
 	if len(got) != 3 {
 		t.Fatalf("topFlows kept %d, want 3", len(got))

@@ -143,7 +143,12 @@ type engineSubject struct {
 	*Engine
 	tms      []Timer
 	reserved []reservation
+	held     int // reservations not yet committed
 }
+
+// Pending counts held reservations too: the oracle schedules them at
+// reservation time.
+func (s *engineSubject) Pending() int { return s.Engine.Pending() + s.held }
 
 func (s *engineSubject) schedule(t Time, fn func()) { s.tms = append(s.tms, s.At(t, fn)) }
 func (s *engineSubject) stop(i int) bool            { return s.tms[i].Stop() }
@@ -152,10 +157,12 @@ func (s *engineSubject) timers() int                { return len(s.tms) }
 
 func (s *engineSubject) reserve(t Time, fn func()) int {
 	s.reserved = append(s.reserved, reservation{t, s.ReserveSeq(), fn})
+	s.held++
 	return len(s.reserved) - 1
 }
 
 func (s *engineSubject) commit(r int) {
+	s.held--
 	rv := s.reserved[r]
 	s.AtArgSeq(rv.at, rv.seq, func(any) { rv.fn() }, nil)
 }
@@ -381,6 +388,205 @@ func TestTimerEdgeCases(t *testing.T) {
 	})
 }
 
+// TestInPlaceDispatch is the table of in-place dispatch corners: the
+// firing event's root slot is a hole while its callback runs, the first
+// schedule takes it, and a callback that schedules nothing (or panics
+// before it does) leaves it for the engine to pop.
+func TestInPlaceDispatch(t *testing.T) {
+	// order records dispatches by name, for comparing fire order.
+	type order []string
+	rec := func(o *order, name string) func() { return func() { *o = append(*o, name) } }
+	same := func(t *testing.T, got order, want ...string) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("fire order = %v, want %v", got, want)
+		}
+	}
+	// panicRun runs fn and swallows the panic it must raise.
+	panicRun := func(t *testing.T, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Error("expected a panic")
+			}
+		}()
+		fn()
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, e *Engine)
+	}{
+		{"Pending inside a callback excludes the dispatching event", func(t *testing.T, e *Engine) {
+			var got []int
+			e.At(10, func() {
+				got = append(got, e.Pending())
+				e.At(30, func() {})
+				got = append(got, e.Pending())
+				e.At(40, func() {})
+				got = append(got, e.Pending())
+			})
+			e.At(20, func() { got = append(got, e.Pending()) })
+			e.Run(25)
+			got = append(got, e.Pending())
+			if fmt.Sprint(got) != "[1 2 3 2 2]" {
+				t.Errorf("Pending answers = %v, want [1 2 3 2 2]", got)
+			}
+		}},
+		{"first schedule is AtArgSeq at Now under a seq reserved before the dispatch", func(t *testing.T, e *Engine) {
+			var o order
+			var s uint64
+			e.At(100, func() {
+				o = append(o, "a")
+				// The reservation sits between a and b at this instant,
+				// so it takes a's slot and stays at the root.
+				tm := e.AtArgSeq(100, s, func(any) { o = append(o, "reserved") }, nil)
+				if tm.When() != 100 || e.Pending() != 2 {
+					t.Errorf("reserved: When %v with %d pending, want 100 with 2", tm.When(), e.Pending())
+				}
+			})
+			s = e.ReserveSeq()
+			e.At(100, rec(&o, "b"))
+			e.Run(1000)
+			same(t, o, "a", "reserved", "b")
+		}},
+		{"When and Stop of the event that filled the slot", func(t *testing.T, e *Engine) {
+			var o order
+			var filled Timer
+			e.At(10, func() {
+				filled = e.At(60, rec(&o, "filled"))
+				e.At(30, rec(&o, "second"))
+				if filled.When() != 60 || !filled.Pending() {
+					t.Errorf("filled: When %v, Pending %v; want 60, true", filled.When(), filled.Pending())
+				}
+			})
+			e.At(50, func() {
+				o = append(o, "stopper")
+				if filled.When() != 60 || !filled.Stop() {
+					t.Error("the filled event should still be pending at 60")
+				}
+			})
+			e.Run(1000)
+			same(t, o, "second", "stopper")
+			if e.Pending() != 0 {
+				t.Errorf("Pending = %d after the run, want 0", e.Pending())
+			}
+		}},
+		{"Halt without a fill", func(t *testing.T, e *Engine) {
+			var o order
+			e.At(10, func() { o = append(o, "halter"); e.Halt() })
+			e.At(20, rec(&o, "next"))
+			if got := e.Run(1000); got != 10 || e.Pending() != 1 {
+				t.Fatalf("halted Run = %v with %d pending, want 10 with 1", got, e.Pending())
+			}
+			e.Run(1000)
+			same(t, o, "halter", "next")
+		}},
+		{"Halt with a fill", func(t *testing.T, e *Engine) {
+			var o order
+			e.At(10, func() {
+				o = append(o, "halter")
+				e.At(10, rec(&o, "successor"))
+				e.Halt()
+			})
+			e.At(20, rec(&o, "next"))
+			if got := e.Run(1000); got != 10 || e.Pending() != 2 {
+				t.Fatalf("halted Run = %v with %d pending, want 10 with 2", got, e.Pending())
+			}
+			e.Run(1000)
+			same(t, o, "halter", "successor", "next")
+		}},
+		{"Step with and without a fill", func(t *testing.T, e *Engine) {
+			var o order
+			e.At(10, func() { o = append(o, "filler"); e.At(15, rec(&o, "filled")) })
+			e.At(12, rec(&o, "empty"))
+			e.At(20, rec(&o, "last"))
+			pending := []int{}
+			for e.Step() {
+				pending = append(pending, e.Pending())
+			}
+			same(t, o, "filler", "empty", "filled", "last")
+			if fmt.Sprint(pending) != "[3 2 1 0]" {
+				t.Errorf("Pending after each Step = %v, want [3 2 1 0]", pending)
+			}
+		}},
+		{"a panic before the fill, then Run", func(t *testing.T, e *Engine) {
+			var o order
+			e.At(10, func() { o = append(o, "panicker"); e.At(5, func() {}) })
+			e.At(20, rec(&o, "b"))
+			e.At(30, rec(&o, "c"))
+			panicRun(t, func() { e.Run(1000) })
+			if e.Now() != 10 || e.Pending() != 2 {
+				t.Fatalf("after the panic: Now %v with %d pending, want 10 with 2", e.Now(), e.Pending())
+			}
+			e.Run(25)
+			if e.Pending() != 1 {
+				t.Errorf("Pending = %d after Run(25), want 1", e.Pending())
+			}
+			e.Run(1000)
+			same(t, o, "panicker", "b", "c")
+		}},
+		{"a panic before the fill, then Step", func(t *testing.T, e *Engine) {
+			var o order
+			e.At(10, func() { o = append(o, "panicker"); e.At(5, func() {}) })
+			e.At(20, rec(&o, "b"))
+			e.At(30, rec(&o, "c"))
+			panicRun(t, func() { e.Step() })
+			var pending []int
+			for e.Step() {
+				pending = append(pending, e.Pending())
+			}
+			same(t, o, "panicker", "b", "c")
+			if fmt.Sprint(pending) != "[1 0]" {
+				t.Errorf("Pending after each Step = %v, want [1 0]", pending)
+			}
+		}},
+		{"a panic before the fill, then a schedule from outside", func(t *testing.T, e *Engine) {
+			var o order
+			e.At(10, func() { o = append(o, "panicker"); e.At(5, func() {}) })
+			e.At(20, rec(&o, "b"))
+			panicRun(t, func() { e.Run(1000) })
+			// The open hole takes this schedule, at the panicking instant.
+			tm := e.At(10, rec(&o, "outside"))
+			if tm.When() != 10 || e.Pending() != 2 {
+				t.Fatalf("outside: When %v with %d pending, want 10 with 2", tm.When(), e.Pending())
+			}
+			e.Run(1000)
+			same(t, o, "panicker", "outside", "b")
+		}},
+		{"a panic after the fill", func(t *testing.T, e *Engine) {
+			var o order
+			e.At(10, func() {
+				o = append(o, "panicker")
+				e.At(25, rec(&o, "filled"))
+				e.At(5, func() {})
+			})
+			e.At(20, rec(&o, "b"))
+			e.At(30, rec(&o, "c"))
+			panicRun(t, func() { e.Run(1000) })
+			if e.Pending() != 3 {
+				t.Fatalf("Pending = %d after the panic, want 3", e.Pending())
+			}
+			e.Run(1000)
+			same(t, o, "panicker", "b", "filled", "c")
+		}},
+		{"a fill is allocation-free", func(t *testing.T, e *Engine) {
+			var step func()
+			step = func() { e.After(time.Nanosecond, step) }
+			e.At(0, step)
+			e.Run(100)
+			allocs := testing.AllocsPerRun(100, func() { e.Run(e.Now() + 100) })
+			if allocs != 0 {
+				t.Errorf("fire+fill allocates %v per run, want 0", allocs)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run(t, NewEngine(1))
+		})
+	}
+}
+
 // TestPassedEdgeCases pins Engine.Passed where its answer turns: the
 // same-instant keys on both sides of the dispatching one, a run that
 // advances the clock to its horizon, and the state Halt and Step leave.
@@ -591,23 +797,29 @@ func TestSchedulerEquivalence(t *testing.T) {
 	}
 }
 
-// Passed answers go into the trace as these ids, so the oracle checks them.
+// Passed and Pending answers go into the trace as these ids, so the
+// oracle checks them: a Pending answer n is recorded as pendingZero - n.
 const (
-	passedYes = -1
-	passedNo  = -2
+	passedYes   = -1
+	passedNo    = -2
+	pendingZero = -3
 )
 
 // runScript interprets data as a deterministic op stream against one
 // subject: schedule (with a delta whose shift reaches far futures), stop,
 // reset, run-to-horizon, a reserved sequence number taken now and
-// committed by a later op or before the run that reaches it, and a Passed
-// query on a reservation. Every dispatch also asks Passed of one
-// reservation, so same-instant keys on both sides of the dispatching one
-// are queried. Returns the trace and the leftover pending count.
+// committed by a later op or before the run that reaches it, a Passed
+// query on a reservation, and a Pending query. Every dispatch asks Passed
+// of one reservation, so same-instant keys on both sides of the
+// dispatching one are queried, and then runs the next 0-3 ops in place,
+// inside the callback, every op but a run: so schedules, stops, resets,
+// reservations, commits and queries also happen while the engine's root
+// slot is a hole. Returns the trace and the leftover pending count.
 func runScript(s subject, data []byte) ([]traceRec, int) {
 	var trace []traceRec
 	var resv []Time // each reservation's time, by reservation index
 	var held []int  // reservations not yet committed, oldest first
+	var runH Time   // horizon of the run in progress, or of the last one
 	id := 0
 	pos := 0
 	next := func() byte {
@@ -625,16 +837,6 @@ func runScript(s subject, data []byte) ([]traceRec, int) {
 		}
 		trace = append(trace, traceRec{s.Now(), ans})
 	}
-	record := func() func() {
-		myID := id
-		id++
-		return func() {
-			trace = append(trace, traceRec{s.Now(), myID})
-			if len(resv) > 0 {
-				ask(myID % len(resv))
-			}
-		}
-	}
 	// commitBefore commits the held reservations a run to horizon would
 	// reach; the rest stay held across the run.
 	commitBefore := func(horizon Time) {
@@ -648,8 +850,25 @@ func runScript(s subject, data []byte) ([]traceRec, int) {
 		}
 		held = kept
 	}
-	for pos < len(data) {
-		switch next() % 7 {
+	var op func(inCallback bool)
+	record := func() func() {
+		myID := id
+		id++
+		return func() {
+			trace = append(trace, traceRec{s.Now(), myID})
+			if len(resv) > 0 {
+				ask(myID % len(resv))
+			}
+			for n := next() % 4; n > 0; n-- {
+				op(true)
+			}
+			// A reservation taken in place that the run in progress
+			// reaches must be in before the run gets there.
+			commitBefore(runH)
+		}
+	}
+	op = func(inCallback bool) {
+		switch next() % 8 {
 		case 0: // schedule at now + (b << s), s up to 44
 			b, sh := Time(next()), uint(next())%45
 			s.schedule(s.Now()+(b<<sh), record())
@@ -664,7 +883,11 @@ func runScript(s subject, data []byte) ([]traceRec, int) {
 			}
 		case 3: // run forward; reservations it reaches must be in before
 			h := s.Now() + Time(next())*17 + 1
+			if inCallback {
+				return // no nested runs
+			}
 			commitBefore(h)
+			runH = h
 			s.Run(h)
 		case 4: // reserve a sequence number for an event at now + delta
 			at := s.Now() + Time(next())
@@ -679,11 +902,16 @@ func runScript(s subject, data []byte) ([]traceRec, int) {
 			if len(resv) > 0 {
 				ask(int(next()) % len(resv))
 			}
+		case 7: // ask how many events are pending
+			trace = append(trace, traceRec{s.Now(), pendingZero - s.Pending()})
 		}
 	}
-	h := s.Now() + Time(1)<<21
-	commitBefore(h)
-	s.Run(h)
+	for pos < len(data) {
+		op(false)
+	}
+	runH = s.Now() + Time(1)<<21
+	commitBefore(runH)
+	s.Run(runH)
 	return trace, s.Pending()
 }
 
@@ -697,6 +925,19 @@ func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{4, 9, 0, 9, 0, 0, 9, 0, 5, 4, 9, 3, 2, 4, 0, 5, 3, 1})
 	f.Add([]byte{4, 40, 4, 0, 0, 40, 0, 4, 40, 6, 0, 3, 1, 6, 2, 5, 3, 3, 6, 0, 6, 1, 6, 2})
 	f.Add([]byte{4, 18, 0, 5, 0, 3, 1, 6, 0, 5, 3, 1})
+	// Callbacks that schedule nothing: each ran op is a Pending query.
+	f.Add([]byte{0, 10, 0, 0, 20, 0, 3, 2, 1, 7, 0, 7})
+	// A callback that schedules one event, which fires in the same run.
+	f.Add([]byte{0, 10, 0, 0, 200, 0, 3, 1, 2, 0, 3, 0, 7, 0, 7, 3, 255, 0, 7})
+	// A callback that schedules three: one later in the run, one at the
+	// dispatching instant, one at the exclusive horizon.
+	f.Add([]byte{0, 10, 0, 0, 90, 0, 3, 1, 3, 0, 2, 0, 0, 0, 0, 0, 8, 0, 0, 1, 7, 7, 3, 9, 0, 0, 7})
+	// A callback that stops the only other pending timer, leaving the
+	// hole alone in the heap, then schedules.
+	f.Add([]byte{0, 10, 0, 0, 50, 0, 3, 1, 2, 1, 1, 0, 5, 0, 0, 7})
+	// A callback whose first schedule commits a reservation taken before
+	// the run, under an older sequence number.
+	f.Add([]byte{4, 200, 0, 10, 0, 3, 1, 1, 5, 3, 20, 0, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return

@@ -14,6 +14,15 @@
 // comparisons read the keys stored inline in the heap slice and never
 // dereference an event. Schedule, cancel and reset are O(log n).
 //
+// Dispatch happens in place. The firing event's root slot stays in the
+// heap as a hole while its callback runs, and the callback's first
+// schedule takes that slot and sifts down once, instead of a pop that
+// sifts a leaf down and a push that sifts the new entry up. A callback
+// that schedules nothing has the root popped after it returns. The hole
+// keeps the fired key (Now(), its seq), which is below every key that can
+// enter the heap while it is open, so no sift ever moves past it and
+// dispatch order stays strictly (time, sequence).
+//
 // The scheduling fast path is allocation-free in steady state: fired and
 // stopped events return to a per-engine free list, Timer.Reset reschedules
 // a pending timer in place, and the AtArg/AfterArg variants carry a
@@ -144,6 +153,7 @@ type Engine struct {
 	fired  uint64
 	dseq   uint64 // seq+1 of the event dispatched at now; 0 if none has yet
 	halted bool
+	hole   bool     // q[0] is the dispatching event's slot, free for its first schedule
 	q      []entry  // 4-ary min-heap on (at, seq)
 	free   []*event // recycled event structs (steady-state scheduling is allocation-free)
 }
@@ -164,14 +174,23 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // event for the frame at the head of its in-flight FIFO, and the frames
 // behind the head are not engine events until they reach it; a NIC whose
 // Tx queues are empty holds its Tx-done as a reserved seq, not an event.
-func (e *Engine) Pending() int { return len(e.q) }
+// Inside a callback the dispatching event is no longer counted, whether
+// or not a schedule has taken its heap slot yet.
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.q) - 1
+	}
+	return len(e.q)
+}
 
 // Passed reports whether an event keyed (at, seq) would already have
 // dispatched: at is before Now(), or at == Now() and seq is at or below
 // that of the event dispatching now (or last dispatched, between Steps or
 // after a Halt). After Run advances the clock to its horizon, nothing at
 // the new Now() has dispatched. A reservation that has not Passed may
-// still be scheduled with AtArgSeq and lands where it would have.
+// still be scheduled with AtArgSeq and lands where it would have; inside
+// a callback, its key is above the dispatching one, so it may take the
+// dispatching event's heap slot like any other first schedule.
 func (e *Engine) Passed(at Time, seq uint64) bool {
 	return at < e.now || (at == e.now && seq < e.dseq)
 }
@@ -220,8 +239,14 @@ func (e *Engine) schedule(t Time, seq uint64, fn func(), fnA func(any), arg any)
 	ev.fn = fn
 	ev.fnA = fnA
 	ev.arg = arg
-	e.q = append(e.q, entry{at: t, seq: seq, ev: ev})
-	e.up(len(e.q) - 1)
+	if e.hole {
+		e.hole = false
+		e.q[0] = entry{at: t, seq: seq, ev: ev}
+		e.down(0)
+	} else {
+		e.q = append(e.q, entry{at: t, seq: seq, ev: ev})
+		e.up(len(e.q) - 1)
+	}
 	return Timer{e: ev, eng: e, seq: seq}
 }
 
@@ -290,9 +315,12 @@ func (e *Engine) Halt() { e.halted = true }
 // The clock never moves backward: a horizon at or before Now() dispatches
 // nothing and leaves the clock where it is.
 func (e *Engine) Run(horizon Time) Time {
+	if e.hole {
+		e.closeHole()
+	}
 	e.halted = false
 	for len(e.q) > 0 && !e.halted && e.q[0].at < horizon {
-		e.dispatch(e.pop())
+		e.dispatch()
 	}
 	if e.now < horizon && (!e.halted || len(e.q) == 0) {
 		// The horizon was reached or the queue drained before it: time
@@ -306,45 +334,51 @@ func (e *Engine) Run(horizon Time) Time {
 
 // Step executes the single next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
+	if e.hole {
+		e.closeHole()
+	}
 	if len(e.q) == 0 {
 		return false
 	}
-	e.dispatch(e.pop())
+	e.dispatch()
 	return true
 }
 
-// dispatch advances the clock to en, recycles the event, and runs the
-// callback. The callback fields are read out first: the event struct may
-// be reused for a schedule performed inside the callback itself.
-func (e *Engine) dispatch(en entry) {
-	e.now = en.at
-	e.dseq = en.seq + 1
+// dispatch fires the root entry in place: it advances the clock to the
+// root's key, recycles the event, opens the root slot as a hole for the
+// callback's first schedule, and runs the callback. The callback fields
+// are read out first: the event struct may be reused for a schedule
+// performed inside the callback itself. The queue must be non-empty.
+func (e *Engine) dispatch() {
+	top := &e.q[0]
+	e.now = top.at
+	e.dseq = top.seq + 1
 	e.fired++
-	ev := en.ev
+	ev := top.ev
 	fn, fnA, arg := ev.fn, ev.fnA, ev.arg
 	e.release(ev)
+	e.hole = true
 	if fnA != nil {
 		fnA(arg)
 	} else {
 		fn()
 	}
+	if e.hole {
+		e.closeHole()
+	}
 }
 
-// pop removes and returns the earliest entry. The queue must be non-empty.
-func (e *Engine) pop() entry {
-	top := e.q[0]
+// closeHole pops the root hole: its callback scheduled nothing, or it
+// panicked and the panic was recovered outside the engine.
+func (e *Engine) closeHole() {
+	e.hole = false
 	last := len(e.q) - 1
+	e.q[0] = e.q[last]
+	e.q[last] = entry{}
+	e.q = e.q[:last]
 	if last > 0 {
-		e.q[0] = e.q[last]
-		e.q[last] = entry{}
-		e.q = e.q[:last]
 		e.down(0)
-	} else {
-		e.q[0] = entry{}
-		e.q = e.q[:0]
 	}
-	top.ev.idx = -1
-	return top
 }
 
 // remove deletes the entry at heap index i (Timer.Stop).

@@ -81,3 +81,67 @@ func BenchmarkScheduleFirePooled(b *testing.B) {
 		e.Run(e.Now() + 100)
 	}
 }
+
+// BenchmarkEngineHold measures dispatch under the pending mix of a
+// multi-flow run: 130 far timers 2-6 ms out and 24 near chains 0.1-2 µs
+// apart, like link heads and back-to-back work items, whose fires each
+// schedule one successor. A quarter of near fires Reset one of the first
+// 100 far timers, as an ACK re-arms its RTO, so those never fire; the
+// other 30 fire and re-arm, like persist and keepalive timers. About 15 %
+// of near fires schedule nothing; the next fire that does restarts that
+// chain with a second schedule. One op is one dispatch.
+func BenchmarkEngineHold(b *testing.B) {
+	const far, rearmed, chains = 130, 100, 24
+	e := NewEngine(1)
+	x := uint64(88172645463325252)
+	rnd := func() uint64 { // xorshift64: cheaper than math/rand per fire
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	n, stop := 0, 0
+	timers := make([]Timer, far)
+	for i := range timers {
+		var fire func()
+		fire = func() {
+			if n++; n == stop {
+				e.Halt()
+			}
+			timers[i] = e.After(time.Duration(2_000_000+rnd()%4_000_000), fire)
+		}
+		timers[i] = e.After(time.Duration(2_000_000+rnd()%4_000_000), fire)
+	}
+	dead := 0
+	var near func()
+	near = func() {
+		if n++; n == stop {
+			e.Halt()
+		}
+		r := rnd()
+		if r%100 < 15 {
+			dead++
+		} else {
+			e.After(time.Duration(100+r%2000), near)
+			if dead > 0 {
+				dead--
+				e.After(time.Duration(100+(r>>12)%2000), near)
+			}
+		}
+		if (r>>32)%4 == 0 {
+			timers[(r>>40)%rearmed].Reset(e.Now() + Time(2_000_000+(r>>20)%4_000_000))
+		}
+	}
+	for i := 0; i < chains; i++ {
+		e.After(time.Duration(100+rnd()%2000), near)
+	}
+	stop = 100_000 // warm the heap slice and the free list
+	e.Run(Time(1) << 62)
+	n, stop = 0, b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(Time(1) << 62)
+	if n != b.N {
+		b.Fatalf("ran %d events, want %d", n, b.N)
+	}
+}

@@ -82,6 +82,19 @@ func TestPairPinnedDigests(t *testing.T) {
 		cfg.LossRate = 0.005
 		return cfg
 	}
+	fabric := func(hosts int) func() hostsim.Config {
+		return func() hostsim.Config {
+			cfg := base()
+			cfg.Fabric = &hostsim.FabricOptions{Hosts: hosts, SharedBufferKB: 256}
+			return cfg
+		}
+	}
+	remote := func(wl hostsim.Workload) hostsim.Workload {
+		wl.RemoteNUMA = true
+		return wl
+	}
+	segregated := hostsim.MixedWorkload(4, 4096)
+	segregated.Segregate = true
 	for _, tc := range []struct {
 		name string
 		cfg  func() hostsim.Config
@@ -126,6 +139,17 @@ func TestPairPinnedDigests(t *testing.T) {
 			cfg.TraceSpans = true
 			return cfg
 		}, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), "0db5556013e2330d59e9a3f4c859c37514b8ad85d482786837ed16d4accfeda4"},
+		{"one-to-one4", base, hostsim.LongFlowWorkload(hostsim.PatternOneToOne, 4), "6d70c582b5c5b357806d333561ef29d9bd412a0099fa71d044d0163657f7c50a"},
+		{"outcast4", base, hostsim.LongFlowWorkload(hostsim.PatternOutcast, 4), "03c04c34222080d5bc1e8844db83c96397c4e5e6c1a008ed80b58c8cfcbd3c3b"},
+		{"all-to-all3", base, hostsim.LongFlowWorkload(hostsim.PatternAllToAll, 3), "a88a0c1b1abb4460d06d66fd3df55f39a0bfcc039710ed734ddc305abd5a1d2d"},
+		{"remote-single", base, remote(hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)), "f1374e78b0a3a27a14c236a169b8819c60594b3e61801ed0b4593e89c3d54b96"},
+		{"remote-rpc4", base, remote(hostsim.RPCIncastWorkload(4, 4096)), "1e57c6b556f3a8304ad8741badec144ae19eefe6378048dfedc8993b2d229212"},
+		{"segregated-mixed", base, segregated, "7c52a21ab85b37361eacacff00f90f6c70659524c1b453563650bb6ad3e0a796"},
+		{"mixed-no-shorts", base, hostsim.MixedWorkload(0, 4096), "683a412f7397c035ba0883caeafb44d6ac865aea60c4217ea16afeb580b8ec19"},
+		{"fabric-single2", fabric(2), hostsim.LongFlowWorkload(hostsim.PatternSingle, 0), "475725b4a19045eea4d4c14ddd68807e22bbb1ae84b7f09f1459ad7c4407fd2f"},
+		{"fabric-one-to-one4", fabric(4), hostsim.LongFlowWorkload(hostsim.PatternOneToOne, 0), "5897bb85a96544b892916bab21015238d512c403774ec904c9ce2fced0e8c56e"},
+		{"fabric-outcast4", fabric(4), hostsim.LongFlowWorkload(hostsim.PatternOutcast, 0), "ec8c60b93cb3baac37b5a06ec754590863e61230a57f72f3c668023b13594a65"},
+		{"fabric-all-to-all4", fabric(4), hostsim.LongFlowWorkload(hostsim.PatternAllToAll, 0), "87abd5ddb1c4bd83cbdd50f1bc20280dfbc02277220e966796b5e23842b2d2d6"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg()
@@ -133,7 +157,8 @@ func TestPairPinnedDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.Fabric != nil {
+			switch {
+			case cfg.FabricObs != nil:
 				twin, err := hostsim.Run(observedFabric(), tc.wl)
 				if err != nil {
 					t.Fatal(err)
@@ -144,7 +169,11 @@ func TestPairPinnedDigests(t *testing.T) {
 				if len(res.Violations) != 0 || len(res.PortReports) != 16 {
 					t.Errorf("%d violations, %d port reports", len(res.Violations), len(res.PortReports))
 				}
-			} else {
+			case cfg.Fabric != nil:
+				if res.Fabric == nil || len(res.Hosts) != cfg.Fabric.Hosts {
+					t.Errorf("fabric run: %d hosts, switch stats %v", len(res.Hosts), res.Fabric)
+				}
+			default:
 				if res.Fabric != nil {
 					t.Error("default pair reports switch stats")
 				}

@@ -50,6 +50,9 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		{"remote multi-flow", Config{Stack: AllOptimizations()},
 			Workload{Kind: "long", Pattern: PatternIncast, N: 4, RemoteNUMA: true},
 			"hostsim: RemoteNUMA supports the single pattern only"},
+		{"remote mixed", Config{Stack: AllOptimizations()},
+			Workload{Kind: "mixed", MixedShort: 2, RPCSize: 4096, RemoteNUMA: true},
+			"hostsim: RemoteNUMA is not supported by the mixed workload"},
 		{"negative duration", Config{Stack: AllOptimizations(), Duration: -time.Millisecond}, single,
 			"hostsim: negative Warmup or Duration"},
 		{"negative warmup", Config{Stack: AllOptimizations(), Warmup: -time.Millisecond, Duration: 5 * time.Millisecond},

@@ -164,16 +164,15 @@ func main() {
 	switch *workload {
 	case "long":
 		wl = hostsim.LongFlowWorkload(hostsim.Pattern(*pattern), *flows)
-		wl.RemoteNUMA = *remote
 	case "rpc":
 		wl = hostsim.RPCIncastWorkload(*rpcN, *rpcSize)
-		wl.RemoteNUMA = *remote
 	case "mixed":
 		wl = hostsim.MixedWorkload(*shorts, *rpcSize)
 	default:
 		fmt.Fprintf(os.Stderr, "netsim: unknown workload %q\n", *workload)
 		os.Exit(2)
 	}
+	wl.RemoteNUMA = *remote
 
 	if *seeds > 1 {
 		runSeeds(cfg, wl, *seeds)

@@ -288,6 +288,17 @@ func FuzzRunRaw(f *testing.F) {
 	fabric.Pattern, fabric.Hosts, fabric.BufKB, fabric.ObsBits = 2, 6, 256, rawAllObs&^rawPcap
 	rpc := valid
 	rpc.Kind, rpc.Scale, rpc.RPCSize, rpc.Loss = 1, 8, 4096, 0.01
+	// One seed per remaining placement branch, the rejected ones included.
+	allToAll := valid
+	allToAll.Pattern, allToAll.Scale = 4, 3
+	remoteRPC := rpc
+	remoteRPC.StackBits |= 1 << 12
+	segregated := valid
+	segregated.Kind, segregated.Scale, segregated.RPCSize, segregated.StackBits = 2, 4, 4096, valid.StackBits|1<<11
+	remoteMixed := segregated
+	remoteMixed.StackBits |= 1 << 12
+	oddOneToOne := fabric
+	oddOneToOne.Pattern, oddOneToOne.Hosts = 1, 3 // 3 folds to 5 hosts
 	// Inputs that once panicked inside a constructor.
 	negECN := valid
 	negECN.ECNKB = -5
@@ -297,7 +308,8 @@ func FuzzRunRaw(f *testing.F) {
 	dupTelemetry.Hosts, dupTelemetry.Names, dupTelemetry.ObsBits = 3, 2, rawTelemetry
 	dupSS := dupTelemetry
 	dupSS.ObsBits = rawInspect | rawSS
-	for _, r := range []rawRun{valid, fabric, rpc, negECN, fastLink, dupTelemetry, dupSS} {
+	for _, r := range []rawRun{valid, fabric, rpc, allToAll, remoteRPC, segregated, remoteMixed, oddOneToOne,
+		negECN, fastLink, dupTelemetry, dupSS} {
 		f.Add(r.Seed, r.Kind, r.Pattern, r.Scale, r.RPCSize, r.StackBits, r.CC, r.Steering,
 			r.Ring, r.RcvBuf, r.SndBuf, r.SchedK, r.Tuning, r.Hazard, r.CostIdx, r.CostFactor,
 			r.LinkGbps, r.Loss, r.ECNKB, r.Warmup, r.Dur, r.Hosts, r.BufKB, r.Alpha, r.Names,

@@ -549,9 +549,10 @@ type Workload struct {
 	// class-segregated scheduling proposal).
 	Segregate bool
 
-	// RemoteNUMA places the applications on a NIC-remote NUMA node (the
-	// Fig. 4 / Fig. 10c experiments). Applies to single-flow long and rpc
-	// workloads.
+	// RemoteNUMA places the receiving application on a NIC-remote NUMA
+	// node (the Fig. 4 / Fig. 10c experiments). Applies to single-flow
+	// long and rpc workloads on the default pair; Run rejects it anywhere
+	// else.
 	RemoteNUMA bool
 }
 
@@ -601,8 +602,10 @@ type Result struct {
 	Receiver              HostStats
 
 	// Hosts reports every host's stats in port order (the default pair:
-	// sender then receiver). Sender and Receiver above are the workload's
-	// primary transmitting and receiving hosts.
+	// sender then receiver). Sender and Receiver above are the hosts of
+	// the workload's first connection: the pair's sender and receiver,
+	// and on a fabric hosts 0 and 1 except under incast, whose first flow
+	// runs from host 1 into host 0.
 	Hosts []HostStats
 
 	// Fabric summarizes switch activity when Config.Fabric was set (nil
@@ -842,11 +845,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	for _, o := range p.obs[:p.preBuild] {
 		o.attach(w)
 	}
-	if w.cfg.Fabric != nil {
-		w.wl = buildFabricWorkload(w.hosts, p.pattern)
-	} else {
-		w.wl = buildWorkload(w.hosts[0], w.hosts[1], wl, p.pattern)
-	}
+	w.wl = startWorkload(w.hosts, p.conns, units.Bytes(wl.RPCSize))
 	for _, o := range p.obs[p.preBuild:] {
 		o.attach(w)
 	}
@@ -865,7 +864,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		return nil, err
 	}
 
-	res := assemble(w)
+	res := assemble(w, p.conns[0])
 	for _, o := range p.obs {
 		if err := o.finish(res); err != nil {
 			return nil, err
@@ -936,7 +935,9 @@ func guardFailure(fn func()) (err error) {
 	return nil
 }
 
-func assemble(w *world) *Result {
+// assemble reads the Result off the finished world. Sender and Receiver
+// are the hosts of the workload's first connection.
+func assemble(w *world, first conn) *Result {
 	hosts, run := w.hosts, w.wl
 	window := w.cfg.Duration
 	res := &Result{Duration: window}
@@ -946,8 +947,8 @@ func assemble(w *world) *Result {
 		res.Hosts[i] = hostStats(h, window)
 		copied += h.Copied()
 	}
-	ri := run.receiverIdx
-	res.Sender = res.Hosts[run.senderIdx]
+	ri := first.r
+	res.Sender = res.Hosts[first.s]
 	res.Receiver = res.Hosts[ri]
 	res.ThroughputGbps = units.RateOf(copied, window).Gigabits()
 	// The bottleneck is the host whose busiest core is most saturated

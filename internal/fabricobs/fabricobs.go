@@ -253,9 +253,8 @@ type Observer struct {
 	reg *telemetry.Registry
 	smp *telemetry.Sampler
 
-	ports    []*portState
-	bursts   []BurstEvent
-	overflow int64 // bursts detected beyond MaxBursts (not retained)
+	ports  []*portState
+	bursts []BurstEvent
 
 	attachedAt sim.Time
 	finalized  bool
@@ -415,8 +414,6 @@ func (o *Observer) closeBurst(ds *portState, end sim.Time, truncated bool) {
 			Truncated:      truncated,
 			Flows:          topFlows(b.flows, b.ids, o.opts.BurstFlows),
 		})
-	} else {
-		o.overflow++
 	}
 	for _, id := range b.ids {
 		b.flows[id] = 0
@@ -559,9 +556,6 @@ func (o *Observer) Bursts() []BurstEvent {
 // FormatReport renders the observatory's ledger and bursts as the
 // aligned text table of FormatReport.
 func (o *Observer) FormatReport() string { return FormatReport(o.PortReports(), o.Bursts()) }
-
-// OverflowBursts reports bursts detected beyond the MaxBursts cap.
-func (o *Observer) OverflowBursts() int64 { return o.overflow }
 
 // Reconcile cross-checks the observatory's independently accumulated
 // ledger against the fabric's own counters: per port, the ingress tallies

@@ -147,15 +147,14 @@ func (t *Timer) Reset(at Time) bool {
 
 // Engine drives a simulation run.
 type Engine struct {
-	now    Time
-	seq    uint64
-	rng    *rand.Rand
-	fired  uint64
-	dseq   uint64 // seq+1 of the event dispatched at now; 0 if none has yet
-	halted bool
-	hole   bool     // q[0] is the dispatching event's slot, free for its first schedule
-	q      []entry  // 4-ary min-heap on (at, seq)
-	free   []*event // recycled event structs (steady-state scheduling is allocation-free)
+	now   Time
+	seq   uint64
+	rng   *rand.Rand
+	fired uint64
+	dseq  uint64   // seq+1 of the event dispatched at now; 0 if none has yet
+	hole  bool     // q[0] is the dispatching event's slot, free for its first schedule
+	q     []entry  // 4-ary min-heap on (at, seq)
+	free  []*event // recycled event structs (steady-state scheduling is allocation-free)
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -185,12 +184,13 @@ func (e *Engine) Pending() int {
 
 // Passed reports whether an event keyed (at, seq) would already have
 // dispatched: at is before Now(), or at == Now() and seq is at or below
-// that of the event dispatching now (or last dispatched, between Steps or
-// after a Halt). After Run advances the clock to its horizon, nothing at
-// the new Now() has dispatched. A reservation that has not Passed may
-// still be scheduled with AtArgSeq and lands where it would have; inside
-// a callback, its key is above the dispatching one, so it may take the
-// dispatching event's heap slot like any other first schedule.
+// that of the event dispatching now (or last dispatched, after a callback
+// panicked out of Run). After Run advances the clock to its horizon,
+// nothing at the new Now() has dispatched. A reservation that has not
+// Passed may still be scheduled with AtArgSeq and lands where it would
+// have; inside a callback, its key is above the dispatching one, so it
+// may take the dispatching event's heap slot like any other first
+// schedule.
 func (e *Engine) Passed(at Time, seq uint64) bool {
 	return at < e.now || (at == e.now && seq < e.dseq)
 }
@@ -303,12 +303,9 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 	return e.AtArg(e.now.Add(d), fn, arg)
 }
 
-// Halt stops the run loop after the current event returns.
-func (e *Engine) Halt() { e.halted = true }
-
-// Run executes events until the queue empties, the horizon passes, or
-// Halt is called. It returns the time of the last executed event (or the
-// horizon, whichever is smaller once the horizon is hit).
+// Run executes events until the queue empties or the horizon passes, and
+// returns the clock, which then stands at the horizon (or at Now() if the
+// horizon was not after it).
 //
 // The horizon is exclusive: an event scheduled exactly at the horizon does
 // not run, so a run to horizon H observes the half-open interval [0, H).
@@ -318,11 +315,10 @@ func (e *Engine) Run(horizon Time) Time {
 	if e.hole {
 		e.closeHole()
 	}
-	e.halted = false
-	for len(e.q) > 0 && !e.halted && e.q[0].at < horizon {
+	for len(e.q) > 0 && e.q[0].at < horizon {
 		e.dispatch()
 	}
-	if e.now < horizon && (!e.halted || len(e.q) == 0) {
+	if e.now < horizon {
 		// The horizon was reached or the queue drained before it: time
 		// still advances to it so rate metrics divide by the full window.
 		// Nothing at the new instant has dispatched yet.
@@ -330,18 +326,6 @@ func (e *Engine) Run(horizon Time) Time {
 		e.dseq = 0
 	}
 	return e.now
-}
-
-// Step executes the single next event, if any, and reports whether one ran.
-func (e *Engine) Step() bool {
-	if e.hole {
-		e.closeHole()
-	}
-	if len(e.q) == 0 {
-		return false
-	}
-	e.dispatch()
-	return true
 }
 
 // dispatch fires the root entry in place: it advances the clock to the

@@ -89,7 +89,8 @@ func BenchmarkScheduleFirePooled(b *testing.B) {
 // 100 far timers, as an ACK re-arms its RTO, so those never fire; the
 // other 30 fire and re-arm, like persist and keepalive timers. About 15 %
 // of near fires schedule nothing; the next fire that does restarts that
-// chain with a second schedule. One op is one dispatch.
+// chain with a second schedule. One op is one dispatch; the run goes in
+// 10 µs slices of Run, so the last slice may run a few hundred past b.N.
 func BenchmarkEngineHold(b *testing.B) {
 	const far, rearmed, chains = 130, 100, 24
 	e := NewEngine(1)
@@ -100,14 +101,10 @@ func BenchmarkEngineHold(b *testing.B) {
 		x ^= x << 17
 		return x
 	}
-	n, stop := 0, 0
 	timers := make([]Timer, far)
 	for i := range timers {
 		var fire func()
 		fire = func() {
-			if n++; n == stop {
-				e.Halt()
-			}
 			timers[i] = e.After(time.Duration(2_000_000+rnd()%4_000_000), fire)
 		}
 		timers[i] = e.After(time.Duration(2_000_000+rnd()%4_000_000), fire)
@@ -115,9 +112,6 @@ func BenchmarkEngineHold(b *testing.B) {
 	dead := 0
 	var near func()
 	near = func() {
-		if n++; n == stop {
-			e.Halt()
-		}
 		r := rnd()
 		if r%100 < 15 {
 			dead++
@@ -135,13 +129,15 @@ func BenchmarkEngineHold(b *testing.B) {
 	for i := 0; i < chains; i++ {
 		e.After(time.Duration(100+rnd()%2000), near)
 	}
-	stop = 100_000 // warm the heap slice and the free list
-	e.Run(Time(1) << 62)
-	n, stop = 0, b.N
+	// runFor dispatches at least n more events, one slice at a time.
+	runFor := func(n int) {
+		end := e.Fired() + uint64(n)
+		for e.Fired() < end {
+			e.Run(e.Now() + 10_000)
+		}
+	}
+	runFor(100_000) // warm the heap slice and the free list
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.Run(Time(1) << 62)
-	if n != b.N {
-		b.Fatalf("ran %d events, want %d", n, b.N)
-	}
+	runFor(b.N)
 }

@@ -137,47 +137,3 @@ func (w *rpcWorker) step(ctx *exec.Ctx) {
 		ctx.Block()
 	}
 }
-
-// RPCIncast builds the paper's short-flow scenario (§3.7): nClients
-// client threads on distinct cores of host a, all ping-ponging RPCs of
-// size bytes against a single server thread on serverCore of host b.
-func RPCIncast(a, b *core.Host, nClients, serverCore int, size units.Bytes) ([]*RPCClient, *RPCServer) {
-	clients := make([]*RPCClient, 0, nClients)
-	serverEPs := make([]*core.Endpoint, 0, nClients)
-	for i := 0; i < nClients; i++ {
-		cEP, sEP := core.OpenConn(a, i, b, serverCore)
-		serverEPs = append(serverEPs, sEP)
-		clients = append(clients, StartRPCClient(cEP, size))
-	}
-	srv := StartRPCServer(b, serverCore, size, serverEPs)
-	return clients, srv
-}
-
-// MixedOnCore builds the Fig. 11 scenario: one long flow between core
-// longCore of a and b, plus nShort 4KB-style RPC connections whose
-// clients share the sender core and whose server thread shares the
-// receiver core.
-func MixedOnCore(a, b *core.Host, longCore int, nShort int, size units.Bytes) (*LongFlow, []*RPCClient, *RPCServer) {
-	return MixedSplit(a, b, longCore, longCore, nShort, size)
-}
-
-// MixedSplit is MixedOnCore with the short flows' applications placed on
-// shortCore instead — the paper's §4 "schedule long-flow and short-flow
-// applications on separate CPU cores" proposal when shortCore differs
-// from longCore.
-func MixedSplit(a, b *core.Host, longCore, shortCore int, nShort int, size units.Bytes) (*LongFlow, []*RPCClient, *RPCServer) {
-	sEP, rEP := core.OpenConn(a, longCore, b, longCore)
-	lf := StartLongFlow(sEP, rEP)
-	if nShort == 0 {
-		return lf, nil, nil
-	}
-	clients := make([]*RPCClient, 0, nShort)
-	serverEPs := make([]*core.Endpoint, 0, nShort)
-	for i := 0; i < nShort; i++ {
-		cEP, svEP := core.OpenConn(a, shortCore, b, shortCore)
-		serverEPs = append(serverEPs, svEP)
-		clients = append(clients, StartRPCClient(cEP, size))
-	}
-	srv := StartRPCServer(b, shortCore, size, serverEPs)
-	return lf, clients, srv
-}

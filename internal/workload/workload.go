@@ -1,7 +1,6 @@
 // Package workload implements the applications the paper drives its
-// measurements with — iPerf-style long flows and netperf-style ping-pong
-// RPCs — plus the five traffic patterns of Fig. 2 (single flow,
-// one-to-one, incast, outcast, all-to-all).
+// measurements with: iPerf-style long flows and netperf-style ping-pong
+// RPCs, each started on a connection the caller opened with core.OpenConn.
 //
 // Applications are exec threads pinned to cores, performing read/write
 // syscalls against core.Endpoints and blocking/waking exactly like their
@@ -9,8 +8,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"hostsim/internal/core"
 	"hostsim/internal/exec"
 	"hostsim/internal/units"
@@ -59,94 +56,4 @@ func StartLongFlow(sender, receiver *core.Endpoint) *LongFlow {
 
 	lf.sendTh.Wake()
 	return lf
-}
-
-// Pattern is a Fig. 2 traffic pattern.
-type Pattern int
-
-// The five patterns of Fig. 2.
-const (
-	Single Pattern = iota
-	OneToOne
-	Incast
-	Outcast
-	AllToAll
-)
-
-func (p Pattern) String() string {
-	switch p {
-	case Single:
-		return "single"
-	case OneToOne:
-		return "one-to-one"
-	case Incast:
-		return "incast"
-	case Outcast:
-		return "outcast"
-	case AllToAll:
-		return "all-to-all"
-	default:
-		return "invalid"
-	}
-}
-
-// LongFlows opens connections in the given pattern (senders on a,
-// receivers on b) and starts a long flow on each. n is the per-pattern
-// scale: flow count for one-to-one/incast/outcast, the grid side for
-// all-to-all; ignored for Single.
-func LongFlows(a, b *core.Host, p Pattern, n int) []*LongFlow {
-	pairs := PatternPairs(a.Spec().NumCores(), p, n)
-	flows := make([]*LongFlow, 0, len(pairs))
-	for _, pr := range pairs {
-		sEP, rEP := core.OpenConn(a, pr[0], b, pr[1])
-		flows = append(flows, StartLongFlow(sEP, rEP))
-	}
-	return flows
-}
-
-// PatternPairs returns the (senderCore, receiverCore) assignments for a
-// pattern, matching the paper's placements (cores filled node-major, so
-// the first 6 are NIC-local).
-func PatternPairs(numCores int, p Pattern, n int) [][2]int {
-	check := func(k int) {
-		if k < 1 || k > numCores {
-			panic(fmt.Sprintf("workload: %v with n=%d outside [1,%d]", p, k, numCores))
-		}
-	}
-	switch p {
-	case Single:
-		return [][2]int{{0, 0}}
-	case OneToOne:
-		check(n)
-		out := make([][2]int, n)
-		for i := range out {
-			out[i] = [2]int{i, i}
-		}
-		return out
-	case Incast:
-		check(n)
-		out := make([][2]int, n)
-		for i := range out {
-			out[i] = [2]int{i, 0}
-		}
-		return out
-	case Outcast:
-		check(n)
-		out := make([][2]int, n)
-		for i := range out {
-			out[i] = [2]int{0, i}
-		}
-		return out
-	case AllToAll:
-		check(n)
-		out := make([][2]int, 0, n*n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				out = append(out, [2]int{i, j})
-			}
-		}
-		return out
-	default:
-		panic("workload: invalid pattern")
-	}
 }

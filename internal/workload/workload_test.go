@@ -23,107 +23,59 @@ func newPair(t *testing.T) (*sim.Engine, *core.Host, *core.Host) {
 	return eng, a, b
 }
 
-func TestPatternPairs(t *testing.T) {
-	cases := []struct {
-		p      Pattern
-		n      int
-		want   int
-		first  [2]int
-		spread bool // receiver cores all distinct
-	}{
-		{Single, 0, 1, [2]int{0, 0}, true},
-		{OneToOne, 8, 8, [2]int{0, 0}, true},
-		{Incast, 8, 8, [2]int{0, 0}, false},
-		{Outcast, 8, 8, [2]int{0, 0}, true},
-		{AllToAll, 4, 16, [2]int{0, 0}, false},
+// rpcIncast opens n client connections, one from each of cores 0..n-1
+// of a, to serverCore of b, starts a ping-pong client on each, and serves
+// them all from one server.
+func rpcIncast(a, b *core.Host, n, serverCore int, size units.Bytes) ([]*RPCClient, *RPCServer) {
+	var clients []*RPCClient
+	var served []*core.Endpoint
+	for i := 0; i < n; i++ {
+		cEP, sEP := core.OpenConn(a, i, b, serverCore)
+		clients = append(clients, StartRPCClient(cEP, size))
+		served = append(served, sEP)
 	}
-	for _, c := range cases {
-		pairs := PatternPairs(24, c.p, c.n)
-		if len(pairs) != c.want {
-			t.Errorf("%v: %d pairs, want %d", c.p, len(pairs), c.want)
-			continue
-		}
-		if pairs[0] != c.first {
-			t.Errorf("%v: first pair %v", c.p, pairs[0])
-		}
-		if c.spread {
-			seen := map[int]bool{}
-			for _, pr := range pairs {
-				if seen[pr[1]] {
-					t.Errorf("%v: receiver core %d reused", c.p, pr[1])
-				}
-				seen[pr[1]] = true
-			}
-		}
-	}
-	// Incast: one receiver core.
-	for _, pr := range PatternPairs(24, Incast, 8) {
-		if pr[1] != 0 {
-			t.Error("incast must target core 0")
-		}
-	}
-	// Outcast: one sender core.
-	for _, pr := range PatternPairs(24, Outcast, 8) {
-		if pr[0] != 0 {
-			t.Error("outcast must source core 0")
-		}
-	}
-	// All-to-all covers the full grid.
-	grid := map[[2]int]bool{}
-	for _, pr := range PatternPairs(24, AllToAll, 3) {
-		grid[pr] = true
-	}
-	if len(grid) != 9 {
-		t.Errorf("3x3 all-to-all covered %d cells", len(grid))
-	}
+	return clients, StartRPCServer(b, serverCore, size, served)
 }
 
-func TestPatternPairsPanicsOutOfRange(t *testing.T) {
-	for _, n := range []int{0, 25} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("n=%d should panic", n)
-				}
-			}()
-			PatternPairs(24, OneToOne, n)
-		}()
+// mixedOnCore builds the Fig. 11 scenario on core 0 of each host: one
+// long flow plus nShort RPC connections whose clients and server share
+// the long flow's cores. With no shorts there are no clients and no
+// server.
+func mixedOnCore(a, b *core.Host, nShort int, size units.Bytes) (*LongFlow, []*RPCClient, *RPCServer) {
+	sEP, rEP := core.OpenConn(a, 0, b, 0)
+	lf := StartLongFlow(sEP, rEP)
+	if nShort == 0 {
+		return lf, nil, nil
 	}
-}
-
-func TestPatternString(t *testing.T) {
-	names := map[Pattern]string{
-		Single: "single", OneToOne: "one-to-one", Incast: "incast",
-		Outcast: "outcast", AllToAll: "all-to-all", Pattern(99): "invalid",
+	var clients []*RPCClient
+	var served []*core.Endpoint
+	for i := 0; i < nShort; i++ {
+		cEP, svEP := core.OpenConn(a, 0, b, 0)
+		clients = append(clients, StartRPCClient(cEP, size))
+		served = append(served, svEP)
 	}
-	for p, want := range names {
-		if p.String() != want {
-			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
-		}
-	}
+	return lf, clients, StartRPCServer(b, 0, size, served)
 }
 
 func TestLongFlowMovesData(t *testing.T) {
 	eng, a, b := newPair(t)
-	flows := LongFlows(a, b, Single, 1)
+	sEP, rEP := core.OpenConn(a, 0, b, 0)
+	lf := StartLongFlow(sEP, rEP)
 	eng.Run(sim.Time(20 * time.Millisecond))
-	if len(flows) != 1 {
-		t.Fatalf("flows = %d", len(flows))
-	}
-	st := flows[0].Receiver.Conn().Stats()
+	st := lf.Receiver.Conn().Stats()
 	if st.DeliveredBytes < 10*units.MB {
 		t.Errorf("long flow delivered only %v in 20ms", st.DeliveredBytes)
 	}
 	// Copied lags Delivered by exactly the un-read receive queue.
-	if b.Copied()+flows[0].Receiver.Readable() != st.DeliveredBytes {
+	if b.Copied()+lf.Receiver.Readable() != st.DeliveredBytes {
 		t.Errorf("copied %v + queued %v != delivered %v",
-			b.Copied(), flows[0].Receiver.Readable(), st.DeliveredBytes)
+			b.Copied(), lf.Receiver.Readable(), st.DeliveredBytes)
 	}
 }
 
 func TestRPCPingPong(t *testing.T) {
 	eng, a, b := newPair(t)
-	clients, srv := RPCIncast(a, b, 4, 0, 4096)
+	clients, srv := rpcIncast(a, b, 4, 0, 4096)
 	eng.Run(sim.Time(20 * time.Millisecond))
 	var completed int64
 	for _, c := range clients {
@@ -152,7 +104,7 @@ func TestRPCPingPong(t *testing.T) {
 
 func TestRPCLargeSize(t *testing.T) {
 	eng, a, b := newPair(t)
-	clients, _ := RPCIncast(a, b, 2, 0, 65536)
+	clients, _ := rpcIncast(a, b, 2, 0, 65536)
 	eng.Run(sim.Time(20 * time.Millisecond))
 	for _, c := range clients {
 		if c.Completed == 0 {
@@ -163,7 +115,7 @@ func TestRPCLargeSize(t *testing.T) {
 
 func TestMixedOnCore(t *testing.T) {
 	eng, a, b := newPair(t)
-	lf, clients, srv := MixedOnCore(a, b, 0, 4, 4096)
+	lf, clients, srv := mixedOnCore(a, b, 4, 4096)
 	eng.Run(sim.Time(20 * time.Millisecond))
 	if lf.Receiver.Conn().Stats().DeliveredBytes == 0 {
 		t.Error("long flow starved completely")
@@ -182,7 +134,7 @@ func TestMixedOnCore(t *testing.T) {
 
 func TestMixedZeroShorts(t *testing.T) {
 	eng, a, b := newPair(t)
-	lf, clients, srv := MixedOnCore(a, b, 0, 0, 4096)
+	lf, clients, srv := mixedOnCore(a, b, 0, 4096)
 	if clients != nil || srv != nil {
 		t.Error("no shorts requested, none expected")
 	}
@@ -194,12 +146,12 @@ func TestMixedZeroShorts(t *testing.T) {
 
 func TestMixingDegradesLongFlow(t *testing.T) {
 	eng1, a1, b1 := newPair(t)
-	lfAlone, _, _ := MixedOnCore(a1, b1, 0, 0, 4096)
+	lfAlone, _, _ := mixedOnCore(a1, b1, 0, 4096)
 	eng1.Run(sim.Time(20 * time.Millisecond))
 	alone := lfAlone.Receiver.Conn().Stats().DeliveredBytes
 
 	eng2, a2, b2 := newPair(t)
-	lfMixed, _, _ := MixedOnCore(a2, b2, 0, 16, 4096)
+	lfMixed, _, _ := mixedOnCore(a2, b2, 16, 4096)
 	eng2.Run(sim.Time(20 * time.Millisecond))
 	mixed := lfMixed.Receiver.Conn().Stats().DeliveredBytes
 

@@ -10,7 +10,6 @@ import (
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/topology"
 	"hostsim/internal/units"
-	"hostsim/internal/workload"
 )
 
 // pairNames names the default topology's two hosts (Config.Fabric nil).
@@ -29,17 +28,17 @@ type plan struct {
 	opts     core.Options
 	costs    *cpumodel.Costs
 	spec     topology.MachineSpec
-	fab      FabricOptions    // the topology; the testbed pair when Config.Fabric is nil
-	pattern  workload.Pattern // long workloads only
+	fab      FabricOptions // the topology; the testbed pair when Config.Fabric is nil
+	conns    []conn        // the workload's connections, in opening order
 	obs      []observer
 	preBuild int // obs[:preBuild] attach before the workload is built
 }
 
 // validate checks every input of a run before anything is built: the
 // Config (windows, loss, stack, tuning, cost scales, link and topology),
-// the workload's scale against the testbed's cores, and each armed
-// observer's options. Run builds nothing until it passes, so bad input is
-// an error and never reaches a constructor's assertions.
+// the workload, which it places on the topology (see Workload.place), and
+// each armed observer's options. Run builds nothing until it passes, so
+// bad input is an error and never reaches a constructor's assertions.
 func validate(cfg Config, wl Workload) (*plan, error) {
 	if cfg.Warmup < 0 || cfg.Duration < 0 {
 		return nil, fmt.Errorf("hostsim: negative Warmup or Duration")
@@ -103,11 +102,11 @@ func validate(cfg Config, wl Workload) (*plan, error) {
 	if err := fo.validate(); err != nil {
 		return nil, err
 	}
-	pat, err := wl.validate(cfg.Fabric != nil, fo.Hosts, spec.NumCores())
+	conns, err := wl.place(cfg.Fabric != nil, fo.Hosts, spec)
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{cfg: cfg, opts: opts, costs: costs, spec: spec, fab: fo, pattern: pat}
+	p := &plan{cfg: cfg, opts: opts, costs: costs, spec: spec, fab: fo, conns: conns}
 	for _, a := range attachOrder {
 		o := a.arm(&p.cfg)
 		if o == nil {
@@ -165,59 +164,4 @@ func (fo *FabricOptions) validate() error {
 		}
 	}
 	return nil
-}
-
-// validate checks the workload against the topology: a fabric of hosts
-// runs long-flow patterns only, scaled by the host count; the pair places
-// patterns across its cores, so their scale is bounded by the core count.
-// It returns the parsed long-flow pattern.
-func (wl Workload) validate(fabric bool, hosts, cores int) (workload.Pattern, error) {
-	if fabric {
-		if wl.Kind != "long" {
-			return 0, fmt.Errorf("hostsim: fabric topologies support the long workload only (got %q)", wl.Kind)
-		}
-		if wl.RemoteNUMA {
-			return 0, fmt.Errorf("hostsim: RemoteNUMA is a pair-topology option")
-		}
-		p, err := parsePattern(wl.Pattern)
-		if err == nil && p == workload.OneToOne && hosts%2 != 0 {
-			err = fmt.Errorf("hostsim: one-to-one needs an even host count (got %d)", hosts)
-		}
-		return p, err
-	}
-	switch wl.Kind {
-	case "long":
-		p, err := parsePattern(wl.Pattern)
-		if err != nil {
-			return 0, err
-		}
-		if p == workload.Single {
-			if wl.N < 0 || wl.N > 1 {
-				return 0, fmt.Errorf("hostsim: single workload N %d outside [0,1]", wl.N)
-			}
-		} else if wl.N < 1 || wl.N > cores {
-			return 0, fmt.Errorf("hostsim: %v workload N %d outside [1,%d]", p, wl.N, cores)
-		}
-		if wl.RemoteNUMA && p != workload.Single {
-			return 0, fmt.Errorf("hostsim: RemoteNUMA supports the single pattern only")
-		}
-		return p, nil
-	case "rpc":
-		if wl.RPCClients <= 0 || wl.RPCSize <= 0 {
-			return 0, fmt.Errorf("hostsim: rpc workload needs RPCClients and RPCSize")
-		}
-		if wl.RPCClients > cores {
-			return 0, fmt.Errorf("hostsim: rpc workload RPCClients %d exceeds %d client cores", wl.RPCClients, cores)
-		}
-	case "mixed":
-		if wl.MixedShort < 0 {
-			return 0, fmt.Errorf("hostsim: negative mixed workload MixedShort %d", wl.MixedShort)
-		}
-		if wl.RPCSize <= 0 {
-			return 0, fmt.Errorf("hostsim: mixed workload needs RPCSize")
-		}
-	default:
-		return 0, fmt.Errorf("hostsim: unknown workload kind %q", wl.Kind)
-	}
-	return 0, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"hostsim/internal/core"
 	"hostsim/internal/skb"
+	"hostsim/internal/topology"
 	"hostsim/internal/units"
 	"hostsim/internal/workload"
 )
@@ -15,12 +16,6 @@ import (
 type builtWorkload struct {
 	long    []*workload.LongFlow
 	clients []*workload.RPCClient
-
-	// senderIdx/receiverIdx pick the representative hosts for the
-	// Result.Sender/Result.Receiver views. The default pair is always (0, 1);
-	// fabric incast swaps to (1, 0) so Sender is one of the sending hosts.
-	senderIdx   int
-	receiverIdx int
 
 	longBase     units.Bytes
 	longBaseEach []units.Bytes
@@ -71,83 +66,152 @@ func msgSizes(b *builtWorkload, override int64) []units.Bytes {
 	return sizes
 }
 
-// buildWorkload places the workload on the default pair's cores. Run
-// validated the workload first, so the pattern and every scale are in
-// range.
-func buildWorkload(sender, receiver *core.Host, wl Workload, p workload.Pattern) *builtWorkload {
-	b := &builtWorkload{receiverIdx: 1}
+// conn is one connection of a run's workload: the sending host and core,
+// the receiving host and core, and whether it carries ping-pong RPCs
+// (client on the sender, server on the receiver) rather than a long flow.
+type conn struct {
+	s, sCore, r, rCore int
+	rpc                bool
+}
+
+// place turns the workload into the run's connections, in the order Run
+// opens them, and checks it against the topology on the way. The default
+// pair places every workload across its two hosts' cores, host 0 sending
+// to host 1, so each scale is bounded by the core count. A fabric of
+// hosts runs the long-flow patterns only, placed across its hosts and
+// scaled by the host count (see placeFabric). RPC connections come last
+// and share one server core.
+func (wl Workload) place(fabric bool, hosts int, spec topology.MachineSpec) ([]conn, error) {
+	cores := spec.NumCores()
+	if fabric {
+		if wl.Kind != "long" {
+			return nil, fmt.Errorf("hostsim: fabric topologies support the long workload only (got %q)", wl.Kind)
+		}
+		if wl.RemoteNUMA {
+			return nil, fmt.Errorf("hostsim: RemoteNUMA is a pair-topology option")
+		}
+		return placeFabric(wl.Pattern, hosts, cores)
+	}
+	// RemoteNUMA moves the receiving application to the first core of
+	// NUMA node 2; the NIC sits on node 0.
+	rxCore := 0
+	if wl.RemoteNUMA {
+		rxCore = spec.CoresOnNode(2)[0]
+	}
+	var out []conn
+	add := func(sCore, rCore int, rpc bool) {
+		out = append(out, conn{s: 0, sCore: sCore, r: 1, rCore: rCore, rpc: rpc})
+	}
 	switch wl.Kind {
 	case "long":
+		switch wl.Pattern {
+		case PatternSingle:
+			if wl.N < 0 || wl.N > 1 {
+				return nil, fmt.Errorf("hostsim: single workload N %d outside [0,1]", wl.N)
+			}
+			add(0, rxCore, false)
+			return out, nil
+		case PatternOneToOne, PatternIncast, PatternOutcast, PatternAllToAll:
+		default:
+			return nil, fmt.Errorf("hostsim: unknown pattern %q", wl.Pattern)
+		}
+		if wl.N < 1 || wl.N > cores {
+			return nil, fmt.Errorf("hostsim: %v workload N %d outside [1,%d]", wl.Pattern, wl.N, cores)
+		}
 		if wl.RemoteNUMA {
-			// Application on the first core of NUMA node 2 (NIC on node 0).
-			rc := receiver.Spec().CoresOnNode(2)[0]
-			sEP, rEP := core.OpenConn(sender, 0, receiver, rc)
-			b.long = []*workload.LongFlow{workload.StartLongFlow(sEP, rEP)}
-			return b
+			return nil, fmt.Errorf("hostsim: RemoteNUMA supports the single pattern only")
 		}
-		n := wl.N
-		if p == workload.Single {
-			n = 1
+		// Cores fill node-major, so the first 6 are NIC-local.
+		for i := 0; i < wl.N; i++ {
+			switch wl.Pattern {
+			case PatternOneToOne:
+				add(i, i, false)
+			case PatternIncast:
+				add(i, 0, false)
+			case PatternOutcast:
+				add(0, i, false)
+			case PatternAllToAll:
+				for j := 0; j < wl.N; j++ {
+					add(i, j, false)
+				}
+			}
 		}
-		b.long = workload.LongFlows(sender, receiver, p, n)
 	case "rpc":
-		serverCore := 0
-		if wl.RemoteNUMA {
-			serverCore = receiver.Spec().CoresOnNode(2)[0]
+		// The §3.7 short-flow scenario: one client per core, all against
+		// one server core.
+		if wl.RPCClients <= 0 || wl.RPCSize <= 0 {
+			return nil, fmt.Errorf("hostsim: rpc workload needs RPCClients and RPCSize")
 		}
-		b.clients, _ = workload.RPCIncast(sender, receiver, wl.RPCClients, serverCore, units.Bytes(wl.RPCSize))
+		if wl.RPCClients > cores {
+			return nil, fmt.Errorf("hostsim: rpc workload RPCClients %d exceeds %d client cores", wl.RPCClients, cores)
+		}
+		for i := 0; i < wl.RPCClients; i++ {
+			add(i, rxCore, true)
+		}
 	case "mixed":
+		// Fig. 11: one long flow on core 0, its short flows sharing that
+		// core on each side, or core 1 when segregated (the paper's §4
+		// class-segregated scheduling proposal).
+		if wl.MixedShort < 0 {
+			return nil, fmt.Errorf("hostsim: negative mixed workload MixedShort %d", wl.MixedShort)
+		}
+		if wl.RPCSize <= 0 {
+			return nil, fmt.Errorf("hostsim: mixed workload needs RPCSize")
+		}
+		if wl.RemoteNUMA {
+			return nil, fmt.Errorf("hostsim: RemoteNUMA is not supported by the mixed workload")
+		}
 		shortCore := 0
 		if wl.Segregate {
 			shortCore = 1
 		}
-		lf, clients, _ := workload.MixedSplit(sender, receiver, 0, shortCore, wl.MixedShort, units.Bytes(wl.RPCSize))
-		b.long = []*workload.LongFlow{lf}
-		b.clients = clients
+		add(0, 0, false)
+		for i := 0; i < wl.MixedShort; i++ {
+			add(shortCore, shortCore, true)
+		}
+	default:
+		return nil, fmt.Errorf("hostsim: unknown workload kind %q", wl.Kind)
 	}
-	return b
+	return out, nil
 }
 
-// buildFabricWorkload places the long-flow patterns across the cluster's
-// hosts rather than across one pair's cores: incast is hosts 1..H-1 each
-// sending one flow into host 0, outcast the reverse, one-to-one pairs the
-// hosts off two at a time, and all-to-all runs one flow per ordered host
-// pair. The pattern scale comes from the host count, so Workload.N is
-// ignored; cores on a hot host fill round-robin like the paper's
-// multi-flow placements. RPC and mixed workloads (and RemoteNUMA) remain
-// pair-topology options, which Run's validation enforces.
-func buildFabricWorkload(hosts []*core.Host, p workload.Pattern) *builtWorkload {
-	h := len(hosts)
-	cores := hosts[0].Spec().NumCores()
-	b := &builtWorkload{receiverIdx: 1}
-	open := func(s, sCore, r, rCore int) {
-		sEP, rEP := core.OpenConn(hosts[s], sCore, hosts[r], rCore)
-		b.long = append(b.long, workload.StartLongFlow(sEP, rEP))
+// placeFabric places a long-flow pattern across h hosts rather than
+// across one pair's cores: incast is hosts 1..h-1 each sending one flow
+// into host 0, outcast the reverse, one-to-one pairs the hosts off two at
+// a time, and all-to-all runs one flow per ordered host pair. Workload.N
+// is ignored; cores on a hot host fill round-robin like the paper's
+// multi-flow placements.
+func placeFabric(p Pattern, h, cores int) ([]conn, error) {
+	var out []conn
+	add := func(s, sCore, r, rCore int) {
+		out = append(out, conn{s: s, sCore: sCore, r: r, rCore: rCore})
 	}
 	switch p {
-	case workload.Single:
-		open(0, 0, 1, 0)
-	case workload.OneToOne:
+	case PatternSingle:
+		add(0, 0, 1, 0)
+	case PatternOneToOne:
+		if h%2 != 0 {
+			return nil, fmt.Errorf("hostsim: one-to-one needs an even host count (got %d)", h)
+		}
 		for i := 0; i < h; i += 2 {
-			open(i, 0, i+1, 0)
+			add(i, 0, i+1, 0)
 		}
-	case workload.Incast:
-		b.senderIdx, b.receiverIdx = 1, 0
+	case PatternIncast:
 		for i := 1; i < h; i++ {
-			open(i, 0, 0, (i-1)%cores)
+			add(i, 0, 0, (i-1)%cores)
 		}
-	case workload.Outcast:
+	case PatternOutcast:
 		for i := 1; i < h; i++ {
-			open(0, (i-1)%cores, i, 0)
+			add(0, (i-1)%cores, i, 0)
 		}
-	case workload.AllToAll:
+	case PatternAllToAll:
 		for i := 0; i < h; i++ {
 			for j := 0; j < h; j++ {
 				if i == j {
 					continue
 				}
-				// Each host numbers its flows toward the other hosts 0..H-2;
-				// that index picks the core, so every host spreads its H-1
+				// Each host numbers its flows toward the other hosts 0..h-2;
+				// that index picks the core, so every host spreads its h-1
 				// outgoing (and incoming) flows across its cores evenly.
 				sCore := j
 				if j > i {
@@ -157,28 +221,34 @@ func buildFabricWorkload(hosts []*core.Host, p workload.Pattern) *builtWorkload 
 				if i > j {
 					rCore--
 				}
-				open(i, sCore%cores, j, rCore%cores)
+				add(i, sCore%cores, j, rCore%cores)
 			}
 		}
+	default:
+		return nil, fmt.Errorf("hostsim: unknown pattern %q", p)
 	}
-	return b
+	return out, nil
 }
 
-func parsePattern(p Pattern) (workload.Pattern, error) {
-	switch p {
-	case PatternSingle:
-		return workload.Single, nil
-	case PatternOneToOne:
-		return workload.OneToOne, nil
-	case PatternIncast:
-		return workload.Incast, nil
-	case PatternOutcast:
-		return workload.Outcast, nil
-	case PatternAllToAll:
-		return workload.AllToAll, nil
-	default:
-		return 0, fmt.Errorf("hostsim: unknown pattern %q", p)
+// startWorkload opens the placed connections in order and starts an
+// application on each: a long flow, or an RPC client whose server
+// endpoint joins the one RPC server started after the loop.
+func startWorkload(hosts []*core.Host, conns []conn, size units.Bytes) *builtWorkload {
+	b := &builtWorkload{}
+	var served []*core.Endpoint
+	for _, c := range conns {
+		sEP, rEP := core.OpenConn(hosts[c.s], c.sCore, hosts[c.r], c.rCore)
+		if c.rpc {
+			b.clients = append(b.clients, workload.StartRPCClient(sEP, size))
+			served = append(served, rEP)
+		} else {
+			b.long = append(b.long, workload.StartLongFlow(sEP, rEP))
+		}
 	}
+	if len(served) > 0 {
+		workload.StartRPCServer(served[0].Host(), served[0].AppCore(), size, served)
+	}
+	return b
 }
 
 // snapshot records baselines at the start of the measurement window.

@@ -2,6 +2,7 @@ package hostsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -337,6 +338,31 @@ func TestLROStackRuns(t *testing.T) {
 	}
 	if res.ThroughputPerCoreGbps <= 0 {
 		t.Error("LRO stack moved no data")
+	}
+}
+
+// TestTraceEventsHugeCap runs with the largest TraceEvents the API takes.
+// The ring grows with the events recorded instead of preallocating its
+// cap, so the run succeeds and records the same trace as a cap just above
+// its event count.
+func TestTraceEventsHugeCap(t *testing.T) {
+	cfg := quickCfg(AllOptimizations())
+	cfg.TraceEvents = math.MaxInt32
+	huge, err := Run(cfg, LongFlowWorkload(PatternSingle, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(huge.Trace) == 0 {
+		t.Fatal("trace empty")
+	}
+	cfg.TraceEvents = len(huge.Trace) + 1
+	fit, err := Run(cfg, LongFlowWorkload(PatternSingle, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(huge.Trace, fit.Trace) {
+		t.Errorf("MaxInt32 cap recorded %d events, a cap of %d recorded %d, or they differ",
+			len(huge.Trace), cfg.TraceEvents, len(fit.Trace))
 	}
 }
 

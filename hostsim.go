@@ -479,8 +479,8 @@ type Telemetry struct {
 
 // Timeline is the sampled multi-metric timeseries produced when
 // Config.Telemetry is set: one column per metric, one row per sample.
-// It dumps as CSV (WriteCSV) or JSON lines (WriteJSONL), and Column
-// extracts one metric's series.
+// It dumps as CSV (WriteCSV) or JSON lines (WriteJSONL); Row and Each
+// read its rows, and Column extracts one metric's series.
 type Timeline = telemetry.Timeline
 
 // PacketCapture is one link direction's recorded packet stream (see

@@ -246,20 +246,10 @@ func (ep *Endpoint) recycleSKB(s *skb.SKB) {
 	ep.host.NIC.SKBPool().Put(s)
 }
 
-// softirq runs fn on the endpoint's TCP-processing core (timer handlers).
-// With a profiler attached the handler's charges are tagged with the
-// endpoint's tx flow; without one, no wrapper closure is allocated.
+// softirq runs fn on the endpoint's TCP-processing core (timer handlers,
+// Tx completion), its charges tagged with the endpoint's tx flow.
 func (ep *Endpoint) softirq(fn func(*exec.Ctx)) {
-	c := ep.host.Sys.Core(ep.host.processingCoreFor(ep))
-	if ep.host.prof != nil {
-		flow := int32(ep.txFlow)
-		c.RaiseSoftirq(func(ctx *exec.Ctx) {
-			ctx.SetFlowTag(flow)
-			fn(ctx)
-		})
-		return
-	}
-	c.RaiseSoftirq(fn)
+	ep.host.Sys.Core(ep.host.processingCoreFor(ep)).RaiseTaggedSoftirq(fn, int32(ep.txFlow))
 }
 
 func (ep *Endpoint) onReadable(ctx *exec.Ctx, c *tcp.Conn) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hostsim/internal/cpumodel"
+	"hostsim/internal/units"
 )
 
 // With no charge log installed (nil profiler) the per-charge hooks —
@@ -57,6 +58,41 @@ func TestChargeWithLogAllocationFree(t *testing.T) {
 	}
 	if flushed == 0 {
 		t.Fatal("charge log never flushed")
+	}
+}
+
+// A flow-tagged softirq starts with its flow tag set. With a charge log
+// installed, raising and running one allocates nothing per item (the tag
+// rides in the queue entry, not in a wrapper closure), and its charges are
+// logged under the tag; an untagged item on the same core logs flow 0.
+func TestTaggedSoftirqAllocationFree(t *testing.T) {
+	eng, s := newSys()
+	cycles := map[int32]units.Cycles{0: 0, 7: 0}
+	s.SetChargeLog(func(core int, softirq bool, thread string, log []FlowCharge) {
+		for _, e := range log {
+			if _, ok := cycles[e.Flow]; !ok {
+				t.Errorf("charge logged under flow %d", e.Flow)
+			}
+			cycles[e.Flow] += e.Cycles
+		}
+	})
+	c := s.Core(0)
+	fn := func(ctx *Ctx) { ctx.Charge(cpumodel.Netdev, 100) }
+	raise := func() {
+		c.RaiseTaggedSoftirq(fn, 7)
+		eng.Run(eng.Now() + 1_000_000)
+	}
+	raise() // warm-up: fills the context and charge-log pools
+	if allocs := testing.AllocsPerRun(100, raise); allocs != 0 {
+		t.Errorf("tagged softirq with a charge log allocates %v per item, want 0", allocs)
+	}
+	if want := units.Cycles(102 * 100); cycles[7] != want || cycles[0] != 0 {
+		t.Errorf("logged cycles by flow %v, want %d under flow 7 and none under 0", cycles, want)
+	}
+	c.RaiseSoftirq(fn)
+	eng.Run(eng.Now() + 1_000_000)
+	if cycles[0] != 100 {
+		t.Errorf("untagged softirq logged %d cycles under flow 0, want 100", cycles[0])
 	}
 }
 

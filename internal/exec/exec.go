@@ -271,7 +271,7 @@ type Core struct {
 
 	running  bool
 	current  *Thread // last thread context that ran (for switch detection)
-	softirq  []func(*Ctx)
+	softirq  []sirq
 	sirqHead int       // dispatch position in softirq (head-indexed ring, compacted when drained)
 	runq     []*Thread // runnable threads, selected by min vruntime
 	minVR    units.Cycles
@@ -363,12 +363,23 @@ func (c *Core) NewThread(name string, run func(*Ctx)) *Thread {
 // RaiseSoftirq queues softirq work on the core. The work runs before any
 // thread gets the CPU. Safe to call from outside any work item (e.g. a
 // simulated hardware event); dispatch is triggered immediately.
-func (c *Core) RaiseSoftirq(fn func(*Ctx)) {
+func (c *Core) RaiseSoftirq(fn func(*Ctx)) { c.RaiseTaggedSoftirq(fn, 0) }
+
+// RaiseTaggedSoftirq is RaiseSoftirq for work done on behalf of one flow:
+// the item starts with its flow tag set to flow, so its charges are
+// attributed without a wrapper closure.
+func (c *Core) RaiseTaggedSoftirq(fn func(*Ctx), flow int32) {
 	if fn == nil {
 		panic("exec: nil softirq")
 	}
-	c.softirq = append(c.softirq, fn)
+	c.softirq = append(c.softirq, sirq{fn: fn, tag: flow})
 	c.dispatch()
+}
+
+// sirq is one queued softirq work item and the flow tag it starts with.
+type sirq struct {
+	fn  func(*Ctx)
+	tag int32
 }
 
 // SoftirqBacklog returns the number of queued softirq items.
@@ -400,13 +411,14 @@ func (c *Core) dispatch() {
 	}
 	var (
 		fn       func(*Ctx)
+		tag      int32
 		thread   *Thread
 		switchTo bool
 	)
 	switch {
 	case c.sirqHead < len(c.softirq):
-		fn = c.softirq[c.sirqHead]
-		c.softirq[c.sirqHead] = nil
+		fn, tag = c.softirq[c.sirqHead].fn, c.softirq[c.sirqHead].tag
+		c.softirq[c.sirqHead] = sirq{}
 		c.sirqHead++
 		if c.sirqHead == len(c.softirq) {
 			c.softirq = c.softirq[:0]
@@ -425,6 +437,7 @@ func (c *Core) dispatch() {
 	ctx.core = c
 	ctx.start = c.sys.eng.Now()
 	ctx.thread = thread
+	ctx.flowTag = tag
 	ctx.done = false
 	if c.sys.chargeLog != nil {
 		ctx.charges = c.sys.getLog()

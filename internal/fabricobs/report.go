@@ -351,8 +351,8 @@ func WriteTrace(w io.Writer, names []string, tl *telemetry.Timeline, bursts []Bu
 	for i, n := range tl.Names {
 		cols[n] = i
 	}
-	for i, at := range tl.Times {
-		row := tl.Rows[i]
+	tl.Each(func(i int, row []float64) error {
+		at := tl.Times[i]
 		if c, ok := cols["occupancy_bytes"]; ok {
 			spans = append(spans, telemetry.Span{
 				Process: "fabric", Thread: 0, Name: "shared-buffer occupancy",
@@ -370,7 +370,8 @@ func WriteTrace(w io.Writer, names []string, tl *telemetry.Timeline, bursts []Bu
 				StartNS: int64(at), Counter: true, Value: row[c],
 			})
 		}
-	}
+		return nil
+	})
 	for _, ev := range bursts {
 		spans = append(spans, telemetry.Span{
 			Process: "fabric", Thread: ev.Port + 1,

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 
+	"hostsim/internal/cpumodel"
 	"hostsim/internal/exec"
 	"hostsim/internal/units"
 )
@@ -31,28 +32,44 @@ type Options struct {
 	// FlowClasses maps a flow id to its class label (the innermost stack
 	// frame), e.g. "long" or "rpc". Flows absent from the map are labeled
 	// "other"; a nil map labels every flow "flow". Flow-anonymous charges
-	// (timers, replenish work) get no class frame at all.
+	// (timers, replenish work) get no class frame at all, and neither do
+	// flows labeled "". New reads the map once.
 	FlowClasses map[int32]string
 }
 
-// stackKey is one unique cycle-attribution stack. class is "" for
-// flow-anonymous charges (the stack then has three frames, category leaf).
-type stackKey struct {
-	host  string
-	ctx   string // "softirq" or the thread name
-	cat   string // Table-1 category
-	class string // flow class, "" when flow-anonymous
+// maxDenseFlow bounds the flow ids whose class the profiler finds by
+// direct index; labeled ids outside [1, maxDenseFlow] go through a map.
+const maxDenseFlow = 1 << 16
+
+// ctxKey names one execution context of one host: "softirq" or a thread.
+type ctxKey struct{ host, ctx string }
+
+// cell is one attribution stack's total. seen marks a stack that was
+// charged, so a stack whose charges sum to zero still appears.
+type cell struct {
+	cycles units.Cycles
+	seen   bool
 }
 
 // Profiler accumulates simulated cycles into stacks and per-packet
 // lifecycle latency into stage histograms. One Profiler serves all hosts
 // of a single run; it is engine-thread-confined (no locks), like every
 // other per-run structure.
+//
+// Stacks live in one flat slice indexed [context][category][class]: class
+// labels are interned at New, each (host, context) pair the first time
+// it is charged, so recording a charge log hashes nothing per entry.
 type Profiler struct {
-	opts    Options
-	freq    units.Frequency
-	samples map[stackKey]units.Cycles
-	life    Lifecycle
+	freq units.Frequency
+	life Lifecycle
+
+	classes   []string       // interned class labels; 0 is "" (no class frame)
+	unlabeled int            // class of a flow FlowClasses does not name
+	flowClass []int32        // class of flow ids 1..len-1
+	farClass  map[int32]int  // class of labeled flow ids beyond flowClass
+	ctxIDs    map[ctxKey]int // (host, context) → dense context id
+	ctxs      []ctxKey       // dense context id → (host, context)
+	cells     []cell         // [context][category][class]
 }
 
 // New builds a profiler converting cycles to wall time at freq.
@@ -60,12 +77,45 @@ func New(opts Options, freq units.Frequency) *Profiler {
 	if freq <= 0 {
 		panic("profile: non-positive frequency")
 	}
-	return &Profiler{
-		opts:    opts,
-		freq:    freq,
-		samples: make(map[stackKey]units.Cycles),
-		life:    newLifecycle(),
+	p := &Profiler{freq: freq, life: newLifecycle(), classes: []string{""}, ctxIDs: make(map[ctxKey]int)}
+	ids := map[string]int{"": 0}
+	intern := func(label string) int {
+		id, ok := ids[label]
+		if !ok {
+			id = len(p.classes)
+			ids[label] = id
+			p.classes = append(p.classes, label)
+		}
+		return id
 	}
+	if opts.FlowClasses == nil {
+		p.unlabeled = intern("flow")
+		return p
+	}
+	p.unlabeled = intern("other")
+	dense := int32(0)
+	for f := range opts.FlowClasses {
+		if f > dense && f <= maxDenseFlow {
+			dense = f
+		}
+	}
+	p.flowClass = make([]int32, dense+1)
+	for f := range p.flowClass {
+		p.flowClass[f] = int32(p.unlabeled)
+	}
+	for f, label := range opts.FlowClasses {
+		switch {
+		case f == 0: // flow-anonymous whatever its label
+		case f > 0 && f <= dense:
+			p.flowClass[f] = int32(intern(label))
+		default:
+			if p.farClass == nil {
+				p.farClass = make(map[int32]int)
+			}
+			p.farClass[f] = intern(label)
+		}
+	}
+	return p
 }
 
 // Freq returns the cycle→time conversion frequency.
@@ -83,31 +133,42 @@ func (p *Profiler) Lifecycle() *Lifecycle {
 // host. It is the exec.ChargeLogFunc target: core.Host wires it via
 // exec.System.SetChargeLog.
 func (p *Profiler) Record(host string, softirq bool, thread string, log []exec.FlowCharge) {
-	ctx := thread
+	k := ctxKey{host: host, ctx: thread}
 	if softirq {
-		ctx = "softirq"
+		k.ctx = "softirq"
 	}
+	id, ok := p.ctxIDs[k]
+	if !ok {
+		id = len(p.ctxs)
+		p.ctxIDs[k] = id
+		p.ctxs = append(p.ctxs, k)
+		p.cells = append(p.cells, make([]cell, cpumodel.NumCategories*len(p.classes))...)
+	}
+	width := cpumodel.NumCategories * len(p.classes)
+	cells := p.cells[id*width : (id+1)*width : (id+1)*width]
 	for i := range log {
 		e := &log[i]
 		if e.Cycles == 0 {
 			continue
 		}
-		k := stackKey{host: host, ctx: ctx, cat: e.Cat.String(), class: p.classOf(e.Flow)}
-		p.samples[k] += e.Cycles
+		c := &cells[int(e.Cat)*len(p.classes)+p.classOf(e.Flow)]
+		c.cycles += e.Cycles
+		c.seen = true
 	}
 }
 
-func (p *Profiler) classOf(flow int32) string {
+// classOf returns the interned class of a flow id.
+func (p *Profiler) classOf(flow int32) int {
 	if flow == 0 {
-		return ""
+		return 0
 	}
-	if p.opts.FlowClasses == nil {
-		return "flow"
+	if flow > 0 && int(flow) < len(p.flowClass) {
+		return int(p.flowClass[flow])
 	}
-	if c, ok := p.opts.FlowClasses[flow]; ok {
+	if c, ok := p.farClass[flow]; ok {
 		return c
 	}
-	return "other"
+	return p.unlabeled
 }
 
 // Reset discards everything accumulated so far. hostsim calls it at the
@@ -117,17 +178,15 @@ func (p *Profiler) Reset() {
 	if p == nil {
 		return
 	}
-	for k := range p.samples {
-		delete(p.samples, k)
-	}
+	clear(p.cells)
 	p.life.Reset()
 }
 
 // TotalCycles returns the sum over all stacks.
 func (p *Profiler) TotalCycles() units.Cycles {
 	var t units.Cycles
-	for _, c := range p.samples {
-		t += c
+	for _, c := range p.cells {
+		t += c.cycles
 	}
 	return t
 }
@@ -137,8 +196,10 @@ func (p *Profiler) TotalCycles() units.Cycles {
 // exec accounting for the same window.
 func (p *Profiler) CategoryTotals() map[string]units.Cycles {
 	out := make(map[string]units.Cycles)
-	for k, c := range p.samples {
-		out[k.cat] += c
+	for i, c := range p.cells {
+		if c.seen {
+			out[cpumodel.Category(i/len(p.classes)%cpumodel.NumCategories).String()] += c.cycles
+		}
 	}
 	return out
 }
@@ -146,17 +207,29 @@ func (p *Profiler) CategoryTotals() map[string]units.Cycles {
 // Stacks returns every (folded stack, cycles) pair sorted by stack
 // string — the canonical deterministic ordering used by both exporters.
 func (p *Profiler) Stacks() []Stack {
-	out := make([]Stack, 0, len(p.samples))
-	for k, c := range p.samples {
-		frames := []string{k.host, k.ctx, k.cat}
-		if k.class != "" {
-			frames = append(frames, k.class)
-		}
-		out = append(out, Stack{Frames: frames, Cycles: c})
+	type keyed struct {
+		key string
+		Stack
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i].Frames, ";") < strings.Join(out[j].Frames, ";")
-	})
+	var all []keyed
+	for i, c := range p.cells {
+		if !c.seen {
+			continue
+		}
+		class := i % len(p.classes)
+		cat := i / len(p.classes) % cpumodel.NumCategories
+		k := p.ctxs[i/len(p.classes)/cpumodel.NumCategories]
+		frames := []string{k.host, k.ctx, cpumodel.Category(cat).String()}
+		if class != 0 {
+			frames = append(frames, p.classes[class])
+		}
+		all = append(all, keyed{strings.Join(frames, ";"), Stack{Frames: frames, Cycles: c.cycles}})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	out := make([]Stack, len(all))
+	for i := range all {
+		out[i] = all[i].Stack
+	}
 	return out
 }
 

@@ -2,6 +2,10 @@ package profile
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -79,6 +83,118 @@ func TestReset(t *testing.T) {
 	p.Reset()
 	if p.TotalCycles() != 0 || len(p.Stacks()) != 0 {
 		t.Errorf("Reset left %d cycles in %d stacks", p.TotalCycles(), len(p.Stacks()))
+	}
+}
+
+// refProfiler is the map-keyed profiler the dense index replaced: one
+// map entry per (host, context, category, class) stack.
+type refProfiler struct {
+	classes map[int32]string
+	samples map[[4]string]units.Cycles
+}
+
+func (r *refProfiler) record(host string, softirq bool, thread string, log []exec.FlowCharge) {
+	ctx := thread
+	if softirq {
+		ctx = "softirq"
+	}
+	for _, e := range log {
+		if e.Cycles == 0 {
+			continue
+		}
+		class := ""
+		if e.Flow != 0 {
+			class = "flow"
+			if r.classes != nil {
+				class = "other"
+				if c, ok := r.classes[e.Flow]; ok {
+					class = c
+				}
+			}
+		}
+		r.samples[[4]string{host, ctx, e.Cat.String(), class}] += e.Cycles
+	}
+}
+
+func (r *refProfiler) stacks() []Stack {
+	out := []Stack{}
+	for k, c := range r.samples {
+		frames := []string{k[0], k[1], k[2]}
+		if k[3] != "" {
+			frames = append(frames, k[3])
+		}
+		out = append(out, Stack{Frames: frames, Cycles: c})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		return strings.Join(out[i].Frames, ";") < strings.Join(out[j].Frames, ";")
+	})
+	return out
+}
+
+// TestDenseIndexMatchesMapReference feeds random charge logs to the
+// profiler and to refProfiler and requires the same stacks, category
+// totals and cycle total, before and after a Reset partway through. Flow
+// ids cover 0, absent ids, negative ids and ids above the dense table;
+// the class maps cover nil, empty, labels "" and "other", a label on flow
+// 0, and labeled ids beyond 1<<16. Charges include zeros and negatives, so
+// some stacks are charged yet sum to zero and must still be listed.
+func TestDenseIndexMatchesMapReference(t *testing.T) {
+	flows := []int32{0, 1, 2, 3, 4, 5, 9999, -1, -7, 1 << 16, 1<<16 + 1, 1 << 20, math.MaxInt32, math.MinInt32}
+	for name, classes := range map[string]map[int32]string{
+		"nil":   nil,
+		"empty": {},
+		"labeled": {0: "zero", 1: "long", 2: "rpc", 3: "", 5: "other", -1: "neg", 1 << 16: "edge",
+			1<<16 + 1: "far", 1 << 20: "far", math.MinInt32: "min"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			p := New(Options{FlowClasses: classes}, testFreq)
+			ref := &refProfiler{classes: classes, samples: map[[4]string]units.Cycles{}}
+			check := func(when string) {
+				t.Helper()
+				want := ref.stacks()
+				if got := p.Stacks(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: stacks\n got %v\nwant %v", when, got, want)
+				}
+				wantTot, wantSum := map[string]units.Cycles{}, units.Cycles(0)
+				for _, st := range want {
+					wantTot[st.Frames[2]] += st.Cycles
+					wantSum += st.Cycles
+				}
+				if got := p.CategoryTotals(); !reflect.DeepEqual(got, wantTot) {
+					t.Errorf("%s: CategoryTotals %v, want %v", when, got, wantTot)
+				}
+				if got := p.TotalCycles(); got != wantSum {
+					t.Errorf("%s: TotalCycles %d, want %d", when, got, wantSum)
+				}
+			}
+			hosts := []string{"daisy", "poppy", "iris"}
+			threads := []string{"iperf-send", "iperf-recv", "rpc"}
+			for item := 0; item < 400; item++ {
+				if item == 200 {
+					check("before Reset")
+					p.Reset()
+					ref.samples = map[[4]string]units.Cycles{}
+					check("after Reset")
+				}
+				log := make([]exec.FlowCharge, rng.Intn(5))
+				for i := range log {
+					log[i] = exec.FlowCharge{
+						Flow:   flows[rng.Intn(len(flows))],
+						Cat:    cpumodel.Category(rng.Intn(cpumodel.NumCategories)),
+						Cycles: units.Cycles(rng.Intn(4) * (rng.Intn(50) - 5)), // zero a quarter of the time, sometimes negative
+					}
+				}
+				if item%100 == 0 { // a charged stack that sums to zero still appears
+					log = append(log, exec.FlowCharge{Flow: 2, Cat: cpumodel.Lock, Cycles: 5},
+						exec.FlowCharge{Flow: 2, Cat: cpumodel.Lock, Cycles: -5})
+				}
+				host, thread, softirq := hosts[rng.Intn(len(hosts))], threads[rng.Intn(len(threads))], rng.Intn(2) == 0
+				p.Record(host, softirq, thread, log)
+				ref.record(host, softirq, thread, log)
+			}
+			check("end")
+		})
 	}
 }
 

@@ -1,6 +1,12 @@
 package telemetry
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"hostsim/internal/sim"
+)
 
 // The hot-path contract: bumping a nil counter (telemetry disabled) is a
 // branch and nothing else — no allocation, no write.
@@ -26,9 +32,10 @@ func BenchmarkRegistryRead(b *testing.B) {
 		v := float64(i)
 		r.Gauge(string(rune('a'+i%26))+string(rune('0'+i/26)), func() float64 { return v })
 	}
+	var row []float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Read()
+		row = r.ReadInto(row)
 	}
 }
 
@@ -36,5 +43,25 @@ func TestNilCounterIncAllocatesNothing(t *testing.T) {
 	var c *Counter
 	if n := testing.AllocsPerRun(100, func() { c.Inc(); c.Add(3) }); n != 0 {
 		t.Errorf("nil counter allocated %v per op", n)
+	}
+}
+
+// BenchmarkSamplerWide samples 2,000 gauges of which one in 50 changes
+// between samples (a 16-host run's registry is ~2,000 gauges with ~2 %
+// changing) into a 300-sample ring, so steady state evicts and compacts.
+func BenchmarkSamplerWide(b *testing.B) {
+	eng := sim.NewEngine(1)
+	reg := NewRegistry()
+	vals := make([]float64, 2000)
+	for i := range vals {
+		reg.Gauge(fmt.Sprintf("g%04d", i), func() float64 { return vals[i] })
+	}
+	s := NewSampler(eng, reg, time.Microsecond, 300)
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		for i := n % 50; i < len(vals); i += 50 {
+			vals[i]++
+		}
+		s.Sample()
 	}
 }

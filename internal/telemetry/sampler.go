@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -15,18 +16,49 @@ import (
 // Sampler snapshots a registry on a fixed simulated-time interval into a
 // bounded ring of samples (oldest evicted first), giving a time-resolved
 // view of the run without unbounded memory.
+//
+// Most metrics hold still between samples, so the ring stores change
+// points rather than rows: the oldest retained sample in full (base),
+// then for each later sample the (column, value) pairs whose bits differ
+// from the sample before it. Comparing math.Float64bits keeps -0, NaN
+// payloads and infinities exact. Evicting the oldest sample folds the
+// next sample's changes into base; the log drops its dead prefix once
+// that prefix is half of it.
 type Sampler struct {
 	eng      *sim.Engine
 	reg      *Registry
 	interval time.Duration
 
 	max     int
-	times   []sim.Time
-	rows    [][]float64
-	next    int // ring write position once full
-	wrapped bool
+	times   []time.Duration // sample instants; times[first:] are retained
+	ends    []int           // ends[i]: log position one past sample i's changes
+	first   int             // index of the oldest retained sample
+	base    []float64       // values of the oldest retained sample
+	log     []change        // change points; log[k] is at position k+logOff
+	logOff  int             // positions dropped from the front of log
+	last    []float64       // values of the newest sample
+	row     []float64       // Registry.ReadInto buffer, reused every sample
 	evicted int64
 	started bool
+}
+
+// change is one change point: column col took value v.
+type change struct {
+	col int32
+	v   float64
+}
+
+// diff appends to log the columns of row whose bits differ from last and
+// copies them into last, which must be at least as wide as row.
+func diff(log []change, last, row []float64) []change {
+	last = last[:len(row)]
+	for c, v := range row {
+		if math.Float64bits(v) != math.Float64bits(last[c]) {
+			log = append(log, change{int32(c), v})
+			last[c] = v
+		}
+	}
+	return log
 }
 
 // NewSampler builds a sampler over reg with the given interval and ring
@@ -67,67 +99,135 @@ func (s *Sampler) Start(at sim.Time) {
 }
 
 // Sample takes one snapshot of the registry at the engine's current time.
+// Metrics registered since the previous sample read 0 before it.
 func (s *Sampler) Sample() {
-	row := s.reg.Read()
-	if len(s.times) < s.max {
-		s.times = append(s.times, s.eng.Now())
-		s.rows = append(s.rows, row)
-		return
+	s.row = s.reg.ReadInto(s.row)
+	for len(s.last) < len(s.row) {
+		s.last = append(s.last, 0)
 	}
-	s.times[s.next] = s.eng.Now()
-	s.rows[s.next] = row
-	s.next = (s.next + 1) % s.max
-	s.wrapped = true
+	if s.Count() == 0 {
+		s.base = append(s.base[:0], s.row...)
+		copy(s.last, s.row)
+	} else {
+		s.log = diff(s.log, s.last, s.row)
+	}
+	s.times = append(s.times, s.eng.Now().Duration())
+	s.ends = append(s.ends, s.logOff+len(s.log))
+	if s.Count() > s.max {
+		s.evict()
+	}
+}
+
+// evict drops the oldest retained sample, folding its successor's changes
+// into base.
+func (s *Sampler) evict() {
+	lo, hi := s.ends[s.first]-s.logOff, s.ends[s.first+1]-s.logOff
+	for _, c := range s.log[lo:hi] {
+		for int(c.col) >= len(s.base) {
+			s.base = append(s.base, 0)
+		}
+		s.base[c.col] = c.v
+	}
+	s.first++
 	s.evicted++
+	// Compaction moves the live entries to fresh slices: a Timeline may
+	// share the old ones.
+	if hi > 0 && 2*hi >= len(s.log) {
+		s.log = append([]change(nil), s.log[hi:]...)
+		s.logOff += hi
+	}
+	if 2*s.first >= len(s.times) {
+		s.times = append([]time.Duration(nil), s.times[s.first:]...)
+		s.ends = append([]int(nil), s.ends[s.first:]...)
+		s.first = 0
+	}
 }
 
 // Count returns the number of retained samples.
-func (s *Sampler) Count() int { return len(s.times) }
+func (s *Sampler) Count() int { return len(s.times) - s.first }
 
 // Evicted returns how many samples the ring has discarded.
 func (s *Sampler) Evicted() int64 { return s.evicted }
 
-// Timeline returns the retained samples, oldest first. Sample never
-// writes into a row once it has stored it, so full-width rows are shared
-// rather than copied; only rows sampled before a later metric
-// registration are copied, padded to one column per name. Callers must
-// treat the rows as read-only.
+// Timeline returns the retained samples, oldest first, one column per
+// registered metric. Sample never rewrites a stored time or change point,
+// so the Timeline shares them rather than copying; later samples leave it
+// unchanged. Callers must treat Times as read-only.
 func (s *Sampler) Timeline() *Timeline {
+	n := s.Count()
 	t := &Timeline{
 		Names: s.reg.Names(),
-		Times: make([]time.Duration, 0, len(s.times)),
-		Rows:  make([][]float64, 0, len(s.rows)),
+		Times: s.times[s.first:len(s.times):len(s.times)],
+		base:  make([]float64, s.reg.Len()),
+		ends:  make([]int, n),
 	}
-	appendFrom := func(i int) {
-		t.Times = append(t.Times, s.times[i].Duration())
-		row := s.rows[i]
-		if pad := len(t.Names) - len(row); pad > 0 {
-			row = append(row[:len(row):len(row)], make([]float64, pad)...)
-		}
-		t.Rows = append(t.Rows, row)
+	copy(t.base, s.base)
+	if n == 0 {
+		return t
 	}
-	if s.wrapped {
-		for i := s.next; i < len(s.times); i++ {
-			appendFrom(i)
-		}
-		for i := 0; i < s.next; i++ {
-			appendFrom(i)
-		}
-	} else {
-		for i := range s.times {
-			appendFrom(i)
-		}
+	lo := s.ends[s.first]
+	t.log = s.log[lo-s.logOff : len(s.log) : len(s.log)]
+	for i := range t.ends {
+		t.ends[i] = s.ends[s.first+i] - lo
 	}
 	return t
 }
 
 // Timeline is a sampled multi-metric timeseries: one column per metric
 // name, one row per sample instant (simulated time since the start of the
-// run), oldest first.
+// run), oldest first. It stores its rows as change points (see Sampler);
+// Row and Each rebuild them.
 type Timeline struct {
 	Names []string
 	Times []time.Duration
-	Rows  [][]float64
+
+	base []float64 // row 0, one value per name
+	log  []change  // the changes of rows 1.. in order
+	ends []int     // ends[i]: log index one past row i's changes
+}
+
+// add appends a row sampled at at. prev holds the previous row's values
+// (unused before the first row); add returns it updated to row's. The
+// first row is kept as base, so the caller must not reuse it.
+func (t *Timeline) add(at time.Duration, row, prev []float64) []float64 {
+	if len(t.Times) == 0 {
+		t.base = row
+		prev = append(prev[:0], row...)
+	} else {
+		t.log = diff(t.log, prev, row)
+	}
+	t.Times = append(t.Times, at)
+	t.ends = append(t.ends, len(t.log))
+	return prev
+}
+
+// Row returns a fresh copy of row i.
+func (t *Timeline) Row(i int) []float64 {
+	row := make([]float64, len(t.Names))
+	copy(row, t.base)
+	for _, c := range t.log[:t.ends[i]] {
+		row[c.col] = c.v
+	}
+	return row
+}
+
+// Each calls fn with every row in order and stops at the first error,
+// which it returns. The row slice is reused between calls: fn must not
+// retain or modify it.
+func (t *Timeline) Each(fn func(i int, row []float64) error) error {
+	row := make([]float64, len(t.Names))
+	copy(row, t.base)
+	lo := 0
+	for i, end := range t.ends {
+		for _, c := range t.log[lo:end] {
+			row[c.col] = c.v
+		}
+		lo = end
+		if err := fn(i, row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Len returns the number of samples.
@@ -159,11 +259,11 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 	if err := bw.WriteByte('\n'); err != nil {
 		return err
 	}
-	for i, at := range t.Times {
-		if _, err := bw.WriteString(strconv.FormatInt(int64(at), 10)); err != nil {
+	err := t.Each(func(i int, row []float64) error {
+		if _, err := bw.WriteString(strconv.FormatInt(int64(t.Times[i]), 10)); err != nil {
 			return err
 		}
-		for _, v := range t.Rows[i] {
+		for _, v := range row {
 			if err := bw.WriteByte(','); err != nil {
 				return err
 			}
@@ -171,9 +271,10 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 				return err
 			}
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+		return bw.WriteByte('\n')
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -193,14 +294,14 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 	if err := enc.Encode(&header); err != nil {
 		return err
 	}
-	for i, at := range t.Times {
-		row := struct {
+	err := t.Each(func(i int, v []float64) error {
+		return enc.Encode(&struct {
 			TNs int64     `json:"t_ns"`
 			V   []float64 `json:"v"`
-		}{TNs: int64(at), V: t.Rows[i]}
-		if err := enc.Encode(&row); err != nil {
-			return err
-		}
+		}{TNs: int64(t.Times[i]), V: v})
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -211,6 +312,7 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 func ReadTimeline(data []byte) (*Timeline, error) {
 	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	t := &Timeline{}
+	var prev []float64
 	cols := strings.Split(lines[0], ",")
 	csv := cols[0] == "time_ns"
 	if csv {
@@ -247,7 +349,7 @@ func ReadTimeline(data []byte) (*Timeline, error) {
 		case len(t.Times) > 0 && at <= t.Times[len(t.Times)-1]:
 			return nil, fmt.Errorf("telemetry: timeline line %d: time %dns not after %dns", i+2, at, t.Times[len(t.Times)-1])
 		default:
-			t.Times, t.Rows = append(t.Times, at), append(t.Rows, row.V)
+			prev = t.add(at, row.V, prev)
 		}
 	}
 	return t, nil
@@ -275,9 +377,10 @@ func (t *Timeline) Column(name string) (vals []float64, ok bool) {
 	if col < 0 {
 		return nil, false
 	}
-	vals = make([]float64, len(t.Rows))
-	for i, row := range t.Rows {
+	vals = make([]float64, len(t.Times))
+	t.Each(func(i int, row []float64) error {
 		vals[i] = row[col]
-	}
+		return nil
+	})
 	return vals, true
 }

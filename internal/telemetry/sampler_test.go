@@ -1,6 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -135,13 +142,13 @@ func TestTimelinePadsEarlyRows(t *testing.T) {
 	if tl.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tl.Len())
 	}
-	for i, row := range tl.Rows {
-		if len(row) != 2 {
+	for i := 0; i < tl.Len(); i++ {
+		if row := tl.Row(i); len(row) != 2 {
 			t.Fatalf("row %d has %d columns, want 2", i, len(row))
 		}
 	}
-	if tl.Rows[0][1] != 0 || tl.Rows[2][1] != 7 {
-		t.Errorf("padded rows wrong: %v", tl.Rows)
+	if tl.Row(0)[1] != 0 || tl.Row(2)[1] != 7 {
+		t.Errorf("padded rows wrong: %v %v %v", tl.Row(0), tl.Row(1), tl.Row(2))
 	}
 }
 
@@ -176,10 +183,10 @@ func TestTimelineSerializationDeterministic(t *testing.T) {
 	}
 }
 
-// TestTimelineSharesRowsExactly checks the shared-row Timeline: rows
-// equal the sampled values oldest first across a ring wrap, short rows are
-// padded without touching the sampler's copy, and Samples taken after
-// Timeline returned (overwriting ring slots) leave it unchanged.
+// TestTimelineSharesRowsExactly checks the Timeline snapshot: rows equal
+// the sampled values oldest first across a ring wrap, short rows read as
+// padded without touching the sampler's state, and Samples taken after
+// Timeline returned (evicting its rows from the ring) leave it unchanged.
 func TestTimelineSharesRowsExactly(t *testing.T) {
 	eng := sim.NewEngine(1)
 	reg := NewRegistry()
@@ -196,30 +203,188 @@ func TestTimelineSharesRowsExactly(t *testing.T) {
 
 	tl := s.Timeline()
 	want := [][]float64{{3, 0}, {4, 0}, {5, 50}}
-	check := func(when string) {
+	check := func(when string, tl *Timeline) {
 		t.Helper()
-		if len(tl.Rows) != len(want) {
-			t.Fatalf("%s: %d rows, want %d", when, len(tl.Rows), len(want))
+		if tl.Len() != len(want) {
+			t.Fatalf("%s: %d rows, want %d", when, tl.Len(), len(want))
 		}
 		for i := range want {
-			if len(tl.Rows[i]) != len(want[i]) || tl.Rows[i][0] != want[i][0] || tl.Rows[i][1] != want[i][1] {
-				t.Errorf("%s: row %d = %v, want %v", when, i, tl.Rows[i], want[i])
+			if row := tl.Row(i); len(row) != len(want[i]) || row[0] != want[i][0] || row[1] != want[i][1] {
+				t.Errorf("%s: row %d = %v, want %v", when, i, row, want[i])
 			}
 		}
 	}
-	check("fresh")
-	short := 0
-	for _, row := range s.rows {
-		if len(row) == 1 {
-			short++
-		}
-	}
-	if short != 2 {
-		t.Errorf("padding changed the sampler's own short rows: %v", s.rows)
-	}
+	check("fresh", tl)
+	check("a second Timeline", s.Timeline())
 	for i := 6; i <= 9; i++ {
 		v = float64(i)
 		s.Sample()
 	}
-	check("after later samples")
+	check("after later samples", tl)
+}
+
+// TestSamplerMatchesDenseReference drives a sampler with random gauges and
+// keeps an in-test dense copy of every retained row. Values include NaN,
+// ±0 and ±Inf; gauges register after sampling has started (some reading
+// -0 or NaN at once); the ring is small enough to evict and to compact its
+// change log. Row, Each, Column, WriteCSV, WriteJSONL and a ReadTimeline
+// round trip must all equal the reference, bit for bit, including a
+// Timeline taken midway and checked after the ring has moved on.
+func TestSamplerMatchesDenseReference(t *testing.T) {
+	for _, special := range []bool{false, true} {
+		t.Run(fmt.Sprintf("special=%v", special), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			pool := []float64{0, 1, 2.5, -3, 1e300, math.Copysign(0, -1)}
+			if special {
+				pool = append(pool, math.NaN(), math.Inf(1), math.Inf(-1))
+			}
+			eng := sim.NewEngine(1)
+			reg := NewRegistry()
+			var vals []float64
+			addGauge := func(v float64) {
+				i := len(vals)
+				vals = append(vals, v)
+				reg.Gauge(fmt.Sprintf("g%02d", i), func() float64 { return vals[i] })
+			}
+			for i := 0; i < 5; i++ {
+				addGauge(pool[rng.Intn(len(pool))])
+			}
+			const max = 7
+			s := NewSampler(eng, reg, time.Microsecond, max)
+			var rows [][]float64 // every sample, as wide as the registry was
+			var times []time.Duration
+			var mid *Timeline
+			var midRows [][]float64
+			var midTimes []time.Duration
+			for n := 0; n < 60; n++ {
+				switch n {
+				case 3, 20, 21:
+					addGauge(math.Copysign(0, -1))
+					addGauge(pool[rng.Intn(len(pool))])
+				case 40:
+					addGauge(0)
+				}
+				for i := range vals {
+					if rng.Intn(4) == 0 {
+						vals[i] = pool[rng.Intn(len(pool))]
+					}
+				}
+				eng.Run(eng.Now() + sim.Time(time.Microsecond))
+				s.Sample()
+				rows = append(rows, append([]float64(nil), vals...))
+				times = append(times, eng.Now().Duration())
+				if n == 25 {
+					mid = s.Timeline()
+					midRows, midTimes = retained(rows, len(vals), max), append([]time.Duration(nil), times[len(times)-max:]...)
+				}
+			}
+			if s.Evicted() != 60-max || s.Count() != max || s.logOff == 0 {
+				t.Fatalf("Evicted %d, Count %d, logOff %d: want eviction and log compaction", s.Evicted(), s.Count(), s.logOff)
+			}
+			checkDense(t, "final", s.Timeline(), reg.Names(), times[len(times)-max:], retained(rows, len(vals), max), special)
+			checkDense(t, "midway", mid, reg.Names()[:len(midRows[0])], midTimes, midRows, special)
+		})
+	}
+}
+
+// retained returns the last max rows, each padded with zeros to width.
+func retained(rows [][]float64, width, max int) [][]float64 {
+	var out [][]float64
+	for _, r := range rows[len(rows)-max:] {
+		out = append(out, append(append([]float64(nil), r...), make([]float64, width-len(r))...))
+	}
+	return out
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkDense compares every read path of tl against dense rows.
+func checkDense(t *testing.T, when string, tl *Timeline, names []string, times []time.Duration, want [][]float64, special bool) {
+	t.Helper()
+	if !reflect.DeepEqual(tl.Names, names) || !reflect.DeepEqual(tl.Times, times) || tl.Len() != len(want) {
+		t.Fatalf("%s: names %v times %v len %d; want %v %v %d", when, tl.Names, tl.Times, tl.Len(), names, times, len(want))
+	}
+	for i := range want {
+		if got := tl.Row(i); !sameBits(got, want[i]) {
+			t.Errorf("%s: Row(%d) = %v, want %v", when, i, got, want[i])
+		}
+	}
+	n := 0
+	if err := tl.Each(func(i int, row []float64) error {
+		if i != n || !sameBits(row, want[i]) {
+			t.Errorf("%s: Each row %d (call %d) = %v, want %v", when, i, n, row, want[i])
+		}
+		n++
+		return nil
+	}); err != nil || n != len(want) {
+		t.Errorf("%s: Each made %d calls, err %v", when, n, err)
+	}
+	for c, name := range names {
+		col, ok := tl.Column(name)
+		wantCol := make([]float64, len(want))
+		for i := range want {
+			wantCol[i] = want[i][c]
+		}
+		if !ok || !sameBits(col, wantCol) {
+			t.Errorf("%s: Column(%s) = %v, want %v", when, name, col, wantCol)
+		}
+	}
+
+	var csv, wantCSV strings.Builder
+	wantCSV.WriteString("time_ns," + strings.Join(names, ",") + "\n")
+	for i, row := range want {
+		wantCSV.WriteString(strconv.FormatInt(int64(times[i]), 10))
+		for _, v := range row {
+			wantCSV.WriteString("," + strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		wantCSV.WriteString("\n")
+	}
+	if err := tl.WriteCSV(&csv); err != nil || csv.String() != wantCSV.String() {
+		t.Errorf("%s: WriteCSV err %v:\n%s\nwant:\n%s", when, err, csv.String(), wantCSV.String())
+	}
+	var jsonl, wantJSONL bytes.Buffer
+	err := tl.WriteJSONL(&jsonl)
+	enc := json.NewEncoder(&wantJSONL)
+	wantErr := enc.Encode(map[string][]string{"names": names})
+	for i := 0; i < len(want) && wantErr == nil; i++ {
+		wantErr = enc.Encode(&struct {
+			TNs int64     `json:"t_ns"`
+			V   []float64 `json:"v"`
+		}{int64(times[i]), want[i]})
+	}
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && jsonl.String() != wantJSONL.String()) {
+		t.Errorf("%s: WriteJSONL err %v (want %v):\n%s\nwant:\n%s", when, err, wantErr, jsonl.String(), wantJSONL.String())
+	}
+	if special != (wantErr != nil) {
+		t.Errorf("%s: JSON encoding error %v with special values %v", when, wantErr, special)
+	}
+
+	files := map[string]string{"csv": csv.String()}
+	if err == nil {
+		files["jsonl"] = jsonl.String()
+	}
+	for kind, data := range files {
+		back, err := ReadTimeline([]byte(data))
+		if err != nil {
+			t.Fatalf("%s: ReadTimeline(%s): %v", when, kind, err)
+		}
+		if !reflect.DeepEqual(back.Names, names) || !reflect.DeepEqual(back.Times, times) || back.Len() != len(want) {
+			t.Fatalf("%s: ReadTimeline(%s) names %v times %v", when, kind, back.Names, back.Times)
+		}
+		for i := range want {
+			if got := back.Row(i); !sameBits(got, want[i]) {
+				t.Errorf("%s: ReadTimeline(%s) row %d = %v, want %v", when, kind, i, got, want[i])
+			}
+		}
+	}
 }

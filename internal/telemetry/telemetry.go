@@ -124,16 +124,21 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Read evaluates every metric in registration order into a fresh slice.
-func (r *Registry) Read() []float64 {
+// ReadInto evaluates every metric in registration order into dst, resized
+// to one value per metric (reusing its capacity), and returns it. A nil
+// registry returns dst emptied.
+func (r *Registry) ReadInto(dst []float64) []float64 {
 	if r == nil {
-		return nil
+		return dst[:0]
 	}
-	out := make([]float64, len(r.metrics))
+	if cap(dst) < len(r.metrics) {
+		dst = make([]float64, len(r.metrics))
+	}
+	dst = dst[:len(r.metrics)]
 	for i, m := range r.metrics {
-		out[i] = m.read()
+		dst[i] = m.read()
 	}
-	return out
+	return dst
 }
 
 // Value evaluates one metric by name; ok is false if it is not registered.

@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// timelineOf builds a timeline from dense rows sampled at times.
+func timelineOf(names []string, times []time.Duration, rows [][]float64) *Timeline {
+	tl := &Timeline{Names: names}
+	var prev []float64
+	for i, row := range rows {
+		prev = tl.add(times[i], append([]float64(nil), row...), prev)
+	}
+	return tl
+}
+
 // durs builds n sample instants at 1µs, 2µs, ...
 func durs(n int) []time.Duration {
 	out := make([]time.Duration, n)
@@ -27,7 +37,7 @@ func TestNilRegistryIsFree(t *testing.T) {
 		t.Error("nil counter must read 0")
 	}
 	r.Gauge("y", func() float64 { return 1 })
-	if r.Len() != 0 || r.Names() != nil || r.Read() != nil {
+	if r.Len() != 0 || r.Names() != nil || len(r.ReadInto(make([]float64, 2))) != 0 {
 		t.Error("nil registry must be empty")
 	}
 	if _, ok := r.Value("y"); ok {
@@ -60,9 +70,9 @@ func TestReadKeepsRegistrationOrder(t *testing.T) {
 			t.Fatalf("Names = %v, want %v (registration order)", names, wantNames)
 		}
 	}
-	row := r.Read()
-	if row[0] != 3 || row[1] != 1 || row[2] != 2 {
-		t.Errorf("Read = %v", row)
+	row := r.ReadInto(make([]float64, 1, 8)) // reuses capacity, resized to the metric count
+	if len(row) != 3 || row[0] != 3 || row[1] != 1 || row[2] != 2 {
+		t.Errorf("ReadInto = %v", row)
 	}
 	sorted := r.SortedNames()
 	if sorted[0] != "a" || sorted[2] != "z" {
@@ -102,11 +112,7 @@ func TestNilProbePanics(t *testing.T) {
 }
 
 func TestTimelineColumn(t *testing.T) {
-	tl := &Timeline{
-		Names: []string{"a", "b"},
-		Times: durs(3),
-		Rows:  [][]float64{{1, 10}, {2, 20}, {3, 30}},
-	}
+	tl := timelineOf([]string{"a", "b"}, durs(3), [][]float64{{1, 10}, {2, 20}, {3, 30}})
 	vals, ok := tl.Column("b")
 	if !ok || len(vals) != 3 || vals[2] != 30 {
 		t.Errorf("Column(b) = %v, %v", vals, ok)
@@ -117,11 +123,7 @@ func TestTimelineColumn(t *testing.T) {
 }
 
 func TestTimelineCSV(t *testing.T) {
-	tl := &Timeline{
-		Names: []string{"a", "b"},
-		Times: durs(2),
-		Rows:  [][]float64{{1, 0.5}, {2, 0.25}},
-	}
+	tl := timelineOf([]string{"a", "b"}, durs(2), [][]float64{{1, 0.5}, {2, 0.25}})
 	var sb strings.Builder
 	if err := tl.WriteCSV(&sb); err != nil {
 		t.Fatal(err)

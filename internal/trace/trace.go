@@ -83,19 +83,26 @@ func (e Event) String() string {
 // Tracer is a bounded ring of events. The zero value is unusable;
 // construct with New. A nil Tracer is a valid no-op sink.
 type Tracer struct {
-	ring    []Event
+	ring    []Event // grows by append up to max, then wraps
+	max     int
 	next    int
 	wrapped bool
 	flow    skb.FlowID // 0 = all flows
 	dropped int64
 }
 
-// New builds a tracer holding the most recent max events.
+// initialRing bounds the events New allocates up front; the ring grows
+// past it with the events recorded.
+const initialRing = 4096
+
+// New builds a tracer holding the most recent max events. The ring starts
+// at min(max, initialRing) events and grows as events arrive, so a max far
+// above a run's event count costs only what the run records.
 func New(max int) *Tracer {
 	if max <= 0 {
 		panic("trace: non-positive capacity")
 	}
-	return &Tracer{ring: make([]Event, 0, max)}
+	return &Tracer{ring: make([]Event, 0, min(max, initialRing)), max: max}
 }
 
 // FilterFlow restricts recording to one flow (0 = all).
@@ -114,12 +121,12 @@ func (t *Tracer) Emit(e Event) {
 	if t.flow != 0 && e.Flow != t.flow {
 		return
 	}
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.max {
 		t.ring = append(t.ring, e)
 		return
 	}
 	t.ring[t.next] = e
-	t.next = (t.next + 1) % cap(t.ring)
+	t.next = (t.next + 1) % t.max
 	t.wrapped = true
 	t.dropped++
 }
@@ -134,7 +141,7 @@ func (t *Tracer) Events() []Event {
 		copy(out, t.ring)
 		return out
 	}
-	out := make([]Event, 0, cap(t.ring))
+	out := make([]Event, 0, len(t.ring))
 	out = append(out, t.ring[t.next:]...)
 	out = append(out, t.ring[:t.next]...)
 	return out

@@ -90,6 +90,10 @@ func TestPlace(t *testing.T) {
 			"hostsim: rpc workload RPCClients 25 exceeds 24 client cores"},
 		{"negative shorts", false, 2, testbed, MixedWorkload(-1, 4096), nil,
 			"hostsim: negative mixed workload MixedShort -1"},
+		{"shorts beyond the largest placement", false, 2, testbed, MixedWorkload(256*255, 4096), nil,
+			"hostsim: mixed workload MixedShort 65280 exceeds 65279"},
+		{"a million shorts", false, 2, testbed, MixedWorkload(1_000_000, 4096), nil,
+			"hostsim: mixed workload MixedShort 1000000 exceeds 65279"},
 		{"mixed without size", false, 2, testbed, MixedWorkload(1, 0), nil, "hostsim: mixed workload needs RPCSize"},
 		{"remote mixed", false, 2, testbed, remote(MixedWorkload(1, 4096)), nil,
 			"hostsim: RemoteNUMA is not supported by the mixed workload"},
@@ -114,5 +118,19 @@ func TestPlace(t *testing.T) {
 				t.Errorf("conns:\n got %v\nwant %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestPlaceMixedBound pins maxConns to the largest valid placement and
+// checks that a mixed workload may open exactly that many connections.
+func TestPlaceMixedBound(t *testing.T) {
+	testbed := topology.Default()
+	all, err := LongFlowWorkload(PatternAllToAll, 0).place(true, 256, testbed)
+	if err != nil || len(all) != maxConns {
+		t.Fatalf("all-to-all on 256 hosts: %d conns, %v; want %d", len(all), err, maxConns)
+	}
+	mixed, err := MixedWorkload(maxConns-1, 4096).place(false, 2, testbed)
+	if err != nil || len(mixed) != maxConns {
+		t.Fatalf("mixed at the bound: %d conns, %v; want %d", len(mixed), err, maxConns)
 	}
 }

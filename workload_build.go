@@ -74,6 +74,11 @@ type conn struct {
 	rpc                bool
 }
 
+// maxConns is the most connections a valid placement opens: all-to-all
+// on the largest fabric, 256 hosts with 255 peers each. The mixed
+// workload's one long flow plus MixedShort RPC connections stay within it.
+const maxConns = 256 * 255
+
 // place turns the workload into the run's connections, in the order Run
 // opens them, and checks it against the topology on the way. The default
 // pair places every workload across its two hosts' cores, host 0 sending
@@ -154,6 +159,9 @@ func (wl Workload) place(fabric bool, hosts int, spec topology.MachineSpec) ([]c
 		// class-segregated scheduling proposal).
 		if wl.MixedShort < 0 {
 			return nil, fmt.Errorf("hostsim: negative mixed workload MixedShort %d", wl.MixedShort)
+		}
+		if wl.MixedShort > maxConns-1 {
+			return nil, fmt.Errorf("hostsim: mixed workload MixedShort %d exceeds %d", wl.MixedShort, maxConns-1)
 		}
 		if wl.RPCSize <= 0 {
 			return nil, fmt.Errorf("hostsim: mixed workload needs RPCSize")

@@ -53,6 +53,10 @@ smoke:
 	$(GO) run ./cmd/artifactcheck $(SMOKE).pb.gz $(SMOKE).pcapng $(SMOKE).ss.csv \
 		$(SMOKE).spans.json $(SMOKE).tail.txt $(SMOKE).trace.json $(SMOKE).telemetry.jsonl \
 		$(SMOKE).fab.csv $(SMOKE).fabts.csv $(SMOKE).fab.json
+	$(GO) run ./cmd/figures -only fig3e,fig3f -format csv -jobs 2 > $(SMOKE).fig3ef.csv && test -s $(SMOKE).fig3ef.csv
+	rm -f $(SMOKE).seeds.csv
+	! $(GO) run ./cmd/netsim -seeds 2 -telemetry-out $(SMOKE).seeds.csv
+	test ! -e $(SMOKE).seeds.csv
 
 # fuzz-smoke is the CI fuzz gate: short coverage-guided walks of the
 # configuration space with the conservation-law checker as the oracle.

@@ -91,6 +91,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkSeeds(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "netsim:", err)
+		os.Exit(2)
+	}
+
 	// Fail typoed output paths before the run, not after: every -*-out
 	// flag requires its parent directory to exist already.
 	for _, of := range []struct{ name, path string }{
@@ -310,6 +315,26 @@ func writeOutput(flagName, path string, write func(io.Writer) error) {
 		fmt.Fprintf(os.Stderr, "netsim: -%s %s: %v\n", flagName, path, err)
 		os.Exit(1)
 	}
+}
+
+// checkSeeds rejects -seeds N > 1 alongside any flag that reports on a
+// single run: the per-seed loop prints only mean +/- stddev, so such a
+// flag's artifact or report would silently never be written.
+func checkSeeds(fs *flag.FlagSet) error {
+	n := fs.Lookup("seeds").Value.(flag.Getter).Get().(int)
+	if n <= 1 {
+		return nil
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case strings.HasSuffix(f.Name, "-out"), f.Name == "tail-report", f.Name == "fabric-report",
+			f.Name == "latency-breakdown", f.Name == "trace", f.Name == "trace-flow":
+			err = fmt.Errorf("-seeds %d cannot be combined with -%s", n, f.Name)
+		}
+	})
+	return err
 }
 
 // runSeeds reports mean +/- stddev of the headline metrics over n seeds.

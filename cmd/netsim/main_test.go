@@ -1,0 +1,33 @@
+package main
+
+import (
+	"flag"
+	"io"
+	"testing"
+)
+
+func TestCheckSeeds(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{[]string{"-seeds", "2", "-dur", "3ms"}, ""},
+		{[]string{"-seeds", "2", "-telemetry-out", "x.csv"}, "-seeds 2 cannot be combined with -telemetry-out"},
+	} {
+		fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.Int("seeds", 1, "")
+		fs.Duration("dur", 0, "")
+		fs.String("telemetry-out", "", "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		if err := checkSeeds(fs); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%v: got %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}

@@ -272,9 +272,10 @@ func (r rawRun) names(h int) []string {
 // FuzzRunRaw drives Run's whole public input surface with raw values
 // (see rawRun.build): nothing is sanitized into a valid config first. The
 // oracle: Run returns a result or an error and never panics, a fail-fast
-// checker failure is a bug, and a collecting checker reports no
-// violations. `go test -fuzz=FuzzRunRaw .` hunts open-ended; CI smokes it
-// briefly beside FuzzConfig.
+// checker failure is a bug, a collecting checker reports no violations,
+// and a run with observers armed measures exactly what it measures with
+// every observer off. `go test -fuzz=FuzzRunRaw .` hunts open-ended; CI
+// smokes it briefly beside FuzzConfig.
 //
 // Reproduce a crasher with:
 //
@@ -328,8 +329,39 @@ func FuzzRunRaw(f *testing.F) {
 		if errors.As(err, &fail) {
 			t.Fatalf("invariant failure: %v\nconfig: %+v\nworkload: %+v", err, cfg, wl)
 		}
-		if err == nil && len(res.Violations) != 0 {
+		if err != nil {
+			return
+		}
+		if len(res.Violations) != 0 {
 			t.Fatalf("violations: %v\nconfig: %+v\nworkload: %+v", res.Violations, cfg, wl)
 		}
+		// Transparency: turning every armed observer off must not change
+		// what the run measured.
+		armed := false
+		for _, o := range attachOrder {
+			armed = armed || o.arm(&cfg) != nil
+		}
+		if !armed {
+			return
+		}
+		bare := cfg
+		bare.Check, bare.Telemetry, bare.Inspect, bare.MsgTrace, bare.Profile, bare.FabricObs = nil, nil, nil, nil, nil, nil
+		bare.TraceEvents, bare.TraceSpans = 0, false
+		bareRes, err := Run(bare, wl)
+		if err != nil {
+			t.Fatalf("observers off: %v\nconfig: %+v\nworkload: %+v", err, bare, wl)
+		}
+		if a, b := fingerprint(res), fingerprint(bareRes); a != b {
+			t.Fatalf("observers changed the run:\n observed: %s\n     bare: %s\nconfig: %+v\nworkload: %+v", a, b, cfg, wl)
+		}
 	})
+}
+
+// fingerprint renders what a run measured, for the transparency oracle:
+// the headline numbers plus every host, flow and the fabric.
+func fingerprint(r *Result) string {
+	return fmt.Sprintf("dur=%v thpt=%v tpc=%v bott=%s rpc=%d longGbps=%v rpcGbps=%v flows=%v fair=%v\nhosts=%+v\nflowstats=%+v\nfab=%+v",
+		r.Duration, r.ThroughputGbps, r.ThroughputPerCoreGbps, r.Bottleneck,
+		r.RPCCompleted, r.LongFlowGbps, r.RPCGbps, r.FlowGbps, r.FairnessIndex,
+		r.Hosts, r.Flows, r.Fabric)
 }

@@ -308,7 +308,7 @@ type runSpec struct {
 func runBatch(rc RunConfig, specs []runSpec) ([]*hostsim.Result, error) {
 	res := runner.Map(specs, func(s runSpec) (*hostsim.Result, error) {
 		return run(s.cfg, s.wl)
-	}, runner.Options{Workers: rc.jobs()})
+	}, rc.jobs())
 	out := make([]*hostsim.Result, len(res))
 	for i, r := range res {
 		if r.Err != nil {
@@ -326,7 +326,7 @@ func runBatch(rc RunConfig, specs []runSpec) ([]*hostsim.Result, error) {
 func RunAll(rc RunConfig, exps []Experiment) ([]*Table, error) {
 	res := runner.Map(exps, func(e Experiment) (*Table, error) {
 		return e.Run(rc)
-	}, runner.Options{Workers: rc.jobs()})
+	}, rc.jobs())
 	out := make([]*Table, len(res))
 	for i, r := range res {
 		if r.Err != nil {

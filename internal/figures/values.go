@@ -97,18 +97,6 @@ func (t *Table) Column(col string) ([]float64, error) {
 	return out, nil
 }
 
-// Labels returns the first column's cells in row order — the row keys of
-// a single-key table.
-func (t *Table) Labels() []string {
-	out := make([]string, len(t.Rows))
-	for i, row := range t.Rows {
-		if len(row) > 0 {
-			out[i] = row[0]
-		}
-	}
-	return out
-}
-
 // ParseValue recovers the number a rendered cell encodes:
 //
 //   - "62.8%"  -> 0.628 (percentages become fractions)

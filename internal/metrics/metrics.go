@@ -1,15 +1,12 @@
 // Package metrics provides the measurement primitives the experiment
 // harness reports: histograms with quantiles (host-latency distributions,
-// post-GRO skb size distributions) and small helpers for rate math.
+// post-GRO skb size distributions).
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
-
-	"hostsim/internal/units"
 )
 
 // Histogram is a fixed-bucket histogram over float64 samples. Buckets are
@@ -185,9 +182,4 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 	h.min = math.Inf(1)
 	h.max = math.Inf(-1)
-}
-
-// Goodput converts bytes over a window into a bit rate.
-func Goodput(b units.Bytes, window time.Duration) units.BitRate {
-	return units.RateOf(b, window)
 }

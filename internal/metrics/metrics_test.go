@@ -6,9 +6,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"hostsim/internal/units"
 )
 
 func TestRecordAndMean(t *testing.T) {
@@ -177,14 +174,5 @@ func TestPropertyQuantileBounds(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(13))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGoodput(t *testing.T) {
-	r := Goodput(12_500_000_000/8*1, time.Second) // 12.5e9/8 bytes? keep simple below
-	_ = r
-	got := Goodput(units.Bytes(1.25e9), 100*time.Millisecond)
-	if g := got.Gigabits(); g < 99.9 || g > 100.1 {
-		t.Errorf("Goodput = %vGbps, want 100", g)
 	}
 }

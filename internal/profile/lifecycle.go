@@ -12,29 +12,17 @@ import (
 	"hostsim/internal/units"
 )
 
-// The lifecycle stages, in pipeline order. Each delivered data SKB
-// contributes one sample to every stage plus Total, so per-stage means
-// sum exactly to the end-to-end mean (the deltas telescope).
+// The lifecycle stages are stage.Packet: seven telescoping deltas in
+// pipeline order, then the end-to-end total. Each delivered data SKB
+// contributes one sample to every stage, so per-stage means sum exactly
+// to the end-to-end mean.
 const (
-	StageSndbuf    = iota // app write → TCP emitted the segment
-	StageNICTx            // TCP tx → frame left the NIC (tx queue + doorbell)
-	StageWire             // NIC tx → arrival at the peer NIC (serialize + propagate)
-	StageRxRing           // wire arrival → NAPI picked the frame up (IRQ moderation)
-	StageGRO              // NAPI pickup → GRO flushed the aggregate
-	StageTCPRx            // GRO flush → TCP Rx processing began
-	StageSockQueue        // TCP Rx → application read the bytes
-	StageTotal            // app write → app read
-	NumStages
+	NumStages  = len(stage.Packet)
+	StageTotal = NumStages - 1 // app write → app read
 )
 
-// packetStages maps the lifecycle's stage indices onto the canonical
-// shared taxonomy; the array size pins NumStages == len(stage.Packet) at
-// compile time, so the profiler, inspector and message tracer can never
-// drift apart on stage names.
-var packetStages [NumStages]stage.Stage = stage.Packet
-
 // StageName returns the canonical slug for a stage index.
-func StageName(i int) string { return packetStages[i].String() }
+func StageName(i int) string { return stage.Packet[i].String() }
 
 // Lifecycle tracks per-packet latency through the eight stamp points.
 type Lifecycle struct {

@@ -9,27 +9,10 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"time"
 )
-
-// Options configures a Map call.
-type Options struct {
-	// Workers is the parallelism degree. 0 or negative means
-	// runtime.NumCPU(); 1 runs jobs inline on the calling goroutine.
-	Workers int
-	// Context, when non-nil, cancels the fan-out: jobs not yet started
-	// return ctx.Err() as their error and are never run.
-	Context context.Context
-	// JobTimeout, when positive, bounds each job's wall-clock time. A
-	// timed-out job yields a TimeoutError; its goroutine is abandoned (a
-	// CPU-bound simulation cannot be interrupted mid-run), so treat
-	// timeouts as fatal diagnostics, not control flow.
-	JobTimeout time.Duration
-}
 
 // PanicError wraps a panic recovered from a job so one diverging
 // simulation does not tear down the whole sweep.
@@ -43,16 +26,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: job %d panicked: %v", e.Index, e.Value)
 }
 
-// TimeoutError marks a job that exceeded Options.JobTimeout.
-type TimeoutError struct {
-	Index   int
-	Timeout time.Duration
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("runner: job %d exceeded timeout %v", e.Index, e.Timeout)
-}
-
 // Result pairs one job's output with its error (exactly one is
 // meaningful).
 type Result[R any] struct {
@@ -60,35 +33,27 @@ type Result[R any] struct {
 	Err   error
 }
 
-// Map runs fn over every job, up to opts.Workers at a time, and returns
-// the results in the jobs' submission order. It never returns early: every
-// job gets a slot in the result slice, with Err set for panics, timeouts
-// and cancellations.
-func Map[T, R any](jobs []T, fn func(T) (R, error), opts Options) []Result[R] {
+// Map runs fn over every job, up to workers at a time, and returns the
+// results in the jobs' submission order. workers <= 0 means
+// runtime.NumCPU(); 1 runs jobs inline on the calling goroutine. Map never
+// returns early: every job gets a slot in the result slice, with Err set
+// for errors and panics.
+func Map[T, R any](jobs []T, fn func(T) (R, error), workers int) []Result[R] {
 	results := make([]Result[R], len(jobs))
 	if len(jobs) == 0 {
 		return results
 	}
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 
-	if workers == 1 && opts.JobTimeout <= 0 {
+	if workers == 1 {
 		// Serial fast path: no goroutines, no channel traffic. Keeps
 		// -jobs 1 behaviour (and stack traces) maximally simple.
 		for i := range jobs {
-			if err := ctx.Err(); err != nil {
-				results[i].Err = err
-				continue
-			}
 			results[i].Value, results[i].Err = runOne(i, jobs[i], fn)
 		}
 		return results
@@ -99,7 +64,7 @@ func Map[T, R any](jobs []T, fn func(T) (R, error), opts Options) []Result[R] {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range idx {
-				results[i] = runBounded(ctx, i, jobs[i], fn, opts.JobTimeout)
+				results[i].Value, results[i].Err = runOne(i, jobs[i], fn)
 				done <- struct{}{}
 			}
 		}()
@@ -124,28 +89,4 @@ func runOne[T, R any](i int, job T, fn func(T) (R, error)) (val R, err error) {
 		}
 	}()
 	return fn(job)
-}
-
-// runBounded is runOne with cancellation and an optional wall-clock bound.
-func runBounded[T, R any](ctx context.Context, i int, job T, fn func(T) (R, error), timeout time.Duration) Result[R] {
-	if err := ctx.Err(); err != nil {
-		return Result[R]{Err: err}
-	}
-	if timeout <= 0 {
-		v, err := runOne(i, job, fn)
-		return Result[R]{Value: v, Err: err}
-	}
-	ch := make(chan Result[R], 1)
-	go func() {
-		v, err := runOne(i, job, fn)
-		ch <- Result[R]{Value: v, Err: err}
-	}()
-	select {
-	case r := <-ch:
-		return r
-	case <-time.After(timeout):
-		return Result[R]{Err: &TimeoutError{Index: i, Timeout: timeout}}
-	case <-ctx.Done():
-		return Result[R]{Err: ctx.Err()}
-	}
 }

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -16,7 +15,7 @@ func TestMapOrderPreserved(t *testing.T) {
 		jobs[i] = i
 	}
 	for _, workers := range []int{1, 2, 8, 0} {
-		res := Map(jobs, func(j int) (int, error) { return j * j, nil }, Options{Workers: workers})
+		res := Map(jobs, func(j int) (int, error) { return j * j, nil }, workers)
 		if len(res) != len(jobs) {
 			t.Fatalf("workers=%d: got %d results, want %d", workers, len(res), len(jobs))
 		}
@@ -32,7 +31,7 @@ func TestMapOrderPreserved(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	res := Map(nil, func(int) (int, error) { return 0, nil }, Options{})
+	res := Map(nil, func(int) (int, error) { return 0, nil }, 0)
 	if len(res) != 0 {
 		t.Fatalf("got %d results, want 0", len(res))
 	}
@@ -55,7 +54,7 @@ func TestMapActuallyParallel(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		inFlight.Add(-1)
 		return 0, nil
-	}, Options{Workers: 4})
+	}, 4)
 	if peak.Load() < 2 {
 		t.Errorf("peak concurrency = %d, want >= 2", peak.Load())
 	}
@@ -68,7 +67,7 @@ func TestMapPanicCaptured(t *testing.T) {
 			panic("boom")
 		}
 		return j, nil
-	}, Options{Workers: 2})
+	}, 2)
 	for i, r := range res {
 		if i == 2 {
 			var pe *PanicError
@@ -87,7 +86,7 @@ func TestMapPanicCaptured(t *testing.T) {
 }
 
 func TestMapPanicCapturedSerial(t *testing.T) {
-	res := Map([]int{0}, func(int) (int, error) { panic("serial boom") }, Options{Workers: 1})
+	res := Map([]int{0}, func(int) (int, error) { panic("serial boom") }, 1)
 	var pe *PanicError
 	if !errors.As(res[0].Err, &pe) {
 		t.Fatalf("got err %v, want PanicError", res[0].Err)
@@ -96,57 +95,9 @@ func TestMapPanicCapturedSerial(t *testing.T) {
 
 func TestMapJobError(t *testing.T) {
 	sentinel := errors.New("nope")
-	res := Map([]int{1}, func(int) (int, error) { return 0, sentinel }, Options{Workers: 2})
+	res := Map([]int{1}, func(int) (int, error) { return 0, sentinel }, 2)
 	if !errors.Is(res[0].Err, sentinel) {
 		t.Fatalf("got %v, want sentinel", res[0].Err)
-	}
-}
-
-func TestMapCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	var cancelled atomic.Int32
-	jobs := make([]int, 32)
-	for i := range jobs {
-		jobs[i] = i
-	}
-	go func() {
-		<-started
-		cancel()
-	}()
-	var once atomic.Bool
-	res := Map(jobs, func(j int) (int, error) {
-		if once.CompareAndSwap(false, true) {
-			close(started)
-		}
-		time.Sleep(5 * time.Millisecond)
-		return j, nil
-	}, Options{Workers: 2, Context: ctx})
-	for _, r := range res {
-		if errors.Is(r.Err, context.Canceled) {
-			cancelled.Add(1)
-		}
-	}
-	if cancelled.Load() == 0 {
-		t.Error("expected some jobs to be cancelled")
-	}
-}
-
-func TestMapJobTimeout(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	res := Map([]int{0, 1}, func(j int) (int, error) {
-		if j == 0 {
-			<-block // never finishes within the timeout
-		}
-		return j, nil
-	}, Options{Workers: 2, JobTimeout: 20 * time.Millisecond})
-	var te *TimeoutError
-	if !errors.As(res[0].Err, &te) {
-		t.Fatalf("job 0: got %v, want TimeoutError", res[0].Err)
-	}
-	if res[1].Err != nil || res[1].Value != 1 {
-		t.Errorf("job 1: got (%d, %v), want (1, nil)", res[1].Value, res[1].Err)
 	}
 }
 
@@ -156,8 +107,8 @@ func TestMapSerialMatchesParallel(t *testing.T) {
 		jobs[i] = i
 	}
 	fn := func(j int) (string, error) { return fmt.Sprintf("r%03d", j*7%13), nil }
-	serial := Map(jobs, fn, Options{Workers: 1})
-	parallel := Map(jobs, fn, Options{Workers: 8})
+	serial := Map(jobs, fn, 1)
+	parallel := Map(jobs, fn, 8)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("result %d differs: serial %+v, parallel %+v", i, serial[i], parallel[i])

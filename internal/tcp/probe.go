@@ -60,11 +60,6 @@ type ProbeEvent struct {
 // probed run follows the exact trajectory of an unprobed one.
 type ProbeFunc func(ev ProbeEvent)
 
-// SetProbe installs a tcp_probe-style observer on the connection (nil
-// detaches). With no probe attached the emit sites reduce to a pointer
-// test, per the nil-is-free observability convention.
-func (c *Conn) SetProbe(fn ProbeFunc) { c.probe = fn }
-
 // AddProbe attaches fn alongside any observer already installed: every
 // attached probe sees every event, in attachment order. Composing here
 // keeps a single emit site in the connection while letting the

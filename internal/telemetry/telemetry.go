@@ -11,10 +11,7 @@
 // cost unless a registry is installed.
 package telemetry
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Counter is a monotonically increasing event count. Subsystems hold the
 // *Counter returned by Registry.Counter and bump it on their hot paths; a
@@ -151,12 +148,4 @@ func (r *Registry) Value(name string) (v float64, ok bool) {
 		return 0, false
 	}
 	return r.metrics[i].read(), true
-}
-
-// SortedNames returns the metric names sorted lexically (for display; the
-// timeline itself keeps registration order).
-func (r *Registry) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
-	return out
 }

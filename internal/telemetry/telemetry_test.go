@@ -74,10 +74,6 @@ func TestReadKeepsRegistrationOrder(t *testing.T) {
 	if len(row) != 3 || row[0] != 3 || row[1] != 1 || row[2] != 2 {
 		t.Errorf("ReadInto = %v", row)
 	}
-	sorted := r.SortedNames()
-	if sorted[0] != "a" || sorted[2] != "z" {
-		t.Errorf("SortedNames = %v", sorted)
-	}
 }
 
 func TestDuplicateNamePanics(t *testing.T) {

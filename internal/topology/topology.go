@@ -92,9 +92,6 @@ func (m MachineSpec) CoresOnNode(node int) []int {
 	return out
 }
 
-// NICLocal reports whether core is on the NIC-attached NUMA node.
-func (m MachineSpec) NICLocal(core int) bool { return m.NodeOf(core) == m.NICNode }
-
 // DCACapacity returns the DDIO-usable bytes of the NIC-local L3.
 func (m MachineSpec) DCACapacity() units.Bytes {
 	return units.Bytes(float64(m.L3PerNode) * m.DCAFraction)

@@ -73,16 +73,6 @@ func TestCoresOnNode(t *testing.T) {
 	}
 }
 
-func TestNICLocal(t *testing.T) {
-	m := Default()
-	if !m.NICLocal(0) || !m.NICLocal(5) {
-		t.Error("cores 0..5 should be NIC-local")
-	}
-	if m.NICLocal(6) || m.NICLocal(23) {
-		t.Error("cores off node 0 should not be NIC-local")
-	}
-}
-
 func TestPagesFor(t *testing.T) {
 	m := Default()
 	cases := []struct {

@@ -1,12 +1,6 @@
 package hostsim
 
-import (
-	"context"
-	"runtime"
-	"time"
-
-	"hostsim/internal/runner"
-)
+import "hostsim/internal/runner"
 
 // Job is one simulation in a RunMany batch.
 type Job struct {
@@ -15,26 +9,14 @@ type Job struct {
 }
 
 // RunOption tunes a RunMany call.
-type RunOption func(*runner.Options)
+type RunOption func(*runOptions)
+
+type runOptions struct{ workers int }
 
 // WithParallelism sets the number of simulations run concurrently.
 // n <= 0 means runtime.NumCPU(); 1 runs the batch serially.
 func WithParallelism(n int) RunOption {
-	return func(o *runner.Options) { o.Workers = n }
-}
-
-// WithContext makes the batch cancellable: jobs not yet started when ctx
-// is cancelled report ctx.Err() instead of running.
-func WithContext(ctx context.Context) RunOption {
-	return func(o *runner.Options) { o.Context = ctx }
-}
-
-// WithJobTimeout bounds each job's wall-clock time. A timed-out job
-// reports a runner.TimeoutError; its goroutine is abandoned (a CPU-bound
-// simulation cannot be interrupted), so use this as a last-resort guard
-// against runaway configurations, not as control flow.
-func WithJobTimeout(d time.Duration) RunOption {
-	return func(o *runner.Options) { o.JobTimeout = d }
+	return func(o *runOptions) { o.workers = n }
 }
 
 // RunMany executes a batch of independent simulations across CPU cores,
@@ -47,13 +29,13 @@ func WithJobTimeout(d time.Duration) RunOption {
 // same one a serial loop would have hit first); the result slice always
 // has one entry per job, nil where that job failed.
 func RunMany(jobs []Job, opts ...RunOption) ([]*Result, error) {
-	ro := runner.Options{Workers: runtime.NumCPU()}
+	var ro runOptions // workers 0: runtime.NumCPU()
 	for _, o := range opts {
 		o(&ro)
 	}
 	res := runner.Map(jobs, func(j Job) (*Result, error) {
 		return Run(j.Config, j.Workload)
-	}, ro)
+	}, ro.workers)
 	out := make([]*Result, len(res))
 	var firstErr error
 	for i, r := range res {

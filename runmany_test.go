@@ -1,8 +1,6 @@
 package hostsim_test
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -68,18 +66,6 @@ func TestRunManyReportsFirstError(t *testing.T) {
 	}
 	if res[1] != nil {
 		t.Error("bad job should have a nil result")
-	}
-}
-
-func TestRunManyCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: nothing should run
-	jobs := []hostsim.Job{
-		{Config: shortCfg(1), Workload: hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)},
-	}
-	_, err := hostsim.RunMany(jobs, hostsim.WithContext(ctx), hostsim.WithParallelism(2))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 

@@ -432,6 +432,21 @@ func TestTraceRecordsDataPath(t *testing.T) {
 	}
 }
 
+// A trace whose flow filter matches no flow leaves an empty ring, and
+// Result.Trace stays nil rather than an empty slice.
+func TestTraceEmptyRingIsNil(t *testing.T) {
+	cfg := quickCfg(AllOptimizations())
+	cfg.TraceEvents = 256
+	cfg.TraceFlow = 9999
+	res, err := Run(cfg, LongFlowWorkload(PatternSingle, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace != nil {
+		t.Errorf("Result.Trace = %d-event non-nil slice for an empty ring, want nil", len(res.Trace))
+	}
+}
+
 func TestFairnessIndexReported(t *testing.T) {
 	res, err := Run(quickCfg(AllOptimizations()), LongFlowWorkload(PatternOneToOne, 8))
 	if err != nil {

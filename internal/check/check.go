@@ -81,8 +81,8 @@ type Checker struct {
 }
 
 type rule struct {
-	name string
 	fn   func(FailFunc)
+	fail FailFunc // reports under the rule's name, bound once at AddRule
 }
 
 // New builds a Checker bound to eng.
@@ -108,7 +108,8 @@ func (c *Checker) AddRule(name string, fn func(FailFunc)) {
 	if name == "" || fn == nil {
 		panic("check: empty rule")
 	}
-	c.rules = append(c.rules, rule{name: name, fn: fn})
+	fail := func(format string, args ...any) { c.report(name, format, args...) }
+	c.rules = append(c.rules, rule{fn: fn, fail: fail})
 }
 
 // Start arms the periodic audit timer. Call once, after all rules are
@@ -130,8 +131,7 @@ func (c *Checker) Start() {
 // periodic timer does; drain points after Engine.Run may too).
 func (c *Checker) Audit() {
 	for _, r := range c.rules {
-		name := r.name
-		r.fn(func(format string, args ...any) { c.report(name, format, args...) })
+		r.fn(r.fail)
 	}
 }
 

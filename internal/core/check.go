@@ -43,16 +43,18 @@ func AttachChecker(ck *check.Checker, c *Cluster) {
 		h.installChargeLog()
 	}
 	names := make([]string, len(hosts))
+	linkNames := make([]string, len(hosts))
 	links := make([]*wire.Link, len(hosts))
 	for i, h := range hosts {
 		names[i] = h.name
+		linkNames[i] = "fabric->" + h.name
 		links[i] = c.fab.Port(i).Out()
 	}
 	scope := strings.Join(names, "/")
 
 	ck.AddRule("wire-conservation", func(fail check.FailFunc) {
-		for i, h := range hosts {
-			wireConservation(fail, "fabric->"+h.name, links[i])
+		for i, l := range links {
+			wireConservation(fail, linkNames[i], l)
 		}
 	})
 	ck.AddRule("fabric-port-conservation", func(fail check.FailFunc) {

@@ -37,18 +37,27 @@ func slower(a, b *Exemplar) bool {
 }
 
 // offerExemplar admits a completed message into the slowest-N min-heap
-// (t.exem[0] is the fastest retained exemplar).
+// (t.exem[0] is the fastest retained exemplar). Admission is decided on
+// the ordering key before anything is built, so a message that is not
+// slower than the fastest of a full heap costs no allocation. An admitted
+// exemplar copies its segments: m goes back to the free list.
 func (t *Tracer) offerExemplar(rec Record, m *message, fs *flowState) {
+	key := Exemplar{Flow: rec.Flow, ID: rec.ID, Done: rec.Done, Total: rec.Total}
+	full := len(t.exem) == t.slowest
+	if full && !slower(&key, t.exem[0]) {
+		return
+	}
 	e := &Exemplar{
 		Flow: rec.Flow, ID: rec.ID, WriteAt: m.writeAt, Done: rec.Done,
-		Total: rec.Total, Stages: rec.Stages, Segs: m.segs,
+		Total: rec.Total, Stages: rec.Stages,
+		Segs: append([]SegmentSpan(nil), m.segs...),
 	}
 	for _, ev := range fs.events {
 		if ev.At >= e.WriteAt && ev.At <= e.Done {
 			e.Events = append(e.Events, ev)
 		}
 	}
-	if len(t.exem) < t.slowest {
+	if !full {
 		t.exem = append(t.exem, e)
 		for i := len(t.exem) - 1; i > 0; {
 			parent := (i - 1) / 2
@@ -58,9 +67,6 @@ func (t *Tracer) offerExemplar(rec Record, m *message, fs *flowState) {
 			t.exem[parent], t.exem[i] = t.exem[i], t.exem[parent]
 			i = parent
 		}
-		return
-	}
-	if !slower(e, t.exem[0]) {
 		return
 	}
 	t.exem[0] = e

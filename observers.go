@@ -161,12 +161,16 @@ func (o *traceObs) attach(w *world) {
 
 func (o *traceObs) finish(res *Result) error {
 	res.traceEvents = o.tr.Events()
-	for _, e := range res.traceEvents {
-		res.Trace = append(res.Trace, TraceEvent{
+	if len(res.traceEvents) == 0 {
+		return nil
+	}
+	res.Trace = make([]TraceEvent, len(res.traceEvents))
+	for i, e := range res.traceEvents {
+		res.Trace[i] = TraceEvent{
 			At:   e.At.Duration(),
 			Host: e.Host, Core: e.Core, Flow: int32(e.Flow),
 			Kind: e.Kind.String(), A: e.A, B: e.B,
-		})
+		}
 	}
 	return nil
 }

@@ -353,39 +353,46 @@ func (h *Host) EnableTelemetry(reg *telemetry.Registry) {
 	}
 	h.telemetry = reg
 	p := h.name + "/"
-	reg.Gauge(p+"copied_bytes", func() float64 { return float64(h.copied) })
-	reg.Gauge(p+"written_bytes", func() float64 { return float64(h.written) })
-	reg.Gauge(p+"copy_miss_rate", func() float64 { return h.CopyMissRate() })
-	reg.Gauge(p+"skb_avg_bytes", func() float64 { return h.skbSizes.Mean() })
-	reg.Gauge(p+"latency_p99_us", func() float64 { return h.latency.Quantile(0.99) / 1e3 })
-	reg.Gauge(p+"unsteered", func() float64 { return float64(h.unsteered) })
+	reg.Block(p, hostCols, func(dst []float64) {
+		dst[0] = float64(h.copied)
+		dst[1] = float64(h.written)
+		dst[2] = h.CopyMissRate()
+		dst[3] = h.skbSizes.Mean()
+		dst[4] = h.latency.Quantile(0.99) / 1e3
+		dst[5] = float64(h.unsteered)
+	})
 	h.ctrSteerMiss = reg.Counter(p + "steer_miss")
 	if h.NIC != nil {
 		h.NIC.RegisterTelemetry(reg, p+"nic/")
 	}
 	if h.DCA != nil {
-		reg.Gauge(p+"ddio/hit_rate", func() float64 { return 1 - h.DCA.Stats().MissRate() })
-		reg.Gauge(p+"ddio/resident_pages", func() float64 { return float64(h.DCA.Resident()) })
+		reg.Block(p, ddioCols, func(dst []float64) {
+			dst[0] = 1 - h.DCA.Stats().MissRate()
+			dst[1] = float64(h.DCA.Resident())
+		})
 	}
-	for i := 0; i < h.spec.NumCores(); i++ {
-		c := h.Sys.Core(i)
-		cp := fmt.Sprintf("%score%02d/", p, i)
-		reg.Gauge(cp+"softirq_us", func() float64 { return c.SoftirqTime().Seconds() * 1e6 })
-		reg.Gauge(cp+"thread_us", func() float64 { return c.ThreadTime().Seconds() * 1e6 })
-		reg.Gauge(cp+"runq", func() float64 { return float64(c.RunqLen()) })
-		reg.Gauge(cp+"runq_wait_us", func() float64 { return c.RunqWait().Seconds() * 1e6 })
-	}
+	n := h.spec.NumCores()
+	reg.Block(p, coreTelemCols.get(n), func(dst []float64) {
+		for i := 0; i < n; i++ {
+			c, d := h.Sys.Core(i), dst[4*i:4*i+4]
+			d[0] = c.SoftirqTime().Seconds() * 1e6
+			d[1] = c.ThreadTime().Seconds() * 1e6
+			d[2] = float64(c.RunqLen())
+			d[3] = c.RunqWait().Seconds() * 1e6
+		}
+	})
 }
 
 // registerFlowTelemetry adds per-flow TCP gauges for a newly opened
 // endpoint (sender-side state: cwnd, srtt, retransmits, receive buffer).
 func (h *Host) registerFlowTelemetry(ep *Endpoint) {
-	p := fmt.Sprintf("%s/flow%03d/", h.name, ep.txFlow)
 	conn := ep.conn
-	h.telemetry.Gauge(p+"cwnd_bytes", func() float64 { return float64(conn.CC().Cwnd()) })
-	h.telemetry.Gauge(p+"srtt_ns", func() float64 { return float64(conn.SRTT().Nanoseconds()) })
-	h.telemetry.Gauge(p+"retransmits", func() float64 { return float64(conn.Stats().Retransmits) })
-	h.telemetry.Gauge(p+"rcvbuf_bytes", func() float64 { return float64(conn.RcvBuf()) })
+	h.telemetry.Block(fmt.Sprintf("%s/flow%03d/", h.name, ep.txFlow), flowTelemCols, func(dst []float64) {
+		dst[0] = float64(conn.CC().Cwnd())
+		dst[1] = float64(conn.SRTT().Nanoseconds())
+		dst[2] = float64(conn.Stats().Retransmits)
+		dst[3] = float64(conn.RcvBuf())
+	})
 }
 
 // EnableSpanTrace streams per-core execution spans (work-item start/end

@@ -32,28 +32,30 @@ func (h *Host) RegisterInspect(reg *telemetry.Registry) {
 		h.NIC.RegisterQueueTelemetry(reg, p+"nic/")
 	}
 	sys := h.Sys
-	reg.Gauge(p+"softirq_backlog", func() float64 { return float64(sys.SoftirqBacklogTotal()) })
-	for i := 0; i < h.spec.NumCores(); i++ {
-		c := sys.Core(i)
-		reg.Gauge(fmt.Sprintf("%score%02d/softirq_backlog", p, i),
-			func() float64 { return float64(c.SoftirqBacklog()) })
-	}
+	n := h.spec.NumCores()
+	reg.Block(p, coreBacklogCols.get(n), func(dst []float64) {
+		dst[0] = float64(sys.SoftirqBacklogTotal())
+		for i := 0; i < n; i++ {
+			dst[1+i] = float64(sys.Core(i).SoftirqBacklog())
+		}
+	})
 	for _, ep := range h.eps {
 		conn := ep.conn
-		fp := fmt.Sprintf("%sflow%03d/", p, ep.txFlow)
-		reg.Gauge(fp+"cwnd_bytes", func() float64 { return float64(conn.CC().Cwnd()) })
-		reg.Gauge(fp+"ssthresh_bytes", func() float64 { return float64(conn.CC().Ssthresh()) })
 		// RTT-class gauges report nanoseconds, the repo-wide latency unit
 		// (see package stage) shared with the passive RTT monitor's
 		// rtt_*_ns gauges and the tail report.
-		reg.Gauge(fp+"srtt_ns", func() float64 { return float64(conn.SRTT().Nanoseconds()) })
-		reg.Gauge(fp+"rto_ns", func() float64 { return float64(conn.RTO().Nanoseconds()) })
-		reg.Gauge(fp+"inflight_bytes", func() float64 { return float64(conn.InFlight()) })
-		reg.Gauge(fp+"qdisc_bytes", func() float64 { return float64(conn.InQdisc()) })
-		reg.Gauge(fp+"sndbuf_free_bytes", func() float64 { return float64(conn.SndBufFree()) })
-		reg.Gauge(fp+"rcvbuf_bytes", func() float64 { return float64(conn.RcvBuf()) })
-		reg.Gauge(fp+"recvq_bytes", func() float64 { return float64(conn.Readable()) })
-		reg.Gauge(fp+"ooo_segments", func() float64 { return float64(conn.OOOLen()) })
-		reg.Gauge(fp+"retransmits", func() float64 { return float64(conn.Stats().Retransmits) })
+		reg.Block(fmt.Sprintf("%sflow%03d/", p, ep.txFlow), flowInspectCols, func(dst []float64) {
+			dst[0] = float64(conn.CC().Cwnd())
+			dst[1] = float64(conn.CC().Ssthresh())
+			dst[2] = float64(conn.SRTT().Nanoseconds())
+			dst[3] = float64(conn.RTO().Nanoseconds())
+			dst[4] = float64(conn.InFlight())
+			dst[5] = float64(conn.InQdisc())
+			dst[6] = float64(conn.SndBufFree())
+			dst[7] = float64(conn.RcvBuf())
+			dst[8] = float64(conn.Readable())
+			dst[9] = float64(conn.OOOLen())
+			dst[10] = float64(conn.Stats().Retransmits)
+		})
 	}
 }

@@ -325,11 +325,15 @@ func (fb *Fabric) Totals() FabricTotals {
 	return t
 }
 
+// portCols are the column suffixes of one port's telemetry block.
+var portCols = []string{"backlog_bytes", "in_frames", "buf_dropped", "wire_dropped", "marked", "delivered"}
+
 // RegisterTelemetry registers the switch's shared-buffer occupancy and
 // per-port gauges (egress backlog plus the cumulative ingress/egress
-// counters) into reg under prefix, e.g. "fabric/port003/backlog_bytes".
-// Every probe is a pure read of switch state, following the telemetry
-// gauge contract. No-op on a nil registry, like all telemetry hooks.
+// counters) into reg under prefix, e.g. "fabric/port003/backlog_bytes",
+// one block per port. Every probe is a pure read of switch state,
+// following the telemetry gauge contract. No-op on a nil registry, like
+// all telemetry hooks.
 func (fb *Fabric) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
@@ -337,12 +341,14 @@ func (fb *Fabric) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Gauge(prefix+"occupancy_bytes", func() float64 { return float64(fb.Occupancy()) })
 	for i := range fb.ports {
 		p := &fb.ports[i]
-		pp := fmt.Sprintf("%sport%03d/", prefix, p.id)
-		reg.Gauge(pp+"backlog_bytes", func() float64 { return float64(p.out.Backlog()) })
-		reg.Gauge(pp+"in_frames", func() float64 { return float64(p.stats.In) })
-		reg.Gauge(pp+"buf_dropped", func() float64 { return float64(p.stats.BufDropped) })
-		reg.Gauge(pp+"wire_dropped", func() float64 { return float64(p.out.Stats().Dropped) })
-		reg.Gauge(pp+"marked", func() float64 { return float64(p.out.Stats().Marked) })
-		reg.Gauge(pp+"delivered", func() float64 { return float64(p.out.Stats().Delivered) })
+		reg.Block(fmt.Sprintf("%sport%03d/", prefix, p.id), portCols, func(dst []float64) {
+			dst[0] = float64(p.out.Backlog())
+			dst[1] = float64(p.stats.In)
+			dst[2] = float64(p.stats.BufDropped)
+			st := p.out.Stats()
+			dst[3] = float64(st.Dropped)
+			dst[4] = float64(st.Marked)
+			dst[5] = float64(st.Delivered)
+		})
 	}
 }

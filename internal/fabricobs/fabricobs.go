@@ -441,19 +441,23 @@ func topFlows(flows []int64, ids []skb.FlowID, k int) []FlowFrames {
 	return out
 }
 
+// timelineCols are the column suffixes of one port's timeline block.
+var timelineCols = []string{"backlog_bytes", "utilization", "ecn_marks_per_s", "admission_drops", "wire_drops"}
+
 // registerTimeline builds the private registry: the shared-buffer
-// occupancy plus, per port, the egress backlog, interval-rate utilization
-// and ECN-mark rate, and the cumulative drop counters.
+// occupancy plus, per port, one block of the egress backlog,
+// interval-rate utilization and ECN-mark rate, and the cumulative drop
+// counters. The rate columns advance the port's last-sample state, which
+// is why they rely on a block's read running exactly once per sample.
 func (o *Observer) registerTimeline() {
 	o.reg = telemetry.NewRegistry()
 	o.reg.Gauge("occupancy_bytes", func() float64 { return float64(o.fab.Occupancy()) })
 	rate := o.fab.Config().LinkRate
 	for _, ps := range o.ports {
-		ps := ps
-		pp := fmt.Sprintf("port%03d/", ps.id)
-		o.reg.Gauge(pp+"backlog_bytes", func() float64 { return float64(ps.out.Backlog()) })
-		o.reg.Gauge(pp+"utilization", func() float64 {
+		o.reg.Block(fmt.Sprintf("port%03d/", ps.id), timelineCols, func(dst []float64) {
 			now := o.eng.Now()
+			dst[0] = float64(ps.out.Backlog())
+
 			tx := ps.onWire()
 			var u float64
 			if dt := now - ps.utilT; dt > 0 {
@@ -461,23 +465,18 @@ func (o *Observer) registerTimeline() {
 					(float64(dt) * float64(rate))
 			}
 			ps.utilT, ps.utilTx = now, tx
-			return u
-		})
-		o.reg.Gauge(pp+"ecn_marks_per_s", func() float64 {
-			now := o.eng.Now()
+			dst[1] = u
+
 			n := ps.out.Stats().Marked
 			var r float64
 			if dt := now - ps.markT; dt > 0 {
 				r = float64(n-ps.markN) * float64(time.Second) / float64(dt)
 			}
 			ps.markT, ps.markN = now, n
-			return r
-		})
-		o.reg.Gauge(pp+"admission_drops", func() float64 {
-			return float64(ps.port.Stats().BufDropped)
-		})
-		o.reg.Gauge(pp+"wire_drops", func() float64 {
-			return float64(ps.out.Stats().Dropped)
+			dst[2] = r
+
+			dst[3] = float64(ps.port.Stats().BufDropped)
+			dst[4] = float64(ps.out.Stats().Dropped)
 		})
 	}
 }

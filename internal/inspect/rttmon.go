@@ -21,6 +21,9 @@ type RTTMonitor struct {
 	flows []*rttFlow // by flow id (ids are dense); nil = not watched
 }
 
+// rttCols are the column suffixes of one watched flow's block.
+var rttCols = []string{"rtt_last_ns", "rtt_min_ns", "rtt_mean_ns", "rtt_p50_ns", "rtt_p99_ns", "rtt_samples"}
+
 // rttFlow is one monitored connection's running RTT state.
 type rttFlow struct {
 	last int64
@@ -40,12 +43,14 @@ func (m *RTTMonitor) Watch(reg *telemetry.Registry, prefix string, flow skb.Flow
 		m.flows = append(m.flows, make([]*rttFlow, n-len(m.flows))...)
 	}
 	m.flows[flow] = f
-	reg.Gauge(prefix+"rtt_last_ns", func() float64 { return float64(f.last) })
-	reg.Gauge(prefix+"rtt_min_ns", func() float64 { return float64(f.hist.Min()) })
-	reg.Gauge(prefix+"rtt_mean_ns", func() float64 { return float64(f.hist.Mean()) })
-	reg.Gauge(prefix+"rtt_p50_ns", func() float64 { return float64(f.hist.Quantile(0.50)) })
-	reg.Gauge(prefix+"rtt_p99_ns", func() float64 { return float64(f.hist.Quantile(0.99)) })
-	reg.Gauge(prefix+"rtt_samples", func() float64 { return float64(f.hist.Count()) })
+	reg.Block(prefix, rttCols, func(dst []float64) {
+		dst[0] = float64(f.last)
+		dst[1] = float64(f.hist.Min())
+		dst[2] = float64(f.hist.Mean())
+		dst[3] = float64(f.hist.Quantile(0.50))
+		dst[4] = float64(f.hist.Quantile(0.99))
+		dst[5] = float64(f.hist.Count())
+	})
 	return func(ev tcp.ProbeEvent) {
 		// Sample on ACKs that advanced the window: those carry a fresh
 		// smoothed-RTT update (retransmitted ranges are excluded from RTT

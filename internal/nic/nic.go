@@ -455,42 +455,52 @@ func (n *NIC) PostedBounds() (lo, hi int) {
 	return lo, hi
 }
 
+// telemetryCols and queueCols are the column suffixes of the NIC's two
+// telemetry blocks.
+var (
+	telemetryCols = []string{"ring_occupancy", "rx_frames", "rx_dropped", "tx_frames", "irqs", "napi_polls", "gro_avg_frames"}
+	queueCols     = []string{"ring_occupancy", "rx_backlog_frames", "rx_backlog_bytes", "gro_held_skbs", "gro_held_bytes", "tx_queued_frames", "tx_queued_bytes"}
+)
+
 // RegisterTelemetry registers the NIC's gauges under prefix (e.g.
-// "rx/"). Probes are pure reads; no-op on a nil registry.
+// "rx/") as one block. Probes are pure reads; no-op on a nil registry.
 func (n *NIC) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	reg.Gauge(prefix+"ring_occupancy", func() float64 { return float64(n.RingOccupancy()) })
-	reg.Gauge(prefix+"rx_frames", func() float64 { return float64(n.stats.RxFrames) })
-	reg.Gauge(prefix+"rx_dropped", func() float64 { return float64(n.stats.RxDropped) })
-	reg.Gauge(prefix+"tx_frames", func() float64 { return float64(n.stats.TxFrames) })
-	reg.Gauge(prefix+"irqs", func() float64 { return float64(n.stats.IRQs) })
-	reg.Gauge(prefix+"napi_polls", func() float64 { return float64(n.stats.NAPIPolls) })
-	reg.Gauge(prefix+"gro_avg_frames", func() float64 {
-		if n.stats.NAPIPolls == 0 {
-			return 0
+	reg.Block(prefix, telemetryCols, func(dst []float64) {
+		dst[0] = float64(n.RingOccupancy())
+		dst[1] = float64(n.stats.RxFrames)
+		dst[2] = float64(n.stats.RxDropped)
+		dst[3] = float64(n.stats.TxFrames)
+		dst[4] = float64(n.stats.IRQs)
+		dst[5] = float64(n.stats.NAPIPolls)
+		dst[6] = 0
+		if n.stats.NAPIPolls != 0 {
+			dst[6] = float64(n.stats.RxFrames) / float64(n.stats.NAPIPolls)
 		}
-		return float64(n.stats.RxFrames) / float64(n.stats.NAPIPolls)
 	})
 }
 
 // RegisterQueueTelemetry registers the NIC's instantaneous queue-depth
 // gauges — Rx ring occupancy, NAPI backlog, GRO-held aggregation state and
-// Tx queue depth — into reg under prefix. These are the `ss`-style
-// diagnostics of the inspect layer: pure reads of where bytes are parked
-// right now, complementing RegisterTelemetry's cumulative counters.
+// Tx queue depth — into reg under prefix as one block. These are the
+// `ss`-style diagnostics of the inspect layer: pure reads of where bytes
+// are parked right now, complementing RegisterTelemetry's cumulative
+// counters.
 func (n *NIC) RegisterQueueTelemetry(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	reg.Gauge(prefix+"ring_occupancy", func() float64 { return float64(n.RingOccupancy()) })
-	reg.Gauge(prefix+"rx_backlog_frames", func() float64 { f, _ := n.RxBacklog(); return float64(f) })
-	reg.Gauge(prefix+"rx_backlog_bytes", func() float64 { _, b := n.RxBacklog(); return float64(b) })
-	reg.Gauge(prefix+"gro_held_skbs", func() float64 { s, _ := n.GROHeld(); return float64(s) })
-	reg.Gauge(prefix+"gro_held_bytes", func() float64 { _, b := n.GROHeld(); return float64(b) })
-	reg.Gauge(prefix+"tx_queued_frames", func() float64 { f, _ := n.TxQueued(); return float64(f) })
-	reg.Gauge(prefix+"tx_queued_bytes", func() float64 { _, b := n.TxQueued(); return float64(b) })
+	reg.Block(prefix, queueCols, func(dst []float64) {
+		dst[0] = float64(n.RingOccupancy())
+		rxFrames, rxBytes := n.RxBacklog()
+		dst[1], dst[2] = float64(rxFrames), float64(rxBytes)
+		groSKBs, groBytes := n.GROHeld()
+		dst[3], dst[4] = float64(groSKBs), float64(groBytes)
+		txFrames, txBytes := n.TxQueued()
+		dst[5], dst[6] = float64(txFrames), float64(txBytes)
+	})
 }
 
 // txBatch carries one SendFrames call's frames across the Defer to the

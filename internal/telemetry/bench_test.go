@@ -39,6 +39,24 @@ func BenchmarkRegistryRead(b *testing.B) {
 	}
 }
 
+// BenchmarkRegistryReadBlock reads the same 64 columns as
+// BenchmarkRegistryRead registered as 16 four-column blocks, the shape of
+// the per-core gauges.
+func BenchmarkRegistryReadBlock(b *testing.B) {
+	r := NewRegistry()
+	for i := 0; i < 16; i++ {
+		base := float64(4 * i)
+		r.Block(fmt.Sprintf("core%02d/", i), []string{"a", "b", "c", "d"}, func(dst []float64) {
+			dst[0], dst[1], dst[2], dst[3] = base, base+1, base+2, base+3
+		})
+	}
+	var row []float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		row = r.ReadInto(row)
+	}
+}
+
 func TestNilCounterIncAllocatesNothing(t *testing.T) {
 	var c *Counter
 	if n := testing.AllocsPerRun(100, func() { c.Inc(); c.Add(3) }); n != 0 {

@@ -76,9 +76,6 @@ func NewSampler(eng *sim.Engine, reg *Registry, interval time.Duration, maxSampl
 	return &Sampler{eng: eng, reg: reg, interval: interval, max: maxSamples}
 }
 
-// Interval returns the sampling period.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 // Start schedules the first sample at absolute simulated time at (or now,
 // if at is in the past) and every interval thereafter. Sampling is a pure
 // read of simulation state: it never perturbs the simulated system.

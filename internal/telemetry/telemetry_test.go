@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,11 +39,9 @@ func TestNilRegistryIsFree(t *testing.T) {
 		t.Error("nil counter must read 0")
 	}
 	r.Gauge("y", func() float64 { return 1 })
+	r.Block("z/", []string{"a", "b"}, func(dst []float64) { dst[0], dst[1] = 1, 2 })
 	if r.Len() != 0 || r.Names() != nil || len(r.ReadInto(make([]float64, 2))) != 0 {
 		t.Error("nil registry must be empty")
-	}
-	if _, ok := r.Value("y"); ok {
-		t.Error("nil registry must not resolve names")
 	}
 }
 
@@ -53,38 +53,125 @@ func TestCounter(t *testing.T) {
 	if c.Value() != 42 {
 		t.Errorf("Value = %d, want 42", c.Value())
 	}
-	if v, ok := r.Value("drops"); !ok || v != 42 {
-		t.Errorf("registry Value = %v, %v", v, ok)
+	if names, row := r.Names(), r.ReadInto(nil); len(names) != 1 || names[0] != "drops" || len(row) != 1 || row[0] != 42 {
+		t.Errorf("registry reads %v = %v, want [drops] = [42]", names, row)
 	}
 }
 
 func TestReadKeepsRegistrationOrder(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("z", func() float64 { return 3 })
+	r.Block("blk/", []string{"y", "x"}, func(dst []float64) { dst[0], dst[1] = 4, 5 })
 	r.Counter("a").Add(1)
 	r.Gauge("m", func() float64 { return 2 })
-	wantNames := []string{"z", "a", "m"}
-	names := r.Names()
-	for i, n := range wantNames {
-		if names[i] != n {
-			t.Fatalf("Names = %v, want %v (registration order)", names, wantNames)
-		}
+	r.Block("", []string{"b"}, func(dst []float64) { dst[0] = 6 })
+	wantNames := []string{"z", "blk/y", "blk/x", "a", "m", "b"}
+	if names := r.Names(); !slices.Equal(names, wantNames) {
+		t.Fatalf("Names = %v, want %v (registration order)", names, wantNames)
+	}
+	if r.Len() != len(wantNames) {
+		t.Errorf("Len = %d, want %d", r.Len(), len(wantNames))
 	}
 	row := r.ReadInto(make([]float64, 1, 8)) // reuses capacity, resized to the metric count
-	if len(row) != 3 || row[0] != 3 || row[1] != 1 || row[2] != 2 {
-		t.Errorf("ReadInto = %v", row)
+	if want := []float64{3, 4, 5, 1, 2, 6}; !slices.Equal(row, want) {
+		t.Errorf("ReadInto = %v, want %v", row, want)
 	}
 }
 
-func TestDuplicateNamePanics(t *testing.T) {
+// TestBlockReadsOncePerSample pins the contract the stateful rate probes
+// rely on: each block's read runs exactly once per ReadInto, in
+// registration order.
+func TestBlockReadsOncePerSample(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x")
+	var calls []string
+	r.Block("a/", []string{"x", "y"}, func(dst []float64) { calls = append(calls, "a"); dst[0], dst[1] = 1, 2 })
+	r.Gauge("b", func() float64 { calls = append(calls, "b"); return 3 })
+	r.Block("c/", []string{"z"}, func(dst []float64) { calls = append(calls, "c"); dst[0] = 4 })
+	r.ReadInto(nil)
+	r.ReadInto(nil)
+	if want := []string{"a", "b", "c", "a", "b", "c"}; !slices.Equal(calls, want) {
+		t.Errorf("reads = %v, want %v", calls, want)
+	}
+}
+
+// mustPanic runs register on a fresh registry that already holds the
+// columns "a/b/c" (one block) and "x" and "y" (another) and fails unless it
+// panics.
+func mustPanic(t *testing.T, what string, register func(r *Registry)) {
+	t.Helper()
+	r := NewRegistry()
+	r.Block("a/", []string{"b/c"}, func(dst []float64) {})
+	r.Block("", []string{"x", "y"}, func(dst []float64) {})
 	defer func() {
 		if recover() == nil {
-			t.Error("duplicate name should panic")
+			t.Errorf("%s should panic", what)
 		}
 	}()
-	r.Gauge("x", func() float64 { return 0 })
+	register(r)
+}
+
+func TestDuplicateNamePanics(t *testing.T) {
+	nop := func(dst []float64) {}
+	mustPanic(t, "gauge over a block column", func(r *Registry) { r.Gauge("x", func() float64 { return 0 }) })
+	mustPanic(t, "counter over a block column", func(r *Registry) { r.Counter("y") })
+	mustPanic(t, "a duplicate inside one block", func(r *Registry) { r.Block("n/", []string{"p", "q", "p"}, nop) })
+	mustPanic(t, "a duplicate across blocks", func(r *Registry) { r.Block("", []string{"z", "y"}, nop) })
+	mustPanic(t, "a duplicate split across the prefix boundary", func(r *Registry) { r.Block("a/b/", []string{"c"}, nop) })
+	mustPanic(t, "a duplicate split the other way", func(r *Registry) { r.Block("", []string{"a/b/c"}, nop) })
+
+	// Names that share a prefix or a suffix, or hash-equal bytes split
+	// differently but spell something else, are distinct.
+	r := NewRegistry()
+	r.Block("a/", []string{"b/c", "b/d"}, nop)
+	r.Block("a/b/", []string{"e"}, nop)
+	r.Block("ab/", []string{"c"}, nop)
+	r.Gauge("a/b", func() float64 { return 0 })
+	if r.Len() != 5 {
+		t.Errorf("Len = %d, want 5", r.Len())
+	}
+}
+
+func TestJoinedEqual(t *testing.T) {
+	for _, c := range []struct {
+		a1, a2, b1, b2 string
+		want           bool
+	}{
+		{"a/", "b/c", "a/b/", "c", true},
+		{"a/b/", "c", "a/", "b/c", true},
+		{"", "abc", "abc", "", true},
+		{"ab", "c", "ab", "c", true},
+		{"a/", "b/c", "a/b/", "d", false},
+		{"a/", "b/c", "a/", "b/cd", false},
+		{"x/", "b/c", "a/b/", "c", false},
+		{"a/", "x/c", "a/b/", "c", false},
+	} {
+		if got := joinedEqual(c.a1, c.a2, c.b1, c.b2); got != c.want {
+			t.Errorf("joinedEqual(%q+%q, %q+%q) = %v, want %v", c.a1, c.a2, c.b1, c.b2, got, c.want)
+		}
+	}
+}
+
+// TestManyColumnsStayDistinct registers enough columns to grow the name
+// table several times and checks that every name still resolves as taken.
+func TestManyColumnsStayDistinct(t *testing.T) {
+	r := NewRegistry()
+	suffixes := []string{"softirq_us", "thread_us", "runq", "runq_wait_us"}
+	for i := 0; i < 500; i++ {
+		r.Block(fmt.Sprintf("host%03d/", i), suffixes, func(dst []float64) {})
+	}
+	if r.Len() != 2000 || len(r.Names()) != 2000 {
+		t.Fatalf("Len = %d, Names = %d, want 2000", r.Len(), len(r.Names()))
+	}
+	for _, i := range []int{0, 137, 499} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("host%03d/runq registered twice", i)
+				}
+			}()
+			r.Gauge(fmt.Sprintf("host%03d/runq", i), func() float64 { return 0 })
+		}()
+	}
 }
 
 func TestEmptyNamePanics(t *testing.T) {
@@ -105,6 +192,59 @@ func TestNilProbePanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("x", nil)
+}
+
+func TestBadBlockPanics(t *testing.T) {
+	for name, register := range map[string]func(r *Registry){
+		"nil read":      func(r *Registry) { r.Block("x/", []string{"a"}, nil) },
+		"empty block":   func(r *Registry) { r.Block("x/", nil, func([]float64) {}) },
+		"empty in list": func(r *Registry) { r.Block("", []string{"a", ""}, func([]float64) {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", name)
+				}
+			}()
+			register(NewRegistry())
+		}()
+	}
+}
+
+// TestRegistryAllocations pins the price of registration and reading:
+// a block costs its table entries, not an allocation per column.
+func TestRegistryAllocations(t *testing.T) {
+	names := make([]string, 96)
+	for i := range names {
+		names[i] = fmt.Sprintf("core%02d/runq", i)
+	}
+	read := func(dst []float64) {
+		for i := range dst {
+			dst[i] = float64(i)
+		}
+	}
+	const runs = 50
+	regs := make([]*Registry, runs+1)
+	for i := range regs {
+		regs[i] = NewRegistry()
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() { regs[next].Block("host/", names, read); next++ }); n > 2 {
+		t.Errorf("registering a 96-column block allocated %v objects, want <= 2", n)
+	}
+	for _, cols := range []int{1, 96, 4096} {
+		r := NewRegistry()
+		for i := 0; i < cols; i += len(names) {
+			r.Block(fmt.Sprintf("h%03d/", i), names[:min(len(names), cols-i)], read)
+		}
+		if n := testing.AllocsPerRun(20, func() { r.Names() }); n > 2 {
+			t.Errorf("Names over %d columns allocated %v objects, want <= 2", cols, n)
+		}
+		row := r.ReadInto(nil)
+		if n := testing.AllocsPerRun(20, func() { row = r.ReadInto(row) }); n != 0 {
+			t.Errorf("ReadInto over %d columns into a warm row allocated %v objects", cols, n)
+		}
+	}
 }
 
 func TestTimelineColumn(t *testing.T) {

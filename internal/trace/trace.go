@@ -11,6 +11,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
@@ -144,6 +145,24 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, 0, len(t.ring))
 	out = append(out, t.ring[t.next:]...)
 	out = append(out, t.ring[:t.next]...)
+	return out
+}
+
+// Take returns the recorded events, oldest first, and empties the ring.
+// Unlike Events it copies nothing: it orders the ring in place and hands
+// it over, so call it when the tracer is done recording.
+func (t *Tracer) Take() []Event {
+	if t == nil {
+		return nil
+	}
+	out := t.ring
+	if t.wrapped {
+		// Rotate left by next: reversing both halves and then the whole.
+		slices.Reverse(out[:t.next])
+		slices.Reverse(out[t.next:])
+		slices.Reverse(out)
+	}
+	t.ring, t.next, t.wrapped = nil, 0, false
 	return out
 }
 

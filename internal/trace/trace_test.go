@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,6 +165,28 @@ func TestWrapAroundOrdering(t *testing.T) {
 	}
 	if tr.Dropped() != 7 {
 		t.Errorf("Dropped = %d, want 7", tr.Dropped())
+	}
+}
+
+// Take hands over the same events, in the same order, as Events, and
+// leaves the tracer empty.
+func TestTakeMatchesEvents(t *testing.T) {
+	for _, n := range []int64{0, 3, 4, 11, 12} {
+		tr := New(4)
+		for i := int64(1); i <= n; i++ {
+			tr.Emit(ev(i, 1, DeliverSKB))
+		}
+		want := tr.Events()
+		if got := tr.Take(); !slices.Equal(got, want) {
+			t.Errorf("%d events: Take = %v, want %v", n, got, want)
+		}
+		if tr.Len() != 0 || len(tr.Events()) != 0 {
+			t.Errorf("%d events: tracer holds %d events after Take", n, tr.Len())
+		}
+	}
+	var nilTr *Tracer
+	if nilTr.Take() != nil {
+		t.Error("nil tracer Take must be nil")
 	}
 }
 

@@ -159,8 +159,10 @@ func (o *traceObs) attach(w *world) {
 	}
 }
 
+// finish hands the tracer's ring over to the Result: the tracer records
+// nothing after the run, so its ring needs no copy.
 func (o *traceObs) finish(res *Result) error {
-	res.traceEvents = o.tr.Events()
+	res.traceEvents = o.tr.Take()
 	if len(res.traceEvents) == 0 {
 		return nil
 	}

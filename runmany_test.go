@@ -3,6 +3,7 @@ package hostsim_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,6 +47,55 @@ func TestRunManyMatchesSerial(t *testing.T) {
 		b := fmt.Sprintf("%.6f|%.6f|%.6f|%v", par[i].ThroughputGbps, par[i].ThroughputPerCoreGbps, par[i].Sender.BusyCores, par[i].Sender.Breakdown)
 		if a != b {
 			t.Errorf("job %d diverged:\nserial   %s\nparallel %s", i, a, b)
+		}
+	}
+}
+
+// TestRunManySamplersMatchSerial arms the telemetry and ss samplers on
+// the pair and on a 16-host fabric and requires every job's telemetry and
+// ss CSV bytes to be the same whether the batch runs one job at a time or
+// four at once. Concurrent runs share the per-core column-name lists, so
+// under the race detector this also checks that sharing.
+func TestRunManySamplersMatchSerial(t *testing.T) {
+	var jobs []hostsim.Job
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, c := range []struct {
+			fab   *hostsim.FabricOptions
+			flows int
+		}{{nil, 4}, {&hostsim.FabricOptions{Hosts: 16, SharedBufferKB: 256}, 0}} {
+			cfg := shortCfg(seed)
+			cfg.Fabric = c.fab
+			cfg.Telemetry = &hostsim.Telemetry{}
+			cfg.Inspect = &hostsim.InspectOptions{SS: true}
+			jobs = append(jobs, hostsim.Job{Config: cfg, Workload: hostsim.LongFlowWorkload(hostsim.PatternIncast, c.flows)})
+		}
+	}
+	csvs := func(workers int) []string {
+		res, err := hostsim.RunMany(jobs, hostsim.WithParallelism(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(res))
+		for i, r := range res {
+			var b strings.Builder
+			if err := r.Timeline.WriteCSV(&b); err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString("--- ss\n")
+			if err := r.WriteSocketCSV(&b); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = b.String()
+		}
+		return out
+	}
+	par, serial := csvs(4), csvs(1)
+	for i := range jobs {
+		if serial[i] != par[i] {
+			t.Errorf("job %d: sampler CSVs differ between parallelism 1 (%d bytes) and 4 (%d bytes)", i, len(serial[i]), len(par[i]))
+		}
+		if r := strings.Count(serial[i], "\n"); r < 10 {
+			t.Errorf("job %d: only %d CSV lines", i, r)
 		}
 	}
 }

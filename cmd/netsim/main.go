@@ -96,24 +96,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Fail typoed output paths before the run, not after: every -*-out
-	// flag requires its parent directory to exist already.
-	for _, of := range []struct{ name, path string }{
-		{"profile-out", *profileOut}, {"folded-out", *foldedOut},
-		{"telemetry-out", *telemetryOut}, {"trace-out", *traceOut},
-		{"pcap-out", *pcapOut}, {"probe-out", *probeOut}, {"ss-out", *ssOut},
-		{"mtrace-out", *mtraceOut}, {"tail-report", *tailReport},
-		{"fabric-report", *fabReport}, {"fabric-ts-out", *fabTSOut},
-		{"fabric-trace-out", *fabTrace},
-	} {
-		if of.path == "" || of.path == "-" {
-			continue
-		}
-		if fi, err := os.Stat(filepath.Dir(of.path)); err != nil || !fi.IsDir() {
-			fmt.Fprintf(os.Stderr, "netsim: -%s %s: directory %s does not exist\n",
-				of.name, of.path, filepath.Dir(of.path))
-			os.Exit(1)
-		}
+	if err := checkOutputDirs(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "netsim:", err)
+		os.Exit(1)
 	}
 
 	stack := hostsim.Stack{
@@ -317,6 +302,29 @@ func writeOutput(flagName, path string, write func(io.Writer) error) {
 	}
 }
 
+// isOutputFlag reports whether the named flag names an output file: its
+// name ends in -out, or it is -tail-report or -fabric-report.
+func isOutputFlag(name string) bool {
+	return strings.HasSuffix(name, "-out") || name == "tail-report" || name == "fabric-report"
+}
+
+// checkOutputDirs fails typoed output paths before the run, not after:
+// every output flag set to a path other than "-" (stdout) requires its
+// parent directory to exist already.
+func checkOutputDirs(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		path := f.Value.String()
+		if err != nil || !isOutputFlag(f.Name) || path == "" || path == "-" {
+			return
+		}
+		if fi, serr := os.Stat(filepath.Dir(path)); serr != nil || !fi.IsDir() {
+			err = fmt.Errorf("-%s %s: directory %s does not exist", f.Name, path, filepath.Dir(path))
+		}
+	})
+	return err
+}
+
 // checkSeeds rejects -seeds N > 1 alongside any flag that reports on a
 // single run: the per-seed loop prints only mean +/- stddev, so such a
 // flag's artifact or report would silently never be written.
@@ -329,8 +337,7 @@ func checkSeeds(fs *flag.FlagSet) error {
 	fs.Visit(func(f *flag.Flag) {
 		switch {
 		case err != nil:
-		case strings.HasSuffix(f.Name, "-out"), f.Name == "tail-report", f.Name == "fabric-report",
-			f.Name == "latency-breakdown", f.Name == "trace", f.Name == "trace-flow":
+		case isOutputFlag(f.Name), f.Name == "latency-breakdown", f.Name == "trace", f.Name == "trace-flow":
 			err = fmt.Errorf("-seeds %d cannot be combined with -%s", n, f.Name)
 		}
 	})

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"path/filepath"
 	"testing"
 )
 
@@ -24,6 +25,39 @@ func TestCheckSeeds(t *testing.T) {
 		}
 		got := ""
 		if err := checkSeeds(fs); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%v: got %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
+func TestCheckOutputDirs(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing")
+	for _, tc := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{[]string{"-pcap-out", filepath.Join(dir, "x.pcapng"), "-tail-report", "-"}, ""},
+		{[]string{"-fabric-report", "-", "-dur", "3ms"}, ""},
+		{[]string{"-pcap-out", filepath.Join(missing, "x.pcapng")},
+			"-pcap-out " + filepath.Join(missing, "x.pcapng") + ": directory " + missing + " does not exist"},
+		{[]string{"-tail-report", filepath.Join(missing, "tail.txt")},
+			"-tail-report " + filepath.Join(missing, "tail.txt") + ": directory " + missing + " does not exist"},
+	} {
+		fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.Duration("dur", 0, "")
+		fs.String("pcap-out", "", "")
+		fs.String("tail-report", "", "")
+		fs.String("fabric-report", "", "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		if err := checkOutputDirs(fs); err != nil {
 			got = err.Error()
 		}
 		if got != tc.want {

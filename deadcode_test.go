@@ -1,10 +1,15 @@
 package hostsim_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -12,7 +17,7 @@ import (
 )
 
 // keptUnreferenced lists the package-level declarations that no non-test
-// code references but that stay on purpose, keyed by directory and
+// code uses but that stay on purpose, keyed by directory and
 // [receiver.]name, each with the reason it is kept.
 var keptUnreferenced = map[string]string{
 	"hostsim.RunMany":                          "public batch API; the determinism tests drive it",
@@ -39,138 +44,296 @@ var keptUnreferenced = map[string]string{
 	"internal/core.NoOpts":                     "stack preset the core tests build hosts with",
 	"internal/metrics.Histogram.RecordN":       "bulk record the histogram tests check against Record",
 	"internal/metrics.Histogram.Buckets":       "bucket view the histogram tests read",
-	"internal/metrics.LogLinear.Sum":           "histogram sum the mtrace tests read",
 	"internal/skb.SegmentSizes":                "GSO/TSO split the skb and tcp tests check segments against",
 	"internal/inspect.FlagFIN":                 "TCP flag enum member, kept with its siblings",
 	"internal/inspect.FlagSYN":                 "TCP flag enum member, kept with its siblings",
 	"internal/inspect.FlagRST":                 "TCP flag enum member, kept with its siblings",
 	"internal/units.MHz":                       "frequency unit, kept with its siblings",
 	"internal/units.GHz":                       "frequency unit, kept with its siblings",
+	"hostsim.CostNames":                        "public list of the Config.CostScale keys, which cmd/validate -scale points to; the fuzz tests draw knob names from it",
+	"internal/inspect.Capture.Records":         "public through hostsim.PacketCapture; the capture tests read the records",
+	"internal/inspect.ProbeTrace.Records":      "public through hostsim.ProbeTrace; the probe tests read the records",
+	"internal/inspect.ProbeTrace.Truncated":    "public through hostsim.ProbeTrace; the probe tests read the overflow count",
+	"internal/telemetry.Timeline.Column":       "public through hostsim.Timeline; the telemetry and ss tests read columns",
+	"internal/telemetry.Timeline.Row":          "public through hostsim.Timeline; the sampler tests read rows",
+	"internal/sim.Engine.Pending":              "queue depth the scheduler tests and the FuzzScheduler oracle compare",
 }
 
 // interfaceMethods are method names that satisfy a standard interface
 // (fmt.Stringer, error, json.Marshaler, sort.Interface, heap.Interface,
-// flag.Value) and so are called without their name appearing in the code.
+// flag.Value) and so are called by the standard library, not by name.
 var interfaceMethods = map[string]bool{
 	"String": true, "Error": true, "MarshalJSON": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true, "Set": true,
 }
 
-// TestNoUnreferencedDeclarations fails for any package-level func, method,
-// type, var or const declared in non-test code outside bench/ and
-// testdata/ whose name no non-test file references. The match is by name,
-// without type information, so it can miss dead code that shares a name
-// with something live but never flags live code.
-func TestNoUnreferencedDeclarations(t *testing.T) {
-	type decl struct {
-		key, name string
-		pos       token.Position
+// srcPackage is one package of the module: its import path, the key
+// prefix its declarations are reported under, and its parsed non-test
+// files. Users' declarations are not checked, only their uses counted.
+type srcPackage struct {
+	path, key string
+	files     []*ast.File
+	user      bool
+}
+
+// unusedDecls type-checks pkgs, importing each other by path and
+// anything else through std, and returns the package-level declarations
+// of the non-user packages that nothing uses, keyed "key.[recv.]name".
+// A declaration is used when some file's types.Info.Uses or Selections
+// resolves to its exact object. A method is also used when its name is
+// in interfaceMethods, or when it is in the method set of a named type
+// that implements an interface whose method of that name is used.
+func unusedDecls(fset *token.FileSet, pkgs []*srcPackage, std types.Importer) (map[string]token.Position, error) {
+	byPath := map[string]*srcPackage{}
+	for _, p := range pkgs {
+		byPath[p.path] = p
 	}
-	var decls []decl
-	refs := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	checked := map[string]*types.Package{}
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	var check func(p *srcPackage) (*types.Package, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := byPath[path]; p != nil {
+			return check(p)
+		}
+		return std.Import(path)
+	})
+	check = func(p *srcPackage) (*types.Package, error) {
+		if tp, ok := checked[p.path]; ok {
+			if tp == nil {
+				return nil, fmt.Errorf("import cycle through %s", p.path)
+			}
+			return tp, nil
+		}
+		checked[p.path] = nil
+		conf := types.Config{Importer: imp}
+		tp, err := conf.Check(p.path, fset, p.files, info)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
+		checked[p.path] = tp
+		return tp, nil
+	}
+	for _, p := range pkgs {
+		if _, err := check(p); err != nil {
+			return nil, err
+		}
+	}
+
+	used := map[types.Object]bool{}
+	var ifaceMethods []*types.Func
+	use := func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && !used[obj] {
+				ifaceMethods = append(ifaceMethods, o)
 			}
-			return nil
+		case *types.Var:
+			obj = o.Origin()
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		used[obj] = true
+	}
+	for _, obj := range info.Uses {
+		use(obj)
+	}
+	for _, sel := range info.Selections {
+		use(sel.Obj())
+	}
+	// The embedding rule: a method reached through an interface call.
+	for _, obj := range info.Defs {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+			continue
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+		named, ok := tn.Type().(*types.Named)
+		if !ok || named.TypeParams().Len() > 0 {
+			continue
 		}
-		// Declaring identifiers are not references.
-		declaring := map[*ast.Ident]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				declaring[n.Name] = true
-			case *ast.TypeSpec:
-				declaring[n.Name] = true
-			case *ast.ValueSpec:
-				for _, id := range n.Names {
-					declaring[id] = true
-				}
-			case *ast.Field:
-				for _, id := range n.Names {
-					declaring[id] = true
-				}
-			}
-			return true
-		})
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declaring[id] {
-				refs[id.Name] = true
-			}
-			return true
-		})
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if dir == "bench" || strings.HasPrefix(dir, "bench/") {
-			return nil
-		}
-		if dir == "." {
-			dir = "hostsim"
-		}
-		add := func(prefix string, id *ast.Ident) {
-			if id.Name != "_" {
-				decls = append(decls, decl{dir + "." + prefix + id.Name, id.Name, fset.Position(id.Pos())})
+		ptr := types.NewPointer(named)
+		mset := types.NewMethodSet(ptr)
+		for _, m := range ifaceMethods {
+			iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil && types.Implements(ptr, iface) {
+				used[sel.Obj().(*types.Func).Origin()] = true
 			}
 		}
-		for _, gd := range f.Decls {
-			switch gd := gd.(type) {
-			case *ast.FuncDecl:
-				switch {
-				case gd.Recv == nil && (gd.Name.Name == "main" || gd.Name.Name == "init"):
-				case gd.Recv == nil:
-					add("", gd.Name)
-				case !interfaceMethods[gd.Name.Name]:
-					add(recvName(gd.Recv.List[0].Type)+".", gd.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range gd.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						add("", s.Name)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add("", id)
+	}
+
+	unused := map[string]token.Position{}
+	for _, p := range pkgs {
+		if p.user {
+			continue
+		}
+		for _, f := range p.files {
+			for _, gd := range f.Decls {
+				var names []*ast.Ident
+				prefix := ""
+				switch gd := gd.(type) {
+				case *ast.FuncDecl:
+					if gd.Recv == nil && (gd.Name.Name == "main" || gd.Name.Name == "init") {
+						continue
+					}
+					if gd.Recv != nil {
+						if interfaceMethods[gd.Name.Name] {
+							continue
 						}
+						prefix = recvName(gd.Recv.List[0].Type) + "."
+					}
+					names = append(names, gd.Name)
+				case *ast.GenDecl:
+					for _, spec := range gd.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							names = append(names, s.Name)
+						case *ast.ValueSpec:
+							names = append(names, s.Names...)
+						}
+					}
+				}
+				for _, id := range names {
+					if id.Name != "_" && !used[info.Defs[id]] {
+						unused[p.key+"."+prefix+id.Name] = fset.Position(id.Pos())
 					}
 				}
 			}
 		}
+	}
+	return unused, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// modulePackages parses the non-test Go files of every package under the
+// module root that the default build context selects, skipping testdata
+// and dot directories. bench/, cmd/ and examples/ are users only.
+func modulePackages(fset *token.FileSet, module string) ([]*srcPackage, error) {
+	byDir := map[string]*srcPackage{}
+	var pkgs []*srcPackage
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir, name := filepath.Dir(p), d.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(dir)
+		pkg := byDir[rel]
+		if pkg == nil {
+			top, _, _ := strings.Cut(rel, "/")
+			pkg = &srcPackage{path: path.Join(module, rel), key: rel,
+				user: top == "bench" || top == "cmd" || top == "examples"}
+			if rel == "." {
+				pkg.key = module
+			}
+			byDir[rel] = pkg
+			pkgs = append(pkgs, pkg)
+		}
+		pkg.files = append(pkg.files, f)
 		return nil
 	})
+	return pkgs, err
+}
+
+// TestNoUnreferencedDeclarations fails for any package-level func,
+// method, type, var or const declared in non-test code outside bench/,
+// cmd/, examples/ and testdata/ that no non-test code uses, by the rule
+// of unusedDecls.
+func TestNoUnreferencedDeclarations(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := modulePackages(fset, "hostsim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, d := range decls {
-		seen[d.key] = true
-		_, kept := keptUnreferenced[d.key]
-		if !refs[d.name] && !kept {
-			t.Errorf("%s: %s is referenced by no non-test code; delete it or add it to keptUnreferenced with a reason", d.pos, d.key)
-		}
-		if refs[d.name] && kept {
-			t.Errorf("%s: %s is referenced now; drop it from keptUnreferenced", d.pos, d.key)
+	unused, err := unusedDecls(fset, pkgs, importer.ForCompiler(fset, "source", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range unused {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if _, kept := keptUnreferenced[k]; !kept {
+			t.Errorf("%s: %s is used by no non-test code; delete it or add it to keptUnreferenced with a reason", unused[k], k)
 		}
 	}
-	var stale []string
+	keys = keys[:0]
 	for k := range keptUnreferenced {
-		if !seen[k] {
-			stale = append(stale, k)
+		if _, ok := unused[k]; !ok {
+			keys = append(keys, k)
 		}
 	}
-	sort.Strings(stale)
-	for _, k := range stale {
-		t.Errorf("keptUnreferenced names %s, which is not declared", k)
+	sort.Strings(keys)
+	for _, k := range keys {
+		t.Errorf("keptUnreferenced names %s, which is used now or not declared; drop it", k)
+	}
+}
+
+// TestUnusedDeclsRule runs the classifier on a small module held in
+// source strings. A dead method that shares its name with a live one
+// must be flagged; a method reached only through embedding and an
+// interface call must not.
+func TestUnusedDeclsRule(t *testing.T) {
+	sources := map[string]string{
+		"p": `package p
+type resetter interface{ reset() }
+type base struct{}
+func (base) reset() {}
+type outer struct{ base }
+func Reset(r resetter) { r.reset() }
+func New() resetter { return outer{} }
+type Live struct{}
+func (Live) Name() string { return "live" }
+type Dead struct{}
+func (Dead) Name() string { return "dead" }
+func Names(d Dead) string { return Live{}.Name() }
+`,
+		"cmd": `package main
+import "p"
+func main() { p.Reset(p.New()); _ = p.Names(p.Dead{}) }
+`,
+	}
+	fset := token.NewFileSet()
+	var pkgs []*srcPackage
+	for _, path := range []string{"p", "cmd"} {
+		f, err := parser.ParseFile(fset, path+".go", sources[path], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, &srcPackage{path: path, key: path, files: []*ast.File{f}, user: path == "cmd"})
+	}
+	unused, err := unusedDecls(fset, pkgs, importer.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range unused {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if want := []string{"p.Dead.Name"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("unused = %v, want %v", got, want)
 	}
 }
 

@@ -273,8 +273,9 @@ func (r rawRun) names(h int) []string {
 // (see rawRun.build): nothing is sanitized into a valid config first. The
 // oracle: Run returns a result or an error and never panics, a fail-fast
 // checker failure is a bug, a collecting checker reports no violations,
-// and a run with observers armed measures exactly what it measures with
-// every observer off. `go test -fuzz=FuzzRunRaw .` hunts open-ended; CI
+// a run with observers armed measures exactly what it measures with
+// every observer off, and both runs measure the same through RunMany on
+// two workers as serially. `go test -fuzz=FuzzRunRaw .` hunts open-ended; CI
 // smokes it briefly beside FuzzConfig.
 //
 // Reproduce a crasher with:
@@ -341,18 +342,28 @@ func FuzzRunRaw(f *testing.F) {
 		for _, o := range attachOrder {
 			armed = armed || o.arm(&cfg) != nil
 		}
-		if !armed {
-			return
-		}
 		bare := cfg
 		bare.Check, bare.Telemetry, bare.Inspect, bare.MsgTrace, bare.Profile, bare.FabricObs = nil, nil, nil, nil, nil, nil
 		bare.TraceEvents, bare.TraceSpans = 0, false
-		bareRes, err := Run(bare, wl)
-		if err != nil {
-			t.Fatalf("observers off: %v\nconfig: %+v\nworkload: %+v", err, bare, wl)
+		bareRes := res
+		if armed {
+			if bareRes, err = Run(bare, wl); err != nil {
+				t.Fatalf("observers off: %v\nconfig: %+v\nworkload: %+v", err, bare, wl)
+			}
+			if a, b := fingerprint(res), fingerprint(bareRes); a != b {
+				t.Fatalf("observers changed the run:\n observed: %s\n     bare: %s\nconfig: %+v\nworkload: %+v", a, b, cfg, wl)
+			}
 		}
-		if a, b := fingerprint(res), fingerprint(bareRes); a != b {
-			t.Fatalf("observers changed the run:\n observed: %s\n     bare: %s\nconfig: %+v\nworkload: %+v", a, b, cfg, wl)
+		// Determinism at any -jobs: the run and its observers-off twin,
+		// side by side on two workers, measure what they did serially.
+		par, err := RunMany([]Job{{Config: cfg, Workload: wl}, {Config: bare, Workload: wl}}, WithParallelism(2))
+		if err != nil {
+			t.Fatalf("RunMany: %v\nconfig: %+v\nworkload: %+v", err, cfg, wl)
+		}
+		for i, serial := range []*Result{res, bareRes} {
+			if a, b := fingerprint(par[i]), fingerprint(serial); a != b {
+				t.Fatalf("job %d under RunMany differs from its serial run:\n parallel: %s\n   serial: %s\nconfig: %+v\nworkload: %+v", i, a, b, cfg, wl)
+			}
 		}
 	})
 }

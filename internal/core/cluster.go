@@ -66,8 +66,5 @@ func ConnectFabric(hosts []*Host, fcfg fabric.Config) *Cluster {
 	return c
 }
 
-// Hosts returns the attached hosts in port order.
-func (c *Cluster) Hosts() []*Host { return c.hosts }
-
 // Fabric returns the switch.
 func (c *Cluster) Fabric() *fabric.Fabric { return c.fab }

@@ -88,7 +88,7 @@ func TestSteeringCoreARFS(t *testing.T) {
 
 func TestSteeringCoreWorstCase(t *testing.T) {
 	r := newRig(t, NoOpts())
-	spec := r.a.Spec()
+	spec := r.a.spec
 	for _, core := range []int{0, 5, 7, 23} {
 		got := r.a.steeringCoreFor(core)
 		if spec.NodeOf(got) == spec.NodeOf(core) {
@@ -205,7 +205,7 @@ func TestRcvSchedulerDeterministic(t *testing.T) {
 		for _, h := range []*Host{r.a, r.b} {
 			fmt.Fprintf(&b, "%s conn %+v\nnic %+v\ndca %+v\n",
 				h.Name(), h.AggregateConnStats(), h.NIC.Stats(), h.DCA.Stats())
-			for c := 0; c < h.Spec().NumCores(); c++ {
+			for c := 0; c < h.spec.NumCores(); c++ {
 				fmt.Fprintf(&b, "core %d busy %v\n", c, h.Sys.Core(c).BusyTime())
 			}
 		}
@@ -308,7 +308,7 @@ func TestWorstCaseSteeringUsesTwoCores(t *testing.T) {
 func TestRemoteNUMACopyCostsMore(t *testing.T) {
 	// App on NIC-remote node: every copied byte pays the remote/DRAM rate.
 	r := newRig(t, AllOpts())
-	remoteCore := r.b.Spec().CoresOnNode(2)[0]
+	remoteCore := r.b.spec.CoresOnNode(2)[0]
 	epA, epB := OpenConn(r.a, 0, r.b, remoteCore)
 	transfer(t, r, epA, epB, units.MB, 50*time.Millisecond)
 	if miss := r.b.CopyMissRate(); miss < 0.95 {

@@ -281,9 +281,6 @@ func (ep *Endpoint) onAckedPages(ctx *exec.Ctx, c *tcp.Conn, pages []mem.Page) {
 // Receiver-side data path (Fig. 1 right): socket receive queue -> recv
 // syscall -> data copy (probing DDIO) -> page free.
 
-// Readable returns the bytes queued for reading.
-func (ep *Endpoint) Readable() units.Bytes { return ep.conn.Readable() }
-
 // Read performs one recv syscall of up to max bytes, copying the payload
 // to userspace and freeing kernel pages. Returns bytes read (0 = would
 // block).

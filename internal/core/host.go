@@ -95,9 +95,6 @@ func (h *Host) SetTracer(tr *trace.Tracer) {
 	}
 }
 
-// Tracer returns the installed tracer (possibly nil).
-func (h *Host) Tracer() *trace.Tracer { return h.tracer }
-
 // EnableProfiler attaches a cycle profiler (nil detaches): every work
 // item's charge log is forwarded to p tagged with this host's name, and
 // the data path starts stamping skb lifecycle points and tagging charge
@@ -128,9 +125,6 @@ func (h *Host) installChargeLog() {
 		}
 	})
 }
-
-// Profiler returns the attached profiler (possibly nil).
-func (h *Host) Profiler() *profile.Profiler { return h.prof }
 
 // EnableMsgTrace attaches the per-message tracer (nil detaches): writes,
 // segment emissions and in-order deliveries are reported to t, and the
@@ -189,12 +183,6 @@ func NewHost(name string, eng *sim.Engine, spec topology.MachineSpec,
 
 // Name returns the host's name.
 func (h *Host) Name() string { return h.name }
-
-// Options returns the stack configuration.
-func (h *Host) Options() Options { return h.opts }
-
-// Spec returns the machine description.
-func (h *Host) Spec() topology.MachineSpec { return h.spec }
 
 // txComplete is the NIC's wire-departure notification: batch it per
 // endpoint and process in softirq (TSQ completion).

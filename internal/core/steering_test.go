@@ -25,7 +25,7 @@ func TestSameNUMASteeringStaysOnNode(t *testing.T) {
 	opts := AllOpts()
 	opts.Steering = SteerSameNUMA
 	r := newRig(t, opts)
-	spec := r.a.Spec()
+	spec := r.a.spec
 	for _, core := range []int{0, 5, 7, 23} {
 		irq := r.a.steeringCoreFor(core)
 		if irq == core {
@@ -73,7 +73,7 @@ func TestRPSProcessingCoreIsStable(t *testing.T) {
 	if c1 != c2 {
 		t.Error("RPS target must be deterministic per flow")
 	}
-	if c1 < 0 || c1 >= r.b.Spec().NumCores() {
+	if c1 < 0 || c1 >= r.b.spec.NumCores() {
 		t.Errorf("RPS target %d out of range", c1)
 	}
 }

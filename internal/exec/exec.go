@@ -91,10 +91,6 @@ type SpanObserver func(core int, softirq bool, thread string,
 // work items (pure blocking quanta) are not reported.
 func (s *System) SetSpanObserver(obs SpanObserver) { s.spanObs = obs }
 
-// SpanObserver returns the installed span observer (nil when none), so
-// additional layers can chain rather than silently replace it.
-func (s *System) SpanObserver() SpanObserver { return s.spanObs }
-
 // FlowCharge is one line of a work item's charge log: cycles charged to
 // one Table-1 category while the context carried one flow tag (0 = work
 // not attributable to a single flow: NAPI poll overhead, IRQ entry,
@@ -160,7 +156,7 @@ func NewSystem(eng *sim.Engine, spec topology.MachineSpec, costs *cpumodel.Costs
 		sleepCredit: units.CyclesIn(DefaultSleeperCredit, spec.Frequency)}
 	s.cores = make([]*Core, spec.NumCores())
 	for i := range s.cores {
-		s.cores[i] = &Core{sys: s, id: i, node: spec.NodeOf(i)}
+		s.cores[i] = &Core{sys: s, id: i}
 	}
 	return s
 }
@@ -181,14 +177,8 @@ func (s *System) SoftirqBacklogTotal() int {
 	return total
 }
 
-// Engine returns the simulation engine.
-func (s *System) Engine() *sim.Engine { return s.eng }
-
 // Spec returns the machine description.
 func (s *System) Spec() topology.MachineSpec { return s.spec }
-
-// Costs returns the cycle cost table.
-func (s *System) Costs() *cpumodel.Costs { return s.costs }
 
 // ResetAccounting zeroes all cores' cycle accounting and busy time; used
 // to discard warm-up before a measurement window.
@@ -254,20 +244,13 @@ type Thread struct {
 	queuedAt    sim.Time     // when the thread last entered the runqueue
 }
 
-// Name returns the thread's diagnostic name.
-func (t *Thread) Name() string { return t.name }
-
-// Core returns the core the thread is pinned to.
-func (t *Thread) Core() *Core { return t.core }
-
 // Blocked reports whether the thread is parked waiting for a wake.
 func (t *Thread) Blocked() bool { return t.state == stateBlocked }
 
 // Core is one CPU core.
 type Core struct {
-	sys  *System
-	id   int
-	node int
+	sys *System
+	id  int
 
 	running  bool
 	current  *Thread // last thread context that ran (for switch detection)
@@ -312,9 +295,6 @@ func (c *Core) enqueueWoken(t *Thread) {
 
 // ID returns the core id.
 func (c *Core) ID() int { return c.id }
-
-// Node returns the core's NUMA node.
-func (c *Core) Node() int { return c.node }
 
 // BusyTime returns accumulated busy time since the last reset.
 func (c *Core) BusyTime() time.Duration { return c.busy }

@@ -104,7 +104,7 @@ func TestSoftirqRunsBeforeQueuedThread(t *testing.T) {
 
 func TestContextSwitchChargedOnThreadChange(t *testing.T) {
 	eng, s := newSys()
-	costs := s.Costs()
+	costs := s.costs
 	c := s.Core(0)
 	mk := func(name string) *Thread {
 		var th *Thread
@@ -126,7 +126,7 @@ func TestContextSwitchChargedOnThreadChange(t *testing.T) {
 
 func TestNoContextSwitchForSameThreadResumed(t *testing.T) {
 	eng, s := newSys()
-	costs := s.Costs()
+	costs := s.costs
 	c := s.Core(0)
 	quanta := 0
 	th := c.NewThread("app", func(x *Ctx) {
@@ -339,7 +339,7 @@ func TestWakeOnRunnableThreadIsNoop(t *testing.T) {
 
 func TestCtxWakeChargesWaker(t *testing.T) {
 	eng, s := newSys()
-	costs := s.Costs()
+	costs := s.costs
 	c0, c1 := s.Core(0), s.Core(1)
 	th := c1.NewThread("app", func(x *Ctx) {
 		x.Charge(cpumodel.DataCopy, 100)
@@ -508,14 +508,14 @@ func TestCoreGeometry(t *testing.T) {
 	if s.NumCores() != 24 {
 		t.Fatalf("NumCores = %d", s.NumCores())
 	}
-	if s.Core(7).Node() != 1 || s.Core(7).ID() != 7 {
+	if s.Core(7).ID() != 7 || s.spec.NodeOf(7) != 1 {
 		t.Error("core 7 should be node 1")
 	}
 }
 
 func TestIdleWakeNotChargedWhenTargetBusy(t *testing.T) {
 	eng, s := newSys()
-	costs := s.Costs()
+	costs := s.costs
 	c0, c1 := s.Core(0), s.Core(1)
 	th := c1.NewThread("app", func(x *Ctx) {
 		x.Charge(cpumodel.DataCopy, 100)
@@ -547,7 +547,7 @@ func TestThreadQuantumChain(t *testing.T) {
 	})
 	th.Wake()
 	eng.Run(sim.Time(time.Second))
-	wantBusy := 100*time.Microsecond + units.Cycles(s.Costs().ContextSwitch).Duration(s.Spec().Frequency)
+	wantBusy := 100*time.Microsecond + units.Cycles(s.costs.ContextSwitch).Duration(s.Spec().Frequency)
 	if c.BusyTime() != wantBusy {
 		t.Errorf("BusyTime = %v, want %v", c.BusyTime(), wantBusy)
 	}

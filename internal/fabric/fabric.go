@@ -291,9 +291,6 @@ func (p *Port) Send(f *skb.Frame) {
 // (for taps, checker audits and per-port stats).
 func (p *Port) Out() *wire.Link { return p.out }
 
-// ID returns the port number.
-func (p *Port) ID() int { return p.id }
-
 // Stats returns a copy of the ingress-side counters.
 func (p *Port) Stats() IngressStats { return p.stats }
 

@@ -552,10 +552,6 @@ func (o *Observer) Bursts() []BurstEvent {
 	return o.bursts
 }
 
-// FormatReport renders the observatory's ledger and bursts as the
-// aligned text table of FormatReport.
-func (o *Observer) FormatReport() string { return FormatReport(o.PortReports(), o.Bursts()) }
-
 // Reconcile cross-checks the observatory's independently accumulated
 // ledger against the fabric's own counters: per port, the ingress tallies
 // must equal the IngressStats deltas since attach, the egress tallies the

@@ -318,7 +318,7 @@ func TestWritersDeterministic(t *testing.T) {
 	if len(arr) == 0 {
 		t.Fatal("empty chrome trace")
 	}
-	if obs.FormatReport() == "" {
+	if FormatReport(obs.PortReports(), obs.Bursts()) == "" {
 		t.Fatal("empty text report")
 	}
 }

@@ -1,8 +1,6 @@
 package inspect
 
 import (
-	"io"
-
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
 )
@@ -84,15 +82,6 @@ func (c *Capture) Tap() func(f *skb.Frame, dropped bool) {
 	}
 }
 
-// Name returns the capture's interface label.
-func (c *Capture) Name() string { return c.name }
-
-// Dir returns the capture's link direction (0 or 1).
-func (c *Capture) Dir() int { return c.dir }
-
-// SnapLen returns the per-packet captured-bytes bound.
-func (c *Capture) SnapLen() int { return c.snap }
-
 // Packets returns the number of recorded frames.
 func (c *Capture) Packets() int { return len(c.recs) }
 
@@ -102,7 +91,3 @@ func (c *Capture) Truncated() int64 { return c.truncated }
 // Records returns the recorded frames in capture order. The slice is the
 // capture's own backing store: treat it as read-only.
 func (c *Capture) Records() []PacketRecord { return c.recs }
-
-// WritePcap writes this direction alone as a single-interface pcapng.
-// Use the package-level WritePcap to merge both directions into one file.
-func (c *Capture) WritePcap(w io.Writer) error { return WritePcap(w, c) }

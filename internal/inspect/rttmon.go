@@ -66,12 +66,3 @@ func (m *RTTMonitor) Watch(reg *telemetry.Registry, prefix string, flow skb.Flow
 		f.hist.Record(ns)
 	}
 }
-
-// Samples returns the number of RTT samples folded in for flow (0 when
-// the flow is not watched).
-func (m *RTTMonitor) Samples(flow skb.FlowID) int64 {
-	if uint(flow) >= uint(len(m.flows)) || m.flows[flow] == nil {
-		return 0
-	}
-	return m.flows[flow].hist.Count()
-}

@@ -30,17 +30,6 @@ type Page struct {
 // lists hold a few hundred pages per order-0 zone list.
 const DefaultPagesetCap = 512
 
-// Stats counts allocator activity.
-type Stats struct {
-	AllocPCP    int64 // pages served from a per-core pageset
-	AllocGlobal int64 // pages served from the buddy allocator
-	FreePCP     int64 // pages returned to a pageset
-	FreeGlobal  int64 // pages returned to buddy
-	FreeRemote  int64 // frees of pages on a different node than the core
-	IOMMUMaps   int64
-	IOMMUUnmaps int64
-}
-
 // Allocator is the per-host page allocator. Not safe for concurrent use;
 // the simulator is single-threaded.
 type Allocator struct {
@@ -54,7 +43,6 @@ type Allocator struct {
 	freelists  [][]Page
 	pagesetCap int
 	inUse      int64
-	stats      Stats
 }
 
 // NewAllocator builds an allocator for spec. costs must be non-nil.
@@ -74,9 +62,6 @@ func NewAllocator(spec topology.MachineSpec, costs *cpumodel.Costs) *Allocator {
 // in the DMA path).
 func (a *Allocator) SetIOMMU(on bool) { a.iommu = on }
 
-// IOMMU reports whether IOMMU accounting is enabled.
-func (a *Allocator) IOMMU() bool { return a.iommu }
-
 // SetPagesetCap overrides the per-core pageset capacity (for tests and
 // ablations).
 func (a *Allocator) SetPagesetCap(n int) {
@@ -86,17 +71,13 @@ func (a *Allocator) SetPagesetCap(n int) {
 	a.pagesetCap = n
 }
 
-// Alloc returns n pages for code running on core, charging ch. Pages come
-// from the core's pageset when available (cheap) and the global allocator
-// otherwise (expensive); they are placed on the core's NUMA node.
-func (a *Allocator) Alloc(ch cpumodel.Charger, core, n int) []Page {
-	return a.AppendAlloc(ch, core, n, nil)
-}
-
-// AppendAlloc is Alloc appending into dst, so hot paths can hand in a
-// reusable slice and avoid the per-call allocation. A dst too short for n
-// more pages is reallocated once, to room for all of them (at least
-// doubling, as append would), instead of through append's doubling chain.
+// AppendAlloc appends n pages for code running on core to dst, charging
+// ch. Pages come from the core's pageset when available (cheap) and the
+// global allocator otherwise (expensive); they are placed on the core's
+// NUMA node. Hot paths hand in a reusable dst to avoid the per-call
+// allocation. A dst too short for n more pages is reallocated once, to
+// room for all of them (at least doubling, as append would), instead of
+// through append's doubling chain.
 func (a *Allocator) AppendAlloc(ch cpumodel.Charger, core, n int, dst []Page) []Page {
 	checkCount(n)
 	if cap(dst)-len(dst) < n {
@@ -120,10 +101,10 @@ type Fresh struct {
 // Page returns the i-th page of the run.
 func (f Fresh) Page(i int) Page { return Page{ID: f.First + cache.PageID(i), Node: f.Node} }
 
-// Reserve is Alloc with no CPU charge whose global-allocator pages stay a
-// range: pageset pages are appended to dst in Alloc's order, and the fresh
+// Reserve is AppendAlloc with no CPU charge whose global-allocator pages stay a
+// range: pageset pages are appended to dst in AppendAlloc's order, and the fresh
 // pages that would follow them come back as a Fresh run instead of a
-// slice. Ids, Stats and InUse advance exactly as Alloc's do. It is for
+// slice. Ids and InUse advance exactly as AppendAlloc's do. It is for
 // bulk set-up, such as a driver filling a whole Rx ring at ifup, whose
 // pages are mostly never touched.
 func (a *Allocator) Reserve(core, n int, dst []Page) ([]Page, Fresh) {
@@ -156,8 +137,6 @@ func (a *Allocator) reserve(ch cpumodel.Charger, core, n int, dst []Page) ([]Pag
 		ch.Charge(cpumodel.Memory, a.costs.PageAllocGlobal*units.Cycles(fresh.N))
 	}
 	a.nextID += cache.PageID(fresh.N)
-	a.stats.AllocPCP += int64(k)
-	a.stats.AllocGlobal += int64(fresh.N)
 	a.inUse += int64(n)
 	return dst, fresh
 }
@@ -173,15 +152,11 @@ func (a *Allocator) Free(ch cpumodel.Charger, core int, pages []Page) {
 		if p.Node == node {
 			if len(fl) < a.pagesetCap {
 				fl = append(fl, p)
-				a.stats.FreePCP++
 				ch.Charge(cpumodel.Memory, a.costs.PageFreePCP)
 			} else {
-				a.stats.FreeGlobal++
 				ch.Charge(cpumodel.Memory, a.costs.PageFreeGlobal)
 			}
 		} else {
-			a.stats.FreeGlobal++
-			a.stats.FreeRemote++
 			ch.Charge(cpumodel.Memory, a.costs.PageFreeGlobal+a.costs.PageFreeRemote)
 		}
 	}
@@ -198,7 +173,6 @@ func (a *Allocator) DMAMap(ch cpumodel.Charger, n int) {
 	if !a.iommu || n <= 0 {
 		return
 	}
-	a.stats.IOMMUMaps += int64(n)
 	ch.Charge(cpumodel.Memory, a.costs.IOMMUMap*units.Cycles(n))
 }
 
@@ -207,7 +181,6 @@ func (a *Allocator) DMAUnmap(ch cpumodel.Charger, n int) {
 	if !a.iommu || n <= 0 {
 		return
 	}
-	a.stats.IOMMUUnmaps += int64(n)
 	ch.Charge(cpumodel.Memory, a.costs.IOMMUUnmap*units.Cycles(n))
 }
 
@@ -216,9 +189,6 @@ func (a *Allocator) InUse() int64 { return a.inUse }
 
 // PagesetLen returns the number of pages in core's pageset (tests).
 func (a *Allocator) PagesetLen(core int) int { return len(a.freelists[core]) }
-
-// Stats returns a copy of the counters.
-func (a *Allocator) Stats() Stats { return a.stats }
 
 // PagesFor proxies the spec's page math.
 func (a *Allocator) PagesFor(b units.Bytes) int { return a.spec.PagesFor(b) }

@@ -24,7 +24,7 @@ func newAlloc() *Allocator {
 func TestAllocPlacesOnLocalNode(t *testing.T) {
 	a := newAlloc()
 	var ch tally
-	pages := a.Alloc(&ch, 7, 3) // core 7 is node 1
+	pages := a.AppendAlloc(&ch, 7, 3, nil) // core 7 is node 1
 	if len(pages) != 3 {
 		t.Fatalf("got %d pages, want 3", len(pages))
 	}
@@ -45,7 +45,7 @@ func TestUniquePageIDs(t *testing.T) {
 	a := newAlloc()
 	seen := map[int64]bool{}
 	for core := 0; core < 4; core++ {
-		for _, p := range a.Alloc(cpumodel.Discard{}, core, 50) {
+		for _, p := range a.AppendAlloc(cpumodel.Discard{}, core, 50, nil) {
 			if seen[int64(p.ID)] {
 				t.Fatalf("duplicate page ID %d", p.ID)
 			}
@@ -56,18 +56,20 @@ func TestUniquePageIDs(t *testing.T) {
 
 func TestPagesetRecycling(t *testing.T) {
 	a := newAlloc()
+	costs := cpumodel.Default()
 	var ch tally
-	pages := a.Alloc(&ch, 0, 10)
-	if a.Stats().AllocGlobal != 10 {
-		t.Fatalf("first allocation should be global, got %+v", a.Stats())
+	pages := a.AppendAlloc(&ch, 0, 10, nil)
+	if got := ch.got[cpumodel.Memory]; got != 10*costs.PageAllocGlobal {
+		t.Fatalf("first allocation should be global: charged %d, want %d", got, 10*costs.PageAllocGlobal)
 	}
 	a.Free(&ch, 0, pages)
-	if a.Stats().FreePCP != 10 {
-		t.Fatalf("local frees should land in the pageset, got %+v", a.Stats())
+	if a.PagesetLen(0) != 10 {
+		t.Fatalf("local frees should land in the pageset, holding %d", a.PagesetLen(0))
 	}
-	again := a.Alloc(&ch, 0, 10)
-	if a.Stats().AllocPCP != 10 {
-		t.Fatalf("recycled allocation should be served by pageset, got %+v", a.Stats())
+	ch = tally{}
+	again := a.AppendAlloc(&ch, 0, 10, nil)
+	if got := ch.got[cpumodel.Memory]; got != 10*costs.PageAllocPCP || a.PagesetLen(0) != 0 {
+		t.Fatalf("recycled allocation should be served by pageset: charged %d, want %d", got, 10*costs.PageAllocPCP)
 	}
 	// LIFO: most recently freed page comes back first.
 	if again[0].ID != pages[9].ID {
@@ -79,11 +81,12 @@ func TestPagesetCapacitySpillsToGlobal(t *testing.T) {
 	a := newAlloc()
 	a.SetPagesetCap(4)
 	var ch tally
-	pages := a.Alloc(&ch, 0, 10)
+	pages := a.AppendAlloc(&ch, 0, 10, nil)
+	ch = tally{}
 	a.Free(&ch, 0, pages)
-	st := a.Stats()
-	if st.FreePCP != 4 || st.FreeGlobal != 6 {
-		t.Errorf("want 4 pcp frees + 6 global, got %+v", st)
+	costs := cpumodel.Default()
+	if a.PagesetLen(0) != 4 || ch.got[cpumodel.Memory] != 4*costs.PageFreePCP+6*costs.PageFreeGlobal {
+		t.Errorf("want 4 pcp frees + 6 global, got pageset %d charged %d", a.PagesetLen(0), ch.got[cpumodel.Memory])
 	}
 }
 
@@ -91,11 +94,11 @@ func TestRemoteFreeCostsMore(t *testing.T) {
 	a := newAlloc()
 	costs := cpumodel.Default()
 	var local, remote tally
-	p := a.Alloc(&local, 0, 1) // node 0
-	a.SetPagesetCap(0)         // force global frees so costs are comparable
+	p := a.AppendAlloc(&local, 0, 1, nil) // node 0
+	a.SetPagesetCap(0)                    // force global frees so costs are comparable
 	local = tally{}
 	a.Free(&local, 0, p) // free on same node
-	q := a.Alloc(&remote, 0, 1)
+	q := a.AppendAlloc(&remote, 0, 1, nil)
 	remote = tally{}
 	a.Free(&remote, 6, q) // core 6 = node 1: remote free
 	wantExtra := costs.PageFreeRemote
@@ -103,20 +106,17 @@ func TestRemoteFreeCostsMore(t *testing.T) {
 		t.Errorf("remote free extra = %d, want %d",
 			remote.got[cpumodel.Memory]-local.got[cpumodel.Memory], wantExtra)
 	}
-	if a.Stats().FreeRemote != 1 {
-		t.Errorf("FreeRemote = %d, want 1", a.Stats().FreeRemote)
-	}
 }
 
 func TestRemoteFreeNeverEntersLocalPageset(t *testing.T) {
 	a := newAlloc()
-	p := a.Alloc(cpumodel.Discard{}, 0, 5) // node-0 pages
-	a.Free(cpumodel.Discard{}, 6, p)       // freed from node-1 core
+	p := a.AppendAlloc(cpumodel.Discard{}, 0, 5, nil) // node-0 pages
+	a.Free(cpumodel.Discard{}, 6, p)                  // freed from node-1 core
 	if a.PagesetLen(6) != 0 {
 		t.Error("remote pages must not enter the freeing core's pageset")
 	}
 	// And a subsequent node-1 alloc gets node-1 pages.
-	q := a.Alloc(cpumodel.Discard{}, 6, 1)
+	q := a.AppendAlloc(cpumodel.Discard{}, 6, 1, nil)
 	if q[0].Node != 1 {
 		t.Errorf("node = %d, want 1", q[0].Node)
 	}
@@ -125,7 +125,7 @@ func TestRemoteFreeNeverEntersLocalPageset(t *testing.T) {
 func TestChargesGoToMemoryCategory(t *testing.T) {
 	a := newAlloc()
 	var ch tally
-	p := a.Alloc(&ch, 0, 2)
+	p := a.AppendAlloc(&ch, 0, 2, nil)
 	a.Free(&ch, 0, p)
 	if ch.got[cpumodel.Memory] == 0 {
 		t.Error("allocation should charge the Memory category")
@@ -153,15 +153,11 @@ func TestIOMMUAccounting(t *testing.T) {
 	if ch.got[cpumodel.Memory] != want {
 		t.Errorf("IOMMU charges = %d, want %d", ch.got[cpumodel.Memory], want)
 	}
-	st := a.Stats()
-	if st.IOMMUMaps != 4 || st.IOMMUUnmaps != 4 {
-		t.Errorf("IOMMU stats = %+v", st)
-	}
 }
 
 func TestOverFreePanics(t *testing.T) {
 	a := newAlloc()
-	p := a.Alloc(cpumodel.Discard{}, 0, 1)
+	p := a.AppendAlloc(cpumodel.Discard{}, 0, 1, nil)
 	a.Free(cpumodel.Discard{}, 0, p)
 	defer func() {
 		if recover() == nil {
@@ -178,7 +174,7 @@ func TestNegativeAllocPanics(t *testing.T) {
 			t.Error("Alloc(-1) should panic")
 		}
 	}()
-	a.Alloc(cpumodel.Discard{}, 0, -1)
+	a.AppendAlloc(cpumodel.Discard{}, 0, -1, nil)
 }
 
 // Property: any sequence of alloc/free keeps InUse = allocated - freed,
@@ -193,7 +189,7 @@ func TestPropertyConservation(t *testing.T) {
 			core := int(op) % 24
 			if op%2 == 0 || len(held) == 0 {
 				n := int(op%5) + 1
-				held = append(held, a.Alloc(cpumodel.Discard{}, core, n)...)
+				held = append(held, a.AppendAlloc(cpumodel.Discard{}, core, n, nil)...)
 				allocated += int64(n)
 			} else {
 				n := int(op%uint8(len(held))) + 1
@@ -225,10 +221,10 @@ func TestPagesFor(t *testing.T) {
 	}
 }
 
-// TestReserveMatchesAlloc checks that Reserve is Alloc with the fresh
+// TestReserveMatchesAlloc checks that Reserve is AppendAlloc with the fresh
 // pages left as a range: expanding the run after the pageset pages gives
-// Alloc's ids in Alloc's order (pageset pages last-freed first), and the
-// allocator's ids, Stats and InUse advance identically, for n below,
+// AppendAlloc's ids in its order (pageset pages last-freed first), and the
+// allocator's ids, InUse and pageset advance identically, for n below,
 // equal to and above the pageset length.
 func TestReserveMatchesAlloc(t *testing.T) {
 	const pageset = 8
@@ -237,12 +233,12 @@ func TestReserveMatchesAlloc(t *testing.T) {
 		var freed []Page
 		for i := range twins {
 			a := newAlloc()
-			freed = a.Alloc(cpumodel.Discard{}, 2, pageset)
+			freed = a.AppendAlloc(cpumodel.Discard{}, 2, pageset, nil)
 			a.Free(cpumodel.Discard{}, 2, freed)
-			a.Alloc(cpumodel.Discard{}, 9, 4) // another core's ids in between
+			a.AppendAlloc(cpumodel.Discard{}, 9, 4, nil) // another core's ids in between
 			twins[i] = a
 		}
-		want := twins[0].Alloc(cpumodel.Discard{}, 2, n)
+		want := twins[0].AppendAlloc(cpumodel.Discard{}, 2, n, nil)
 		for i := 0; i < min(n, pageset); i++ {
 			if want[i] != freed[pageset-1-i] {
 				t.Fatalf("n=%d: Alloc page %d = %+v, want the pageset's LIFO %+v", n, i, want[i], freed[pageset-1-i])
@@ -266,13 +262,12 @@ func TestReserveMatchesAlloc(t *testing.T) {
 				t.Fatalf("n=%d: page %d = %+v, want %+v", n, i, got[i], want[i])
 			}
 		}
-		if twins[0].Stats() != twins[1].Stats() || twins[0].InUse() != twins[1].InUse() ||
-			twins[0].PagesetLen(2) != twins[1].PagesetLen(2) {
-			t.Errorf("n=%d: allocator state diverged: %+v/%d vs %+v/%d", n,
-				twins[0].Stats(), twins[0].InUse(), twins[1].Stats(), twins[1].InUse())
+		if twins[0].InUse() != twins[1].InUse() || twins[0].PagesetLen(2) != twins[1].PagesetLen(2) {
+			t.Errorf("n=%d: allocator state diverged: %d/%d vs %d/%d", n,
+				twins[0].InUse(), twins[0].PagesetLen(2), twins[1].InUse(), twins[1].PagesetLen(2))
 		}
 		// The next allocation continues the same id sequence.
-		if a, b := twins[0].Alloc(cpumodel.Discard{}, 5, 1)[0], twins[1].Alloc(cpumodel.Discard{}, 5, 1)[0]; a != b {
+		if a, b := twins[0].AppendAlloc(cpumodel.Discard{}, 5, 1, nil)[0], twins[1].AppendAlloc(cpumodel.Discard{}, 5, 1, nil)[0]; a != b {
 			t.Errorf("n=%d: next page %+v, want %+v", n, b, a)
 		}
 	}

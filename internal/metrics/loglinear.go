@@ -67,9 +67,6 @@ func (h *LogLinear) Record(v int64) {
 // Count returns the number of recorded samples.
 func (h *LogLinear) Count() int64 { return h.count }
 
-// Sum returns the sum of recorded samples.
-func (h *LogLinear) Sum() int64 { return h.sum }
-
 // Min returns the smallest recorded sample (0 when empty).
 func (h *LogLinear) Min() int64 {
 	if h.count == 0 {
@@ -117,12 +114,4 @@ func (h *LogLinear) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Reset clears the histogram.
-func (h *LogLinear) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 }

@@ -17,7 +17,6 @@ type Histogram struct {
 	counts []int64   // len(edges)+1, last = overflow
 	total  int64
 	sum    float64
-	min    float64
 	max    float64
 }
 
@@ -34,7 +33,6 @@ func New(edges []float64) *Histogram {
 	return &Histogram{
 		edges:  cp,
 		counts: make([]int64, len(edges)+1),
-		min:    math.Inf(1),
 		max:    math.Inf(-1),
 	}
 }
@@ -64,9 +62,6 @@ func (h *Histogram) Record(v float64) {
 	h.counts[i]++
 	h.total++
 	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -81,9 +76,6 @@ func (h *Histogram) RecordN(v float64, n int64) {
 	h.counts[i] += n
 	h.total += n
 	h.sum += v * float64(n)
-	if v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -98,14 +90,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(h.total)
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest sample (0 when empty).
@@ -180,6 +164,5 @@ func (h *Histogram) Reset() {
 	}
 	h.total = 0
 	h.sum = 0
-	h.min = math.Inf(1)
 	h.max = math.Inf(-1)
 }

@@ -382,19 +382,3 @@ func (t *Tracer) Records() []Record {
 	}
 	return t.recs
 }
-
-// Dropped returns the completions discarded for incomplete stamps.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
-// Truncated returns the completions beyond the MaxMessages record cap.
-func (t *Tracer) Truncated() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.truncated
-}

@@ -32,7 +32,7 @@ func TestTelescopingSimple(t *testing.T) {
 	deliver(tr, 1, 0, 100, 20, 80)
 	recs := tr.Records()
 	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1 (dropped %d)", len(recs), tr.Dropped())
+		t.Fatalf("got %d records, want 1 (dropped %d)", len(recs), tr.dropped)
 	}
 	r := recs[0]
 	if r.Total != 70 {
@@ -61,7 +61,7 @@ func TestRetransmitWait(t *testing.T) {
 	deliver(tr, 1, 0, 100, 120, 180)
 	recs := tr.Records()
 	if len(recs) != 1 {
-		t.Fatalf("got %d records (dropped %d)", len(recs), tr.Dropped())
+		t.Fatalf("got %d records (dropped %d)", len(recs), tr.dropped)
 	}
 	r := recs[0]
 	if r.Stages[1] != 100 { // retx_wait: first tx 20 → arriving tx 120
@@ -86,7 +86,7 @@ func TestGROSpanningMessages(t *testing.T) {
 	deliver(tr, 1, 0, 300, 10, 90)
 	recs := tr.Records()
 	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3 (dropped %d)", len(recs), tr.Dropped())
+		t.Fatalf("got %d records, want 3 (dropped %d)", len(recs), tr.dropped)
 	}
 	for _, r := range recs {
 		var sum int64
@@ -105,8 +105,8 @@ func TestIncompleteStampsDropped(t *testing.T) {
 	tr.OnSegment(1, 0, 100, false, 20)
 	s := &skb.SKB{Flow: 1, Seq: 0, Len: 100, TCPTxAt: 20} // missing the rest
 	tr.OnDeliver(s, 80)
-	if len(tr.Records()) != 0 || tr.Dropped() != 1 {
-		t.Fatalf("records %d dropped %d, want 0/1", len(tr.Records()), tr.Dropped())
+	if len(tr.Records()) != 0 || tr.dropped != 1 {
+		t.Fatalf("records %d dropped %d, want 0/1", len(tr.Records()), tr.dropped)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestUntracedFlowIgnored(t *testing.T) {
 	tr.OnWrite(7, 100, 10)
 	tr.OnSegment(7, 0, 100, false, 20)
 	deliver(tr, 7, 0, 100, 20, 80)
-	if len(tr.Records()) != 0 || tr.Dropped() != 0 {
+	if len(tr.Records()) != 0 || tr.dropped != 0 {
 		t.Fatal("untraced flow must not contribute")
 	}
 	var nilT *Tracer
@@ -201,8 +201,8 @@ func TestRecordCap(t *testing.T) {
 		deliver(tr, 1, off, 100, w+1, w+50)
 		off += 100
 	}
-	if len(tr.Records()) != 3 || tr.Truncated() != 2 {
-		t.Fatalf("records %d truncated %d, want 3/2", len(tr.Records()), tr.Truncated())
+	if len(tr.Records()) != 3 || tr.truncated != 2 {
+		t.Fatalf("records %d truncated %d, want 3/2", len(tr.Records()), tr.truncated)
 	}
 	if tr.Summary().Count != 5 {
 		t.Fatal("histogram must still see truncated completions")

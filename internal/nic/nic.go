@@ -59,9 +59,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// MSS returns the per-frame payload limit.
-func (c Config) MSS() units.Bytes { return c.MTU - FrameHeader }
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {

@@ -99,7 +99,7 @@ func TestGROAggregatesWithinPoll(t *testing.T) {
 	r := newRig(t, cfg, true)
 	r.nic.SetSteering(FixedCore(0))
 	// 7 contiguous jumbo frames, one flow: one ~62KB skb.
-	mss := cfg.MSS()
+	mss := cfg.MTU - FrameHeader
 	for i := 0; i < 7; i++ {
 		r.inject(1, int64(i)*int64(mss), mss)
 	}
@@ -131,7 +131,7 @@ func TestLROCoalescesWithoutCPU(t *testing.T) {
 	cfg.LRO = true
 	r := newRig(t, cfg, true)
 	r.nic.SetSteering(FixedCore(0))
-	mss := cfg.MSS()
+	mss := cfg.MTU - FrameHeader
 	for i := 0; i < 5; i++ {
 		r.inject(1, int64(i)*int64(mss), mss)
 	}
@@ -432,13 +432,6 @@ func TestTxCompleteCallbackPerDataFrame(t *testing.T) {
 	}
 }
 
-func TestMSS(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.MSS() != 9000-FrameHeader {
-		t.Errorf("MSS = %d", cfg.MSS())
-	}
-}
-
 // TestRxPagesFollowFlatStashOrder checks the base ++ fresh ++ top stash
 // against the flat slice it replaces: a twin allocator replays the flat
 // stash (pre-fill by Alloc, DMA copying from its end, emergency refill
@@ -453,8 +446,8 @@ func TestRxPagesFollowFlatStashOrder(t *testing.T) {
 	r.nic.SetSteering(FixedCore(0))
 	twin := mem.NewAllocator(topology.Default(), cpumodel.Default())
 	for _, a := range []*mem.Allocator{r.alloc, twin} {
-		a.Alloc(cpumodel.Discard{}, 9, 2)
-		a.Free(cpumodel.Discard{}, 0, a.Alloc(cpumodel.Discard{}, 0, 5))
+		a.AppendAlloc(cpumodel.Discard{}, 9, 2, nil)
+		a.Free(cpumodel.Discard{}, 0, a.AppendAlloc(cpumodel.Discard{}, 0, 5, nil))
 	}
 	page := topology.Default().PageSize
 	var flat []mem.Page
@@ -466,11 +459,11 @@ func TestRxPagesFollowFlatStashOrder(t *testing.T) {
 			f := &skb.Frame{Flow: 1, Seq: int64(i) * int64(l), Len: l}
 			r.nic.ReceiveFromWire(f)
 			if flat == nil {
-				flat = twin.Alloc(cpumodel.Discard{}, 0, cfg.RxRing*twin.PagesFor(cfg.MTU))
+				flat = twin.AppendAlloc(cpumodel.Discard{}, 0, cfg.RxRing*twin.PagesFor(cfg.MTU), nil)
 			}
 			need := twin.PagesFor(l)
 			if need > len(flat) {
-				flat = append(flat, twin.Alloc(cpumodel.Discard{}, 0, need-len(flat))...)
+				flat = append(flat, twin.AppendAlloc(cpumodel.Discard{}, 0, need-len(flat), nil)...)
 			}
 			want := flat[len(flat)-need:]
 			if len(f.Pages) != need {
@@ -491,12 +484,12 @@ func TestRxPagesFollowFlatStashOrder(t *testing.T) {
 	// 1 + 3 + 5 + 5 pages against a 12-page pre-fill.
 	round([]units.Bytes{page, 3 * page, 5 * page, 5 * page})
 	round([]units.Bytes{2 * page, 4 * page, 0, page})
-	if r.alloc.Stats() != twin.Stats() || r.alloc.InUse() != twin.InUse() {
-		t.Errorf("allocator state %+v/%d, want %+v/%d",
-			r.alloc.Stats(), r.alloc.InUse(), twin.Stats(), twin.InUse())
+	if r.alloc.InUse() != twin.InUse() || r.alloc.PagesetLen(0) != twin.PagesetLen(0) {
+		t.Errorf("allocator in use %d with pageset %d, want %d with %d",
+			r.alloc.InUse(), r.alloc.PagesetLen(0), twin.InUse(), twin.PagesetLen(0))
 	}
-	if got := twin.Stats().AllocPCP; got != 5 {
-		t.Errorf("pre-fill took %d pageset pages, want all 5", got)
+	if got := twin.PagesetLen(0); got != 0 {
+		t.Errorf("pre-fill left %d of 5 pageset pages, want it to take all 5", got)
 	}
 }
 

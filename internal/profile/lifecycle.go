@@ -61,14 +61,6 @@ func (l *Lifecycle) Record(s *skb.SKB, readAt sim.Time) {
 	l.stages[StageTotal].Record(float64(readAt - s.WriteAt))
 }
 
-// Dropped returns the number of skipped SKBs.
-func (l *Lifecycle) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped
-}
-
 // Reset clears all histograms (warmup boundary).
 func (l *Lifecycle) Reset() {
 	for _, h := range l.stages {

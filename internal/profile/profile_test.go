@@ -292,7 +292,7 @@ func TestLifecycleDropsIncomplete(t *testing.T) {
 	l := p.Lifecycle()
 	l.Record(&skb.SKB{WriteAt: 0, TCPTxAt: 150}, 700) // pre-warmup write
 	l.Record(&skb.SKB{}, 50)                          // pure ACK: no stamps
-	if got := l.Dropped(); got != 2 {
+	if got := l.dropped; got != 2 {
 		t.Errorf("dropped = %d, want 2", got)
 	}
 	if got := l.Breakdown(testFreq).Stages[StageTotal].Count; got != 0 {

@@ -191,14 +191,6 @@ func (p *Pool) Put(s *SKB) {
 	p.free = append(p.free, s)
 }
 
-// Held returns the number of pooled SKBs (tests).
-func (p *Pool) Held() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.free)
-}
-
 // Outstanding returns the SKBs handed out but never returned. In a
 // quiesced stack every one must be accounted for by a live queue, or it
 // leaked.
@@ -294,15 +286,6 @@ func (p *FramePool) Put(f *Frame) {
 	f.NICTxAt = 0
 	f.WireAt = 0
 	p.free = append(p.free, f)
-}
-
-// Held returns the number of recycled frames in the pool (tests); frames
-// not yet carved from the current block do not count.
-func (p *FramePool) Held() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.free)
 }
 
 // Outstanding returns the frames handed out but never returned.

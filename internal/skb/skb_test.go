@@ -324,8 +324,8 @@ func TestPoolRecyclesSKBs(t *testing.T) {
 		t.Error("Get aliased the frame's page slice")
 	}
 	p.Put(s)
-	if p.Held() != 1 {
-		t.Fatalf("Held = %d, want 1", p.Held())
+	if len(p.free) != 1 {
+		t.Fatalf("Held = %d, want 1", len(p.free))
 	}
 	s2 := p.Get(&Frame{Flow: 4, Seq: 0, Len: 10})
 	if s2 != s {
@@ -364,8 +364,8 @@ func TestNilPoolsFallBack(t *testing.T) {
 	if g == nil {
 		t.Fatal("nil FramePool Get should allocate")
 	}
-	if p.Held() != 0 || fp.Held() != 0 {
-		t.Error("nil pools should report zero held")
+	if p.Outstanding() != 0 || fp.Outstanding() != 0 {
+		t.Error("nil pools should report nothing outstanding")
 	}
 }
 
@@ -400,20 +400,20 @@ func TestFramePoolBlocksKeepCounters(t *testing.T) {
 			t.Fatalf("Get %d returned a frame already handed out", i)
 		}
 		seen[frames[i]] = true
-		if fp.Held() != 0 || fp.Outstanding() != int64(i+1) {
+		if len(fp.free) != 0 || fp.Outstanding() != int64(i+1) {
 			t.Fatalf("after Get %d: Held=%d Outstanding=%d, want 0 and %d",
-				i, fp.Held(), fp.Outstanding(), i+1)
+				i, len(fp.free), fp.Outstanding(), i+1)
 		}
 	}
 	for i, f := range frames {
 		fp.Put(f)
-		if fp.Held() != i+1 || fp.Outstanding() != int64(n-i-1) {
+		if len(fp.free) != i+1 || fp.Outstanding() != int64(n-i-1) {
 			t.Fatalf("after Put %d: Held=%d Outstanding=%d, want %d and %d",
-				i, fp.Held(), fp.Outstanding(), i+1, n-i-1)
+				i, len(fp.free), fp.Outstanding(), i+1, n-i-1)
 		}
 	}
-	if f := fp.Get(); f != frames[n-1] || fp.Held() != n-1 {
-		t.Errorf("Get after Puts should recycle the last frame put (Held=%d)", fp.Held())
+	if f := fp.Get(); f != frames[n-1] || len(fp.free) != n-1 {
+		t.Errorf("Get after Puts should recycle the last frame put (Held=%d)", len(fp.free))
 	}
 	if fp.Gets != int64(n+1) || fp.Puts != int64(n) {
 		t.Errorf("Gets=%d Puts=%d, want %d and %d", fp.Gets, fp.Puts, n+1, n)
@@ -440,8 +440,8 @@ func TestGROPooledRecyclesFrames(t *testing.T) {
 	}
 	// Each Receive recycles the frame and the next Get reuses it, so a
 	// single Frame struct serves the whole stream.
-	if frames.Held() != 1 {
-		t.Errorf("frames held = %d, want 1 (one struct circulating)", frames.Held())
+	if len(frames.free) != 1 {
+		t.Errorf("frames held = %d, want 1 (one struct circulating)", len(frames.free))
 	}
 	// Steady state: no allocations per frame.
 	allocs := testing.AllocsPerRun(200, func() {

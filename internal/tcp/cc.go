@@ -251,9 +251,6 @@ func (d *DCTCP) OnAck(ctx *exec.Ctx, acked units.Bytes, srtt time.Duration, ece 
 	}
 }
 
-// Alpha returns the current congestion estimate (tests).
-func (d *DCTCP) Alpha() float64 { return d.alpha }
-
 // ---------------------------------------------------------------------------
 // BBR: a two-phase (startup, probe) model of BBR's rate-based control.
 // The paper exercises BBR's pacing overhead (Fig. 13b), not its control

@@ -131,8 +131,8 @@ func TestDCTCPFullMarkingHalvesWindow(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		d.OnAck(nil, d.Cwnd(), time.Millisecond, true)
 	}
-	if d.Alpha() < 0.5 {
-		t.Errorf("alpha = %v after sustained marking, want high", d.Alpha())
+	if d.alpha < 0.5 {
+		t.Errorf("alpha = %v after sustained marking, want high", d.alpha)
 	}
 	if d.Cwnd() >= w0 {
 		t.Errorf("cwnd should shrink under marking: %v -> %v", w0, d.Cwnd())

@@ -397,7 +397,7 @@ func TestDCTCPAlphaTracksMarks(t *testing.T) {
 	d.ssthresh = 1 // CA
 	// One full epoch with every byte marked: alpha rises by g.
 	d.OnAck(nil, 10000, time.Millisecond, true)
-	if d.Alpha() <= 0 {
+	if d.alpha <= 0 {
 		t.Error("alpha should rise after a fully marked epoch")
 	}
 	w := d.Cwnd()
@@ -405,8 +405,8 @@ func TestDCTCPAlphaTracksMarks(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		d.OnAck(nil, d.Cwnd(), time.Millisecond, false)
 	}
-	if d.Alpha() >= 0.1 {
-		t.Errorf("alpha should decay without marks: %v", d.Alpha())
+	if d.alpha >= 0.1 {
+		t.Errorf("alpha should decay without marks: %v", d.alpha)
 	}
 	if d.Cwnd() <= w {
 		t.Error("window should grow in unmarked epochs")

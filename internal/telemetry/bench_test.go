@@ -59,7 +59,7 @@ func BenchmarkRegistryReadBlock(b *testing.B) {
 
 func TestNilCounterIncAllocatesNothing(t *testing.T) {
 	var c *Counter
-	if n := testing.AllocsPerRun(100, func() { c.Inc(); c.Add(3) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { c.Inc() }); n != 0 {
 		t.Errorf("nil counter allocated %v per op", n)
 	}
 }

@@ -30,22 +30,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n (which may be any sign; counters in this simulator only ever
-// grow, but the registry does not enforce it). Safe on a nil counter.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count (0 on a nil counter).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // block is one registration: len(names) adjacent columns, named
 // prefix+names[i], that one read call fills.
 type block struct {

@@ -155,9 +155,6 @@ func (l *Link) SetDeliverTap(tap func(f *skb.Frame)) { l.deliverTap = tap }
 // Rate returns the link rate.
 func (l *Link) Rate() units.BitRate { return l.rate }
 
-// Delay returns the propagation delay.
-func (l *Link) Delay() time.Duration { return l.delay }
-
 // Stats returns a copy of the counters.
 func (l *Link) Stats() Stats { return l.stats }
 

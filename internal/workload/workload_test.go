@@ -67,9 +67,9 @@ func TestLongFlowMovesData(t *testing.T) {
 		t.Errorf("long flow delivered only %v in 20ms", st.DeliveredBytes)
 	}
 	// Copied lags Delivered by exactly the un-read receive queue.
-	if b.Copied()+lf.Receiver.Readable() != st.DeliveredBytes {
+	if b.Copied()+lf.Receiver.Conn().Readable() != st.DeliveredBytes {
 		t.Errorf("copied %v + queued %v != delivered %v",
-			b.Copied(), lf.Receiver.Readable(), st.DeliveredBytes)
+			b.Copied(), lf.Receiver.Conn().Readable(), st.DeliveredBytes)
 	}
 }
 

@@ -53,7 +53,7 @@ smoke:
 	$(GO) run ./cmd/artifactcheck $(SMOKE).pb.gz $(SMOKE).pcapng $(SMOKE).ss.csv \
 		$(SMOKE).spans.json $(SMOKE).tail.txt $(SMOKE).trace.json $(SMOKE).telemetry.jsonl \
 		$(SMOKE).fab.csv $(SMOKE).fabts.csv $(SMOKE).fab.json
-	$(GO) run ./cmd/figures -only fig3e,fig3f -format csv -jobs 2 > $(SMOKE).fig3ef.csv && test -s $(SMOKE).fig3ef.csv
+	$(GO) run ./cmd/figures -only fig3a,fig3e,fig3f -format csv -jobs 2 > $(SMOKE).fig3.csv && test -s $(SMOKE).fig3.csv
 	rm -f $(SMOKE).seeds.csv
 	! $(GO) run ./cmd/netsim -seeds 2 -telemetry-out $(SMOKE).seeds.csv
 	test ! -e $(SMOKE).seeds.csv

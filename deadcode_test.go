@@ -24,6 +24,7 @@ var keptUnreferenced = map[string]string{
 	"hostsim.WithParallelism":                  "public RunMany option; the determinism tests set it",
 	"hostsim.Result.MessageRecords":            "public accessor for message-trace records",
 	"internal/cache.DCA.Hazard":                "state accessor the DCA hazard tests read",
+	"internal/cache.DCA.Contains":              "residency read that counts nothing; the DCA tests check Consume and the map oracle against it",
 	"internal/exec.Core.BusyTime":              "state accessor the scheduler tests read",
 	"internal/exec.Core.Accounting":            "state accessor the accounting tests read",
 	"internal/exec.Core.SkewAccounting":        "fault hook: the checker tests inject a double charge",
@@ -59,12 +60,12 @@ var keptUnreferenced = map[string]string{
 	"internal/sim.Engine.Pending":              "queue depth the scheduler tests and the FuzzScheduler oracle compare",
 }
 
-// interfaceMethods are method names that satisfy a standard interface
-// (fmt.Stringer, error, json.Marshaler, sort.Interface, heap.Interface,
-// flag.Value) and so are called by the standard library, not by name.
-var interfaceMethods = map[string]bool{
-	"String": true, "Error": true, "MarshalJSON": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true, "Set": true,
+// stdInterfaces are the standard interfaces whose methods the standard
+// library calls without naming them. They seed the embedding rule of
+// unusedDecls: a method is used when its type implements one of them.
+var stdInterfaces = []struct{ pkg, name string }{
+	{"", "error"}, {"fmt", "Stringer"}, {"encoding/json", "Marshaler"},
+	{"sort", "Interface"}, {"container/heap", "Interface"}, {"flag", "Value"},
 }
 
 // srcPackage is one package of the module: its import path, the key
@@ -80,9 +81,9 @@ type srcPackage struct {
 // anything else through std, and returns the package-level declarations
 // of the non-user packages that nothing uses, keyed "key.[recv.]name".
 // A declaration is used when some file's types.Info.Uses or Selections
-// resolves to its exact object. A method is also used when its name is
-// in interfaceMethods, or when it is in the method set of a named type
-// that implements an interface whose method of that name is used.
+// resolves to its exact object. A method is also used when it is in the
+// method set of a named type that implements an interface whose method of
+// that name is used; every method of stdInterfaces counts as used.
 func unusedDecls(fset *token.FileSet, pkgs []*srcPackage, std types.Importer) (map[string]token.Position, error) {
 	byPath := map[string]*srcPackage{}
 	for _, p := range pkgs {
@@ -143,6 +144,20 @@ func unusedDecls(fset *token.FileSet, pkgs []*srcPackage, std types.Importer) (m
 	for _, sel := range info.Selections {
 		use(sel.Obj())
 	}
+	for _, si := range stdInterfaces {
+		scope := types.Universe
+		if si.pkg != "" {
+			p, err := imp.Import(si.pkg)
+			if err != nil {
+				return nil, err
+			}
+			scope = p.Scope()
+		}
+		iface := scope.Lookup(si.name).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			ifaceMethods = append(ifaceMethods, iface.Method(i))
+		}
+	}
 	// The embedding rule: a method reached through an interface call.
 	for _, obj := range info.Defs {
 		tn, ok := obj.(*types.TypeName)
@@ -178,9 +193,6 @@ func unusedDecls(fset *token.FileSet, pkgs []*srcPackage, std types.Importer) (m
 						continue
 					}
 					if gd.Recv != nil {
-						if interfaceMethods[gd.Name.Name] {
-							continue
-						}
 						prefix = recvName(gd.Recv.List[0].Type) + "."
 					}
 					names = append(names, gd.Name)
@@ -293,7 +305,10 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 // TestUnusedDeclsRule runs the classifier on a small module held in
 // source strings. A dead method that shares its name with a live one
 // must be flagged; a method reached only through embedding and an
-// interface call must not.
+// interface call must not. A method named like a standard interface's is
+// kept only when its type implements that interface: Sorted's Len is
+// kept as part of sort.Interface and Label's String as fmt.Stringer, but
+// Ring's Len implements nothing and is flagged.
 func TestUnusedDeclsRule(t *testing.T) {
 	sources := map[string]string{
 		"p": `package p
@@ -308,10 +323,18 @@ func (Live) Name() string { return "live" }
 type Dead struct{}
 func (Dead) Name() string { return "dead" }
 func Names(d Dead) string { return Live{}.Name() }
+type Sorted []int
+func (s Sorted) Len() int           { return len(s) }
+func (s Sorted) Less(i, j int) bool { return s[i] < s[j] }
+func (s Sorted) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+type Label int
+func (Label) String() string { return "label" }
+type Ring struct{ buf []int }
+func (r *Ring) Len() int { return len(r.buf) }
 `,
 		"cmd": `package main
 import "p"
-func main() { p.Reset(p.New()); _ = p.Names(p.Dead{}) }
+func main() { p.Reset(p.New()); _ = p.Names(p.Dead{}); _, _, _ = p.Sorted{}, p.Label(0), p.Ring{} }
 `,
 	}
 	fset := token.NewFileSet()
@@ -332,7 +355,7 @@ func main() { p.Reset(p.New()); _ = p.Names(p.Dead{}) }
 		got = append(got, k)
 	}
 	sort.Strings(got)
-	if want := []string{"p.Dead.Name"}; fmt.Sprint(got) != fmt.Sprint(want) {
+	if want := []string{"p.Dead.Name", "p.Ring.Len"}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("unused = %v, want %v", got, want)
 	}
 }

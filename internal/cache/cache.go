@@ -203,16 +203,19 @@ func (d *DCA) hazardEvict(justInserted PageID) {
 	}
 }
 
-// Probe reports whether page p is resident, counting a hit or miss. It
-// does not change residency: the consumer calls Drop once the data has
-// been copied out and the page is released.
-func (d *DCA) Probe(p PageID) bool {
-	if d.Contains(p) {
-		d.stats.Hits++
-		return true
+// Consume is the copy-out of page p: it reports whether p was resident,
+// counting a hit or a miss, and invalidates p if it was, counting a drop.
+// It finds p in its set once.
+func (d *DCA) Consume(p PageID) bool {
+	s, i := d.find(p)
+	if i < 0 {
+		d.stats.Misses++
+		return false
 	}
-	d.stats.Misses++
-	return false
+	d.stats.Hits++
+	d.remove(s, i)
+	d.stats.Drops++
+	return true
 }
 
 // Contains reports residency without touching the stats.

@@ -7,9 +7,9 @@ import (
 	"hostsim/internal/units"
 )
 
-// BenchmarkDCAInsertProbeDrop measures the per-page cache model cost in
+// BenchmarkDCAInsertConsume measures the per-page cache model cost in
 // its steady-state cycle (every received byte goes through it).
-func BenchmarkDCAInsertProbeDrop(b *testing.B) {
+func BenchmarkDCAInsertConsume(b *testing.B) {
 	d := NewDCA(DCAConfig{
 		Capacity: 3 * units.MB,
 		PageSize: 4 * units.KB,
@@ -25,8 +25,7 @@ func BenchmarkDCAInsertProbeDrop(b *testing.B) {
 		if len(fifo) > 700 {
 			q := fifo[0]
 			fifo = fifo[1:]
-			d.Probe(q)
-			d.Drop(q)
+			d.Consume(q)
 		}
 	}
 }

@@ -16,15 +16,19 @@ func newTestDCA(capacityPages, ways int) *DCA {
 	})
 }
 
+// Consuming a resident page counts a hit and invalidates it; consuming it
+// again counts a miss and changes nothing.
 func TestInsertProbeDrop(t *testing.T) {
 	d := newTestDCA(64, 8)
 	d.Insert(1)
-	if !d.Probe(1) {
+	if !d.Consume(1) {
 		t.Fatal("page 1 should be resident after Insert")
 	}
-	d.Drop(1)
-	if d.Probe(1) {
-		t.Fatal("page 1 should be gone after Drop")
+	if d.Contains(1) {
+		t.Fatal("page 1 should be gone after Consume")
+	}
+	if d.Consume(1) {
+		t.Fatal("a consumed page should miss")
 	}
 	st := d.Stats()
 	if st.Inserts != 1 || st.Hits != 1 || st.Misses != 1 || st.Drops != 1 {
@@ -143,10 +147,9 @@ func TestHazardRaisesMissRateAtSubCapacityOccupancy(t *testing.T) {
 				q := fifo[0]
 				fifo = fifo[1:]
 				probes++
-				if !d.Probe(q) {
+				if !d.Consume(q) {
 					misses++
 				}
-				d.Drop(q)
 			}
 		}
 		return float64(misses) / float64(probes)
@@ -219,10 +222,9 @@ func TestOverflowInFlightMissesHard(t *testing.T) {
 			q := fifo[0]
 			fifo = fifo[1:]
 			probes++
-			if !d.Probe(q) {
+			if !d.Consume(q) {
 				misses++
 			}
-			d.Drop(q)
 		}
 	}
 	rate := float64(misses) / float64(probes)
@@ -305,13 +307,16 @@ func (d *mapDCA) hazardEvict(justInserted PageID) {
 	}
 }
 
-func (d *mapDCA) Probe(p PageID) bool {
-	if _, ok := d.resident[p]; ok {
+// Consume is the oracle's copy-out: a probe, then a drop.
+func (d *mapDCA) Consume(p PageID) bool {
+	_, ok := d.resident[p]
+	if ok {
 		d.stats.Hits++
-		return true
+	} else {
+		d.stats.Misses++
 	}
-	d.stats.Misses++
-	return false
+	d.Drop(p)
+	return ok
 }
 
 func (d *mapDCA) Contains(p PageID) bool {
@@ -337,7 +342,7 @@ func (d *mapDCA) Drop(p PageID) {
 }
 
 // TestDCAMatchesMapOracle drives the DCA and the map oracle with the same
-// random Insert/Probe/Drop stream, hazard on, each with its own RNG from
+// random Insert/Consume/Drop/Contains stream, hazard on, each with its own RNG from
 // the same seed. Stats, residency of every page touched, and the next RNG
 // draw must agree: the last one proves both consumed the identical number
 // of hazard draws, so LRU order and eviction choice never diverged.
@@ -358,18 +363,23 @@ func TestDCAMatchesMapOracle(t *testing.T) {
 			universe := 3 * g.pages
 			for i := 0; i < 20000; i++ {
 				p := PageID(ops.Intn(universe))
-				switch ops.Intn(3) {
+				switch ops.Intn(4) {
 				case 0:
 					d.Insert(p)
 					ref.Insert(p)
 				case 1:
-					if got, want := d.Probe(p), ref.Probe(p); got != want {
-						t.Fatalf("pages %d ways %d seed %d op %d: Probe(%d) = %v, oracle %v",
+					if got, want := d.Consume(p), ref.Consume(p); got != want {
+						t.Fatalf("pages %d ways %d seed %d op %d: Consume(%d) = %v, oracle %v",
 							g.pages, g.ways, seed, i, p, got, want)
 					}
-				default:
+				case 2:
 					d.Drop(p)
 					ref.Drop(p)
+				default:
+					if got, want := d.Contains(p), ref.Contains(p); got != want {
+						t.Fatalf("pages %d ways %d seed %d op %d: Contains(%d) = %v, oracle %v",
+							g.pages, g.ways, seed, i, p, got, want)
+					}
 				}
 			}
 			if d.Stats() != ref.stats {
@@ -392,7 +402,7 @@ func TestDCAMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// Steady-state Insert/Probe/Drop — the per-packet DDIO path — must not
+// Steady-state Insert/Consume — the per-packet DDIO path — must not
 // allocate.
 func TestDCASteadyStateAllocationFree(t *testing.T) {
 	d := NewDCA(DCAConfig{
@@ -405,13 +415,12 @@ func TestDCASteadyStateAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
 			d.Insert(next)
-			d.Probe(next - 32)
-			d.Drop(next - 32)
+			d.Consume(next - 32)
 			next++
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Insert/Probe/Drop allocated %.1f objects per run, want 0", allocs)
+		t.Errorf("Insert/Consume allocated %.1f objects per run, want 0", allocs)
 	}
 }
 
@@ -424,12 +433,13 @@ func TestMissRateZeroWhenUnused(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	d := newTestDCA(8, 8)
 	d.Insert(1)
-	d.Probe(1)
+	d.Insert(2)
+	d.Consume(1)
 	d.ResetStats()
 	if d.Stats() != (DCAStats{}) {
 		t.Error("ResetStats should zero counters")
 	}
-	if !d.Contains(1) {
+	if !d.Contains(2) || d.Contains(1) {
 		t.Error("ResetStats must not change residency")
 	}
 }

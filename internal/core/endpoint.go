@@ -340,8 +340,7 @@ func (ep *Endpoint) Read(ctx *exec.Ctx, max units.Bytes) units.Bytes {
 			var per units.PerByte
 			resident := false
 			if h.DCA != nil && p.Node == nicNode {
-				resident = h.DCA.Probe(p.ID)
-				h.DCA.Drop(p.ID)
+				resident = h.DCA.Consume(p.ID)
 			}
 			switch {
 			case resident && p.Node == readerNode:

@@ -36,12 +36,13 @@ func renderAll(t *testing.T, ids []string, jobs int) (text, csv string) {
 // TestDeterminismAcrossJobs is the parallelism contract: regenerating
 // figures at -jobs 8 produces byte-identical text and CSV output to
 // -jobs 1. The set below mixes memo-sharing sub-figures (3a-3d share the
-// ladder runs), a large grid sweep (3e) and a buffer sweep (3f).
+// ladder runs), a large grid sweep (3e), a buffer sweep (3f) and a fabric
+// ladder whose batch is dispatched in reverse (fab1, 64 hosts first).
 func TestDeterminismAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several experiments twice")
 	}
-	ids := []string{"fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f"}
+	ids := []string{"fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "fab1"}
 	text1, csv1 := renderAll(t, ids, 1)
 	text8, csv8 := renderAll(t, ids, 8)
 	if text1 != text8 {

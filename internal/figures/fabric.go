@@ -56,6 +56,18 @@ func init() {
 // fabricScales is the host-count ladder shared by fab1 and fab2.
 var fabricScales = []int{2, 4, 8, 16, 64}
 
+// scaleSpecs names one all-optimizations run of the pattern per host
+// count of fabricScales.
+func scaleSpecs(rc RunConfig, p hostsim.Pattern) []runSpec {
+	specs := make([]runSpec, len(fabricScales))
+	for i, h := range fabricScales {
+		cfg := rc.config(hostsim.AllOptimizations())
+		cfg.Fabric = &hostsim.FabricOptions{Hosts: h}
+		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(p, 0)}
+	}
+	return specs
+}
+
 func fab1Incast(rc RunConfig) (*Table, error) {
 	t := &Table{
 		ID:    "fab1",
@@ -63,13 +75,7 @@ func fab1Incast(rc RunConfig) (*Table, error) {
 		Columns: []string{"hosts", "flows", "total-thpt", "per-flow",
 			"fairness", "rcv-busy-cores", "rcv-max-util"},
 	}
-	specs := make([]runSpec, len(fabricScales))
-	for i, h := range fabricScales {
-		cfg := rc.config(hostsim.AllOptimizations())
-		cfg.Fabric = &hostsim.FabricOptions{Hosts: h}
-		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)}
-	}
-	results, err := runBatch(rc, specs)
+	results, err := runBatch(rc, scaleSpecs(rc, hostsim.PatternIncast))
 	if err != nil {
 		return nil, err
 	}
@@ -96,13 +102,7 @@ func fab2Outcast(rc RunConfig) (*Table, error) {
 		Columns: []string{"hosts", "flows", "total-thpt", "per-flow",
 			"fairness", "snd-busy-cores", "snd-max-util"},
 	}
-	specs := make([]runSpec, len(fabricScales))
-	for i, h := range fabricScales {
-		cfg := rc.config(hostsim.AllOptimizations())
-		cfg.Fabric = &hostsim.FabricOptions{Hosts: h}
-		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternOutcast, 0)}
-	}
-	results, err := runBatch(rc, specs)
+	results, err := runBatch(rc, scaleSpecs(rc, hostsim.PatternOutcast))
 	if err != nil {
 		return nil, err
 	}

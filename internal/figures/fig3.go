@@ -46,27 +46,21 @@ func init() {
 	})
 }
 
-func singleFlowLadder(rc RunConfig) (map[string]*hostsim.Result, []string, error) {
-	steps := ladder()
+// singleFlowSpecs names one single-flow transfer per step.
+func singleFlowSpecs(rc RunConfig, steps []stackStep) []runSpec {
 	specs := make([]runSpec, len(steps))
-	order := make([]string, len(steps))
 	for i, step := range steps {
 		specs[i] = runSpec{rc.config(step.Stack), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)}
-		order[i] = step.Name
 	}
-	results, err := runBatch(rc, specs)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := map[string]*hostsim.Result{}
-	for i, r := range results {
-		out[order[i]] = r
-	}
-	return out, order, nil
+	return specs
 }
 
+// fig3a submits the ladder and its leave-one-out columns as one batch:
+// with no barrier between them, the workers stay busy until the last run.
+// Figs. 3b-3d share the ladder's runs through the memo.
 func fig3a(rc RunConfig) (*Table, error) {
-	results, order, err := singleFlowLadder(rc)
+	steps := append(ladder(), ablations()...)
+	results, err := runBatch(rc, singleFlowSpecs(rc, steps))
 	if err != nil {
 		return nil, err
 	}
@@ -75,29 +69,17 @@ func fig3a(rc RunConfig) (*Table, error) {
 		Title:   "Single flow throughput-per-core (Gbps)",
 		Columns: []string{"config", "thpt-per-core", "total-thpt"},
 	}
-	for _, name := range order {
-		r := results[name]
-		t.Rows = append(t.Rows, []string{name, gb(r.ThroughputPerCoreGbps), gb(r.ThroughputGbps)})
-	}
-	abs := ablations()
-	specs := make([]runSpec, len(abs))
-	for i, ab := range abs {
-		specs[i] = runSpec{rc.config(ab.Stack), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)}
-	}
-	abRes, err := runBatch(rc, specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, ab := range abs {
-		r := abRes[i]
-		t.Rows = append(t.Rows, []string{ab.Name, gb(r.ThroughputPerCoreGbps), gb(r.ThroughputGbps)})
+	for i, step := range steps {
+		r := results[i]
+		t.Rows = append(t.Rows, []string{step.Name, gb(r.ThroughputPerCoreGbps), gb(r.ThroughputGbps)})
 	}
 	t.Notes = append(t.Notes, "paper: ~42Gbps/core with all optimizations")
 	return t, nil
 }
 
 func fig3b(rc RunConfig) (*Table, error) {
-	results, order, err := singleFlowLadder(rc)
+	steps := ladder()
+	results, err := runBatch(rc, singleFlowSpecs(rc, steps))
 	if err != nil {
 		return nil, err
 	}
@@ -106,10 +88,10 @@ func fig3b(rc RunConfig) (*Table, error) {
 		Title:   "Single flow CPU utilization (% of one core)",
 		Columns: []string{"config", "sender-cpu", "receiver-cpu"},
 	}
-	for _, name := range order {
-		r := results[name]
+	for i, step := range steps {
+		r := results[i]
 		t.Rows = append(t.Rows, []string{
-			name,
+			step.Name,
 			fmt.Sprintf("%.0f%%", r.Sender.BusyCores*100),
 			fmt.Sprintf("%.0f%%", r.Receiver.BusyCores*100),
 		})
@@ -127,18 +109,19 @@ func fig3d(rc RunConfig) (*Table, error) {
 }
 
 func ladderBreakdown(rc RunConfig, id, title string, sender bool) (*Table, error) {
-	results, order, err := singleFlowLadder(rc)
+	steps := ladder()
+	results, err := runBatch(rc, singleFlowSpecs(rc, steps))
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{ID: id, Title: title, Columns: breakdownHeader("config")}
-	for _, name := range order {
-		r := results[name]
+	for i, step := range steps {
+		r := results[i]
 		bd := r.Receiver.Breakdown
 		if sender {
 			bd = r.Sender.Breakdown
 		}
-		t.Rows = append(t.Rows, breakdownRow(name, bd))
+		t.Rows = append(t.Rows, breakdownRow(step.Name, bd))
 	}
 	return t, nil
 }

@@ -270,6 +270,11 @@ func run(cfg hostsim.Config, wl hostsim.Workload) (*hostsim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runKeyed(key, runSpec{cfg, wl})
+}
+
+// runKeyed runs s through the memo under its already rendered key.
+func runKeyed(key string, s runSpec) (*hostsim.Result, error) {
 	cacheMu.Lock()
 	e, ok := runCache[key]
 	if !ok {
@@ -277,7 +282,7 @@ func run(cfg hostsim.Config, wl hostsim.Workload) (*hostsim.Result, error) {
 		runCache[key] = e
 	}
 	cacheMu.Unlock()
-	e.once.Do(func() { e.res, e.err = hostsim.Run(cfg, wl) })
+	e.once.Do(func() { e.res, e.err = hostsim.Run(s.cfg, s.wl) })
 	return e.res, e.err
 }
 
@@ -301,22 +306,81 @@ type runSpec struct {
 	wl  hostsim.Workload
 }
 
-// runBatch evaluates every spec — rc.Jobs at a time — and returns the
-// results in spec order. Shared scenarios still run once (the memo
-// dedupes). The first error in spec order is returned, matching what a
-// serial loop would have reported.
-func runBatch(rc RunConfig, specs []runSpec) ([]*hostsim.Result, error) {
-	res := runner.Map(specs, func(s runSpec) (*hostsim.Result, error) {
-		return run(s.cfg, s.wl)
-	}, rc.jobs())
-	out := make([]*hostsim.Result, len(res))
-	for i, r := range res {
-		if r.Err != nil {
-			return nil, r.Err
+// batchJob is one distinct run of a batch: a memo key and the spec that
+// first named it, or the error that kept the spec's key from rendering.
+type batchJob struct {
+	key    string
+	spec   runSpec
+	frames int64 // predicted cost, see wireFrames
+	err    error
+}
+
+// planBatch renders each spec's memo key once and keeps one job per
+// distinct key. jobOf maps each spec to its job, and order lists the jobs
+// costliest first, ties in submission order.
+func planBatch(specs []runSpec) (jobs []batchJob, jobOf, order []int) {
+	jobOf = make([]int, len(specs))
+	byKey := map[string]int{}
+	for i, s := range specs {
+		key, err := memoKey(s.cfg, s.wl)
+		if j, seen := byKey[key]; seen {
+			jobOf[i] = j
+			continue
 		}
-		out[i] = r.Value
+		if err == nil {
+			byKey[key] = len(jobs)
+		}
+		jobOf[i] = len(jobs)
+		jobs = append(jobs, batchJob{key, s, wireFrames(s.cfg), err})
+	}
+	order = make([]int, len(jobs))
+	for j := range order {
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].frames > jobs[order[b]].frames })
+	return jobs, jobOf, order
+}
+
+// runBatch evaluates every spec — rc.Jobs at a time — and returns the
+// results in spec order. Each distinct run executes once, and the workers
+// take the runs costliest first (planBatch), so a long run never starts
+// last while the other workers idle. The first error in spec order is
+// returned, matching what a serial loop would have reported.
+func runBatch(rc RunConfig, specs []runSpec) ([]*hostsim.Result, error) {
+	jobs, jobOf, order := planBatch(specs)
+	res := runner.Map(order, func(j int) (*hostsim.Result, error) {
+		if jobs[j].err != nil {
+			return nil, jobs[j].err
+		}
+		return runKeyed(jobs[j].key, jobs[j].spec)
+	}, rc.jobs())
+	done := make([]runner.Result[*hostsim.Result], len(jobs))
+	for k, j := range order {
+		done[j] = res[k]
+	}
+	out := make([]*hostsim.Result, len(specs))
+	for i, j := range jobOf {
+		if done[j].Err != nil {
+			return nil, done[j].Err
+		}
+		out[i] = done[j].Value
 	}
 	return out, nil
+}
+
+// wireFrames predicts a run's cost from the frames its hosts put on the
+// wire: hosts × (Warmup + Duration) ÷ MTU, which is proportional to the
+// frame count at any fixed line rate. Only the order it induces matters.
+func wireFrames(cfg hostsim.Config) int64 {
+	hosts := int64(2)
+	if cfg.Fabric != nil {
+		hosts = int64(cfg.Fabric.Hosts)
+	}
+	mtu := int64(1500)
+	if cfg.Stack.JumboFrames {
+		mtu = 9000
+	}
+	return hosts * int64(cfg.Warmup+cfg.Duration) / mtu
 }
 
 // RunAll regenerates the given experiments — rc.Jobs at a time — and
@@ -337,21 +401,21 @@ func RunAll(rc RunConfig, exps []Experiment) ([]*Table, error) {
 	return out, nil
 }
 
-// ladder returns the paper's incremental optimization steps of Fig. 3a.
-func ladder() []struct {
+// stackStep is one named stack configuration of a figure's series.
+type stackStep struct {
 	Name  string
 	Stack hostsim.Stack
-} {
+}
+
+// ladder returns the paper's incremental optimization steps of Fig. 3a.
+func ladder() []stackStep {
 	noOpt := hostsim.NoOptimizations()
 	tsogro := noOpt
 	tsogro.TSO, tsogro.GSO, tsogro.GRO = true, true, true
 	jumbo := tsogro
 	jumbo.JumboFrames = true
 	all := hostsim.AllOptimizations()
-	return []struct {
-		Name  string
-		Stack hostsim.Stack
-	}{
+	return []stackStep{
 		{"No Opt.", noOpt},
 		{"+TSO/GRO", tsogro},
 		{"+Jumbo", jumbo},
@@ -360,19 +424,13 @@ func ladder() []struct {
 }
 
 // ablations returns Fig. 3a's leave-one-out columns.
-func ablations() []struct {
-	Name  string
-	Stack hostsim.Stack
-} {
+func ablations() []stackStep {
 	all := hostsim.AllOptimizations()
 	noTSOGRO := all
 	noTSOGRO.TSO, noTSOGRO.GRO = false, false // GSO stays on (kernel default)
 	noJumbo := all
 	noJumbo.JumboFrames = false
-	return []struct {
-		Name  string
-		Stack hostsim.Stack
-	}{
+	return []stackStep{
 		{"All Opt.", all},
 		{"w/o TSO/GRO", noTSOGRO},
 		{"w/o Jumbo", noJumbo},

@@ -29,11 +29,21 @@ type ProbeRecord struct {
 // ProbeTrace accumulates tcp_probe records from every hooked connection,
 // in event order (the simulation is single-threaded, so this is globally
 // time-ordered and deterministic).
+//
+// Records are stored in chunks that are never copied. Until the trace
+// holds probeChunk records, each new chunk is as large as all earlier ones
+// together (16 records at first); after that each holds probeChunk. A
+// trace so allocates its records' bytes plus less than one chunk.
 type ProbeTrace struct {
 	max       int
 	truncated int64
-	recs      []ProbeRecord
+	n         int // records across all chunks
+	chunks    [][]ProbeRecord
 }
+
+// probeChunk is the record count of a full chunk: 88 KB, exactly eleven
+// 8 KB pages, so a full chunk wastes nothing to size-class rounding.
+const probeChunk = 1024
 
 // NewProbeTrace builds a trace bounded at maxEvents records (0 takes the
 // package default).
@@ -49,11 +59,16 @@ func NewProbeTrace(maxEvents int) *ProbeTrace {
 // else — a pure observer.
 func (t *ProbeTrace) Hook(host string) tcp.ProbeFunc {
 	return func(ev tcp.ProbeEvent) {
-		if len(t.recs) >= t.max {
+		if t.n >= t.max {
 			t.truncated++
 			return
 		}
-		t.recs = append(t.recs, ProbeRecord{
+		last := len(t.chunks) - 1
+		if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+			t.chunks = append(t.chunks, make([]ProbeRecord, 0, min(max(t.n, 16), probeChunk)))
+			last++
+		}
+		t.chunks[last] = append(t.chunks[last], ProbeRecord{
 			At: ev.At, Host: host, Flow: int32(ev.Flow), Kind: ev.Kind,
 			AckedBytes: int64(ev.AckedBytes),
 			Cwnd:       int64(ev.Cwnd),
@@ -63,18 +78,32 @@ func (t *ProbeTrace) Hook(host string) tcp.ProbeFunc {
 			SndUna:     ev.SndUna,
 			SndNxt:     ev.SndNxt,
 		})
+		t.n++
 	}
 }
 
 // Len returns the number of recorded events.
-func (t *ProbeTrace) Len() int { return len(t.recs) }
+func (t *ProbeTrace) Len() int { return t.n }
 
 // Truncated returns how many events arrived after the trace filled up.
 func (t *ProbeTrace) Truncated() int64 { return t.truncated }
 
-// Records returns the recorded events in emission order. The slice is the
-// trace's backing store: treat it as read-only.
-func (t *ProbeTrace) Records() []ProbeRecord { return t.recs }
+// Records returns the recorded events in emission order. The first call
+// after more than one chunk filled flattens them into one slice, which
+// becomes the trace's backing store: treat it as read-only.
+func (t *ProbeTrace) Records() []ProbeRecord {
+	if len(t.chunks) > 1 {
+		flat := make([]ProbeRecord, 0, t.n)
+		for _, c := range t.chunks {
+			flat = append(flat, c...)
+		}
+		t.chunks = [][]ProbeRecord{flat}
+	}
+	if len(t.chunks) == 0 {
+		return nil
+	}
+	return t.chunks[0]
+}
 
 // WriteCSV writes the trace as CSV with a fixed header, one row per
 // record, deterministic formatting.
@@ -83,21 +112,23 @@ func (t *ProbeTrace) WriteCSV(w io.Writer) error {
 	if _, err := bw.WriteString("time_ns,host,flow,event,acked_bytes,cwnd_bytes,ssthresh_bytes,srtt_ns,inflight_bytes,snd_una,snd_nxt\n"); err != nil {
 		return err
 	}
-	for i := range t.recs {
-		r := &t.recs[i]
-		bw.WriteString(strconv.FormatInt(int64(r.At), 10))
-		bw.WriteByte(',')
-		bw.WriteString(r.Host)
-		bw.WriteByte(',')
-		bw.WriteString(strconv.FormatInt(int64(r.Flow), 10))
-		bw.WriteByte(',')
-		bw.WriteString(r.Kind.String())
-		for _, v := range [...]int64{r.AckedBytes, r.Cwnd, r.Ssthresh, r.SRTTNs, r.InFlight, r.SndUna, r.SndNxt} {
+	for _, c := range t.chunks {
+		for i := range c {
+			r := &c[i]
+			bw.WriteString(strconv.FormatInt(int64(r.At), 10))
 			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatInt(v, 10))
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
+			bw.WriteString(r.Host)
+			bw.WriteByte(',')
+			bw.WriteString(strconv.FormatInt(int64(r.Flow), 10))
+			bw.WriteByte(',')
+			bw.WriteString(r.Kind.String())
+			for _, v := range [...]int64{r.AckedBytes, r.Cwnd, r.Ssthresh, r.SRTTNs, r.InFlight, r.SndUna, r.SndNxt} {
+				bw.WriteByte(',')
+				bw.WriteString(strconv.FormatInt(v, 10))
+			}
+			if err := bw.WriteByte('\n'); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -107,14 +138,16 @@ func (t *ProbeTrace) WriteCSV(w io.Writer) error {
 // CSV column names.
 func (t *ProbeTrace) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for i := range t.recs {
-		r := &t.recs[i]
-		_, err := fmt.Fprintf(bw,
-			`{"time_ns":%d,"host":%q,"flow":%d,"event":%q,"acked_bytes":%d,"cwnd_bytes":%d,"ssthresh_bytes":%d,"srtt_ns":%d,"inflight_bytes":%d,"snd_una":%d,"snd_nxt":%d}`+"\n",
-			int64(r.At), r.Host, r.Flow, r.Kind.String(), r.AckedBytes, r.Cwnd,
-			r.Ssthresh, r.SRTTNs, r.InFlight, r.SndUna, r.SndNxt)
-		if err != nil {
-			return err
+	for _, c := range t.chunks {
+		for i := range c {
+			r := &c[i]
+			_, err := fmt.Fprintf(bw,
+				`{"time_ns":%d,"host":%q,"flow":%d,"event":%q,"acked_bytes":%d,"cwnd_bytes":%d,"ssthresh_bytes":%d,"srtt_ns":%d,"inflight_bytes":%d,"snd_una":%d,"snd_nxt":%d}`+"\n",
+				int64(r.At), r.Host, r.Flow, r.Kind.String(), r.AckedBytes, r.Cwnd,
+				r.Ssthresh, r.SRTTNs, r.InFlight, r.SndUna, r.SndNxt)
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

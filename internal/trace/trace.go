@@ -166,14 +166,6 @@ func (t *Tracer) Take() []Event {
 	return out
 }
 
-// Len returns the number of buffered events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.ring)
-}
-
 // Dropped returns how many events were evicted from the ring.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {

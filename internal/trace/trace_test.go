@@ -17,7 +17,7 @@ func TestNilTracerIsFree(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Event{})
 	tr.FilterFlow(3)
-	if tr.Events() != nil || tr.Len() != 0 || tr.Dropped() != 0 {
+	if tr.Events() != nil || tr.Dropped() != 0 {
 		t.Error("nil tracer must be a pure no-op")
 	}
 	var sb strings.Builder
@@ -62,8 +62,8 @@ func TestFlowFilter(t *testing.T) {
 	tr.Emit(ev(1, 7, AppWrite))
 	tr.Emit(ev(2, 8, AppWrite))
 	tr.Emit(ev(3, 7, AckSent))
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (flow filter)", tr.Len())
+	if n := len(tr.Events()); n != 2 {
+		t.Fatalf("%d events, want 2 (flow filter)", n)
 	}
 	for _, e := range tr.Events() {
 		if e.Flow != 7 {
@@ -180,8 +180,8 @@ func TestTakeMatchesEvents(t *testing.T) {
 		if got := tr.Take(); !slices.Equal(got, want) {
 			t.Errorf("%d events: Take = %v, want %v", n, got, want)
 		}
-		if tr.Len() != 0 || len(tr.Events()) != 0 {
-			t.Errorf("%d events: tracer holds %d events after Take", n, tr.Len())
+		if held := len(tr.Events()); held != 0 {
+			t.Errorf("%d events: tracer holds %d events after Take", n, held)
 		}
 	}
 	var nilTr *Tracer
@@ -210,8 +210,8 @@ func TestFilterFlowZeroRecordsAll(t *testing.T) {
 	tr.FilterFlow(0) // reset to all flows
 	tr.Emit(ev(1, 7, AppWrite))
 	tr.Emit(ev(2, 8, AppWrite))
-	if tr.Len() != 2 {
-		t.Errorf("Len = %d, want 2 after clearing the filter", tr.Len())
+	if n := len(tr.Events()); n != 2 {
+		t.Errorf("%d events, want 2 after clearing the filter", n)
 	}
 }
 

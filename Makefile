@@ -35,8 +35,9 @@ bench:
 # smoke is the CI artifact gate. Two netsim runs arm every exporter: a
 # lossy RPC pair (profile, pcap, probe, ss, message spans, tail report,
 # data-path trace, telemetry) and a buffered 8-host fabric incast (fabric
-# report, time series, trace). One artifactcheck call then checks every
-# file they write; probe traces and folded stacks only need content.
+# report, time series, trace). A third traces one flow's data-path events
+# (-trace-flow 1, which records no execution spans). One artifactcheck call then checks
+# every file they write; probe traces and folded stacks only need content.
 SMOKE := /tmp/hostsim-smoke
 smoke:
 	$(GO) run ./cmd/netsim -workload rpc -rpcclients 8 -rpcsize 65536 \
@@ -49,10 +50,11 @@ smoke:
 		-dur 10ms -warmup 5ms -check -burst-kb 64 \
 		-fabric-report $(SMOKE).fab.csv -fabric-ts-out $(SMOKE).fabts.csv \
 		-fabric-trace-out $(SMOKE).fab.json > /dev/null
+	$(GO) run ./cmd/netsim -warmup 2ms -dur 5ms -seed 7 -trace-flow 1 -trace-out $(SMOKE).flow.json > /dev/null
 	test -s $(SMOKE).probe.jsonl && test -s $(SMOKE).folded
 	$(GO) run ./cmd/artifactcheck $(SMOKE).pb.gz $(SMOKE).pcapng $(SMOKE).ss.csv \
 		$(SMOKE).spans.json $(SMOKE).tail.txt $(SMOKE).trace.json $(SMOKE).telemetry.jsonl \
-		$(SMOKE).fab.csv $(SMOKE).fabts.csv $(SMOKE).fab.json
+		$(SMOKE).fab.csv $(SMOKE).fabts.csv $(SMOKE).fab.json $(SMOKE).flow.json
 	$(GO) run ./cmd/figures -only fig3a,fig3e,fig3f -format csv -jobs 2 > $(SMOKE).fig3.csv && test -s $(SMOKE).fig3.csv
 	rm -f $(SMOKE).seeds.csv
 	! $(GO) run ./cmd/netsim -seeds 2 -telemetry-out $(SMOKE).seeds.csv

@@ -87,8 +87,8 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		}), incast, "hostsim: FabricObs.BurstThresholdKB 9223372036854775807 exceeds 9007199254740991"},
 		{"send buffer below one skb", stack(func(s *Stack) { s.SndBufBytes = 67 }), single,
 			"core: SndBufBytes 67 below the 65536-byte transmit skb"},
-		{"negative max violations", Config{Stack: AllOptimizations(), Check: &CheckOptions{Collect: true, MaxViolations: -1}},
-			single, "hostsim: negative Check.MaxViolations"},
+		{"spans with trace flow", Config{Stack: AllOptimizations(), TraceEvents: 10, TraceFlow: 1, TraceSpans: true}, single,
+			"hostsim: TraceSpans needs TraceFlow 0: span events carry flow 0"},
 	}
 	for _, c := range cases {
 		if _, err := Run(c.cfg, c.wl); err == nil || err.Error() != c.want {
@@ -107,7 +107,7 @@ func TestBadOptionFailsBeforeBuild(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"fabricobs", Config{Stack: AllOptimizations(), Fabric: fab, FabricObs: &FabricObsOptions{MaxBursts: -1}},
+		{"fabricobs", Config{Stack: AllOptimizations(), Fabric: fab, FabricObs: &FabricObsOptions{SampleInterval: -1}},
 			"hostsim: negative FabricObs option"},
 		{"pcap", Config{Stack: AllOptimizations(), Fabric: fab, Check: &CheckOptions{}, Inspect: &InspectOptions{}},
 			"hostsim: Inspect.Pcap captures a 2-host topology, not a 256-host fabric; set only Probe and/or SS"},

@@ -68,7 +68,7 @@ func main() {
 
 		telemetryOut = flag.String("telemetry-out", "", "write the sampled metric timeline to this file (CSV, or JSONL with a .jsonl suffix)")
 		sampleEvery  = flag.Duration("sample-interval", 100*time.Microsecond, "simulated time between telemetry samples")
-		traceOut     = flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto); implies -trace")
+		traceOut     = flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto); implies -trace 65536, and records execution spans unless -trace-flow is set")
 
 		pcapOut  = flag.String("pcap-out", "", "write a Wireshark-readable pcapng capture of both link directions")
 		probeOut = flag.String("probe-out", "", "write tcp_probe-style congestion traces (JSONL, or CSV with a .csv suffix)")
@@ -110,11 +110,9 @@ func main() {
 	cfg := hostsim.Config{
 		Stack: stack, LossRate: *loss, ECNMarkKB: *ecn,
 		Warmup: *warmup, Duration: *dur, Seed: *seed,
-		TraceEvents: *traceN, TraceFlow: int32(*traceF),
+		TraceFlow: int32(*traceF),
 	}
-	if *traceF != 0 && cfg.TraceEvents == 0 {
-		cfg.TraceEvents = 256
-	}
+	cfg.TraceEvents, cfg.TraceSpans = traceConfig(*traceN, *traceF, *traceOut != "")
 	if *chk {
 		cfg.Check = &hostsim.CheckOptions{}
 	}
@@ -123,12 +121,6 @@ func main() {
 	}
 	if *profileOut != "" || *foldedOut != "" || *latBreak {
 		cfg.Profile = &hostsim.ProfileOptions{}
-	}
-	if *traceOut != "" {
-		if cfg.TraceEvents == 0 {
-			cfg.TraceEvents = 1 << 16
-		}
-		cfg.TraceSpans = true
 	}
 	if *pcapOut != "" || *probeOut != "" || *ssOut != "" {
 		cfg.Inspect = &hostsim.InspectOptions{
@@ -323,6 +315,23 @@ func checkOutputDirs(fs *flag.FlagSet) error {
 		}
 	})
 	return err
+}
+
+// traceConfig returns the trace ring size and whether execution spans are
+// recorded, for -trace n, -trace-flow flow and whether -trace-out is set.
+// An explicit -trace wins; otherwise -trace-out takes a 1<<16 ring and
+// -trace-flow alone a 256 one. Span events carry flow 0, which a flow
+// filter drops, so -trace-out records spans only when -trace-flow is 0.
+func traceConfig(n, flow int, out bool) (events int, spans bool) {
+	switch {
+	case n != 0:
+		events = n
+	case out:
+		events = 1 << 16
+	case flow != 0:
+		events = 256
+	}
+	return events, out && flow == 0
 }
 
 // checkSeeds rejects -seeds N > 1 alongside any flag that reports on a

@@ -7,6 +7,30 @@ import (
 	"testing"
 )
 
+func TestTraceConfig(t *testing.T) {
+	for _, tc := range []struct {
+		n, flow    int
+		out        bool
+		wantEvents int
+		wantSpans  bool
+	}{
+		{0, 0, false, 0, false},
+		{50, 0, false, 50, false},
+		{0, 1, false, 256, false},
+		{50, 1, false, 50, false},
+		{0, 0, true, 1 << 16, true},
+		{50, 0, true, 50, true},
+		{0, 1, true, 1 << 16, false},
+		{50, 1, true, 50, false},
+	} {
+		events, spans := traceConfig(tc.n, tc.flow, tc.out)
+		if events != tc.wantEvents || spans != tc.wantSpans {
+			t.Errorf("traceConfig(%d, %d, %v) = %d, %v; want %d, %v",
+				tc.n, tc.flow, tc.out, events, spans, tc.wantEvents, tc.wantSpans)
+		}
+	}
+}
+
 func TestCheckSeeds(t *testing.T) {
 	for _, tc := range []struct {
 		args []string

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -77,14 +78,18 @@ type srcPackage struct {
 	user      bool
 }
 
-// unusedDecls type-checks pkgs, importing each other by path and
-// anything else through std, and returns the package-level declarations
-// of the non-user packages that nothing uses, keyed "key.[recv.]name".
-// A declaration is used when some file's types.Info.Uses or Selections
-// resolves to its exact object. A method is also used when it is in the
-// method set of a named type that implements an interface whose method of
-// that name is used; every method of stdInterfaces counts as used.
-func unusedDecls(fset *token.FileSet, pkgs []*srcPackage, std types.Importer) (map[string]token.Position, error) {
+// typedModule is a type-checked set of packages: their files, the one
+// types.Info every file fills, and the importer that resolved them.
+type typedModule struct {
+	fset *token.FileSet
+	pkgs []*srcPackage
+	info *types.Info
+	imp  types.Importer
+}
+
+// typeCheck type-checks pkgs, importing each other by path and anything
+// else through std.
+func typeCheck(fset *token.FileSet, pkgs []*srcPackage, std types.Importer) (*typedModule, error) {
 	byPath := map[string]*srcPackage{}
 	for _, p := range pkgs {
 		byPath[p.path] = p
@@ -123,7 +128,18 @@ func unusedDecls(fset *token.FileSet, pkgs []*srcPackage, std types.Importer) (m
 			return nil, err
 		}
 	}
+	return &typedModule{fset: fset, pkgs: pkgs, info: info, imp: imp}, nil
+}
 
+// unusedDecls returns the package-level declarations of the non-user
+// packages of a type-checked module that nothing uses, keyed
+// "key.[recv.]name". A declaration is used when some file's
+// types.Info.Uses or Selections resolves to its exact object. A method is
+// also used when it is in the method set of a named type that implements
+// an interface whose method of that name is used; every method of
+// stdInterfaces counts as used.
+func unusedDecls(tm *typedModule) (map[string]token.Position, error) {
+	fset, pkgs, info, imp := tm.fset, tm.pkgs, tm.info, tm.imp
 	used := map[types.Object]bool{}
 	var ifaceMethods []*types.Func
 	use := func(obj types.Object) {
@@ -266,40 +282,195 @@ func modulePackages(fset *token.FileSet, module string) ([]*srcPackage, error) {
 	return pkgs, err
 }
 
-// TestNoUnreferencedDeclarations fails for any package-level func,
-// method, type, var or const declared in non-test code outside bench/,
-// cmd/, examples/ and testdata/ that no non-test code uses, by the rule
-// of unusedDecls.
-func TestNoUnreferencedDeclarations(t *testing.T) {
+// keptKnobs lists the knobs reachable from Config that no program sets
+// but that stay on purpose, keyed "Type.Field" as uncalledKnobs reports
+// them, each with the reason it is kept.
+var keptKnobs = map[string]string{
+	"Stack.SndBufBytes": "TestTinyBuffersDoNotDeadlock and the committed FuzzRunRaw SndBuf crasher set it; " +
+		"the crasher's corpus file fixes the fuzz argument list",
+	"FabricOptions.HostNames": "validate.go names the default pair with it; TestFabricIncastN1MatchesDirect " +
+		"names a 2-host fabric like the pair to compare the two field for field",
+}
+
+// loadModule parses and type-checks this module's non-test code once per
+// test binary; the guards share the result.
+var loadModule = sync.OnceValues(func() (*typedModule, error) {
 	fset := token.NewFileSet()
 	pkgs, err := modulePackages(fset, "hostsim")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	unused, err := unusedDecls(fset, pkgs, importer.ForCompiler(fset, "source", nil))
+	return typeCheck(fset, pkgs, importer.ForCompiler(fset, "source", nil))
+})
+
+// uncalledKnobs returns how many knobs package root's Config reaches and
+// the ones no caller writes, keyed "Type.Field" by the name root gives the
+// type. The knobs are Config's exported fields and, recursively, those of
+// the struct types they name, through pointers and aliases. A caller is a
+// file of a package other than root: the library defaulting its own
+// option is not a caller choosing a value. A write is a composite-literal
+// key, the left side of an assignment or increment, or &x.F; every field
+// selected along that left side or operand counts as written, so
+// c.Tuning.PagesetCap = n writes both Tuning and PagesetCap.
+func uncalledKnobs(tm *typedModule, root string) (int, map[string]token.Position, error) {
+	pkg, err := tm.imp.Import(root)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
-	var keys []string
-	for k := range unused {
-		keys = append(keys, k)
+	cfg, ok := pkg.Scope().Lookup("Config").(*types.TypeName)
+	if !ok {
+		return 0, nil, fmt.Errorf("%s declares no type Config", root)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, kept := keptUnreferenced[k]; !kept {
-			t.Errorf("%s: %s is used by no non-test code; delete it or add it to keptUnreferenced with a reason", unused[k], k)
+	names := map[types.Type]string{}
+	for _, n := range pkg.Scope().Names() {
+		if tn, ok := pkg.Scope().Lookup(n).(*types.TypeName); ok {
+			if t := types.Unalias(tn.Type()); names[t] == "" {
+				names[t] = tn.Name()
+			}
 		}
 	}
-	keys = keys[:0]
-	for k := range keptUnreferenced {
-		if _, ok := unused[k]; !ok {
+	knobs := map[*types.Var]string{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		t = types.Unalias(t)
+		if p, ok := t.(*types.Pointer); ok {
+			walk(p.Elem())
+			return
+		}
+		named, ok := t.(*types.Named)
+		if !ok {
+			return
+		}
+		st, ok := named.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		name := names[named]
+		if name == "" {
+			name = named.Obj().Name()
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && knobs[f] == "" {
+				knobs[f] = name + "." + f.Name()
+				walk(f.Type())
+			}
+		}
+	}
+	walk(cfg.Type())
+
+	written := map[types.Object]bool{}
+	write := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := tm.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					written[sel.Obj()] = true
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, p := range tm.pkgs {
+		if p.path == root {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v, ok := tm.info.Uses[id].(*types.Var); ok && v.IsField() {
+							written[v] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	uncalled := map[string]token.Position{}
+	for f, key := range knobs {
+		if !written[f] {
+			uncalled[key] = tm.fset.Position(f.Pos())
+		}
+	}
+	return len(knobs), uncalled, nil
+}
+
+// checkKept fails for every key of found that kept does not list, with
+// the hint fix, and for every key of kept that found no longer holds.
+func checkKept(t *testing.T, found map[string]token.Position, kept map[string]string, keptName, fix string) {
+	t.Helper()
+	var keys []string
+	for k := range found {
+		if _, ok := kept[k]; !ok {
 			keys = append(keys, k)
 		}
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		t.Errorf("keptUnreferenced names %s, which is used now or not declared; drop it", k)
+		t.Errorf("%s: %s %s or add it to %s with a reason", found[k], k, fix, keptName)
 	}
+	keys = keys[:0]
+	for k := range kept {
+		if _, ok := found[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		t.Errorf("%s names %s, which the guard no longer finds; drop it", keptName, k)
+	}
+}
+
+// TestNoUnreferencedDeclarations fails for any package-level func,
+// method, type, var or const declared in non-test code outside bench/,
+// cmd/, examples/ and testdata/ that no non-test code uses, by the rule
+// of unusedDecls.
+func TestNoUnreferencedDeclarations(t *testing.T) {
+	tm, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused, err := unusedDecls(tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKept(t, unused, keptUnreferenced, "keptUnreferenced", "is used by no non-test code; delete it")
+}
+
+// TestEveryConfigKnobHasACaller fails for any knob reachable from
+// hostsim.Config that no non-test code outside the hostsim package sets,
+// by the rule of uncalledKnobs.
+func TestEveryConfigKnobHasACaller(t *testing.T) {
+	tm, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, uncalled, err := uncalledKnobs(tm, "hostsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("Config reaches %d knobs", n)
+	checkKept(t, uncalled, keptKnobs, "keptKnobs", "is set by no program; make it the constant every run uses")
 }
 
 // TestUnusedDeclsRule runs the classifier on a small module held in
@@ -346,7 +517,11 @@ func main() { p.Reset(p.New()); _ = p.Names(p.Dead{}); _, _, _ = p.Sorted{}, p.L
 		}
 		pkgs = append(pkgs, &srcPackage{path: path, key: path, files: []*ast.File{f}, user: path == "cmd"})
 	}
-	unused, err := unusedDecls(fset, pkgs, importer.Default())
+	tm, err := typeCheck(fset, pkgs, importer.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused, err := unusedDecls(tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,6 +532,66 @@ func main() { p.Reset(p.New()); _ = p.Names(p.Dead{}); _, _, _ = p.Sorted{}, p.L
 	sort.Strings(got)
 	if want := []string{"p.Dead.Name", "p.Ring.Len"}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("unused = %v, want %v", got, want)
+	}
+}
+
+// TestUncalledKnobsRule runs uncalledKnobs on a small module held in
+// source strings. A main package sets knobs through a literal key, an
+// assignment, an increment through a pointer field and &c.Addr; p's own
+// write does not count, unexported fields are no knobs, and the field of
+// a struct reached through an alias is named by the alias.
+func TestUncalledKnobsRule(t *testing.T) {
+	sources := map[string]string{
+		"q": `package q
+type Options struct{ Classes int }
+`,
+		"p": `package p
+import "q"
+type Config struct {
+	Lit, Assign, Addr, Own, Never int
+	Inner *Inner
+	Alias *Opts
+	hidden int
+}
+type Inner struct{ Set, Unset int }
+type Opts = q.Options
+func (c *Config) defaults() { c.Own, c.hidden = 1, 2 }
+`,
+		"cmd": `package main
+import ("flag"; "p")
+func main() {
+	c := p.Config{Lit: 1, Inner: &p.Inner{}}
+	c.Assign = 2
+	flag.IntVar(&c.Addr, "addr", 0, "")
+	c.Inner.Set++
+	c.Alias = &p.Opts{}
+}
+`,
+	}
+	fset := token.NewFileSet()
+	var pkgs []*srcPackage
+	for _, path := range []string{"q", "p", "cmd"} {
+		f, err := parser.ParseFile(fset, path+".go", sources[path], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, &srcPackage{path: path, key: path, files: []*ast.File{f}, user: path == "cmd"})
+	}
+	tm, err := typeCheck(fset, pkgs, importer.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, uncalled, err := uncalledKnobs(tm, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range uncalled {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if want := []string{"Config.Never", "Config.Own", "Inner.Unset", "Opts.Classes"}; n != 10 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("uncalledKnobs = %d knobs, uncalled %v; want 10, %v", n, got, want)
 	}
 }
 

@@ -129,7 +129,7 @@ type rawRun struct {
 	Ring           int16
 	RcvBuf, SndBuf int32
 	SchedK         int8
-	Tuning         []byte // int16 fields, two bytes each; empty = nil Tuning
+	Tuning         []byte // int16 fields, two bytes each; empty = nil Tuning; fields 2 and 4 are unread
 	Hazard         float64
 	CostIdx        uint8 // 0 = no CostScale; the last index is an unknown name
 	CostFactor     float64
@@ -142,7 +142,7 @@ type rawRun struct {
 	Alpha          float64
 	Names          uint8  // HostNames mode: see names
 	ObsBits        uint16 // which observers are armed
-	Obs            []byte // int8 observer bounds and intervals
+	Obs            []byte // int8 observer bounds and intervals; bytes 0, 1, 5-8, 10, 13 and 15-17 are unread
 	BurstKB        int64
 }
 
@@ -164,9 +164,12 @@ const (
 
 // build turns the raw fields into Run's inputs. Only magnitudes are
 // bounded, and only to keep one execution small: windows, sample
-// intervals and ring bounds are int8-scaled, and a host count inside the
-// valid [2,256] folds into [2,16]. Signs, zeros, NaN, infinities, unknown
-// names and out-of-range counts all pass through.
+// intervals, the trace ring and the exemplar count are int8-scaled, and a
+// host count inside the valid [2,256] folds into [2,16]. Signs, zeros,
+// NaN, infinities, unknown names and out-of-range counts all pass
+// through. The unread Tuning and Obs positions stay as holes so that
+// every read field keeps its index and a committed corpus file drives the
+// same fields.
 func (r rawRun) build() (Config, Workload) {
 	kinds := []string{"long", "rpc", "mixed", "quic"}
 	patterns := []Pattern{PatternSingle, PatternOneToOne, PatternIncast, PatternOutcast, PatternAllToAll, "ring"}
@@ -196,8 +199,7 @@ func (r rawRun) build() (Config, Workload) {
 		}
 		cfg.Tuning = &Tuning{
 			TSQBytes: tn(0), SchedGranularity: time.Duration(tn(1)) * time.Microsecond,
-			SleeperCredit: time.Duration(tn(2)) * time.Microsecond, ModerationDelay: time.Duration(tn(3)) * time.Microsecond,
-			ModerationFrames: int(tn(4)), PagesetCap: int(tn(5)), DCAHazardFactor: r.Hazard,
+			ModerationDelay: time.Duration(tn(3)) * time.Microsecond, PagesetCap: int(tn(5)), DCAHazardFactor: r.Hazard,
 		}
 	}
 	if r.CostIdx > 0 {
@@ -220,25 +222,23 @@ func (r rawRun) build() (Config, Workload) {
 	tick := func(i int) time.Duration { return time.Duration(ob(i)) * 10 * time.Microsecond }
 	armed := func(b uint16) bool { return r.ObsBits&b != 0 }
 	if armed(rawCheck) {
-		cfg.Check = &CheckOptions{Interval: tick(0), Collect: armed(rawCollect), MaxViolations: ob(1)}
+		cfg.Check = &CheckOptions{Collect: armed(rawCollect)}
 	}
 	cfg.TraceEvents, cfg.TraceFlow, cfg.TraceSpans = ob(2), int32(ob(3)), armed(rawSpans)
 	if armed(rawTelemetry) {
-		cfg.Telemetry = &Telemetry{SampleInterval: tick(4), MaxSamples: ob(5)}
+		cfg.Telemetry = &Telemetry{SampleInterval: tick(4)}
 	}
 	if armed(rawInspect) {
-		cfg.Inspect = &InspectOptions{Pcap: armed(rawPcap), Probe: armed(rawProbe), SS: armed(rawSS),
-			SnapLen: ob(6), MaxPackets: ob(7), MaxProbeEvents: ob(8), SSInterval: tick(9), SSMaxSamples: ob(10)}
+		cfg.Inspect = &InspectOptions{Pcap: armed(rawPcap), Probe: armed(rawProbe), SS: armed(rawSS), SSInterval: tick(9)}
 	}
 	if armed(rawProfile) {
 		cfg.Profile = &ProfileOptions{}
 	}
 	if armed(rawMsgTrace) {
-		cfg.MsgTrace = &MsgTraceOptions{MsgBytes: int64(ob(11)) * 1024, Slowest: ob(12), MaxMessages: ob(13)}
+		cfg.MsgTrace = &MsgTraceOptions{MsgBytes: int64(ob(11)) * 1024, Slowest: ob(12)}
 	}
 	if armed(rawFabricObs) {
-		cfg.FabricObs = &FabricObsOptions{SampleInterval: tick(14), MaxSamples: ob(15),
-			BurstThresholdKB: int(r.BurstKB), BurstFlows: ob(16), MaxBursts: ob(17)}
+		cfg.FabricObs = &FabricObsOptions{SampleInterval: tick(14), BurstThresholdKB: int(r.BurstKB)}
 	}
 	return cfg, wl
 }

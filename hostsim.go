@@ -134,9 +134,7 @@ func (s Stack) options() (core.Options, error) {
 type Tuning struct {
 	TSQBytes         int64         // per-connection qdisc bound (default 256KB)
 	SchedGranularity time.Duration // scheduler wakeup granularity (default 250us)
-	SleeperCredit    time.Duration // wakeup vruntime credit (default 50us)
 	ModerationDelay  time.Duration // NIC IRQ coalescing delay (default 12us)
-	ModerationFrames int           // NIC IRQ coalescing frame threshold (default 24)
 	PagesetCap       int           // per-core pageset capacity (default 512; -1 = none)
 	DCAHazardFactor  float64       // descriptor eviction hazard scale (default 0.035; -1 = off)
 }
@@ -179,8 +177,9 @@ type Config struct {
 	// TraceSpans additionally records per-core execution spans (softirq
 	// and thread work items with their dominant Table-1 category) into
 	// the trace; Result.WriteChromeTrace renders them for Perfetto.
-	// Requires TraceEvents > 0; span events carry flow id 0, so combine
-	// with TraceFlow 0.
+	// Requires TraceEvents > 0 and TraceFlow 0: span events carry flow
+	// id 0, so a flow filter would drop every one of them, and Run
+	// rejects the combination.
 	TraceSpans bool
 
 	// Profile, when non-nil, attaches the simulated-cycle profiler: every
@@ -266,8 +265,10 @@ type Config struct {
 
 // MsgTraceOptions configures the message tracer (see Config.MsgTrace).
 // The zero value traces every flow at its natural message size (the RPC
-// request/response size, or 128KB iPerf write units for long flows),
-// keeps the 8 slowest exemplars and caps retained records at 1<<20.
+// request/response size, or 128KB iPerf write units for long flows) and
+// keeps the 8 slowest exemplars. Up to 1<<20 per-message records are
+// retained for exact band attribution; completions beyond them still feed
+// the quantile histogram but count as truncated.
 type MsgTraceOptions struct {
 	// MsgBytes overrides the per-flow message size: each flow's byte
 	// stream is cut into consecutive MsgBytes-sized messages. 0 keeps
@@ -277,10 +278,6 @@ type MsgTraceOptions struct {
 	// Slowest is the number of worst-latency exemplar messages kept with
 	// full segment/recovery detail for span export (0 = 8).
 	Slowest int
-	// MaxMessages caps the per-message records retained for exact band
-	// attribution (0 = 1<<20); completions beyond it still feed the
-	// quantile histogram but count as truncated.
-	MaxMessages int
 }
 
 // FabricOptions configures the switch-fabric topology (see Config.Fabric).
@@ -305,25 +302,18 @@ type FabricOptions struct {
 }
 
 // FabricObsOptions configures the fabric observatory (see
-// Config.FabricObs). The zero value samples every 100µs into a
-// 4096-sample ring, opens microbursts at 128KB of egress backlog, keeps
-// the top 4 contributing flows per burst and retains up to 1024 bursts.
+// Config.FabricObs). The zero value samples every 100µs and opens
+// microbursts at 128KB of egress backlog. The time-series ring holds 4096
+// samples; each burst keeps its top 4 contributing flows, and up to 1024
+// bursts are retained (further ones are detected and counted per port).
 type FabricObsOptions struct {
 	// SampleInterval is the simulated time between per-port time-series
 	// samples (0 = 100µs).
 	SampleInterval time.Duration
-	// MaxSamples bounds the time-series ring (0 = 4096).
-	MaxSamples int
 	// BurstThresholdKB opens a microburst when a frame enqueues into an
 	// egress backlog at or above this many KB of wire bytes; the burst
 	// closes when the queue drains to half the threshold (0 = 128).
 	BurstThresholdKB int
-	// BurstFlows is the number of top contributing flows kept per burst
-	// event (0 = 4).
-	BurstFlows int
-	// MaxBursts caps retained burst events; further bursts are detected
-	// and counted per port but not retained (0 = 1024).
-	MaxBursts int
 }
 
 // PortReport is one fabric port's end-of-run attribution-ledger line (see
@@ -347,16 +337,12 @@ type FabricStats struct {
 }
 
 // CheckOptions configures the invariant checker (see Config.Check). The
-// zero value audits every 500µs of simulated time and fails fast.
+// checker audits every 500µs of simulated time; the zero value fails
+// fast.
 type CheckOptions struct {
-	// Interval between periodic audits; 0 = 500µs of simulated time.
-	Interval time.Duration
-	// Collect accumulates violations into Result.Violations instead of
-	// aborting the run at the first one.
+	// Collect accumulates up to 64 violations into Result.Violations
+	// instead of aborting the run at the first one.
 	Collect bool
-	// MaxViolations caps Collect-mode accumulation; 0 = 64, negative is
-	// an error.
-	MaxViolations int
 }
 
 // InspectOptions configures the wire-level inspector (see Config.Inspect).
@@ -368,19 +354,9 @@ type InspectOptions struct {
 	Probe bool // tcp_probe-style congestion traces into Result.ProbeTrace
 	SS    bool // socket/queue snapshots into Result.SocketSnapshots
 
-	// SnapLen bounds the bytes kept per captured packet (0 = 128, enough
-	// for the 66 synthesized header bytes plus a slice of payload).
-	SnapLen int
-	// MaxPackets bounds each direction's capture (0 = 1<<20); further
-	// packets count as truncated.
-	MaxPackets int
-	// MaxProbeEvents bounds the congestion trace (0 = 1<<20).
-	MaxProbeEvents int
 	// SSInterval is the snapshot sampling period (0 = 100µs); snapshots
 	// cover the whole run, warmup included, so slow start is visible.
 	SSInterval time.Duration
-	// SSMaxSamples bounds the snapshot timeline ring (0 = 4096).
-	SSMaxSamples int
 }
 
 // Violation is one invariant breach observed by the checker: the
@@ -388,10 +364,10 @@ type InspectOptions struct {
 // diagnostic. It implements error.
 type Violation = check.Violation
 
-// ProfileOptions configures the cycle profiler (see Config.Profile). The
-// zero value classifies flows by workload kind ("long"/"rpc"); set
-// FlowClasses to override the flow-id → class labeling.
-type ProfileOptions = profile.Options
+// ProfileOptions arms the cycle profiler (see Config.Profile). It has no
+// settings: the profiler classifies flows by workload kind ("long" or
+// "rpc").
+type ProfileOptions struct{}
 
 // CycleStack is one aggregated profiler attribution stack, root first
 // (host, softirq|thread, Table-1 category, then flow class when the
@@ -448,7 +424,7 @@ type TailBand struct {
 type MessageLatency struct {
 	Count     int64 // completed messages (including truncated)
 	Dropped   int64 // messages with incomplete stamps (pre-attach writes)
-	Truncated int64 // completions beyond MaxMessages (quantiles only)
+	Truncated int64 // completions beyond the 1<<20 retained records (quantiles only)
 	P50       time.Duration
 	P90       time.Duration
 	P99       time.Duration
@@ -467,14 +443,12 @@ func (m *MessageLatency) Format() string { return m.text }
 // per stage, stage.Message order); see Result.MessageRecords.
 type MsgRecord = mtrace.Record
 
-// Telemetry configures the sampling layer (see Config.Telemetry).
+// Telemetry configures the sampling layer (see Config.Telemetry). The
+// timeline ring holds the latest 4096 samples; older ones are evicted.
 type Telemetry struct {
 	// SampleInterval is the simulated time between registry snapshots
 	// (0 = 100µs).
 	SampleInterval time.Duration
-	// MaxSamples bounds the timeline ring; the oldest samples are
-	// evicted beyond it (0 = 4096).
-	MaxSamples int
 }
 
 // Timeline is the sampled multi-metric timeseries produced when

@@ -104,10 +104,9 @@ type Options struct {
 	RcvBufBytes units.Bytes // fixed TCP receive buffer; 0 = autotune to 6MB
 	SndBufBytes units.Bytes // socket send buffer (0 = 4MB)
 
-	// ModerationDelay/ModerationFrames override IRQ coalescing (0 = NIC
-	// defaults).
-	ModerationDelay  time.Duration
-	ModerationFrames int
+	// ModerationDelay overrides the IRQ coalescing delay (0 = the NIC
+	// default).
+	ModerationDelay time.Duration
 
 	// ---- advanced model knobs (0 = defaults), used by the ablation
 	// experiments to isolate individual design choices.
@@ -189,9 +188,6 @@ func (o Options) nicConfig() nic.Config {
 	}
 	if o.ModerationDelay > 0 {
 		cfg.ModerationDelay = o.ModerationDelay
-	}
-	if o.ModerationFrames > 0 {
-		cfg.ModerationFrames = o.ModerationFrames
 	}
 	if o.DCAHazardFactor > 0 {
 		cfg.DCAHazardFactor = o.DCAHazardFactor

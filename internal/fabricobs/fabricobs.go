@@ -39,40 +39,33 @@ import (
 	"hostsim/internal/wire"
 )
 
-// Options configures the observatory. The zero value samples every 100µs
-// into a 4096-sample ring, opens bursts at 128KB of egress backlog, keeps
-// the top 4 contributing flows per burst and caps retained bursts at 1024.
+// Options configures the observatory. The zero value samples every 100µs,
+// opens bursts at 128KB of egress backlog and caps retained bursts at
+// 1024. Each burst keeps its top burstFlows contributing flows, and the
+// time-series ring holds telemetry.DefaultMaxSamples samples, evicting
+// the oldest beyond it.
 type Options struct {
 	// SampleInterval is the simulated time between time-series samples
-	// (0 = 100µs).
+	// (0 = telemetry.DefaultInterval).
 	SampleInterval time.Duration
-	// MaxSamples bounds the time-series ring; the oldest samples are
-	// evicted beyond it (0 = 4096).
-	MaxSamples int
 	// BurstThreshold opens a microburst when a frame enqueues into an
 	// egress backlog at or above this many wire bytes; the burst closes
 	// when the queue drains to half the threshold (0 = 128KB).
 	BurstThreshold units.Bytes
-	// BurstFlows is the number of top contributing flows kept per burst
-	// event (0 = 4).
-	BurstFlows int
 	// MaxBursts caps retained burst events; further bursts are detected
 	// and counted per port but not retained (0 = 1024).
 	MaxBursts int
 }
 
+// burstFlows is the number of top contributing flows kept per burst event.
+const burstFlows = 4
+
 func (o Options) withDefaults() Options {
 	if o.SampleInterval == 0 {
-		o.SampleInterval = 100 * time.Microsecond
-	}
-	if o.MaxSamples == 0 {
-		o.MaxSamples = 4096
+		o.SampleInterval = telemetry.DefaultInterval
 	}
 	if o.BurstThreshold == 0 {
 		o.BurstThreshold = 128 * units.KB
-	}
-	if o.BurstFlows == 0 {
-		o.BurstFlows = 4
 	}
 	if o.MaxBursts == 0 {
 		o.MaxBursts = 1024
@@ -275,8 +268,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 	if len(names) != fab.Ports() {
 		panic(fmt.Sprintf("fabricobs: %d names for %d ports", len(names), fab.Ports()))
 	}
-	if opts.SampleInterval < 0 || opts.MaxSamples < 0 || opts.BurstThreshold < 0 ||
-		opts.BurstFlows < 0 || opts.MaxBursts < 0 {
+	if opts.SampleInterval < 0 || opts.BurstThreshold < 0 || opts.MaxBursts < 0 {
 		panic("fabricobs: negative option")
 	}
 	o := &Observer{
@@ -312,7 +304,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 		ps.out.SetDeliverTap(func(*skb.Frame) { o.deliverTap(ps) })
 	}
 	o.registerTimeline()
-	o.smp = telemetry.NewSampler(eng, o.reg, o.opts.SampleInterval, o.opts.MaxSamples)
+	o.smp = telemetry.NewSampler(eng, o.reg, o.opts.SampleInterval, telemetry.DefaultMaxSamples)
 	o.smp.Start(0)
 	return o
 }
@@ -412,7 +404,7 @@ func (o *Observer) closeBurst(ds *portState, end sim.Time, truncated bool) {
 			Frames:         b.frames,
 			AdmissionDrops: b.drops,
 			Truncated:      truncated,
-			Flows:          topFlows(b.flows, b.ids, o.opts.BurstFlows),
+			Flows:          topFlows(b.flows, b.ids, burstFlows),
 		})
 	}
 	for _, id := range b.ids {

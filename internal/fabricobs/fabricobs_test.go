@@ -150,6 +150,28 @@ func TestBurstDetection(t *testing.T) {
 	}
 }
 
+// TestBurstRetentionCap sends two separate bursts under MaxBursts 1: the
+// first is retained, the second is detected and counted on its port but
+// not kept.
+func TestBurstRetentionCap(t *testing.T) {
+	eng, fb, obs := testFabric(t, slowCfg(2), Options{BurstThreshold: 4 * units.KB, MaxBursts: 1})
+	for burst := 0; burst < 2; burst++ {
+		for i := 0; i < 10; i++ {
+			fb.Port(1).Send(&skb.Frame{Flow: 1, Seq: int64(10*burst + i), Len: 1500})
+		}
+		// 10 frames drain in ~125µs, closing the burst well before 1ms.
+		eng.Run(sim.Time(time.Duration(burst+1) * time.Millisecond))
+	}
+	obs.Finalize()
+	bursts := obs.Bursts()
+	if len(bursts) != 1 || bursts[0].Start >= time.Millisecond || bursts[0].Truncated {
+		t.Fatalf("bursts = %+v, want only the first, closed", bursts)
+	}
+	if rep := obs.PortReports()[0]; rep.Bursts != 2 {
+		t.Errorf("port report bursts = %d, want 2", rep.Bursts)
+	}
+}
+
 // TestBurstTruncatedAtHorizon stops the engine mid-burst and requires the
 // open burst to be emitted truncated.
 func TestBurstTruncatedAtHorizon(t *testing.T) {

@@ -18,8 +18,6 @@
 // conservation-law invariant checker can stay armed while capturing.
 package inspect
 
-import "time"
-
 // Defaults for the inspector's bounds and cadences.
 const (
 	// DefaultSnapLen is the captured-bytes bound per packet: enough for
@@ -30,8 +28,4 @@ const (
 	DefaultMaxPackets = 1 << 20
 	// DefaultMaxProbeEvents bounds the tcp_probe trace.
 	DefaultMaxProbeEvents = 1 << 20
-	// DefaultSSInterval is the socket-snapshot sampling period.
-	DefaultSSInterval = 100 * time.Microsecond
-	// DefaultSSMaxSamples is the socket-snapshot ring capacity.
-	DefaultSSMaxSamples = 4096
 )

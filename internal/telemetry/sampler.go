@@ -13,6 +13,14 @@ import (
 	"hostsim/internal/sim"
 )
 
+// The sampling cadence and ring capacity of every timeline a run records:
+// the measurement timeline, the socket snapshots and the fabric
+// time-series. Only the cadence is configurable, per timeline.
+const (
+	DefaultInterval   = 100 * time.Microsecond
+	DefaultMaxSamples = 4096
+)
+
 // Sampler snapshots a registry on a fixed simulated-time interval into a
 // bounded ring of samples (oldest evicted first), giving a time-resolved
 // view of the run without unbounded memory.

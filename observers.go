@@ -88,22 +88,10 @@ func armCheck(c *Config) observer {
 	return &checkObs{opts: *c.Check}
 }
 
-func (o *checkObs) validate(*Config) error {
-	if o.opts.Interval < 0 {
-		return fmt.Errorf("hostsim: negative Check.Interval")
-	}
-	if o.opts.MaxViolations < 0 {
-		return fmt.Errorf("hostsim: negative Check.MaxViolations")
-	}
-	return nil
-}
+func (o *checkObs) validate(*Config) error { return nil }
 
 func (o *checkObs) attach(w *world) {
-	o.ck = check.New(w.eng, check.Options{
-		Interval:      o.opts.Interval,
-		Collect:       o.opts.Collect,
-		MaxViolations: o.opts.MaxViolations,
-	})
+	o.ck = check.New(w.eng, check.Options{Collect: o.opts.Collect})
 	core.AttachChecker(o.ck, w.cluster)
 	o.ck.Start()
 }
@@ -144,6 +132,9 @@ func (o *traceObs) validate(*Config) error {
 	}
 	if o.flow < 0 {
 		return fmt.Errorf("hostsim: negative TraceFlow")
+	}
+	if o.spans && o.flow != 0 {
+		return fmt.Errorf("hostsim: TraceSpans needs TraceFlow 0: span events carry flow 0")
 	}
 	return nil
 }
@@ -195,20 +186,13 @@ func (o *telemetryObs) validate(*Config) error {
 	if o.opts.SampleInterval < 0 {
 		return fmt.Errorf("hostsim: negative Telemetry.SampleInterval")
 	}
-	if o.opts.MaxSamples < 0 {
-		return fmt.Errorf("hostsim: negative Telemetry.MaxSamples")
-	}
 	return nil
 }
 
 func (o *telemetryObs) attach(w *world) {
 	interval := o.opts.SampleInterval
 	if interval == 0 {
-		interval = 100 * time.Microsecond
-	}
-	maxSamples := o.opts.MaxSamples
-	if maxSamples == 0 {
-		maxSamples = 4096
+		interval = telemetry.DefaultInterval
 	}
 	reg := telemetry.NewRegistry()
 	for _, h := range w.hosts {
@@ -219,7 +203,7 @@ func (o *telemetryObs) attach(w *world) {
 		// host gauges, so one -telemetry-out artifact covers both.
 		w.cluster.Fabric().RegisterTelemetry(reg, "fabric/")
 	}
-	o.sampler = telemetry.NewSampler(w.eng, reg, interval, maxSamples)
+	o.sampler = telemetry.NewSampler(w.eng, reg, interval, telemetry.DefaultMaxSamples)
 }
 
 // reset takes the first sample at the start of the measurement window,
@@ -246,7 +230,7 @@ func armMsgTrace(c *Config) observer {
 }
 
 func (o *msgTraceObs) validate(*Config) error {
-	if o.opts.MsgBytes < 0 || o.opts.Slowest < 0 || o.opts.MaxMessages < 0 {
+	if o.opts.MsgBytes < 0 || o.opts.Slowest < 0 {
 		return fmt.Errorf("hostsim: negative MsgTrace option")
 	}
 	return nil
@@ -266,12 +250,7 @@ func (o *msgTraceObs) attach(w *world) {
 			}
 		})
 	}
-	o.mt = mtrace.New(mtrace.Options{
-		MsgBytes:    sizes,
-		Start:       starts,
-		Slowest:     o.opts.Slowest,
-		MaxMessages: o.opts.MaxMessages,
-	})
+	o.mt = mtrace.New(mtrace.Options{MsgBytes: sizes, Start: starts, Slowest: o.opts.Slowest})
 	for _, h := range w.hosts {
 		h.EnableMsgTrace(o.mt)
 	}
@@ -311,7 +290,6 @@ func (o *msgTraceObs) finish(res *Result) error {
 // profileObs is the simulated-cycle profiler (Config.Profile). It covers
 // the measurement window only.
 type profileObs struct {
-	opts ProfileOptions
 	prof *profile.Profiler
 }
 
@@ -319,16 +297,13 @@ func armProfile(c *Config) observer {
 	if c.Profile == nil {
 		return nil
 	}
-	return &profileObs{opts: *c.Profile}
+	return &profileObs{}
 }
 
 func (o *profileObs) validate(*Config) error { return nil }
 
 func (o *profileObs) attach(w *world) {
-	if o.opts.FlowClasses == nil {
-		o.opts.FlowClasses = flowClasses(w.wl)
-	}
-	o.prof = profile.New(o.opts, w.spec.Frequency)
+	o.prof = profile.New(profile.Options{FlowClasses: flowClasses(w.wl)}, w.spec.Frequency)
 	for _, h := range w.hosts {
 		h.EnableProfiler(o.prof)
 	}
@@ -383,9 +358,6 @@ func armInspect(c *Config) observer {
 }
 
 func (o *inspectObs) validate(cfg *Config) error {
-	if o.opts.SnapLen < 0 || o.opts.MaxPackets < 0 || o.opts.MaxProbeEvents < 0 || o.opts.SSMaxSamples < 0 {
-		return fmt.Errorf("hostsim: negative Inspect bound")
-	}
 	if o.opts.SSInterval < 0 {
 		return fmt.Errorf("hostsim: negative Inspect.SSInterval")
 	}
@@ -405,13 +377,13 @@ func (o *inspectObs) attach(w *world) {
 		// other host, addressed from 10.0.0.(i+1).
 		for i, h := range hosts {
 			peer := hosts[1-i]
-			cap := inspect.NewCapture(w.eng, h.Name()+"->"+peer.Name(), i, o.opts.SnapLen, o.opts.MaxPackets)
+			cap := inspect.NewCapture(w.eng, h.Name()+"->"+peer.Name(), i, 0, 0)
 			w.cluster.Fabric().Port(1 - i).Out().SetTap(cap.Tap())
 			o.captures = append(o.captures, cap)
 		}
 	}
 	if o.opts.Probe {
-		o.probes = inspect.NewProbeTrace(o.opts.MaxProbeEvents)
+		o.probes = inspect.NewProbeTrace(0)
 		for _, h := range hosts {
 			hook := o.probes.Hook(h.Name())
 			h.ForEachEndpoint(func(ep *core.Endpoint) { ep.Conn().AddProbe(hook) })
@@ -420,11 +392,7 @@ func (o *inspectObs) attach(w *world) {
 	if o.opts.SS {
 		interval := o.opts.SSInterval
 		if interval == 0 {
-			interval = inspect.DefaultSSInterval
-		}
-		maxSamples := o.opts.SSMaxSamples
-		if maxSamples == 0 {
-			maxSamples = inspect.DefaultSSMaxSamples
+			interval = telemetry.DefaultInterval
 		}
 		reg := telemetry.NewRegistry()
 		for _, h := range hosts {
@@ -443,7 +411,7 @@ func (o *inspectObs) attach(w *world) {
 				ep.Conn().AddProbe(rtt.Watch(reg, prefix, flow))
 			})
 		}
-		o.ss = telemetry.NewSampler(w.eng, reg, interval, maxSamples)
+		o.ss = telemetry.NewSampler(w.eng, reg, interval, telemetry.DefaultMaxSamples)
 		// Sample from t=0: unlike the measurement timeline, socket
 		// snapshots deliberately cover warmup, where slow start lives.
 		o.ss.Start(0)
@@ -477,12 +445,10 @@ func (o *fabricObs) validate(cfg *Config) error {
 	if cfg.Fabric == nil {
 		return fmt.Errorf("hostsim: FabricObs requires Fabric")
 	}
-	fo := o.opts
-	if fo.SampleInterval < 0 || fo.MaxSamples < 0 || fo.BurstThresholdKB < 0 ||
-		fo.BurstFlows < 0 || fo.MaxBursts < 0 {
+	if o.opts.SampleInterval < 0 {
 		return fmt.Errorf("hostsim: negative FabricObs option")
 	}
-	return checkKB("FabricObs.BurstThresholdKB", fo.BurstThresholdKB)
+	return checkKB("FabricObs.BurstThresholdKB", o.opts.BurstThresholdKB)
 }
 
 func (o *fabricObs) attach(w *world) {
@@ -492,10 +458,7 @@ func (o *fabricObs) attach(w *world) {
 	}
 	o.fobs = fabricobs.New(w.eng, w.cluster.Fabric(), names, fabricobs.Options{
 		SampleInterval: o.opts.SampleInterval,
-		MaxSamples:     o.opts.MaxSamples,
 		BurstThreshold: units.Bytes(o.opts.BurstThresholdKB) * units.KB,
-		BurstFlows:     o.opts.BurstFlows,
-		MaxBursts:      o.opts.MaxBursts,
 	})
 }
 

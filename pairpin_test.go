@@ -1,6 +1,7 @@
 package hostsim_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -10,19 +11,22 @@ import (
 	"hostsim"
 )
 
-// pairDigest hashes every deterministic output of a default-pair run:
-// the top-line fingerprint, the per-host stat blocks, the terminal flow
-// states, the recorded trace and every exporter the run armed.
-func pairDigest(t *testing.T, r *hostsim.Result) string {
+// artifact is one exporter's output from a run.
+type artifact struct {
+	name string
+	data []byte
+}
+
+// artifacts writes every exporter the run armed, in one fixed order.
+func artifacts(t *testing.T, r *hostsim.Result) []artifact {
 	t.Helper()
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\nhosts=%+v\nflows=%+v\nfab=%+v\nviol=%+v\ntrace=%+v\n",
-		fingerprint(r), r.Hosts, r.Flows, r.Fabric, r.Violations, r.Trace)
+	var out []artifact
 	write := func(name string, fn func(io.Writer) error) {
-		fmt.Fprintf(h, "--- %s\n", name)
-		if err := fn(h); err != nil {
+		var b bytes.Buffer
+		if err := fn(&b); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		out = append(out, artifact{name, b.Bytes()})
 	}
 	if r.Timeline != nil {
 		write("telemetry", r.Timeline.WriteCSV)
@@ -53,7 +57,90 @@ func pairDigest(t *testing.T, r *hostsim.Result) string {
 		write("fabric-trace", r.WriteFabricTrace)
 		write("fabric-timeline", r.FabricTimeline.WriteCSV)
 	}
+	return out
+}
+
+// pairDigest hashes every deterministic output of a default-pair run:
+// the top-line fingerprint, the per-host stat blocks, the terminal flow
+// states, the recorded trace and every artifact the run wrote.
+func pairDigest(t *testing.T, r *hostsim.Result) string {
+	t.Helper()
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\nhosts=%+v\nflows=%+v\nfab=%+v\nviol=%+v\ntrace=%+v\n",
+		fingerprint(r), r.Hosts, r.Flows, r.Fabric, r.Violations, r.Trace)
+	for _, a := range artifacts(t, r) {
+		fmt.Fprintf(h, "--- %s\n", a.name)
+		h.Write(a.data)
+	}
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// fabricObservers arms, one entry each, the observers of the
+// observed-fabric-incast16 case: every observer but pcap, which needs two
+// hosts.
+var fabricObservers = []struct {
+	name string
+	arm  func(*hostsim.Config)
+}{
+	{"check", func(c *hostsim.Config) { c.Check = &hostsim.CheckOptions{Collect: true} }},
+	{"inspect", func(c *hostsim.Config) { c.Inspect = &hostsim.InspectOptions{Probe: true, SS: true} }},
+	{"telemetry", func(c *hostsim.Config) { c.Telemetry = &hostsim.Telemetry{} }},
+	{"profile", func(c *hostsim.Config) { c.Profile = &hostsim.ProfileOptions{} }},
+	{"msgtrace", func(c *hostsim.Config) { c.MsgTrace = &hostsim.MsgTraceOptions{} }},
+	{"fabricobs", func(c *hostsim.Config) { c.FabricObs = &hostsim.FabricObsOptions{} }},
+	{"trace", func(c *hostsim.Config) { c.TraceEvents, c.TraceSpans = 4096, true }},
+}
+
+// observedFabric is the buffered 16-host fabric the observed cases run on.
+func observedFabric(loss float64) hostsim.Config {
+	return hostsim.Config{Stack: hostsim.AllOptimizations(), Seed: 7, LossRate: loss,
+		Warmup: 4 * time.Millisecond, Duration: 6 * time.Millisecond,
+		Fabric: &hostsim.FabricOptions{Hosts: 16, SharedBufferKB: 256}}
+}
+
+// TestArtifactsCompose runs each observer of the observed-fabric-incast16
+// case alone, lossless and at 0.5 % loss. The run must measure what the
+// run with every observer armed measures, and each artifact it writes
+// must be byte-identical to the same artifact from that run. Between
+// them the lone runs write every artifact of the armed run once.
+func TestArtifactsCompose(t *testing.T) {
+	wl := hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)
+	for _, loss := range []float64{0, 0.005} {
+		all := observedFabric(loss)
+		for _, o := range fabricObservers {
+			o.arm(&all)
+		}
+		res, err := hostsim.Run(all, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string][]byte{}
+		for _, a := range artifacts(t, res) {
+			want[a.name] = a.data
+		}
+		written := 0
+		for _, o := range fabricObservers {
+			cfg := observedFabric(loss)
+			o.arm(&cfg)
+			alone, err := hostsim.Run(cfg, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, all := fingerprint(alone), fingerprint(res); got != all {
+				t.Errorf("loss %v, %s alone measures\n%s\nwith every observer\n%s", loss, o.name, got, all)
+			}
+			for _, a := range artifacts(t, alone) {
+				written++
+				if w, ok := want[a.name]; !ok || !bytes.Equal(a.data, w) {
+					t.Errorf("loss %v: %s alone writes a different %s artifact (%d bytes, %d with every observer)",
+						loss, o.name, a.name, len(a.data), len(w))
+				}
+			}
+		}
+		if written != len(want) || len(want) != 12 {
+			t.Errorf("loss %v: lone runs wrote %d artifacts, the armed run %d; want 12", loss, written, len(want))
+		}
+	}
 }
 
 // TestPairPinnedDigests pins the default sender/receiver pair's bytes:
@@ -71,11 +158,6 @@ func TestPairPinnedDigests(t *testing.T) {
 	base := func() hostsim.Config {
 		return hostsim.Config{Stack: hostsim.AllOptimizations(), Seed: 7,
 			Warmup: 4 * time.Millisecond, Duration: 6 * time.Millisecond}
-	}
-	observedFabric := func() hostsim.Config {
-		cfg := base()
-		cfg.Fabric = &hostsim.FabricOptions{Hosts: 16, SharedBufferKB: 256}
-		return cfg
 	}
 	lossy := func() hostsim.Config {
 		cfg := base()
@@ -128,15 +210,10 @@ func TestPairPinnedDigests(t *testing.T) {
 			return cfg
 		}, hostsim.MixedWorkload(4, 4096), "05e5d8f3bb281cdcfaca9b1fac8fb374339534821652b4c10deda7fbdf3748e9"},
 		{"observed-fabric-incast16", func() hostsim.Config {
-			cfg := observedFabric()
-			cfg.Check = &hostsim.CheckOptions{Collect: true}
-			cfg.Inspect = &hostsim.InspectOptions{Probe: true, SS: true}
-			cfg.Telemetry = &hostsim.Telemetry{}
-			cfg.Profile = &hostsim.ProfileOptions{}
-			cfg.MsgTrace = &hostsim.MsgTraceOptions{}
-			cfg.FabricObs = &hostsim.FabricObsOptions{}
-			cfg.TraceEvents = 4096
-			cfg.TraceSpans = true
+			cfg := observedFabric(0)
+			for _, o := range fabricObservers {
+				o.arm(&cfg)
+			}
 			return cfg
 		}, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), "0db5556013e2330d59e9a3f4c859c37514b8ad85d482786837ed16d4accfeda4"},
 		{"one-to-one4", base, hostsim.LongFlowWorkload(hostsim.PatternOneToOne, 4), "6d70c582b5c5b357806d333561ef29d9bd412a0099fa71d044d0163657f7c50a"},
@@ -159,7 +236,7 @@ func TestPairPinnedDigests(t *testing.T) {
 			}
 			switch {
 			case cfg.FabricObs != nil:
-				twin, err := hostsim.Run(observedFabric(), tc.wl)
+				twin, err := hostsim.Run(observedFabric(0), tc.wl)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -155,7 +155,6 @@ func TestTraceSpansRequiresTraceEvents(t *testing.T) {
 func TestTelemetryConfigValidation(t *testing.T) {
 	for name, tel := range map[string]*Telemetry{
 		"negative interval": {SampleInterval: -time.Microsecond},
-		"negative samples":  {MaxSamples: -1},
 	} {
 		cfg := quickCfg(AllOptimizations())
 		cfg.Telemetry = tel

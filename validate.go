@@ -63,9 +63,7 @@ func validate(cfg Config, wl Workload) (*plan, error) {
 	if tn := cfg.Tuning; tn != nil {
 		opts.TSQBytes = units.Bytes(tn.TSQBytes)
 		opts.SchedGranularity = tn.SchedGranularity
-		opts.SleeperCredit = tn.SleeperCredit
 		opts.ModerationDelay = tn.ModerationDelay
-		opts.ModerationFrames = tn.ModerationFrames
 		opts.PagesetCap = tn.PagesetCap
 		opts.DCAHazardFactor = tn.DCAHazardFactor
 	}

@@ -3,6 +3,7 @@
 package hostsim_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,7 +24,10 @@ import (
 // such as the 5.2k wrapper closures a flow-tagged softirq once allocated,
 // the ~8k per-message allocations the message tracer once made, or the
 // ~7k closures and names the samplers made when they registered one
-// gauge per column instead of one block per source.
+// gauge per column instead of one block per source. The budgets count
+// objects, not bytes: a slice that keeps doubling shows here as a handful
+// of allocations however large it grows, so TestRunBytesFlatInDuration
+// guards bytes.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting run is not short")
@@ -64,6 +68,47 @@ func TestRunAllocationBudget(t *testing.T) {
 			t.Logf("%.0f allocations", allocs)
 			if allocs > c.budget {
 				t.Errorf("Run allocated %.0f objects, budget %.0f; a hot-path allocation has crept back in", allocs, c.budget)
+			}
+		})
+	}
+}
+
+// TestRunBytesFlatInDuration guards what TestRunAllocationBudget cannot
+// see: a queue whose memory follows the items that have passed through it
+// rather than the items it holds. Such a queue grows by doubling, a handful
+// of objects per run, but its bytes grow with the simulated window. Here
+// the single flow runs for 40 ms and for 80 ms, with every optimization on
+// and with none, and the longer run may allocate at most 10 % more bytes.
+func TestRunBytesFlatInDuration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting run is not short")
+	}
+	single := hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)
+	runBytes := func(stack hostsim.Stack, dur time.Duration) uint64 {
+		cfg := benchRunCfg()
+		cfg.Stack, cfg.Duration = stack, dur
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := hostsim.Run(cfg, single); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, c := range []struct {
+		name  string
+		stack hostsim.Stack
+	}{
+		{"all-optimizations", hostsim.AllOptimizations()},
+		{"no-optimizations", hostsim.NoOptimizations()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			short := runBytes(c.stack, 40*time.Millisecond)
+			long := runBytes(c.stack, 80*time.Millisecond)
+			ratio := float64(long) / float64(short)
+			t.Logf("%.2f MB at 40 ms, %.2f MB at 80 ms (%.2fx)", float64(short)/1e6, float64(long)/1e6, ratio)
+			if ratio > 1.1 {
+				t.Errorf("doubling the window multiplies a run's bytes by %.2f, want at most 1.1: some queue's memory grows with simulated time", ratio)
 			}
 		})
 	}

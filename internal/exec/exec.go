@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"hostsim/internal/cpumodel"
+	"hostsim/internal/fifo"
 	"hostsim/internal/sim"
 	"hostsim/internal/topology"
 	"hostsim/internal/units"
@@ -253,10 +254,9 @@ type Core struct {
 	id  int
 
 	running  bool
-	current  *Thread // last thread context that ran (for switch detection)
-	softirq  []sirq
-	sirqHead int       // dispatch position in softirq (head-indexed ring, compacted when drained)
-	runq     []*Thread // runnable threads, selected by min vruntime
+	current  *Thread         // last thread context that ran (for switch detection)
+	softirq  fifo.Ring[sirq] // raised work, run before any thread
+	runq     []*Thread       // runnable threads, selected by min vruntime
 	minVR    units.Cycles
 	acct     cpumodel.Breakdown
 	busy     time.Duration
@@ -352,7 +352,7 @@ func (c *Core) RaiseTaggedSoftirq(fn func(*Ctx), flow int32) {
 	if fn == nil {
 		panic("exec: nil softirq")
 	}
-	c.softirq = append(c.softirq, sirq{fn: fn, tag: flow})
+	c.softirq.Push(sirq{fn: fn, tag: flow})
 	c.dispatch()
 }
 
@@ -363,7 +363,7 @@ type sirq struct {
 }
 
 // SoftirqBacklog returns the number of queued softirq items.
-func (c *Core) SoftirqBacklog() int { return len(c.softirq) - c.sirqHead }
+func (c *Core) SoftirqBacklog() int { return c.softirq.Len() }
 
 // Wake makes t runnable from outside any work item (hardware events,
 // timer expiry). No wakeup cost is charged — use Ctx.Wake from inside
@@ -396,14 +396,9 @@ func (c *Core) dispatch() {
 		switchTo bool
 	)
 	switch {
-	case c.sirqHead < len(c.softirq):
-		fn, tag = c.softirq[c.sirqHead].fn, c.softirq[c.sirqHead].tag
-		c.softirq[c.sirqHead] = sirq{}
-		c.sirqHead++
-		if c.sirqHead == len(c.softirq) {
-			c.softirq = c.softirq[:0]
-			c.sirqHead = 0
-		}
+	case c.softirq.Len() > 0:
+		it := c.softirq.Pop()
+		fn, tag = it.fn, it.tag
 	case len(c.runq) > 0:
 		thread = c.pickThread()
 		thread.state = stateRunning

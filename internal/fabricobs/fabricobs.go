@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"hostsim/internal/fabric"
+	"hostsim/internal/fifo"
 	"hostsim/internal/metrics"
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
@@ -157,34 +158,6 @@ func (b *burst) count(id skb.FlowID) {
 	b.flows[id]++
 }
 
-// stamps is a FIFO of send times, one per frame in flight on a port's
-// egress link. A link delivers in send order and a dropped frame never
-// enters it, so the head is the stamp of the next frame delivered.
-type stamps struct {
-	ring []sim.Time // power-of-two length
-	head int
-	n    int
-}
-
-func (q *stamps) push(t sim.Time) {
-	if q.n == len(q.ring) {
-		ring := make([]sim.Time, max(16, 2*len(q.ring)))
-		for i := 0; i < q.n; i++ {
-			ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
-		}
-		q.ring, q.head = ring, 0
-	}
-	q.ring[(q.head+q.n)&(len(q.ring)-1)] = t
-	q.n++
-}
-
-func (q *stamps) pop() sim.Time {
-	t := q.ring[q.head]
-	q.head = (q.head + 1) & (len(q.ring) - 1)
-	q.n--
-	return t
-}
-
 // portState is one port's accumulation state.
 type portState struct {
 	id   int
@@ -207,7 +180,10 @@ type portState struct {
 
 	peakBacklog, peakOccupancy units.Bytes
 	hop                        *metrics.Histogram
-	sendAt                     stamps // frames stamped at send, not yet delivered
+	// sendAt holds the send times of frames in flight on the egress link.
+	// A link delivers in send order and a dropped frame never enters it,
+	// so the front is the stamp of the next frame delivered.
+	sendAt fifo.Ring[sim.Time]
 
 	cur        *burst // &open while a burst is open, else nil
 	open       burst
@@ -348,7 +324,7 @@ func (o *Observer) wireTap(ds *portState, f *skb.Frame, dropped bool) {
 		ds.wireLoss++
 		return
 	}
-	ds.sendAt.push(o.eng.Now())
+	ds.sendAt.Push(o.eng.Now())
 }
 
 // deliverTap is the egress-edge stamp closing the hop.
@@ -358,7 +334,7 @@ func (o *Observer) deliverTap(ds *portState) {
 		ds.stale++ // sent before attach: no stamp, keep the ledger exact
 	} else {
 		ds.delivered++
-		ds.hop.Record(float64(o.eng.Now() - ds.sendAt.pop()))
+		ds.hop.Record(float64(o.eng.Now() - ds.sendAt.Pop()))
 	}
 	if b := ds.cur; b != nil && ds.out.Backlog() <= o.opts.BurstThreshold/2 {
 		o.closeBurst(ds, o.eng.Now(), false)
@@ -514,7 +490,7 @@ func (o *Observer) Finalize() {
 			Enqueued:           ps.enqueued,
 			Delivered:          ps.delivered,
 			WireLossDrops:      ps.wireLoss,
-			InFlight:           int64(ps.sendAt.n),
+			InFlight:           int64(ps.sendAt.Len()),
 			ECNMarks:           ps.marked,
 			TxBytes:            int64(tx),
 			Utilization:        util,
@@ -569,7 +545,7 @@ func (o *Observer) Reconcile() error {
 			{"wire_loss", ps.wireLoss, lnk.Dropped - ps.baseLink.Dropped},
 			{"ecn_marks", ps.marked, lnk.Marked - ps.baseLink.Marked},
 			{"in==forwarded+admission", ps.in, ps.forwarded + ps.admissionDrops},
-			{"enqueued==delivered+loss+inflight", ps.enqueued, ps.delivered + ps.wireLoss + int64(ps.sendAt.n)},
+			{"enqueued==delivered+loss+inflight", ps.enqueued, ps.delivered + ps.wireLoss + int64(ps.sendAt.Len())},
 		}
 		for _, c := range checks {
 			if c.obs != c.want {

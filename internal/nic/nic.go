@@ -14,6 +14,7 @@ import (
 	"hostsim/internal/cache"
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/exec"
+	"hostsim/internal/fifo"
 	"hostsim/internal/mem"
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
@@ -210,12 +211,9 @@ type NIC struct {
 // pageArenaLen is the page count of one frame-Pages arena block.
 const pageArenaLen = 1024
 
-// txq is one core's egress queue: frames append at the tail and drain from
-// a head index, so the backing array is reused instead of reallocated by
-// front-slicing.
+// txq is one core's egress queue.
 type txq struct {
-	frames []*skb.Frame
-	head   int
+	frames fifo.Ring[*skb.Frame]
 	pos    int // index in txOrder, and bit in txReady
 }
 
@@ -224,11 +222,10 @@ type rxQueue struct {
 	core         int
 	posted       int // descriptors with buffers available
 	stash        pageStash
-	stashDeficit int          // pages taken by DMA since the last replenish
-	descDeficit  int          // descriptors consumed since the last replenish
-	backlog      []*skb.Frame // arrivals append at the tail, NAPI drains from bhead
-	bhead        int
-	napi         bool // NAPI scheduled or running
+	stashDeficit int                   // pages taken by DMA since the last replenish
+	descDeficit  int                   // descriptors consumed since the last replenish
+	backlog      fifo.Ring[*skb.Frame] // DMA-ed frames NAPI has not polled
+	napi         bool                  // NAPI scheduled or running
 	modTimer     sim.Timer
 	irqPending   bool     // charge IRQEntry on next poll
 	gro          *skb.GRO // persistent across polls (always drained at poll end)
@@ -269,9 +266,6 @@ func (s *pageStash) take(dst []mem.Page) {
 	copy(dst[:k], s.base[len(s.base)-k:])
 	s.base = s.base[:len(s.base)-k]
 }
-
-// pendingRx is the frames DMA-ed into the ring but not yet polled.
-func (q *rxQueue) pendingRx() int { return len(q.backlog) - q.bhead }
 
 // New builds a NIC. dca may be nil (DCA disabled). egress is the wire
 // attachment — the host's fabric ingress port, whose egress twin toward
@@ -335,7 +329,7 @@ func (n *NIC) queue(core int) *rxQueue {
 		q = &rxQueue{nic: n, core: core, posted: n.cfg.RxRing}
 		q.pollFn = q.poll
 		q.modFn = func() {
-			if !q.napi && q.pendingRx() > 0 {
+			if !q.napi && q.backlog.Len() > 0 {
 				q.fireIRQ()
 			}
 		}
@@ -394,9 +388,9 @@ func (n *NIC) RxBacklog() (int, units.Bytes) {
 		if q == nil {
 			continue
 		}
-		frames += q.pendingRx()
-		for _, f := range q.backlog[q.bhead:] {
-			payload += f.Len
+		frames += q.backlog.Len()
+		for i := 0; i < q.backlog.Len(); i++ {
+			payload += (*q.backlog.At(i)).Len
 		}
 	}
 	return frames, payload
@@ -424,8 +418,8 @@ func (n *NIC) TxQueued() (int, units.Bytes) {
 	frames := n.txPendingFrames + n.txFrames
 	payload := n.txPendingPayload
 	for _, t := range n.txOrder {
-		for _, f := range t.frames[t.head:] {
-			payload += f.Len
+		for i := 0; i < t.frames.Len(); i++ {
+			payload += (*t.frames.At(i)).Len
 		}
 	}
 	return frames, payload
@@ -567,7 +561,9 @@ func (n *NIC) enqueueTx(core int, frames []*skb.Frame) {
 		n.txqs[core] = t
 		n.txOrder = append(n.txOrder, t)
 	}
-	t.frames = append(t.frames, frames...)
+	for _, f := range frames {
+		t.frames.Push(f)
+	}
 	n.txFrames += len(frames)
 	n.txReady[t.pos/64] |= 1 << (t.pos % 64)
 	if n.txHeld {
@@ -625,14 +621,9 @@ func (n *NIC) nextTxFrame() *skb.Frame {
 	i := n.nextReady(start)
 	n.txNext = i
 	t := n.txOrder[i]
-	f := t.frames[t.head]
-	t.frames[t.head] = nil
-	t.head++
+	f := t.frames.Pop()
 	n.txFrames--
-	if t.head == len(t.frames) {
-		// Drained: rewind so the backing array is reused from the front.
-		t.frames = t.frames[:0]
-		t.head = 0
+	if t.frames.Len() == 0 {
 		n.txReady[i/64] &^= 1 << (i % 64)
 	}
 	return f
@@ -705,7 +696,7 @@ func (n *NIC) ReceiveFromWire(f *skb.Frame) {
 	if n.cfg.LRO && q.tryLRO(f) {
 		n.stats.LROCoalesce++
 	} else {
-		q.backlog = append(q.backlog, f)
+		q.backlog.Push(f)
 	}
 	q.maybeInterrupt()
 }
@@ -725,10 +716,10 @@ func (n *NIC) framePages(need int) []mem.Page {
 // tryLRO coalesces f into the last backlog frame if contiguous, same-flow
 // and within the 64KB aggregate bound — hardware aggregation, no CPU cost.
 func (q *rxQueue) tryLRO(f *skb.Frame) bool {
-	if f.IsAck() || q.pendingRx() == 0 {
+	if f.IsAck() || q.backlog.Len() == 0 {
 		return false
 	}
-	last := q.backlog[len(q.backlog)-1]
+	last := *q.backlog.Back()
 	if last.IsAck() || last.Flow != f.Flow {
 		return false
 	}
@@ -748,7 +739,7 @@ func (q *rxQueue) maybeInterrupt() {
 	if q.napi {
 		return // NAPI already scheduled/running; it will see the backlog
 	}
-	if q.pendingRx() >= q.nic.cfg.ModerationFrames {
+	if q.backlog.Len() >= q.nic.cfg.ModerationFrames {
 		q.modTimer.Stop()
 		q.fireIRQ()
 		return
@@ -782,23 +773,17 @@ func (q *rxQueue) poll(ctx *exec.Ctx) {
 	}
 	ctx.Charge(cpumodel.Netdev, costs.NAPIPollBase)
 
-	budget := n.cfg.NAPIWeight
-	if budget > q.pendingRx() {
-		budget = q.pendingRx()
-	}
-	batch := q.backlog[q.bhead : q.bhead+budget]
-	q.bhead += budget
+	budget := min(n.cfg.NAPIWeight, q.backlog.Len())
 
 	useGRO := n.cfg.GRO && !n.cfg.LRO
 	if useGRO && q.gro == nil {
 		q.gro = skb.NewGROPooled(costs, n.skbPool, n.framePool)
 	}
-	consumed := 0
 	out := q.out[:0]
-	for _, f := range batch {
+	for range budget {
+		f := q.backlog.Pop()
 		f.Born = ctx.Now()
 		ctx.SetFlowTag(int32(f.Flow))
-		consumed++
 		ctx.Charge(cpumodel.Netdev, costs.NAPIPerFrame)
 		ctx.Charge(cpumodel.SKBMgmt, costs.SKBBuild)
 		ctx.Charge(cpumodel.Memory, costs.SKBAlloc)
@@ -842,7 +827,7 @@ func (q *rxQueue) poll(ctx *exec.Ctx) {
 
 	// Replenish: re-post the descriptors consumed since the last poll and
 	// restock exactly the pages DMA took from the stash.
-	if consumed > 0 {
+	if budget > 0 {
 		if q.stashDeficit > 0 {
 			q.stash.top = n.alloc.AppendAlloc(ctx, q.core, q.stashDeficit, q.stash.top)
 			n.alloc.DMAMap(ctx, q.stashDeficit)
@@ -852,16 +837,10 @@ func (q *rxQueue) poll(ctx *exec.Ctx) {
 		q.descDeficit = 0
 	}
 
-	for i := range batch {
-		batch[i] = nil // frames recycled (or owned by GRO/SKBs) — don't retain
-	}
-	if q.pendingRx() > 0 {
+	if q.backlog.Len() > 0 {
 		// More arrived than budget: stay in softirq (no new IRQ).
 		q.scheduleNAPI()
 		return
 	}
-	// Drained: rewind so the backing array is reused from the front.
-	q.backlog = q.backlog[:0]
-	q.bhead = 0
 	q.napi = false // napi_complete: re-arm interrupts
 }

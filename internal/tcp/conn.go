@@ -17,6 +17,7 @@ import (
 
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/exec"
+	"hostsim/internal/fifo"
 	"hostsim/internal/mem"
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
@@ -138,10 +139,9 @@ type Conn struct {
 	// ---- transmit state.
 	sndUna        int64
 	sndNxt        int64
-	appLimit      int64       // bytes the application has committed to the stream
-	rightEdge     int64       // sndUna + peer window (flow-control limit)
-	chunks        []sentChunk // live entries are chunks[chHead:]
-	chHead        int
+	appLimit      int64                // bytes the application has committed to the stream
+	rightEdge     int64                // sndUna + peer window (flow-control limit)
+	chunks        fifo.Ring[sentChunk] // unacked application writes, oldest first
 	sacked        []skb.Range
 	retxNext      int64 // next hole byte to retransmit within recovery
 	dupAcks       int
@@ -161,8 +161,7 @@ type Conn struct {
 	rcvBuf      units.Bytes
 	ooo         []*skb.SKB // sorted by Seq, non-overlapping
 	oooBytes    units.Bytes
-	recvQ       []*skb.SKB // live entries are recvQ[rqHead:]
-	rqHead      int
+	recvQ       fifo.Ring[*skb.SKB] // in-order skbs the application has not read
 	recvQBytes  units.Bytes
 	unacked     units.Bytes // delivered bytes since last ack
 	lastAdvWnd  units.Bytes
@@ -258,7 +257,7 @@ func (c *Conn) AppLimit() int64 { return c.appLimit }
 func (c *Conn) RcvNxt() int64 { return c.rcvNxt }
 
 // RecvQLen returns the number of skbs queued for the application.
-func (c *Conn) RecvQLen() int { return len(c.recvQ) - c.rqHead }
+func (c *Conn) RecvQLen() int { return c.recvQ.Len() }
 
 // OOOLen returns the number of out-of-order skbs held.
 func (c *Conn) OOOLen() int { return len(c.ooo) }
@@ -282,8 +281,8 @@ func (c *Conn) CheckInvariants(fail func(format string, args ...any)) {
 			c.flow, c.stats.DeliveredBytes, c.rcvNxt)
 	}
 	var rq units.Bytes
-	for _, s := range c.recvQ[c.rqHead:] {
-		rq += s.Len
+	for i := 0; i < c.recvQ.Len(); i++ {
+		rq += (*c.recvQ.At(i)).Len
 	}
 	if rq != c.recvQBytes {
 		fail("tcp flow %d: recvQBytes %d but queue holds %d", c.flow, c.recvQBytes, rq)
@@ -301,26 +300,26 @@ func (c *Conn) CheckInvariants(fail func(format string, args ...any)) {
 	if ob != c.oooBytes {
 		fail("tcp flow %d: oooBytes %d but queue holds %d", c.flow, c.oooBytes, ob)
 	}
-	chunks := c.chunks[c.chHead:]
-	if len(chunks) == 0 {
+	if c.chunks.Len() == 0 {
 		if c.appLimit != c.sndUna {
 			fail("tcp flow %d: no send chunks but appLimit %d != sndUna %d",
 				c.flow, c.appLimit, c.sndUna)
 		}
 	} else {
-		if chunks[0].endSeq <= c.sndUna {
+		if first := c.chunks.Front().endSeq; first <= c.sndUna {
 			fail("tcp flow %d: acked chunk (end %d <= sndUna %d) not released",
-				c.flow, chunks[0].endSeq, c.sndUna)
+				c.flow, first, c.sndUna)
 		}
 		prevEnd := int64(-1)
-		for i, ch := range chunks {
+		for i := 0; i < c.chunks.Len(); i++ {
+			ch := c.chunks.At(i)
 			if ch.endSeq <= prevEnd {
 				fail("tcp flow %d: chunk[%d] end %d not ascending (prev %d)",
 					c.flow, i, ch.endSeq, prevEnd)
 			}
 			prevEnd = ch.endSeq
 		}
-		if last := chunks[len(chunks)-1].endSeq; last != c.appLimit {
+		if last := c.chunks.Back().endSeq; last != c.appLimit {
 			fail("tcp flow %d: last chunk end %d != appLimit %d", c.flow, last, c.appLimit)
 		}
 	}
@@ -357,7 +356,7 @@ func (c *Conn) SendData(ctx *exec.Ctx, n units.Bytes, pages []mem.Page) {
 		panic("tcp: SendData beyond free send buffer")
 	}
 	c.appLimit += int64(n)
-	c.chunks = append(c.chunks, sentChunk{endSeq: c.appLimit, pages: pages, at: ctx.Now()})
+	c.chunks.Push(sentChunk{endSeq: c.appLimit, pages: pages, at: ctx.Now()})
 	c.pump(ctx)
 }
 
@@ -367,9 +366,9 @@ func (c *Conn) SendData(ctx *exec.Ctx, n units.Bytes, pages []mem.Page) {
 // outgoing frames; chunks live until cumulatively acked, so any sequence
 // being (re)transmitted still has its chunk.
 func (c *Conn) WriteTimeOf(seq int64) sim.Time {
-	for i := c.chHead; i < len(c.chunks); i++ {
-		if c.chunks[i].endSeq > seq {
-			return c.chunks[i].at
+	for i := 0; i < c.chunks.Len(); i++ {
+		if ch := c.chunks.At(i); ch.endSeq > seq {
+			return ch.at
 		}
 	}
 	return 0
@@ -545,19 +544,12 @@ func (c *Conn) onAck(ctx *exec.Ctx, a *skb.AckInfo) {
 // recycles its slices instead of allocating fresh ones.
 func (c *Conn) releaseAcked(ctx *exec.Ctx) {
 	freed := c.freed[:0]
-	for c.chHead < len(c.chunks) && c.chunks[c.chHead].endSeq <= c.sndUna {
-		ch := &c.chunks[c.chHead]
+	for c.chunks.Len() > 0 && c.chunks.Front().endSeq <= c.sndUna {
+		ch := c.chunks.Pop()
 		freed = append(freed, ch.pages...)
 		if cap(ch.pages) > 0 {
 			c.slabFree = append(c.slabFree, ch.pages[:0])
 		}
-		*ch = sentChunk{}
-		c.chHead++
-	}
-	if c.chHead == len(c.chunks) {
-		// Drained: rewind so the backing array is reused from the front.
-		c.chunks = c.chunks[:0]
-		c.chHead = 0
 	}
 	if len(freed) > 0 && c.hooks.OnAckedPages != nil {
 		c.hooks.OnAckedPages(ctx, c, freed)
@@ -856,7 +848,7 @@ func (c *Conn) delAckBody(ctx *exec.Ctx) {
 
 func (c *Conn) enqueueRecv(s *skb.SKB) {
 	c.rcvNxt = s.End()
-	c.recvQ = append(c.recvQ, s)
+	c.recvQ.Push(s)
 	c.recvQBytes += s.Len
 	c.stats.DeliveredBytes += s.Len
 	c.tuneAcc += s.Len
@@ -969,18 +961,11 @@ func (c *Conn) Readable() units.Bytes { return c.recvQBytes }
 func (c *Conn) Read(ctx *exec.Ctx, max units.Bytes) []*skb.SKB {
 	out := c.readOut[:0]
 	var taken units.Bytes
-	for c.rqHead < len(c.recvQ) && taken < max {
-		s := c.recvQ[c.rqHead]
-		c.recvQ[c.rqHead] = nil
-		c.rqHead++
+	for c.recvQ.Len() > 0 && taken < max {
+		s := c.recvQ.Pop()
 		c.recvQBytes -= s.Len
 		taken += s.Len
 		out = append(out, s)
-	}
-	if c.rqHead == len(c.recvQ) {
-		// Drained: rewind so the backing array is reused from the front.
-		c.recvQ = c.recvQ[:0]
-		c.rqHead = 0
 	}
 	c.readOut = out
 	if len(out) == 0 {

@@ -8,6 +8,7 @@ package wire
 import (
 	"time"
 
+	"hostsim/internal/fifo"
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
 	"hostsim/internal/units"
@@ -66,12 +67,9 @@ type Link struct {
 	deliverEv    func(any)                        // bound deliverFrame, allocated once
 
 	// Frames past the switch but not yet delivered (serializing or
-	// propagating), oldest first: ring[head] onward, inflightFrames of
-	// them, in a circular buffer whose length is a power of two. Only
-	// ring[head] has a pending engine event. The two counters are
-	// audited by the conservation checker.
-	ring            []inflight
-	head            int
+	// propagating), oldest first. Only the front has a pending engine
+	// event. The two counters are audited by the conservation checker.
+	ring            fifo.Ring[inflight]
 	inflightFrames  int64
 	inflightPayload units.Bytes
 }
@@ -203,26 +201,12 @@ func (l *Link) Send(f *skb.Frame) {
 		return // consumed wire time, then died at the switch
 	}
 	it := inflight{f: f, at: l.nextFree.Add(l.delay), seq: l.eng.ReserveSeq()}
-	n := int(l.inflightFrames)
-	if n == len(l.ring) {
-		l.grow()
-	}
-	l.ring[(l.head+n)&(len(l.ring)-1)] = it
+	l.ring.Push(it)
 	l.inflightFrames++
 	l.inflightPayload += f.Len
-	if n == 0 {
+	if l.ring.Len() == 1 {
 		l.eng.AtArgSeq(it.at, it.seq, l.deliverEv, nil)
 	}
-}
-
-// grow doubles the ring, unwrapping it so the head lands at index 0.
-func (l *Link) grow() {
-	ring := make([]inflight, max(16, 2*len(l.ring)))
-	for i := 0; i < int(l.inflightFrames); i++ {
-		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
-	}
-	l.ring = ring
-	l.head = 0
 }
 
 // deliverFrame is the wire-delivery event for the ring's head. It pops the
@@ -232,14 +216,12 @@ func (l *Link) grow() {
 // f.Len here equals its value at Send — but it is read before l.deliver,
 // which may recycle f.
 func (l *Link) deliverFrame(any) {
-	f := l.ring[l.head].f
-	l.ring[l.head] = inflight{}
-	l.head = (l.head + 1) & (len(l.ring) - 1)
+	f := l.ring.Pop().f
 	pl := f.Len
 	l.inflightFrames--
 	l.inflightPayload -= pl
-	if l.inflightFrames > 0 {
-		nx := &l.ring[l.head]
+	if l.ring.Len() > 0 {
+		nx := l.ring.Front()
 		l.eng.AtArgSeq(nx.at, nx.seq, l.deliverEv, nil)
 	}
 	l.stats.Delivered++

@@ -37,7 +37,10 @@ bench:
 # data-path trace, telemetry) and a buffered 8-host fabric incast (fabric
 # report, time series, trace). A third traces one flow's data-path events
 # (-trace-flow 1, which records no execution spans). One artifactcheck call then checks
-# every file they write; probe traces and folded stacks only need content.
+# every file they write; folded stacks, which have no checker, only need content.
+# The last lines require netsim to reject flag combinations that would
+# drop or misplace an artifact: -seeds with an output, and "-" (stdout)
+# on a flag that only writes files.
 SMOKE := /tmp/hostsim-smoke
 smoke:
 	$(GO) run ./cmd/netsim -workload rpc -rpcclients 8 -rpcsize 65536 \
@@ -51,14 +54,15 @@ smoke:
 		-fabric-report $(SMOKE).fab.csv -fabric-ts-out $(SMOKE).fabts.csv \
 		-fabric-trace-out $(SMOKE).fab.json > /dev/null
 	$(GO) run ./cmd/netsim -warmup 2ms -dur 5ms -seed 7 -trace-flow 1 -trace-out $(SMOKE).flow.json > /dev/null
-	test -s $(SMOKE).probe.jsonl && test -s $(SMOKE).folded
-	$(GO) run ./cmd/artifactcheck $(SMOKE).pb.gz $(SMOKE).pcapng $(SMOKE).ss.csv \
+	test -s $(SMOKE).folded
+	$(GO) run ./cmd/artifactcheck $(SMOKE).pb.gz $(SMOKE).pcapng $(SMOKE).probe.jsonl $(SMOKE).ss.csv \
 		$(SMOKE).spans.json $(SMOKE).tail.txt $(SMOKE).trace.json $(SMOKE).telemetry.jsonl \
 		$(SMOKE).fab.csv $(SMOKE).fabts.csv $(SMOKE).fab.json $(SMOKE).flow.json
 	$(GO) run ./cmd/figures -only fig3a,fig3e,fig3f -format csv -jobs 2 > $(SMOKE).fig3.csv && test -s $(SMOKE).fig3.csv
 	rm -f $(SMOKE).seeds.csv
 	! $(GO) run ./cmd/netsim -seeds 2 -telemetry-out $(SMOKE).seeds.csv
 	test ! -e $(SMOKE).seeds.csv
+	! $(GO) run ./cmd/netsim -probe-out -
 
 # fuzz-smoke is the CI fuzz gate: short coverage-guided walks of the
 # configuration space with the conservation-law checker as the oracle.

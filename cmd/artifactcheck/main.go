@@ -2,12 +2,13 @@
 // file's kind from its content and runs the check that sits beside that
 // format's writer:
 //
-//	gzip magic                          cycle profile   profile.CheckPprof
-//	pcapng section header               packet capture  inspect.CheckPcap
-//	[                                   Chrome trace    mtrace.CheckSpans
-//	port,host,in_frames, or {"type":    fabric report   fabricobs.CheckReport
-//	time_ns or {"names":                timeline        telemetry.CheckTimeline
-//	messages N                          tail report     mtrace.CheckTailReport
+//	gzip magic                                cycle profile   profile.CheckPprof
+//	pcapng section header                     packet capture  inspect.CheckPcap
+//	[                                         Chrome trace    mtrace.CheckSpans
+//	port,host,in_frames, or {"type":          fabric report   fabricobs.CheckReport
+//	time_ns,host,flow,event, or {"time_ns":   probe trace     inspect.CheckProbe
+//	time_ns or {"names":                      timeline        telemetry.CheckTimeline
+//	messages N                                tail report     mtrace.CheckTailReport
 //
 // Content of any other kind is an error. Each fabric report is also
 // cross-checked against every timeline of the same call
@@ -41,6 +42,7 @@ var kinds = []kind{
 	{"packet capture", []string{"\x0a\x0d\x0d\x0a"}, inspect.CheckPcap},
 	{"Chrome trace", []string{"["}, mtrace.CheckSpans},
 	{"fabric report", []string{"port,host,in_frames,", `{"type":`}, fabricobs.CheckReport},
+	{"probe trace", []string{"time_ns,host,flow,event,", `{"time_ns":`}, inspect.CheckProbe}, // before timeline: same time_ns prefix
 	{"timeline", []string{"time_ns", `{"names":`}, telemetry.CheckTimeline},
 	{"tail report", []string{"messages "}, mtrace.CheckTailReport},
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,15 +17,17 @@ import (
 	"hostsim"
 )
 
-// artifacts holds the files netsim would export for one lossy RPC pair
-// and one buffered fabric incast, keyed by a short name.
+// artifacts renders every artifact of one lossy RPC pair and one buffered
+// fabric incast, each with every observer it can arm, in both encodings
+// where an artifact has two: keyed by name, the JSON lines under
+// name+".jsonl".
 func artifacts(t *testing.T) map[string][]byte {
 	t.Helper()
 	pair, err := hostsim.Run(hostsim.Config{
 		Stack: hostsim.AllOptimizations(), Seed: 7, LossRate: 0.01,
 		Warmup: time.Millisecond, Duration: 3 * time.Millisecond,
 		Profile:     &hostsim.ProfileOptions{},
-		Inspect:     &hostsim.InspectOptions{Pcap: true},
+		Inspect:     &hostsim.InspectOptions{},
 		MsgTrace:    &hostsim.MsgTraceOptions{},
 		Telemetry:   &hostsim.Telemetry{},
 		TraceEvents: 1 << 12, TraceSpans: true,
@@ -42,26 +45,30 @@ func artifacts(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	a := make(map[string][]byte)
-	for name, write := range map[string]func(io.Writer) error{
-		"profile":      pair.WritePprof,
-		"pcap":         pair.WritePcap,
-		"spans":        pair.WriteSpans,
-		"tail":         pair.WriteTailReport,
-		"trace":        pair.WriteChromeTrace,
-		"timeline":     pair.Timeline.WriteCSV,
-		"report":       fab.WriteFabricReport,
-		"report.jsonl": fab.WriteFabricReportJSONL,
-		"fabric trace": fab.WriteFabricTrace,
-		"series":       fab.FabricTimeline.WriteJSONL,
-	} {
+	render := func(name string, write func(io.Writer) error) {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if _, dup := a[name]; dup {
+			t.Fatalf("two runs list %s", name)
+		}
 		a[name] = buf.Bytes()
+	}
+	for _, r := range []*hostsim.Result{pair, fab} {
+		for _, art := range r.Artifacts() {
+			render(art.Name, art.Write)
+			if art.JSONL != nil {
+				render(art.Name+".jsonl", art.JSONL)
+			}
+		}
 	}
 	return a
 }
+
+// unchecked names the one artifact no check covers: folded stacks are
+// free-form flamegraph.pl input.
+const unchecked = "folded"
 
 // dropEvent removes the first trace event whose JSON contains substr.
 func dropEvent(t *testing.T, trace []byte, substr string) []byte {
@@ -87,11 +94,16 @@ func dropEvent(t *testing.T, trace []byte, substr string) []byte {
 func TestCheckFiles(t *testing.T) {
 	a := artifacts(t)
 	var clean [][]byte
-	for _, data := range a {
-		clean = append(clean, data)
+	for name, data := range a {
+		if name != unchecked {
+			clean = append(clean, data)
+		}
+	}
+	if _, ok := a[unchecked]; !ok {
+		t.Errorf("the fixture lists no %s artifact to exempt", unchecked)
 	}
 
-	lines := strings.Split(string(a["report"]), "\n")
+	lines := strings.Split(string(a["fabric-report"]), "\n")
 	f := strings.Split(lines[1], ",")
 	fwd, _ := strconv.Atoi(f[3])
 	f[3] = strconv.Itoa(fwd + 1)
@@ -101,9 +113,13 @@ func TestCheckFiles(t *testing.T) {
 	badBlock := bytes.Clone(a["pcap"])
 	binary.LittleEndian.PutUint32(badBlock[4:], 13)
 
-	rows := strings.Split(string(a["timeline"]), "\n")
+	rows := strings.Split(string(a["telemetry"]), "\n")
 	rows[1], rows[2] = rows[2], rows[1]
 	backInTime := []byte(strings.Join(rows, "\n"))
+
+	probe := strings.SplitAfter(string(a["probe"]), "\n")
+	rewound := "0" + probe[1][strings.Index(probe[1], ","):] // the same connection at time 0
+	probeBackInTime := []byte(strings.Join(slices.Insert(probe, 2, rewound), ""))
 
 	for _, c := range []struct {
 		name  string
@@ -115,13 +131,17 @@ func TestCheckFiles(t *testing.T) {
 		{"dropped stage slice", [][]byte{dropEvent(t, a["spans"], `"cat":"stage"`)}, "stage slices, want 8"},
 		{"bad pcapng block length", [][]byte{badBlock}, "bad block length 13"},
 		{"timeline going back in time", [][]byte{backInTime}, "not after"},
-		{"unnamed pid", [][]byte{dropEvent(t, a["trace"], `"process_name"`)}, "before its process_name"},
-		{"truncated profile", [][]byte{a["profile"][:len(a["profile"])/2]}, "profile:"},
+		{"unnamed pid", [][]byte{dropEvent(t, a["chrome"], `"process_name"`)}, "before its process_name"},
+		{"truncated profile", [][]byte{a["pprof"][:len(a["pprof"])/2]}, "profile:"},
 		{"tail report without a band", [][]byte{bytes.Replace(a["tail"], []byte("\np999-max "), []byte("\n"), 1)},
 			"lacks the p999-max band row"},
-		{"unknown file kind", [][]byte{[]byte("sender;softirq;data_copy 42\n")}, "unknown artifact kind"},
-		{"series without a port's backlog", [][]byte{a["report"],
-			bytes.Replace(a["series"], []byte("port001/backlog_bytes"), []byte("port001/backlog"), 1)},
+		{"unknown file kind", [][]byte{a[unchecked]}, "unknown artifact kind"},
+		{"probe going back in time", [][]byte{probeBackInTime}, "before"},
+		{"probe event unknown", [][]byte{bytes.Replace(a["probe.jsonl"], []byte(`"event":"ack"`), []byte(`"event":"sack"`), 1)},
+			`unknown event "sack"`},
+		{"probe row short a column", [][]byte{bytes.Replace(a["probe"], []byte(",ack,"), []byte(",ack"), 1)}, "10 columns, want 11"},
+		{"series without a port's backlog", [][]byte{a["fabric-report"],
+			bytes.Replace(a["fabric-timeline.jsonl"], []byte("port001/backlog_bytes"), []byte("port001/backlog"), 1)},
 			"lacks port001/backlog_bytes"},
 	} {
 		dir := t.TempDir()

@@ -20,6 +20,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -71,7 +72,7 @@ func main() {
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto); implies -trace 65536, and records execution spans unless -trace-flow is set")
 
 		pcapOut  = flag.String("pcap-out", "", "write a Wireshark-readable pcapng capture of both link directions")
-		probeOut = flag.String("probe-out", "", "write tcp_probe-style congestion traces (JSONL, or CSV with a .csv suffix)")
+		probeOut = flag.String("probe-out", "", "write tcp_probe-style congestion traces (CSV, or JSONL with a .jsonl suffix)")
 		ssOut    = flag.String("ss-out", "", "write ss-style socket/queue snapshots (CSV, or JSONL with a .jsonl suffix)")
 		ssEvery  = flag.Duration("ss-interval", 100*time.Microsecond, "simulated time between socket snapshots")
 
@@ -169,104 +170,19 @@ func main() {
 	if *latBreak {
 		fmt.Printf("\n--- per-packet latency breakdown ---\n%s", res.LatencyBreakdown.Format())
 	}
-	if *profileOut != "" {
-		writeOutput("profile-out", *profileOut, res.WritePprof)
-		fmt.Printf("\ncycle profile: %d stacks -> %s (go tool pprof -top %s)\n",
-			len(res.CycleProfile), *profileOut, *profileOut)
-	}
-	if *foldedOut != "" {
-		writeOutput("folded-out", *foldedOut, res.WriteFolded)
-		fmt.Printf("folded stacks: %d -> %s (flamegraph.pl %s > flame.svg)\n",
-			len(res.CycleProfile), *foldedOut, *foldedOut)
-	}
-	if *telemetryOut != "" {
-		writeOutput("telemetry-out", *telemetryOut, func(w io.Writer) error {
-			if strings.HasSuffix(*telemetryOut, ".jsonl") {
-				return res.Timeline.WriteJSONL(w)
-			}
-			return res.Timeline.WriteCSV(w)
-		})
-		fmt.Printf("\ntelemetry: %d samples x %d metrics -> %s\n",
-			res.Timeline.Len(), len(res.Timeline.Names), *telemetryOut)
-	}
-	if *pcapOut != "" {
-		writeOutput("pcap-out", *pcapOut, res.WritePcap)
-		total, truncated := 0, int64(0)
-		for _, c := range res.PacketCaptures {
-			total += c.Packets()
-			truncated += c.Truncated()
+	arts := res.Artifacts()
+	for _, o := range outputs {
+		path := flag.Lookup(o.flag).Value.String()
+		switch {
+		case path == "":
+		case path == "-":
+			fmt.Print(o.stdout(res))
+		default:
+			writeOutput(o.flag, path, writerFor(arts, o.artifact, path))
+			fmt.Print(o.report(res, path))
 		}
-		fmt.Printf("\npcap: %d packets on %d interfaces -> %s (tshark -r %s)\n",
-			total, len(res.PacketCaptures), *pcapOut, *pcapOut)
-		if truncated > 0 {
-			fmt.Printf("pcap: %d packets beyond the capture bound were dropped\n", truncated)
-		}
-	}
-	if *probeOut != "" {
-		writeOutput("probe-out", *probeOut, func(w io.Writer) error {
-			if strings.HasSuffix(*probeOut, ".csv") {
-				return res.WriteProbeCSV(w)
-			}
-			return res.WriteProbeJSONL(w)
-		})
-		fmt.Printf("tcp_probe: %d records -> %s\n", res.ProbeTrace.Len(), *probeOut)
-	}
-	if *ssOut != "" {
-		writeOutput("ss-out", *ssOut, func(w io.Writer) error {
-			if strings.HasSuffix(*ssOut, ".jsonl") {
-				return res.SocketSnapshots.WriteJSONL(w)
-			}
-			return res.WriteSocketCSV(w)
-		})
-		fmt.Printf("ss snapshots: %d samples x %d metrics -> %s\n",
-			res.SocketSnapshots.Len(), len(res.SocketSnapshots.Names), *ssOut)
-	}
-	if *tailReport != "" {
-		if *tailReport == "-" {
-			fmt.Printf("\n--- message tail-latency attribution ---\n%s", res.MessageLatency.Format())
-		} else {
-			writeOutput("tail-report", *tailReport, res.WriteTailReport)
-			fmt.Printf("tail report: %d messages -> %s\n", res.MessageLatency.Count, *tailReport)
-		}
-	}
-	if *mtraceOut != "" {
-		writeOutput("mtrace-out", *mtraceOut, res.WriteSpans)
-		fmt.Printf("message spans: %d traced, slowest %d -> %s (open in https://ui.perfetto.dev)\n",
-			res.MessageLatency.Count, *slowest, *mtraceOut)
-	}
-	if *fabReport != "" {
-		if *fabReport == "-" {
-			fmt.Printf("\n--- fabric attribution ledger ---\n%s", res.FormatFabricReport())
-		} else {
-			writeOutput("fabric-report", *fabReport, func(w io.Writer) error {
-				if strings.HasSuffix(*fabReport, ".jsonl") {
-					return res.WriteFabricReportJSONL(w)
-				}
-				return res.WriteFabricReport(w)
-			})
-			fmt.Printf("fabric report: %d ports, %d bursts -> %s\n",
-				len(res.PortReports), len(res.BurstEvents), *fabReport)
-		}
-	}
-	if *fabTSOut != "" {
-		writeOutput("fabric-ts-out", *fabTSOut, func(w io.Writer) error {
-			if strings.HasSuffix(*fabTSOut, ".jsonl") {
-				return res.FabricTimeline.WriteJSONL(w)
-			}
-			return res.FabricTimeline.WriteCSV(w)
-		})
-		fmt.Printf("fabric timeline: %d samples x %d metrics -> %s\n",
-			res.FabricTimeline.Len(), len(res.FabricTimeline.Names), *fabTSOut)
-	}
-	if *fabTrace != "" {
-		writeOutput("fabric-trace-out", *fabTrace, res.WriteFabricTrace)
-		fmt.Printf("fabric trace: %d ports, %d bursts -> %s (open in https://ui.perfetto.dev)\n",
-			len(res.PortReports), len(res.BurstEvents), *fabTrace)
 	}
 	if *traceOut != "" {
-		writeOutput("trace-out", *traceOut, res.WriteChromeTrace)
-		fmt.Printf("chrome trace: %d events -> %s (open in https://ui.perfetto.dev)\n",
-			len(res.Trace), *traceOut)
 		return // -trace-out implies -trace; skip the text dump
 	}
 	if len(res.Trace) > 0 {
@@ -275,6 +191,91 @@ func main() {
 			fmt.Printf("%-12v %-8s core%-3d flow%-4d %-11s a=%d b=%d\n",
 				e.At, e.Host, e.Core, e.Flow, e.Kind, e.A, e.B)
 		}
+	}
+}
+
+// output is one flag that names a file: the artifact of
+// hostsim.Result.Artifacts it writes there, and the line netsim prints
+// after writing it. stdout, when set, renders the report the flag prints
+// for the path "-" instead.
+type output struct {
+	flag, artifact string
+	report         func(r *hostsim.Result, path string) string
+	stdout         func(r *hostsim.Result) string
+}
+
+// outputs lists every output flag in the order netsim writes them.
+var outputs = []output{
+	{flag: "profile-out", artifact: "pprof", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("\ncycle profile: %d stacks -> %s (go tool pprof -top %s)\n", len(r.CycleProfile), p, p)
+	}},
+	{flag: "folded-out", artifact: "folded", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("folded stacks: %d -> %s (flamegraph.pl %s > flame.svg)\n", len(r.CycleProfile), p, p)
+	}},
+	{flag: "telemetry-out", artifact: "telemetry", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("\ntelemetry: %d samples x %d metrics -> %s\n", r.Timeline.Len(), len(r.Timeline.Names), p)
+	}},
+	{flag: "pcap-out", artifact: "pcap", report: func(r *hostsim.Result, p string) string {
+		total, truncated := 0, int64(0)
+		for _, c := range r.PacketCaptures {
+			total, truncated = total+c.Packets(), truncated+c.Truncated()
+		}
+		s := fmt.Sprintf("\npcap: %d packets on %d interfaces -> %s (tshark -r %s)\n", total, len(r.PacketCaptures), p, p)
+		if truncated > 0 {
+			s += fmt.Sprintf("pcap: %d packets beyond the capture bound were dropped\n", truncated)
+		}
+		return s
+	}},
+	{flag: "probe-out", artifact: "probe", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("tcp_probe: %d records -> %s\n", r.ProbeTrace.Len(), p)
+	}},
+	{flag: "ss-out", artifact: "ss", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("ss snapshots: %d samples x %d metrics -> %s\n", r.SocketSnapshots.Len(), len(r.SocketSnapshots.Names), p)
+	}},
+	{flag: "tail-report", artifact: "tail", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("tail report: %d messages -> %s\n", r.MessageLatency.Count, p)
+	}, stdout: func(r *hostsim.Result) string {
+		return "\n--- message tail-latency attribution ---\n" + r.MessageLatency.Format()
+	}},
+	{flag: "mtrace-out", artifact: "spans", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("message spans: %d traced, slowest %v -> %s (open in https://ui.perfetto.dev)\n",
+			r.MessageLatency.Count, flag.Lookup("slowest").Value, p)
+	}},
+	{flag: "fabric-report", artifact: "fabric-report", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("fabric report: %d ports, %d bursts -> %s\n", len(r.PortReports), len(r.BurstEvents), p)
+	}, stdout: func(r *hostsim.Result) string {
+		return "\n--- fabric attribution ledger ---\n" + r.FormatFabricReport()
+	}},
+	{flag: "fabric-ts-out", artifact: "fabric-timeline", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("fabric timeline: %d samples x %d metrics -> %s\n", r.FabricTimeline.Len(), len(r.FabricTimeline.Names), p)
+	}},
+	{flag: "fabric-trace-out", artifact: "fabric-trace", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("fabric trace: %d ports, %d bursts -> %s (open in https://ui.perfetto.dev)\n", len(r.PortReports), len(r.BurstEvents), p)
+	}},
+	{flag: "trace-out", artifact: "chrome", report: func(r *hostsim.Result, p string) string {
+		return fmt.Sprintf("chrome trace: %d events -> %s (open in https://ui.perfetto.dev)\n", len(r.Trace), p)
+	}},
+}
+
+// outputFor returns the output row of the named flag, or nil.
+func outputFor(name string) *output {
+	if i := slices.IndexFunc(outputs, func(o output) bool { return o.flag == name }); i >= 0 {
+		return &outputs[i]
+	}
+	return nil
+}
+
+// writerFor returns the writer of the named artifact for path: its JSON
+// lines when path ends in .jsonl and it has them, its primary encoding
+// otherwise. The writer fails if the run lists no such artifact.
+func writerFor(arts []hostsim.Artifact, name, path string) func(io.Writer) error {
+	switch i := slices.IndexFunc(arts, func(a hostsim.Artifact) bool { return a.Name == name }); {
+	case i < 0:
+		return func(io.Writer) error { return fmt.Errorf("run lists no %s artifact", name) }
+	case arts[i].JSONL != nil && strings.HasSuffix(path, ".jsonl"):
+		return arts[i].JSONL
+	default:
+		return arts[i].Write
 	}
 }
 
@@ -294,24 +295,24 @@ func writeOutput(flagName, path string, write func(io.Writer) error) {
 	}
 }
 
-// isOutputFlag reports whether the named flag names an output file: its
-// name ends in -out, or it is -tail-report or -fabric-report.
-func isOutputFlag(name string) bool {
-	return strings.HasSuffix(name, "-out") || name == "tail-report" || name == "fabric-report"
-}
-
-// checkOutputDirs fails typoed output paths before the run, not after:
-// every output flag set to a path other than "-" (stdout) requires its
-// parent directory to exist already.
+// checkOutputDirs fails bad output paths before the run, not after. "-"
+// is stdout for the flags that print a report there and an error for
+// every other output flag; any other path requires its parent directory
+// to exist already.
 func checkOutputDirs(fs *flag.FlagSet) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
-		path := f.Value.String()
-		if err != nil || !isOutputFlag(f.Name) || path == "" || path == "-" {
-			return
-		}
-		if fi, serr := os.Stat(filepath.Dir(path)); serr != nil || !fi.IsDir() {
-			err = fmt.Errorf("-%s %s: directory %s does not exist", f.Name, path, filepath.Dir(path))
+		o, path := outputFor(f.Name), f.Value.String()
+		switch {
+		case err != nil, o == nil, path == "":
+		case path == "-":
+			if o.stdout == nil {
+				err = fmt.Errorf("-%s -: only -tail-report and -fabric-report print to stdout; name a file", f.Name)
+			}
+		default:
+			if fi, serr := os.Stat(filepath.Dir(path)); serr != nil || !fi.IsDir() {
+				err = fmt.Errorf("-%s %s: directory %s does not exist", f.Name, path, filepath.Dir(path))
+			}
 		}
 	})
 	return err
@@ -346,7 +347,7 @@ func checkSeeds(fs *flag.FlagSet) error {
 	fs.Visit(func(f *flag.Flag) {
 		switch {
 		case err != nil:
-		case isOutputFlag(f.Name), f.Name == "latency-breakdown", f.Name == "trace", f.Name == "trace-flow":
+		case outputFor(f.Name) != nil, f.Name == "latency-breakdown", f.Name == "trace", f.Name == "trace-flow":
 			err = fmt.Errorf("-seeds %d cannot be combined with -%s", n, f.Name)
 		}
 	})

@@ -4,7 +4,10 @@ import (
 	"flag"
 	"io"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"hostsim"
 )
 
 func TestTraceConfig(t *testing.T) {
@@ -70,6 +73,8 @@ func TestCheckOutputDirs(t *testing.T) {
 			"-pcap-out " + filepath.Join(missing, "x.pcapng") + ": directory " + missing + " does not exist"},
 		{[]string{"-tail-report", filepath.Join(missing, "tail.txt")},
 			"-tail-report " + filepath.Join(missing, "tail.txt") + ": directory " + missing + " does not exist"},
+		{[]string{"-probe-out", "-"}, "-probe-out -: only -tail-report and -fabric-report print to stdout; name a file"},
+		{[]string{"-tail-report", "-", "-pcap-out", "-"}, "-pcap-out -: only -tail-report and -fabric-report print to stdout; name a file"},
 	} {
 		fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -77,6 +82,7 @@ func TestCheckOutputDirs(t *testing.T) {
 		fs.String("pcap-out", "", "")
 		fs.String("tail-report", "", "")
 		fs.String("fabric-report", "", "")
+		fs.String("probe-out", "", "")
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatal(err)
 		}
@@ -86,6 +92,36 @@ func TestCheckOutputDirs(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("%v: got %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
+// TestWriterFor checks the one suffix rule: a .jsonl path takes an
+// artifact's JSON lines when it has them, any other path its primary
+// encoding, and a missing artifact fails the write.
+func TestWriterFor(t *testing.T) {
+	emit := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	arts := []hostsim.Artifact{
+		{Name: "probe", Write: emit("csv"), JSONL: emit("jsonl")},
+		{Name: "pcap", Write: emit("pcapng")},
+	}
+	for _, tc := range []struct{ name, path, want string }{
+		{"probe", "p.csv", "csv"},
+		{"probe", "p.txt", "csv"},
+		{"probe", "p.jsonl", "jsonl"},
+		{"pcap", "c.jsonl", "pcapng"},
+		{"ss", "s.csv", "run lists no ss artifact"},
+	} {
+		var b strings.Builder
+		err := writerFor(arts, tc.name, tc.path)(&b)
+		got := b.String()
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%s to %s: got %q, want %q", tc.name, tc.path, got, tc.want)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package hostsim_test
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -124,27 +122,23 @@ func TestFabricObsLedgerReconciliation(t *testing.T) {
 func fabObsArtifacts(t *testing.T, r *hostsim.Result) string {
 	t.Helper()
 	var sb strings.Builder
-	var report, ts bytes.Buffer
+	report, ts := artifact(t, r, "fabric-report"), artifact(t, r, "fabric-timeline")
 	for _, step := range []struct {
 		name  string
-		buf   *bytes.Buffer
-		write func(io.Writer) error
+		data  []byte
 		check func([]byte) (string, error)
 	}{
-		{"report", &report, r.WriteFabricReport, fabricobs.CheckReport},
-		{"jsonl", new(bytes.Buffer), r.WriteFabricReportJSONL, fabricobs.CheckReport},
-		{"trace", new(bytes.Buffer), r.WriteFabricTrace, mtrace.CheckSpans},
-		{"ts", &ts, r.FabricTimeline.WriteCSV, telemetry.CheckTimeline},
+		{"report", report, fabricobs.CheckReport},
+		{"jsonl", artifactJSONL(t, r, "fabric-report"), fabricobs.CheckReport},
+		{"trace", artifact(t, r, "fabric-trace"), mtrace.CheckSpans},
+		{"ts", ts, telemetry.CheckTimeline},
 	} {
-		if err := step.write(step.buf); err != nil {
+		if _, err := step.check(step.data); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
-		if _, err := step.check(step.buf.Bytes()); err != nil {
-			t.Fatalf("%s: %v", step.name, err)
-		}
-		sb.Write(step.buf.Bytes())
+		sb.Write(step.data)
 	}
-	if err := fabricobs.CheckSeries(report.Bytes(), ts.Bytes()); err != nil {
+	if err := fabricobs.CheckSeries(report, ts); err != nil {
 		t.Fatal(err)
 	}
 	sb.WriteString(r.FormatFabricReport())
@@ -202,13 +196,12 @@ func TestFabricObsRejects(t *testing.T) {
 	if _, err := hostsim.Run(neg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)); err == nil {
 		t.Error("negative FabricObs option: expected an error")
 	}
-	// Writers on a run without the observatory must error, not panic.
+	// A run without the observatory lists none of its artifacts.
 	plain, err := hostsim.Run(fabCfg(4), hostsim.LongFlowWorkload(hostsim.PatternIncast, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := plain.WriteFabricReport(&sb); err == nil {
-		t.Error("WriteFabricReport without FabricObs: expected an error")
+	if arts := plain.Artifacts(); len(arts) != 0 {
+		t.Errorf("run without FabricObs lists %d artifacts, first %s", len(arts), arts[0].Name)
 	}
 }

@@ -1,8 +1,11 @@
 package hostsim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -142,7 +145,7 @@ type rawRun struct {
 	Alpha          float64
 	Names          uint8  // HostNames mode: see names
 	ObsBits        uint16 // which observers are armed
-	Obs            []byte // int8 observer bounds and intervals; bytes 0, 1, 5-8, 10, 13 and 15-17 are unread
+	Obs            []byte // int8 observer bounds and intervals; byte 0 masks the superset's observers; bytes 1, 5-8, 10, 13 and 15-17 are unread
 	BurstKB        int64
 }
 
@@ -274,8 +277,11 @@ func (r rawRun) names(h int) []string {
 // oracle: Run returns a result or an error and never panics, a fail-fast
 // checker failure is a bug, a collecting checker reports no violations,
 // a run with observers armed measures exactly what it measures with
-// every observer off, and both runs measure the same through RunMany on
-// two workers as serially. `go test -fuzz=FuzzRunRaw .` hunts open-ended; CI
+// every observer off, a run with a superset of its observers armed (see
+// superset; Obs byte 0 draws which) measures the same and writes every
+// artifact the run wrote byte for byte, and the run and its observers-off
+// twin measure the same through RunMany on two workers as serially.
+// `go test -fuzz=FuzzRunRaw .` hunts open-ended; CI
 // smokes it briefly beside FuzzConfig.
 //
 // Reproduce a crasher with:
@@ -354,6 +360,32 @@ func FuzzRunRaw(f *testing.F) {
 				t.Fatalf("observers changed the run:\n observed: %s\n     bare: %s\nconfig: %+v\nworkload: %+v", a, b, cfg, wl)
 			}
 		}
+		// Composition: arming more observers changes neither what the run
+		// measured nor any artifact it wrote, in either encoding.
+		var skip byte
+		if len(obs) > 0 {
+			skip = obs[0]
+		}
+		if sup, added := superset(cfg, skip); added {
+			supRes, err := Run(sup, wl)
+			if err != nil {
+				t.Fatalf("observer superset: %v\nconfig: %+v\nworkload: %+v", err, sup, wl)
+			}
+			if a, b := fingerprint(res), fingerprint(supRes); a != b {
+				t.Fatalf("more observers changed the run:\n     run: %s\nsuperset: %s\nconfig: %+v\nworkload: %+v", a, b, cfg, wl)
+			}
+			more := map[string]Artifact{}
+			for _, a := range supRes.Artifacts() {
+				more[a.Name] = a
+			}
+			for _, a := range res.Artifacts() {
+				m, ok := more[a.Name]
+				if !ok || !bytes.Equal(render(t, a.Name, a.Write), render(t, a.Name, m.Write)) ||
+					a.JSONL != nil && !bytes.Equal(render(t, a.Name, a.JSONL), render(t, a.Name, m.JSONL)) {
+					t.Fatalf("more observers changed the %s artifact\nconfig: %+v\nworkload: %+v", a.Name, cfg, wl)
+				}
+			}
+		}
 		// Determinism at any -jobs: the run and its observers-off twin,
 		// side by side on two workers, measure what they did serially.
 		par, err := RunMany([]Job{{Config: cfg, Workload: wl}, {Config: bare, Workload: wl}}, WithParallelism(2))
@@ -366,6 +398,56 @@ func FuzzRunRaw(f *testing.F) {
 			}
 		}
 	})
+}
+
+// superset returns cfg with more observers armed, and says whether it
+// added any. Each observer cfg leaves off is armed at its default
+// options unless its bit in skip is set (bit 0 check, then telemetry,
+// inspect, profile, msgtrace, fabricobs and trace), and an armed
+// inspector captures everything. It keeps the options of the observers
+// cfg arms, which shape their artifacts, and leaves out what Run would
+// reject: pcap on more than 2 hosts, FabricObs without a fabric,
+// execution spans under a TraceFlow, and a tracer under a negative one.
+func superset(cfg Config, skip byte) (Config, bool) {
+	s := cfg
+	add := func(bit uint) bool { return skip&(1<<bit) == 0 }
+	if s.Check == nil && add(0) {
+		s.Check = &CheckOptions{}
+	}
+	if s.Telemetry == nil && add(1) {
+		s.Telemetry = &Telemetry{}
+	}
+	if add(2) {
+		in := InspectOptions{}
+		if s.Inspect != nil {
+			in = *s.Inspect
+		}
+		in.Pcap, in.Probe, in.SS = s.Fabric == nil || s.Fabric.Hosts <= 2, true, true
+		s.Inspect = &in
+	}
+	if s.Profile == nil && add(3) {
+		s.Profile = &ProfileOptions{}
+	}
+	if s.MsgTrace == nil && add(4) {
+		s.MsgTrace = &MsgTraceOptions{}
+	}
+	if s.FabricObs == nil && s.Fabric != nil && add(5) {
+		s.FabricObs = &FabricObsOptions{}
+	}
+	if s.TraceEvents == 0 && !s.TraceSpans && s.TraceFlow >= 0 && add(6) {
+		s.TraceEvents, s.TraceSpans = 1<<12, s.TraceFlow == 0
+	}
+	return s, !reflect.DeepEqual(s, cfg)
+}
+
+// render writes one encoding of the named artifact into memory.
+func render(t *testing.T, name string, write func(io.Writer) error) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := write(&b); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return b.Bytes()
 }
 
 // fingerprint renders what a run measured, for the transparency oracle:

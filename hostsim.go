@@ -176,7 +176,7 @@ type Config struct {
 
 	// TraceSpans additionally records per-core execution spans (softirq
 	// and thread work items with their dominant Table-1 category) into
-	// the trace; Result.WriteChromeTrace renders them for Perfetto.
+	// the trace; the chrome entry of Result.Artifacts renders them.
 	// Requires TraceEvents > 0 and TraceFlow 0: span events carry flow
 	// id 0, so a flow filter would drop every one of them, and Run
 	// rejects the combination.
@@ -185,10 +185,10 @@ type Config struct {
 	// Profile, when non-nil, attaches the simulated-cycle profiler: every
 	// charged cycle is attributed to a host;softirq|thread;category;class
 	// stack and every delivered packet's lifecycle latency is tracked
-	// (Result.CycleProfile, Result.LatencyBreakdown, Result.WritePprof,
-	// Result.WriteFolded). Profiling starts at the measurement window,
-	// like all other accounting. A nil Profile allocates no profiler
-	// state and costs nothing on the hot path, like a nil tracer.
+	// (Result.CycleProfile, Result.LatencyBreakdown, and the pprof and
+	// folded entries of Result.Artifacts). Profiling starts at the
+	// measurement window, like all other accounting. A nil Profile
+	// allocates no profiler state and costs nothing on the hot path.
 	Profile *ProfileOptions
 
 	// Telemetry, when non-nil, enables the time-resolved metrics layer:
@@ -211,9 +211,9 @@ type Config struct {
 	Check *CheckOptions
 
 	// Inspect, when non-nil, attaches the wire-level inspector: per-link
-	// packet captures serialized as pcapng (Result.WritePcap, readable in
-	// Wireshark), tcp_probe-style congestion traces (Result.ProbeTrace)
-	// and `ss -i`-style socket/queue snapshots (Result.SocketSnapshots).
+	// pcapng captures (Result.Artifacts' pcap, read by Wireshark),
+	// tcp_probe-style congestion traces (Result.ProbeTrace) and
+	// `ss -i`-style socket/queue snapshots (Result.SocketSnapshots).
 	// Every inspector hook is a pure read, so an inspected run follows
 	// the exact trajectory of an uninspected one — Check can stay armed
 	// while capturing. A nil Inspect costs nothing on the hot path.
@@ -254,10 +254,10 @@ type Config struct {
 	// wire, Rx ring, GRO, TCP Rx and socket-queue dwell — is timed from
 	// the write syscall to the read syscall that drains its last byte.
 	// The run's Result gains a tail-attribution report
-	// (Result.MessageLatency, Result.WriteTailReport) decomposing each
+	// (Result.MessageLatency; Result.Artifacts' tail) decomposing each
 	// percentile band of end-to-end latency into per-stage means, and a
-	// slowest-N exemplar export (Result.WriteSpans) as Chrome trace-event
-	// JSON for Perfetto. Tracing covers the whole run including warmup
+	// slowest-N exemplar export (spans) as Chrome trace-event JSON for
+	// Perfetto. Tracing covers the whole run including warmup
 	// (like socket snapshots) and is a pure observer: an armed run is
 	// bit-identical to an unarmed one. A nil MsgTrace costs nothing.
 	MsgTrace *MsgTraceOptions
@@ -623,7 +623,7 @@ type Result struct {
 	// PacketCaptures holds the per-direction packet captures of a 2-host
 	// run when Config.Inspect enabled pcap, one per host's transmissions
 	// in port order (sender->receiver first on the default pair);
-	// serialize them with WritePcap. Nil otherwise.
+	// Result.Artifacts' pcap entry writes them as one pcapng. Nil otherwise.
 	PacketCaptures []*PacketCapture
 
 	// ProbeTrace holds the tcp_probe-style congestion trace when
@@ -655,136 +655,75 @@ type Result struct {
 	// was set, ordered by start time (empty if none, nil when off).
 	BurstEvents []BurstEvent
 
-	traceEvents []trace.Event       // raw events for WriteChromeTrace
-	prof        *profile.Profiler   // backs WritePprof/WriteFolded
-	mt          *mtrace.Tracer      // backs WriteSpans/WriteTailReport
-	fobs        *fabricobs.Observer // backs WriteFabricReport/WriteFabricTrace
+	traceEvents []trace.Event     // raw events for the chrome artifact; non-nil when traced
+	prof        *profile.Profiler // backs the pprof and folded artifacts
+	mt          *mtrace.Tracer    // backs the spans artifact and MessageRecords
 }
 
-// WritePprof writes the cycle profile as a gzipped pprof profile.proto
-// viewable with `go tool pprof` (sample types: cycles, time). Errors
-// unless the run had Config.Profile set.
-func (r *Result) WritePprof(w io.Writer) error {
-	if r.prof == nil {
-		return fmt.Errorf("hostsim: run had no Config.Profile")
-	}
-	return r.prof.WritePprof(w)
+// Artifact is one file a run can write. Write renders its primary
+// encoding; JSONL, when non-nil, renders the same content as JSON lines.
+type Artifact struct {
+	Name         string
+	Write, JSONL func(io.Writer) error
 }
 
-// WriteFolded writes the cycle profile as folded stacks for
-// flamegraph.pl. Errors unless the run had Config.Profile set.
-func (r *Result) WriteFolded(w io.Writer) error {
-	if r.prof == nil {
-		return fmt.Errorf("hostsim: run had no Config.Profile")
+// Artifacts lists the files the run's armed observers can write, built
+// anew on each call, in a fixed order: telemetry (CSV; JSONL), pcap
+// (pcapng, both link directions), probe (CSV; JSONL), ss (CSV; JSONL),
+// folded (stacks for flamegraph.pl), pprof (gzipped profile.proto), tail
+// (MessageLatency.Format), spans (the slowest messages), chrome (the
+// recorded trace), fabric-report (ledger, blank line, bursts: CSV;
+// JSONL), fabric-trace (port queues and bursts) and fabric-timeline (CSV;
+// JSONL). spans, chrome and fabric-trace are Chrome trace-event JSON for
+// Perfetto. An artifact is listed when its observer was armed, even if
+// it recorded nothing: an empty trace writes a valid empty JSON array.
+func (r *Result) Artifacts() []Artifact {
+	var out []Artifact
+	if r.Timeline != nil {
+		out = append(out, Artifact{"telemetry", r.Timeline.WriteCSV, r.Timeline.WriteJSONL})
 	}
-	return r.prof.WriteFolded(w)
-}
-
-// WritePcap writes both packet captures as one Wireshark-readable pcapng
-// file (one interface per link direction, packets in timestamp order,
-// nanosecond resolution). Errors unless the run had Config.Inspect with
-// pcap enabled.
-func (r *Result) WritePcap(w io.Writer) error {
-	if len(r.PacketCaptures) == 0 {
-		return fmt.Errorf("hostsim: run had no Config.Inspect with pcap enabled")
+	if len(r.PacketCaptures) > 0 {
+		out = append(out, Artifact{"pcap", func(w io.Writer) error { return inspect.WritePcap(w, r.PacketCaptures...) }, nil})
 	}
-	return inspect.WritePcap(w, r.PacketCaptures...)
-}
-
-// WriteProbeCSV writes the congestion trace as CSV. Errors unless the run
-// had Config.Inspect with probe tracing enabled.
-func (r *Result) WriteProbeCSV(w io.Writer) error {
-	if r.ProbeTrace == nil {
-		return fmt.Errorf("hostsim: run had no Config.Inspect with probe tracing enabled")
+	if r.ProbeTrace != nil {
+		out = append(out, Artifact{"probe", r.ProbeTrace.WriteCSV, r.ProbeTrace.WriteJSONL})
 	}
-	return r.ProbeTrace.WriteCSV(w)
-}
-
-// WriteProbeJSONL writes the congestion trace as JSON lines. Errors unless
-// the run had Config.Inspect with probe tracing enabled.
-func (r *Result) WriteProbeJSONL(w io.Writer) error {
-	if r.ProbeTrace == nil {
-		return fmt.Errorf("hostsim: run had no Config.Inspect with probe tracing enabled")
+	if r.SocketSnapshots != nil {
+		out = append(out, Artifact{"ss", r.SocketSnapshots.WriteCSV, r.SocketSnapshots.WriteJSONL})
 	}
-	return r.ProbeTrace.WriteJSONL(w)
-}
-
-// WriteSocketCSV writes the ss-style socket/queue snapshot timeline as
-// CSV. Errors unless the run had Config.Inspect with snapshots enabled.
-func (r *Result) WriteSocketCSV(w io.Writer) error {
-	if r.SocketSnapshots == nil {
-		return fmt.Errorf("hostsim: run had no Config.Inspect with socket snapshots enabled")
+	if r.prof != nil {
+		out = append(out, Artifact{"folded", r.prof.WriteFolded, nil}, Artifact{"pprof", r.prof.WritePprof, nil})
 	}
-	return r.SocketSnapshots.WriteCSV(w)
-}
-
-// WriteTailReport writes the tail-attribution report as the aligned text
-// table of MessageLatency.Format. Errors unless the run had
-// Config.MsgTrace set.
-func (r *Result) WriteTailReport(w io.Writer) error {
-	if r.MessageLatency == nil {
-		return fmt.Errorf("hostsim: run had no Config.MsgTrace")
+	if r.mt != nil {
+		tail := func(w io.Writer) error {
+			_, err := io.WriteString(w, r.MessageLatency.Format())
+			return err
+		}
+		out = append(out, Artifact{"tail", tail, nil}, Artifact{"spans", r.mt.WriteSpans, nil})
 	}
-	_, err := io.WriteString(w, r.MessageLatency.Format())
-	return err
-}
-
-// WriteSpans writes the slowest-N exemplar messages as a Chrome
-// trace-event JSON array, loadable in Perfetto or chrome://tracing: each
-// exemplar becomes a process with its total span, the telescoping stage
-// spans, and every (re)transmission and loss-recovery event as instants.
-// Errors unless the run had Config.MsgTrace set.
-func (r *Result) WriteSpans(w io.Writer) error {
-	if r.mt == nil {
-		return fmt.Errorf("hostsim: run had no Config.MsgTrace")
+	if r.traceEvents != nil {
+		out = append(out, Artifact{"chrome", func(w io.Writer) error { return telemetry.WriteChromeTrace(w, r.traceEvents) }, nil})
 	}
-	return r.mt.WriteSpans(w)
-}
-
-// WriteFabricReport writes the fabric attribution ledger as CSV: a
-// per-port section (the exact drop/mark classification and hop-latency
-// quantiles), a blank line, then the microburst section. Errors unless
-// the run had Config.FabricObs set.
-func (r *Result) WriteFabricReport(w io.Writer) error {
-	if r.fobs == nil {
-		return fmt.Errorf("hostsim: run had no Config.FabricObs")
+	if r.FabricTimeline != nil {
+		ports, bursts := r.PortReports, r.BurstEvents
+		out = append(out,
+			Artifact{"fabric-report",
+				func(w io.Writer) error { return fabricobs.WriteReportCSV(w, ports, bursts) },
+				func(w io.Writer) error { return fabricobs.WriteReportJSONL(w, ports, bursts) }},
+			Artifact{"fabric-trace", func(w io.Writer) error { return fabricobs.WriteTrace(w, ports, r.FabricTimeline, bursts) }, nil},
+			Artifact{"fabric-timeline", r.FabricTimeline.WriteCSV, r.FabricTimeline.WriteJSONL})
 	}
-	return fabricobs.WriteReportCSV(w, r.PortReports, r.BurstEvents)
-}
-
-// WriteFabricReportJSONL writes the ledger as JSON lines (one
-// {"type":"port"} object per port, then one {"type":"burst"} object per
-// burst). Errors unless the run had Config.FabricObs set.
-func (r *Result) WriteFabricReportJSONL(w io.Writer) error {
-	if r.fobs == nil {
-		return fmt.Errorf("hostsim: run had no Config.FabricObs")
-	}
-	return fabricobs.WriteReportJSONL(w, r.PortReports, r.BurstEvents)
+	return out
 }
 
 // FormatFabricReport renders the ledger and bursts as an aligned text
 // table, byte-deterministic for a given run (empty when FabricObs was
 // off).
 func (r *Result) FormatFabricReport() string {
-	if r.fobs == nil {
+	if r.FabricTimeline == nil {
 		return ""
 	}
 	return fabricobs.FormatReport(r.PortReports, r.BurstEvents)
-}
-
-// WriteFabricTrace renders the observatory as a Chrome trace-event JSON
-// array, loadable in Perfetto or chrome://tracing: per-port queue-depth
-// counter tracks plus every microburst as a duration span on its port's
-// row. Errors unless the run had Config.FabricObs set.
-func (r *Result) WriteFabricTrace(w io.Writer) error {
-	if r.fobs == nil {
-		return fmt.Errorf("hostsim: run had no Config.FabricObs")
-	}
-	names := make([]string, len(r.PortReports))
-	for i, p := range r.PortReports {
-		names[i] = p.Host
-	}
-	return fabricobs.WriteTrace(w, names, r.FabricTimeline, r.BurstEvents)
 }
 
 // MessageRecords returns the retained per-message latency records
@@ -795,15 +734,6 @@ func (r *Result) MessageRecords() []MsgRecord {
 		return nil
 	}
 	return r.mt.Records()
-}
-
-// WriteChromeTrace renders the recorded trace as a Chrome trace-event
-// JSON array, loadable in Perfetto or chrome://tracing: hosts become
-// processes, cores become threads, execution spans (Config.TraceSpans)
-// become duration events and data-path events become instants. Writing
-// an empty trace produces a valid empty JSON array.
-func (r *Result) WriteChromeTrace(w io.Writer) error {
-	return telemetry.WriteChromeTrace(w, r.traceEvents)
 }
 
 // Run executes one simulation and reports the measured window. It runs

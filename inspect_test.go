@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,14 +40,11 @@ func TestInspectArtifacts(t *testing.T) {
 		t.Fatal("socket snapshots empty")
 	}
 
-	var buf bytes.Buffer
-	if err := res.WritePcap(&buf); err != nil {
+	pcap := artifact(t, res, "pcap")
+	if _, err := inspect.CheckPcap(pcap); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inspect.CheckPcap(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	f, err := inspect.ReadPcap(bytes.NewReader(buf.Bytes()))
+	f, err := inspect.ReadPcap(bytes.NewReader(pcap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,17 +201,7 @@ func TestInspectTransparencyChecked(t *testing.T) {
 // serializeInspect renders every inspector artifact of a run to bytes.
 func serializeInspect(t *testing.T, res *hostsim.Result) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := res.WritePcap(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.WriteProbeCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.WriteSocketCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return slices.Concat(artifact(t, res, "pcap"), artifact(t, res, "probe"), artifact(t, res, "ss"))
 }
 
 // TestInspectDeterminism requires capture artifacts from a parallel batch
@@ -269,13 +257,10 @@ func TestProbeGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := res.WriteProbeCSV(&buf); err != nil {
-				t.Fatal(err)
-			}
+			probe := artifact(t, res, "probe")
 			golden := filepath.Join("testdata", "golden", fmt.Sprintf("probe_%s.csv", cc))
 			if *updateGolden {
-				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(golden, probe, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -283,7 +268,7 @@ func TestProbeGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run with -update to regenerate)", err)
 			}
-			if !bytes.Equal(buf.Bytes(), want) {
+			if !bytes.Equal(probe, want) {
 				t.Fatalf("probe trace differs from %s (run with -update to regenerate)", golden)
 			}
 
@@ -406,11 +391,7 @@ func TestFabric2HostPcapAddressing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.WritePcap(&buf); err != nil {
-		t.Fatal(err)
-	}
-	f, err := inspect.ReadPcap(bytes.NewReader(buf.Bytes()))
+	f, err := inspect.ReadPcap(bytes.NewReader(artifact(t, res, "pcap")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,7 @@ func TestWritersDeterministic(t *testing.T) {
 		if err := WriteReportJSONL(&b, obs.PortReports(), obs.Bursts()); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteTrace(&c, []string{"ha", "hb", "hc"}, obs.Timeline(), obs.Bursts()); err != nil {
+		if err := WriteTrace(&c, obs.PortReports(), obs.Timeline(), obs.Bursts()); err != nil {
 			t.Fatal(err)
 		}
 		return a.String(), b.String(), c.String()

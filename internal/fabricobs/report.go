@@ -344,8 +344,9 @@ func FormatReport(ports []PortReport, bursts []BurstEvent) string {
 // (Perfetto-loadable): the time-series becomes counter tracks (shared
 // buffer occupancy plus one backlog counter per port) and every retained
 // microburst becomes a complete "X" span on its port's thread row, with
-// peaks, frame counts and contributing flows in the args.
-func WriteTrace(w io.Writer, names []string, tl *telemetry.Timeline, bursts []BurstEvent) error {
+// peaks, frame counts and contributing flows in the args. Each port's row
+// is named after its ledger entry's host.
+func WriteTrace(w io.Writer, ports []PortReport, tl *telemetry.Timeline, bursts []BurstEvent) error {
 	var spans []telemetry.Span
 	cols := make(map[string]int, len(tl.Names))
 	for i, n := range tl.Names {
@@ -359,13 +360,13 @@ func WriteTrace(w io.Writer, names []string, tl *telemetry.Timeline, bursts []Bu
 				StartNS: int64(at), Counter: true, Value: row[c],
 			})
 		}
-		for p, name := range names {
+		for p, port := range ports {
 			c, ok := cols[fmt.Sprintf("port%03d/backlog_bytes", p)]
 			if !ok {
 				continue
 			}
 			spans = append(spans, telemetry.Span{
-				Process: "fabric", Thread: p + 1, ThreadName: fmt.Sprintf("port%03d (%s)", p, name),
+				Process: "fabric", Thread: p + 1, ThreadName: fmt.Sprintf("port%03d (%s)", p, port.Host),
 				Name:    fmt.Sprintf("port%03d backlog", p),
 				StartNS: int64(at), Counter: true, Value: row[c],
 			})

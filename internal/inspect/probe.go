@@ -2,9 +2,12 @@ package inspect
 
 import (
 	"bufio"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"hostsim/internal/sim"
 	"hostsim/internal/tcp"
@@ -27,8 +30,10 @@ type ProbeRecord struct {
 }
 
 // ProbeTrace accumulates tcp_probe records from every hooked connection,
-// in event order (the simulation is single-threaded, so this is globally
-// time-ordered and deterministic).
+// in emission order, which is deterministic. Each record is stamped with
+// the simulated time of the core that emitted it, so one connection's
+// records are time-ordered, but records of different connections can
+// interleave out of time order.
 //
 // Records are stored in chunks that are never copied. Until the trace
 // holds probeChunk records, each new chunk is as large as all earlier ones
@@ -105,11 +110,14 @@ func (t *ProbeTrace) Records() []ProbeRecord {
 	return t.chunks[0]
 }
 
+// probeCSVHeader heads the CSV; its columns are the JSON-lines keys.
+const probeCSVHeader = "time_ns,host,flow,event,acked_bytes,cwnd_bytes,ssthresh_bytes,srtt_ns,inflight_bytes,snd_una,snd_nxt"
+
 // WriteCSV writes the trace as CSV with a fixed header, one row per
 // record, deterministic formatting.
 func (t *ProbeTrace) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("time_ns,host,flow,event,acked_bytes,cwnd_bytes,ssthresh_bytes,srtt_ns,inflight_bytes,snd_una,snd_nxt\n"); err != nil {
+	if _, err := bw.WriteString(probeCSVHeader + "\n"); err != nil {
 		return err
 	}
 	for _, c := range t.chunks {
@@ -151,4 +159,61 @@ func (t *ProbeTrace) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// CheckProbe checks a trace written by WriteCSV or WriteJSONL, told apart
+// by content. Every record carries exactly the header's columns, a known
+// event name, and a time_ns no earlier than its connection's (host and
+// flow) record before it.
+func CheckProbe(data []byte) (string, error) {
+	columns := strings.Count(probeCSVHeader, ",") + 1
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	csv := !strings.HasPrefix(lines[0], "{")
+	if csv {
+		if lines[0] != probeCSVHeader {
+			return "", fmt.Errorf("inspect: probe header %q, want %q", lines[0], probeCSVHeader)
+		}
+		lines = lines[1:]
+	}
+	known := map[string]bool{}
+	for k := tcp.ProbeKind(0); k.String() != "unknown"; k++ {
+		known[k.String()] = true
+	}
+	last, losses := map[string]int64{}, 0
+	for i, line := range lines {
+		var at int64
+		var conn, event string
+		var err error
+		f := strings.Split(line, ",")
+		switch {
+		case !csv:
+			var rec map[string]json.RawMessage
+			if err = json.Unmarshal([]byte(line), &rec); err == nil && len(rec) != columns {
+				err = fmt.Errorf("%d keys, want %d", len(rec), columns)
+			}
+			if err == nil {
+				conn = string(rec["host"]) + "," + string(rec["flow"])
+				err = errors.Join(json.Unmarshal(rec["time_ns"], &at), json.Unmarshal(rec["event"], &event))
+			}
+		case len(f) != columns:
+			err = fmt.Errorf("%d columns, want %d", len(f), columns)
+		default:
+			conn, event = f[1]+","+f[2], f[3]
+			at, err = strconv.ParseInt(f[0], 10, 64)
+		}
+		switch {
+		case err != nil:
+			return "", fmt.Errorf("inspect: probe record %d: %w", i+1, err)
+		case !known[event]:
+			return "", fmt.Errorf("inspect: probe record %d: unknown event %q", i+1, event)
+		case at < last[conn]:
+			return "", fmt.Errorf("inspect: probe record %d: time %dns before %dns on its connection", i+1, at, last[conn])
+		}
+		last[conn] = at
+		if event != tcp.ProbeAck.String() {
+			losses++
+		}
+	}
+	return fmt.Sprintf("%d records on %d connections, %d loss/recovery events, times non-decreasing per connection",
+		len(lines), len(last), losses), nil
 }

@@ -7,10 +7,8 @@ package hostsim_test
 // determinism of the report and span artifacts across parallelism.
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -84,11 +82,7 @@ func TestTailReportGolden(t *testing.T) {
 		t.Errorf("p99-p999 band retx_wait mean %v: expected min-RTO-scale (>=5ms) stalls in this lossy scenario", p999)
 	}
 
-	var sb strings.Builder
-	if err := res.WriteTailReport(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
+	got := string(artifact(t, res, "tail"))
 	path := filepath.Join("testdata", "golden", "tailreport.txt")
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -174,17 +168,10 @@ func TestMsgTraceTelescoping(t *testing.T) {
 				t.Errorf("%s: quantiles not monotone: %v", name, qs)
 			}
 		}
-		var spans, report bytes.Buffer
-		if err := res.WriteSpans(&spans); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.WriteTailReport(&report); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mtrace.CheckSpans(spans.Bytes()); err != nil {
+		if _, err := mtrace.CheckSpans(artifact(t, res, "spans")); err != nil {
 			t.Errorf("%s: spans: %v", name, err)
 		}
-		if _, err := mtrace.CheckTailReport(report.Bytes()); err != nil {
+		if _, err := mtrace.CheckTailReport(artifact(t, res, "tail")); err != nil {
 			t.Errorf("%s: tail report: %v", name, err)
 		}
 	}
@@ -194,14 +181,7 @@ func TestMsgTraceTelescoping(t *testing.T) {
 // would write for a run: the text report plus the Chrome-trace span JSON.
 func mtraceArtifacts(t *testing.T, r *hostsim.Result) string {
 	t.Helper()
-	var sb strings.Builder
-	if err := r.WriteTailReport(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteSpans(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
+	return string(artifact(t, r, "tail")) + string(artifact(t, r, "spans"))
 }
 
 // TestMsgTraceDeterminismAcrossJobs is the parallelism contract for the

@@ -464,7 +464,6 @@ func (o *fabricObs) attach(w *world) {
 
 func (o *fabricObs) finish(res *Result) error {
 	o.fobs.Finalize()
-	res.fobs = o.fobs
 	res.FabricTimeline = o.fobs.Timeline()
 	res.PortReports = o.fobs.PortReports()
 	res.BurstEvents = o.fobs.Bursts()

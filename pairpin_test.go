@@ -5,72 +5,68 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
 	"hostsim"
 )
 
-// artifact is one exporter's output from a run.
-type artifact struct {
-	name string
-	data []byte
+// render writes one encoding of the named artifact into memory.
+func render(t testing.TB, name string, write func(io.Writer) error) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := write(&b); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return b.Bytes()
 }
 
-// artifacts writes every exporter the run armed, in one fixed order.
-func artifacts(t *testing.T, r *hostsim.Result) []artifact {
+// lookup returns the named entry of r.Artifacts, failing the test when
+// the run lists none by that name.
+func lookup(t testing.TB, r *hostsim.Result, name string) hostsim.Artifact {
 	t.Helper()
-	var out []artifact
-	write := func(name string, fn func(io.Writer) error) {
-		var b bytes.Buffer
-		if err := fn(&b); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, a := range r.Artifacts() {
+		if a.Name == name {
+			return a
 		}
-		out = append(out, artifact{name, b.Bytes()})
 	}
-	if r.Timeline != nil {
-		write("telemetry", r.Timeline.WriteCSV)
-	}
-	if len(r.PacketCaptures) > 0 {
-		write("pcap", r.WritePcap)
-	}
-	if r.ProbeTrace != nil {
-		write("probe", r.WriteProbeCSV)
-	}
-	if r.SocketSnapshots != nil {
-		write("ss", r.WriteSocketCSV)
-	}
-	if r.CycleProfile != nil {
-		write("folded", r.WriteFolded)
-		write("pprof", r.WritePprof)
-	}
-	if r.MessageLatency != nil {
-		write("tail", r.WriteTailReport)
-		write("spans", r.WriteSpans)
-	}
-	if len(r.Trace) > 0 {
-		write("chrome", r.WriteChromeTrace)
-	}
-	if r.FabricTimeline != nil {
-		write("fabric-report", r.WriteFabricReport)
-		write("fabric-report-jsonl", r.WriteFabricReportJSONL)
-		write("fabric-trace", r.WriteFabricTrace)
-		write("fabric-timeline", r.FabricTimeline.WriteCSV)
-	}
-	return out
+	t.Fatalf("run lists no %s artifact", name)
+	return hostsim.Artifact{}
+}
+
+// artifact renders the named artifact's primary encoding.
+func artifact(t testing.TB, r *hostsim.Result, name string) []byte {
+	t.Helper()
+	return render(t, name, lookup(t, r, name).Write)
+}
+
+// artifactJSONL renders the named artifact's JSON lines.
+func artifactJSONL(t testing.TB, r *hostsim.Result, name string) []byte {
+	t.Helper()
+	return render(t, name, lookup(t, r, name).JSONL)
 }
 
 // pairDigest hashes every deterministic output of a default-pair run:
 // the top-line fingerprint, the per-host stat blocks, the terminal flow
-// states, the recorded trace and every artifact the run wrote.
+// states, the recorded trace and every artifact the run lists.
 func pairDigest(t *testing.T, r *hostsim.Result) string {
 	t.Helper()
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\nhosts=%+v\nflows=%+v\nfab=%+v\nviol=%+v\ntrace=%+v\n",
 		fingerprint(r), r.Hosts, r.Flows, r.Fabric, r.Violations, r.Trace)
-	for _, a := range artifacts(t, r) {
-		fmt.Fprintf(h, "--- %s\n", a.name)
-		h.Write(a.data)
+	section := func(name string, write func(io.Writer) error) {
+		fmt.Fprintf(h, "--- %s\n", name)
+		h.Write(render(t, name, write))
+	}
+	for _, a := range r.Artifacts() {
+		section(a.Name, a.Write)
+		// The pins cover the fabric report's JSON lines too, hashed as a
+		// section of their own right after its CSV; no other JSON-lines
+		// form is hashed.
+		if a.Name == "fabric-report" {
+			section("fabric-report-jsonl", a.JSONL)
+		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -98,12 +94,48 @@ func observedFabric(loss float64) hostsim.Config {
 		Fabric: &hostsim.FabricOptions{Hosts: 16, SharedBufferKB: 256}}
 }
 
+// renderAll renders every artifact r lists, both encodings where it has
+// two, keyed by name (the JSON lines under name+".jsonl"), and returns
+// the names in list order.
+func renderAll(t *testing.T, r *hostsim.Result) (map[string][]byte, []string) {
+	t.Helper()
+	out := map[string][]byte{}
+	var names []string
+	for _, a := range r.Artifacts() {
+		names = append(names, a.Name)
+		out[a.Name] = render(t, a.Name, a.Write)
+		if a.JSONL != nil {
+			out[a.Name+".jsonl"] = render(t, a.Name, a.JSONL)
+		}
+	}
+	return out, names
+}
+
 // TestArtifactsCompose runs each observer of the observed-fabric-incast16
 // case alone, lossless and at 0.5 % loss. The run must measure what the
-// run with every observer armed measures, and each artifact it writes
-// must be byte-identical to the same artifact from that run. Between
-// them the lone runs write every artifact of the armed run once.
+// run with every observer armed measures, and each artifact it writes,
+// in both encodings, must be byte-identical to the same artifact from
+// that run. Between them the lone runs write every artifact of the armed
+// run once, and the armed run lists every artifact but pcap, which a
+// 2-host run with pcap also armed lists besides.
 func TestArtifactsCompose(t *testing.T) {
+	every := hostsim.Config{Stack: hostsim.AllOptimizations(), Seed: 7,
+		Warmup: time.Millisecond, Duration: time.Millisecond, Fabric: &hostsim.FabricOptions{Hosts: 2}}
+	for _, o := range fabricObservers {
+		o.arm(&every)
+	}
+	every.Inspect.Pcap = true
+	pair, err := hostsim.Run(every, hostsim.LongFlowWorkload(hostsim.PatternSingle, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var butPcap []string
+	for _, a := range pair.Artifacts() {
+		if a.Name != "pcap" {
+			butPcap = append(butPcap, a.Name)
+		}
+	}
+
 	wl := hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)
 	for _, loss := range []float64{0, 0.005} {
 		all := observedFabric(loss)
@@ -114,9 +146,9 @@ func TestArtifactsCompose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[string][]byte{}
-		for _, a := range artifacts(t, res) {
-			want[a.name] = a.data
+		want, names := renderAll(t, res)
+		if !slices.Equal(names, butPcap) {
+			t.Errorf("loss %v: the armed run lists %v; want every artifact but pcap, %v", loss, names, butPcap)
 		}
 		written := 0
 		for _, o := range fabricObservers {
@@ -129,16 +161,17 @@ func TestArtifactsCompose(t *testing.T) {
 			if got, all := fingerprint(alone), fingerprint(res); got != all {
 				t.Errorf("loss %v, %s alone measures\n%s\nwith every observer\n%s", loss, o.name, got, all)
 			}
-			for _, a := range artifacts(t, alone) {
+			got, _ := renderAll(t, alone)
+			for name, data := range got {
 				written++
-				if w, ok := want[a.name]; !ok || !bytes.Equal(a.data, w) {
+				if w, ok := want[name]; !ok || !bytes.Equal(data, w) {
 					t.Errorf("loss %v: %s alone writes a different %s artifact (%d bytes, %d with every observer)",
-						loss, o.name, a.name, len(a.data), len(w))
+						loss, o.name, name, len(data), len(w))
 				}
 			}
 		}
-		if written != len(want) || len(want) != 12 {
-			t.Errorf("loss %v: lone runs wrote %d artifacts, the armed run %d; want 12", loss, written, len(want))
+		if written != len(want) {
+			t.Errorf("loss %v: lone runs wrote %d artifacts, the armed run %d", loss, written, len(want))
 		}
 	}
 }

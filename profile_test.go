@@ -87,46 +87,28 @@ func TestProfileDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range jobs {
-		var a, b bytes.Buffer
-		if err := serial[i].WriteFolded(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := par[i].WriteFolded(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("job %d: folded output differs between -jobs 1 and -jobs 8:\n%s\nvs\n%s",
-				i, a.String(), b.String())
+		if a, b := artifact(t, serial[i], "folded"), artifact(t, par[i], "folded"); !bytes.Equal(a, b) {
+			t.Errorf("job %d: folded output differs between -jobs 1 and -jobs 8:\n%s\nvs\n%s", i, a, b)
 		}
 		if sa, sb := serial[i].LatencyBreakdown.Format(), par[i].LatencyBreakdown.Format(); sa != sb {
 			t.Errorf("job %d: latency breakdown differs between -jobs 1 and -jobs 8:\n%s\nvs\n%s",
 				i, sa, sb)
 		}
-		var pa, pb bytes.Buffer
-		if err := serial[i].WritePprof(&pa); err != nil {
-			t.Fatal(err)
-		}
-		if err := par[i].WritePprof(&pb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pa.Bytes(), pb.Bytes()) {
+		if !bytes.Equal(artifact(t, serial[i], "pprof"), artifact(t, par[i], "pprof")) {
 			t.Errorf("job %d: pprof bytes differ between -jobs 1 and -jobs 8", i)
 		}
 	}
 }
 
-// WritePprof must produce a profile the in-repo parser round-trips, with
+// The pprof artifact must be a profile the in-repo parser round-trips, with
 // the same stacks and cycle counts the Result reports.
 func TestProfilePprofRoundTrip(t *testing.T) {
 	res := runProfiled(t, profCfg(7), hostsim.MixedWorkload(4, 16*1024))
-	var buf bytes.Buffer
-	if err := res.WritePprof(&buf); err != nil {
+	pprof := artifact(t, res, "pprof")
+	if _, err := profile.CheckPprof(pprof); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := profile.CheckPprof(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	p, err := profile.ParseData(buf.Bytes())
+	p, err := profile.ParseData(pprof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +159,8 @@ func TestProfileStageMeansSumToTotal(t *testing.T) {
 	}
 }
 
-// Without Config.Profile the Result carries no profile and the writers
-// say so instead of emitting empty files.
+// Without Config.Profile the Result carries no profile and lists no
+// profile artifacts, rather than empty ones.
 func TestProfileAbsentByDefault(t *testing.T) {
 	res, err := hostsim.Run(shortCfg(2), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1))
 	if err != nil {
@@ -187,11 +169,8 @@ func TestProfileAbsentByDefault(t *testing.T) {
 	if res.CycleProfile != nil || res.LatencyBreakdown != nil {
 		t.Error("profile populated without Config.Profile")
 	}
-	if err := res.WritePprof(&bytes.Buffer{}); err == nil {
-		t.Error("WritePprof succeeded without Config.Profile")
-	}
-	if err := res.WriteFolded(&bytes.Buffer{}); err == nil {
-		t.Error("WriteFolded succeeded without Config.Profile")
+	if arts := res.Artifacts(); len(arts) != 0 {
+		t.Errorf("unobserved run lists %d artifacts, first %s", len(arts), arts[0].Name)
 	}
 }
 

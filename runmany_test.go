@@ -82,9 +82,7 @@ func TestRunManySamplersMatchSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			b.WriteString("--- ss\n")
-			if err := r.WriteSocketCSV(&b); err != nil {
-				t.Fatal(err)
-			}
+			b.Write(artifact(t, r, "ss"))
 			out[i] = b.String()
 		}
 		return out

@@ -119,8 +119,12 @@ func TestWriteChromeTraceRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
+	for _, a := range res.Artifacts() {
+		if a.Name == "chrome" {
+			if err := a.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	events, err := telemetry.ReadChromeTrace(buf.Bytes())
 	if err != nil {

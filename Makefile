@@ -33,11 +33,13 @@ bench:
 	bash bench/run.sh $(ARGS)
 
 # smoke is the CI artifact gate. Two netsim runs arm every exporter: a
-# lossy RPC pair (profile, pcap, probe, ss, message spans, tail report,
-# data-path trace, telemetry) and a buffered 8-host fabric incast (fabric
-# report, time series, trace). A third traces one flow's data-path events
-# (-trace-flow 1, which records no execution spans). One artifactcheck call then checks
-# every file they write; folded stacks, which have no checker, only need content.
+# lossy RPC pair (profile, pcap, probe, ss, tail report, telemetry, and
+# the trace with data-path and message tracks) and a buffered 8-host
+# fabric incast (fabric report, time series, and the trace with
+# data-path, message and fabric tracks). A third traces one flow's
+# data-path events (-trace-flow 1, which records no execution spans). One
+# artifactcheck call then checks every file they write; folded stacks,
+# which have no checker, only need content.
 # The last lines require netsim to reject flag combinations that would
 # drop or misplace an artifact: -seeds with an output, and "-" (stdout)
 # on a flag that only writes files.
@@ -47,16 +49,16 @@ smoke:
 		-loss 0.01 -warmup 2ms -dur 20ms -seed 7 -check \
 		-profile-out $(SMOKE).pb.gz -folded-out $(SMOKE).folded -latency-breakdown \
 		-pcap-out $(SMOKE).pcapng -probe-out $(SMOKE).probe.jsonl -ss-out $(SMOKE).ss.csv \
-		-mtrace-out $(SMOKE).spans.json -tail-report $(SMOKE).tail.txt \
-		-trace-out $(SMOKE).trace.json -telemetry-out $(SMOKE).telemetry.jsonl > /dev/null
+		-tail-report $(SMOKE).tail.txt -trace-out $(SMOKE).trace.json \
+		-telemetry-out $(SMOKE).telemetry.jsonl > /dev/null
 	$(GO) run ./cmd/netsim -fabric-hosts 8 -fabric-buffer-kb 256 -pattern incast \
 		-dur 10ms -warmup 5ms -check -burst-kb 64 \
 		-fabric-report $(SMOKE).fab.csv -fabric-ts-out $(SMOKE).fabts.csv \
-		-fabric-trace-out $(SMOKE).fab.json > /dev/null
+		-trace-out $(SMOKE).fab.json > /dev/null
 	$(GO) run ./cmd/netsim -warmup 2ms -dur 5ms -seed 7 -trace-flow 1 -trace-out $(SMOKE).flow.json > /dev/null
 	test -s $(SMOKE).folded
 	$(GO) run ./cmd/artifactcheck $(SMOKE).pb.gz $(SMOKE).pcapng $(SMOKE).probe.jsonl $(SMOKE).ss.csv \
-		$(SMOKE).spans.json $(SMOKE).tail.txt $(SMOKE).trace.json $(SMOKE).telemetry.jsonl \
+		$(SMOKE).tail.txt $(SMOKE).trace.json $(SMOKE).telemetry.jsonl \
 		$(SMOKE).fab.csv $(SMOKE).fabts.csv $(SMOKE).fab.json $(SMOKE).flow.json
 	$(GO) run ./cmd/figures -only fig3a,fig3e,fig3f -format csv -jobs 2 > $(SMOKE).fig3.csv && test -s $(SMOKE).fig3.csv
 	rm -f $(SMOKE).seeds.csv

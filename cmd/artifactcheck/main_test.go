@@ -20,7 +20,8 @@ import (
 // artifacts renders every artifact of one lossy RPC pair and one buffered
 // fabric incast, each with every observer it can arm, in both encodings
 // where an artifact has two: keyed by name, the JSON lines under
-// name+".jsonl".
+// name+".jsonl". Both runs list a trace: the pair's, merging data-path and
+// message tracks, is "trace", the incast's fabric tracks "fabric trace".
 func artifacts(t *testing.T) map[string][]byte {
 	t.Helper()
 	pair, err := hostsim.Run(hostsim.Config{
@@ -57,6 +58,9 @@ func artifacts(t *testing.T) map[string][]byte {
 	}
 	for _, r := range []*hostsim.Result{pair, fab} {
 		for _, art := range r.Artifacts() {
+			if r == fab && art.Name == "trace" {
+				art.Name = "fabric trace"
+			}
 			render(art.Name, art.Write)
 			if art.JSONL != nil {
 				render(art.Name+".jsonl", art.JSONL)
@@ -128,10 +132,10 @@ func TestCheckFiles(t *testing.T) {
 	}{
 		{"clean", clean, ""},
 		{"ledger off by one", [][]byte{offByOne}, "ingress ledger inexact"},
-		{"dropped stage slice", [][]byte{dropEvent(t, a["spans"], `"cat":"stage"`)}, "stage slices, want 8"},
+		{"dropped stage slice", [][]byte{dropEvent(t, a["trace"], `"cat":"stage"`)}, "stage slices, want 8"},
 		{"bad pcapng block length", [][]byte{badBlock}, "bad block length 13"},
 		{"timeline going back in time", [][]byte{backInTime}, "not after"},
-		{"unnamed pid", [][]byte{dropEvent(t, a["chrome"], `"process_name"`)}, "before its process_name"},
+		{"unnamed pid", [][]byte{dropEvent(t, a["trace"], `"process_name"`)}, "before its process_name"},
 		{"truncated profile", [][]byte{a["pprof"][:len(a["pprof"])/2]}, "profile:"},
 		{"tail report without a band", [][]byte{bytes.Replace(a["tail"], []byte("\np999-max "), []byte("\n"), 1)},
 			"lacks the p999-max band row"},

@@ -69,16 +69,15 @@ func main() {
 
 		telemetryOut = flag.String("telemetry-out", "", "write the sampled metric timeline to this file (CSV, or JSONL with a .jsonl suffix)")
 		sampleEvery  = flag.Duration("sample-interval", 100*time.Microsecond, "simulated time between telemetry samples")
-		traceOut     = flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto); implies -trace 65536, and records execution spans unless -trace-flow is set")
+		traceOut     = flag.String("trace-out", "", "write the run's one Chrome trace-event JSON file (open in Perfetto); implies -trace 65536 and records execution spans unless -trace-flow is set, and arms the message tracer (the -slowest messages' span trees) and, with -fabric-hosts, the fabric observatory (port queues and microbursts)")
 
 		pcapOut  = flag.String("pcap-out", "", "write a Wireshark-readable pcapng capture of both link directions")
 		probeOut = flag.String("probe-out", "", "write tcp_probe-style congestion traces (CSV, or JSONL with a .jsonl suffix)")
 		ssOut    = flag.String("ss-out", "", "write ss-style socket/queue snapshots (CSV, or JSONL with a .jsonl suffix)")
 		ssEvery  = flag.Duration("ss-interval", 100*time.Microsecond, "simulated time between socket snapshots")
 
-		mtraceOut  = flag.String("mtrace-out", "", "write the slowest messages' span trees as Chrome trace-event JSON (open in Perfetto)")
 		tailReport = flag.String("tail-report", "", "write the message tail-latency attribution report ('-' = stdout)")
-		slowest    = flag.Int("slowest", 8, "worst-latency exemplar messages kept for -mtrace-out")
+		slowest    = flag.Int("slowest", 8, "worst-latency exemplar messages the message tracer keeps when -trace-out or -tail-report arms it; -trace-out draws their span trees")
 		msgBytes   = flag.Int64("msg-bytes", 0, "message size override for tracing (0 = workload-derived)")
 
 		fabHosts = flag.Int("fabric-hosts", 0, "run N hosts on one ToR switch fabric (0 = the sender/receiver pair on a 2-port fabric)")
@@ -87,7 +86,6 @@ func main() {
 
 		fabReport = flag.String("fabric-report", "", "write the fabric drop/mark attribution ledger and microbursts ('-' = stdout text; CSV, or JSONL with a .jsonl suffix); arms the fabric observatory")
 		fabTSOut  = flag.String("fabric-ts-out", "", "write the per-port fabric time-series (CSV, or JSONL with a .jsonl suffix); arms the fabric observatory")
-		fabTrace  = flag.String("fabric-trace-out", "", "write fabric port-queue counters and microbursts as Chrome trace-event JSON (open in Perfetto); arms the fabric observatory")
 		burstKB   = flag.Int("burst-kb", 0, "microburst detection threshold in KB of egress backlog (0 = 128)")
 	)
 	flag.Parse()
@@ -129,7 +127,7 @@ func main() {
 			SSInterval: *ssEvery,
 		}
 	}
-	if *mtraceOut != "" || *tailReport != "" {
+	if *traceOut != "" || *tailReport != "" {
 		cfg.MsgTrace = &hostsim.MsgTraceOptions{Slowest: *slowest, MsgBytes: *msgBytes}
 	}
 	if *fabHosts > 0 {
@@ -137,7 +135,7 @@ func main() {
 			Hosts: *fabHosts, SharedBufferKB: *fabBufKB, Alpha: *fabAlpha,
 		}
 	}
-	if *fabReport != "" || *fabTSOut != "" || *fabTrace != "" {
+	if *fabReport != "" || *fabTSOut != "" || (*traceOut != "" && *fabHosts > 0) {
 		cfg.FabricObs = &hostsim.FabricObsOptions{
 			SampleInterval: *sampleEvery, BurstThresholdKB: *burstKB,
 		}
@@ -237,10 +235,6 @@ var outputs = []output{
 	}, stdout: func(r *hostsim.Result) string {
 		return "\n--- message tail-latency attribution ---\n" + r.MessageLatency.Format()
 	}},
-	{flag: "mtrace-out", artifact: "spans", report: func(r *hostsim.Result, p string) string {
-		return fmt.Sprintf("message spans: %d traced, slowest %v -> %s (open in https://ui.perfetto.dev)\n",
-			r.MessageLatency.Count, flag.Lookup("slowest").Value, p)
-	}},
 	{flag: "fabric-report", artifact: "fabric-report", report: func(r *hostsim.Result, p string) string {
 		return fmt.Sprintf("fabric report: %d ports, %d bursts -> %s\n", len(r.PortReports), len(r.BurstEvents), p)
 	}, stdout: func(r *hostsim.Result) string {
@@ -249,11 +243,12 @@ var outputs = []output{
 	{flag: "fabric-ts-out", artifact: "fabric-timeline", report: func(r *hostsim.Result, p string) string {
 		return fmt.Sprintf("fabric timeline: %d samples x %d metrics -> %s\n", r.FabricTimeline.Len(), len(r.FabricTimeline.Names), p)
 	}},
-	{flag: "fabric-trace-out", artifact: "fabric-trace", report: func(r *hostsim.Result, p string) string {
-		return fmt.Sprintf("fabric trace: %d ports, %d bursts -> %s (open in https://ui.perfetto.dev)\n", len(r.PortReports), len(r.BurstEvents), p)
-	}},
-	{flag: "trace-out", artifact: "chrome", report: func(r *hostsim.Result, p string) string {
-		return fmt.Sprintf("chrome trace: %d events -> %s (open in https://ui.perfetto.dev)\n", len(r.Trace), p)
+	{flag: "trace-out", artifact: "trace", report: func(r *hostsim.Result, p string) string {
+		s := fmt.Sprintf("trace: %d events, slowest %v of %d messages", len(r.Trace), flag.Lookup("slowest").Value, r.MessageLatency.Count)
+		if r.PortReports != nil {
+			s += fmt.Sprintf(", %d fabric ports, %d bursts", len(r.PortReports), len(r.BurstEvents))
+		}
+		return s + fmt.Sprintf(" -> %s (open in https://ui.perfetto.dev)\n", p)
 	}},
 }
 

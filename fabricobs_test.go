@@ -130,7 +130,7 @@ func fabObsArtifacts(t *testing.T, r *hostsim.Result) string {
 	}{
 		{"report", report, fabricobs.CheckReport},
 		{"jsonl", artifactJSONL(t, r, "fabric-report"), fabricobs.CheckReport},
-		{"trace", artifact(t, r, "fabric-trace"), mtrace.CheckSpans},
+		{"trace", artifact(t, r, "trace"), mtrace.CheckSpans},
 		{"ts", ts, telemetry.CheckTimeline},
 	} {
 		if _, err := step.check(step.data); err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hostsim/internal/check"
+	"hostsim/internal/telemetry"
 )
 
 // FuzzConfig explores the configuration space with the fail-fast
@@ -279,7 +280,8 @@ func (r rawRun) names(h int) []string {
 // a run with observers armed measures exactly what it measures with
 // every observer off, a run with a superset of its observers armed (see
 // superset; Obs byte 0 draws which) measures the same and writes every
-// artifact the run wrote byte for byte, and the run and its observers-off
+// artifact the run wrote byte for byte (its trace's processes event for
+// event; see ArtifactWithin), and the run and its observers-off
 // twin measure the same through RunMany on two workers as serially.
 // `go test -fuzz=FuzzRunRaw .` hunts open-ended; CI
 // smokes it briefly beside FuzzConfig.
@@ -380,9 +382,15 @@ func FuzzRunRaw(f *testing.F) {
 			}
 			for _, a := range res.Artifacts() {
 				m, ok := more[a.Name]
-				if !ok || !bytes.Equal(render(t, a.Name, a.Write), render(t, a.Name, m.Write)) ||
-					a.JSONL != nil && !bytes.Equal(render(t, a.Name, a.JSONL), render(t, a.Name, m.JSONL)) {
-					t.Fatalf("more observers changed the %s artifact\nconfig: %+v\nworkload: %+v", a.Name, cfg, wl)
+				if !ok {
+					t.Fatalf("more observers dropped the %s artifact\nconfig: %+v\nworkload: %+v", a.Name, cfg, wl)
+				}
+				err := ArtifactWithin(a.Name, render(t, a.Name, a.Write), render(t, a.Name, m.Write))
+				if err == nil && a.JSONL != nil && !bytes.Equal(render(t, a.Name, a.JSONL), render(t, a.Name, m.JSONL)) {
+					err = errors.New("JSON lines differ")
+				}
+				if err != nil {
+					t.Fatalf("more observers changed the %s artifact: %v\nconfig: %+v\nworkload: %+v", a.Name, err, cfg, wl)
 				}
 			}
 		}
@@ -448,6 +456,57 @@ func render(t *testing.T, name string, write func(io.Writer) error) []byte {
 		t.Fatalf("%s: %v", name, err)
 	}
 	return b.Bytes()
+}
+
+// ArtifactWithin says how the named artifact of a run differs from the
+// same artifact of a run with more observers armed, or returns nil if it
+// does not. Every artifact must match byte for byte except trace, whose
+// tracks come from whichever producers are armed: there each process of
+// the smaller trace, keyed by its process_name, must carry exactly the
+// events, in order, that the larger trace carries for it.
+func ArtifactWithin(name string, small, large []byte) error {
+	if name != "trace" {
+		if !bytes.Equal(small, large) {
+			return fmt.Errorf("%d bytes, %d with more observers", len(small), len(large))
+		}
+		return nil
+	}
+	s, err := TraceByProcess(small)
+	if err != nil {
+		return err
+	}
+	l, err := TraceByProcess(large)
+	if err != nil {
+		return err
+	}
+	for proc, evs := range s {
+		if !reflect.DeepEqual(evs, l[proc]) {
+			return fmt.Errorf("process %q: %d events, %d with more observers", proc, len(evs), len(l[proc]))
+		}
+	}
+	return nil
+}
+
+// TraceByProcess decodes a Chrome trace and groups its events by the
+// process_name of their pid, in trace order, with the pid cleared: pids
+// number processes in first-appearance order, so they shift when another
+// producer's tracks come first.
+func TraceByProcess(data []byte) (map[string][]telemetry.ChromeEvent, error) {
+	evs, err := telemetry.ReadChromeTrace(data)
+	if err != nil {
+		return nil, err
+	}
+	names := make(map[int]string)
+	procs := make(map[string][]telemetry.ChromeEvent)
+	for _, e := range evs {
+		if e.Ph == "M" && e.Name == "process_name" {
+			names[e.Pid], _ = e.Args["name"].(string)
+		}
+		proc := names[e.Pid]
+		e.Pid = 0
+		procs[proc] = append(procs[proc], e)
+	}
+	return procs, nil
 }
 
 // fingerprint renders what a run measured, for the transparency oracle:

@@ -176,7 +176,7 @@ type Config struct {
 
 	// TraceSpans additionally records per-core execution spans (softirq
 	// and thread work items with their dominant Table-1 category) into
-	// the trace; the chrome entry of Result.Artifacts renders them.
+	// the trace; the trace entry of Result.Artifacts renders them.
 	// Requires TraceEvents > 0 and TraceFlow 0: span events carry flow
 	// id 0, so a flow filter would drop every one of them, and Run
 	// rejects the combination.
@@ -255,9 +255,9 @@ type Config struct {
 	// the write syscall to the read syscall that drains its last byte.
 	// The run's Result gains a tail-attribution report
 	// (Result.MessageLatency; Result.Artifacts' tail) decomposing each
-	// percentile band of end-to-end latency into per-stage means, and a
-	// slowest-N exemplar export (spans) as Chrome trace-event JSON for
-	// Perfetto. Tracing covers the whole run including warmup
+	// percentile band of end-to-end latency into per-stage means, and the
+	// slowest-N exemplars' span trees as tracks of Result.Artifacts' trace
+	// for Perfetto. Tracing covers the whole run including warmup
 	// (like socket snapshots) and is a pure observer: an armed run is
 	// bit-identical to an unarmed one. A nil MsgTrace costs nothing.
 	MsgTrace *MsgTraceOptions
@@ -655,9 +655,9 @@ type Result struct {
 	// was set, ordered by start time (empty if none, nil when off).
 	BurstEvents []BurstEvent
 
-	traceEvents []trace.Event     // raw events for the chrome artifact; non-nil when traced
+	traceEvents []trace.Event     // raw events for the trace artifact; non-nil when traced
 	prof        *profile.Profiler // backs the pprof and folded artifacts
-	mt          *mtrace.Tracer    // backs the spans artifact and MessageRecords
+	mt          *mtrace.Tracer    // backs the tail artifact, the trace's message tracks and MessageRecords
 }
 
 // Artifact is one file a run can write. Write renders its primary
@@ -671,12 +671,15 @@ type Artifact struct {
 // anew on each call, in a fixed order: telemetry (CSV; JSONL), pcap
 // (pcapng, both link directions), probe (CSV; JSONL), ss (CSV; JSONL),
 // folded (stacks for flamegraph.pl), pprof (gzipped profile.proto), tail
-// (MessageLatency.Format), spans (the slowest messages), chrome (the
-// recorded trace), fabric-report (ledger, blank line, bursts: CSV;
-// JSONL), fabric-trace (port queues and bursts) and fabric-timeline (CSV;
-// JSONL). spans, chrome and fabric-trace are Chrome trace-event JSON for
-// Perfetto. An artifact is listed when its observer was armed, even if
-// it recorded nothing: an empty trace writes a valid empty JSON array.
+// (MessageLatency.Format), trace, fabric-report (ledger, blank line,
+// bursts: CSV; JSONL) and fabric-timeline (CSV; JSONL). trace is one
+// Chrome trace-event JSON file for Perfetto, listed when the event
+// tracer, MsgTrace or FabricObs was armed: the recorded data-path events
+// (per-core execution spans and flow instants, one process per host),
+// then the slowest messages' span trees (one process each), then the
+// fabric's port-queue counters and microbursts (process "fabric"). An
+// artifact is listed when its observer was armed, even if it recorded
+// nothing: an empty trace writes a valid empty JSON array.
 func (r *Result) Artifacts() []Artifact {
 	var out []Artifact
 	if r.Timeline != nil {
@@ -699,10 +702,10 @@ func (r *Result) Artifacts() []Artifact {
 			_, err := io.WriteString(w, r.MessageLatency.Format())
 			return err
 		}
-		out = append(out, Artifact{"tail", tail, nil}, Artifact{"spans", r.mt.WriteSpans, nil})
+		out = append(out, Artifact{"tail", tail, nil})
 	}
-	if r.traceEvents != nil {
-		out = append(out, Artifact{"chrome", func(w io.Writer) error { return telemetry.WriteChromeTrace(w, r.traceEvents) }, nil})
+	if r.traceEvents != nil || r.mt != nil || r.FabricTimeline != nil {
+		out = append(out, Artifact{"trace", r.writeTrace, nil})
 	}
 	if r.FabricTimeline != nil {
 		ports, bursts := r.PortReports, r.BurstEvents
@@ -710,10 +713,20 @@ func (r *Result) Artifacts() []Artifact {
 			Artifact{"fabric-report",
 				func(w io.Writer) error { return fabricobs.WriteReportCSV(w, ports, bursts) },
 				func(w io.Writer) error { return fabricobs.WriteReportJSONL(w, ports, bursts) }},
-			Artifact{"fabric-trace", func(w io.Writer) error { return fabricobs.WriteTrace(w, ports, r.FabricTimeline, bursts) }, nil},
 			Artifact{"fabric-timeline", r.FabricTimeline.WriteCSV, r.FabricTimeline.WriteJSONL})
 	}
 	return out
+}
+
+// writeTrace writes the run's one Chrome trace: the data-path tracks,
+// then the message exemplars, then the fabric tracks, each from whichever
+// of those producers the run armed.
+func (r *Result) writeTrace(w io.Writer) error {
+	spans := append(telemetry.EventSpans(r.traceEvents), r.mt.Spans()...)
+	if r.FabricTimeline != nil {
+		spans = append(spans, fabricobs.Spans(r.PortReports, r.FabricTimeline, r.BurstEvents)...)
+	}
+	return telemetry.WriteChromeSpans(w, spans)
 }
 
 // FormatFabricReport renders the ledger and bursts as an aligned text

@@ -1,7 +1,11 @@
 package core
 
 import (
-	"strings"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"testing"
 	"time"
 
@@ -55,50 +59,141 @@ func TestCheckerCleanOnIdlePair(t *testing.T) {
 	}
 }
 
-func TestCheckerCatchesSKBLeak(t *testing.T) {
-	r := newCheckedRig(t, AllOpts())
-	// Take an skb from the shared pool and drop it on the floor: no queue,
-	// no leak-by-design counter ever accounts for it.
-	leaked := r.a.NIC.SKBPool().Get(&skb.Frame{Len: 1500})
-	_ = leaked
-	r.ck.Audit()
-	vs := r.violationsFor("skb-pool-conservation")
-	if len(vs) == 0 {
-		t.Fatalf("injected skb leak not caught; violations: %v", r.ck.Violations())
+// TestEveryRuleFires seeds, for each conservation rule AttachChecker adds,
+// one fault that rule alone must catch, and pins the message it reports.
+// The guard below fails when check.go adds a rule this table lacks.
+func TestEveryRuleFires(t *testing.T) {
+	// survive runs fn, which must panic part-way through an update.
+	survive := func(fn func()) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the seeded fault did not panic")
+			}
+		}()
+		fn()
 	}
-	if !strings.Contains(vs[0].Detail, "1 skbs leaked") {
-		t.Errorf("diagnostic does not name the leak: %q", vs[0].Detail)
+	rows := []struct {
+		rule string
+		// seed plants the fault and returns the first message the rule
+		// must report.
+		seed func(r *checkedRig) string
+	}{
+		{"wire-conservation", func(r *checkedRig) string {
+			// A send that dies after counting the frame sent, before it
+			// is in flight or dropped.
+			l := r.b.fab.Port(r.b.port).Out()
+			l.SetTap(func(*skb.Frame, bool) { panic("tap") })
+			survive(func() { l.Send(&skb.Frame{Len: 1500}) })
+			l.SetTap(nil)
+			return "link fabric->b: 1 frames sent != 0 delivered + 0 dropped + 0 in flight (leak of 1)"
+		}},
+		{"fabric-port-conservation", func(r *checkedRig) string {
+			// Ingress counts a frame of an unrouted flow, then refuses it.
+			survive(func() { r.a.fab.Port(r.a.port).Send(&skb.Frame{Flow: 99, Len: 1500}) })
+			return "fabric port 0 (a): 1 frames in != 0 forwarded + 0 buffer-dropped (leak of 1)"
+		}},
+		{"nic-rx-conservation", func(r *checkedRig) string {
+			// A frame reaches the NIC without crossing its inbound link.
+			f := r.b.NIC.FramePool().Get()
+			f.Len = 1500
+			r.b.NIC.ReceiveFromWire(f)
+			return "host b: link delivered 0 payload bytes but NIC accounts 1500 accepted + 0 ring-dropped"
+		}},
+		{"tcp-seqspace", func(r *checkedRig) string {
+			// Mid-transfer, the flow table names the sender as its own
+			// flow's receiver.
+			ep, epB := OpenConn(r.a, 0, r.b, 0)
+			startTransfer(r.rig, ep, epB, 64*units.MB)
+			r.run(2 * time.Millisecond)
+			r.a.flows.ends[ep.txFlow].rx = ep
+			return fmt.Sprintf("tcp flow %d: cross-host sequence drift: a sndUna %d, a rcvNxt 0, sndNxt %d "+
+				"(want sndUna <= rcvNxt <= sndNxt)", ep.txFlow, ep.conn.SndUna(), ep.conn.SndNxt())
+		}},
+		{"skb-pool-conservation", func(r *checkedRig) string {
+			// An skb taken from the pool and dropped on the floor.
+			r.a.NIC.SKBPool().Get(&skb.Frame{Len: 1500})
+			return "skb pool: 1 outstanding but only 0 accounted for (gro+recvq+ooo+unsteered+rps across a/b) — 1 skbs leaked"
+		}},
+		{"frame-pool-conservation", func(r *checkedRig) string {
+			r.a.NIC.FramePool().Get().Len = 9000
+			return "frame pool: 1 outstanding but only 0 accounted for (txq+rx backlog+wire+switch drops across a/b) — 1 frames leaked"
+		}},
+		{"cycle-conservation", func(r *checkedRig) string {
+			// Cycles slipped into the core accounting without a work item
+			// never reach the charge log.
+			r.b.Sys.Core(0).SkewAccounting(cpumodel.DataCopy, units.Cycles(1234))
+			return "host b: category data_copy accounts 1234 cycles but the charge log saw 0 (drift +1234)"
+		}},
+		{"dca-occupancy", func(r *checkedRig) string {
+			// Rolled back to a stale copy of itself, the DCA keeps its tag
+			// array but not its count, so dropping a page resident since
+			// drives the count below zero.
+			stale := *r.b.DCA
+			r.b.DCA.Insert(7)
+			*r.b.DCA = stale
+			r.b.DCA.Drop(7)
+			return fmt.Sprintf("host b: DDIO occupancy -1 pages outside [0, %d]", r.b.DCA.Capacity())
+		}},
 	}
-}
+	named := make(map[string]bool)
+	for _, row := range rows {
+		named[row.rule] = true
+		t.Run(row.rule, func(t *testing.T) {
+			r := newCheckedRig(t, AllOpts())
+			want := row.seed(r)
+			if vs := r.ck.Violations(); len(vs) != 0 {
+				t.Fatalf("violations before the fault was seeded: %v", vs)
+			}
+			r.ck.Audit()
+			vs := r.ck.Violations()
+			if len(vs) == 0 {
+				t.Fatal("the seeded fault was not caught")
+			}
+			for _, v := range vs {
+				if v.Rule != row.rule {
+					t.Errorf("rule %s fired too: %s", v.Rule, v.Detail)
+				}
+			}
+			if vs[0].Detail != want {
+				t.Errorf("reported\n%q\nwant\n%q", vs[0].Detail, want)
+			}
+		})
+	}
 
-func TestCheckerCatchesFrameLeak(t *testing.T) {
-	r := newCheckedRig(t, AllOpts())
-	f := r.a.NIC.FramePool().Get()
-	f.Len = 9000
-	r.ck.Audit()
-	vs := r.violationsFor("frame-pool-conservation")
-	if len(vs) == 0 {
-		t.Fatalf("injected frame leak not caught; violations: %v", r.ck.Violations())
+	// The guard: every rule check.go adds has a row, and every row names
+	// a rule check.go adds.
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "check.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(vs[0].Detail, "1 frames leaked") {
-		t.Errorf("diagnostic does not name the leak: %q", vs[0].Detail)
-	}
-}
-
-func TestCheckerCatchesCycleDoubleCharge(t *testing.T) {
-	r := newCheckedRig(t, AllOpts())
-	// Slip cycles into the core accounting without a work item: the charge
-	// log never sees them, so the ledger cannot reconcile.
-	r.b.Sys.Core(0).SkewAccounting(cpumodel.DataCopy, units.Cycles(1234))
-	r.ck.Audit()
-	vs := r.violationsFor("cycle-conservation")
-	if len(vs) == 0 {
-		t.Fatalf("injected double-charge not caught; violations: %v", r.ck.Violations())
-	}
-	d := vs[0].Detail
-	if !strings.Contains(d, "host b") || !strings.Contains(d, "data_copy") ||
-		!strings.Contains(d, "drift +1234") {
-		t.Errorf("diagnostic not pointed enough: %q", d)
+	added := make(map[string]bool)
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "AddRule" {
+			return true
+		}
+		lit, ok := call.Args[0].(*ast.BasicLit)
+		if !ok {
+			t.Fatalf("%s: AddRule with no literal name", fset.Position(call.Pos()))
+		}
+		name, err := strconv.Unquote(lit.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		added[name] = true
+		if !named[name] {
+			t.Errorf("%s: rule %s has no TestEveryRuleFires row; add one", fset.Position(call.Pos()), name)
+		}
+		return true
+	})
+	for name := range named {
+		if !added[name] {
+			t.Errorf("TestEveryRuleFires has a row for %s, which check.go no longer adds; drop it", name)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"hostsim/internal/fabric"
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
+	"hostsim/internal/telemetry"
 	"hostsim/internal/units"
 )
 
@@ -313,7 +314,7 @@ func TestWritersDeterministic(t *testing.T) {
 		if err := WriteReportJSONL(&b, obs.PortReports(), obs.Bursts()); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteTrace(&c, obs.PortReports(), obs.Timeline(), obs.Bursts()); err != nil {
+		if err := telemetry.WriteChromeSpans(&c, Spans(obs.PortReports(), obs.Timeline(), obs.Bursts())); err != nil {
 			t.Fatal(err)
 		}
 		return a.String(), b.String(), c.String()

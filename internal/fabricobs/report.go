@@ -340,13 +340,14 @@ func FormatReport(ports []PortReport, bursts []BurstEvent) string {
 	return b.String()
 }
 
-// WriteTrace renders the observatory as a Chrome trace-event JSON array
-// (Perfetto-loadable): the time-series becomes counter tracks (shared
-// buffer occupancy plus one backlog counter per port) and every retained
-// microburst becomes a complete "X" span on its port's thread row, with
-// peaks, frame counts and contributing flows in the args. Each port's row
-// is named after its ledger entry's host.
-func WriteTrace(w io.Writer, ports []PortReport, tl *telemetry.Timeline, bursts []BurstEvent) error {
+// Spans renders the observatory as trace spans for the one Chrome trace
+// writer (telemetry.WriteChromeSpans), all on the "fabric" process: the
+// time-series becomes counter tracks (shared buffer occupancy plus one
+// backlog counter per port) and every retained microburst becomes a
+// complete slice on its port's thread row, with peaks, frame counts and
+// contributing flows in the args. Each port's row is named after its
+// ledger entry's host.
+func Spans(ports []PortReport, tl *telemetry.Timeline, bursts []BurstEvent) []telemetry.Span {
 	var spans []telemetry.Span
 	cols := make(map[string]int, len(tl.Names))
 	for i, n := range tl.Names {
@@ -389,5 +390,5 @@ func WriteTrace(w io.Writer, ports []PortReport, tl *telemetry.Timeline, bursts 
 			},
 		})
 	}
-	return telemetry.WriteChromeSpans(w, spans)
+	return spans
 }

@@ -7,6 +7,7 @@ import (
 
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
+	"hostsim/internal/telemetry"
 	"hostsim/internal/units"
 )
 
@@ -175,7 +176,7 @@ func TestBandsAndExemplars(t *testing.T) {
 		t.Fatalf("slowest exemplar is msg %d, want 1999", ex[0].ID)
 	}
 	// The formatted report is stable, includes canonical stage names and
-	// renders through WriteSpans without error.
+	// renders through the shared trace writer without error.
 	text := s.Format()
 	for _, want := range []string{"retx_wait", "sock_queue", "p999-max", "messages 2000"} {
 		if !strings.Contains(text, want) {
@@ -183,7 +184,7 @@ func TestBandsAndExemplars(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteSpans(&buf); err != nil {
+	if err := telemetry.WriteChromeSpans(&buf, tr.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "slow01") {

@@ -2,7 +2,6 @@ package mtrace
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"hostsim/internal/stage"
@@ -62,21 +61,14 @@ func (t *Tracer) Spans() []telemetry.Span {
 	return spans
 }
 
-// WriteSpans writes the exemplar span trees as a Chrome trace-event JSON
-// array (Perfetto-loadable), reusing the shared trace writer. An empty
-// exemplar store writes a valid empty trace.
-func (t *Tracer) WriteSpans(w io.Writer) error {
-	return telemetry.WriteChromeSpans(w, t.Spans())
-}
-
-// CheckSpans checks a trace written by WriteSpans. It starts from the
-// generic trace-event rules (telemetry.ReadChromeTrace) and then checks
-// each process that has message or stage slices. Every such slice names
-// a known stage and carries a non-negative args.ns. The process
-// has one total message span on tid 0 and NumMsgStages stage slices on
-// tid 1, and the stage slices sum exactly to the total. Other slices,
-// such as those of a data-path or fabric trace, need only the generic
-// rules.
+// CheckSpans checks a trace that carries Spans' exemplars, alone or
+// beside other producers' tracks. It starts from the generic trace-event
+// rules (telemetry.ReadChromeTrace) and then checks each process that has
+// message or stage slices. Every such slice names a known stage and
+// carries a non-negative args.ns. The process has one total message span
+// on tid 0 and NumMsgStages stage slices on tid 1, and the stage slices
+// sum exactly to the total. Other slices, such as the data-path and
+// fabric tracks of the same trace, need only the generic rules.
 func CheckSpans(data []byte) (string, error) {
 	evs, err := telemetry.ReadChromeTrace(data)
 	if err != nil {

@@ -27,61 +27,11 @@ type ChromeEvent struct {
 // usOf converts simulated nanoseconds to trace-event microseconds.
 func usOf(ns int64) float64 { return float64(ns) / 1e3 }
 
-// chromeEnc accumulates trace objects, assigning pids to named processes
-// in first-appearance order and emitting the metadata events Perfetto
-// needs to label them. Shared by the event renderer (WriteChromeTrace)
-// and the span renderer (WriteChromeSpans).
-type chromeEnc struct {
-	pids map[string]int
-	tids map[[2]int]bool // (pid, tid) pairs with thread_name emitted
-	objs []ChromeEvent
-}
-
-func newChromeEnc() *chromeEnc {
-	return &chromeEnc{pids: make(map[string]int), tids: make(map[[2]int]bool)}
-}
-
-// pid returns the process id for a named process, emitting its
-// process_name metadata on first appearance.
-func (e *chromeEnc) pid(process string) int {
-	if p, ok := e.pids[process]; ok {
-		return p
-	}
-	p := len(e.pids) + 1
-	e.pids[process] = p
-	e.objs = append(e.objs, ChromeEvent{
-		Name: "process_name", Ph: "M", Pid: p,
-		Args: map[string]any{"name": process},
-	})
-	return p
-}
-
-// threadName emits a thread_name metadata event once per (pid, tid).
-func (e *chromeEnc) threadName(pid, tid int, name string) {
-	if name == "" || e.tids[[2]int{pid, tid}] {
-		return
-	}
-	e.tids[[2]int{pid, tid}] = true
-	e.objs = append(e.objs, ChromeEvent{
-		Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-		Args: map[string]any{"name": name},
-	})
-}
-
-// flush encodes the accumulated objects as one JSON array. An empty
-// accumulation encodes as a valid empty trace.
-func (e *chromeEnc) flush(w io.Writer) error {
-	if e.objs == nil {
-		e.objs = []ChromeEvent{}
-	}
-	return json.NewEncoder(w).Encode(e.objs)
-}
-
-// ReadChromeTrace decodes a trace written by WriteChromeTrace or
-// WriteChromeSpans and checks the rules chromeEnc keeps for every
-// producer: each event has a known phase (M, X, i or C), non-negative ts
-// and dur, and a pid whose process_name metadata came earlier. Checks of
-// one producer's own rules (mtrace.CheckSpans) start from its result.
+// ReadChromeTrace decodes a trace written by WriteChromeSpans and checks
+// the rules that writer keeps for every producer: each event has a known
+// phase (M, X, i or C), non-negative ts and dur, and a pid whose
+// process_name metadata came earlier. Checks of one producer's own rules
+// (mtrace.CheckSpans) start from its result.
 func ReadChromeTrace(data []byte) ([]ChromeEvent, error) {
 	var evs []ChromeEvent
 	if err := json.Unmarshal(data, &evs); err != nil {
@@ -103,17 +53,12 @@ func ReadChromeTrace(data []byte) ([]ChromeEvent, error) {
 	return evs, nil
 }
 
-// WriteChromeTrace renders traced events as a Chrome trace-event JSON
-// array, loadable directly in Perfetto or chrome://tracing. Hosts become
-// processes (pid per host, named via metadata events), cores become
-// threads (tid = core id). Span start/end pairs (SoftirqStart/End,
-// ThreadStart/End) become complete "X" events named by their dominant
-// Table-1 category; all other kinds become thread-scoped instant events.
-//
-// Writing an empty event list produces a valid empty trace.
-func WriteChromeTrace(w io.Writer, events []trace.Event) error {
-	enc := newChromeEnc()
-
+// EventSpans turns traced data-path events into trace spans. Hosts become
+// processes and cores become threads (tid = core id). Span start/end
+// pairs (SoftirqStart/End, ThreadStart/End) become complete slices named
+// by their dominant Table-1 category; all other kinds become
+// thread-scoped instants.
+func EventSpans(events []trace.Event) []Span {
 	// One pending span start per (host, core): cores execute work items
 	// serially, so starts and ends of a core strictly alternate.
 	type spanKey struct {
@@ -121,9 +66,8 @@ func WriteChromeTrace(w io.Writer, events []trace.Event) error {
 		core int
 	}
 	pending := make(map[spanKey]trace.Event)
-
+	var spans []Span
 	for _, e := range events {
-		pid := enc.pid(e.Host)
 		switch e.Kind {
 		case trace.SoftirqStart, trace.ThreadStart:
 			pending[spanKey{e.Host, e.Core}] = e
@@ -138,37 +82,29 @@ func WriteChromeTrace(w io.Writer, events []trace.Event) error {
 			if e.Kind == trace.ThreadEnd {
 				ctxName = "thread"
 			}
-			enc.objs = append(enc.objs, ChromeEvent{
-				Name: cpumodel.Category(e.A).String(),
-				Cat:  ctxName,
-				Ph:   "X",
-				Ts:   usOf(int64(start.At)),
-				Dur:  usOf(int64(e.At - start.At)),
-				Pid:  pid,
-				Tid:  e.Core,
+			spans = append(spans, Span{
+				Process: e.Host, Thread: e.Core,
+				Name: cpumodel.Category(e.A).String(), Cat: ctxName,
+				StartNS: int64(start.At), DurNS: int64(e.At - start.At),
 				Args: map[string]any{"cycles": e.B},
 			})
 		default:
-			enc.objs = append(enc.objs, ChromeEvent{
-				Name: e.Kind.String(),
-				Cat:  "flow",
-				Ph:   "i",
-				Ts:   usOf(int64(e.At)),
-				Pid:  pid,
-				Tid:  e.Core,
-				S:    "t",
-				Args: map[string]any{"flow": int64(e.Flow), "a": e.A, "b": e.B},
+			spans = append(spans, Span{
+				Process: e.Host, Thread: e.Core,
+				Name: e.Kind.String(), Cat: "flow", Instant: true,
+				StartNS: int64(e.At),
+				Args:    map[string]any{"flow": int64(e.Flow), "a": e.A, "b": e.B},
 			})
 		}
 	}
-	return enc.flush(w)
+	return spans
 }
 
-// Span is one renderer-agnostic trace entry for WriteChromeSpans: a
-// complete duration slice (or an instant) on a named process/thread.
-// Producers that are not the event tracer — the message tracer's
-// exemplar span trees, for one — build Spans and reuse this writer
-// instead of reimplementing the trace-event format.
+// Span is one trace entry for WriteChromeSpans: a complete duration slice,
+// an instant or a counter sample on a named process/thread. Every trace
+// producer (EventSpans, the message tracer's exemplars, the fabric
+// observatory) builds Spans, so one run's producers concatenate into one
+// trace.
 type Span struct {
 	Process    string // process label; pids are assigned in first-appearance order
 	Thread     int    // tid within the process
@@ -183,39 +119,46 @@ type Span struct {
 	Args       map[string]any // optional; retained by reference
 }
 
-// WriteChromeSpans renders prebuilt spans as a Chrome trace-event JSON
-// array (Perfetto-loadable), in input order. Writing no spans produces a
+// WriteChromeSpans renders spans as a Chrome trace-event JSON array,
+// loadable directly in Perfetto or chrome://tracing, in input order. Each
+// process gets a pid in first-appearance order and a process_name
+// metadata event before its first span; each named (process, thread) a
+// thread_name event before its first span. Writing no spans produces a
 // valid empty trace.
 func WriteChromeSpans(w io.Writer, spans []Span) error {
-	enc := newChromeEnc()
+	pids := make(map[string]int)
+	named := make(map[[2]int]bool) // (pid, tid) pairs with thread_name emitted
+	objs := []ChromeEvent{}
 	for _, s := range spans {
-		pid := enc.pid(s.Process)
-		enc.threadName(pid, s.Thread, s.ThreadName)
-		if s.Counter {
-			args := s.Args
-			if args == nil {
-				args = map[string]any{"value": s.Value}
+		pid, ok := pids[s.Process]
+		if !ok {
+			pid = len(pids) + 1
+			pids[s.Process] = pid
+			objs = append(objs, ChromeEvent{
+				Name: "process_name", Ph: "M", Pid: pid,
+				Args: map[string]any{"name": s.Process},
+			})
+		}
+		if key := [2]int{pid, s.Thread}; s.ThreadName != "" && !named[key] {
+			named[key] = true
+			objs = append(objs, ChromeEvent{
+				Name: "thread_name", Ph: "M", Pid: pid, Tid: s.Thread,
+				Args: map[string]any{"name": s.ThreadName},
+			})
+		}
+		ev := ChromeEvent{Name: s.Name, Cat: s.Cat, Ts: usOf(s.StartNS), Pid: pid, Tid: s.Thread, Args: s.Args}
+		switch {
+		case s.Counter:
+			ev.Ph = "C"
+			if ev.Args == nil {
+				ev.Args = map[string]any{"value": s.Value}
 			}
-			enc.objs = append(enc.objs, ChromeEvent{
-				Name: s.Name, Cat: s.Cat, Ph: "C",
-				Ts: usOf(s.StartNS), Pid: pid, Tid: s.Thread,
-				Args: args,
-			})
-			continue
+		case s.Instant:
+			ev.Ph, ev.S = "i", "t"
+		default:
+			ev.Ph, ev.Dur = "X", usOf(s.DurNS)
 		}
-		if s.Instant {
-			enc.objs = append(enc.objs, ChromeEvent{
-				Name: s.Name, Cat: s.Cat, Ph: "i",
-				Ts: usOf(s.StartNS), Pid: pid, Tid: s.Thread,
-				S: "t", Args: s.Args,
-			})
-			continue
-		}
-		enc.objs = append(enc.objs, ChromeEvent{
-			Name: s.Name, Cat: s.Cat, Ph: "X",
-			Ts: usOf(s.StartNS), Dur: usOf(s.DurNS),
-			Pid: pid, Tid: s.Thread, Args: s.Args,
-		})
+		objs = append(objs, ev)
 	}
-	return enc.flush(w)
+	return json.NewEncoder(w).Encode(objs)
 }

@@ -28,7 +28,7 @@ func at(d time.Duration) sim.Time { return sim.Time(d) }
 
 func TestChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil); err != nil {
+	if err := WriteChromeSpans(&buf, EventSpans(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var evs []chromeEvent
@@ -50,7 +50,7 @@ func TestChromeTraceSpansAndInstants(t *testing.T) {
 		{At: at(5 * time.Microsecond), Host: "receiver", Core: 1, Kind: trace.SoftirqEnd, A: 2, B: 900},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
+	if err := WriteChromeSpans(&buf, EventSpans(events)); err != nil {
 		t.Fatal(err)
 	}
 	var evs []chromeEvent
@@ -106,7 +106,7 @@ func TestChromeTraceSkipsOrphanEnd(t *testing.T) {
 		{At: at(time.Microsecond), Host: "h", Core: 0, Kind: trace.SoftirqEnd, A: 1, B: 10},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
+	if err := WriteChromeSpans(&buf, EventSpans(events)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), `"X"`) {
@@ -122,10 +122,10 @@ func TestChromeTraceDeterministicBytes(t *testing.T) {
 			Kind: trace.GROFlush, A: 4, B: 180000},
 	}
 	var b1, b2 bytes.Buffer
-	if err := WriteChromeTrace(&b1, events); err != nil {
+	if err := WriteChromeSpans(&b1, EventSpans(events)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTrace(&b2, events); err != nil {
+	if err := WriteChromeSpans(&b2, EventSpans(events)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

@@ -1,9 +1,12 @@
 // Package telemetry provides the simulator's time-resolved observability
 // layer: a registry of named counters and gauges that every subsystem
 // registers into, an interval sampler that snapshots the registry into a
-// ring-buffered timeseries (dumpable as CSV or JSONL), and a Chrome
-// trace-event exporter that renders per-core execution spans and flow
-// lifecycle events for Perfetto / chrome://tracing.
+// ring-buffered timeseries (dumpable as CSV or JSONL), and the one Chrome
+// trace-event writer (WriteChromeSpans) for Perfetto / chrome://tracing.
+// Every trace producer hands that writer Spans: EventSpans turns the
+// data-path tracer's per-core execution spans and flow lifecycle events
+// into them, and the message tracer and fabric observatory build their
+// own, so one run's tracks land in one trace.
 //
 // The whole layer follows the nil-is-free convention of internal/trace: a
 // nil *Registry hands out nil *Counters, and every method of a nil

@@ -168,8 +168,8 @@ func TestMsgTraceTelescoping(t *testing.T) {
 				t.Errorf("%s: quantiles not monotone: %v", name, qs)
 			}
 		}
-		if _, err := mtrace.CheckSpans(artifact(t, res, "spans")); err != nil {
-			t.Errorf("%s: spans: %v", name, err)
+		if _, err := mtrace.CheckSpans(artifact(t, res, "trace")); err != nil {
+			t.Errorf("%s: trace: %v", name, err)
 		}
 		if _, err := mtrace.CheckTailReport(artifact(t, res, "tail")); err != nil {
 			t.Errorf("%s: tail report: %v", name, err)
@@ -177,11 +177,11 @@ func TestMsgTraceTelescoping(t *testing.T) {
 	}
 }
 
-// mtraceArtifacts serializes everything `netsim -tail-report -mtrace-out`
-// would write for a run: the text report plus the Chrome-trace span JSON.
+// mtraceArtifacts serializes everything `netsim -tail-report -trace-out`
+// would write for a run: the text report plus the Chrome trace.
 func mtraceArtifacts(t *testing.T, r *hostsim.Result) string {
 	t.Helper()
-	return string(artifact(t, r, "tail")) + string(artifact(t, r, "spans"))
+	return string(artifact(t, r, "tail")) + string(artifact(t, r, "trace"))
 }
 
 // TestMsgTraceDeterminismAcrossJobs is the parallelism contract for the

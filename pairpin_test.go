@@ -114,10 +114,13 @@ func renderAll(t *testing.T, r *hostsim.Result) (map[string][]byte, []string) {
 // TestArtifactsCompose runs each observer of the observed-fabric-incast16
 // case alone, lossless and at 0.5 % loss. The run must measure what the
 // run with every observer armed measures, and each artifact it writes,
-// in both encodings, must be byte-identical to the same artifact from
-// that run. Between them the lone runs write every artifact of the armed
-// run once, and the armed run lists every artifact but pcap, which a
-// 2-host run with pcap also armed lists besides.
+// in both encodings, must be contained in the same artifact from that
+// run (hostsim.ArtifactWithin): byte-identical, except that a lone
+// producer's trace carries its own processes of the armed run's trace.
+// Between them the lone runs write every artifact of the armed run once,
+// and every process of its trace once, and the armed run lists every
+// artifact but pcap, which a 2-host run with pcap also armed lists
+// besides.
 func TestArtifactsCompose(t *testing.T) {
 	every := hostsim.Config{Stack: hostsim.AllOptimizations(), Seed: 7,
 		Warmup: time.Millisecond, Duration: time.Millisecond, Fabric: &hostsim.FabricOptions{Hosts: 2}}
@@ -136,6 +139,22 @@ func TestArtifactsCompose(t *testing.T) {
 		}
 	}
 
+	// units names what an artifact covers: itself, or, for the trace,
+	// each of its processes.
+	units := func(name string, data []byte) []string {
+		if name != "trace" {
+			return []string{name}
+		}
+		procs, err := hostsim.TraceByProcess(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for proc := range procs {
+			out = append(out, "trace "+proc)
+		}
+		return out
+	}
 	wl := hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)
 	for _, loss := range []float64{0, 0.005} {
 		all := observedFabric(loss)
@@ -150,7 +169,13 @@ func TestArtifactsCompose(t *testing.T) {
 		if !slices.Equal(names, butPcap) {
 			t.Errorf("loss %v: the armed run lists %v; want every artifact but pcap, %v", loss, names, butPcap)
 		}
-		written := 0
+		// The lone runs that wrote each unit of the armed run's artifacts.
+		written := map[string]int{}
+		for name, data := range want {
+			for _, u := range units(name, data) {
+				written[u] = 0
+			}
+		}
 		for _, o := range fabricObservers {
 			cfg := observedFabric(loss)
 			o.arm(&cfg)
@@ -163,15 +188,23 @@ func TestArtifactsCompose(t *testing.T) {
 			}
 			got, _ := renderAll(t, alone)
 			for name, data := range got {
-				written++
-				if w, ok := want[name]; !ok || !bytes.Equal(data, w) {
-					t.Errorf("loss %v: %s alone writes a different %s artifact (%d bytes, %d with every observer)",
-						loss, o.name, name, len(data), len(w))
+				w, ok := want[name]
+				if !ok {
+					t.Errorf("loss %v: %s alone writes a %s artifact the armed run lacks", loss, o.name, name)
+					continue
+				}
+				if err := hostsim.ArtifactWithin(name, data, w); err != nil {
+					t.Errorf("loss %v: %s alone writes a different %s artifact: %v", loss, o.name, name, err)
+				}
+				for _, u := range units(name, data) {
+					written[u]++
 				}
 			}
 		}
-		if written != len(want) {
-			t.Errorf("loss %v: lone runs wrote %d artifacts, the armed run %d", loss, written, len(want))
+		for name, n := range written {
+			if n != 1 {
+				t.Errorf("loss %v: lone runs wrote %s %d times; want once", loss, name, n)
+			}
 		}
 	}
 }
@@ -241,14 +274,14 @@ func TestPairPinnedDigests(t *testing.T) {
 			cfg.TraceEvents = 2000
 			cfg.TraceSpans = true
 			return cfg
-		}, hostsim.MixedWorkload(4, 4096), "05e5d8f3bb281cdcfaca9b1fac8fb374339534821652b4c10deda7fbdf3748e9"},
+		}, hostsim.MixedWorkload(4, 4096), "a8a859254e5f7a876b64c63e5758f9b0fee6512b8870f53ca862dc5551824b2e"},
 		{"observed-fabric-incast16", func() hostsim.Config {
 			cfg := observedFabric(0)
 			for _, o := range fabricObservers {
 				o.arm(&cfg)
 			}
 			return cfg
-		}, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), "0db5556013e2330d59e9a3f4c859c37514b8ad85d482786837ed16d4accfeda4"},
+		}, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), "2434d31e62f6e4b66bc88f18f29d909eb26952b1993109ea9983e26af83299eb"},
 		{"one-to-one4", base, hostsim.LongFlowWorkload(hostsim.PatternOneToOne, 4), "6d70c582b5c5b357806d333561ef29d9bd412a0099fa71d044d0163657f7c50a"},
 		{"outcast4", base, hostsim.LongFlowWorkload(hostsim.PatternOutcast, 4), "03c04c34222080d5bc1e8844db83c96397c4e5e6c1a008ed80b58c8cfcbd3c3b"},
 		{"all-to-all3", base, hostsim.LongFlowWorkload(hostsim.PatternAllToAll, 3), "a88a0c1b1abb4460d06d66fd3df55f39a0bfcc039710ed734ddc305abd5a1d2d"},

@@ -120,7 +120,7 @@ func TestWriteChromeTraceRoundTrips(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, a := range res.Artifacts() {
-		if a.Name == "chrome" {
+		if a.Name == "trace" {
 			if err := a.Write(&buf); err != nil {
 				t.Fatal(err)
 			}

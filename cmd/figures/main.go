@@ -12,9 +12,10 @@
 //	figures -jobs 1         # serial regeneration (default: all CPUs)
 //	figures -check          # audit conservation laws during every run
 //
-// Output on stdout is byte-identical at any -jobs value: experiments fan
-// out across workers but tables are printed in paper order, and each
-// simulation is an isolated, seeded run. Timing goes to stderr.
+// Output on stdout is byte-identical at any -jobs value: the selected
+// experiments' runs fan out across workers as one batch, but tables are
+// printed in paper order, and each simulation is an isolated, seeded run.
+// Timing goes to stderr.
 package main
 
 import (

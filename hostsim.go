@@ -463,6 +463,9 @@ type PacketCapture = inspect.Capture
 
 // ProbeTrace is the run's tcp_probe-style congestion trace (see
 // Config.Inspect); inspect.ProbeTrace documents the record layout.
+// Records come in engine dispatch order, each stamped with its emitting
+// core's clock, so time_ns is non-decreasing per (host, flow) only: sort
+// stably by time_ns to merge flows.
 type ProbeTrace = inspect.ProbeTrace
 
 // FlowStats is one connection's terminal TCP state at the end of the run:

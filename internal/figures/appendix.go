@@ -1,10 +1,6 @@
 package figures
 
-import (
-	"fmt"
-
-	"hostsim"
-)
+import "hostsim"
 
 // The app* experiments regenerate the breakdowns the paper's figures
 // reference with "see [7]" (the authors' extended technical report):
@@ -13,78 +9,40 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "app1",
-		Title: "Appendix: incast sender-side CPU breakdown",
-		Paper: "Fig. 6 caption: 'See [7] for sender-side CPU breakdown'",
-		Run: func(rc RunConfig) (*Table, error) {
-			return flowsBreakdown(rc, "app1", hostsim.PatternIncast, true)
-		},
+		ID:     "app1",
+		Title:  "Appendix: incast sender-side CPU breakdown",
+		Paper:  "Fig. 6 caption: 'See [7] for sender-side CPU breakdown'",
+		Runs:   patternSpecs(hostsim.PatternIncast),
+		Render: flowsBreakdown("app1", hostsim.PatternIncast, true),
 	})
 	register(Experiment{
-		ID:    "app2",
-		Title: "Appendix: outcast receiver-side CPU breakdown",
-		Paper: "Fig. 7 caption: 'Refer to [7] for receiver-side CPU breakdown'",
-		Run: func(rc RunConfig) (*Table, error) {
-			return flowsBreakdown(rc, "app2", hostsim.PatternOutcast, false)
-		},
+		ID:     "app2",
+		Title:  "Appendix: outcast receiver-side CPU breakdown",
+		Paper:  "Fig. 7 caption: 'Refer to [7] for receiver-side CPU breakdown'",
+		Runs:   patternSpecs(hostsim.PatternOutcast),
+		Render: flowsBreakdown("app2", hostsim.PatternOutcast, false),
 	})
 	register(Experiment{
 		ID:    "app3",
 		Title: "Appendix: RPC client-side CPU breakdown vs size",
 		Paper: "Fig. 10 caption: 'See [7] for client-side CPU breakdown'",
-		Run:   app3RPCClients,
+		Runs:  rpcSpecs,
+		Render: breakdown("app3", "RPC client-host CPU breakdown vs size", "rpc-size-KB", rpcLabels, true,
+			"clients mirror the server's shift from protocol+scheduling to copy as RPCs grow"),
 	})
 	register(Experiment{
-		ID:    "app4",
-		Title: "Appendix: mixed-workload client-side CPU breakdown",
-		Paper: "Fig. 11 caption: 'refer to [7] for client-side CPU breakdown'",
-		Run:   app4MixedClients,
+		ID:     "app4",
+		Title:  "Appendix: mixed-workload client-side CPU breakdown",
+		Paper:  "Fig. 11 caption: 'refer to [7] for client-side CPU breakdown'",
+		Runs:   mixedSpecs,
+		Render: breakdown("app4", "Mixed workload: sender-host (client-side) CPU breakdown", "short-flows", shortLabels, true),
 	})
 	register(Experiment{
 		ID:    "app5",
 		Title: "Appendix: all-to-all sender-side CPU breakdown",
 		Paper: "Fig. 8 caption: 'See [7] for sender-side CPU breakdown'",
-		Run:   app5AllToAllSenders,
+		Runs:  patternSpecs(hostsim.PatternAllToAll),
+		Render: breakdown("app5", "All-to-all sender-side CPU breakdown", "flows", gridLabels, true,
+			"sender-side scheduling share grows with thread count per core, as §3.5 describes"),
 	})
-}
-
-func app3RPCClients(rc RunConfig) (*Table, error) {
-	results, err := rpcResults(rc)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "app3", Title: "RPC client-host CPU breakdown vs size",
-		Columns: breakdownHeader("rpc-size-KB")}
-	for _, size := range rpcSizes {
-		t.Rows = append(t.Rows, breakdownRow(fmt.Sprintf("%d", size>>10), results[size].Sender.Breakdown))
-	}
-	t.Notes = append(t.Notes, "clients mirror the server's shift from protocol+scheduling to copy as RPCs grow")
-	return t, nil
-}
-
-func app4MixedClients(rc RunConfig) (*Table, error) {
-	results, err := mixedResults(rc)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "app4", Title: "Mixed workload: sender-host (client-side) CPU breakdown",
-		Columns: breakdownHeader("short-flows")}
-	for _, n := range shortCounts {
-		t.Rows = append(t.Rows, breakdownRow(fmt.Sprintf("%d", n), results[n].Sender.Breakdown))
-	}
-	return t, nil
-}
-
-func app5AllToAllSenders(rc RunConfig) (*Table, error) {
-	results, err := allToAllResults(rc)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "app5", Title: "All-to-all sender-side CPU breakdown",
-		Columns: breakdownHeader("flows")}
-	for _, n := range flowCounts {
-		t.Rows = append(t.Rows, breakdownRow(fmt.Sprintf("%dx%d", n, n), results[n].Sender.Breakdown))
-	}
-	t.Notes = append(t.Notes, "sender-side scheduling share grows with thread count per core, as §3.5 describes")
-	return t, nil
 }

@@ -27,7 +27,7 @@ func dispatched(specs []runSpec) []runSpec {
 func TestPlanBatchOrder(t *testing.T) {
 	rc := Default()
 	steps := append(ladder(), ablations()...)
-	order := dispatched(singleFlowSpecs(rc, steps))
+	order := dispatched(singleFlowSpecs(steps)(rc))
 	if len(order) != 6 {
 		t.Fatalf("fig3a dispatches %d runs, want 6 (All Opt. is +aRFS (all))", len(order))
 	}
@@ -40,7 +40,7 @@ func TestPlanBatchOrder(t *testing.T) {
 	}
 
 	var hosts []int
-	for _, s := range dispatched(scaleSpecs(rc, hostsim.PatternIncast)) {
+	for _, s := range dispatched(scaleSpecs(hostsim.PatternIncast)(rc)) {
 		hosts = append(hosts, s.cfg.Fabric.Hosts)
 	}
 	if got, want := hosts, []int{64, 16, 8, 4, 2}; !slices.Equal(got, want) {
@@ -53,13 +53,13 @@ func TestPlanBatchOrder(t *testing.T) {
 func TestRunBatchDuplicateRunsOnce(t *testing.T) {
 	rc := quick()
 	rc.Jobs = 2
-	specs := singleFlowSpecs(rc, []stackStep{ladder()[3], ladder()[0], ladder()[3]})
+	specs := singleFlowSpecs([]stackStep{ladder()[3], ladder()[0], ladder()[3]})(rc)
 	if jobs, _, _ := planBatch(specs); len(jobs) != 2 {
 		t.Fatalf("%d jobs for 2 distinct specs", len(jobs))
 	}
 	ClearCache()
 	defer ClearCache()
-	res, err := runBatch(rc, specs)
+	res, err := values(runBatch(rc, specs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRunBatchDuplicateRunsOnce(t *testing.T) {
 
 // TestRunBatchSpecOrder: dispatch runs the 16-host spec first, yet the
 // results and the error come back as a serial loop in spec order would
-// give them, at one worker and at two.
+// give them, at one worker and at two, from runBatch and from RunAll.
 func TestRunBatchSpecOrder(t *testing.T) {
 	rc := quick()
 	pair := runSpec{rc.config(hostsim.AllOptimizations()), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)}
@@ -84,6 +84,10 @@ func TestRunBatchSpecOrder(t *testing.T) {
 	}
 	nanLoss := pair
 	nanLoss.cfg.LossRate = math.NaN() // no memo key: JSON has no NaN
+	specsOf := func(s runSpec) func(RunConfig) []runSpec {
+		return func(RunConfig) []runSpec { return []runSpec{s} }
+	}
+	table2, _ := ByID("table2")
 
 	_, tooFew := hostsim.Run(withHosts(1).cfg, withHosts(1).wl)
 	if tooFew == nil {
@@ -92,7 +96,7 @@ func TestRunBatchSpecOrder(t *testing.T) {
 	for _, jobs := range []int{1, 2} {
 		rc.Jobs = jobs
 		ClearCache()
-		res, err := runBatch(rc, []runSpec{pair, withHosts(16)})
+		res, err := values(runBatch(rc, []runSpec{pair, withHosts(16)}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,13 +105,22 @@ func TestRunBatchSpecOrder(t *testing.T) {
 		}
 
 		// Both later specs fail; the 300-host one is dispatched first.
-		_, err = runBatch(rc, []runSpec{pair, withHosts(1), withHosts(300)})
+		_, err = values(runBatch(rc, []runSpec{pair, withHosts(1), withHosts(300)}))
 		if err == nil || err.Error() != tooFew.Error() {
 			t.Errorf("jobs %d: error %v, want the first in spec order: %v", jobs, err, tooFew)
 		}
-		_, err = runBatch(rc, []runSpec{pair, nanLoss, withHosts(300)})
+		_, err = values(runBatch(rc, []runSpec{pair, nanLoss, withHosts(300)}))
 		if err == nil || !strings.Contains(err.Error(), "run memo key") {
 			t.Errorf("jobs %d: error %v, want the memo-key error of spec 1", jobs, err)
+		}
+
+		// RunAll's one batch names the first failing experiment in exps
+		// order, though the later one's run is dispatched first.
+		_, err = RunAll(rc, []Experiment{table2,
+			{ID: "few", Runs: specsOf(withHosts(1)), Render: table2.Render},
+			{ID: "many", Runs: specsOf(withHosts(300)), Render: table2.Render}})
+		if err == nil || err.Error() != "few: "+tooFew.Error() {
+			t.Errorf("jobs %d: RunAll error %v, want the first failing experiment's", jobs, err)
 		}
 	}
 	ClearCache()

@@ -13,65 +13,76 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "ext1",
-		Title: "Flow steering design space: aRFS vs software RFS/RPS vs RSS vs worst-case",
-		Paper: "§2.1/Table 2: aRFS co-locates IRQ, TCP and app; software steering adds a forwarding hop",
-		Run:   ext1Steering,
+		ID:     "ext1",
+		Title:  "Flow steering design space: aRFS vs software RFS/RPS vs RSS vs worst-case",
+		Paper:  "§2.1/Table 2: aRFS co-locates IRQ, TCP and app; software steering adds a forwarding hop",
+		Runs:   sweep(len(ext1Modes), singleFlow(), func(s *runSpec, i int) { s.cfg.Stack.Steering = ext1Modes[i] }),
+		Render: ext1Steering,
 	})
 	register(Experiment{
 		ID:    "ext2",
 		Title: "Zero-copy mechanisms (§4): MSG_ZEROCOPY and mmap-based receive",
 		Paper: "§4: sender-side ZC alone cannot help a receiver-bound flow; receiver-side ZC removes the dominant overhead",
-		Run:   ext2ZeroCopy,
+		Runs: sweep(len(ext2Cases), singleFlow(), func(s *runSpec, i int) {
+			s.cfg.Stack.ZeroCopyTx, s.cfg.Stack.ZeroCopyRx = ext2Cases[i].zt, ext2Cases[i].zr
+		}),
+		Render: ext2ZeroCopy,
 	})
 	register(Experiment{
 		ID:    "ext3",
 		Title: "Class-segregated scheduling (§4): long and short flows on separate cores",
 		Paper: "§4: scheduling long-flow and short-flow applications on separate cores improves CPU efficiency",
-		Run:   ext3Segregation,
+		Runs: sweep(len(ext3Cases), hostsim.MixedWorkload(16, 4096), func(s *runSpec, i int) {
+			s.wl.Segregate = ext3Cases[i].seg
+		}),
+		Render: ext3Segregation,
 	})
 	register(Experiment{
-		ID:    "ext4",
-		Title: "Access-link bandwidth scaling: where the single core stops keeping up",
-		Paper: "§1/§3.1: 'for 10-40Gbps access link bandwidths, a single thread was able to saturate the network'",
-		Run:   ext4Bandwidth,
+		ID:     "ext4",
+		Title:  "Access-link bandwidth scaling: where the single core stops keeping up",
+		Paper:  "§1/§3.1: 'for 10-40Gbps access link bandwidths, a single thread was able to saturate the network'",
+		Runs:   sweep(len(ext4Links), singleFlow(), func(s *runSpec, i int) { s.cfg.LinkGbps = ext4Links[i] }),
+		Render: ext4Bandwidth,
 	})
 	register(Experiment{
 		ID:    "ext5",
 		Title: "Per-flow fairness across traffic patterns",
 		Paper: "§3.2: at saturation 'throughput ends up getting fairly shared among all cores'",
-		Run:   ext5Fairness,
+		Runs: sweep(len(ext5Cases), singleFlow(), func(s *runSpec, i int) {
+			s.wl = hostsim.LongFlowWorkload(ext5Cases[i].p, ext5Cases[i].n)
+		}),
+		Render: ext5Fairness,
 	})
 	register(Experiment{
-		ID:    "ext6",
-		Title: "DCA-aware receive autotuning (§4): buffer sizing that knows the L3",
-		Paper: "§4: 'window size tuning should take into account not only latency and throughput but also L3 sizes'",
-		Run:   ext6DCAAwareDRS,
+		ID:     "ext6",
+		Title:  "DCA-aware receive autotuning (§4): buffer sizing that knows the L3",
+		Paper:  "§4: 'window size tuning should take into account not only latency and throughput but also L3 sizes'",
+		Runs:   sweep(len(ext6Cases), singleFlow(), func(s *runSpec, i int) { ext6Cases[i].mut(&s.cfg.Stack) }),
+		Render: ext6DCAAwareDRS,
 	})
 	register(Experiment{
 		ID:    "ext7",
 		Title: "Receiver-driven scheduling (§4): bounding concurrent incast senders",
 		Paper: "§3.3/§4: receiver-driven protocols can control the number of active flows per core",
-		Run:   ext7RcvScheduler,
+		Runs: sweep(len(ext7Cases), hostsim.LongFlowWorkload(hostsim.PatternIncast, 8), func(s *runSpec, i int) {
+			s.cfg.Stack.RcvSchedulerK = ext7Cases[i].k
+		}),
+		Render: ext7RcvScheduler,
 	})
 }
 
-func ext1Steering(rc RunConfig) (*Table, error) {
+var ext1Modes = []string{"arfs", "same-numa", "rfs", "rps", "rss", "worst"}
+
+func ext1Steering(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "ext1",
 		Title: "Single-flow performance per steering mechanism",
 		Columns: []string{"steering", "thpt-per-core", "total-thpt",
 			"miss-rate", "lock-share", "rcv-busy-cores"},
 	}
-	for _, mode := range []string{"arfs", "same-numa", "rfs", "rps", "rss", "worst"} {
-		s := hostsim.AllOptimizations()
-		s.Steering = mode
-		r, err := run(rc.config(s), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1))
-		if err != nil {
-			return nil, err
-		}
+	for i, r := range res {
 		t.Rows = append(t.Rows, []string{
-			mode, gb(r.ThroughputPerCoreGbps), gb(r.ThroughputGbps),
+			ext1Modes[i], gb(r.ThroughputPerCoreGbps), gb(r.ThroughputGbps),
 			pct(r.Receiver.CacheMissRate), pct(r.Receiver.Breakdown["lock"]),
 			fmt.Sprintf("%.2f", r.Receiver.BusyCores),
 		})
@@ -83,31 +94,26 @@ func ext1Steering(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func ext2ZeroCopy(rc RunConfig) (*Table, error) {
+var ext2Cases = []struct {
+	name   string
+	zt, zr bool
+}{
+	{"baseline (copies)", false, false},
+	{"MSG_ZEROCOPY (tx)", true, false},
+	{"mmap receive (rx)", false, true},
+	{"both", true, true},
+}
+
+func ext2ZeroCopy(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "ext2",
 		Title: "Zero-copy transmit/receive on the single-flow baseline",
 		Columns: []string{"config", "thpt-per-core", "snd-busy", "rcv-busy",
 			"rcv-copy-share", "rcv-memory-share"},
 	}
-	cases := []struct {
-		name   string
-		zt, zr bool
-	}{
-		{"baseline (copies)", false, false},
-		{"MSG_ZEROCOPY (tx)", true, false},
-		{"mmap receive (rx)", false, true},
-		{"both", true, true},
-	}
-	for _, c := range cases {
-		s := hostsim.AllOptimizations()
-		s.ZeroCopyTx, s.ZeroCopyRx = c.zt, c.zr
-		r, err := run(rc.config(s), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1))
-		if err != nil {
-			return nil, err
-		}
+	for i, r := range res {
 		t.Rows = append(t.Rows, []string{
-			c.name, gb(r.ThroughputPerCoreGbps),
+			ext2Cases[i].name, gb(r.ThroughputPerCoreGbps),
 			fmt.Sprintf("%.2f", r.Sender.BusyCores),
 			fmt.Sprintf("%.2f", r.Receiver.BusyCores),
 			pct(r.Receiver.Breakdown["data_copy"]),
@@ -120,32 +126,28 @@ func ext2ZeroCopy(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func ext3Segregation(rc RunConfig) (*Table, error) {
+var ext3Cases = []struct {
+	name string
+	seg  bool
+}{
+	{"shared core (Fig. 11)", false},
+	{"segregated cores (§4)", true},
+}
+
+func ext3Segregation(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "ext3",
 		Title: "One long flow + 16 short flows: shared core vs segregated cores",
 		Columns: []string{"placement", "long-gbps", "short-gbps(one-way)",
 			"rcv-busy-cores", "long+short-per-core"},
 	}
-	for _, c := range []struct {
-		name string
-		seg  bool
-	}{
-		{"shared core (Fig. 11)", false},
-		{"segregated cores (§4)", true},
-	} {
-		wl := hostsim.MixedWorkload(16, 4096)
-		wl.Segregate = c.seg
-		r, err := run(rc.config(hostsim.AllOptimizations()), wl)
-		if err != nil {
-			return nil, err
-		}
+	for i, r := range res {
 		perCore := 0.0
 		if r.Receiver.BusyCores > 0 {
 			perCore = (r.LongFlowGbps + r.RPCGbps) / r.Receiver.BusyCores
 		}
 		t.Rows = append(t.Rows, []string{
-			c.name, gb(r.LongFlowGbps), gb(r.RPCGbps),
+			ext3Cases[i].name, gb(r.LongFlowGbps), gb(r.RPCGbps),
 			fmt.Sprintf("%.2f", r.Receiver.BusyCores), gb(perCore),
 		})
 	}
@@ -154,20 +156,17 @@ func ext3Segregation(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func ext4Bandwidth(rc RunConfig) (*Table, error) {
+var ext4Links = []int{10, 25, 40, 100, 200, 400}
+
+func ext4Bandwidth(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "ext4",
 		Title: "Single flow vs access-link bandwidth",
 		Columns: []string{"link", "thpt-gbps", "link-utilization",
 			"rcv-busy-cores", "bottleneck"},
 	}
-	for _, gbps := range []int{10, 25, 40, 100, 200, 400} {
-		cfg := rc.config(hostsim.AllOptimizations())
-		cfg.LinkGbps = gbps
-		r, err := run(cfg, hostsim.LongFlowWorkload(hostsim.PatternSingle, 1))
-		if err != nil {
-			return nil, err
-		}
+	for i, r := range res {
+		gbps := ext4Links[i]
 		bottleneck := "host CPU"
 		if r.ThroughputGbps > 0.9*float64(gbps) {
 			bottleneck = "link"
@@ -184,27 +183,24 @@ func ext4Bandwidth(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func ext5Fairness(rc RunConfig) (*Table, error) {
+var ext5Cases = []struct {
+	p hostsim.Pattern
+	n int
+}{
+	{hostsim.PatternOneToOne, 8},
+	{hostsim.PatternOneToOne, 24},
+	{hostsim.PatternIncast, 8},
+	{hostsim.PatternOutcast, 8},
+	{hostsim.PatternAllToAll, 8},
+}
+
+func ext5Fairness(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:      "ext5",
 		Title:   "Jain's fairness index over per-flow goodput",
 		Columns: []string{"pattern", "flows", "total-thpt", "fairness", "min-flow", "max-flow"},
 	}
-	cases := []struct {
-		p hostsim.Pattern
-		n int
-	}{
-		{hostsim.PatternOneToOne, 8},
-		{hostsim.PatternOneToOne, 24},
-		{hostsim.PatternIncast, 8},
-		{hostsim.PatternOutcast, 8},
-		{hostsim.PatternAllToAll, 8},
-	}
-	for _, c := range cases {
-		r, err := run(rc.config(hostsim.AllOptimizations()), hostsim.LongFlowWorkload(c.p, c.n))
-		if err != nil {
-			return nil, err
-		}
+	for i, r := range res {
 		lo, hi := r.FlowGbps[0], r.FlowGbps[0]
 		for _, f := range r.FlowGbps {
 			if f < lo {
@@ -215,7 +211,7 @@ func ext5Fairness(rc RunConfig) (*Table, error) {
 			}
 		}
 		t.Rows = append(t.Rows, []string{
-			string(c.p), fmt.Sprintf("%d", len(r.FlowGbps)), gb(r.ThroughputGbps),
+			string(ext5Cases[i].p), fmt.Sprintf("%d", len(r.FlowGbps)), gb(r.ThroughputGbps),
 			fmt.Sprintf("%.3f", r.FairnessIndex), gb(lo), gb(hi),
 		})
 	}
@@ -224,28 +220,23 @@ func ext5Fairness(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func ext6DCAAwareDRS(rc RunConfig) (*Table, error) {
+var ext6Cases = []struct {
+	name string
+	mut  func(*hostsim.Stack)
+}{
+	{"default DRS (to 6MB)", func(*hostsim.Stack) {}},
+	{"DCA-aware DRS", func(s *hostsim.Stack) { s.DCAAwareDRS = true }},
+	{"hand-tuned 3200KB", func(s *hostsim.Stack) { s.RcvBufBytes = 3200 << 10; s.RxDescriptors = 256 }},
+}
+
+func ext6DCAAwareDRS(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:      "ext6",
 		Title:   "Single flow: default vs DCA-aware receive autotuning vs hand tuning",
 		Columns: []string{"autotuning", "thpt-per-core", "miss-rate", "napi->copy avg"},
 	}
-	cases := []struct {
-		name string
-		mut  func(*hostsim.Stack)
-	}{
-		{"default DRS (to 6MB)", func(*hostsim.Stack) {}},
-		{"DCA-aware DRS", func(s *hostsim.Stack) { s.DCAAwareDRS = true }},
-		{"hand-tuned 3200KB", func(s *hostsim.Stack) { s.RcvBufBytes = 3200 << 10; s.RxDescriptors = 256 }},
-	}
-	for _, c := range cases {
-		s := hostsim.AllOptimizations()
-		c.mut(&s)
-		r, err := run(rc.config(s), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1))
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{c.name, gb(r.ThroughputPerCoreGbps),
+	for i, r := range res {
+		t.Rows = append(t.Rows, []string{ext6Cases[i].name, gb(r.ThroughputPerCoreGbps),
 			pct(r.Receiver.CacheMissRate), r.Receiver.LatencyAvg.Round(1000).String()})
 	}
 	t.Notes = append(t.Notes,
@@ -253,30 +244,25 @@ func ext6DCAAwareDRS(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func ext7RcvScheduler(rc RunConfig) (*Table, error) {
+var ext7Cases = []struct {
+	name string
+	k    int
+}{
+	{"none (plain TCP)", 0},
+	{"K=1 active flow", 1},
+	{"K=2 active flows", 2},
+	{"K=4 active flows", 4},
+}
+
+func ext7RcvScheduler(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "ext7",
 		Title: "8-flow incast: sender-driven TCP vs receiver-driven scheduling",
 		Columns: []string{"receiver control", "thpt-per-core", "miss-rate",
 			"napi->copy avg", "fairness"},
 	}
-	cases := []struct {
-		name string
-		k    int
-	}{
-		{"none (plain TCP)", 0},
-		{"K=1 active flow", 1},
-		{"K=2 active flows", 2},
-		{"K=4 active flows", 4},
-	}
-	for _, c := range cases {
-		s := hostsim.AllOptimizations()
-		s.RcvSchedulerK = c.k
-		r, err := run(rc.config(s), hostsim.LongFlowWorkload(hostsim.PatternIncast, 8))
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{c.name, gb(r.ThroughputPerCoreGbps),
+	for i, r := range res {
+		t.Rows = append(t.Rows, []string{ext7Cases[i].name, gb(r.ThroughputPerCoreGbps),
 			pct(r.Receiver.CacheMissRate), r.Receiver.LatencyAvg.Round(1000).String(),
 			fmt.Sprintf("%.3f", r.FairnessIndex)})
 	}

@@ -16,40 +16,60 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "fab1",
-		Title: "Incast scaling on a switch fabric: N-1 hosts into one",
-		Paper: "§3.4: with incast 'per-flow throughput reduces'; receiver CPU and scheduling dominate as senders multiply",
-		Run:   fab1Incast,
+		ID:     "fab1",
+		Title:  "Incast scaling on a switch fabric: N-1 hosts into one",
+		Paper:  "§3.4: with incast 'per-flow throughput reduces'; receiver CPU and scheduling dominate as senders multiply",
+		Runs:   scaleSpecs(hostsim.PatternIncast),
+		Render: fab1Incast,
 	})
 	register(Experiment{
-		ID:    "fab2",
-		Title: "Outcast scaling on a switch fabric: one host into N-1",
-		Paper: "§3.5: the sender-side mirror of incast — one host's TX path fans out to N-1 receivers",
-		Run:   fab2Outcast,
+		ID:     "fab2",
+		Title:  "Outcast scaling on a switch fabric: one host into N-1",
+		Paper:  "§3.5: the sender-side mirror of incast — one host's TX path fans out to N-1 receivers",
+		Runs:   scaleSpecs(hostsim.PatternOutcast),
+		Render: fab2Outcast,
 	})
 	register(Experiment{
 		ID:    "fab3",
 		Title: "All-to-all on a switch fabric: every host to every host",
 		Paper: "§3.5: all-to-all stresses both directions of every host; throughput is fairly shared at saturation",
-		Run:   fab3AllToAll,
+		Runs: sweep(len(fab3Scales), hostsim.LongFlowWorkload(hostsim.PatternAllToAll, 0), func(s *runSpec, i int) {
+			s.cfg.Fabric = &hostsim.FabricOptions{Hosts: fab3Scales[i]}
+		}),
+		Render: fab3AllToAll,
 	})
 	register(Experiment{
 		ID:    "fab4",
 		Title: "Shared switch buffer under 15:1 incast: dynamic-threshold drops and ECN",
 		Paper: "§3.4/§5: shallow-buffered switches drop (or CE-mark) under incast; DCTCP trades drops for marks",
-		Run:   fab4Buffer,
+		Runs: sweep(len(fab4Variants), hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), func(s *runSpec, i int) {
+			v := fab4Variants[i]
+			s.cfg.Stack.CC, s.cfg.ECNMarkKB = v.cc, v.ecnKB
+			s.cfg.Fabric = &hostsim.FabricOptions{Hosts: 16, SharedBufferKB: v.bufKB}
+		}),
+		Render: fab4Buffer,
 	})
 	register(Experiment{
 		ID:    "fab5",
 		Title: "Microbursts under 15:1 incast: the observatory's burst ladder",
 		Paper: "§3.4: incast pressure lives in the switch queue; buffer bounds trade microburst depth (and hop latency) for drops",
-		Run:   fab5Bursts,
+		Runs: sweep(len(fab5Ladder), hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), func(s *runSpec, i int) {
+			s.cfg.Fabric = &hostsim.FabricOptions{Hosts: 16, SharedBufferKB: fab5Ladder[i]}
+			s.cfg.FabricObs = &hostsim.FabricObsOptions{BurstThresholdKB: 64}
+		}),
+		Render: fab5Bursts,
 	})
 	register(Experiment{
 		ID:    "fab6",
 		Title: "Exact drop/mark attribution across loss regimes",
 		Paper: "§3.4/§5: every lost or marked frame classified — shared-buffer admission vs wire loss vs CE mark — with a zero-gap conservation ledger",
-		Run:   fab6Attribution,
+		Runs: sweep(len(fab6Variants), hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), func(s *runSpec, i int) {
+			v := fab6Variants[i]
+			s.cfg.Stack.CC, s.cfg.ECNMarkKB, s.cfg.LossRate = v.cc, v.ecnKB, v.lossPct/100
+			s.cfg.Fabric = &hostsim.FabricOptions{Hosts: 8, SharedBufferKB: v.bufKB}
+			s.cfg.FabricObs = &hostsim.FabricObsOptions{}
+		}),
+		Render: fab6Attribution,
 	})
 }
 
@@ -58,29 +78,21 @@ var fabricScales = []int{2, 4, 8, 16, 64}
 
 // scaleSpecs names one all-optimizations run of the pattern per host
 // count of fabricScales.
-func scaleSpecs(rc RunConfig, p hostsim.Pattern) []runSpec {
-	specs := make([]runSpec, len(fabricScales))
-	for i, h := range fabricScales {
-		cfg := rc.config(hostsim.AllOptimizations())
-		cfg.Fabric = &hostsim.FabricOptions{Hosts: h}
-		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(p, 0)}
-	}
-	return specs
+func scaleSpecs(p hostsim.Pattern) func(RunConfig) []runSpec {
+	return sweep(len(fabricScales), hostsim.LongFlowWorkload(p, 0), func(s *runSpec, i int) {
+		s.cfg.Fabric = &hostsim.FabricOptions{Hosts: fabricScales[i]}
+	})
 }
 
-func fab1Incast(rc RunConfig) (*Table, error) {
+func fab1Incast(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "fab1",
 		Title: "Incast: hosts 1..N-1 each send one flow into host 0",
 		Columns: []string{"hosts", "flows", "total-thpt", "per-flow",
 			"fairness", "rcv-busy-cores", "rcv-max-util"},
 	}
-	results, err := runBatch(rc, scaleSpecs(rc, hostsim.PatternIncast))
-	if err != nil {
-		return nil, err
-	}
 	for i, h := range fabricScales {
-		r := results[i]
+		r := res[i]
 		flows := h - 1
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", h), fmt.Sprintf("%d", flows),
@@ -95,19 +107,15 @@ func fab1Incast(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func fab2Outcast(rc RunConfig) (*Table, error) {
+func fab2Outcast(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "fab2",
 		Title: "Outcast: host 0 sends one flow to each of hosts 1..N-1",
 		Columns: []string{"hosts", "flows", "total-thpt", "per-flow",
 			"fairness", "snd-busy-cores", "snd-max-util"},
 	}
-	results, err := runBatch(rc, scaleSpecs(rc, hostsim.PatternOutcast))
-	if err != nil {
-		return nil, err
-	}
 	for i, h := range fabricScales {
-		r := results[i]
+		r := res[i]
 		flows := h - 1
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", h), fmt.Sprintf("%d", flows),
@@ -122,26 +130,17 @@ func fab2Outcast(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func fab3AllToAll(rc RunConfig) (*Table, error) {
+var fab3Scales = []int{2, 4, 8}
+
+func fab3AllToAll(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "fab3",
 		Title: "All-to-all: one flow per ordered host pair",
 		Columns: []string{"hosts", "flows", "total-thpt", "per-flow",
 			"fairness", "bottleneck-util"},
 	}
-	scales := []int{2, 4, 8}
-	specs := make([]runSpec, len(scales))
-	for i, h := range scales {
-		cfg := rc.config(hostsim.AllOptimizations())
-		cfg.Fabric = &hostsim.FabricOptions{Hosts: h}
-		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternAllToAll, 0)}
-	}
-	results, err := runBatch(rc, specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, h := range scales {
-		r := results[i]
+	for i, h := range fab3Scales {
+		r := res[i]
 		flows := h * (h - 1)
 		var maxUtil float64
 		for _, hs := range r.Hosts {
@@ -161,47 +160,28 @@ func fab3AllToAll(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-// fab4Ladder is the shared-buffer ladder for the 16-host incast; 0 is
-// the unbounded reference.
-var fab4Ladder = []int{0, 4096, 1024, 256, 64}
+// fab4Variants is CUBIC over the shared-buffer ladder for the 16-host
+// incast (0 is the unbounded reference), then DCTCP with per-port CE
+// marking on the unbounded and tightest pools: marks replace drops where
+// the buffer allows.
+var fab4Variants = []struct {
+	cc    string
+	ecnKB int
+	bufKB int
+}{
+	{"cubic", 0, 0}, {"cubic", 0, 4096}, {"cubic", 0, 1024}, {"cubic", 0, 256}, {"cubic", 0, 64},
+	{"dctcp", 64, 0}, {"dctcp", 64, 256},
+}
 
-func fab4Buffer(rc RunConfig) (*Table, error) {
+func fab4Buffer(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "fab4",
 		Title: "16-host incast vs shared switch buffer (dynamic threshold, alpha=1)",
 		Columns: []string{"cc", "buffer-kb", "ecn-kb", "buf-drops",
 			"marked", "retransmits", "total-thpt", "fairness"},
 	}
-	type variant struct {
-		cc    string
-		ecnKB int
-		bufKB int
-	}
-	var variants []variant
-	for _, kb := range fab4Ladder {
-		variants = append(variants, variant{"cubic", 0, kb})
-	}
-	// DCTCP with per-port CE marking on the unbounded and tightest pools:
-	// marks replace drops where the buffer allows.
-	variants = append(variants,
-		variant{"dctcp", 64, 0},
-		variant{"dctcp", 64, 256},
-	)
-	specs := make([]runSpec, len(variants))
-	for i, v := range variants {
-		s := hostsim.AllOptimizations()
-		s.CC = v.cc
-		cfg := rc.config(s)
-		cfg.ECNMarkKB = v.ecnKB
-		cfg.Fabric = &hostsim.FabricOptions{Hosts: 16, SharedBufferKB: v.bufKB}
-		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)}
-	}
-	results, err := runBatch(rc, specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range variants {
-		r := results[i]
+	for i, v := range fab4Variants {
+		r := res[i]
 		var retrans int64
 		for _, h := range r.Hosts {
 			retrans += h.Retransmits
@@ -225,26 +205,15 @@ func fab4Buffer(rc RunConfig) (*Table, error) {
 // the dynamic threshold forbids bursts outright.
 var fab5Ladder = []int{0, 1024, 256, 64}
 
-func fab5Bursts(rc RunConfig) (*Table, error) {
+func fab5Bursts(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "fab5",
 		Title: "16-host incast microbursts vs shared buffer (observatory armed, 64KB burst threshold)",
 		Columns: []string{"buffer-kb", "bursts", "peak-backlog-kb", "longest-burst-us",
 			"burst-frames", "adm-drops", "hop-p99-us", "port0-util"},
 	}
-	specs := make([]runSpec, len(fab5Ladder))
 	for i, kb := range fab5Ladder {
-		cfg := rc.config(hostsim.AllOptimizations())
-		cfg.Fabric = &hostsim.FabricOptions{Hosts: 16, SharedBufferKB: kb}
-		cfg.FabricObs = &hostsim.FabricObsOptions{BurstThresholdKB: 64}
-		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)}
-	}
-	results, err := runBatch(rc, specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, kb := range fab5Ladder {
-		r := results[i]
+		r := res[i]
 		p0 := r.PortReports[0] // incast: every data frame egresses port 0
 		var longest time.Duration
 		var frames int64
@@ -271,43 +240,28 @@ func fab5Bursts(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func fab6Attribution(rc RunConfig) (*Table, error) {
+var fab6Variants = []struct {
+	cc      string
+	bufKB   int
+	lossPct float64
+	ecnKB   int
+}{
+	{"cubic", 0, 0, 0},     // clean: nothing to attribute
+	{"cubic", 256, 0, 0},   // shared-buffer admission drops only
+	{"cubic", 256, 0.1, 0}, // admission drops + Bernoulli wire loss
+	{"dctcp", 0, 0, 64},    // CE marks only
+	{"dctcp", 256, 0, 64},  // marks + admission drops
+}
+
+func fab6Attribution(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:    "fab6",
 		Title: "8-host incast: exact drop/mark attribution across loss regimes",
 		Columns: []string{"cc", "buffer-kb", "loss-pct", "ecn-kb", "adm-drops",
 			"wire-drops", "marks", "delivered", "ledger-gap"},
 	}
-	type variant struct {
-		cc      string
-		bufKB   int
-		lossPct float64
-		ecnKB   int
-	}
-	variants := []variant{
-		{"cubic", 0, 0, 0},     // clean: nothing to attribute
-		{"cubic", 256, 0, 0},   // shared-buffer admission drops only
-		{"cubic", 256, 0.1, 0}, // admission drops + Bernoulli wire loss
-		{"dctcp", 0, 0, 64},    // CE marks only
-		{"dctcp", 256, 0, 64},  // marks + admission drops
-	}
-	specs := make([]runSpec, len(variants))
-	for i, v := range variants {
-		s := hostsim.AllOptimizations()
-		s.CC = v.cc
-		cfg := rc.config(s)
-		cfg.ECNMarkKB = v.ecnKB
-		cfg.LossRate = v.lossPct / 100
-		cfg.Fabric = &hostsim.FabricOptions{Hosts: 8, SharedBufferKB: v.bufKB}
-		cfg.FabricObs = &hostsim.FabricObsOptions{}
-		specs[i] = runSpec{cfg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0)}
-	}
-	results, err := runBatch(rc, specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range variants {
-		r := results[i]
+	for i, v := range fab6Variants {
+		r := res[i]
 		var adm, wire, marks, del, gap int64
 		for _, p := range r.PortReports {
 			adm += p.AdmissionDrops

@@ -9,87 +9,85 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "fig3a",
-		Title: "Single flow: throughput-per-core by optimization level",
-		Paper: "No-opt a few Gbps; all optimizations reach ~42Gbps/core; each step helps",
-		Run:   fig3a,
+		ID:     "fig3a",
+		Title:  "Single flow: throughput-per-core by optimization level",
+		Paper:  "No-opt a few Gbps; all optimizations reach ~42Gbps/core; each step helps",
+		Runs:   singleFlowSpecs(fig3aSteps()),
+		Render: fig3a,
 	})
 	register(Experiment{
-		ID:    "fig3b",
-		Title: "Single flow: sender/receiver CPU utilization by optimization level",
-		Paper: "Receiver-side CPU is always the bottleneck; aRFS halves receiver utilization",
-		Run:   fig3b,
+		ID:     "fig3b",
+		Title:  "Single flow: sender/receiver CPU utilization by optimization level",
+		Paper:  "Receiver-side CPU is always the bottleneck; aRFS halves receiver utilization",
+		Runs:   ladderSpecs,
+		Render: fig3b,
 	})
 	register(Experiment{
-		ID:    "fig3c",
-		Title: "Single flow: sender CPU breakdown",
-		Paper: "With all optimizations data copy dominates the sender",
-		Run:   fig3c,
+		ID:     "fig3c",
+		Title:  "Single flow: sender CPU breakdown",
+		Paper:  "With all optimizations data copy dominates the sender",
+		Runs:   ladderSpecs,
+		Render: breakdown("fig3c", "Sender CPU breakdown by optimization level", "config", labels(ladder(), stepName), true),
 	})
 	register(Experiment{
-		ID:    "fig3d",
-		Title: "Single flow: receiver CPU breakdown",
-		Paper: "With all optimizations data copy takes ~49% of receiver cycles",
-		Run:   fig3d,
+		ID:     "fig3d",
+		Title:  "Single flow: receiver CPU breakdown",
+		Paper:  "With all optimizations data copy takes ~49% of receiver cycles",
+		Runs:   ladderSpecs,
+		Render: breakdown("fig3d", "Receiver CPU breakdown by optimization level", "config", labels(ladder(), stepName), false),
 	})
 	register(Experiment{
-		ID:    "fig3e",
-		Title: "Cache miss rate and throughput vs NIC ring size and TCP Rx buffer",
-		Paper: "Miss rate rises with ring size and buffer size; 3200KB + small ring is optimal (~55Gbps)",
-		Run:   fig3e,
+		ID:     "fig3e",
+		Title:  "Cache miss rate and throughput vs NIC ring size and TCP Rx buffer",
+		Paper:  "Miss rate rises with ring size and buffer size; 3200KB + small ring is optimal (~55Gbps)",
+		Runs:   fig3eSpecs,
+		Render: fig3e,
 	})
 	register(Experiment{
 		ID:    "fig3f",
 		Title: "NAPI-to-copy latency vs TCP Rx buffer size",
 		Paper: "Latency rises rapidly beyond 1600KB buffers (to milliseconds)",
-		Run:   fig3f,
+		Runs: sweep(len(fig3fKBs), singleFlow(), func(s *runSpec, i int) {
+			s.cfg.Stack.RcvBufBytes = fig3fKBs[i] << 10
+		}),
+		Render: fig3f,
 	})
 }
 
 // singleFlowSpecs names one single-flow transfer per step.
-func singleFlowSpecs(rc RunConfig, steps []stackStep) []runSpec {
-	specs := make([]runSpec, len(steps))
-	for i, step := range steps {
-		specs[i] = runSpec{rc.config(step.Stack), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)}
-	}
-	return specs
+func singleFlowSpecs(steps []stackStep) func(RunConfig) []runSpec {
+	return sweep(len(steps), singleFlow(), func(s *runSpec, i int) { s.cfg.Stack = steps[i].Stack })
 }
 
-// fig3a submits the ladder and its leave-one-out columns as one batch:
-// with no barrier between them, the workers stay busy until the last run.
-// Figs. 3b-3d share the ladder's runs through the memo.
-func fig3a(rc RunConfig) (*Table, error) {
-	steps := append(ladder(), ablations()...)
-	results, err := runBatch(rc, singleFlowSpecs(rc, steps))
-	if err != nil {
-		return nil, err
-	}
+// ladderSpecs names the ladder's runs, which Figs. 3a-3d share.
+var ladderSpecs = singleFlowSpecs(ladder())
+
+// fig3aSteps is the ladder and its leave-one-out columns, one batch: with
+// no barrier between them, the workers stay busy until the last run.
+func fig3aSteps() []stackStep { return append(ladder(), ablations()...) }
+
+func fig3a(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:      "fig3a",
 		Title:   "Single flow throughput-per-core (Gbps)",
 		Columns: []string{"config", "thpt-per-core", "total-thpt"},
 	}
-	for i, step := range steps {
-		r := results[i]
+	for i, step := range fig3aSteps() {
+		r := res[i]
 		t.Rows = append(t.Rows, []string{step.Name, gb(r.ThroughputPerCoreGbps), gb(r.ThroughputGbps)})
 	}
 	t.Notes = append(t.Notes, "paper: ~42Gbps/core with all optimizations")
 	return t, nil
 }
 
-func fig3b(rc RunConfig) (*Table, error) {
-	steps := ladder()
-	results, err := runBatch(rc, singleFlowSpecs(rc, steps))
-	if err != nil {
-		return nil, err
-	}
+func fig3b(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:      "fig3b",
 		Title:   "Single flow CPU utilization (% of one core)",
 		Columns: []string{"config", "sender-cpu", "receiver-cpu"},
 	}
-	for i, step := range steps {
-		r := results[i]
+	for i, step := range ladder() {
+		r := res[i]
 		t.Rows = append(t.Rows, []string{
 			step.Name,
 			fmt.Sprintf("%.0f%%", r.Sender.BusyCores*100),
@@ -100,65 +98,35 @@ func fig3b(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func fig3c(rc RunConfig) (*Table, error) {
-	return ladderBreakdown(rc, "fig3c", "Sender CPU breakdown by optimization level", true)
+// fig3eBuffers are Fig. 3e's Rx buffer sizes (0 is autotuned), each swept
+// over fig3eRings.
+var fig3eBuffers = []struct {
+	name  string
+	bytes int64
+}{
+	{"3200KB", 3200 << 10},
+	{"6400KB", 6400 << 10},
+	{"default", 0},
 }
 
-func fig3d(rc RunConfig) (*Table, error) {
-	return ladderBreakdown(rc, "fig3d", "Receiver CPU breakdown by optimization level", false)
-}
+var fig3eRings = []int{128, 256, 512, 1024, 2048, 4096, 8192}
 
-func ladderBreakdown(rc RunConfig, id, title string, sender bool) (*Table, error) {
-	steps := ladder()
-	results, err := runBatch(rc, singleFlowSpecs(rc, steps))
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: id, Title: title, Columns: breakdownHeader("config")}
-	for i, step := range steps {
-		r := results[i]
-		bd := r.Receiver.Breakdown
-		if sender {
-			bd = r.Sender.Breakdown
-		}
-		t.Rows = append(t.Rows, breakdownRow(step.Name, bd))
-	}
-	return t, nil
-}
+// fig3eSpecs is the buffer x ring grid, the rings of one buffer together.
+var fig3eSpecs = sweep(len(fig3eBuffers)*len(fig3eRings), singleFlow(), func(s *runSpec, i int) {
+	s.cfg.Stack.RcvBufBytes = fig3eBuffers[i/len(fig3eRings)].bytes
+	s.cfg.Stack.RxDescriptors = fig3eRings[i%len(fig3eRings)]
+})
 
-func fig3e(rc RunConfig) (*Table, error) {
+func fig3e(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:      "fig3e",
 		Title:   "Throughput and receiver cache miss rate vs ring size x Rx buffer",
 		Columns: []string{"rx-buffer", "ring", "thpt-gbps", "miss-rate"},
 	}
-	buffers := []struct {
-		name  string
-		bytes int64
-	}{
-		{"3200KB", 3200 << 10},
-		{"6400KB", 6400 << 10},
-		{"default", 0}, // autotuned
-	}
-	rings := []int{128, 256, 512, 1024, 2048, 4096, 8192}
-	var specs []runSpec
-	var labels [][2]string
-	for _, buf := range buffers {
-		for _, ring := range rings {
-			s := hostsim.AllOptimizations()
-			s.RcvBufBytes = buf.bytes
-			s.RxDescriptors = ring
-			specs = append(specs, runSpec{rc.config(s), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)})
-			labels = append(labels, [2]string{buf.name, fmt.Sprintf("%d", ring)})
-		}
-	}
-	results, err := runBatch(rc, specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
+	for i, r := range res {
+		buf, ring := fig3eBuffers[i/len(fig3eRings)], fig3eRings[i%len(fig3eRings)]
 		t.Rows = append(t.Rows, []string{
-			labels[i][0], labels[i][1],
+			buf.name, fmt.Sprintf("%d", ring),
 			gb(r.ThroughputGbps), pct(r.Receiver.CacheMissRate),
 		})
 	}
@@ -167,26 +135,17 @@ func fig3e(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func fig3f(rc RunConfig) (*Table, error) {
+var fig3fKBs = []int64{100, 200, 400, 800, 1600, 3200, 6400, 12800}
+
+func fig3f(_ RunConfig, res []*hostsim.Result) (*Table, error) {
 	t := &Table{
 		ID:      "fig3f",
 		Title:   "Latency from NAPI to start of data copy vs Rx buffer size",
 		Columns: []string{"rx-buffer-KB", "avg-latency", "p99-latency", "thpt-gbps"},
 	}
-	kbs := []int64{100, 200, 400, 800, 1600, 3200, 6400, 12800}
-	specs := make([]runSpec, len(kbs))
-	for i, kb := range kbs {
-		s := hostsim.AllOptimizations()
-		s.RcvBufBytes = kb << 10
-		specs[i] = runSpec{rc.config(s), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)}
-	}
-	results, err := runBatch(rc, specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
+	for i, r := range res {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", kbs[i]),
+			fmt.Sprintf("%d", fig3fKBs[i]),
 			r.Receiver.LatencyAvg.Round(time.Microsecond).String(),
 			r.Receiver.LatencyP99.Round(time.Microsecond).String(),
 			gb(r.ThroughputGbps),

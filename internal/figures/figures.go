@@ -22,11 +22,10 @@ type RunConfig struct {
 	Seed     int64
 	Warmup   time.Duration
 	Duration time.Duration
-	// Jobs is the number of simulations run concurrently (within an
-	// experiment's batched sweeps and across experiments in RunAll).
-	// <= 1 means serial. Output is byte-identical at any value: results
-	// are always assembled in submission order and each run is an
-	// isolated, seeded simulation.
+	// Jobs is the number of simulations run at once, whether for one
+	// experiment or for every experiment of a RunAll. <= 1 means serial.
+	// Output is byte-identical at any value: results are always assembled
+	// in spec order and each run is an isolated, seeded simulation.
 	Jobs int
 	// Check runs every simulation with the conservation-law invariant
 	// checker armed (fail-fast). Audits are pure reads, so checked runs
@@ -146,12 +145,39 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Experiment regenerates one paper figure.
+// Experiment regenerates one paper figure. It declares its simulations
+// instead of running them, so RunAll can plan every experiment's runs as
+// one batch.
 type Experiment struct {
 	ID    string // e.g. "fig3a"
 	Title string
 	Paper string // the paper's reported takeaway, for EXPERIMENTS.md
-	Run   func(rc RunConfig) (*Table, error)
+	// Runs names the experiment's simulations in the order Render reads
+	// their results; nil for a table that simulates nothing (table2).
+	Runs   func(RunConfig) []runSpec
+	Render func(RunConfig, []*hostsim.Result) (*Table, error)
+}
+
+// Run regenerates the experiment's table from a batch of its own runs.
+func (e Experiment) Run(rc RunConfig) (*Table, error) {
+	return e.render(rc, runBatch(rc, e.specs(rc)))
+}
+
+// specs lists e's runs; none for a table that simulates nothing.
+func (e Experiment) specs(rc RunConfig) []runSpec {
+	if e.Runs == nil {
+		return nil
+	}
+	return e.Runs(rc)
+}
+
+// render builds the table from the results of e's runs, in spec order.
+func (e Experiment) render(rc RunConfig, res []runner.Result[*hostsim.Result]) (*Table, error) {
+	rs, err := values(res)
+	if err != nil {
+		return nil, err
+	}
+	return e.Render(rc, rs)
 }
 
 var registry []Experiment
@@ -231,26 +257,18 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared run helpers. Runs are memoized per (config, workload) so that
-// sub-figures sharing scenarios (3a-3d, 9a-9d, ...) pay once. The memo is
-// a singleflight: when experiments run concurrently (RunAll with Jobs > 1)
-// the first caller of a key executes the simulation and everyone else
-// blocks on its completion, so no scenario ever runs twice.
+// Shared run helpers. Runs are memoized per (config, workload): within a
+// batch, planBatch runs each distinct scenario once, and the memo lets a
+// later batch (another Experiment.Run, a benchmark op) reuse it.
 //
 // The key is the JSON encoding of the (config, workload) pair: it follows
 // pointers to their values and orders map keys, so configs that are equal
 // in value share a run however their option structs were allocated, and
 // an option struct changed in place never hits a stale entry.
 
-type memoEntry struct {
-	once sync.Once
-	res  *hostsim.Result
-	err  error
-}
-
 var (
 	cacheMu  sync.Mutex
-	runCache = map[string]*memoEntry{}
+	runCache = map[string]*hostsim.Result{}
 )
 
 // memoKey renders a (config, workload) pair as its run-memo key.
@@ -265,25 +283,23 @@ func memoKey(cfg hostsim.Config, wl hostsim.Workload) (string, error) {
 	return string(b), nil
 }
 
-func run(cfg hostsim.Config, wl hostsim.Workload) (*hostsim.Result, error) {
-	key, err := memoKey(cfg, wl)
+// runKeyed runs s, or returns the memoized result under its key. A failed
+// run is not memoized.
+func runKeyed(key string, s runSpec) (*hostsim.Result, error) {
+	cacheMu.Lock()
+	r, ok := runCache[key]
+	cacheMu.Unlock()
+	if ok {
+		return r, nil
+	}
+	r, err := hostsim.Run(s.cfg, s.wl)
 	if err != nil {
 		return nil, err
 	}
-	return runKeyed(key, runSpec{cfg, wl})
-}
-
-// runKeyed runs s through the memo under its already rendered key.
-func runKeyed(key string, s runSpec) (*hostsim.Result, error) {
 	cacheMu.Lock()
-	e, ok := runCache[key]
-	if !ok {
-		e = &memoEntry{}
-		runCache[key] = e
-	}
+	runCache[key] = r
 	cacheMu.Unlock()
-	e.once.Do(func() { e.res, e.err = hostsim.Run(s.cfg, s.wl) })
-	return e.res, e.err
+	return r, nil
 }
 
 // CacheSize returns the number of memoized runs (tests).
@@ -297,10 +313,10 @@ func CacheSize() int {
 func ClearCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	runCache = map[string]*memoEntry{}
+	runCache = map[string]*hostsim.Result{}
 }
 
-// runSpec names one simulation of a batched sweep.
+// runSpec names one simulation of a batch.
 type runSpec struct {
 	cfg hostsim.Config
 	wl  hostsim.Workload
@@ -341,12 +357,12 @@ func planBatch(specs []runSpec) (jobs []batchJob, jobOf, order []int) {
 	return jobs, jobOf, order
 }
 
-// runBatch evaluates every spec — rc.Jobs at a time — and returns the
-// results in spec order. Each distinct run executes once, and the workers
-// take the runs costliest first (planBatch), so a long run never starts
-// last while the other workers idle. The first error in spec order is
-// returned, matching what a serial loop would have reported.
-func runBatch(rc RunConfig, specs []runSpec) ([]*hostsim.Result, error) {
+// runBatch evaluates every spec — rc.Jobs at a time — and returns one
+// result per spec, in spec order. It is the package's only dispatcher.
+// Each distinct run executes once, and the workers take the runs
+// costliest first (planBatch), so a long run never starts last while the
+// other workers idle.
+func runBatch(rc RunConfig, specs []runSpec) []runner.Result[*hostsim.Result] {
 	jobs, jobOf, order := planBatch(specs)
 	res := runner.Map(order, func(j int) (*hostsim.Result, error) {
 		if jobs[j].err != nil {
@@ -358,12 +374,22 @@ func runBatch(rc RunConfig, specs []runSpec) ([]*hostsim.Result, error) {
 	for k, j := range order {
 		done[j] = res[k]
 	}
-	out := make([]*hostsim.Result, len(specs))
+	out := make([]runner.Result[*hostsim.Result], len(specs))
 	for i, j := range jobOf {
-		if done[j].Err != nil {
-			return nil, done[j].Err
+		out[i] = done[j]
+	}
+	return out
+}
+
+// values unwraps a batch's results. The first failed run in spec order is
+// the error, as a serial loop over the specs would have reported it.
+func values(res []runner.Result[*hostsim.Result]) ([]*hostsim.Result, error) {
+	out := make([]*hostsim.Result, len(res))
+	for i, r := range res {
+		if r.Err != nil {
+			return nil, r.Err
 		}
-		out[i] = done[j].Value
+		out[i] = r.Value
 	}
 	return out, nil
 }
@@ -383,20 +409,28 @@ func wireFrames(cfg hostsim.Config) int64 {
 	return hosts * int64(cfg.Warmup+cfg.Duration) / mtu
 }
 
-// RunAll regenerates the given experiments — rc.Jobs at a time — and
-// returns their tables in the experiments' order. Tables and errors land
-// exactly as a serial loop would produce them; the memo ensures scenarios
-// shared between concurrently-running experiments execute once.
+// RunAll regenerates the given experiments and returns their tables in
+// the experiments' order. Every experiment's runs go into one batch, so
+// runs shared between figures (3a-3d, 9a-9d, the appendix reuse of Figs.
+// 8, 10 and 11, ...) execute once, and at most rc.Jobs simulations run at
+// a time. The error, if any, is the first failing experiment's in exps
+// order, as a serial loop would report it.
 func RunAll(rc RunConfig, exps []Experiment) ([]*Table, error) {
-	res := runner.Map(exps, func(e Experiment) (*Table, error) {
-		return e.Run(rc)
-	}, rc.jobs())
-	out := make([]*Table, len(res))
-	for i, r := range res {
-		if r.Err != nil {
-			return nil, fmt.Errorf("%s: %w", exps[i].ID, r.Err)
+	var specs []runSpec
+	ends := make([]int, len(exps))
+	for i, e := range exps {
+		specs = append(specs, e.specs(rc)...)
+		ends[i] = len(specs)
+	}
+	res := runBatch(rc, specs)
+	out := make([]*Table, len(exps))
+	start := 0
+	for i, e := range exps {
+		t, err := e.render(rc, res[start:ends[i]])
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
 		}
-		out[i] = r.Value
+		out[i], start = t, ends[i]
 	}
 	return out, nil
 }
@@ -452,6 +486,53 @@ func breakdownRow(name string, bd map[string]float64) []string {
 
 func breakdownHeader(first string) []string {
 	return append([]string{first}, breakdownColumns...)
+}
+
+// breakdown renders a table of one Table-1 breakdown row per run, the
+// sender's or the receiver's, labelled in run order.
+func breakdown(id, title, first string, rows []string, sender bool, notes ...string) func(RunConfig, []*hostsim.Result) (*Table, error) {
+	return func(_ RunConfig, res []*hostsim.Result) (*Table, error) {
+		t := &Table{ID: id, Title: title, Columns: breakdownHeader(first), Notes: notes}
+		for i, r := range res {
+			bd := r.Receiver.Breakdown
+			if sender {
+				bd = r.Sender.Breakdown
+			}
+			t.Rows = append(t.Rows, breakdownRow(rows[i], bd))
+		}
+		return t, nil
+	}
+}
+
+// labels renders one row label per element of xs.
+func labels[T any](xs []T, f func(T) string) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = f(x)
+	}
+	return out
+}
+
+func stepName(s stackStep) string { return s.Name }
+
+// singleFlow is the one-flow host-pair transfer most figures measure.
+func singleFlow() hostsim.Workload { return hostsim.LongFlowWorkload(hostsim.PatternSingle, 1) }
+
+// allOpts names one all-optimizations run of wl.
+func allOpts(rc RunConfig, wl hostsim.Workload) runSpec {
+	return runSpec{rc.config(hostsim.AllOptimizations()), wl}
+}
+
+// sweep names n all-optimizations runs of wl, the i-th changed by set.
+func sweep(n int, wl hostsim.Workload, set func(s *runSpec, i int)) func(RunConfig) []runSpec {
+	return func(rc RunConfig) []runSpec {
+		specs := make([]runSpec, n)
+		for i := range specs {
+			specs[i] = allOpts(rc, wl)
+			set(&specs[i], i)
+		}
+		return specs
+	}
 }
 
 func gb(v float64) string  { return fmt.Sprintf("%.2f", v) }

@@ -42,7 +42,7 @@ func TestRegistryComplete(t *testing.T) {
 		}
 	}
 	for _, e := range got {
-		if e.Title == "" || e.Paper == "" || e.Run == nil {
+		if e.Title == "" || e.Paper == "" || e.Render == nil {
 			t.Errorf("%s: incomplete registration", e.ID)
 		}
 	}
@@ -93,7 +93,9 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 func TestRunCache(t *testing.T) {
 	ClearCache()
 	rc := quick()
-	if _, err := fig3a(rc); err != nil {
+	fig3a, _ := ByID("fig3a")
+	fig3b, _ := ByID("fig3b")
+	if _, err := fig3a.Run(rc); err != nil {
 		t.Fatal(err)
 	}
 	n := CacheSize()
@@ -101,18 +103,47 @@ func TestRunCache(t *testing.T) {
 		t.Fatal("cache empty after a run")
 	}
 	// Re-running the same figure must not add entries.
-	if _, err := fig3a(rc); err != nil {
+	if _, err := fig3a.Run(rc); err != nil {
 		t.Fatal(err)
 	}
 	if CacheSize() != n {
 		t.Errorf("cache grew on identical rerun: %d -> %d", n, CacheSize())
 	}
 	// fig3b shares fig3a's ladder runs.
-	if _, err := fig3b(rc); err != nil {
+	if _, err := fig3b.Run(rc); err != nil {
 		t.Fatal(err)
 	}
 	if CacheSize() != n {
 		t.Errorf("fig3b should fully reuse fig3a's runs (%d -> %d)", n, CacheSize())
+	}
+
+	// One RunAll plans every experiment's runs as one batch: runs shared
+	// between figures (Fig. 10's with app3, the loss sweep of 9a-9d with
+	// the single-flow baseline of 3a) execute once each.
+	ClearCache()
+	var exps []Experiment
+	var specs int
+	distinct := map[string]bool{}
+	for _, id := range []string{"fig3a", "fig9a", "fig9d", "fig10a", "fig10b", "app3", "table2"} {
+		e, _ := ByID(id)
+		exps = append(exps, e)
+		for _, s := range e.specs(rc) {
+			specs++
+			key, err := memoKey(s.cfg, s.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			distinct[key] = true
+		}
+	}
+	if len(distinct) >= specs {
+		t.Fatalf("%d specs, %d distinct: the set shares no runs", specs, len(distinct))
+	}
+	if _, err := RunAll(rc, exps); err != nil {
+		t.Fatal(err)
+	}
+	if CacheSize() != len(distinct) {
+		t.Errorf("RunAll memoized %d runs, want the %d distinct specs", CacheSize(), len(distinct))
 	}
 	ClearCache()
 	if CacheSize() != 0 {

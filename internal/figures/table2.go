@@ -3,23 +3,24 @@ package figures
 import (
 	"fmt"
 
+	"hostsim"
 	"hostsim/internal/nic"
 	"hostsim/internal/skb"
 )
 
 func init() {
 	register(Experiment{
-		ID:    "table2",
-		Title: "Receiver-side flow steering mechanisms",
-		Paper: "RSS hashes the 4-tuple; RFS/aRFS find the application's core",
-		Run:   table2,
+		ID:     "table2",
+		Title:  "Receiver-side flow steering mechanisms",
+		Paper:  "RSS hashes the 4-tuple; RFS/aRFS find the application's core",
+		Render: table2,
 	})
 }
 
 // table2 demonstrates the core-selection behaviour of the steering
 // mechanisms of Table 2 for a set of flows whose applications run on
 // known cores.
-func table2(rc RunConfig) (*Table, error) {
+func table2(RunConfig, []*hostsim.Result) (*Table, error) {
 	appCores := []int{-1, 3, 9, 15, 21} // by flow id; flow 0 is unused
 	all := make([]int, 24)
 	for i := range all {

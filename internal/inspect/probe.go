@@ -16,6 +16,9 @@ import (
 // ProbeRecord is one tcp_probe-style trace record: a per-ACK sample of the
 // connection's congestion state, or a loss/recovery event.
 type ProbeRecord struct {
+	// At is the emitting core's logical clock (ctx.Now()), not the engine's
+	// dispatch time, so it is non-decreasing only per connection (host and
+	// flow); see ProbeTrace.
 	At         sim.Time
 	Host       string
 	Flow       int32
@@ -114,7 +117,9 @@ func (t *ProbeTrace) Records() []ProbeRecord {
 const probeCSVHeader = "time_ns,host,flow,event,acked_bytes,cwnd_bytes,ssthresh_bytes,srtt_ns,inflight_bytes,snd_una,snd_nxt"
 
 // WriteCSV writes the trace as CSV with a fixed header, one row per
-// record, deterministic formatting.
+// record in engine dispatch order, deterministic formatting. time_ns is
+// non-decreasing per (host, flow) only, which is what CheckProbe checks;
+// a consumer that merges flows must sort stably by time_ns.
 func (t *ProbeTrace) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(probeCSVHeader + "\n"); err != nil {
@@ -143,7 +148,7 @@ func (t *ProbeTrace) WriteCSV(w io.Writer) error {
 }
 
 // WriteJSONL writes the trace as one JSON object per line, matching the
-// CSV column names.
+// CSV column names, in WriteCSV's record order.
 func (t *ProbeTrace) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, c := range t.chunks {

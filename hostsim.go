@@ -744,7 +744,9 @@ func (r *Result) FormatFabricReport() string {
 
 // MessageRecords returns the retained per-message latency records
 // (completion order), nil when the run had no Config.MsgTrace. Each
-// record's stage nanoseconds sum exactly to its total.
+// record's stage nanoseconds sum exactly to its total. The first call
+// flattens the tracer's chunks into the returned slice, which the Result
+// keeps: treat it as read-only.
 func (r *Result) MessageRecords() []MsgRecord {
 	if r.mt == nil {
 		return nil

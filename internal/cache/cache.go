@@ -63,7 +63,11 @@ func (s DCAStats) MissRate() float64 {
 // The cache is one flat tag array: set s owns tags[s*ways:(s+1)*ways], of
 // which the first lens[s] entries are its resident pages, LRU first. A
 // page's set is a pure function of its id, so every lookup recomputes it
-// and scans at most ways tags: no per-page index, no allocation.
+// and scans at most ways tags: no per-page index, no allocation. The
+// first Insert allocates tags and lens; until then every lookup misses,
+// so a host whose NIC never DMAs a page into DDIO pays nothing. They stay
+// two allocations: one of both rounds up to a larger size class, 256 B
+// more per DCA at the default geometry.
 type DCA struct {
 	numSets  int
 	ways     int
@@ -96,14 +100,7 @@ func NewDCA(cfg DCAConfig) *DCA {
 	if numSets < 1 {
 		numSets = 1
 	}
-	return &DCA{
-		numSets:  numSets,
-		ways:     ways,
-		pageSize: cfg.PageSize,
-		rng:      cfg.Rand,
-		tags:     make([]PageID, numSets*ways),
-		lens:     make([]int, numSets),
-	}
+	return &DCA{numSets: numSets, ways: ways, pageSize: cfg.PageSize, rng: cfg.Rand}
 }
 
 // SetHazard sets the per-insert probability of a hazard eviction (a DCA
@@ -142,6 +139,9 @@ func (d *DCA) set(s int) []PageID {
 // find returns p's set and p's position in it, or -1 if p is not resident.
 func (d *DCA) find(p PageID) (s, i int) {
 	s = d.setOf(p)
+	if d.tags == nil {
+		return s, -1
+	}
 	for i, q := range d.set(s) {
 		if q == p {
 			return s, i
@@ -162,6 +162,9 @@ func (d *DCA) remove(s, i int) {
 // the least recently inserted page in that set is evicted. Re-inserting a
 // resident page refreshes its LRU position.
 func (d *DCA) Insert(p PageID) {
+	if d.tags == nil {
+		d.tags, d.lens = make([]PageID, d.numSets*d.ways), make([]int, d.numSets)
+	}
 	s, i := d.find(p)
 	if i >= 0 {
 		// Refresh: move to MRU position.

@@ -424,6 +424,39 @@ func TestDCASteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+var dcaSink *DCA
+
+// TestDCAAllocatesOnFirstInsert: building a DCA and missing on it
+// allocates only the DCA itself. The first Insert allocates the tag and
+// length arrays, and later Inserts nothing. A never-written DCA misses on
+// every lookup and reports its full geometry.
+func TestDCAAllocatesOnFirstInsert(t *testing.T) {
+	cfg := DCAConfig{Capacity: 3 * units.MB, PageSize: 4 * units.KB}
+	untouched := testing.AllocsPerRun(10, func() {
+		d := NewDCA(cfg)
+		if d.Consume(5) || d.Contains(6) {
+			t.Fatal("a never-written DCA reported a hit")
+		}
+		d.Drop(7)
+		dcaSink = d
+	})
+	inserted := testing.AllocsPerRun(10, func() {
+		d := NewDCA(cfg)
+		d.Consume(5)
+		d.Insert(5)
+		d.Insert(6)
+		dcaSink = d
+	})
+	if untouched != 1 || inserted != 3 {
+		t.Errorf("NewDCA plus misses allocated %v objects, plus two Inserts %v; want 1 and 3", untouched, inserted)
+	}
+	d := NewDCA(cfg)
+	d.Consume(5)
+	if st := d.Stats(); st.Misses != 1 || st.Hits != 0 || d.Resident() != 0 || d.Capacity() != 768 {
+		t.Errorf("never-written DCA: stats %+v, resident %d, capacity %d", st, d.Resident(), d.Capacity())
+	}
+}
+
 func TestMissRateZeroWhenUnused(t *testing.T) {
 	if (DCAStats{}).MissRate() != 0 {
 		t.Error("MissRate of empty stats should be 0")

@@ -127,7 +127,10 @@ func TestEveryRuleFires(t *testing.T) {
 		{"dca-occupancy", func(r *checkedRig) string {
 			// Rolled back to a stale copy of itself, the DCA keeps its tag
 			// array but not its count, so dropping a page resident since
-			// drives the count below zero.
+			// drives the count below zero. The tag array exists from the
+			// first Insert on, so page 6 passes through first.
+			r.b.DCA.Insert(6)
+			r.b.DCA.Drop(6)
 			stale := *r.b.DCA
 			r.b.DCA.Insert(7)
 			*r.b.DCA = stale

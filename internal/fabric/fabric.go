@@ -265,26 +265,34 @@ func (p *Port) Send(f *skb.Frame) {
 		dst = r[1]
 	}
 	out := fb.ports[dst].out
+	// The shared buffer's fill is summed over every port once per frame,
+	// and only when admission or the observer reads it.
+	var occ units.Bytes
+	if fb.cfg.SharedBuffer > 0 || fb.obs != nil {
+		occ = fb.Occupancy()
+	}
 	if b := fb.cfg.SharedBuffer; b > 0 {
-		free := b - fb.Occupancy()
-		if free < 0 {
-			free = 0
-		}
+		free := max(b-occ, 0)
 		if out.Backlog()+f.WireSize() > units.Bytes(fb.alpha*float64(free)) {
 			p.stats.BufDropped++
 			p.stats.BufDroppedBytes += f.Len
 			if fb.obs != nil {
-				fb.obs.FrameIngress(p.id, dst, f, false, out.Backlog(), fb.Occupancy())
+				fb.obs.FrameIngress(p.id, dst, f, false, out.Backlog(), occ)
 			}
 			return
 		}
 	}
 	p.stats.Forwarded++
 	p.stats.ForwardedPayload += f.Len
-	out.Send(f)
-	if fb.obs != nil {
-		fb.obs.FrameIngress(p.id, dst, f, true, out.Backlog(), fb.Occupancy())
+	if fb.obs == nil {
+		out.Send(f)
+		return
 	}
+	// Only the destination's backlog moves: swap it in the sum.
+	before := out.Backlog()
+	out.Send(f)
+	after := out.Backlog()
+	fb.obs.FrameIngress(p.id, dst, f, true, after, occ-before+after)
 }
 
 // Out returns the port's egress serializer toward the attached host

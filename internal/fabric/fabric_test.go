@@ -221,3 +221,59 @@ func TestPortStatsConservation(t *testing.T) {
 		}
 	}
 }
+
+// occupancyProbe is an Observer that checks the occupancy argument of
+// every ingress event against a fresh Occupancy sum.
+type occupancyProbe struct {
+	t                 *testing.T
+	fb                *Fabric
+	admitted, dropped int
+}
+
+func (o *occupancyProbe) FrameIngress(src, dst int, f *skb.Frame, admitted bool, depth, occupancy units.Bytes) {
+	if want := o.fb.Occupancy(); occupancy != want {
+		o.t.Fatalf("frame %d->%d (admitted %v): occupancy %v, Occupancy() %v", src, dst, admitted, occupancy, want)
+	}
+	if want := o.fb.Port(dst).Out().Backlog(); depth != want {
+		o.t.Fatalf("frame %d->%d (admitted %v): depth %v, backlog %v", src, dst, admitted, depth, want)
+	}
+	if admitted {
+		o.admitted++
+	} else {
+		o.dropped++
+	}
+}
+
+// TestObserverSeesOccupancy: the occupancy an observer receives equals
+// Occupancy() at call time, for admitted and rejected frames, with and
+// without a shared buffer. Six senders feed two egress ports in bursts one
+// microsecond apart, a little faster than the ports drain, so backlogs
+// move on every port between bursts and the buffer fills until it drops.
+// Egress loss drops some admitted frames after they took wire time.
+func TestObserverSeesOccupancy(t *testing.T) {
+	for _, buffer := range []units.Bytes{0, 96 * units.KB} {
+		eng := sim.NewEngine(1)
+		cfg := testCfg(8)
+		cfg.SharedBuffer, cfg.LossRate = buffer, 0.05
+		fb := New(eng, cfg, deliverTo(func(int, *skb.Frame) {}))
+		probe := &occupancyProbe{t: t, fb: fb}
+		fb.SetObserver(probe)
+		for s := 2; s < 8; s++ {
+			fb.Register(skb.FlowID(s), s, s%2)
+		}
+		for i := 0; i < 60; i++ {
+			eng.At(sim.Time(time.Duration(i)*time.Microsecond), func() {
+				for s := 2; s < 8; s++ {
+					for k := 0; k < 2+s%3; k++ {
+						fb.Port(s).Send(&skb.Frame{Flow: skb.FlowID(s), Len: 1500})
+					}
+				}
+			})
+		}
+		eng.Run(sim.Time(10 * time.Millisecond))
+		t.Logf("buffer %v: %d admitted, %d dropped", buffer, probe.admitted, probe.dropped)
+		if probe.admitted == 0 || (buffer > 0) != (probe.dropped > 0) {
+			t.Errorf("buffer %v: %d admitted, %d dropped; want admissions, and drops only with a buffer", buffer, probe.admitted, probe.dropped)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hostsim/internal/chunk"
 	"hostsim/internal/sim"
 	"hostsim/internal/tcp"
 )
@@ -38,20 +39,13 @@ type ProbeRecord struct {
 // records are time-ordered, but records of different connections can
 // interleave out of time order.
 //
-// Records are stored in chunks that are never copied. Until the trace
-// holds probeChunk records, each new chunk is as large as all earlier ones
-// together (16 records at first); after that each holds probeChunk. A
-// trace so allocates its records' bytes plus less than one chunk.
+// Records are kept in a chunk.Log, which never copies them as it grows:
+// a trace allocates its records' bytes plus less than one chunk.
 type ProbeTrace struct {
 	max       int
 	truncated int64
-	n         int // records across all chunks
-	chunks    [][]ProbeRecord
+	recs      chunk.Log[ProbeRecord]
 }
-
-// probeChunk is the record count of a full chunk: 88 KB, exactly eleven
-// 8 KB pages, so a full chunk wastes nothing to size-class rounding.
-const probeChunk = 1024
 
 // NewProbeTrace builds a trace bounded at maxEvents records (0 takes the
 // package default).
@@ -67,16 +61,11 @@ func NewProbeTrace(maxEvents int) *ProbeTrace {
 // else — a pure observer.
 func (t *ProbeTrace) Hook(host string) tcp.ProbeFunc {
 	return func(ev tcp.ProbeEvent) {
-		if t.n >= t.max {
+		if t.recs.Len() >= t.max {
 			t.truncated++
 			return
 		}
-		last := len(t.chunks) - 1
-		if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
-			t.chunks = append(t.chunks, make([]ProbeRecord, 0, min(max(t.n, 16), probeChunk)))
-			last++
-		}
-		t.chunks[last] = append(t.chunks[last], ProbeRecord{
+		t.recs.Append(ProbeRecord{
 			At: ev.At, Host: host, Flow: int32(ev.Flow), Kind: ev.Kind,
 			AckedBytes: int64(ev.AckedBytes),
 			Cwnd:       int64(ev.Cwnd),
@@ -86,12 +75,11 @@ func (t *ProbeTrace) Hook(host string) tcp.ProbeFunc {
 			SndUna:     ev.SndUna,
 			SndNxt:     ev.SndNxt,
 		})
-		t.n++
 	}
 }
 
 // Len returns the number of recorded events.
-func (t *ProbeTrace) Len() int { return t.n }
+func (t *ProbeTrace) Len() int { return t.recs.Len() }
 
 // Truncated returns how many events arrived after the trace filled up.
 func (t *ProbeTrace) Truncated() int64 { return t.truncated }
@@ -99,19 +87,7 @@ func (t *ProbeTrace) Truncated() int64 { return t.truncated }
 // Records returns the recorded events in emission order. The first call
 // after more than one chunk filled flattens them into one slice, which
 // becomes the trace's backing store: treat it as read-only.
-func (t *ProbeTrace) Records() []ProbeRecord {
-	if len(t.chunks) > 1 {
-		flat := make([]ProbeRecord, 0, t.n)
-		for _, c := range t.chunks {
-			flat = append(flat, c...)
-		}
-		t.chunks = [][]ProbeRecord{flat}
-	}
-	if len(t.chunks) == 0 {
-		return nil
-	}
-	return t.chunks[0]
-}
+func (t *ProbeTrace) Records() []ProbeRecord { return t.recs.Flatten() }
 
 // probeCSVHeader heads the CSV; its columns are the JSON-lines keys.
 const probeCSVHeader = "time_ns,host,flow,event,acked_bytes,cwnd_bytes,ssthresh_bytes,srtt_ns,inflight_bytes,snd_una,snd_nxt"
@@ -125,7 +101,7 @@ func (t *ProbeTrace) WriteCSV(w io.Writer) error {
 	if _, err := bw.WriteString(probeCSVHeader + "\n"); err != nil {
 		return err
 	}
-	for _, c := range t.chunks {
+	for _, c := range t.recs.Chunks() {
 		for i := range c {
 			r := &c[i]
 			bw.WriteString(strconv.FormatInt(int64(r.At), 10))
@@ -151,7 +127,7 @@ func (t *ProbeTrace) WriteCSV(w io.Writer) error {
 // CSV column names, in WriteCSV's record order.
 func (t *ProbeTrace) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, c := range t.chunks {
+	for _, c := range t.recs.Chunks() {
 		for i := range c {
 			r := &c[i]
 			_, err := fmt.Fprintf(bw,

@@ -20,6 +20,7 @@
 package mtrace
 
 import (
+	"hostsim/internal/chunk"
 	"hostsim/internal/metrics"
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
@@ -120,7 +121,7 @@ type Tracer struct {
 	slowest   int
 	maxRecs   int
 	flows     []*flowState // by flow id; nil = not traced
-	recs      []Record
+	recs      chunk.Log[Record]
 	dropped   int64 // incomplete or non-monotonic stamp chains
 	truncated int64 // completions beyond MaxMessages
 	hist      *metrics.LogLinear
@@ -348,8 +349,8 @@ func (t *Tracer) complete(fs *flowState, m *message, s *skb.SKB, readAt sim.Time
 		rec.Stages[stageIdxRetxWait] += shift
 	}
 	t.hist.Record(rec.Total)
-	if len(t.recs) < t.maxRecs {
-		t.recs = append(t.recs, rec)
+	if t.recs.Len() < t.maxRecs {
+		t.recs.Append(rec)
 	} else {
 		t.truncated++
 	}
@@ -376,9 +377,11 @@ func (t *Tracer) ProbeHook() tcp.ProbeFunc {
 }
 
 // Records returns the retained per-message records, completion order.
+// The first call after more than one chunk filled flattens them into one
+// slice, which becomes the tracer's backing store: treat it as read-only.
 func (t *Tracer) Records() []Record {
 	if t == nil {
 		return nil
 	}
-	return t.recs
+	return t.recs.Flatten()
 }

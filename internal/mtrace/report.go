@@ -47,9 +47,10 @@ type Summary struct {
 	Bands     []Band
 }
 
-// Summary builds the report. Band ranks are exact: the retained records
-// are ordered by (total, completion time, flow, id) — a total order, so
-// the banding is deterministic — and cut at floor(q*n).
+// Summary builds the report. Band ranks are exact: pointers to the
+// retained records, which stay in place, are ordered by (total, completion
+// time, flow, id) — a total order, so the banding is deterministic — and
+// cut at floor(q*n).
 func (t *Tracer) Summary() Summary {
 	if t == nil {
 		return Summary{}
@@ -64,7 +65,12 @@ func (t *Tracer) Summary() Summary {
 		P999:      t.hist.Quantile(0.999),
 		Max:       t.hist.Max(),
 	}
-	recs := append([]Record(nil), t.recs...)
+	recs := make([]*Record, 0, t.recs.Len())
+	for _, c := range t.recs.Chunks() {
+		for i := range c {
+			recs = append(recs, &c[i])
+		}
+	}
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
 		if a.Total != b.Total {

@@ -66,7 +66,8 @@ func TestNilCounterIncAllocatesNothing(t *testing.T) {
 
 // BenchmarkSamplerWide samples 2,000 gauges of which one in 50 changes
 // between samples (a 16-host run's registry is ~2,000 gauges with ~2 %
-// changing) into a 300-sample ring, so steady state evicts and compacts.
+// changing) into a 300-sample ring, so steady state evicts and releases
+// chunks.
 func BenchmarkSamplerWide(b *testing.B) {
 	eng := sim.NewEngine(1)
 	reg := NewRegistry()

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"hostsim/internal/chunk"
 	"hostsim/internal/sim"
 )
 
@@ -30,24 +31,29 @@ const (
 // then for each later sample the (column, value) pairs whose bits differ
 // from the sample before it. Comparing math.Float64bits keeps -0, NaN
 // payloads and infinities exact. Evicting the oldest sample folds the
-// next sample's changes into base; the log drops its dead prefix once
-// that prefix is half of it.
+// next sample's changes into base. The change points and the samples are
+// chunk.Logs, which grow without copying and release whole dead chunks
+// as the ring moves on.
 type Sampler struct {
 	eng      *sim.Engine
 	reg      *Registry
 	interval time.Duration
 
 	max     int
-	times   []time.Duration // sample instants; times[first:] are retained
-	ends    []int           // ends[i]: log position one past sample i's changes
-	first   int             // index of the oldest retained sample
-	base    []float64       // values of the oldest retained sample
-	log     []change        // change points; log[k] is at position k+logOff
-	logOff  int             // positions dropped from the front of log
-	last    []float64       // values of the newest sample
-	row     []float64       // Registry.ReadInto buffer, reused every sample
+	samples chunk.Log[sample] // positions first.. are retained
+	first   int               // position of the oldest retained sample
+	base    []float64         // values of the oldest retained sample
+	log     chunk.Log[change] // change points of samples first+1..
+	last    []float64         // values of the newest sample
+	row     []float64         // Registry.ReadInto buffer, reused every sample
 	evicted int64
 	started bool
+}
+
+// sample is one sample instant and the log position one past its changes.
+type sample struct {
+	at  time.Duration
+	end int
 }
 
 // change is one change point: column col took value v.
@@ -58,15 +64,14 @@ type change struct {
 
 // diff appends to log the columns of row whose bits differ from last and
 // copies them into last, which must be at least as wide as row.
-func diff(log []change, last, row []float64) []change {
+func diff(log *chunk.Log[change], last, row []float64) {
 	last = last[:len(row)]
 	for c, v := range row {
 		if math.Float64bits(v) != math.Float64bits(last[c]) {
-			log = append(log, change{int32(c), v})
+			log.Append(change{int32(c), v})
 			last[c] = v
 		}
 	}
-	return log
 }
 
 // NewSampler builds a sampler over reg with the given interval and ring
@@ -114,20 +119,20 @@ func (s *Sampler) Sample() {
 		s.base = append(s.base[:0], s.row...)
 		copy(s.last, s.row)
 	} else {
-		s.log = diff(s.log, s.last, s.row)
+		diff(&s.log, s.last, s.row)
 	}
-	s.times = append(s.times, s.eng.Now().Duration())
-	s.ends = append(s.ends, s.logOff+len(s.log))
+	s.samples.Append(sample{s.eng.Now().Duration(), s.log.Len()})
 	if s.Count() > s.max {
 		s.evict()
 	}
 }
 
 // evict drops the oldest retained sample, folding its successor's changes
-// into base.
+// into base, and releases the chunks only evicted samples still use.
 func (s *Sampler) evict() {
-	lo, hi := s.ends[s.first]-s.logOff, s.ends[s.first+1]-s.logOff
-	for _, c := range s.log[lo:hi] {
+	lo, hi := s.samples.At(s.first).end, s.samples.At(s.first+1).end
+	for p := lo; p < hi; p++ {
+		c := s.log.At(p)
 		for int(c.col) >= len(s.base) {
 			s.base = append(s.base, 0)
 		}
@@ -135,46 +140,34 @@ func (s *Sampler) evict() {
 	}
 	s.first++
 	s.evicted++
-	// Compaction moves the live entries to fresh slices: a Timeline may
-	// share the old ones.
-	if hi > 0 && 2*hi >= len(s.log) {
-		s.log = append([]change(nil), s.log[hi:]...)
-		s.logOff += hi
-	}
-	if 2*s.first >= len(s.times) {
-		s.times = append([]time.Duration(nil), s.times[s.first:]...)
-		s.ends = append([]int(nil), s.ends[s.first:]...)
-		s.first = 0
-	}
+	s.log.Release(hi)
+	s.samples.Release(s.first)
 }
 
 // Count returns the number of retained samples.
-func (s *Sampler) Count() int { return len(s.times) - s.first }
+func (s *Sampler) Count() int { return s.samples.Len() - s.first }
 
 // Evicted returns how many samples the ring has discarded.
 func (s *Sampler) Evicted() int64 { return s.evicted }
 
 // Timeline returns the retained samples, oldest first, one column per
-// registered metric. Sample never rewrites a stored time or change point,
-// so the Timeline shares them rather than copying; later samples leave it
-// unchanged. Callers must treat Times as read-only.
+// registered metric. Sample never rewrites a stored change point, so the
+// Timeline shares the change log's chunks rather than copying them; later
+// samples leave it unchanged.
 func (s *Sampler) Timeline() *Timeline {
 	n := s.Count()
-	t := &Timeline{
-		Names: s.reg.Names(),
-		Times: s.times[s.first:len(s.times):len(s.times)],
-		base:  make([]float64, s.reg.Len()),
-		ends:  make([]int, n),
-	}
+	t := &Timeline{Names: s.reg.Names(), base: make([]float64, s.reg.Len())}
 	copy(t.base, s.base)
 	if n == 0 {
 		return t
 	}
-	lo := s.ends[s.first]
-	t.log = s.log[lo-s.logOff : len(s.log) : len(s.log)]
+	lo := s.samples.At(s.first).end
+	t.Times, t.ends = make([]time.Duration, n), make([]int, n)
 	for i := range t.ends {
-		t.ends[i] = s.ends[s.first+i] - lo
+		sm := s.samples.At(s.first + i)
+		t.Times[i], t.ends[i] = sm.at, sm.end-lo
 	}
+	t.log = s.log.Slice(lo, s.log.Len())
 	return t
 }
 
@@ -186,9 +179,9 @@ type Timeline struct {
 	Names []string
 	Times []time.Duration
 
-	base []float64 // row 0, one value per name
-	log  []change  // the changes of rows 1.. in order
-	ends []int     // ends[i]: log index one past row i's changes
+	base []float64         // row 0, one value per name
+	log  chunk.Log[change] // the changes of rows 1.. in order
+	ends []int             // ends[i]: log position one past row i's changes
 }
 
 // add appends a row sampled at at. prev holds the previous row's values
@@ -199,10 +192,10 @@ func (t *Timeline) add(at time.Duration, row, prev []float64) []float64 {
 		t.base = row
 		prev = append(prev[:0], row...)
 	} else {
-		t.log = diff(t.log, prev, row)
+		diff(&t.log, prev, row)
 	}
 	t.Times = append(t.Times, at)
-	t.ends = append(t.ends, len(t.log))
+	t.ends = append(t.ends, t.log.Len())
 	return prev
 }
 
@@ -210,8 +203,16 @@ func (t *Timeline) add(at time.Duration, row, prev []float64) []float64 {
 func (t *Timeline) Row(i int) []float64 {
 	row := make([]float64, len(t.Names))
 	copy(row, t.base)
-	for _, c := range t.log[:t.ends[i]] {
-		row[c.col] = c.v
+	n := t.ends[i]
+	for _, c := range t.log.Chunks() {
+		if n == 0 {
+			break
+		}
+		c = c[:min(n, len(c))]
+		for _, ch := range c {
+			row[ch.col] = ch.v
+		}
+		n -= len(c)
 	}
 	return row
 }
@@ -222,12 +223,17 @@ func (t *Timeline) Row(i int) []float64 {
 func (t *Timeline) Each(fn func(i int, row []float64) error) error {
 	row := make([]float64, len(t.Names))
 	copy(row, t.base)
-	lo := 0
+	chunks := t.log.Chunks()
+	k, j, pos := 0, 0, 0 // the change at log position pos is chunks[k][j]
 	for i, end := range t.ends {
-		for _, c := range t.log[lo:end] {
-			row[c.col] = c.v
+		for ; pos < end; pos++ {
+			if j == len(chunks[k]) {
+				k, j = k+1, 0
+			}
+			ch := chunks[k][j]
+			row[ch.col] = ch.v
+			j++
 		}
-		lo = end
 		if err := fn(i, row); err != nil {
 			return err
 		}

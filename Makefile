@@ -34,12 +34,13 @@ bench:
 
 # smoke is the CI artifact gate. Two netsim runs arm every exporter: a
 # lossy RPC pair (profile, pcap, probe, ss, tail report, telemetry, and
-# the trace with data-path and message tracks) and a buffered 8-host
-# fabric incast (fabric report, time series, and the trace with
-# data-path, message and fabric tracks). A third traces one flow's
-# data-path events (-trace-flow 1, which records no execution spans). One
-# artifactcheck call then checks every file they write; folded stacks,
-# which have no checker, only need content.
+# the trace with data-path and message tracks) and a buffered, lossy,
+# ECN-marking 8-host DCTCP fabric incast (fabric report, time series, and
+# the trace with data-path, message and fabric tracks), so the fabric
+# report's ledger holds admission drops, wire losses and marks. A third
+# traces one flow's data-path events (-trace-flow 1, which records no
+# execution spans). One artifactcheck call then checks every file they
+# write; folded stacks, which have no checker, only need content.
 # The last lines require netsim to reject flag combinations that would
 # drop or misplace an artifact: -seeds with an output, and "-" (stdout)
 # on a flag that only writes files.
@@ -52,6 +53,7 @@ smoke:
 		-tail-report $(SMOKE).tail.txt -trace-out $(SMOKE).trace.json \
 		-telemetry-out $(SMOKE).telemetry.jsonl > /dev/null
 	$(GO) run ./cmd/netsim -fabric-hosts 8 -fabric-buffer-kb 256 -pattern incast \
+		-loss 0.001 -ecn-kb 64 -cc dctcp \
 		-dur 10ms -warmup 5ms -check -burst-kb 64 \
 		-fabric-report $(SMOKE).fab.csv -fabric-ts-out $(SMOKE).fabts.csv \
 		-trace-out $(SMOKE).fab.json > /dev/null

@@ -35,7 +35,6 @@ var keptUnreferenced = map[string]string{
 	"internal/sim.Engine.Fired":                "events fired; the planned run manifest reads it",
 	"internal/sim.Timer.When":                  "state accessor the timer tests read",
 	"internal/telemetry.Sampler.Evicted":       "ring-eviction count the sampler tests read",
-	"internal/fabricobs.Observer.Reconcile":    "ledger cross-check the fabricobs tests run",
 	"internal/figures.CacheSize":               "memo size the figure-cache tests read",
 	"internal/trace.Tracer.Dump":               "text dump the tracer tests read",
 	"internal/core.Host.Written":               "bytes-written counter the core tests read",

@@ -104,17 +104,19 @@ type IngressStats struct {
 type DeliverFunc func(port int) func(*skb.Frame)
 
 // Observer receives the fabric's ingress-side frame events — the INT-style
-// stamp point. FrameIngress fires once per frame offered to ingress port
-// src, after routing and the shared-buffer admission verdict (admitted is
-// false for a dynamic-threshold drop). depth is the destination egress
-// queue's backlog at the verdict — including the frame itself when it was
-// admitted — and occupancy the shared buffer's fill at the same instant.
+// stamp point. FrameIngress fires once per frame offered to an ingress
+// port, after routing to egress port dst and the shared-buffer admission
+// verdict (admitted is false for a dynamic-threshold drop). It carries no
+// counts: each port's Stats and its Out link's Stats already count every
+// frame. depth is the destination egress queue's backlog at the verdict —
+// including the frame itself when it was admitted — and occupancy the
+// shared buffer's fill at the same instant.
 // For admitted frames the hook fires after the egress serializer accepted
 // the frame, so the egress link's tap (mark/loss verdict) has already run.
 // Observers must be pure reads: they may not mutate or retain the frame,
 // so an observed run follows the exact trajectory of an unobserved one.
 type Observer interface {
-	FrameIngress(src, dst int, f *skb.Frame, admitted bool, depth, occupancy units.Bytes)
+	FrameIngress(dst int, f *skb.Frame, admitted bool, depth, occupancy units.Bytes)
 }
 
 // Fabric is the switch: Ports ports, a static flow routing table, and
@@ -277,7 +279,7 @@ func (p *Port) Send(f *skb.Frame) {
 			p.stats.BufDropped++
 			p.stats.BufDroppedBytes += f.Len
 			if fb.obs != nil {
-				fb.obs.FrameIngress(p.id, dst, f, false, out.Backlog(), occ)
+				fb.obs.FrameIngress(dst, f, false, out.Backlog(), occ)
 			}
 			return
 		}
@@ -292,7 +294,7 @@ func (p *Port) Send(f *skb.Frame) {
 	before := out.Backlog()
 	out.Send(f)
 	after := out.Backlog()
-	fb.obs.FrameIngress(p.id, dst, f, true, after, occ-before+after)
+	fb.obs.FrameIngress(dst, f, true, after, occ-before+after)
 }
 
 // Out returns the port's egress serializer toward the attached host

@@ -230,12 +230,12 @@ type occupancyProbe struct {
 	admitted, dropped int
 }
 
-func (o *occupancyProbe) FrameIngress(src, dst int, f *skb.Frame, admitted bool, depth, occupancy units.Bytes) {
+func (o *occupancyProbe) FrameIngress(dst int, f *skb.Frame, admitted bool, depth, occupancy units.Bytes) {
 	if want := o.fb.Occupancy(); occupancy != want {
-		o.t.Fatalf("frame %d->%d (admitted %v): occupancy %v, Occupancy() %v", src, dst, admitted, occupancy, want)
+		o.t.Fatalf("frame to %d (admitted %v): occupancy %v, Occupancy() %v", dst, admitted, occupancy, want)
 	}
 	if want := o.fb.Port(dst).Out().Backlog(); depth != want {
-		o.t.Fatalf("frame %d->%d (admitted %v): depth %v, backlog %v", src, dst, admitted, depth, want)
+		o.t.Fatalf("frame to %d (admitted %v): depth %v, backlog %v", dst, admitted, depth, want)
 	}
 	if admitted {
 		o.admitted++

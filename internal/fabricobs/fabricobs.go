@@ -11,9 +11,10 @@
 //     the internal/telemetry registry/sampler discipline;
 //   - an exact drop/mark attribution ledger: every frame the fabric ever
 //     saw is classified as delivered, shared-buffer admission drop, wire
-//     (Bernoulli) loss, or still in flight at the horizon — and the
-//     tallies reconcile counter-for-counter with the fabric's own
-//     IngressStats and each egress link's wire.Stats (Reconcile);
+//     (Bernoulli) loss, or still in flight at the horizon. The ledger is
+//     the fabric's own counters read at the horizon — each port's
+//     IngressStats and its egress link's wire.Stats, the counters the
+//     conservation checker audits — so each lost frame is counted once;
 //   - microburst events: an egress queue crossing the burst threshold
 //     opens a burst that tracks its peak backlog/occupancy, the frames
 //     and admission drops it absorbed and the contributing flows, and
@@ -94,11 +95,12 @@ type BurstEvent struct {
 	Flows          []FlowFrames  // top contributing flows, most frames first
 }
 
-// PortReport is one port's end-of-run ledger line. The ingress side counts
-// frames arriving FROM the attached host (src-attributed, matching the
-// fabric's IngressStats and the checker's In == Forwarded + BufDropped
-// rule); the egress side counts frames queued TOWARD the host on its
-// serializer. Two exact identities hold per port:
+// PortReport is one port's end-of-run ledger line, read from the fabric's
+// own counters at the horizon. The ingress side is the port's
+// IngressStats: frames arriving FROM the attached host, under the
+// checker's In == Forwarded + BufDropped rule. The egress side is the
+// wire.Stats and in-flight count of the serializer TOWARD the host. Two
+// exact identities hold per port:
 //
 //	InFrames == Forwarded + AdmissionDrops
 //	Enqueued == Delivered + WireLossDrops + InFlight
@@ -164,20 +166,6 @@ type portState struct {
 	out  *wire.Link
 	port *fabric.Port
 
-	// Independent ingress tally (reconciled against IngressStats deltas).
-	in, forwarded, admissionDrops int64
-	admissionDropBytes            units.Bytes
-
-	// Independent egress tally (reconciled against wire.Stats deltas).
-	enqueued, delivered, wireLoss, marked int64
-	// stale counts deliveries of frames sent before the observer attached
-	// (possible when workload setup transmits synchronously); they carry
-	// no send stamp, so they are excluded from the hop histogram and the
-	// egress ledger identity. The link was carrying them at attach and
-	// delivers in order, so they are its first deliveries after attach.
-	stale     int64
-	unstamped int64 // frames in flight at attach, not yet delivered
-
 	peakBacklog, peakOccupancy units.Bytes
 	hop                        *metrics.Histogram
 	// sendAt holds the send times of frames in flight on the egress link.
@@ -195,12 +183,6 @@ type portState struct {
 	utilTx units.Bytes
 	markT  sim.Time
 	markN  int64
-
-	// Stats snapshots at attach, so ledgers reconcile over the observed
-	// interval even if traffic moved before the observer armed.
-	baseIngress fabric.IngressStats
-	baseLink    wire.Stats
-	baseOnWire  units.Bytes
 }
 
 // onWire returns the bytes this port's serializer has actually put on
@@ -236,7 +218,8 @@ type Observer struct {
 // serializer, and a private telemetry registry sampled from simulated time
 // zero (like socket snapshots, the time-series covers warmup — slow-start
 // bursts are the interesting ones). names labels ports in reports and
-// traces; it must have one entry per port.
+// traces; it must have one entry per port. The fabric must not have
+// carried a frame yet: the ledger is its counters since construction.
 func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Observer {
 	if eng == nil || fab == nil {
 		panic("fabricobs: nil engine or fabric")
@@ -246,6 +229,12 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 	}
 	if opts.SampleInterval < 0 || opts.BurstThreshold < 0 || opts.MaxBursts < 0 {
 		panic("fabricobs: negative option")
+	}
+	for i := 0; i < fab.Ports(); i++ {
+		p := fab.Port(i)
+		if p.Stats() != (fabric.IngressStats{}) || p.Out().Stats() != (wire.Stats{}) {
+			panic(fmt.Sprintf("fabricobs: port %d has already carried traffic", i))
+		}
 	}
 	o := &Observer{
 		eng:        eng,
@@ -257,26 +246,19 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 	o.ports = make([]*portState, fab.Ports())
 	for i := range o.ports {
 		p := fab.Port(i)
-		ps := &portState{
-			id:          i,
-			out:         p.Out(),
-			port:        p,
-			hop:         metrics.NewLatency(),
-			utilT:       o.attachedAt,
-			markT:       o.attachedAt,
-			baseIngress: p.Stats(),
-			baseLink:    p.Out().Stats(),
+		o.ports[i] = &portState{
+			id:    i,
+			out:   p.Out(),
+			port:  p,
+			hop:   metrics.NewLatency(),
+			utilT: o.attachedAt,
+			markT: o.attachedAt,
 		}
-		ps.unstamped, _ = p.Out().InFlight()
-		ps.baseOnWire = ps.onWire()
-		ps.utilTx = ps.baseOnWire
-		ps.markN = ps.baseLink.Marked
-		o.ports[i] = ps
 	}
 	fab.SetObserver(o)
 	for _, ps := range o.ports {
 		ps := ps
-		ps.out.AddTap(func(f *skb.Frame, dropped bool) { o.wireTap(ps, f, dropped) })
+		ps.out.AddTap(func(_ *skb.Frame, dropped bool) { o.wireTap(ps, dropped) })
 		ps.out.SetDeliverTap(func(*skb.Frame) { o.deliverTap(ps) })
 	}
 	o.registerTimeline()
@@ -286,56 +268,38 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 }
 
 // FrameIngress implements fabric.Observer: the ingress-edge stamp.
-func (o *Observer) FrameIngress(src, dst int, f *skb.Frame, admitted bool, depth, occupancy units.Bytes) {
-	ss := o.ports[src]
+func (o *Observer) FrameIngress(dst int, f *skb.Frame, admitted bool, depth, occupancy units.Bytes) {
 	ds := o.ports[dst]
-	ss.in++
 	if occupancy > ds.peakOccupancy {
 		ds.peakOccupancy = occupancy
 	}
 	if !admitted {
-		ss.admissionDrops++
-		ss.admissionDropBytes += f.Len
-		// Admission drops are src-attributed in the ledger (matching
-		// IngressStats) but burst-attributed to the egress queue whose
-		// pressure rejected the frame.
+		// The ledger counts an admission drop at its ingress port (the
+		// fabric's IngressStats); a burst counts it at the egress queue
+		// whose pressure rejected the frame.
 		if b := ds.cur; b != nil {
 			b.drops++
 		}
 		return
 	}
-	ss.forwarded++
-	ds.enqueued++
 	if depth > ds.peakBacklog {
 		ds.peakBacklog = depth
 	}
 	o.burstEnqueue(ds, f, depth, occupancy)
 }
 
-// wireTap is the egress serializer's switch-edge stamp: the mark/loss
-// verdict. It fires (during the fabric's forward) before FrameIngress.
-func (o *Observer) wireTap(ds *portState, f *skb.Frame, dropped bool) {
-	if f.CE {
-		// Frames traverse exactly one link and recycled frames are
-		// CE-cleared, so CE here means this serializer marked the frame.
-		ds.marked++
+// wireTap is the egress serializer's switch-edge stamp: it stamps the
+// send time of every frame that survives the loss verdict. It fires
+// (during the fabric's forward) before FrameIngress.
+func (o *Observer) wireTap(ds *portState, dropped bool) {
+	if !dropped {
+		ds.sendAt.Push(o.eng.Now())
 	}
-	if dropped {
-		ds.wireLoss++
-		return
-	}
-	ds.sendAt.Push(o.eng.Now())
 }
 
 // deliverTap is the egress-edge stamp closing the hop.
 func (o *Observer) deliverTap(ds *portState) {
-	if ds.unstamped > 0 {
-		ds.unstamped--
-		ds.stale++ // sent before attach: no stamp, keep the ledger exact
-	} else {
-		ds.delivered++
-		ds.hop.Record(float64(o.eng.Now() - ds.sendAt.Pop()))
-	}
+	ds.hop.Record(float64(o.eng.Now() - ds.sendAt.Pop()))
 	if b := ds.cur; b != nil && ds.out.Backlog() <= o.opts.BurstThreshold/2 {
 		o.closeBurst(ds, o.eng.Now(), false)
 	}
@@ -451,8 +415,8 @@ func (o *Observer) registerTimeline() {
 
 // Finalize closes the books at the simulation horizon: open bursts are
 // emitted truncated, the burst list is ordered by start time, and the
-// per-port reports are built. Idempotent; the hooks stay attached but the
-// reports freeze at the first call.
+// per-port reports are built from the fabric's counters. Idempotent; the
+// hooks stay attached but the reports freeze at the first call.
 func (o *Observer) Finalize() {
 	if o.finalized {
 		return
@@ -474,7 +438,9 @@ func (o *Observer) Finalize() {
 	rate := o.fab.Config().LinkRate
 	o.reports = make([]PortReport, len(o.ports))
 	for i, ps := range o.ports {
-		tx := ps.onWire() - ps.baseOnWire
+		ing, lnk := ps.port.Stats(), ps.out.Stats()
+		inFlight, _ := ps.out.InFlight()
+		tx := ps.onWire()
 		var util float64
 		if elapsed > 0 {
 			util = float64(tx.Bits()) * float64(time.Second) /
@@ -483,15 +449,15 @@ func (o *Observer) Finalize() {
 		o.reports[i] = PortReport{
 			Port:               ps.id,
 			Host:               o.names[i],
-			InFrames:           ps.in,
-			Forwarded:          ps.forwarded,
-			AdmissionDrops:     ps.admissionDrops,
-			AdmissionDropBytes: int64(ps.admissionDropBytes),
-			Enqueued:           ps.enqueued,
-			Delivered:          ps.delivered,
-			WireLossDrops:      ps.wireLoss,
-			InFlight:           int64(ps.sendAt.Len()),
-			ECNMarks:           ps.marked,
+			InFrames:           ing.In,
+			Forwarded:          ing.Forwarded,
+			AdmissionDrops:     ing.BufDropped,
+			AdmissionDropBytes: int64(ing.BufDroppedBytes),
+			Enqueued:           lnk.Sent,
+			Delivered:          lnk.Delivered,
+			WireLossDrops:      lnk.Dropped,
+			InFlight:           inFlight,
+			ECNMarks:           lnk.Marked,
 			TxBytes:            int64(tx),
 			Utilization:        util,
 			PeakBacklog:        int64(ps.peakBacklog),
@@ -518,41 +484,4 @@ func (o *Observer) PortReports() []PortReport {
 func (o *Observer) Bursts() []BurstEvent {
 	o.Finalize()
 	return o.bursts
-}
-
-// Reconcile cross-checks the observatory's independently accumulated
-// ledger against the fabric's own counters: per port, the ingress tallies
-// must equal the IngressStats deltas since attach, the egress tallies the
-// wire.Stats deltas, and the two conservation identities must hold
-// exactly. A nil return means every lost frame is attributed.
-func (o *Observer) Reconcile() error {
-	o.Finalize()
-	for i, ps := range o.ports {
-		ing := ps.port.Stats()
-		lnk := ps.out.Stats()
-		type eq struct {
-			name string
-			obs  int64
-			want int64
-		}
-		checks := []eq{
-			{"in", ps.in, ing.In - ps.baseIngress.In},
-			{"forwarded", ps.forwarded, ing.Forwarded - ps.baseIngress.Forwarded},
-			{"admission_drops", ps.admissionDrops, ing.BufDropped - ps.baseIngress.BufDropped},
-			{"admission_drop_bytes", int64(ps.admissionDropBytes), int64(ing.BufDroppedBytes - ps.baseIngress.BufDroppedBytes)},
-			{"enqueued", ps.enqueued, lnk.Sent - ps.baseLink.Sent},
-			{"delivered+stale", ps.delivered + ps.stale, lnk.Delivered - ps.baseLink.Delivered},
-			{"wire_loss", ps.wireLoss, lnk.Dropped - ps.baseLink.Dropped},
-			{"ecn_marks", ps.marked, lnk.Marked - ps.baseLink.Marked},
-			{"in==forwarded+admission", ps.in, ps.forwarded + ps.admissionDrops},
-			{"enqueued==delivered+loss+inflight", ps.enqueued, ps.delivered + ps.wireLoss + int64(ps.sendAt.Len())},
-		}
-		for _, c := range checks {
-			if c.obs != c.want {
-				return fmt.Errorf("fabricobs: port %d (%s) %s: observer %d != fabric %d",
-					i, o.names[i], c.name, c.obs, c.want)
-			}
-		}
-	}
-	return nil
 }

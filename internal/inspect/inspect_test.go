@@ -13,6 +13,7 @@ import (
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
 	"hostsim/internal/tcp"
+	"hostsim/internal/telemetry"
 	"hostsim/internal/units"
 )
 
@@ -285,4 +286,31 @@ func TestProbeTraceAllocatesRecordsOnce(t *testing.T) {
 		t.Errorf("recording %d probes allocated %.0f B, want at most %.0f (1.1 × %.0f B of records)", n, got, 1.1*own, own)
 	}
 	runtime.KeepAlive(tr)
+}
+
+// TestRTTMonitorBeforeFirstSample: a watched flow reads all-zero gauges
+// until its first window-advancing ACK, exactly as an empty histogram
+// would, and then folds that sample in. Events that carry no RTT sample
+// (no acked bytes) leave it unsampled.
+func TestRTTMonitorBeforeFirstSample(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	probe := NewRTTMonitor().Watch(reg, "f/", 1)
+	read := func() []float64 {
+		dst := make([]float64, reg.Len())
+		for i := range dst {
+			dst[i] = -1 // the block must set every column
+		}
+		return reg.ReadInto(dst)
+	}
+	probe(tcp.ProbeEvent{Kind: tcp.ProbeAck, SRTT: 50 * time.Microsecond})
+	for i, v := range read() {
+		if v != 0 {
+			t.Errorf("unsampled flow: column %d = %v, want 0", i, v)
+		}
+	}
+	probe(tcp.ProbeEvent{Kind: tcp.ProbeAck, AckedBytes: 1448, SRTT: 50 * time.Microsecond})
+	got := read()
+	if got[0] != 50000 || got[1] != 50000 || got[5] != 1 {
+		t.Errorf("after one sample: last %v, min %v, samples %v; want 50000, 50000, 1", got[0], got[1], got[5])
+	}
 }

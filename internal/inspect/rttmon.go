@@ -24,10 +24,12 @@ type RTTMonitor struct {
 // rttCols are the column suffixes of one watched flow's block.
 var rttCols = []string{"rtt_last_ns", "rtt_min_ns", "rtt_mean_ns", "rtt_p50_ns", "rtt_p99_ns", "rtt_samples"}
 
-// rttFlow is one monitored connection's running RTT state.
+// rttFlow is one monitored connection's running RTT state. Its histogram
+// (~15 KB of counters) is allocated at the flow's first sample, so a
+// watched endpoint that never samples — a receive side — costs none.
 type rttFlow struct {
 	last int64
-	hist *metrics.LogLinear
+	hist *metrics.LogLinear // nil until the first sample
 }
 
 // NewRTTMonitor builds an empty monitor.
@@ -38,13 +40,17 @@ func NewRTTMonitor() *RTTMonitor { return &RTTMonitor{} }
 // Conn.AddProbe so it composes with other probe consumers; like every
 // probe, it is a pure observer.
 func (m *RTTMonitor) Watch(reg *telemetry.Registry, prefix string, flow skb.FlowID) tcp.ProbeFunc {
-	f := &rttFlow{hist: metrics.NewLogLinear()}
+	f := &rttFlow{}
 	if n := int(flow) + 1; n > len(m.flows) {
 		m.flows = append(m.flows, make([]*rttFlow, n-len(m.flows))...)
 	}
 	m.flows[flow] = f
 	reg.Block(prefix, rttCols, func(dst []float64) {
 		dst[0] = float64(f.last)
+		if f.hist == nil {
+			clear(dst[1:]) // no sample yet: an empty histogram's gauges
+			return
+		}
 		dst[1] = float64(f.hist.Min())
 		dst[2] = float64(f.hist.Mean())
 		dst[3] = float64(f.hist.Quantile(0.50))
@@ -63,6 +69,9 @@ func (m *RTTMonitor) Watch(reg *telemetry.Registry, prefix string, flow skb.Flow
 			return
 		}
 		f.last = ns
+		if f.hist == nil {
+			f.hist = metrics.NewLogLinear()
+		}
 		f.hist.Record(ns)
 	}
 }

@@ -10,12 +10,14 @@ import (
 	"hostsim"
 )
 
-// TestRunAllocationBudget guards the hot-path allocation purge on four
+// TestRunAllocationBudget guards the hot-path allocation purge on five
 // runs that reach different datapaths: the default single flow (aRFS),
 // the same flow with every optimization off (worst-case IRQ steering,
 // 1500 B frames, no GRO), a 64-host incast through the switch fabric
-// (per-host build cost, slab warm-up, idle ACK-only Rx queues), and a
-// 16-host buffered incast with every observer armed. The first three
+// (per-host build cost, slab warm-up, idle ACK-only Rx queues), a
+// 16-host buffered incast with every observer armed, and a bulk flow
+// beside 4 RPC flows at 0.5 % wire loss (SACK recovery, out-of-order
+// queueing, dropped frames). The first three
 // object budgets leave ~2.5x headroom over the measured count, so they
 // only trip on a real regression: a per-packet or per-event allocation
 // reappearing multiplies the count by orders of magnitude, not
@@ -34,6 +36,10 @@ import (
 // 3.81 MB once they grew in chunks that are never copied. The incast
 // allocated 5.40 MB before each DCA allocated its arrays on first use,
 // and 4.81 MB after: its 63 senders' NICs never DMA a data page.
+// The lossy run's budgets sit ~10 % over its measured 1,212 objects and
+// 0.271 MB. It made 3,301 objects and 0.354 MB while the SACK merge
+// sorted through sort.Slice, the out-of-order drain leaked its queue's
+// front capacity, and frames the switch dropped were left to the GC.
 // TestRunBytesFlatInDuration guards bytes that grow with the window.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
@@ -54,6 +60,9 @@ func TestRunAllocationBudget(t *testing.T) {
 	observed.MsgTrace = &hostsim.MsgTraceOptions{}
 	observed.FabricObs = &hostsim.FabricObsOptions{}
 	observed.TraceEvents, observed.TraceSpans = 4096, true
+	lossy := benchRunCfg()
+	lossy.Warmup, lossy.Duration = 20*time.Millisecond, 30*time.Millisecond
+	lossy.LossRate = 0.005
 	single := hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)
 	for _, c := range []struct {
 		name   string
@@ -66,6 +75,7 @@ func TestRunAllocationBudget(t *testing.T) {
 		{"no-optimizations", noOpt, single, 4000, 0},
 		{"incast64", incast, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), 42000, 5.3},
 		{"observed16", observed, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), 8500, 4.2},
+		{"lossy-mixed", lossy, hostsim.MixedWorkload(4, 16384), 1350, 0.3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			allocs, mb := perRun(3, func() {
@@ -104,33 +114,42 @@ func perRun(n int, fn func()) (objects, mb float64) {
 // rather than the items it holds. Such a queue grows by doubling, a handful
 // of objects per run, but its bytes grow with the simulated window. Here
 // the single flow runs for 40 ms and for 80 ms, with every optimization on
-// and with none, and the longer run may allocate at most 10 % more bytes.
+// and with none, and so does a bulk flow beside 4 RPC flows at 0.5 % wire
+// loss, whose SACK scoreboard and out-of-order queue fill and drain all
+// run long. The longer run may allocate at most 10 % more bytes. The
+// lossy run measured 1.29x while loss recovery still allocated per SACK
+// report, per out-of-order drain and per dropped frame.
 func TestRunBytesFlatInDuration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting run is not short")
 	}
-	single := hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)
-	runBytes := func(stack hostsim.Stack, dur time.Duration) uint64 {
-		cfg := benchRunCfg()
-		cfg.Stack, cfg.Duration = stack, dur
+	runBytes := func(cfg hostsim.Config, wl hostsim.Workload, dur time.Duration) uint64 {
+		cfg.Duration = dur
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := hostsim.Run(cfg, single); err != nil {
+		if _, err := hostsim.Run(cfg, wl); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	noOpt := benchRunCfg()
+	noOpt.Stack = hostsim.NoOptimizations()
+	lossy := benchRunCfg()
+	lossy.LossRate = 0.005
+	single := hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)
 	for _, c := range []struct {
-		name  string
-		stack hostsim.Stack
+		name string
+		cfg  hostsim.Config
+		wl   hostsim.Workload
 	}{
-		{"all-optimizations", hostsim.AllOptimizations()},
-		{"no-optimizations", hostsim.NoOptimizations()},
+		{"all-optimizations", benchRunCfg(), single},
+		{"no-optimizations", noOpt, single},
+		{"lossy-mixed", lossy, hostsim.MixedWorkload(4, 16384)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			short := runBytes(c.stack, 40*time.Millisecond)
-			long := runBytes(c.stack, 80*time.Millisecond)
+			short := runBytes(c.cfg, c.wl, 40*time.Millisecond)
+			long := runBytes(c.cfg, c.wl, 80*time.Millisecond)
 			ratio := float64(long) / float64(short)
 			t.Logf("%.2f MB at 40 ms, %.2f MB at 80 ms (%.2fx)", float64(short)/1e6, float64(long)/1e6, ratio)
 			if ratio > 1.1 {

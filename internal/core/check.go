@@ -29,9 +29,9 @@ import (
 //     consistent (see tcp.Conn.CheckInvariants) and cross-host
 //     sndUna <= peer rcvNxt <= sndNxt;
 //   - skb-pool / frame-pool: every buffer handed out by the cluster's
-//     shared pools is accounted for by a live queue, a counted
-//     leak-by-design (loss drops, shared-buffer drops, unsteered skbs),
-//     or an in-flight counter;
+//     shared pools is accounted for by a live queue, an in-flight
+//     counter, or (skbs only) a counted unsteered skb; a frame the
+//     network drops goes straight back to the pool;
 //   - cycles: per host, the charge log's per-category tally reconciles
 //     exactly with the core Breakdown accounting, and busy time matches
 //     the cycle total within per-item truncation slack;
@@ -89,7 +89,7 @@ func AttachChecker(ck *check.Checker, c *Cluster) {
 		skbConservation(fail, scope, hosts)
 	})
 	ck.AddRule("frame-pool-conservation", func(fail check.FailFunc) {
-		frameConservation(fail, scope, hosts, links, c.fab.Totals().BufDropped)
+		frameConservation(fail, scope, hosts, links)
 	})
 	ck.AddRule("cycle-conservation", func(fail check.FailFunc) {
 		for _, h := range hosts {
@@ -182,14 +182,15 @@ func skbConservation(fail check.FailFunc, scope string, hosts []*Host) {
 
 // frameConservation audits the shared frame pool over a cluster's
 // hosts: every outstanding frame must sit in a NIC Tx queue, an Rx
-// backlog, on a wire, or be a counted abandonment (a switch loss drop or
-// a fabric shared-buffer drop).
-func frameConservation(fail check.FailFunc, scope string, hosts []*Host, links []*wire.Link, fabricDropped int64) {
+// backlog, or on a wire. A frame the switch drops (loss or shared-buffer
+// admission) is returned to the pool by the sending NIC, so it is not
+// outstanding.
+func frameConservation(fail check.FailFunc, scope string, hosts []*Host, links []*wire.Link) {
 	fp := hosts[0].NIC.FramePool()
 	if fp == nil {
 		return
 	}
-	held := fabricDropped
+	var held int64
 	for _, h := range hosts {
 		txN, _ := h.NIC.TxQueued()
 		backlogN, _ := h.NIC.RxBacklog()
@@ -197,11 +198,11 @@ func frameConservation(fail check.FailFunc, scope string, hosts []*Host, links [
 	}
 	for _, l := range links {
 		inflight, _ := l.InFlight()
-		held += inflight + l.Stats().Dropped // switch drops abandon the frame
+		held += inflight
 	}
 	if out := fp.Outstanding(); out != held {
 		fail("frame pool: %d outstanding but only %d accounted for "+
-			"(txq+rx backlog+wire+switch drops across %s) — %d frames leaked",
+			"(txq+rx backlog+wire across %s) — %d frames leaked",
 			out, held, scope, out-held)
 	}
 }

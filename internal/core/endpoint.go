@@ -178,10 +178,8 @@ func (ep *Endpoint) sendSegment(ctx *exec.Ctx, c *tcp.Conn, seq int64, length un
 	ep.segSizes = sizes
 	if !h.opts.TSO && h.opts.GSO && len(sizes) > 1 {
 		// Software segmentation in the netdevice subsystem.
-		perSeg := costs.GSOSegment + costs.SKBSplit
 		ctx.Charge(cpumodel.Netdev, costs.GSOSegment*units.Cycles(len(sizes)))
 		ctx.Charge(cpumodel.SKBMgmt, costs.SKBSplit*units.Cycles(len(sizes)))
-		_ = perSeg
 	}
 	ctx.Charge(cpumodel.Netdev, costs.QdiscEnqueue)
 	// DMA mapping of the payload pages (and unmap at completion; both are

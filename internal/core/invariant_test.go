@@ -116,7 +116,7 @@ func TestEveryRuleFires(t *testing.T) {
 		}},
 		{"frame-pool-conservation", func(r *checkedRig) string {
 			r.a.NIC.FramePool().Get().Len = 9000
-			return "frame pool: 1 outstanding but only 0 accounted for (txq+rx backlog+wire+switch drops across a/b) — 1 frames leaked"
+			return "frame pool: 1 outstanding but only 0 accounted for (txq+rx backlog+wire across a/b) — 1 frames leaked"
 		}},
 		{"cycle-conservation", func(r *checkedRig) string {
 			// Cycles slipped into the core accounting without a work item

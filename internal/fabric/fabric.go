@@ -249,9 +249,9 @@ func (p *Port) Rate() units.BitRate { return p.fab.cfg.LinkRate }
 // Send implements wire.Egress: ingress from the attached host. Routing
 // and shared-buffer admission are instantaneous and draw no randomness;
 // an admitted frame continues into the destination port's egress
-// serializer, a rejected one is counted and abandoned (the frame pool
-// checker accounts fabric drops like switch drops).
-func (p *Port) Send(f *skb.Frame) {
+// serializer, a rejected one is counted. Send reports a frame the buffer
+// rejected or the egress link lost, and the caller recycles it.
+func (p *Port) Send(f *skb.Frame) (dropped bool) {
 	fb := p.fab
 	p.stats.In++
 	p.stats.InPayload += f.Len
@@ -281,20 +281,20 @@ func (p *Port) Send(f *skb.Frame) {
 			if fb.obs != nil {
 				fb.obs.FrameIngress(dst, f, false, out.Backlog(), occ)
 			}
-			return
+			return true
 		}
 	}
 	p.stats.Forwarded++
 	p.stats.ForwardedPayload += f.Len
 	if fb.obs == nil {
-		out.Send(f)
-		return
+		return out.Send(f)
 	}
 	// Only the destination's backlog moves: swap it in the sum.
 	before := out.Backlog()
-	out.Send(f)
+	dropped = out.Send(f)
 	after := out.Backlog()
 	fb.obs.FrameIngress(dst, f, true, after, occ-before+after)
+	return dropped
 }
 
 // Out returns the port's egress serializer toward the attached host

@@ -277,3 +277,52 @@ func TestObserverSeesOccupancy(t *testing.T) {
 		}
 	}
 }
+
+// Port.Send reports a frame the shared buffer rejects and a frame the
+// egress link loses, frame for frame against the fabric's drop counters,
+// and reports nothing else.
+func TestPortSendReportsDrops(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		buffer units.Bytes
+		loss   float64
+	}{
+		{"lossless", 0, 0},
+		{"shared-buffer", 32 * units.KB, 0},
+		{"egress-loss", 0, 0.1},
+		{"both", 32 * units.KB, 0.1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			cfg := testCfg(3)
+			cfg.SharedBuffer, cfg.LossRate = c.buffer, c.loss
+			fb := New(eng, cfg, deliverTo(func(int, *skb.Frame) {}))
+			fb.Register(1, 1, 0)
+			fb.Register(2, 2, 0)
+			var reported int64
+			for i := 0; i < 300; i++ {
+				for s := 1; s <= 2; s++ {
+					before := fb.Totals()
+					dropped := fb.Port(s).Send(&skb.Frame{Flow: skb.FlowID(s), Len: 1500})
+					after := fb.Totals()
+					counted := after.BufDropped + after.LossDropped - before.BufDropped - before.LossDropped
+					if dropped != (counted == 1) {
+						t.Fatalf("frame %d from port %d: Send reported %v, the counters moved by %d", i, s, dropped, counted)
+					}
+					if dropped {
+						reported++
+					}
+				}
+			}
+			eng.Run(sim.Time(10 * time.Millisecond))
+			tot := fb.Totals()
+			if (c.buffer > 0) != (tot.BufDropped > 0) || (c.loss > 0) != (tot.LossDropped > 0) {
+				t.Errorf("%d buffer drops, %d loss drops; want each only where configured", tot.BufDropped, tot.LossDropped)
+			}
+			if reported != tot.BufDropped+tot.LossDropped || tot.Delivered+reported != tot.In {
+				t.Errorf("%d reported dropped, %d buffer + %d loss dropped, %d delivered of %d in",
+					reported, tot.BufDropped, tot.LossDropped, tot.Delivered, tot.In)
+			}
+		})
+	}
+}

@@ -583,7 +583,10 @@ func (n *NIC) enqueueTx(core int, frames []*skb.Frame) {
 // pumpTx drains the Tx queues round-robin, one frame per service slot, at
 // line rate. It reserves the sent frame's Tx-done seq and schedules the
 // event only if another frame is waiting for it; otherwise the Tx-done is
-// held, and the next enqueueTx schedules it or finds it passed.
+// held, and the next enqueueTx schedules it or finds it passed. Every
+// field the pump needs is read before the egress takes the frame: a
+// delivered frame may be recycled by the receiver, and a dropped one is
+// recycled here.
 func (n *NIC) pumpTx() {
 	if n.txBusy || n.txFrames == 0 {
 		return
@@ -591,11 +594,16 @@ func (n *NIC) pumpTx() {
 	f := n.nextTxFrame()
 	n.txBusy = true
 	f.NICTxAt = n.eng.Now()
-	n.egress.Send(f)
-	if n.txComplete != nil && !f.IsAck() && f.Len > 0 {
-		n.txComplete(f.Flow, f.Len)
+	flow, payload, ack := f.Flow, f.Len, f.Ack
+	ser := n.txRate.Serialize(f.WireSize())
+	if n.egress.Send(f) {
+		n.framePool.PutAck(ack)
+		n.framePool.Put(f)
 	}
-	n.txAt = n.eng.Now().Add(n.txRate.Serialize(f.WireSize()))
+	if n.txComplete != nil && ack == nil && payload > 0 {
+		n.txComplete(flow, payload)
+	}
+	n.txAt = n.eng.Now().Add(ser)
 	n.txSeq = n.eng.ReserveSeq()
 	if n.txFrames > 0 {
 		n.eng.AtArgSeq(n.txAt, n.txSeq, txDoneEv, n)
@@ -663,6 +671,7 @@ func (n *NIC) ReceiveFromWire(f *skb.Frame) {
 			At: n.eng.Now(), Host: n.traceHost, Core: core, Flow: f.Flow,
 			Kind: trace.Drop, A: f.Seq, B: int64(f.Len),
 		})
+		n.framePool.PutAck(f.Ack)
 		n.framePool.Put(f)
 		return
 	}

@@ -151,12 +151,22 @@ func TestDescriptorExhaustionDrops(t *testing.T) {
 	cfg.ModerationFrames = 1000
 	r := newRig(t, cfg, true)
 	r.nic.SetSteering(FixedCore(0))
+	fp := &skb.FramePool{}
+	r.nic.SetPools(nil, fp)
 	for i := 0; i < 10; i++ {
 		r.inject(1, int64(i)*1500, 1500)
 	}
+	// A dropped ACK's record goes back to the pool with its frame.
+	ack := fp.GetAck()
+	f := fp.Get()
+	f.Flow, f.Ack = 1, ack
+	r.nic.ReceiveFromWire(f)
 	st := r.nic.Stats()
-	if st.RxFrames != 4 || st.RxDropped != 6 {
-		t.Errorf("RxFrames = %d RxDropped = %d, want 4/6", st.RxFrames, st.RxDropped)
+	if st.RxFrames != 4 || st.RxDropped != 7 {
+		t.Errorf("RxFrames = %d RxDropped = %d, want 4/7", st.RxFrames, st.RxDropped)
+	}
+	if fp.GetAck() != ack {
+		t.Error("the dropped ACK's record did not go back to the pool")
 	}
 }
 
@@ -587,9 +597,16 @@ type txPath struct {
 type txEgress struct {
 	rate   units.BitRate
 	onSend func(*skb.Frame)
+	refuse func(*skb.Frame) bool // nil: every frame is taken
 }
 
-func (e *txEgress) Send(f *skb.Frame)   { e.onSend(f) }
+func (e *txEgress) Send(f *skb.Frame) bool {
+	if e.onSend != nil {
+		e.onSend(f)
+	}
+	return e.refuse != nil && e.refuse(f)
+}
+
 func (e *txEgress) Rate() units.BitRate { return e.rate }
 
 // txRec is one step of a Tx scenario: an unrelated event (kind 'm'), a
@@ -826,5 +843,67 @@ func TestTxRoundRobinPastOneWord(t *testing.T) {
 	if lastToFirst == 0 || crossWord == 0 || sameWord == 0 {
 		t.Errorf("scan coverage: %d last-to-first-word wraps, %d cross-word steps, %d same-word wraps; want each > 0",
 			lastToFirst, crossWord, sameWord)
+	}
+}
+
+// A frame the egress refuses goes back to the frame pool, and a refused
+// ACK's AckInfo back to the pool's AckInfo records. Every data frame
+// still completes with its own flow and payload, read before the frame
+// was recycled.
+func TestRefusedFramesReturnToPool(t *testing.T) {
+	eng := sim.NewEngine(1)
+	spec := topology.Default()
+	sys := exec.NewSystem(eng, spec, cpumodel.Default())
+	alloc := mem.NewAllocator(spec, cpumodel.Default())
+	sent, refused := 0, 0
+	egress := &txEgress{rate: spec.LinkRate, refuse: func(f *skb.Frame) bool {
+		sent++
+		if f.IsAck() || sent%3 == 1 {
+			refused++
+			return true
+		}
+		return false
+	}}
+	n := New(eng, sys, alloc, nil, DefaultConfig(), egress, func(*exec.Ctx, *skb.SKB) {})
+	fp := &skb.FramePool{}
+	n.SetPools(nil, fp)
+	var completed units.Bytes
+	n.SetTxComplete(func(flow skb.FlowID, b units.Bytes) {
+		if flow != 5 {
+			t.Errorf("completion for flow %d, want 5", flow)
+		}
+		completed += b
+	})
+	const data = 9
+	var frames []*skb.Frame
+	for i := 0; i < data; i++ {
+		f := fp.Get()
+		f.Flow, f.Seq, f.Len = 5, int64(i)*1434, 1434
+		frames = append(frames, f)
+	}
+	ack := fp.GetAck()
+	ack.Cum, ack.SACK = 1434, append(ack.SACK, skb.Range{Start: 2868, End: 4302})
+	f := fp.Get()
+	f.Flow, f.Ack = 5, ack
+	frames = append(frames, f)
+	sys.Core(0).RaiseSoftirq(func(ctx *exec.Ctx) {
+		ctx.Charge(cpumodel.TCPIP, 100)
+		n.SendFrames(ctx, frames)
+	})
+	eng.Run(sim.Time(time.Millisecond))
+	if sent != data+1 || refused != 4 {
+		t.Fatalf("egress saw %d frames and refused %d, want %d and 4", sent, refused, data+1)
+	}
+	if fp.Puts != int64(refused) {
+		t.Errorf("frame pool got %d frames back, want one per refused frame (%d)", fp.Puts, refused)
+	}
+	if out := fp.Outstanding(); out != int64(sent-refused) {
+		t.Errorf("%d frames outstanding, want the %d the egress took", out, sent-refused)
+	}
+	if completed != data*1434 {
+		t.Errorf("completions reported %v bytes, want %v", completed, units.Bytes(data*1434))
+	}
+	if got := fp.GetAck(); got != ack || got.Cum != 0 || len(got.SACK) != 0 || cap(got.SACK) == 0 {
+		t.Errorf("the refused ACK's record was not recycled clean: got %p (%+v), want %p", got, got, ack)
 	}
 }

@@ -203,9 +203,10 @@ func (p *Pool) Outstanding() int64 {
 
 // FramePool recycles wire Frame structs for the transmit fast path (one
 // Frame per MTU under TSO adds up quickly). Frames are Put back by the
-// receiving NIC once GRO has absorbed them, so with bidirectional traffic
-// a single pool shared by both hosts of a link stays balanced. A nil
-// *FramePool allocates plainly.
+// receiving NIC once GRO has absorbed them, or by the sending NIC when
+// the network drops them, so with bidirectional traffic a single pool
+// shared by both hosts of a link stays balanced. A nil *FramePool
+// allocates plainly.
 type FramePool struct {
 	free  []*Frame
 	block []Frame    // unused tail of the block fresh frames are carved from
@@ -217,7 +218,8 @@ type FramePool struct {
 
 // GetAck returns a zeroed AckInfo, reusing a recycled record (and its SACK
 // slice capacity) when available. AckInfos are born on one host's ACK
-// path and die on the other's, so like frames they pool pair-wide.
+// path and die on the other's (or at whichever NIC drops the ACK), so
+// like frames they pool pair-wide.
 func (p *FramePool) GetAck() *AckInfo {
 	if p == nil {
 		return &AckInfo{}

@@ -11,7 +11,9 @@
 package tcp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -618,7 +620,7 @@ func (c *Conn) onRTO(ctx *exec.Ctx) {
 	c.stats.Timeouts++
 	ctx.Charge(cpumodel.Etc, c.costs.TimerFire)
 	c.cc.OnRTO()
-	c.sacked = nil
+	c.sacked = c.sacked[:0]
 	c.inRecovery = false
 	c.dupAcks = 0
 	c.emitProbe(ctx.Now(), ProbeRTO, 0)
@@ -640,7 +642,9 @@ func (c *Conn) mergeSACK(ranges []skb.Range) {
 	if len(c.sacked) == 0 {
 		return
 	}
-	sort.Slice(c.sacked, func(i, j int) bool { return c.sacked[i].Start < c.sacked[j].Start })
+	// The merge keeps the largest End among equal Starts, so the result
+	// does not depend on how an unstable sort orders them.
+	slices.SortFunc(c.sacked, func(a, b skb.Range) int { return cmp.Compare(a.Start, b.Start) })
 	merged := c.sacked[:1]
 	for _, r := range c.sacked[1:] {
 		last := &merged[len(merged)-1]
@@ -805,10 +809,11 @@ func (c *Conn) onData(ctx *exec.Ctx, s *skb.SKB) {
 
 func (c *Conn) acceptInOrder(ctx *exec.Ctx, s *skb.SKB) {
 	c.enqueueRecv(s)
-	// Drain any out-of-order skbs this unblocks.
-	for len(c.ooo) > 0 && c.ooo[0].Seq <= c.rcvNxt {
-		q := c.ooo[0]
-		c.ooo = c.ooo[1:]
+	// Drain any out-of-order skbs this unblocks, then slide the rest to
+	// the front so the queue keeps its capacity for the next insertOOO.
+	i := 0
+	for ; i < len(c.ooo) && c.ooo[i].Seq <= c.rcvNxt; i++ {
+		q := c.ooo[i]
 		c.oooBytes -= q.Len
 		if q.End() <= c.rcvNxt {
 			c.recycle(q)
@@ -820,6 +825,11 @@ func (c *Conn) acceptInOrder(ctx *exec.Ctx, s *skb.SKB) {
 			q.Len -= units.Bytes(trim)
 		}
 		c.enqueueRecv(q)
+	}
+	if i > 0 {
+		n := copy(c.ooo, c.ooo[i:])
+		clear(c.ooo[n:])
+		c.ooo = c.ooo[:n]
 	}
 	c.autotune()
 	c.unacked += s.Len

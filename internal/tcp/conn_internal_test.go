@@ -262,3 +262,82 @@ func TestOOOInsertKeepsOrder(t *testing.T) {
 		t.Errorf("oooBytes = %v", c.oooBytes)
 	}
 }
+
+// Loss recovery keeps its storage: once warmed up, folding SACK reports
+// into the scoreboard in any order, an RTO that clears it, and an
+// out-of-order insert whose gap fills and drains the queue allocate
+// nothing.
+func TestLossRecoveryAllocatesNothing(t *testing.T) {
+	p := newPipe(t, 86, "cubic", 8934, nil, 0)
+	snd, rcv := p.a, p.b
+	snd.hooks.SendSegment = func(*exec.Ctx, *Conn, int64, units.Bytes, bool) {}
+	var ack skb.AckInfo
+	rcv.hooks.NewAck = func() *skb.AckInfo { return &ack }
+	rcv.hooks.SendAck = func(*exec.Ctx, *Conn, *skb.AckInfo) {}
+	rcv.hooks.OnReadable = nil
+	snd.sndUna, snd.sndNxt = 0, 1<<20
+
+	// Eight SACKed blocks, reported up to three at a time, in shuffled
+	// orders; a report may repeat or overlap what is already merged.
+	var blocks []skb.Range
+	for k := int64(1); k <= 8; k++ {
+		blocks = append(blocks, skb.Range{Start: k * 20000, End: k*20000 + 8934})
+	}
+	rng := rand.New(rand.NewSource(86))
+	var orders [][][]skb.Range
+	for i := 0; i < 8; i++ {
+		perm := append([]skb.Range(nil), blocks...)
+		perm = append(perm, blocks[rng.Intn(len(blocks))])
+		rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+		var reports [][]skb.Range
+		for len(perm) > 0 {
+			n := min(1+rng.Intn(3), len(perm))
+			reports = append(reports, perm[:n])
+			perm = perm[n:]
+		}
+		orders = append(orders, reports)
+	}
+
+	// Two segments arrive past a one-segment gap, the gap fills, and the
+	// application reads all three.
+	segs := [3]skb.SKB{}
+	round := 0
+	cycle := func(ctx *exec.Ctx) {
+		for _, r := range orders[round%len(orders)] {
+			snd.mergeSACK(r)
+		}
+		if len(snd.sacked) != len(blocks) {
+			t.Fatalf("scoreboard holds %d ranges, want %d", len(snd.sacked), len(blocks))
+		}
+		snd.onRTO(ctx)
+		if len(snd.sacked) != 0 {
+			t.Fatalf("RTO left %d sacked ranges", len(snd.sacked))
+		}
+		base := rcv.rcvNxt
+		for _, i := range []int{2, 1, 0} {
+			segs[i] = skb.SKB{Flow: 1, Seq: base + int64(i)*1000, Len: 1000}
+			rcv.onData(ctx, &segs[i])
+		}
+		if len(rcv.ooo) != 0 || rcv.rcvNxt != base+3000 {
+			t.Fatalf("drain left %d queued, rcvNxt %d, want 0 and %d", len(rcv.ooo), rcv.rcvNxt, base+3000)
+		}
+		if got := rcv.Read(ctx, 1<<40); len(got) != 3 {
+			t.Fatalf("read %d skbs, want 3", len(got))
+		}
+		round++
+	}
+	var allocs float64
+	p.sys.Core(1).RaiseSoftirq(func(ctx *exec.Ctx) {
+		for range orders {
+			cycle(ctx)
+		}
+		allocs = testing.AllocsPerRun(100, func() { cycle(ctx) })
+	})
+	p.run(time.Millisecond)
+	if round == 0 {
+		t.Fatal("recovery cycle never ran")
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state loss recovery allocates %v objects per cycle, want 0", allocs)
+	}
+}

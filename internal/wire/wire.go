@@ -16,12 +16,14 @@ import (
 
 // Egress is a NIC's attachment point to the network: a switch-fabric
 // ingress port in every assembled topology (the two-host testbed is a
-// 2-port fabric), or a bare point-to-point Link in unit rigs. Send
-// consumes the frame without charging CPU (transmission is "hardware");
-// Rate is the attachment's fixed line rate, which the NIC uses to pace
-// its Tx pump one frame at a time.
+// 2-port fabric), or a bare point-to-point Link in unit rigs. Send takes
+// the frame without charging CPU (transmission is "hardware") and reports
+// whether the network dropped it on the spot. A delivered frame belongs
+// to the receiver; a dropped one is back with the caller, which recycles
+// it. Rate is the attachment's fixed line rate, which the NIC uses to
+// pace its Tx pump one frame at a time.
 type Egress interface {
-	Send(f *skb.Frame)
+	Send(f *skb.Frame) (dropped bool)
 	Rate() units.BitRate
 }
 
@@ -119,8 +121,9 @@ func (l *Link) SetECNThreshold(thresh units.Bytes) {
 // frame accepted by Send — after the ECN-marking and switch-drop decisions,
 // so the callback sees the frame exactly as the wire does (dropped reports
 // the switch's verdict). The tap must be a pure read: it may not mutate or
-// retain the frame (delivered frames are recycled by the receiver), so a
-// tapped run follows the exact trajectory of an untapped one. With no tap
+// retain the frame (delivered frames are recycled by the receiver, dropped
+// ones by the sender), so a tapped run follows the exact trajectory of an
+// untapped one. With no tap
 // attached, Send pays only a pointer test.
 func (l *Link) SetTap(tap func(f *skb.Frame, dropped bool)) { l.tap = tap }
 
@@ -172,8 +175,10 @@ func (l *Link) Backlog() units.Bytes {
 }
 
 // Send enqueues f for transmission. Loss and marking are evaluated at the
-// switch, i.e. after the frame has consumed wire time.
-func (l *Link) Send(f *skb.Frame) {
+// switch, i.e. after the frame has consumed wire time. Send reports a
+// loss drop; the link keeps no reference to a dropped frame, so the
+// caller may recycle it.
+func (l *Link) Send(f *skb.Frame) (dropped bool) {
 	if f == nil {
 		panic("wire: nil frame")
 	}
@@ -191,14 +196,14 @@ func (l *Link) Send(f *skb.Frame) {
 		f.CE = true
 		l.stats.Marked++
 	}
-	dropped := l.lossRate > 0 && l.eng.Rand().Float64() < l.lossRate
+	dropped = l.lossRate > 0 && l.eng.Rand().Float64() < l.lossRate
 	if l.tap != nil {
 		l.tap(f, dropped)
 	}
 	if dropped {
 		l.stats.Dropped++
 		l.stats.DroppedPayload += f.Len
-		return // consumed wire time, then died at the switch
+		return true // consumed wire time, then died at the switch
 	}
 	it := inflight{f: f, at: l.nextFree.Add(l.delay), seq: l.eng.ReserveSeq()}
 	l.ring.Push(it)
@@ -207,6 +212,7 @@ func (l *Link) Send(f *skb.Frame) {
 	if l.ring.Len() == 1 {
 		l.eng.AtArgSeq(it.at, it.seq, l.deliverEv, nil)
 	}
+	return false
 }
 
 // deliverFrame is the wire-delivery event for the ring's head. It pops the

@@ -206,13 +206,14 @@ type perFrameLink struct {
 	deliver  func(any)
 }
 
-func (r *perFrameLink) Send(f *skb.Frame) {
+func (r *perFrameLink) Send(f *skb.Frame) bool {
 	start := r.nextFree
 	if now := r.eng.Now(); start < now {
 		start = now
 	}
 	r.nextFree = start.Add(r.rate.Serialize(f.WireSize()))
 	r.eng.AtArg(r.nextFree.Add(r.delay), r.deliver, f)
+	return false
 }
 
 func (r *perFrameLink) Rate() units.BitRate { return r.rate }
@@ -464,5 +465,49 @@ func TestSendDeliverAllocationFree(t *testing.T) {
 	burst()
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
 		t.Errorf("Send+deliver of a %d-frame burst allocates %v per run, want 0", len(frames), allocs)
+	}
+}
+
+// Send reports exactly the frames the switch drops: its verdict matches
+// the tap's and the Dropped counter frame for frame, a CE mark is not a
+// drop, and a lossless link reports none.
+func TestSendReportsLossDrops(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		loss float64
+		ecn  units.Bytes
+	}{
+		{"lossless", 0, 0},
+		{"marking", 0, 4 * units.KB},
+		{"lossy", 0.3, 4 * units.KB},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.NewEngine(5)
+			l := NewLink(eng, 100*units.Gbps, time.Microsecond, func(*skb.Frame) {})
+			l.SetLossRate(c.loss)
+			l.SetECNThreshold(c.ecn)
+			var tapped bool
+			l.SetTap(func(_ *skb.Frame, dropped bool) { tapped = dropped })
+			var reported int64
+			for i := 0; i < 500; i++ {
+				before := l.Stats().Dropped
+				dropped := l.Send(dataFrame(1434))
+				if dropped != tapped || dropped != (l.Stats().Dropped == before+1) {
+					t.Fatalf("frame %d: Send reported %v, tap saw %v, Dropped %d -> %d",
+						i, dropped, tapped, before, l.Stats().Dropped)
+				}
+				if dropped {
+					reported++
+				}
+			}
+			eng.Run(sim.Time(time.Second))
+			st := l.Stats()
+			if (c.loss > 0) != (reported > 0) || (c.ecn > 0) != (st.Marked > 0) {
+				t.Errorf("%d drops reported, %d marks; want drops only with loss, marks only with a threshold", reported, st.Marked)
+			}
+			if st.Delivered+reported != 500 {
+				t.Errorf("%d delivered + %d reported dropped != 500 sent", st.Delivered, reported)
+			}
+		})
 	}
 }

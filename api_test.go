@@ -26,6 +26,7 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		edit(&s)
 		return Config{Stack: s}
 	}
+	tuning := func(tn Tuning) Config { return Config{Stack: AllOptimizations(), Tuning: &tn} }
 	fab := func(edit func(*Config)) Config {
 		cfg := Config{Stack: AllOptimizations(), Fabric: &FabricOptions{Hosts: 3, HostNames: []string{"a", "a", "b"}}}
 		edit(&cfg)
@@ -89,6 +90,18 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 			"core: SndBufBytes 67 below the 65536-byte transmit skb"},
 		{"spans with trace flow", Config{Stack: AllOptimizations(), TraceEvents: 10, TraceFlow: 1, TraceSpans: true}, single,
 			"hostsim: TraceSpans needs TraceFlow 0: span events carry flow 0"},
+		{"negative scheduler K", stack(func(s *Stack) { s.RcvSchedulerK = -2 }), single, "core: negative RcvSchedulerK"},
+		{"negative TSQ bound", tuning(Tuning{TSQBytes: -1}), single, "core: negative TSQBytes"},
+		{"negative granularity", tuning(Tuning{SchedGranularity: -time.Microsecond}), single, "core: negative SchedGranularity"},
+		{"negative moderation delay", tuning(Tuning{ModerationDelay: -time.Microsecond}), single,
+			"core: negative ModerationDelay"},
+		{"pageset cap below -1", tuning(Tuning{PagesetCap: -7}), single, "core: PagesetCap -7 below -1 (none)"},
+		{"NaN hazard", tuning(Tuning{DCAHazardFactor: math.NaN()}), single,
+			"core: DCAHazardFactor NaN is neither -1 (off) nor finite and >= 0"},
+		{"infinite hazard", tuning(Tuning{DCAHazardFactor: math.Inf(1)}), single,
+			"core: DCAHazardFactor +Inf is neither -1 (off) nor finite and >= 0"},
+		{"negative hazard", tuning(Tuning{DCAHazardFactor: -5}), single,
+			"core: DCAHazardFactor -5 is neither -1 (off) nor finite and >= 0"},
 	}
 	for _, c := range cases {
 		if _, err := Run(c.cfg, c.wl); err == nil || err.Error() != c.want {

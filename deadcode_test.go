@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path"
 	"path/filepath"
 	"sort"
@@ -281,14 +282,18 @@ func modulePackages(fset *token.FileSet, module string) ([]*srcPackage, error) {
 	return pkgs, err
 }
 
-// keptKnobs lists the knobs reachable from Config that no program sets
-// but that stay on purpose, keyed "Type.Field" as uncalledKnobs reports
-// them, each with the reason it is kept.
+// keptKnobs lists the knobs that no program sets but that stay on
+// purpose, each with the reason it is kept: those reachable from Config,
+// keyed "Type.Field" as uncalledKnobs reports them, and the fields of
+// internal option structs, keyed "pkg.Type.Field" as uncalledOptions
+// reports them.
 var keptKnobs = map[string]string{
 	"Stack.SndBufBytes": "TestTinyBuffersDoNotDeadlock and the committed FuzzRunRaw SndBuf crasher set it; " +
 		"the crasher's corpus file fixes the fuzz argument list",
 	"FabricOptions.HostNames": "validate.go names the default pair with it; TestFabricIncastN1MatchesDirect " +
 		"names a 2-host fabric like the pair to compare the two field for field",
+	"tcp.Config.MSS": "every connection sets it: it arrives through DefaultConfig's argument, which core derives " +
+		"from the stack's MTU",
 }
 
 // loadModule parses and type-checks this module's non-test code once per
@@ -302,16 +307,86 @@ var loadModule = sync.OnceValues(func() (*typedModule, error) {
 	return typeCheck(fset, pkgs, importer.ForCompiler(fset, "source", nil))
 })
 
+// writers maps each struct field some file of the module writes to the
+// import paths of the packages whose files write it.
+type writers map[types.Object]map[string]bool
+
+// fieldWriters collects the field writes of every file of tm. A write is
+// a composite-literal key, the left side of an assignment or increment,
+// or &x.F; every field selected along that left side or operand counts as
+// written, so c.Tuning.PagesetCap = n writes both Tuning and PagesetCap.
+func fieldWriters(tm *typedModule) writers {
+	w := writers{}
+	for _, p := range tm.pkgs {
+		mark := func(f types.Object) {
+			if w[f] == nil {
+				w[f] = map[string]bool{}
+			}
+			w[f][p.path] = true
+		}
+		write := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.SelectorExpr:
+					if sel := tm.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+						mark(sel.Obj())
+					}
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v, ok := tm.info.Uses[id].(*types.Var); ok && v.IsField() {
+							mark(v)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return w
+}
+
+// outside reports whether a package other than pkg writes field f: the
+// library defaulting its own option is not a caller choosing a value.
+func (w writers) outside(f types.Object, pkg string) bool {
+	for p := range w[f] {
+		if p != pkg {
+			return true
+		}
+	}
+	return false
+}
+
 // uncalledKnobs returns how many knobs package root's Config reaches and
-// the ones no caller writes, keyed "Type.Field" by the name root gives the
-// type. The knobs are Config's exported fields and, recursively, those of
-// the struct types they name, through pointers and aliases. A caller is a
-// file of a package other than root: the library defaulting its own
-// option is not a caller choosing a value. A write is a composite-literal
-// key, the left side of an assignment or increment, or &x.F; every field
-// selected along that left side or operand counts as written, so
-// c.Tuning.PagesetCap = n writes both Tuning and PagesetCap.
-func uncalledKnobs(tm *typedModule, root string) (int, map[string]token.Position, error) {
+// the ones no other package writes, keyed "Type.Field" by the name root
+// gives the type. The knobs are Config's exported fields and,
+// recursively, those of the struct types they name, through pointers and
+// aliases.
+func uncalledKnobs(tm *typedModule, w writers, root string) (int, map[string]token.Position, error) {
 	pkg, err := tm.imp.Import(root)
 	if err != nil {
 		return 0, nil, err
@@ -357,61 +432,51 @@ func uncalledKnobs(tm *typedModule, root string) (int, map[string]token.Position
 	}
 	walk(cfg.Type())
 
-	written := map[types.Object]bool{}
-	write := func(e ast.Expr) {
-		for {
-			switch x := e.(type) {
-			case *ast.ParenExpr:
-				e = x.X
-			case *ast.StarExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.SelectorExpr:
-				if sel := tm.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-					written[sel.Obj()] = true
-				}
-				e = x.X
-			default:
-				return
-			}
-		}
-	}
-	for _, p := range tm.pkgs {
-		if p.path == root {
-			continue
-		}
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok {
-						if v, ok := tm.info.Uses[id].(*types.Var); ok && v.IsField() {
-							written[v] = true
-						}
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						write(lhs)
-					}
-				case *ast.IncDecStmt:
-					write(n.X)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						write(n.X)
-					}
-				}
-				return true
-			})
-		}
-	}
 	uncalled := map[string]token.Position{}
 	for f, key := range knobs {
-		if !written[f] {
+		if !w.outside(f, root) {
 			uncalled[key] = tm.fset.Position(f.Pos())
 		}
 	}
 	return len(knobs), uncalled, nil
+}
+
+// uncalledOptions returns how many exported fields the struct types named
+// *Config or *Options of the packages under prefix declare, and the ones
+// no package but their own writes, keyed "pkg.Type.Field" by the
+// declaring package's name.
+func uncalledOptions(tm *typedModule, w writers, prefix string) (int, map[string]token.Position, error) {
+	n, uncalled := 0, map[string]token.Position{}
+	for _, p := range tm.pkgs {
+		if p.user || !strings.HasPrefix(p.path, prefix) {
+			continue
+		}
+		pkg, err := tm.imp.Import(p.path)
+		if err != nil {
+			return 0, nil, err
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() {
+					continue
+				}
+				n++
+				if !w.outside(f, p.path) {
+					uncalled[pkg.Name()+"."+name+"."+f.Name()] = tm.fset.Position(f.Pos())
+				}
+			}
+		}
+	}
+	return n, uncalled, nil
 }
 
 // checkKept fails for every key of found that kept does not list, with
@@ -458,17 +523,25 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 
 // TestEveryConfigKnobHasACaller fails for any knob reachable from
 // hostsim.Config that no non-test code outside the hostsim package sets,
-// by the rule of uncalledKnobs.
+// by the rule of uncalledKnobs, and for any exported field of an internal
+// *Config or *Options struct that no non-test code outside its own
+// package sets, by the rule of uncalledOptions.
 func TestEveryConfigKnobHasACaller(t *testing.T) {
 	tm, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, uncalled, err := uncalledKnobs(tm, "hostsim")
+	w := fieldWriters(tm)
+	n, uncalled, err := uncalledKnobs(tm, w, "hostsim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("Config reaches %d knobs", n)
+	m, internal, err := uncalledOptions(tm, w, "hostsim/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("Config reaches %d knobs; internal Config and Options structs declare %d", n, m)
+	maps.Copy(uncalled, internal)
 	checkKept(t, uncalled, keptKnobs, "keptKnobs", "is set by no program; make it the constant every run uses")
 }
 
@@ -534,18 +607,28 @@ func main() { p.Reset(p.New()); _ = p.Names(p.Dead{}); _, _, _ = p.Sorted{}, p.L
 	}
 }
 
-// TestUncalledKnobsRule runs uncalledKnobs on a small module held in
-// source strings. A main package sets knobs through a literal key, an
-// assignment, an increment through a pointer field and &c.Addr; p's own
-// write does not count, unexported fields are no knobs, and the field of
-// a struct reached through an alias is named by the alias.
+// TestUncalledKnobsRule runs uncalledKnobs and uncalledOptions on a small
+// module held in source strings. A main package sets knobs through a
+// literal key, an assignment, an increment through a pointer field and
+// &c.Addr; p's own write does not count, unexported fields are no knobs,
+// and the field of a struct reached through an alias is named by the
+// alias. Under internal/, r's option structs count: a field that only r
+// writes (Own) or nobody writes (Never) is flagged, while one that p, a
+// library package, writes (Other) or the main package writes (Lit) is
+// not; Plain is no option struct, and its field is never counted.
 func TestUncalledKnobsRule(t *testing.T) {
 	sources := map[string]string{
 		"q": `package q
 type Options struct{ Classes int }
 `,
+		"internal/r": `package r
+type Config struct{ Own, Other, Lit, hidden int }
+type Options struct{ Never int }
+type Plain struct{ Field int }
+func Default() Config { c := Config{Own: 1}; c.hidden = 2; return c }
+`,
 		"p": `package p
-import "q"
+import ("internal/r"; "q")
 type Config struct {
 	Lit, Assign, Addr, Own, Never int
 	Inner *Inner
@@ -555,21 +638,23 @@ type Config struct {
 type Inner struct{ Set, Unset int }
 type Opts = q.Options
 func (c *Config) defaults() { c.Own, c.hidden = 1, 2 }
+func Build() r.Config { c := r.Default(); c.Other = 3; return c }
 `,
 		"cmd": `package main
-import ("flag"; "p")
+import ("flag"; "internal/r"; "p")
 func main() {
 	c := p.Config{Lit: 1, Inner: &p.Inner{}}
 	c.Assign = 2
 	flag.IntVar(&c.Addr, "addr", 0, "")
 	c.Inner.Set++
 	c.Alias = &p.Opts{}
+	_, _, _ = p.Build(), r.Config{Lit: 4}, r.Plain{}
 }
 `,
 	}
 	fset := token.NewFileSet()
 	var pkgs []*srcPackage
-	for _, path := range []string{"q", "p", "cmd"} {
+	for _, path := range []string{"q", "internal/r", "p", "cmd"} {
 		f, err := parser.ParseFile(fset, path+".go", sources[path], 0)
 		if err != nil {
 			t.Fatal(err)
@@ -580,17 +665,30 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, uncalled, err := uncalledKnobs(tm, "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for k := range uncalled {
-		got = append(got, k)
-	}
-	sort.Strings(got)
-	if want := []string{"Config.Never", "Config.Own", "Inner.Unset", "Opts.Classes"}; n != 10 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("uncalledKnobs = %d knobs, uncalled %v; want 10, %v", n, got, want)
+	w := fieldWriters(tm)
+	for _, c := range []struct {
+		name string
+		scan func() (int, map[string]token.Position, error)
+		n    int
+		want []string
+	}{
+		{"uncalledKnobs", func() (int, map[string]token.Position, error) { return uncalledKnobs(tm, w, "p") },
+			10, []string{"Config.Never", "Config.Own", "Inner.Unset", "Opts.Classes"}},
+		{"uncalledOptions", func() (int, map[string]token.Position, error) { return uncalledOptions(tm, w, "internal/") },
+			4, []string{"r.Config.Own", "r.Options.Never"}},
+	} {
+		n, uncalled, err := c.scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for k := range uncalled {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if n != c.n || fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s = %d knobs, uncalled %v; want %d, %v", c.name, n, got, c.n, c.want)
+		}
 	}
 }
 

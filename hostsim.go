@@ -75,7 +75,8 @@ type Stack struct {
 
 	// RcvSchedulerK enables a Homa/pHost-inspired receiver-driven
 	// scheduler (§4): at most K connections per receiving core hold a
-	// window at a time, rotated every millisecond. 0 = off.
+	// window at a time, rotated every millisecond. 0 = off; negative is
+	// an error.
 	RcvSchedulerK int
 
 	RxDescriptors int   // NIC Rx ring size; 0 = 1024
@@ -130,13 +131,14 @@ func (s Stack) options() (core.Options, error) {
 
 // Tuning exposes the simulator's internal model knobs for ablation
 // studies. Zero values keep the calibrated defaults; -1 disables a
-// mechanism where noted.
+// mechanism where noted. Any other negative value, and a DCAHazardFactor
+// that is NaN or infinite, is an error.
 type Tuning struct {
-	TSQBytes         int64         // per-connection qdisc bound (default 256KB)
-	SchedGranularity time.Duration // scheduler wakeup granularity (default 250us)
-	ModerationDelay  time.Duration // NIC IRQ coalescing delay (default 12us)
-	PagesetCap       int           // per-core pageset capacity (default 512; -1 = none)
-	DCAHazardFactor  float64       // descriptor eviction hazard scale (default 0.035; -1 = off)
+	TSQBytes         int64         // per-connection qdisc bound (default 256KB; >= 0)
+	SchedGranularity time.Duration // scheduler wakeup granularity (default 250us; >= 0)
+	ModerationDelay  time.Duration // NIC IRQ coalescing delay (default 12us; >= 0)
+	PagesetCap       int           // per-core pageset capacity (default 512; -1 = none, else >= 0)
+	DCAHazardFactor  float64       // descriptor eviction hazard scale (default 0.035; -1 = off, else finite and >= 0)
 }
 
 // Config describes one simulation run.

@@ -35,7 +35,6 @@ type PageID int64
 type DCAConfig struct {
 	Capacity units.Bytes // DDIO-usable bytes of the NIC-local L3
 	PageSize units.Bytes
-	Ways     int        // set associativity; 0 means the default of 8
 	Rand     *rand.Rand // source for hazard evictions; required if Hazard > 0
 }
 
@@ -80,14 +79,17 @@ type DCA struct {
 	stats    DCAStats
 }
 
-// NewDCA builds a DCA cache; capacity is rounded down to whole pages.
-func NewDCA(cfg DCAConfig) *DCA {
+// dcaWays is the DCA's set associativity.
+const dcaWays = 8
+
+// NewDCA builds a dcaWays-way DCA cache; capacity is rounded down to
+// whole pages.
+func NewDCA(cfg DCAConfig) *DCA { return newDCA(cfg, dcaWays) }
+
+// newDCA is NewDCA with the given set associativity.
+func newDCA(cfg DCAConfig, ways int) *DCA {
 	if cfg.PageSize <= 0 {
 		panic("cache: non-positive page size")
-	}
-	ways := cfg.Ways
-	if ways == 0 {
-		ways = 8
 	}
 	if ways < 1 {
 		panic("cache: non-positive ways")

@@ -9,11 +9,10 @@ import (
 )
 
 func newTestDCA(capacityPages, ways int) *DCA {
-	return NewDCA(DCAConfig{
+	return newDCA(DCAConfig{
 		Capacity: units.Bytes(capacityPages) * 4 * units.KB,
 		PageSize: 4 * units.KB,
-		Ways:     ways,
-	})
+	}, ways)
 }
 
 // Consuming a resident page counts a hit and invalidates it; consuming it
@@ -192,12 +191,11 @@ func TestHazardValidation(t *testing.T) {
 
 // Hazard evictions must never displace the page that was just inserted.
 func TestHazardSparesJustInserted(t *testing.T) {
-	d := NewDCA(DCAConfig{
+	d := newDCA(DCAConfig{
 		Capacity: 64 * units.KB, // 16 pages
 		PageSize: 4 * units.KB,
-		Ways:     2,
 		Rand:     rand.New(rand.NewSource(9)),
-	})
+	}, 2)
 	d.SetHazard(1)
 	for i := PageID(0); i < 1000; i++ {
 		d.Insert(i)
@@ -351,12 +349,11 @@ func TestDCAMatchesMapOracle(t *testing.T) {
 	for _, g := range geoms {
 		for seed := int64(1); seed <= 5; seed++ {
 			hazard := 0.1 * float64(seed)
-			d := NewDCA(DCAConfig{
+			d := newDCA(DCAConfig{
 				Capacity: units.Bytes(g.pages) * 4 * units.KB,
 				PageSize: 4 * units.KB,
-				Ways:     g.ways,
 				Rand:     rand.New(rand.NewSource(seed)),
-			})
+			}, g.ways)
 			d.SetHazard(hazard)
 			ref := newMapDCA(d.numSets, d.ways, hazard, rand.New(rand.NewSource(seed)))
 			ops := rand.New(rand.NewSource(100 + seed))

@@ -27,25 +27,14 @@ import (
 	"hostsim/internal/sim"
 )
 
-// DefaultInterval is the periodic audit cadence when Options.Interval is
-// zero. 500µs keeps dozens of audits inside even a short measurement
-// window while staying far off the per-packet hot path.
-const DefaultInterval = 500 * time.Microsecond
+// Interval is the periodic audit cadence. 500µs keeps dozens of audits
+// inside even a short measurement window while staying far off the
+// per-packet hot path.
+const Interval = 500 * time.Microsecond
 
-// DefaultMaxViolations bounds Collect-mode accumulation when
-// Options.MaxViolations is zero.
-const DefaultMaxViolations = 64
-
-// Options configures a Checker.
-type Options struct {
-	// Interval between periodic audits; 0 = DefaultInterval.
-	Interval time.Duration
-	// Collect accumulates violations instead of failing fast on the first.
-	Collect bool
-	// MaxViolations caps Collect-mode accumulation (further violations are
-	// dropped, keeping a broken run from flooding memory); 0 = 64.
-	MaxViolations int
-}
+// MaxViolations bounds Collect-mode accumulation: further violations are
+// dropped, keeping a broken run from flooding memory.
+const MaxViolations = 64
 
 // Violation is one observed invariant breach.
 type Violation struct {
@@ -74,7 +63,7 @@ type FailFunc func(format string, args ...any)
 // Checker evaluates invariant rules against a running simulation.
 type Checker struct {
 	eng        *sim.Engine
-	opts       Options
+	collect    bool
 	rules      []rule
 	violations []Violation
 	started    bool
@@ -85,21 +74,13 @@ type rule struct {
 	fail FailFunc // reports under the rule's name, bound once at AddRule
 }
 
-// New builds a Checker bound to eng.
-func New(eng *sim.Engine, opts Options) *Checker {
+// New builds a Checker bound to eng. With collect set it accumulates
+// violations instead of failing fast on the first.
+func New(eng *sim.Engine, collect bool) *Checker {
 	if eng == nil {
 		panic("check: nil engine")
 	}
-	if opts.Interval == 0 {
-		opts.Interval = DefaultInterval
-	}
-	if opts.Interval < 0 {
-		panic("check: negative interval")
-	}
-	if opts.MaxViolations == 0 {
-		opts.MaxViolations = DefaultMaxViolations
-	}
-	return &Checker{eng: eng, opts: opts}
+	return &Checker{eng: eng, collect: collect}
 }
 
 // AddRule registers a named audit. fn must be a pure read of simulation
@@ -122,9 +103,9 @@ func (c *Checker) Start() {
 	var tick func()
 	tick = func() {
 		c.Audit()
-		c.eng.After(c.opts.Interval, tick)
+		c.eng.After(Interval, tick)
 	}
-	c.eng.After(c.opts.Interval, tick)
+	c.eng.After(Interval, tick)
 }
 
 // Audit evaluates every rule now. Call it between simulation events (the
@@ -141,10 +122,10 @@ func (c *Checker) report(rule, format string, args ...any) {
 		Rule:   rule,
 		Detail: fmt.Sprintf(format, args...),
 	}
-	if !c.opts.Collect {
+	if !c.collect {
 		panic(&Failure{V: v})
 	}
-	if len(c.violations) < c.opts.MaxViolations {
+	if len(c.violations) < MaxViolations {
 		c.violations = append(c.violations, v)
 	}
 }

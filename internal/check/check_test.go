@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -12,29 +13,27 @@ import (
 )
 
 func TestNewDefaults(t *testing.T) {
-	c := New(sim.NewEngine(1), Options{})
-	if c.opts.Interval != DefaultInterval {
-		t.Errorf("Interval = %v, want %v", c.opts.Interval, DefaultInterval)
+	if c := New(sim.NewEngine(1), false); c.collect {
+		t.Error("New(eng, false) collects")
 	}
-	if c.opts.MaxViolations != DefaultMaxViolations {
-		t.Errorf("MaxViolations = %d, want %d", c.opts.MaxViolations, DefaultMaxViolations)
+	if c := New(sim.NewEngine(1), true); !c.collect {
+		t.Error("New(eng, true) fails fast")
 	}
 }
 
 func TestNewPanicsOnBadInput(t *testing.T) {
-	mustPanic(t, "nil engine", func() { New(nil, Options{}) })
-	mustPanic(t, "negative interval", func() { New(sim.NewEngine(1), Options{Interval: -time.Second}) })
+	mustPanic(t, "nil engine", func() { New(nil, false) })
 }
 
 func TestAddRulePanicsOnEmpty(t *testing.T) {
-	c := New(sim.NewEngine(1), Options{})
+	c := New(sim.NewEngine(1), false)
 	mustPanic(t, "empty name", func() { c.AddRule("", func(FailFunc) {}) })
 	mustPanic(t, "nil fn", func() { c.AddRule("x", nil) })
 }
 
 func TestFailFastPanicsWithFailure(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := New(eng, Options{})
+	c := New(eng, false)
 	c.AddRule("always-broken", func(fail FailFunc) { fail("leaked %d widgets", 3) })
 	defer func() {
 		r := recover()
@@ -52,25 +51,27 @@ func TestFailFastPanicsWithFailure(t *testing.T) {
 
 func TestCollectAccumulatesAndCaps(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := New(eng, Options{Collect: true, MaxViolations: 2})
+	c := New(eng, true)
 	c.AddRule("noisy", func(fail FailFunc) {
-		fail("first")
-		fail("second")
-		fail("third") // over the cap: dropped
+		for i := range MaxViolations + 1 { // the last is over the cap: dropped
+			fail("v%d", i)
+		}
 	})
 	c.Audit()
 	vs := c.Violations()
-	if len(vs) != 2 {
-		t.Fatalf("got %d violations, want 2 (capped)", len(vs))
+	if len(vs) != MaxViolations {
+		t.Fatalf("got %d violations, want %d (capped)", len(vs), MaxViolations)
 	}
-	if vs[0].Detail != "first" || vs[1].Detail != "second" {
-		t.Errorf("violations out of order: %+v", vs)
+	for i, v := range vs {
+		if want := fmt.Sprintf("v%d", i); v.Detail != want {
+			t.Fatalf("violation %d = %q, want %q: out of order", i, v.Detail, want)
+		}
 	}
 }
 
 func TestViolationCarriesSimulatedTime(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := New(eng, Options{Collect: true})
+	c := New(eng, true)
 	c.AddRule("broken", func(fail FailFunc) { fail("boom") })
 	eng.After(3*time.Millisecond, func() { c.Audit() })
 	eng.Run(sim.Time(10 * time.Millisecond))
@@ -88,13 +89,13 @@ func TestViolationCarriesSimulatedTime(t *testing.T) {
 
 func TestStartAuditsPeriodically(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := New(eng, Options{Collect: true, Interval: time.Millisecond, MaxViolations: 100})
+	c := New(eng, true)
 	audits := 0
 	c.AddRule("counter", func(FailFunc) { audits++ })
 	c.Start()
-	eng.Run(sim.Time(10*time.Millisecond + time.Microsecond))
+	eng.Run(sim.Time(10*Interval + time.Microsecond))
 	if audits != 10 {
-		t.Errorf("got %d periodic audits over 10ms at 1ms cadence, want 10", audits)
+		t.Errorf("got %d periodic audits over 10 intervals, want 10", audits)
 	}
 	mustPanic(t, "double Start", c.Start)
 }

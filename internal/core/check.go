@@ -161,9 +161,6 @@ func tcpSeqSpace(fail check.FailFunc, h *Host) {
 
 func skbConservation(fail check.FailFunc, scope string, hosts []*Host) {
 	pool := hosts[0].NIC.SKBPool()
-	if pool == nil {
-		return
-	}
 	var held int64
 	for _, h := range hosts {
 		groN, _ := h.NIC.GROHeld()
@@ -187,9 +184,6 @@ func skbConservation(fail check.FailFunc, scope string, hosts []*Host) {
 // outstanding.
 func frameConservation(fail check.FailFunc, scope string, hosts []*Host, links []*wire.Link) {
 	fp := hosts[0].NIC.FramePool()
-	if fp == nil {
-		return
-	}
 	var held int64
 	for _, h := range hosts {
 		txN, _ := h.NIC.TxQueued()

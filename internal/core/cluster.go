@@ -57,9 +57,8 @@ func ConnectFabric(hosts []*Host, fcfg fabric.Config) *Cluster {
 	flows := hosts[0].flows
 	for i, h := range hosts {
 		h.fab, h.port = c.fab, i
-		h.NIC = nic.New(h.eng, h.Sys, h.Alloc, h.DCA, h.opts.nicConfig(), c.fab.Port(i), h.deliver)
+		h.NIC = nic.New(h.eng, h.Sys, h.Alloc, h.DCA, h.opts.nicConfig(), skbs, frames, c.fab.Port(i), h.deliver)
 		h.NIC.SetTxComplete(h.txComplete)
-		h.NIC.SetPools(skbs, frames)
 		h.flows = flows
 		h.installSteering()
 	}

@@ -8,7 +8,7 @@ import (
 // Column suffixes of the host's telemetry and ss blocks. A block names its
 // columns prefix+suffix, so these lists are shared by every host and run.
 var (
-	hostCols        = []string{"copied_bytes", "written_bytes", "copy_miss_rate", "skb_avg_bytes", "latency_p99_us", "unsteered"}
+	hostCols        = []string{"copied_bytes", "written_bytes", "copy_miss_rate", "skb_avg_bytes", "latency_p99_us", "unsteered", "steer_miss"}
 	ddioCols        = []string{"ddio/hit_rate", "ddio/resident_pages"}
 	flowTelemCols   = []string{"cwnd_bytes", "srtt_ns", "retransmits", "rcvbuf_bytes"}
 	flowInspectCols = []string{"cwnd_bytes", "ssthresh_bytes", "srtt_ns", "rto_ns", "inflight_bytes",

@@ -232,10 +232,9 @@ func (ep *Endpoint) sendProbe(ctx *exec.Ctx, c *tcp.Conn) {
 	ep.oneFrame[0] = nil
 }
 
-// recycleSKB returns a fully consumed skb to the cluster's pool (nil
-// pool = no-op, the GC takes it). An attached AckInfo dies here — the skb
-// is the record's last reference — so it goes back to the frame pool the
-// peer's sendAck draws from.
+// recycleSKB returns a fully consumed skb to the cluster's pool. An
+// attached AckInfo dies here — the skb is the record's last reference —
+// so it goes back to the frame pool the peer's sendAck draws from.
 func (ep *Endpoint) recycleSKB(s *skb.SKB) {
 	if s.Ack != nil {
 		ep.host.NIC.FramePool().PutAck(s.Ack)

@@ -66,6 +66,7 @@ type Host struct {
 	latency   *metrics.Histogram // NAPI -> start of data copy, ns
 	skbSizes  *metrics.Histogram // post-GRO data skb sizes, bytes
 	unsteered int64
+	steerMiss int64             // skbs TCP processed off the app core; not reset at warm-up
 	tracer    *trace.Tracer     // nil = tracing off
 	prof      *profile.Profiler // nil = profiling off
 	mt        *mtrace.Tracer    // nil = message tracing off
@@ -74,8 +75,7 @@ type Host struct {
 	chkLedger   *check.CycleLedger // independent cycle tally from the charge log
 	rpsInFlight int64              // skbs deferred to a cross-core softirq (RPS/RFS)
 
-	telemetry    *telemetry.Registry // nil = telemetry off
-	ctrSteerMiss *telemetry.Counter  // Rx processed off the app core
+	telemetry *telemetry.Registry // nil = telemetry off
 
 	// Receiver-driven scheduler state (Options.RcvSchedulerK), by app core.
 	schedGroups  [][]*Endpoint // receiving endpoints
@@ -162,9 +162,6 @@ func NewHost(name string, eng *sim.Engine, spec topology.MachineSpec,
 	h.Alloc.SetIOMMU(opts.IOMMU)
 	if opts.SchedGranularity > 0 {
 		h.Sys.SetGranularity(opts.SchedGranularity)
-	}
-	if opts.SleeperCredit > 0 {
-		h.Sys.SetSleeperCredit(opts.SleeperCredit)
 	}
 	if opts.PagesetCap > 0 {
 		h.Alloc.SetPagesetCap(opts.PagesetCap)
@@ -321,7 +318,7 @@ func (h *Host) process(ctx *exec.Ctx, ep *Endpoint, s *skb.SKB) {
 		ctx.Charge(cpumodel.Lock, h.costs.SockLockFast)
 	} else {
 		ctx.Charge(cpumodel.Lock, h.costs.SockLockContended)
-		h.ctrSteerMiss.Inc()
+		h.steerMiss++
 	}
 	if s.Ack == nil && s.Len > 0 {
 		h.skbSizes.Record(float64(s.Len))
@@ -348,8 +345,8 @@ func (h *Host) EnableTelemetry(reg *telemetry.Registry) {
 		dst[3] = h.skbSizes.Mean()
 		dst[4] = h.latency.Quantile(0.99) / 1e3
 		dst[5] = float64(h.unsteered)
+		dst[6] = float64(h.steerMiss)
 	})
-	h.ctrSteerMiss = reg.Counter(p + "steer_miss")
 	if h.NIC != nil {
 		h.NIC.RegisterTelemetry(reg, p+"nic/")
 	}

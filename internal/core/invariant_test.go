@@ -34,7 +34,7 @@ func newCheckedRig(t testing.TB, opts Options) *checkedRig {
 	a := NewHost("a", eng, spec, costs, opts)
 	b := NewHost("b", eng, spec, costs, opts)
 	c := ConnectFabric([]*Host{a, b}, fabric.Config{})
-	ck := check.New(eng, check.Options{Collect: true})
+	ck := check.New(eng, true)
 	AttachChecker(ck, c)
 	return &checkedRig{rig: &rig{eng: eng, a: a, b: b}, ck: ck}
 }
@@ -207,7 +207,7 @@ func TestCheckerFailFastPanicsWithFailure(t *testing.T) {
 	a := NewHost("a", eng, spec, costs, AllOpts())
 	b := NewHost("b", eng, spec, costs, AllOpts())
 	c := ConnectFabric([]*Host{a, b}, fabric.Config{})
-	ck := check.New(eng, check.Options{}) // fail-fast
+	ck := check.New(eng, false) // fail-fast
 	AttachChecker(ck, c)
 	a.NIC.SKBPool().Get(&skb.Frame{Len: 100})
 	defer func() {

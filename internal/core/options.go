@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"hostsim/internal/nic"
@@ -98,6 +99,7 @@ type Options struct {
 	// connections are granted window at a time, rotated round-robin, each
 	// clamped to an equal share of the DCA capacity. Reduces cache
 	// contention under incast at the cost of scheduling granularity.
+	// 0 = off; negative is invalid.
 	RcvSchedulerK int
 
 	RxRing      int         // NIC Rx descriptors per queue (0 = 1024)
@@ -105,16 +107,16 @@ type Options struct {
 	SndBufBytes units.Bytes // socket send buffer (0 = 4MB)
 
 	// ModerationDelay overrides the IRQ coalescing delay (0 = the NIC
-	// default).
+	// default; negative is invalid).
 	ModerationDelay time.Duration
 
 	// ---- advanced model knobs (0 = defaults), used by the ablation
-	// experiments to isolate individual design choices.
+	// experiments to isolate individual design choices. Negative values
+	// are invalid except -1 where noted.
 	TSQBytes         units.Bytes   // per-connection unsent-in-qdisc bound
 	SchedGranularity time.Duration // CFS-like wakeup/preemption granularity
-	SleeperCredit    time.Duration // wakeup vruntime credit
 	PagesetCap       int           // per-core pageset capacity (-1 = none)
-	DCAHazardFactor  float64       // descriptor-count eviction hazard scale (-1 = off)
+	DCAHazardFactor  float64       // descriptor-count eviction hazard scale, finite (-1 = off)
 }
 
 // AllOpts returns the paper's "all optimizations enabled" configuration:
@@ -167,6 +169,19 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: SndBufBytes %d below the %d-byte transmit skb", o.SndBufBytes, o.SegmentBytes())
 	case o.Steering < SteerARFS || o.Steering > SteerSameNUMA:
 		return fmt.Errorf("core: invalid steering mode")
+	case o.RcvSchedulerK < 0:
+		return fmt.Errorf("core: negative RcvSchedulerK")
+	case o.ModerationDelay < 0:
+		return fmt.Errorf("core: negative ModerationDelay")
+	case o.TSQBytes < 0:
+		return fmt.Errorf("core: negative TSQBytes")
+	case o.SchedGranularity < 0:
+		return fmt.Errorf("core: negative SchedGranularity")
+	case o.PagesetCap < -1:
+		return fmt.Errorf("core: PagesetCap %d below -1 (none)", o.PagesetCap)
+	case !(o.DCAHazardFactor == -1 || o.DCAHazardFactor >= 0 && o.DCAHazardFactor <= math.MaxFloat64):
+		// The negated form also rejects NaN.
+		return fmt.Errorf("core: DCAHazardFactor %v is neither -1 (off) nor finite and >= 0", o.DCAHazardFactor)
 	}
 	switch o.CC {
 	case "", "cubic", "reno", "dctcp", "bbr":
@@ -191,7 +206,7 @@ func (o Options) nicConfig() nic.Config {
 	}
 	if o.DCAHazardFactor > 0 {
 		cfg.DCAHazardFactor = o.DCAHazardFactor
-	} else if o.DCAHazardFactor < 0 {
+	} else if o.DCAHazardFactor == -1 {
 		cfg.DCAHazardFactor = 0
 	}
 	return cfg

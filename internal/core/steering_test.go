@@ -118,7 +118,6 @@ func TestZeroCopyRxSkipsCopy(t *testing.T) {
 func TestTuningKnobsReachSubsystems(t *testing.T) {
 	opts := AllOpts()
 	opts.SchedGranularity = 33 * time.Microsecond
-	opts.SleeperCredit = 5 * time.Microsecond
 	opts.PagesetCap = 7
 	opts.TSQBytes = 96 * units.KB
 	r := newRig(t, opts)

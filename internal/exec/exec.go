@@ -35,13 +35,13 @@ import (
 // CFS's default is of millisecond order once scaled.
 const DefaultGranularity = 250 * time.Microsecond
 
-// DefaultSleeperCredit is the vruntime credit a thread may accumulate
+// SleeperCredit is the vruntime credit a thread may accumulate
 // while sleeping. Keeping it below the granularity means a woken
 // IO-bound thread does NOT preempt the incumbent immediately — it waits
 // out the remaining wakeup granularity (CFS's wakeup_granularity check).
 // This wait is what throttles ping-pong RPC threads sharing a core with
 // a bulk flow (§3.7, Fig. 11 of the paper).
-const DefaultSleeperCredit = 50 * time.Microsecond
+const SleeperCredit = 50 * time.Microsecond
 
 // System owns the cores of one host. Threads are scheduled with a
 // simplified CFS: each thread accrues virtual runtime while executing;
@@ -139,14 +139,6 @@ func (s *System) SetGranularity(d time.Duration) {
 	s.granularity = units.CyclesIn(d, s.spec.Frequency)
 }
 
-// SetSleeperCredit overrides the wakeup vruntime credit (tests, ablations).
-func (s *System) SetSleeperCredit(d time.Duration) {
-	if d < 0 {
-		panic("exec: negative sleeper credit")
-	}
-	s.sleepCredit = units.CyclesIn(d, s.spec.Frequency)
-}
-
 // NewSystem builds the cores for spec.
 func NewSystem(eng *sim.Engine, spec topology.MachineSpec, costs *cpumodel.Costs) *System {
 	if eng == nil || costs == nil {
@@ -154,7 +146,7 @@ func NewSystem(eng *sim.Engine, spec topology.MachineSpec, costs *cpumodel.Costs
 	}
 	s := &System{eng: eng, spec: spec, costs: costs,
 		granularity: units.CyclesIn(DefaultGranularity, spec.Frequency),
-		sleepCredit: units.CyclesIn(DefaultSleeperCredit, spec.Frequency)}
+		sleepCredit: units.CyclesIn(SleeperCredit, spec.Frequency)}
 	s.cores = make([]*Core, spec.NumCores())
 	for i := range s.cores {
 		s.cores[i] = &Core{sys: s, id: i}

@@ -41,11 +41,11 @@ import (
 	"hostsim/internal/wire"
 )
 
-// Options configures the observatory. The zero value samples every 100µs,
-// opens bursts at 128KB of egress backlog and caps retained bursts at
-// 1024. Each burst keeps its top burstFlows contributing flows, and the
-// time-series ring holds telemetry.DefaultMaxSamples samples, evicting
-// the oldest beyond it.
+// Options configures the observatory. The zero value samples every 100µs
+// and opens bursts at 128KB of egress backlog. The observatory retains
+// at most retainedBursts burst events, each with its top burstFlows
+// contributing flows, and the time-series ring holds
+// telemetry.DefaultMaxSamples samples, evicting the oldest beyond it.
 type Options struct {
 	// SampleInterval is the simulated time between time-series samples
 	// (0 = telemetry.DefaultInterval).
@@ -54,26 +54,16 @@ type Options struct {
 	// egress backlog at or above this many wire bytes; the burst closes
 	// when the queue drains to half the threshold (0 = 128KB).
 	BurstThreshold units.Bytes
-	// MaxBursts caps retained burst events; further bursts are detected
-	// and counted per port but not retained (0 = 1024).
-	MaxBursts int
 }
 
-// burstFlows is the number of top contributing flows kept per burst event.
-const burstFlows = 4
-
-func (o Options) withDefaults() Options {
-	if o.SampleInterval == 0 {
-		o.SampleInterval = telemetry.DefaultInterval
-	}
-	if o.BurstThreshold == 0 {
-		o.BurstThreshold = 128 * units.KB
-	}
-	if o.MaxBursts == 0 {
-		o.MaxBursts = 1024
-	}
-	return o
-}
+const (
+	// burstFlows is the number of top contributing flows kept per burst
+	// event.
+	burstFlows = 4
+	// retainedBursts caps retained burst events; further bursts are
+	// detected and counted per port but not retained.
+	retainedBursts = 1024
+)
 
 // FlowFrames is one flow's contribution to a microburst.
 type FlowFrames struct {
@@ -204,8 +194,9 @@ type Observer struct {
 	reg *telemetry.Registry
 	smp *telemetry.Sampler
 
-	ports  []*portState
-	bursts []BurstEvent
+	ports     []*portState
+	bursts    []BurstEvent
+	maxBursts int // retainedBursts; tests lower it
 
 	attachedAt sim.Time
 	finalized  bool
@@ -227,8 +218,11 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 	if len(names) != fab.Ports() {
 		panic(fmt.Sprintf("fabricobs: %d names for %d ports", len(names), fab.Ports()))
 	}
-	if opts.SampleInterval < 0 || opts.BurstThreshold < 0 || opts.MaxBursts < 0 {
+	if opts.SampleInterval < 0 || opts.BurstThreshold < 0 {
 		panic("fabricobs: negative option")
+	}
+	if opts.BurstThreshold == 0 {
+		opts.BurstThreshold = 128 * units.KB
 	}
 	for i := 0; i < fab.Ports(); i++ {
 		p := fab.Port(i)
@@ -240,7 +234,8 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 		eng:        eng,
 		fab:        fab,
 		names:      append([]string(nil), names...),
-		opts:       opts.withDefaults(),
+		opts:       opts,
+		maxBursts:  retainedBursts,
 		attachedAt: eng.Now(),
 	}
 	o.ports = make([]*portState, fab.Ports())
@@ -262,7 +257,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 		ps.out.SetDeliverTap(func(*skb.Frame) { o.deliverTap(ps) })
 	}
 	o.registerTimeline()
-	o.smp = telemetry.NewSampler(eng, o.reg, o.opts.SampleInterval, telemetry.DefaultMaxSamples)
+	o.smp = telemetry.NewSampler(eng, o.reg, o.opts.SampleInterval)
 	o.smp.Start(0)
 	return o
 }
@@ -333,7 +328,7 @@ func (o *Observer) closeBurst(ds *portState, end sim.Time, truncated bool) {
 	b := ds.cur
 	ds.cur = nil
 	ds.burstCount++
-	if len(o.bursts) < o.opts.MaxBursts {
+	if len(o.bursts) < o.maxBursts {
 		o.bursts = append(o.bursts, BurstEvent{
 			Port:           ds.id,
 			Host:           o.names[ds.id],

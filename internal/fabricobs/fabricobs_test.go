@@ -119,11 +119,12 @@ func TestBurstDetection(t *testing.T) {
 	}
 }
 
-// TestBurstRetentionCap sends two separate bursts under MaxBursts 1: the
+// TestBurstRetentionCap sends two separate bursts under maxBursts 1: the
 // first is retained, the second is detected and counted on its port but
 // not kept.
 func TestBurstRetentionCap(t *testing.T) {
-	eng, fb, obs := testFabric(t, slowCfg(2), Options{BurstThreshold: 4 * units.KB, MaxBursts: 1})
+	eng, fb, obs := testFabric(t, slowCfg(2), Options{BurstThreshold: 4 * units.KB})
+	obs.maxBursts = 1
 	for burst := 0; burst < 2; burst++ {
 		for i := 0; i < 10; i++ {
 			fb.Port(1).Send(&skb.Frame{Flow: 1, Seq: int64(10*burst + i), Len: 1500})
@@ -329,7 +330,7 @@ func TestNewPanics(t *testing.T) {
 	expectPanic("nil engine", func() { New(nil, fb, []string{"a", "b"}, Options{}) })
 	expectPanic("nil fabric", func() { New(eng, nil, []string{"a", "b"}, Options{}) })
 	expectPanic("name count", func() { New(eng, fb, []string{"a"}, Options{}) })
-	expectPanic("negative option", func() { New(eng, fb, []string{"a", "b"}, Options{MaxBursts: -1}) })
+	expectPanic("negative option", func() { New(eng, fb, []string{"a", "b"}, Options{BurstThreshold: -1}) })
 	fb.Register(1, 1, 0)
 	fb.Port(1).Send(&skb.Frame{Flow: 1, Len: 1500})
 	expectPanic("fabric that has carried a frame", func() { New(eng, fb, []string{"a", "b"}, Options{}) })

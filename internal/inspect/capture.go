@@ -38,22 +38,16 @@ type Capture struct {
 
 // NewCapture builds a capture for one link direction. name labels the
 // pcapng interface (e.g. "sender->receiver"); dir 0 addresses frames from
-// host 10.0.0.1 to 10.0.0.2 and dir 1 the reverse. snapLen and maxPackets
-// of 0 take the package defaults.
-func NewCapture(eng *sim.Engine, name string, dir, snapLen, maxPackets int) *Capture {
+// host 10.0.0.1 to 10.0.0.2 and dir 1 the reverse. It snaps frames at
+// DefaultSnapLen and keeps DefaultMaxPackets of them.
+func NewCapture(eng *sim.Engine, name string, dir int) *Capture {
 	if eng == nil {
 		panic("inspect: nil engine")
 	}
 	if dir != 0 && dir != 1 {
 		panic("inspect: capture direction must be 0 or 1")
 	}
-	if snapLen <= 0 {
-		snapLen = DefaultSnapLen
-	}
-	if maxPackets <= 0 {
-		maxPackets = DefaultMaxPackets
-	}
-	return &Capture{eng: eng, name: name, dir: dir, snap: snapLen, max: maxPackets}
+	return &Capture{eng: eng, name: name, dir: dir, snap: DefaultSnapLen, max: DefaultMaxPackets}
 }
 
 // Tap returns the wire.Link tap callback feeding this capture. The

@@ -25,8 +25,8 @@ func feed(t *testing.T, eng *sim.Engine, c *Capture, at sim.Time, f *skb.Frame, 
 
 func TestPcapRoundTrip(t *testing.T) {
 	eng := sim.NewEngine(1)
-	ab := NewCapture(eng, "a->b", 0, 0, 0)
-	ba := NewCapture(eng, "b->a", 1, 0, 0)
+	ab := NewCapture(eng, "a->b", 0)
+	ba := NewCapture(eng, "b->a", 1)
 
 	data := &skb.Frame{Flow: 1, Seq: 4096, Len: 65536, CE: true}
 	feed(t, eng, ab, 10, data, false)
@@ -137,7 +137,8 @@ func TestPcapChecksums(t *testing.T) {
 
 func TestCaptureBound(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := NewCapture(eng, "x", 0, 64, 2)
+	c := NewCapture(eng, "x", 0)
+	c.snap, c.max = 64, 2
 	for i := 0; i < 5; i++ {
 		f := &skb.Frame{Flow: 1, Seq: int64(i), Len: 100}
 		feed(t, eng, c, sim.Time(i), f, false)
@@ -150,7 +151,7 @@ func TestCaptureBound(t *testing.T) {
 
 func TestReadPcapRejectsCorruption(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := NewCapture(eng, "x", 0, 0, 0)
+	c := NewCapture(eng, "x", 0)
 	feed(t, eng, c, 5, &skb.Frame{Flow: 1, Seq: 0, Len: 10}, false)
 	eng.Run(10)
 	var buf bytes.Buffer
@@ -173,7 +174,7 @@ func TestReadPcapRejectsCorruption(t *testing.T) {
 }
 
 func TestProbeTraceFormats(t *testing.T) {
-	tr := NewProbeTrace(0)
+	tr := NewProbeTrace()
 	hook := tr.Hook("sender")
 	hook(tcp.ProbeEvent{
 		At: 1000, Flow: 1, Kind: tcp.ProbeAck, AckedBytes: 1448,
@@ -208,7 +209,8 @@ func TestProbeTraceFormats(t *testing.T) {
 }
 
 func TestProbeTraceBound(t *testing.T) {
-	tr := NewProbeTrace(1)
+	tr := NewProbeTrace()
+	tr.max = 1
 	hook := tr.Hook("h")
 	hook(tcp.ProbeEvent{At: 1, Kind: tcp.ProbeAck})
 	hook(tcp.ProbeEvent{At: 2, Kind: tcp.ProbeAck})
@@ -229,7 +231,7 @@ func fillProbes(tr *ProbeTrace, n int) {
 // both writers see every record once, in emission order, including
 // records added after Records flattened the chunks.
 func TestProbeTraceChunks(t *testing.T) {
-	tr := NewProbeTrace(0)
+	tr := NewProbeTrace()
 	fillProbes(tr, 3000)
 	recs := tr.Records()
 	if len(recs) != 3000 || tr.Len() != 3000 {
@@ -278,7 +280,7 @@ func TestProbeTraceAllocatesRecordsOnce(t *testing.T) {
 	const n = 10000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tr := NewProbeTrace(0)
+	tr := NewProbeTrace()
 	fillProbes(tr, n)
 	runtime.ReadMemStats(&after)
 	own := float64(n * unsafe.Sizeof(ProbeRecord{}))

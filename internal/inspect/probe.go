@@ -47,13 +47,9 @@ type ProbeTrace struct {
 	recs      chunk.Log[ProbeRecord]
 }
 
-// NewProbeTrace builds a trace bounded at maxEvents records (0 takes the
-// package default).
-func NewProbeTrace(maxEvents int) *ProbeTrace {
-	if maxEvents <= 0 {
-		maxEvents = DefaultMaxProbeEvents
-	}
-	return &ProbeTrace{max: maxEvents}
+// NewProbeTrace builds a trace bounded at DefaultMaxProbeEvents records.
+func NewProbeTrace() *ProbeTrace {
+	return &ProbeTrace{max: DefaultMaxProbeEvents}
 }
 
 // Hook returns the tcp.ProbeFunc to install on a connection of the named

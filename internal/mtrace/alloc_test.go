@@ -45,7 +45,8 @@ func (c *cycler) cycle(latency sim.Time, retx bool) {
 // messages and whose record cap is reached, so later fast messages are
 // neither admitted nor retained.
 func newWarmCycler(slowest int) *cycler {
-	c := &cycler{tr: New(Options{MsgBytes: []units.Bytes{1: 100}, Slowest: slowest, MaxMessages: 1})}
+	c := &cycler{tr: New(Options{MsgBytes: []units.Bytes{1: 100}, Slowest: slowest})}
+	c.tr.maxRecs = 1
 	for i := 0; i < slowest; i++ {
 		c.cycle(1000, true)
 	}

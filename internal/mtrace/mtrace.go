@@ -53,12 +53,12 @@ type Options struct {
 	Start []int64
 	// Slowest bounds the exemplar span trees kept (0 = 8).
 	Slowest int
-	// MaxMessages caps the retained per-message records that back the
-	// band attribution (0 = 1<<20). Messages beyond the cap still feed
-	// the quantile histogram and the exemplar store, and are counted in
-	// Truncated.
-	MaxMessages int
 }
+
+// maxMessages caps the retained per-message records that back the band
+// attribution. Messages beyond the cap still feed the quantile histogram
+// and the exemplar store, and are counted in Truncated.
+const maxMessages = 1 << 20
 
 // txMark is one first-transmission record: all not-yet-marked sequence
 // bytes below endSeq were first emitted by TCP at this time. Marks are
@@ -119,11 +119,11 @@ type Record struct {
 // no-op observer.
 type Tracer struct {
 	slowest   int
-	maxRecs   int
+	maxRecs   int          // maxMessages; tests lower it
 	flows     []*flowState // by flow id; nil = not traced
 	recs      chunk.Log[Record]
 	dropped   int64 // incomplete or non-monotonic stamp chains
-	truncated int64 // completions beyond MaxMessages
+	truncated int64 // completions beyond maxRecs
 	hist      *metrics.LogLinear
 	exem      []*Exemplar // min-heap on (Total, Done, Flow, ID)
 	free      []*message  // completed messages, ready for reuse
@@ -133,15 +133,12 @@ type Tracer struct {
 func New(o Options) *Tracer {
 	t := &Tracer{
 		slowest: o.Slowest,
-		maxRecs: o.MaxMessages,
+		maxRecs: maxMessages,
 		flows:   make([]*flowState, len(o.MsgBytes)),
 		hist:    metrics.NewLogLinear(),
 	}
 	if t.slowest <= 0 {
 		t.slowest = 8
-	}
-	if t.maxRecs <= 0 {
-		t.maxRecs = 1 << 20
 	}
 	for f, sz := range o.MsgBytes {
 		if sz <= 0 {

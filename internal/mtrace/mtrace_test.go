@@ -193,7 +193,8 @@ func TestBandsAndExemplars(t *testing.T) {
 }
 
 func TestRecordCap(t *testing.T) {
-	tr := New(Options{MsgBytes: []units.Bytes{1: 100}, MaxMessages: 3})
+	tr := New(Options{MsgBytes: []units.Bytes{1: 100}})
+	tr.maxRecs = 3
 	var off int64
 	for i := 0; i < 5; i++ {
 		w := sim.Time(1 + i*100)

@@ -8,6 +8,7 @@ package nic
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -30,33 +31,37 @@ const FrameHeader units.Bytes = 66
 
 // Config describes the NIC and driver features in play.
 type Config struct {
-	RxRing           int           // Rx descriptors per queue
-	MTU              units.Bytes   // wire MTU (1500 or 9000)
-	TSO              bool          // hardware segmentation offload (Tx)
-	GRO              bool          // software receive aggregation
-	LRO              bool          // hardware receive aggregation (overrides GRO)
-	ModerationDelay  time.Duration // IRQ coalescing time
-	ModerationFrames int           // IRQ fires early at this backlog
-	NAPIWeight       int           // frames per NAPI poll before re-arming
+	RxRing          int           // Rx descriptors per queue
+	MTU             units.Bytes   // wire MTU (1500 or 9000)
+	TSO             bool          // hardware segmentation offload (Tx)
+	GRO             bool          // software receive aggregation
+	LRO             bool          // hardware receive aggregation (overrides GRO)
+	ModerationDelay time.Duration // IRQ coalescing time
 	// DCAHazardFactor scales the descriptor-count-driven eviction hazard
-	// (see cache.DCA); hazard = min(MaxHazard, factor * ringPages/dcaSlots).
+	// (see cache.DCA); hazard = min(maxHazard, factor * ringPages/dcaSlots).
 	DCAHazardFactor float64
-	MaxHazard       float64
 }
+
+const (
+	// moderationFrames is the Rx backlog at which the IRQ fires before
+	// the moderation delay runs out.
+	moderationFrames = 24
+	// napiWeight is the frames one NAPI poll takes before re-arming.
+	napiWeight = 64
+	// maxHazard caps the DCA eviction hazard.
+	maxHazard = 0.9
+)
 
 // DefaultConfig mirrors the paper's all-optimizations-enabled setup.
 func DefaultConfig() Config {
 	return Config{
-		RxRing:           1024,
-		MTU:              9000,
-		TSO:              true,
-		GRO:              true,
-		LRO:              false,
-		ModerationDelay:  12 * time.Microsecond,
-		ModerationFrames: 24,
-		NAPIWeight:       64,
-		DCAHazardFactor:  0.035,
-		MaxHazard:        0.9,
+		RxRing:          1024,
+		MTU:             9000,
+		TSO:             true,
+		GRO:             true,
+		LRO:             false,
+		ModerationDelay: 12 * time.Microsecond,
+		DCAHazardFactor: 0.035,
 	}
 }
 
@@ -69,12 +74,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("nic: MTU = %d, want > %d", c.MTU, FrameHeader)
 	case c.ModerationDelay < 0:
 		return fmt.Errorf("nic: negative ModerationDelay")
-	case c.ModerationFrames <= 0:
-		return fmt.Errorf("nic: ModerationFrames = %d, want > 0", c.ModerationFrames)
-	case c.NAPIWeight <= 0:
-		return fmt.Errorf("nic: NAPIWeight = %d, want > 0", c.NAPIWeight)
-	case c.DCAHazardFactor < 0 || c.MaxHazard < 0 || c.MaxHazard > 1:
-		return fmt.Errorf("nic: bad hazard parameters")
+	case !(c.DCAHazardFactor >= 0 && c.DCAHazardFactor <= math.MaxFloat64):
+		return fmt.Errorf("nic: DCAHazardFactor = %v, want finite and >= 0", c.DCAHazardFactor)
 	}
 	return nil
 }
@@ -197,9 +198,9 @@ type NIC struct {
 	tracer    *trace.Tracer // nil = no tracing
 	traceHost string
 
-	// Fast-path pools (nil = plain allocation). Shared with the peer NIC:
-	// data frames are born at the sender and die at the receiver, so only a
-	// pool spanning both ends stays balanced.
+	// Fast-path pools, shared with the peer NIC: data frames are born at
+	// the sender and die at the receiver, so only a pool spanning both
+	// ends stays balanced.
 	skbPool   *skb.Pool
 	framePool *skb.FramePool
 
@@ -267,20 +268,23 @@ func (s *pageStash) take(dst []mem.Page) {
 	s.base = s.base[:len(s.base)-k]
 }
 
-// New builds a NIC. dca may be nil (DCA disabled). egress is the wire
-// attachment — the host's fabric ingress port, whose egress twin toward
-// this host calls ReceiveFromWire; deliver is the Rx upcall.
+// New builds a NIC. dca may be nil (DCA disabled). skbs and frames are
+// the receive fast path's recycling pools, typically shared with the peer
+// NICs of the same fabric. egress is the wire attachment — the host's
+// fabric ingress port, whose egress twin toward this host calls
+// ReceiveFromWire; deliver is the Rx upcall.
 func New(eng *sim.Engine, sys *exec.System, alloc *mem.Allocator, dca *cache.DCA,
-	cfg Config, egress wire.Egress, deliver DeliverFunc) *NIC {
+	cfg Config, skbs *skb.Pool, frames *skb.FramePool, egress wire.Egress, deliver DeliverFunc) *NIC {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if eng == nil || sys == nil || alloc == nil || egress == nil || deliver == nil {
+	if eng == nil || sys == nil || alloc == nil || skbs == nil || frames == nil || egress == nil || deliver == nil {
 		panic("nic: nil dependency")
 	}
 	cores := sys.Spec().NumCores()
 	n := &NIC{
 		eng: eng, sys: sys, alloc: alloc, dca: dca, cfg: cfg,
+		skbPool: skbs, framePool: frames,
 		egress: egress, txRate: egress.Rate(), deliver: deliver,
 		steer:   RSS{Cores: []int{0}},
 		queues:  make([]*rxQueue, cores),
@@ -302,10 +306,7 @@ func (n *NIC) DCAHazard() float64 {
 	pagesPerFrame := n.alloc.PagesFor(n.cfg.MTU)
 	ringPages := float64(n.cfg.RxRing * pagesPerFrame)
 	h := n.cfg.DCAHazardFactor * ringPages / float64(n.dca.Capacity())
-	if h > n.cfg.MaxHazard {
-		h = n.cfg.MaxHazard
-	}
-	return h
+	return min(h, maxHazard)
 }
 
 // SetSteering installs the receive flow steering policy.
@@ -345,18 +346,10 @@ func (n *NIC) queue(core int) *rxQueue {
 // SetTxComplete installs the Tx completion callback.
 func (n *NIC) SetTxComplete(fn TxCompleteFunc) { n.txComplete = fn }
 
-// SetPools installs the SKB/frame recycling pools for the receive fast
-// path. Both may be nil (plain allocation). Call before traffic starts;
-// the pools are typically shared with the peer NIC on the same link.
-func (n *NIC) SetPools(skbs *skb.Pool, frames *skb.FramePool) {
-	n.skbPool = skbs
-	n.framePool = frames
-}
-
-// SKBPool returns the installed SKB pool (possibly nil).
+// SKBPool returns the NIC's SKB pool.
 func (n *NIC) SKBPool() *skb.Pool { return n.skbPool }
 
-// FramePool returns the installed frame pool (possibly nil).
+// FramePool returns the NIC's frame pool.
 func (n *NIC) FramePool() *skb.FramePool { return n.framePool }
 
 // SetTrace installs a tracer (nil = none) for NIC-level events — descriptor
@@ -748,7 +741,7 @@ func (q *rxQueue) maybeInterrupt() {
 	if q.napi {
 		return // NAPI already scheduled/running; it will see the backlog
 	}
-	if q.backlog.Len() >= q.nic.cfg.ModerationFrames {
+	if q.backlog.Len() >= moderationFrames {
 		q.modTimer.Stop()
 		q.fireIRQ()
 		return
@@ -769,7 +762,7 @@ func (q *rxQueue) scheduleNAPI() {
 	q.nic.sys.Core(q.core).RaiseSoftirq(q.pollFn)
 }
 
-// poll is the NAPI handler: drain up to NAPIWeight frames, build skbs,
+// poll is the NAPI handler: drain up to napiWeight frames, build skbs,
 // aggregate, deliver upwards, replenish descriptors, and either re-arm
 // interrupts or re-schedule itself.
 func (q *rxQueue) poll(ctx *exec.Ctx) {
@@ -782,11 +775,11 @@ func (q *rxQueue) poll(ctx *exec.Ctx) {
 	}
 	ctx.Charge(cpumodel.Netdev, costs.NAPIPollBase)
 
-	budget := min(n.cfg.NAPIWeight, q.backlog.Len())
+	budget := min(napiWeight, q.backlog.Len())
 
 	useGRO := n.cfg.GRO && !n.cfg.LRO
 	if useGRO && q.gro == nil {
-		q.gro = skb.NewGROPooled(costs, n.skbPool, n.framePool)
+		q.gro = skb.NewGRO(costs, n.skbPool, n.framePool)
 	}
 	out := q.out[:0]
 	for range budget {
@@ -800,12 +793,9 @@ func (q *rxQueue) poll(ctx *exec.Ctx) {
 		if useGRO {
 			out = q.gro.Receive(ctx, f, out)
 		} else {
-			s := n.skbPool.Get(f)
-			if n.skbPool != nil {
-				// Pooled Gets copy the page refs out, so the frame is dead.
-				n.framePool.Put(f)
-			}
-			out = append(out, s)
+			// Get copies the page refs out, so the frame is dead.
+			out = append(out, n.skbPool.Get(f))
+			n.framePool.Put(f)
 		}
 	}
 	if useGRO {

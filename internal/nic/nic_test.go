@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -18,12 +19,13 @@ import (
 
 // rig wires a NIC to a loopback link and a collecting consumer.
 type rig struct {
-	eng   *sim.Engine
-	sys   *exec.System
-	alloc *mem.Allocator
-	dca   *cache.DCA
-	nic   *NIC
-	got   []*skb.SKB
+	eng    *sim.Engine
+	sys    *exec.System
+	alloc  *mem.Allocator
+	dca    *cache.DCA
+	nic    *NIC
+	frames *skb.FramePool
+	got    []*skb.SKB
 }
 
 func newRig(t *testing.T, cfg Config, withDCA bool) *rig {
@@ -44,7 +46,8 @@ func newRig(t *testing.T, cfg Config, withDCA bool) *rig {
 	link := wire.NewLink(r.eng, spec.LinkRate, 2*time.Microsecond, func(f *skb.Frame) {
 		n.ReceiveFromWire(f)
 	})
-	n = New(r.eng, r.sys, r.alloc, r.dca, cfg, link, func(ctx *exec.Ctx, s *skb.SKB) {
+	r.frames = &skb.FramePool{}
+	n = New(r.eng, r.sys, r.alloc, r.dca, cfg, &skb.Pool{}, r.frames, link, func(ctx *exec.Ctx, s *skb.SKB) {
 		r.got = append(r.got, s)
 	})
 	r.nic = n
@@ -82,15 +85,14 @@ func TestSingleFrameDeliveredAfterModeration(t *testing.T) {
 func TestBurstTriggersEarlyIRQ(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ModerationDelay = time.Millisecond // would be far too late
-	cfg.ModerationFrames = 8
 	r := newRig(t, cfg, true)
 	r.nic.SetSteering(FixedCore(0))
-	for i := 0; i < 8; i++ {
+	for i := 0; i < moderationFrames; i++ {
 		r.inject(1, int64(i)*1500, 1500)
 	}
 	r.run(100 * time.Microsecond)
 	if len(r.got) == 0 {
-		t.Fatal("burst above ModerationFrames should fire the IRQ early")
+		t.Fatal("a backlog of moderationFrames should fire the IRQ early")
 	}
 }
 
@@ -147,12 +149,10 @@ func TestLROCoalescesWithoutCPU(t *testing.T) {
 func TestDescriptorExhaustionDrops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RxRing = 4
-	cfg.ModerationDelay = 10 * time.Millisecond // keep NAPI away
-	cfg.ModerationFrames = 1000
+	cfg.ModerationDelay = 10 * time.Millisecond // keep NAPI away; 4 frames stay below moderationFrames
 	r := newRig(t, cfg, true)
 	r.nic.SetSteering(FixedCore(0))
-	fp := &skb.FramePool{}
-	r.nic.SetPools(nil, fp)
+	fp := r.frames
 	for i := 0; i < 10; i++ {
 		r.inject(1, int64(i)*1500, 1500)
 	}
@@ -211,19 +211,20 @@ func TestDDIOInsertsOnlyNICLocalPages(t *testing.T) {
 }
 
 func TestNAPIBudgetSplitsLargeBacklog(t *testing.T) {
+	const frames = 4 * napiWeight
 	cfg := DefaultConfig()
-	cfg.ModerationFrames = 1000
-	cfg.ModerationDelay = 50 * time.Microsecond
-	cfg.NAPIWeight = 16
 	r := newRig(t, cfg, true)
 	r.nic.SetSteering(FixedCore(0))
-	for i := 0; i < 64; i++ {
+	// Keep core 0 busy so the IRQ that moderationFrames fires early finds
+	// the whole backlog in place when its poll runs.
+	r.sys.Core(0).RaiseSoftirq(func(ctx *exec.Ctx) { ctx.Charge(cpumodel.Etc, 100_000) })
+	for i := 0; i < frames; i++ {
 		r.inject(1, int64(i)*1500, 1500)
 	}
 	r.run(5 * time.Millisecond)
 	st := r.nic.Stats()
 	if st.NAPIPolls < 4 {
-		t.Errorf("NAPIPolls = %d, want >= 4 (64 frames / weight 16)", st.NAPIPolls)
+		t.Errorf("NAPIPolls = %d, want >= 4 (4 weights of frames)", st.NAPIPolls)
 	}
 	if st.IRQs != 1 {
 		t.Errorf("IRQs = %d, want 1 (softirq re-polls without new IRQs)", st.IRQs)
@@ -232,8 +233,8 @@ func TestNAPIBudgetSplitsLargeBacklog(t *testing.T) {
 	for _, s := range r.got {
 		total += s.Len
 	}
-	if total != 64*1500 {
-		t.Errorf("delivered %d bytes, want %d", total, 64*1500)
+	if total != frames*1500 {
+		t.Errorf("delivered %d bytes, want %d", total, frames*1500)
 	}
 }
 
@@ -289,8 +290,8 @@ func TestDCAHazardGrowsWithRing(t *testing.T) {
 	if small >= large {
 		t.Errorf("hazard should grow with ring size: %v vs %v", small, large)
 	}
-	if large > 0.9 {
-		t.Errorf("hazard must respect MaxHazard, got %v", large)
+	if large > maxHazard {
+		t.Errorf("hazard must respect maxHazard, got %v", large)
 	}
 	cfg := DefaultConfig()
 	r := newRig(t, cfg, false)
@@ -356,10 +357,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.RxRing = 0 },
 		func(c *Config) { c.MTU = 66 },
 		func(c *Config) { c.ModerationDelay = -1 },
-		func(c *Config) { c.ModerationFrames = 0 },
-		func(c *Config) { c.NAPIWeight = 0 },
 		func(c *Config) { c.DCAHazardFactor = -1 },
-		func(c *Config) { c.MaxHazard = 2 },
+		func(c *Config) { c.DCAHazardFactor = math.NaN() },
+		func(c *Config) { c.DCAHazardFactor = math.Inf(1) },
 	}
 	for i, f := range bad {
 		cfg := DefaultConfig()
@@ -383,7 +383,7 @@ func TestTxRoundRobinInterleavesCores(t *testing.T) {
 	alloc := mem.NewAllocator(spec, cpumodel.Default())
 	var order []skb.FlowID
 	link := wire.NewLink(eng, spec.LinkRate, 0, func(f *skb.Frame) { order = append(order, f.Flow) })
-	n := New(eng, sys, alloc, nil, DefaultConfig(), link, func(*exec.Ctx, *skb.SKB) {})
+	n := New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, &skb.FramePool{}, link, func(*exec.Ctx, *skb.SKB) {})
 
 	burst := func(flow skb.FlowID) []*skb.Frame {
 		out := make([]*skb.Frame, 6)
@@ -726,7 +726,7 @@ func TestTxPumpMatchesPerFrameEvents(t *testing.T) {
 		var n *NIC
 		got, gotFired := txScenario(seed, func(eng *sim.Engine, sys *exec.System, egress wire.Egress, complete TxCompleteFunc) txPath {
 			alloc := mem.NewAllocator(topology.Default(), cpumodel.Default())
-			n = New(eng, sys, alloc, nil, DefaultConfig(), egress, func(*exec.Ctx, *skb.SKB) {})
+			n = New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, &skb.FramePool{}, egress, func(*exec.Ctx, *skb.SKB) {})
 			n.SetTxComplete(complete)
 			return txPath{send: n.SendFrames, land: n.enqueueTx}
 		})
@@ -802,7 +802,7 @@ func TestTxRoundRobinPastOneWord(t *testing.T) {
 		last = got
 		sent++
 	}
-	n := New(eng, sys, alloc, nil, DefaultConfig(), egress, func(*exec.Ctx, *skb.SKB) {})
+	n := New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, &skb.FramePool{}, egress, func(*exec.Ctx, *skb.SKB) {})
 	land := func(p, k int) {
 		fs := make([]*skb.Frame, k)
 		for i := range fs {
@@ -864,9 +864,8 @@ func TestRefusedFramesReturnToPool(t *testing.T) {
 		}
 		return false
 	}}
-	n := New(eng, sys, alloc, nil, DefaultConfig(), egress, func(*exec.Ctx, *skb.SKB) {})
 	fp := &skb.FramePool{}
-	n.SetPools(nil, fp)
+	n := New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, fp, egress, func(*exec.Ctx, *skb.SKB) {})
 	var completed units.Bytes
 	n.SetTxComplete(func(flow skb.FlowID, b units.Bytes) {
 		if flow != 5 {

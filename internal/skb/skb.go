@@ -103,34 +103,15 @@ func (s *SKB) String() string {
 	return fmt.Sprintf("skb{flow %d seq %d len %d frames %d}", s.Flow, s.Seq, s.Len, s.Frames)
 }
 
-// FromFrame builds a driver-level SKB from one received frame.
-func FromFrame(f *Frame) *SKB {
-	return &SKB{
-		Flow:    f.Flow,
-		Seq:     f.Seq,
-		Len:     f.Len,
-		Frames:  1,
-		Pages:   f.Pages,
-		Ack:     f.Ack,
-		CE:      f.CE,
-		Born:    f.Born,
-		WriteAt: f.WriteAt,
-		TCPTxAt: f.TCPTxAt,
-		NICTxAt: f.NICTxAt,
-		WireAt:  f.WireAt,
-	}
-}
-
 // Pool recycles SKB structs — and the page-slice capacity they carry —
 // across the receive fast path. At 100Gbps with GRO the stack builds and
 // destroys tens of thousands of SKBs per simulated millisecond; recycling
-// them makes steady-state Rx processing allocation-free. A nil *Pool is
-// valid and falls back to plain allocation, so tests and callers that do
-// not care about allocation churn need no changes.
+// them makes steady-state Rx processing allocation-free. The zero value
+// is an empty pool.
 //
-// Unlike FromFrame, Get on a non-nil Pool copies the frame's page refs
-// into the SKB's own slice instead of aliasing the frame's; the frame can
-// therefore be recycled (via FramePool) the moment Get returns.
+// Get copies the frame's page refs into the SKB's own slice instead of
+// aliasing the frame's, so the frame can be recycled (via FramePool) the
+// moment Get returns.
 type Pool struct {
 	free []*SKB
 	// Recycled/Fresh count Gets served from the pool vs heap-allocated.
@@ -143,9 +124,6 @@ type Pool struct {
 // Get builds a driver-level SKB from one received frame, reusing a pooled
 // struct when available.
 func (p *Pool) Get(f *Frame) *SKB {
-	if p == nil {
-		return FromFrame(f)
-	}
 	var s *SKB
 	if n := len(p.free); n > 0 {
 		s = p.free[n-1]
@@ -172,11 +150,8 @@ func (p *Pool) Get(f *Frame) *SKB {
 }
 
 // Put returns a dead SKB to the pool. The caller must not touch s (or its
-// Pages slice) afterwards. Put on a nil pool is a no-op.
+// Pages slice) afterwards.
 func (p *Pool) Put(s *SKB) {
-	if p == nil || s == nil {
-		return
-	}
 	p.Puts++
 	s.Pages = s.Pages[:0]
 	s.Ack = nil
@@ -195,9 +170,6 @@ func (p *Pool) Put(s *SKB) {
 // quiesced stack every one must be accounted for by a live queue, or it
 // leaked.
 func (p *Pool) Outstanding() int64 {
-	if p == nil {
-		return 0
-	}
 	return p.Recycled + p.Fresh - p.Puts
 }
 
@@ -205,8 +177,8 @@ func (p *Pool) Outstanding() int64 {
 // Frame per MTU under TSO adds up quickly). Frames are Put back by the
 // receiving NIC once GRO has absorbed them, or by the sending NIC when
 // the network drops them, so with bidirectional traffic a single pool
-// shared by both hosts of a link stays balanced. A nil *FramePool
-// allocates plainly.
+// shared by both hosts of a link stays balanced. The zero value is an
+// empty pool.
 type FramePool struct {
 	free  []*Frame
 	block []Frame    // unused tail of the block fresh frames are carved from
@@ -221,9 +193,6 @@ type FramePool struct {
 // path and die on the other's (or at whichever NIC drops the ACK), so
 // like frames they pool pair-wide.
 func (p *FramePool) GetAck() *AckInfo {
-	if p == nil {
-		return &AckInfo{}
-	}
 	if n := len(p.acks); n > 0 {
 		a := p.acks[n-1]
 		p.acks[n-1] = nil
@@ -233,10 +202,10 @@ func (p *FramePool) GetAck() *AckInfo {
 	return &AckInfo{}
 }
 
-// PutAck recycles a consumed AckInfo. The caller must not touch a (or its
-// SACK slice) afterwards.
+// PutAck recycles a consumed AckInfo; a nil a (a data frame's) is a no-op.
+// The caller must not touch a (or its SACK slice) afterwards.
 func (p *FramePool) PutAck(a *AckInfo) {
-	if p == nil || a == nil {
+	if a == nil {
 		return
 	}
 	a.Cum = 0
@@ -249,9 +218,6 @@ func (p *FramePool) PutAck(a *AckInfo) {
 // Get returns a zeroed frame (possibly retaining page-slice capacity from
 // a previous life). The caller fills in the fields it needs.
 func (p *FramePool) Get() *Frame {
-	if p == nil {
-		return &Frame{}
-	}
 	p.Gets++
 	if n := len(p.free); n > 0 {
 		f := p.free[n-1]
@@ -272,9 +238,6 @@ const frameBlockLen = 64
 
 // Put recycles a dead frame. The caller must not touch f afterwards.
 func (p *FramePool) Put(f *Frame) {
-	if p == nil || f == nil {
-		return
-	}
 	p.Puts++
 	f.Flow = 0
 	f.Seq = 0
@@ -292,9 +255,6 @@ func (p *FramePool) Put(f *Frame) {
 
 // Outstanding returns the frames handed out but never returned.
 func (p *FramePool) Outstanding() int64 {
-	if p == nil {
-		return 0
-	}
 	return p.Gets - p.Puts
 }
 
@@ -325,8 +285,8 @@ func AppendSegmentSizes(dst []units.Bytes, total, mss units.Bytes) []units.Bytes
 // merges adjacent in-order frames of the same flow into large SKBs.
 type GRO struct {
 	costs *cpumodel.Costs
-	skbs  *Pool      // nil = plain allocation
-	fp    *FramePool // nil = frames are left for the GC
+	skbs  *Pool      // builds each held SKB
+	fp    *FramePool // takes back each absorbed frame
 	// entries in arrival order (index 0 = oldest); at most MaxGROFlows.
 	entries []*SKB
 	// Merged/Flushed count SKBs for diagnostics.
@@ -334,26 +294,13 @@ type GRO struct {
 	Flushed int64
 }
 
-// NewGRO returns a GRO engine charging costs from the given table.
-func NewGRO(costs *cpumodel.Costs) *GRO {
-	if costs == nil {
-		panic("skb: nil cost table")
+// NewGRO returns a GRO engine charging costs from the given table,
+// drawing SKBs from skbs and recycling every frame it absorbs into fp.
+func NewGRO(costs *cpumodel.Costs, skbs *Pool, fp *FramePool) *GRO {
+	if costs == nil || skbs == nil || fp == nil {
+		panic("skb: nil cost table or pool")
 	}
-	return &GRO{costs: costs}
-}
-
-// NewGROPooled is NewGRO drawing SKBs from skbs and recycling consumed
-// frames into fp. Either pool may be nil. Frames are only recycled when
-// skbs is non-nil: pooled Gets copy page refs out of the frame, whereas
-// the FromFrame fallback aliases them, which would make frame reuse
-// corrupt a live SKB.
-func NewGROPooled(costs *cpumodel.Costs, skbs *Pool, fp *FramePool) *GRO {
-	g := NewGRO(costs)
-	g.skbs = skbs
-	if skbs != nil {
-		g.fp = fp
-	}
-	return g
+	return &GRO{costs: costs, skbs: skbs, fp: fp}
 }
 
 // Receive offers one frame to GRO, charging CPU work to ch. Any SKBs

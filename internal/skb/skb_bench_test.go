@@ -8,34 +8,39 @@ import (
 )
 
 // BenchmarkGROSingleFlow measures the merge fast path (one flow, in
-// order), the hot loop of every receive-side simulation.
+// order), the hot loop of every receive-side simulation, with frames and
+// SKBs recycled through their pools as the NIC runs it. Steady state
+// should be allocation-free apart from occasional pages-slice growth.
 func BenchmarkGROSingleFlow(b *testing.B) {
-	g := NewGRO(cpumodel.Default())
-	ch := cpumodel.Discard{}
-	b.ReportAllocs()
-	var seq int64
-	for i := 0; i < b.N; i++ {
-		g.Receive(ch, &Frame{Flow: 1, Seq: seq, Len: 8934}, nil)
-		seq += 8934
-		if i%64 == 63 {
-			g.Flush(nil)
-		}
-	}
+	benchGRO(b, 1)
 }
 
 // BenchmarkGROInterleaved measures the all-to-all regime: many flows
 // thrashing the 8-entry table.
 func BenchmarkGROInterleaved(b *testing.B) {
-	g := NewGRO(cpumodel.Default())
+	benchGRO(b, 24)
+}
+
+// benchGRO feeds GRO in-order jumbo frames of flows round-robin, flushing
+// every 64 frames like a NAPI poll.
+func benchGRO(b *testing.B, flows int) {
+	skbs, frames := &Pool{}, &FramePool{}
+	g := NewGRO(cpumodel.Default(), skbs, frames)
 	ch := cpumodel.Discard{}
-	seqs := make([]int64, 24)
+	seqs := make([]int64, flows)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fl := FlowID(i % 24)
-		g.Receive(ch, &Frame{Flow: fl, Seq: seqs[fl], Len: 8934}, nil)
+		fl := FlowID(i % flows)
+		f := frames.Get()
+		f.Flow, f.Seq, f.Len = fl, seqs[fl], 8934
 		seqs[fl] += 8934
+		for _, s := range g.Receive(ch, f, nil) {
+			skbs.Put(s)
+		}
 		if i%64 == 63 {
-			g.Flush(nil)
+			for _, s := range g.Flush(nil) {
+				skbs.Put(s)
+			}
 		}
 	}
 }
@@ -45,29 +50,5 @@ func BenchmarkSegmentSizes(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		SegmentSizes(64*units.KB, 8934)
-	}
-}
-
-// BenchmarkGROPooledSingleFlow is the merge fast path with SKB and frame
-// pooling — the configuration the NIC actually runs. Steady state should
-// be allocation-free apart from occasional pages-slice growth.
-func BenchmarkGROPooledSingleFlow(b *testing.B) {
-	skbs, frames := &Pool{}, &FramePool{}
-	g := NewGROPooled(cpumodel.Default(), skbs, frames)
-	ch := cpumodel.Discard{}
-	b.ReportAllocs()
-	var seq int64
-	for i := 0; i < b.N; i++ {
-		f := frames.Get()
-		f.Flow, f.Seq, f.Len = 1, seq, 8934
-		seq += 8934
-		for _, s := range g.Receive(ch, f, nil) {
-			skbs.Put(s)
-		}
-		if i%64 == 63 {
-			for _, s := range g.Flush(nil) {
-				skbs.Put(s)
-			}
-		}
 	}
 }

@@ -10,6 +10,9 @@ import (
 	"hostsim/internal/units"
 )
 
+// newTestGRO returns a GRO engine over fresh pools.
+func newTestGRO() *GRO { return NewGRO(cpumodel.Default(), &Pool{}, &FramePool{}) }
+
 func frame(flow FlowID, seq int64, l units.Bytes) *Frame {
 	return &Frame{Flow: flow, Seq: seq, Len: l,
 		Pages: []mem.Page{{ID: 1}, {ID: 2}}}
@@ -76,7 +79,7 @@ func TestFrameWireSize(t *testing.T) {
 }
 
 func TestGROMergesContiguousSameFlow(t *testing.T) {
-	g := NewGRO(cpumodel.Default())
+	g := newTestGRO()
 	ch := cpumodel.Discard{}
 	if out := g.Receive(ch, frame(1, 0, 9000), nil); len(out) != 0 {
 		t.Fatalf("first frame should be held, got %d skbs", len(out))
@@ -98,7 +101,7 @@ func TestGROMergesContiguousSameFlow(t *testing.T) {
 }
 
 func TestGRODoesNotMergeAcrossFlows(t *testing.T) {
-	g := NewGRO(cpumodel.Default())
+	g := newTestGRO()
 	ch := cpumodel.Discard{}
 	g.Receive(ch, frame(1, 0, 1500), nil)
 	g.Receive(ch, frame(2, 0, 1500), nil)
@@ -114,7 +117,7 @@ func TestGRODoesNotMergeAcrossFlows(t *testing.T) {
 }
 
 func TestGROFlushesOnGap(t *testing.T) {
-	g := NewGRO(cpumodel.Default())
+	g := newTestGRO()
 	ch := cpumodel.Discard{}
 	g.Receive(ch, frame(1, 0, 1500), nil)
 	out := g.Receive(ch, frame(1, 3000, 1500), nil) // gap: 1500..3000 missing
@@ -128,7 +131,7 @@ func TestGROFlushesOnGap(t *testing.T) {
 }
 
 func TestGROCapsAt64KB(t *testing.T) {
-	g := NewGRO(cpumodel.Default())
+	g := newTestGRO()
 	ch := cpumodel.Discard{}
 	var done []*SKB
 	var seq int64
@@ -149,7 +152,7 @@ func TestGROCapsAt64KB(t *testing.T) {
 }
 
 func TestGROOverflowStartsNewEntry(t *testing.T) {
-	g := NewGRO(cpumodel.Default())
+	g := newTestGRO()
 	ch := cpumodel.Discard{}
 	var out []*SKB
 	var seq int64
@@ -169,7 +172,7 @@ func TestGROOverflowStartsNewEntry(t *testing.T) {
 }
 
 func TestGROEvictsOldestFlowBeyondCapacity(t *testing.T) {
-	g := NewGRO(cpumodel.Default())
+	g := newTestGRO()
 	ch := cpumodel.Discard{}
 	for fl := FlowID(0); fl < MaxGROFlows; fl++ {
 		if out := g.Receive(ch, frame(fl, 0, 1500), nil); len(out) != 0 {
@@ -186,7 +189,7 @@ func TestGROEvictsOldestFlowBeyondCapacity(t *testing.T) {
 }
 
 func TestGROPureAckBypasses(t *testing.T) {
-	g := NewGRO(cpumodel.Default())
+	g := newTestGRO()
 	ch := cpumodel.Discard{}
 	g.Receive(ch, frame(1, 0, 1500), nil)
 	ack := &Frame{Flow: 1, Ack: &AckInfo{Cum: 100, Window: 1000}}
@@ -200,7 +203,7 @@ func TestGROPureAckBypasses(t *testing.T) {
 }
 
 func TestGROChargesNetdev(t *testing.T) {
-	g := NewGRO(cpumodel.Default())
+	g := newTestGRO()
 	var ch tally
 	g.Receive(&ch, frame(1, 0, 1500), nil)
 	g.Receive(&ch, frame(1, 1500, 1500), nil)
@@ -210,7 +213,7 @@ func TestGROChargesNetdev(t *testing.T) {
 }
 
 func TestGROCEPropagates(t *testing.T) {
-	g := NewGRO(cpumodel.Default())
+	g := newTestGRO()
 	ch := cpumodel.Discard{}
 	g.Receive(ch, frame(1, 0, 1500), nil)
 	f := frame(1, 1500, 1500)
@@ -227,7 +230,7 @@ func TestGROCEPropagates(t *testing.T) {
 // output skb covers a contiguous range.
 func TestPropertyGROConservation(t *testing.T) {
 	f := func(flows []uint8, lens []uint16) bool {
-		g := NewGRO(cpumodel.Default())
+		g := newTestGRO()
 		ch := cpumodel.Discard{}
 		nextSeq := map[FlowID]int64{}
 		inBytes := map[FlowID]units.Bytes{}
@@ -276,7 +279,7 @@ func TestPropertyGROConservation(t *testing.T) {
 // the Fig. 8c effect at the GRO level.
 func TestInterleavingShrinksAggregates(t *testing.T) {
 	avg := func(nflows int) float64 {
-		g := NewGRO(cpumodel.Default())
+		g := newTestGRO()
 		ch := cpumodel.Discard{}
 		seq := make([]int64, nflows)
 		var outs []*SKB
@@ -350,25 +353,6 @@ func TestPoolGetCopiesPages(t *testing.T) {
 	}
 }
 
-func TestNilPoolsFallBack(t *testing.T) {
-	var p *Pool
-	var fp *FramePool
-	f := &Frame{Flow: 1, Seq: 10, Len: 20}
-	s := p.Get(f)
-	if s == nil || s.Flow != 1 {
-		t.Fatal("nil Pool Get should fall back to FromFrame")
-	}
-	p.Put(s)  // no-op
-	fp.Put(f) // no-op
-	g := fp.Get()
-	if g == nil {
-		t.Fatal("nil FramePool Get should allocate")
-	}
-	if p.Outstanding() != 0 || fp.Outstanding() != 0 {
-		t.Error("nil pools should report nothing outstanding")
-	}
-}
-
 func TestFramePoolClearsState(t *testing.T) {
 	fp := &FramePool{}
 	f := &Frame{Flow: 9, Seq: 5, Len: 3, CE: true, Born: 11,
@@ -424,7 +408,7 @@ func TestFramePoolBlocksKeepCounters(t *testing.T) {
 // state allocates nothing once the pools are primed.
 func TestGROPooledRecyclesFrames(t *testing.T) {
 	skbs, frames := &Pool{}, &FramePool{}
-	g := NewGROPooled(cpumodel.Default(), skbs, frames)
+	g := NewGRO(cpumodel.Default(), skbs, frames)
 	ch := cpumodel.Discard{}
 	var seq int64
 	for i := 0; i < 10; i++ {
@@ -457,58 +441,135 @@ func TestGROPooledRecyclesFrames(t *testing.T) {
 	}
 }
 
-// GRO merge output must be identical with and without pooling.
-func TestGROPooledMatchesUnpooled(t *testing.T) {
-	type rec struct {
-		flow   FlowID
-		seq    int64
-		length units.Bytes
-		frames int
+// gro is one held or emitted aggregate of the GRO merge model.
+type gro struct {
+	flow   FlowID
+	seq    int64
+	length units.Bytes
+	frames int
+	pages  int
+	ack    bool
+	ce     bool
+}
+
+// groModel is GRO's merge rule with no pools and no recycling: one held
+// aggregate per flow, in arrival order, at most MaxGROFlows of them.
+type groModel struct{ held []gro }
+
+// receive offers one frame and returns the aggregates it flushes.
+func (m *groModel) receive(f gro) []gro {
+	if f.ack {
+		return []gro{f}
 	}
-	run := func(pooled bool) []rec {
-		var g *GRO
-		skbs, fp := &Pool{}, &FramePool{}
-		if pooled {
-			g = NewGROPooled(cpumodel.Default(), skbs, fp)
-		} else {
-			g = NewGRO(cpumodel.Default())
+	var out []gro
+	for i, e := range m.held {
+		if e.flow != f.flow {
+			continue
 		}
-		ch := cpumodel.Discard{}
-		var out []rec
-		emit := func(ss []*SKB) {
-			for _, s := range ss {
-				out = append(out, rec{s.Flow, s.Seq, s.Len, s.Frames})
-				if pooled {
-					skbs.Put(s)
-				}
+		if e.seq+int64(e.length) == f.seq && e.length+f.length <= MaxGROSize {
+			e.length += f.length
+			e.frames++
+			e.pages += f.pages
+			e.ce = e.ce || f.ce
+			m.held[i] = e
+			if e.length == MaxGROSize {
+				out = append(out, m.take(i))
 			}
+			return out
 		}
-		seqs := map[FlowID]int64{}
-		for i := 0; i < 300; i++ {
-			fl := FlowID(i % 11) // > MaxGROFlows: exercises eviction
-			f := &Frame{Flow: fl, Seq: seqs[fl], Len: 4000}
-			if !pooled {
-				emit(g.Receive(ch, f, nil))
-			} else {
-				pf := fp.Get()
-				pf.Flow, pf.Seq, pf.Len = f.Flow, f.Seq, f.Len
-				emit(g.Receive(ch, pf, nil))
-			}
-			seqs[fl] += 4000
-			if i%40 == 39 {
-				emit(g.Flush(nil))
-			}
-		}
-		emit(g.Flush(nil))
+		out = append(out, m.take(i))
+		m.held = append(m.held, f)
 		return out
 	}
-	a, b := run(false), run(true)
-	if len(a) != len(b) {
-		t.Fatalf("pooled GRO emitted %d skbs, unpooled %d", len(b), len(a))
+	if len(m.held) >= MaxGROFlows {
+		out = append(out, m.take(0))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("skb %d differs: unpooled %+v pooled %+v", i, a[i], b[i])
+	m.held = append(m.held, f)
+	return out
+}
+
+func (m *groModel) take(i int) gro {
+	e := m.held[i]
+	m.held = append(m.held[:i], m.held[i+1:]...)
+	return e
+}
+
+func (m *groModel) flush() []gro {
+	out := m.held
+	m.held = nil
+	return out
+}
+
+// TestGROPooledMatchesUnpooled drives GRO, which builds its SKBs from a
+// pool and recycles every frame it absorbs, and the unpooled merge model
+// with one random stream: 11 flows (more than MaxGROFlows, so entries
+// evict), sequence gaps, CE marks, pure ACKs and flushes at random poll
+// boundaries. Flow 0 carries most frames, all 4096 B, so its aggregates
+// reach exactly MaxGROSize; flows 1-3 send jumbo frames, which overflow
+// it, and the rest random sizes. Every emitted SKB must equal the
+// model's aggregate, and the pools must end balanced.
+func TestGROPooledMatchesUnpooled(t *testing.T) {
+	skbs, fp := &Pool{}, &FramePool{}
+	g := NewGRO(cpumodel.Default(), skbs, fp)
+	ch := cpumodel.Discard{}
+	var model groModel
+	rng := rand.New(rand.NewSource(5))
+	seqs := map[FlowID]int64{}
+	emitted, full := 0, 0
+	check := func(got []*SKB, want []gro) {
+		t.Helper()
+		for _, w := range want {
+			if w.length == MaxGROSize {
+				full++
+			}
 		}
+		if len(got) != len(want) {
+			t.Fatalf("after %d skbs: GRO emitted %d, model %d", emitted, len(got), len(want))
+		}
+		for i, s := range got {
+			have := gro{s.Flow, s.Seq, s.Len, s.Frames, len(s.Pages), s.Ack != nil, s.CE}
+			if have != want[i] {
+				t.Fatalf("skb %d: GRO %+v, model %+v", emitted+i, have, want[i])
+			}
+			skbs.Put(s)
+		}
+		emitted += len(got)
+	}
+	for i := 0; i < 3000; i++ {
+		fl := FlowID(0)
+		if rng.Intn(3) == 0 {
+			fl = FlowID(1 + rng.Intn(10))
+		}
+		f := fp.Get()
+		f.Flow = fl
+		if rng.Intn(10) == 0 {
+			f.Ack = &AckInfo{Cum: seqs[fl]}
+		} else {
+			if rng.Intn(50) == 0 {
+				seqs[fl] += 100 // a gap: the held entry flushes
+			}
+			l := units.Bytes(4096)
+			switch {
+			case fl >= 4:
+				l = units.Bytes(1 + rng.Intn(4000))
+			case fl >= 1:
+				l = 8934
+			}
+			f.Seq, f.Len, f.CE = seqs[fl], l, rng.Intn(8) == 0
+			f.Pages = append(f.Pages, make([]mem.Page, 1+int(l)/4096)...)
+			seqs[fl] += int64(l)
+		}
+		want := model.receive(gro{f.Flow, f.Seq, f.Len, 1, len(f.Pages), f.Ack != nil, f.CE})
+		check(g.Receive(ch, f, nil), want)
+		if rng.Intn(60) == 0 {
+			check(g.Flush(nil), model.flush())
+		}
+	}
+	check(g.Flush(nil), model.flush())
+	if full == 0 {
+		t.Error("no aggregate reached MaxGROSize; the stream misses the full-aggregate flush")
+	}
+	if skbs.Outstanding() != 0 || fp.Outstanding() != 0 {
+		t.Errorf("pools unbalanced: %d skbs and %d frames outstanding", skbs.Outstanding(), fp.Outstanding())
 	}
 }

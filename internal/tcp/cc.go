@@ -67,7 +67,7 @@ func (r *Reno) Name() string { return "reno" }
 
 // Init implements CongestionControl.
 func (r *Reno) Init(c *Conn) {
-	r.cwnd = c.cfg.InitCwnd
+	r.cwnd = c.initCwnd
 	r.ssthresh = units.Bytes(math.MaxInt64 / 4)
 }
 
@@ -142,7 +142,7 @@ func (c *Cubic) Name() string { return "cubic" }
 
 // Init implements CongestionControl.
 func (c *Cubic) Init(conn *Conn) {
-	c.cwnd = conn.cfg.InitCwnd
+	c.cwnd = conn.initCwnd
 	c.ssthresh = units.Bytes(math.MaxInt64 / 4)
 }
 
@@ -278,7 +278,7 @@ func (b *BBR) Name() string { return "bbr" }
 
 // Init implements CongestionControl.
 func (b *BBR) Init(c *Conn) {
-	b.cwnd = c.cfg.InitCwnd
+	b.cwnd = c.initCwnd
 	b.btlBw = 1 * units.Gbps
 	b.startup = true
 }

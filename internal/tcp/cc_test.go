@@ -43,7 +43,7 @@ func TestCCFactoryNames(t *testing.T) {
 
 func TestRenoSlowStartDoubling(t *testing.T) {
 	r := &Reno{mss: 1000}
-	r.Init(&Conn{cfg: Config{InitCwnd: 10000}})
+	r.Init(&Conn{initCwnd: 10000})
 	// Acking a full window in slow start doubles cwnd.
 	r.OnAck(nil, 10000, time.Millisecond, false)
 	if r.Cwnd() != 20000 {
@@ -53,7 +53,7 @@ func TestRenoSlowStartDoubling(t *testing.T) {
 
 func TestRenoFloors(t *testing.T) {
 	r := &Reno{mss: 1000}
-	r.Init(&Conn{cfg: Config{InitCwnd: 3000}})
+	r.Init(&Conn{initCwnd: 3000})
 	r.OnLoss()
 	r.OnLoss()
 	r.OnLoss()
@@ -74,7 +74,7 @@ func TestRenoFloors(t *testing.T) {
 
 func TestCubicConvergesTowardWmax(t *testing.T) {
 	c := &Cubic{mss: 1448}
-	c.Init(&Conn{cfg: Config{InitCwnd: 100 * 1448}})
+	c.Init(&Conn{initCwnd: 100 * 1448})
 	c.ssthresh = 1 // force congestion avoidance
 	// Take a loss to establish Wmax, then grow back.
 	c.OnLoss()
@@ -95,7 +95,7 @@ func TestCubicConvergesTowardWmax(t *testing.T) {
 
 func TestCubicTCPFriendlyFloor(t *testing.T) {
 	c := &Cubic{mss: 1000}
-	c.Init(&Conn{cfg: Config{InitCwnd: 50000}})
+	c.Init(&Conn{initCwnd: 50000})
 	c.ssthresh = 1
 	c.wMax = 1e9 // park the cubic target far above: the floor applies
 	c.k = 1e9
@@ -110,7 +110,7 @@ func TestCubicTCPFriendlyFloor(t *testing.T) {
 
 func TestCubicRTOResetsEpoch(t *testing.T) {
 	c := &Cubic{mss: 1448}
-	c.Init(&Conn{cfg: Config{InitCwnd: 100 * 1448}})
+	c.Init(&Conn{initCwnd: 100 * 1448})
 	c.ssthresh = 1
 	c.inEpoch = true
 	c.OnRTO()
@@ -124,7 +124,7 @@ func TestCubicRTOResetsEpoch(t *testing.T) {
 
 func TestDCTCPFullMarkingHalvesWindow(t *testing.T) {
 	d := &DCTCP{Reno: Reno{mss: 1000}}
-	d.Init(&Conn{cfg: Config{InitCwnd: 20000}})
+	d.Init(&Conn{initCwnd: 20000})
 	d.ssthresh = 1
 	w0 := d.Cwnd()
 	// Several fully-marked epochs: alpha -> 1, window halves repeatedly.
@@ -146,7 +146,7 @@ func TestDCTCPProportionality(t *testing.T) {
 	// Half-marked epochs should cut less than fully-marked ones.
 	run := func(markEvery int) units.Bytes {
 		d := &DCTCP{Reno: Reno{mss: 1000}}
-		d.Init(&Conn{cfg: Config{InitCwnd: 40000}})
+		d.Init(&Conn{initCwnd: 40000})
 		d.ssthresh = 1
 		for i := 0; i < 200; i++ {
 			d.OnAck(nil, 4000, time.Millisecond, i%markEvery == 0)
@@ -162,7 +162,7 @@ func TestDCTCPProportionality(t *testing.T) {
 
 func TestBBRStartupExitsOnPlateau(t *testing.T) {
 	b := &BBR{mss: 1448}
-	b.Init(&Conn{cfg: Config{InitCwnd: 14480}})
+	b.Init(&Conn{initCwnd: 14480})
 	if !b.startup {
 		t.Fatal("BBR should begin in startup")
 	}
@@ -182,7 +182,7 @@ func TestBBRStartupExitsOnPlateau(t *testing.T) {
 
 func TestBBRStartupGain(t *testing.T) {
 	b := &BBR{mss: 1448}
-	b.Init(&Conn{cfg: Config{InitCwnd: 14480}})
+	b.Init(&Conn{initCwnd: 14480})
 	// In startup the pacing gain is 2.885x the bottleneck estimate.
 	want := units.BitRate(float64(b.btlBw) * 2.885)
 	got := b.PacingRate()
@@ -193,7 +193,7 @@ func TestBBRStartupGain(t *testing.T) {
 
 func TestBBRCwndTracksBDP(t *testing.T) {
 	b := &BBR{mss: 1448}
-	b.Init(&Conn{cfg: Config{InitCwnd: 14480}})
+	b.Init(&Conn{initCwnd: 14480})
 	ctxAt(t, time.Millisecond, func(x *exec.Ctx) {
 		b.OnAck(x, 0, 100*time.Microsecond, false) // establish minRTT
 	})
@@ -205,7 +205,7 @@ func TestBBRCwndTracksBDP(t *testing.T) {
 
 func TestBBRRTOHalvesEstimate(t *testing.T) {
 	b := &BBR{mss: 1448}
-	b.Init(&Conn{cfg: Config{InitCwnd: 14480}})
+	b.Init(&Conn{initCwnd: 14480})
 	b.btlBw = 50 * units.Gbps
 	b.OnRTO()
 	if b.btlBw != 25*units.Gbps {
@@ -222,7 +222,7 @@ func TestBBRRTOHalvesEstimate(t *testing.T) {
 
 func TestBBRLossIsIgnored(t *testing.T) {
 	b := &BBR{mss: 1448}
-	b.Init(&Conn{cfg: Config{InitCwnd: 14480}})
+	b.Init(&Conn{initCwnd: 14480})
 	w := b.Cwnd()
 	b.OnLoss()
 	if b.Cwnd() != w {

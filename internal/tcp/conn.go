@@ -33,11 +33,6 @@ type Config struct {
 	SndBuf       units.Bytes // send buffer bound
 	RcvBuf       units.Bytes // initial receive buffer
 	RcvBufMax    units.Bytes // autotune cap; 0 = RcvBuf is fixed
-	InitCwnd     units.Bytes // initial congestion window; 0 = 10*MSS
-	MinRTO       time.Duration
-	PersistTime  time.Duration // zero-window probe interval
-	DelAckBytes  units.Bytes   // ack at least every this many delivered bytes; 0 = 2*MSS
-	DelAckTime   time.Duration // trailing-edge delayed-ack timer; 0 = 500us
 	// TSQBytes bounds the connection's unsent-to-wire bytes in the
 	// qdisc/NIC (TCP Small Queues); 0 = 256KB. The host reports wire
 	// departures via TxCompleted.
@@ -53,10 +48,17 @@ func DefaultConfig(mss units.Bytes) Config {
 		SndBuf:       4 * units.MB,
 		RcvBuf:       128 * units.KB,
 		RcvBufMax:    6 * units.MB,
-		MinRTO:       10 * time.Millisecond,
-		PersistTime:  5 * time.Millisecond,
 	}
 }
+
+// Timer and window constants of every connection (Linux's, scaled to the
+// testbed's microsecond RTTs). The initial congestion window is 10 MSS
+// and a receiver acks at least every 2 MSS of delivered bytes.
+const (
+	minRTO      = 10 * time.Millisecond  // retransmission timeout floor
+	persistTime = 5 * time.Millisecond   // zero-window probe interval
+	delAckTime  = 500 * time.Microsecond // trailing-edge delayed-ack timer
+)
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -69,10 +71,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("tcp: SndBuf %d < SegmentBytes", c.SndBuf)
 	case c.RcvBuf <= 0:
 		return fmt.Errorf("tcp: RcvBuf = %d", c.RcvBuf)
-	case c.MinRTO <= 0:
-		return fmt.Errorf("tcp: MinRTO = %v", c.MinRTO)
-	case c.PersistTime <= 0:
-		return fmt.Errorf("tcp: PersistTime = %v", c.PersistTime)
 	}
 	return nil
 }
@@ -138,6 +136,8 @@ type Conn struct {
 	cc    CongestionControl
 	flow  skb.FlowID // the flow this endpoint transmits
 
+	initCwnd units.Bytes // 10 MSS; the congestion controllers start from it
+
 	// ---- transmit state.
 	sndUna        int64
 	sndNxt        int64
@@ -201,20 +201,12 @@ func New(eng *sim.Engine, costs *cpumodel.Costs, cfg Config, flow skb.FlowID,
 	if hooks.SendSegment == nil || hooks.SendAck == nil || hooks.Softirq == nil || hooks.SendProbe == nil {
 		panic("tcp: missing required hook")
 	}
-	if cfg.InitCwnd == 0 {
-		cfg.InitCwnd = 10 * cfg.MSS
-	}
-	if cfg.DelAckBytes == 0 {
-		cfg.DelAckBytes = 2 * cfg.MSS
-	}
-	if cfg.DelAckTime == 0 {
-		cfg.DelAckTime = 500 * time.Microsecond
-	}
 	if cfg.TSQBytes == 0 {
 		cfg.TSQBytes = 256 * units.KB
 	}
 	c := &Conn{
 		eng: eng, costs: costs, cfg: cfg, hooks: hooks, cc: cc, flow: flow,
+		initCwnd:  10 * cfg.MSS,
 		rcvBuf:    cfg.RcvBuf,
 		rightEdge: int64(cfg.RcvBuf), // peer starts with its initial window
 		srtt:      0,
@@ -593,10 +585,7 @@ func (c *Conn) rttSample(rtt time.Duration) {
 // RTO returns the current retransmission timeout.
 func (c *Conn) RTO() time.Duration {
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.cfg.MinRTO {
-		rto = c.cfg.MinRTO
-	}
-	return rto
+	return max(rto, minRTO)
 }
 
 func (c *Conn) armRTO() {
@@ -759,7 +748,7 @@ func (c *Conn) maybePersist() {
 	if c.persistTimer.Pending() {
 		return
 	}
-	c.persistTimer = c.eng.After(c.cfg.PersistTime, c.persistFn)
+	c.persistTimer = c.eng.After(persistTime, c.persistFn)
 }
 
 // persistBody is the zero-window probe timer handler (softirq context).
@@ -836,12 +825,12 @@ func (c *Conn) acceptInOrder(ctx *exec.Ctx, s *skb.SKB) {
 	if c.quickAcks > 0 {
 		c.quickAcks--
 		c.sendAck(ctx, false)
-	} else if c.unacked >= c.cfg.DelAckBytes || len(c.ooo) > 0 {
+	} else if c.unacked >= 2*c.cfg.MSS || len(c.ooo) > 0 {
 		c.sendAck(ctx, false)
 	} else if !c.delAckTimer.Pending() {
 		// Trailing-edge delayed ACK so the final sub-threshold bytes of a
 		// burst are still acknowledged.
-		c.delAckTimer = c.eng.After(c.cfg.DelAckTime, c.delAckFn)
+		c.delAckTimer = c.eng.After(delAckTime, c.delAckFn)
 	}
 	if c.hooks.OnReadable != nil {
 		c.hooks.OnReadable(ctx, c)

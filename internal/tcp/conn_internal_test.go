@@ -149,7 +149,6 @@ func TestPersistProbeFiresOnZeroWindow(t *testing.T) {
 	p := newPipe(t, 80, "cubic", 8934, func(c *Config) {
 		c.RcvBuf = 64 * units.KB
 		c.RcvBufMax = 0
-		c.PersistTime = 2 * time.Millisecond
 	}, 0)
 	p.autoRead = false // receiver never drains: window slams shut
 	p.send(2 * units.MB)

@@ -18,7 +18,8 @@ import (
 type pipe struct {
 	eng  *sim.Engine
 	sys  *exec.System
-	a, b *Conn // a transmits flow 1 to b
+	a, b *Conn    // a transmits flow 1 to b
+	skbs skb.Pool // builds the skb of each frame the wires deliver
 
 	recvd  []*skb.SKB // what b's app read
 	recvdB units.Bytes
@@ -45,14 +46,14 @@ func newPipe(t *testing.T, seed int64, ccName string, mss units.Bytes,
 	toB = wire.NewLink(p.eng, 100*units.Gbps, 2*time.Microsecond, func(f *skb.Frame) {
 		p.sys.Core(0).RaiseSoftirq(func(ctx *exec.Ctx) {
 			ctx.Charge(cpumodel.Netdev, 100)
-			p.b.OnSegment(ctx, skb.FromFrame(f))
+			p.b.OnSegment(ctx, p.skbs.Get(f))
 		})
 	})
 	toB.SetLossRate(lossAtoB)
 	toA = wire.NewLink(p.eng, 100*units.Gbps, 2*time.Microsecond, func(f *skb.Frame) {
 		p.sys.Core(1).RaiseSoftirq(func(ctx *exec.Ctx) {
 			ctx.Charge(cpumodel.Netdev, 100)
-			p.a.OnSegment(ctx, skb.FromFrame(f))
+			p.a.OnSegment(ctx, p.skbs.Get(f))
 		})
 	})
 
@@ -353,7 +354,7 @@ func TestSendDataBeyondBufferPanics(t *testing.T) {
 
 func TestCubicSlowStartAndBackoff(t *testing.T) {
 	c := &Cubic{mss: 1448}
-	conn := &Conn{cfg: Config{InitCwnd: 10 * 1448}}
+	conn := &Conn{initCwnd: 10 * 1448}
 	c.Init(conn)
 	if c.Cwnd() != 14480 {
 		t.Fatalf("initial cwnd = %v", c.Cwnd())
@@ -373,7 +374,7 @@ func TestCubicSlowStartAndBackoff(t *testing.T) {
 
 func TestRenoAIMD(t *testing.T) {
 	r := &Reno{mss: 1000}
-	conn := &Conn{cfg: Config{InitCwnd: 10000}}
+	conn := &Conn{initCwnd: 10000}
 	r.Init(conn)
 	r.ssthresh = 10000 // force congestion avoidance
 	r.OnAck(nil, 10000, time.Millisecond, false)
@@ -392,7 +393,7 @@ func TestRenoAIMD(t *testing.T) {
 
 func TestDCTCPAlphaTracksMarks(t *testing.T) {
 	d := &DCTCP{Reno: Reno{mss: 1000}}
-	conn := &Conn{cfg: Config{InitCwnd: 10000}}
+	conn := &Conn{initCwnd: 10000}
 	d.Init(conn)
 	d.ssthresh = 1 // CA
 	// One full epoch with every byte marked: alpha rises by g.
@@ -488,8 +489,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SegmentBytes = c.MSS - 1 },
 		func(c *Config) { c.SndBuf = 0 },
 		func(c *Config) { c.RcvBuf = 0 },
-		func(c *Config) { c.MinRTO = 0 },
-		func(c *Config) { c.PersistTime = 0 },
 	}
 	for i, f := range bad {
 		cfg := DefaultConfig(1448)

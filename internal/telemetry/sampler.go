@@ -39,7 +39,7 @@ type Sampler struct {
 	reg      *Registry
 	interval time.Duration
 
-	max     int
+	max     int               // DefaultMaxSamples; tests lower it
 	samples chunk.Log[sample] // positions first.. are retained
 	first   int               // position of the oldest retained sample
 	base    []float64         // values of the oldest retained sample
@@ -74,19 +74,19 @@ func diff(log *chunk.Log[change], last, row []float64) {
 	}
 }
 
-// NewSampler builds a sampler over reg with the given interval and ring
-// capacity (maximum retained samples).
-func NewSampler(eng *sim.Engine, reg *Registry, interval time.Duration, maxSamples int) *Sampler {
+// NewSampler builds a sampler over reg that samples every interval (0 =
+// DefaultInterval) into a ring of DefaultMaxSamples samples.
+func NewSampler(eng *sim.Engine, reg *Registry, interval time.Duration) *Sampler {
 	if eng == nil || reg == nil {
 		panic("telemetry: nil engine or registry")
 	}
-	if interval <= 0 {
-		panic("telemetry: non-positive sample interval")
+	if interval < 0 {
+		panic("telemetry: negative sample interval")
 	}
-	if maxSamples <= 0 {
-		panic("telemetry: non-positive sample capacity")
+	if interval == 0 {
+		interval = DefaultInterval
 	}
-	return &Sampler{eng: eng, reg: reg, interval: interval, max: maxSamples}
+	return &Sampler{eng: eng, reg: reg, interval: interval, max: DefaultMaxSamples}
 }
 
 // Start schedules the first sample at absolute simulated time at (or now,

@@ -15,26 +15,30 @@ import (
 	"hostsim/internal/sim"
 )
 
-func newSampled(t *testing.T, horizon time.Duration, maxSamples int) (*sim.Engine, *Sampler, *Counter) {
+// newSampled samples a count of simulated events every 100µs into a ring
+// of maxSamples samples until horizon.
+func newSampled(t *testing.T, horizon time.Duration, maxSamples int) (*sim.Engine, *Sampler) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	reg := NewRegistry()
-	ctr := reg.Counter("events")
-	// Simulated activity: bump the counter every 30µs.
+	var events int64
+	reg.Gauge("events", func() float64 { return float64(events) })
+	// Simulated activity: count an event every 30µs.
 	var work func()
 	work = func() {
-		ctr.Inc()
+		events++
 		eng.After(30*time.Microsecond, work)
 	}
 	eng.After(30*time.Microsecond, work)
-	s := NewSampler(eng, reg, 100*time.Microsecond, maxSamples)
+	s := NewSampler(eng, reg, 100*time.Microsecond)
+	s.max = maxSamples
 	s.Start(0)
 	eng.Run(sim.Time(horizon))
-	return eng, s, ctr
+	return eng, s
 }
 
 func TestSamplerSamplesOnInterval(t *testing.T) {
-	_, s, _ := newSampled(t, time.Millisecond, 1024)
+	_, s := newSampled(t, time.Millisecond, 1024)
 	// Samples at 0, 100µs, ..., 900µs (horizon exclusive).
 	if s.Count() != 10 {
 		t.Fatalf("Count = %d, want 10", s.Count())
@@ -59,7 +63,7 @@ func TestSamplerSamplesOnInterval(t *testing.T) {
 }
 
 func TestSamplerRingEvictsOldest(t *testing.T) {
-	_, s, _ := newSampled(t, time.Millisecond, 4)
+	_, s := newSampled(t, time.Millisecond, 4)
 	if s.Count() != 4 {
 		t.Fatalf("Count = %d, want 4 (ring capacity)", s.Count())
 	}
@@ -83,7 +87,7 @@ func TestSamplerStartClampsToNow(t *testing.T) {
 	reg.Gauge("g", func() float64 { return 1 })
 	eng.At(sim.Time(50*time.Microsecond), func() {})
 	eng.Run(sim.Time(60 * time.Microsecond))
-	s := NewSampler(eng, reg, 100*time.Microsecond, 16)
+	s := NewSampler(eng, reg, 100*time.Microsecond)
 	s.Start(0) // in the past: first sample lands at now
 	eng.Run(sim.Time(200 * time.Microsecond))
 	if s.Count() == 0 {
@@ -98,7 +102,7 @@ func TestSamplerStartIsIdempotent(t *testing.T) {
 	eng := sim.NewEngine(1)
 	reg := NewRegistry()
 	reg.Gauge("g", func() float64 { return 1 })
-	s := NewSampler(eng, reg, 100*time.Microsecond, 16)
+	s := NewSampler(eng, reg, 100*time.Microsecond)
 	s.Start(0)
 	s.Start(0)
 	eng.Run(sim.Time(250 * time.Microsecond))
@@ -111,10 +115,9 @@ func TestSamplerValidation(t *testing.T) {
 	eng := sim.NewEngine(1)
 	reg := NewRegistry()
 	for name, fn := range map[string]func(){
-		"nil engine":   func() { NewSampler(nil, reg, time.Millisecond, 1) },
-		"nil registry": func() { NewSampler(eng, nil, time.Millisecond, 1) },
-		"interval":     func() { NewSampler(eng, reg, 0, 1) },
-		"capacity":     func() { NewSampler(eng, reg, time.Millisecond, 0) },
+		"nil engine":   func() { NewSampler(nil, reg, time.Millisecond) },
+		"nil registry": func() { NewSampler(eng, nil, time.Millisecond) },
+		"interval":     func() { NewSampler(eng, reg, -time.Millisecond) },
 	} {
 		func() {
 			defer func() {
@@ -125,6 +128,10 @@ func TestSamplerValidation(t *testing.T) {
 			fn()
 		}()
 	}
+	if s := NewSampler(eng, reg, 0); s.interval != DefaultInterval || s.max != DefaultMaxSamples {
+		t.Errorf("NewSampler(eng, reg, 0) samples every %v into %d, want %v into %d",
+			s.interval, s.max, DefaultInterval, DefaultMaxSamples)
+	}
 }
 
 // Timeline rows sampled before a late metric registration are padded to
@@ -133,7 +140,7 @@ func TestTimelinePadsEarlyRows(t *testing.T) {
 	eng := sim.NewEngine(1)
 	reg := NewRegistry()
 	reg.Gauge("a", func() float64 { return 1 })
-	s := NewSampler(eng, reg, 100*time.Microsecond, 16)
+	s := NewSampler(eng, reg, 100*time.Microsecond)
 	s.Start(0)
 	eng.Run(sim.Time(150 * time.Microsecond)) // samples at 0 and 100µs
 	reg.Gauge("late", func() float64 { return 7 })
@@ -156,7 +163,7 @@ func TestTimelinePadsEarlyRows(t *testing.T) {
 // determinism contract of -telemetry-out.
 func TestTimelineSerializationDeterministic(t *testing.T) {
 	render := func() (string, string) {
-		_, s, _ := newSampled(t, time.Millisecond, 1024)
+		_, s := newSampled(t, time.Millisecond, 1024)
 		tl := s.Timeline()
 		var csv, jsonl strings.Builder
 		if err := tl.WriteCSV(&csv); err != nil {
@@ -192,7 +199,8 @@ func TestTimelineSharesRowsExactly(t *testing.T) {
 	reg := NewRegistry()
 	v := 0.0
 	reg.Gauge("a", func() float64 { return v })
-	s := NewSampler(eng, reg, time.Microsecond, 3)
+	s := NewSampler(eng, reg, time.Microsecond)
+	s.max = 3
 	for i := 1; i <= 4; i++ { // the ring wraps: samples 2, 3, 4 remain
 		v = float64(i)
 		s.Sample()
@@ -250,7 +258,8 @@ func TestSamplerMatchesDenseReference(t *testing.T) {
 				addGauge(pool[rng.Intn(len(pool))])
 			}
 			const max = 7
-			s := NewSampler(eng, reg, time.Microsecond, max)
+			s := NewSampler(eng, reg, time.Microsecond)
+			s.max = max
 			var rows [][]float64 // every sample, as wide as the registry was
 			var times []time.Duration
 			var mid *Timeline

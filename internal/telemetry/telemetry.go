@@ -1,6 +1,6 @@
 // Package telemetry provides the simulator's time-resolved observability
-// layer: a registry of named counters and gauges that every subsystem
-// registers into, an interval sampler that snapshots the registry into a
+// layer: a registry of named gauges and column blocks that every
+// subsystem registers into, an interval sampler that snapshots the registry into a
 // ring-buffered timeseries (dumpable as CSV or JSONL), and the one Chrome
 // trace-event writer (WriteChromeSpans) for Perfetto / chrome://tracing.
 // Every trace producer hands that writer Spans: EventSpans turns the
@@ -8,30 +8,16 @@
 // into them, and the message tracer and fabric observatory build their
 // own, so one run's tracks land in one trace.
 //
-// The whole layer follows the nil-is-free convention of internal/trace: a
-// nil *Registry hands out nil *Counters, and every method of a nil
-// Counter or Registry is a no-op, so the data path carries no telemetry
-// cost unless a registry is installed.
+// A registry only reads: every column is a probe over state its owner
+// keeps anyway (a host's counts are plain fields), so the data path
+// carries no telemetry cost. Every method of a nil *Registry is a no-op,
+// so subsystems can register unconditionally.
 package telemetry
 
 import (
 	"fmt"
 	"strings"
 )
-
-// Counter is a monotonically increasing event count. Subsystems hold the
-// *Counter returned by Registry.Counter and bump it on their hot paths; a
-// nil Counter (handed out by a nil Registry) makes every bump a no-op.
-type Counter struct {
-	v int64
-}
-
-// Inc adds one. Safe on a nil counter.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
 
 // block is one registration: len(names) adjacent columns, named
 // prefix+names[i], that one read call fills.
@@ -56,11 +42,10 @@ type slot struct {
 //
 // Registration is by block: one read function fills several adjacent
 // columns, so a source with many columns costs one closure, and full
-// column names are only built when Names asks for them. Gauge and
-// Counter register one-column blocks.
+// column names are only built when Names asks for them. Gauge registers
+// a one-column block.
 //
-// A nil *Registry is valid: Counter returns nil (a no-op counter) and
-// Gauge and Block do nothing, so subsystems can register unconditionally.
+// A nil *Registry is valid: Gauge and Block do nothing.
 type Registry struct {
 	blocks []block
 	n      int    // registered columns
@@ -75,18 +60,6 @@ func NewRegistry() *Registry {
 // oneColumn is the suffix list of a one-column block: the prefix is the
 // whole name.
 var oneColumn = []string{""}
-
-// Counter registers a new counter under name and returns it. On a nil
-// registry it returns nil, which is a valid no-op counter. Registering a
-// duplicate name panics: metric names identify timeline columns.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.Block(name, oneColumn, func(dst []float64) { dst[0] = float64(c.v) })
-	return c
-}
 
 // Gauge registers a one-column probe under name. Like every block's read
 // (see Block), the probe runs exactly once per sample, in registration

@@ -29,11 +29,6 @@ func durs(n int) []time.Duration {
 
 func TestNilRegistryIsFree(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	if c != nil {
-		t.Fatal("nil registry must hand out nil counters")
-	}
-	c.Inc()
 	r.Gauge("y", func() float64 { return 1 })
 	r.Block("z/", []string{"a", "b"}, func(dst []float64) { dst[0], dst[1] = 1, 2 })
 	if r.Len() != 0 || r.Names() != nil || len(r.ReadInto(make([]float64, 2))) != 0 {
@@ -41,14 +36,17 @@ func TestNilRegistryIsFree(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
+// TestGauge reads a gauge over a count, the way hosts publish theirs:
+// each read sees the value the count holds at that moment.
+func TestGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("drops")
-	for i := 0; i < 42; i++ {
-		c.Inc()
+	var drops int64
+	r.Gauge("drops", func() float64 { return float64(drops) })
+	if row := r.ReadInto(nil); len(row) != 1 || row[0] != 0 {
+		t.Errorf("registry reads %v before the drops, want [0]", row)
 	}
-	if c.v != 42 {
-		t.Errorf("count = %d, want 42", c.v)
+	for i := 0; i < 42; i++ {
+		drops++
 	}
 	if names, row := r.Names(), r.ReadInto(nil); len(names) != 1 || names[0] != "drops" || len(row) != 1 || row[0] != 42 {
 		t.Errorf("registry reads %v = %v, want [drops] = [42]", names, row)
@@ -59,7 +57,7 @@ func TestReadKeepsRegistrationOrder(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("z", func() float64 { return 3 })
 	r.Block("blk/", []string{"y", "x"}, func(dst []float64) { dst[0], dst[1] = 4, 5 })
-	r.Counter("a").Inc()
+	r.Gauge("a", func() float64 { return 1 })
 	r.Gauge("m", func() float64 { return 2 })
 	r.Block("", []string{"b"}, func(dst []float64) { dst[0] = 6 })
 	wantNames := []string{"z", "blk/y", "blk/x", "a", "m", "b"}
@@ -110,7 +108,7 @@ func mustPanic(t *testing.T, what string, register func(r *Registry)) {
 func TestDuplicateNamePanics(t *testing.T) {
 	nop := func(dst []float64) {}
 	mustPanic(t, "gauge over a block column", func(r *Registry) { r.Gauge("x", func() float64 { return 0 }) })
-	mustPanic(t, "counter over a block column", func(r *Registry) { r.Counter("y") })
+	mustPanic(t, "a one-column block over a block column", func(r *Registry) { r.Block("y", oneColumn, nop) })
 	mustPanic(t, "a duplicate inside one block", func(r *Registry) { r.Block("n/", []string{"p", "q", "p"}, nop) })
 	mustPanic(t, "a duplicate across blocks", func(r *Registry) { r.Block("", []string{"z", "y"}, nop) })
 	mustPanic(t, "a duplicate split across the prefix boundary", func(r *Registry) { r.Block("a/b/", []string{"c"}, nop) })
@@ -178,7 +176,7 @@ func TestEmptyNamePanics(t *testing.T) {
 			t.Error("empty name should panic")
 		}
 	}()
-	r.Counter("")
+	r.Gauge("", func() float64 { return 0 })
 }
 
 func TestNilProbePanics(t *testing.T) {

@@ -91,7 +91,7 @@ func armCheck(c *Config) observer {
 func (o *checkObs) validate(*Config) error { return nil }
 
 func (o *checkObs) attach(w *world) {
-	o.ck = check.New(w.eng, check.Options{Collect: o.opts.Collect})
+	o.ck = check.New(w.eng, o.opts.Collect)
 	core.AttachChecker(o.ck, w.cluster)
 	o.ck.Start()
 }
@@ -190,10 +190,6 @@ func (o *telemetryObs) validate(*Config) error {
 }
 
 func (o *telemetryObs) attach(w *world) {
-	interval := o.opts.SampleInterval
-	if interval == 0 {
-		interval = telemetry.DefaultInterval
-	}
 	reg := telemetry.NewRegistry()
 	for _, h := range w.hosts {
 		h.EnableTelemetry(reg)
@@ -203,7 +199,7 @@ func (o *telemetryObs) attach(w *world) {
 		// host gauges, so one -telemetry-out artifact covers both.
 		w.cluster.Fabric().RegisterTelemetry(reg, "fabric/")
 	}
-	o.sampler = telemetry.NewSampler(w.eng, reg, interval, telemetry.DefaultMaxSamples)
+	o.sampler = telemetry.NewSampler(w.eng, reg, o.opts.SampleInterval)
 }
 
 // reset takes the first sample at the start of the measurement window,
@@ -377,23 +373,19 @@ func (o *inspectObs) attach(w *world) {
 		// other host, addressed from 10.0.0.(i+1).
 		for i, h := range hosts {
 			peer := hosts[1-i]
-			cap := inspect.NewCapture(w.eng, h.Name()+"->"+peer.Name(), i, 0, 0)
+			cap := inspect.NewCapture(w.eng, h.Name()+"->"+peer.Name(), i)
 			w.cluster.Fabric().Port(1 - i).Out().SetTap(cap.Tap())
 			o.captures = append(o.captures, cap)
 		}
 	}
 	if o.opts.Probe {
-		o.probes = inspect.NewProbeTrace(0)
+		o.probes = inspect.NewProbeTrace()
 		for _, h := range hosts {
 			hook := o.probes.Hook(h.Name())
 			h.ForEachEndpoint(func(ep *core.Endpoint) { ep.Conn().AddProbe(hook) })
 		}
 	}
 	if o.opts.SS {
-		interval := o.opts.SSInterval
-		if interval == 0 {
-			interval = telemetry.DefaultInterval
-		}
 		reg := telemetry.NewRegistry()
 		for _, h := range hosts {
 			h.RegisterInspect(reg)
@@ -411,7 +403,7 @@ func (o *inspectObs) attach(w *world) {
 				ep.Conn().AddProbe(rtt.Watch(reg, prefix, flow))
 			})
 		}
-		o.ss = telemetry.NewSampler(w.eng, reg, interval, telemetry.DefaultMaxSamples)
+		o.ss = telemetry.NewSampler(w.eng, reg, o.opts.SSInterval)
 		// Sample from t=0: unlike the measurement timeline, socket
 		// snapshots deliberately cover warmup, where slow start lives.
 		o.ss.Start(0)

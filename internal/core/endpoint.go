@@ -148,8 +148,11 @@ func (ep *Endpoint) Write(ctx *exec.Ctx, n units.Bytes) units.Bytes {
 		miss := h.senderMissRate()
 		per := units.PerByte(float64(costs.CopySenderWarm)*(1-miss) + float64(costs.CopyMissLocal)*miss)
 		ctx.ChargeBytes(cpumodel.DataCopy, per, w)
-		// Recycle the page-slice slab of an earlier, fully acked chunk.
-		pages = h.Alloc.AppendAlloc(ctx, ep.appCore, h.spec.PagesFor(w), ep.conn.PageSlab())
+		// The chunk's page slice is a slab the connection recycles from an
+		// earlier, fully acked chunk or cuts from a block, with room for
+		// every page, so AppendAlloc never reallocates it.
+		np := h.spec.PagesFor(w)
+		pages = h.Alloc.AppendAlloc(ctx, ep.appCore, np, ep.conn.PageSlab(np))
 		h.sndInUse += w
 	}
 	h.written += w

@@ -74,10 +74,12 @@ func (a *Allocator) SetPagesetCap(n int) {
 // AppendAlloc appends n pages for code running on core to dst, charging
 // ch. Pages come from the core's pageset when available (cheap) and the
 // global allocator otherwise (expensive); they are placed on the core's
-// NUMA node. Hot paths hand in a reusable dst to avoid the per-call
-// allocation. A dst too short for n more pages is reallocated once, to
-// room for all of them (at least doubling, as append would), instead of
-// through append's doubling chain.
+// NUMA node. Hot paths hand in a dst with room for the n pages, so the
+// call allocates nothing: the send path a slab from its connection
+// (tcp.Conn.PageSlab), the NIC its Rx page stash. A dst too short for n
+// more pages is reallocated once, to room for all of them (at least
+// doubling, as append would), instead of through append's doubling chain;
+// the stash grows that way.
 func (a *Allocator) AppendAlloc(ch cpumodel.Charger, core, n int, dst []Page) []Page {
 	checkCount(n)
 	if cap(dst)-len(dst) < n {

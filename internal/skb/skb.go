@@ -106,15 +106,17 @@ func (s *SKB) String() string {
 // Pool recycles SKB structs — and the page-slice capacity they carry —
 // across the receive fast path. At 100Gbps with GRO the stack builds and
 // destroys tens of thousands of SKBs per simulated millisecond; recycling
-// them makes steady-state Rx processing allocation-free. The zero value
-// is an empty pool.
+// them makes steady-state Rx processing allocation-free. Fresh SKBs are
+// carved from blocks, as FramePool carves frames. The zero value is an
+// empty pool.
 //
 // Get copies the frame's page refs into the SKB's own slice instead of
 // aliasing the frame's, so the frame can be recycled (via FramePool) the
 // moment Get returns.
 type Pool struct {
-	free []*SKB
-	// Recycled/Fresh count Gets served from the pool vs heap-allocated.
+	free  []*SKB
+	block []SKB // unused tail of the block fresh skbs are carved from
+	// Recycled/Fresh count Gets served from the pool vs carved fresh.
 	Recycled int64
 	Fresh    int64
 	// Puts counts SKBs returned to the pool.
@@ -131,7 +133,11 @@ func (p *Pool) Get(f *Frame) *SKB {
 		p.free = p.free[:n-1]
 		p.Recycled++
 	} else {
-		s = &SKB{}
+		if len(p.block) == 0 {
+			p.block = make([]SKB, skbBlockLen)
+		}
+		s = &p.block[0]
+		p.block = p.block[1:]
 		p.Fresh++
 	}
 	s.Flow = f.Flow
@@ -148,6 +154,9 @@ func (p *Pool) Get(f *Frame) *SKB {
 	s.WireAt = f.WireAt
 	return s
 }
+
+// skbBlockLen is how many fresh skbs one Pool allocation carves.
+const skbBlockLen = 16
 
 // Put returns a dead SKB to the pool. The caller must not touch s (or its
 // Pages slice) afterwards.

@@ -342,6 +342,53 @@ func TestPoolRecyclesSKBs(t *testing.T) {
 	}
 }
 
+// Fresh skbs come out of blocks: the first skbBlockLen are consecutive
+// slots of one block, each distinct, and the next starts a new block.
+// Recycling is unchanged: Get hands back the last skb put, before any
+// block slot, and the counters see only skbs.
+func TestPoolCarvesFreshSKBsFromBlocks(t *testing.T) {
+	p := &Pool{}
+	f := &Frame{Flow: 1, Len: 100, Pages: []mem.Page{{ID: 7}}}
+	first := p.Get(f)
+	rest := p.block // the first block after its slot 0
+	if len(rest) != skbBlockLen-1 {
+		t.Fatalf("first block has %d slots left, want %d", len(rest), skbBlockLen-1)
+	}
+	seen := map[*SKB]bool{first: true}
+	for i := range rest {
+		s := p.Get(f)
+		if s != &rest[i] || seen[s] {
+			t.Fatalf("fresh skb %d is not the first block's next slot", i+1)
+		}
+		seen[s] = true
+	}
+	next := p.Get(f)
+	if seen[next] || len(p.block) != skbBlockLen-1 {
+		t.Fatalf("skb %d did not start a new block (%d slots left)", skbBlockLen+1, len(p.block))
+	}
+	for s := range seen {
+		if len(s.Pages) != 1 || s.Pages[0].ID != 7 || s.Flow != 1 {
+			t.Fatalf("carved skb not built from its frame: %+v", s)
+		}
+	}
+	first.Pages[0] = mem.Page{ID: 99}
+	if rest[0].Pages[0].ID != 7 {
+		t.Error("skbs of one block share page storage")
+	}
+
+	p.Put(first)
+	p.Put(next)
+	if p.Get(f) != next || p.Get(f) != first {
+		t.Error("Get did not recycle the put skbs last-in first-out")
+	}
+	if s := p.Get(f); seen[s] {
+		t.Error("Get after the recycled skbs returned an skb already handed out")
+	}
+	if want := int64(skbBlockLen + 2); p.Fresh != want || p.Recycled != 2 || p.Outstanding() != want {
+		t.Errorf("Fresh %d Recycled %d Outstanding %d, want %d, 2, %d", p.Fresh, p.Recycled, p.Outstanding(), want, want)
+	}
+}
+
 func TestPoolGetCopiesPages(t *testing.T) {
 	p := &Pool{}
 	p.Put(&SKB{}) // ensure the recycled path

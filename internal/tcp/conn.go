@@ -76,7 +76,7 @@ func (c Config) Validate() error {
 }
 
 // Hooks connects a Conn to its host. All fields are required except
-// OnWritable/OnReadable/OnAckedPages, which may be nil.
+// OnWritable/OnReadable, which may be nil.
 type Hooks struct {
 	// SendSegment transmits [seq, seq+len) of the connection's tx flow,
 	// charging the tx data path to ctx. retrans marks retransmissions.
@@ -94,13 +94,12 @@ type Hooks struct {
 	OnWritable func(ctx *exec.Ctx, c *Conn)
 	// OnAckedPages releases the sender-side pages backing acked bytes.
 	OnAckedPages func(ctx *exec.Ctx, c *Conn, pages []mem.Page)
-	// Recycle, if non-nil, receives skbs the connection has fully consumed
-	// (pure ACKs, probes, duplicates) so the host can return them to its
-	// receive-path pool. Optional.
+	// Recycle receives skbs the connection has fully consumed (pure ACKs,
+	// probes, duplicates) so the host can return them to its receive-path
+	// pool.
 	Recycle func(s *skb.SKB)
-	// NewAck, if non-nil, supplies AckInfo records for outgoing ACKs
-	// (typically a pool shared with the peer, where the records die).
-	// Optional; nil means plain allocation.
+	// NewAck supplies the AckInfo record of each outgoing ACK (typically
+	// from a pool shared with the peer, where the records die).
 	NewAck func() *skb.AckInfo
 }
 
@@ -185,6 +184,8 @@ type Conn struct {
 	delAckFn  func()
 	freed     []mem.Page   // releaseAcked scratch
 	slabFree  [][]mem.Page // released chunk page slabs, for PageSlab
+	slabBlock []mem.Page   // unused tail of the block fresh slabs are cut from
+	slabCut   int          // pages cut into fresh slabs so far; sizes the next block
 	readOut   []*skb.SKB   // Read result scratch; valid until the next Read
 }
 
@@ -198,7 +199,8 @@ func New(eng *sim.Engine, costs *cpumodel.Costs, cfg Config, flow skb.FlowID,
 	if eng == nil || costs == nil || cc == nil {
 		panic("tcp: nil dependency")
 	}
-	if hooks.SendSegment == nil || hooks.SendAck == nil || hooks.Softirq == nil || hooks.SendProbe == nil {
+	if hooks.SendSegment == nil || hooks.SendAck == nil || hooks.Softirq == nil || hooks.SendProbe == nil ||
+		hooks.OnAckedPages == nil || hooks.Recycle == nil || hooks.NewAck == nil {
 		panic("tcp: missing required hook")
 	}
 	if cfg.TSQBytes == 0 {
@@ -446,21 +448,14 @@ func (c *Conn) OnSegment(ctx *exec.Ctx, s *skb.SKB) {
 	switch {
 	case s.Ack != nil:
 		c.onAck(ctx, s.Ack)
-		c.recycle(s)
+		c.hooks.Recycle(s)
 	case s.Len == 0:
 		c.stats.Probes++
 		ctx.Charge(cpumodel.TCPIP, c.costs.TCPRxPerSKB/2)
 		c.sendAck(ctx, false)
-		c.recycle(s)
+		c.hooks.Recycle(s)
 	default:
 		c.onData(ctx, s)
-	}
-}
-
-// recycle hands a fully consumed skb back to the host's pool, if any.
-func (c *Conn) recycle(s *skb.SKB) {
-	if c.hooks.Recycle != nil {
-		c.hooks.Recycle(s)
 	}
 }
 
@@ -545,25 +540,46 @@ func (c *Conn) releaseAcked(ctx *exec.Ctx) {
 			c.slabFree = append(c.slabFree, ch.pages[:0])
 		}
 	}
-	if len(freed) > 0 && c.hooks.OnAckedPages != nil {
+	if len(freed) > 0 {
 		c.hooks.OnAckedPages(ctx, c, freed)
 	}
 	c.freed = freed[:0]
 }
 
-// PageSlab returns a recycled zero-length page slice from previously acked
-// chunks (nil when none is available). Callers append the pages backing
-// their next SendData into it; the slab returns here once those bytes are
-// acknowledged.
-func (c *Conn) PageSlab() []mem.Page {
+// PageSlab returns a zero-length page slice with room for n pages. Callers
+// append the pages backing their next SendData into it; the slab returns
+// here once those bytes are acknowledged. The last released slab is reused
+// when it holds n pages and dropped when it does not. A fresh slab is cut
+// from a block shared with the connection's other fresh slabs, with
+// capacity exactly n, so appending past it reallocates instead of writing
+// into the next slab.
+func (c *Conn) PageSlab(n int) []mem.Page {
 	if k := len(c.slabFree); k > 0 {
 		s := c.slabFree[k-1]
 		c.slabFree[k-1] = nil
 		c.slabFree = c.slabFree[:k-1]
-		return s
+		if cap(s) >= n {
+			return s
+		}
 	}
-	return nil
+	if len(c.slabBlock) < n {
+		// Blocks grow with what the connection has cut so far, the way its
+		// send buffer fills, up to slabBlockMax pages.
+		c.slabBlock = make([]mem.Page, max(n, min(max(c.slabCut, slabBlockMin), slabBlockMax)))
+	}
+	s := c.slabBlock[:0:n]
+	c.slabBlock = c.slabBlock[n:]
+	c.slabCut += n
+	return s
 }
+
+// The bounds, in pages, of a block fresh send-buffer slabs are cut from
+// (a mem.Page is 16 bytes, so the largest block is 2 KB). A single slab
+// larger than slabBlockMax gets a block of its own size.
+const (
+	slabBlockMin = 8
+	slabBlockMax = 128
+)
 
 func (c *Conn) rttSample(rtt time.Duration) {
 	if rtt <= 0 {
@@ -792,7 +808,7 @@ func (c *Conn) onData(ctx *exec.Ctx, s *skb.SKB) {
 			return
 		}
 		c.sendAck(ctx, false)
-		c.recycle(s)
+		c.hooks.Recycle(s)
 	}
 }
 
@@ -805,7 +821,7 @@ func (c *Conn) acceptInOrder(ctx *exec.Ctx, s *skb.SKB) {
 		q := c.ooo[i]
 		c.oooBytes -= q.Len
 		if q.End() <= c.rcvNxt {
-			c.recycle(q)
+			c.hooks.Recycle(q)
 			continue // fully duplicate
 		}
 		if q.Seq < c.rcvNxt {
@@ -856,7 +872,7 @@ func (c *Conn) enqueueRecv(s *skb.SKB) {
 func (c *Conn) insertOOO(s *skb.SKB) {
 	i := sort.Search(len(c.ooo), func(i int) bool { return c.ooo[i].Seq >= s.Seq })
 	if i < len(c.ooo) && c.ooo[i].Seq == s.Seq {
-		c.recycle(s)
+		c.hooks.Recycle(s)
 		return // exact duplicate
 	}
 	c.ooo = append(c.ooo, nil)
@@ -896,12 +912,7 @@ func (c *Conn) SetWindowClamp(ctx *exec.Ctx, clamp units.Bytes) {
 func (c *Conn) sendAck(ctx *exec.Ctx, dup bool) {
 	c.delAckTimer.Stop()
 	ctx.Charge(cpumodel.TCPIP, c.costs.ACKGenerate)
-	var info *skb.AckInfo
-	if c.hooks.NewAck != nil {
-		info = c.hooks.NewAck()
-	} else {
-		info = &skb.AckInfo{}
-	}
+	info := c.hooks.NewAck()
 	info.Cum = c.rcvNxt
 	info.Window = c.advertisedWindow()
 	info.ECNEcho = c.ecnPending

@@ -6,6 +6,7 @@ import (
 
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/exec"
+	"hostsim/internal/mem"
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
 	"hostsim/internal/topology"
@@ -16,10 +17,11 @@ import (
 // pipe wires two connection endpoints through wire.Links, bypassing the
 // NIC: segments become MSS-sized frames, ACKs become pure-ACK frames.
 type pipe struct {
-	eng  *sim.Engine
-	sys  *exec.System
-	a, b *Conn    // a transmits flow 1 to b
-	skbs skb.Pool // builds the skb of each frame the wires deliver
+	eng    *sim.Engine
+	sys    *exec.System
+	a, b   *Conn         // a transmits flow 1 to b
+	skbs   skb.Pool      // builds the skb of each frame the wires deliver
+	frames skb.FramePool // recycles the AckInfo records of consumed ACKs
 
 	recvd  []*skb.SKB // what b's app read
 	recvdB units.Bytes
@@ -28,7 +30,7 @@ type pipe struct {
 	autoRead  bool
 }
 
-func newPipe(t *testing.T, seed int64, ccName string, mss units.Bytes,
+func newPipe(t testing.TB, seed int64, ccName string, mss units.Bytes,
 	mut func(*Config), lossAtoB float64) *pipe {
 	t.Helper()
 	p := &pipe{eng: sim.NewEngine(seed), autoRead: true}
@@ -82,7 +84,14 @@ func newPipe(t *testing.T, seed int64, ccName string, mss units.Bytes,
 				f := &skb.Frame{Flow: c.flow}
 				ctx.Defer(func() { out.Send(f) })
 			},
-			Softirq: func(fn func(*exec.Ctx)) { p.sys.Core(core).RaiseSoftirq(fn) },
+			Softirq:      func(fn func(*exec.Ctx)) { p.sys.Core(core).RaiseSoftirq(fn) },
+			OnAckedPages: func(*exec.Ctx, *Conn, []mem.Page) {},
+			Recycle: func(s *skb.SKB) {
+				p.frames.PutAck(s.Ack)
+				s.Ack = nil
+				p.skbs.Put(s)
+			},
+			NewAck: p.frames.GetAck,
 		}
 	}
 

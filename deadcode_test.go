@@ -96,6 +96,7 @@ func typeCheck(fset *token.FileSet, pkgs []*srcPackage, std types.Importer) (*ty
 	}
 	checked := map[string]*types.Package{}
 	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
@@ -479,6 +480,159 @@ func uncalledOptions(tm *typedModule, w writers, prefix string) (int, map[string
 	return n, uncalled, nil
 }
 
+// nilCheckedRequired returns the func-typed fields of the package-level
+// struct types of the non-user packages of tm that are required in fact
+// but optional in the code: every composite literal of the struct, in
+// any package, sets the field to something other than nil, and some code
+// still compares the field with nil. Such a test is a branch no
+// construction can take. A comparison in the condition of an if whose
+// body ends in panic is a constructor refusing a missing argument, not
+// such a branch, and does not count. A struct no literal builds is not
+// judged. Fields are keyed "pkg.Type.Field".
+func nilCheckedRequired(tm *typedModule) (map[string]token.Position, error) {
+	type tally struct {
+		key        string
+		lits, sets int
+		compared   bool
+	}
+	fields := map[*types.Var]*tally{}
+	for _, p := range tm.pkgs {
+		if p.user {
+			continue
+		}
+		pkg, err := tm.imp.Import(p.path)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if fv := st.Field(i); isFunc(fv.Type()) {
+					fields[fv] = &tally{key: pkg.Name() + "." + name + "." + fv.Name()}
+				}
+			}
+		}
+	}
+	isNil := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		_, ok = tm.info.Uses[id].(*types.Nil)
+		return ok
+	}
+	field := func(e ast.Expr) *tally {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if s := tm.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			return fields[s.Obj().(*types.Var).Origin()]
+		}
+		return nil
+	}
+	panics := func(body *ast.BlockStmt) bool {
+		if len(body.List) == 0 {
+			return false
+		}
+		es, ok := body.List[len(body.List)-1].(*ast.ExprStmt)
+		if !ok {
+			return false
+		}
+		call, ok := es.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		if !ok {
+			return false
+		}
+		_, ok = tm.info.Uses[id].(*types.Builtin)
+		return ok && id.Name == "panic"
+	}
+	for _, p := range tm.pkgs {
+		for _, f := range p.files {
+			refusals := map[ast.Node]bool{} // comparisons guarding a panic
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.IfStmt:
+					if panics(n.Body) {
+						ast.Inspect(n.Cond, func(c ast.Node) bool {
+							refusals[c] = true
+							return true
+						})
+					}
+				case *ast.CompositeLit:
+					st, ok := types.Unalias(tm.info.Types[n].Type).Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					set := map[*types.Var]bool{}
+					for i, e := range n.Elts {
+						fv, val := (*types.Var)(nil), e
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							fv, val = tm.info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value
+						} else {
+							fv = st.Field(i)
+						}
+						if !isNil(val) {
+							set[fv.Origin()] = true
+						}
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						if fv := st.Field(i).Origin(); fields[fv] != nil {
+							fields[fv].lits++
+							if set[fv] {
+								fields[fv].sets++
+							}
+						}
+					}
+				case *ast.BinaryExpr:
+					if (n.Op != token.EQL && n.Op != token.NEQ) || refusals[n] {
+						return true
+					}
+					for _, pair := range [2][2]ast.Expr{{n.X, n.Y}, {n.Y, n.X}} {
+						if t := field(pair[0]); t != nil && isNil(pair[1]) {
+							t.compared = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	found := map[string]token.Position{}
+	for fv, t := range fields {
+		if t.compared && t.lits > 0 && t.sets == t.lits {
+			found[t.key] = tm.fset.Position(fv.Pos())
+		}
+	}
+	return found, nil
+}
+
+// isFunc reports whether t is a func type, named or not.
+func isFunc(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Signature)
+	return ok
+}
+
+// sortedKeys returns the keys of m in order.
+func sortedKeys(m map[string]token.Position) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // checkKept fails for every key of found that kept does not list, with
 // the hint fix, and for every key of kept that found no longer holds.
 func checkKept(t *testing.T, found map[string]token.Position, kept map[string]string, keptName, fix string) {
@@ -543,6 +697,24 @@ func TestEveryConfigKnobHasACaller(t *testing.T) {
 	t.Logf("Config reaches %d knobs; internal Config and Options structs declare %d", n, m)
 	maps.Copy(uncalled, internal)
 	checkKept(t, uncalled, keptKnobs, "keptKnobs", "is set by no program; make it the constant every run uses")
+}
+
+// TestNoNilCheckedRequiredHooks fails for any func-typed struct field that
+// every literal of its struct sets but that non-test code still compares
+// with nil, by the rule of nilCheckedRequired: make the constructor
+// refuse nil and drop the test, or leave the field unset somewhere.
+func TestNoNilCheckedRequiredHooks(t *testing.T) {
+	tm, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, err := nilCheckedRequired(tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range sortedKeys(found) {
+		t.Errorf("%s: %s is set by every literal but compared with nil; require it and drop the nil test", found[k], k)
+	}
 }
 
 // TestUnusedDeclsRule runs the classifier on a small module held in
@@ -689,6 +861,87 @@ func main() {
 		if n != c.n || fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("%s = %d knobs, uncalled %v; want %d, %v", c.name, n, got, c.n, c.want)
 		}
+	}
+}
+
+// TestNilCheckedHooksRule runs nilCheckedRequired on a small module held
+// in source strings. Hooks.A, set by an unkeyed literal in p and a keyed
+// one in the main package and compared with nil, is flagged. Hooks.B is
+// set as often, but its only nil test is New refusing it with a panic,
+// so it passes. Opts.Must, set by every literal, two of them in a
+// type-elided slice, is flagged; Opts.May, which a literal leaves unset,
+// is an optional hook and passes, as does Pair.Y, which an unkeyed
+// literal sets to nil. Lone.F is compared but built by no literal, so it
+// is not judged, and the main package's own struct is not checked.
+func TestNilCheckedHooksRule(t *testing.T) {
+	sources := map[string]string{
+		"p": `package p
+type Hooks struct{ A, B func() }
+type Opts struct {
+	Must, May func(int)
+	N         int
+}
+type Pair struct{ X, Y func() }
+type Lone struct{ F func() }
+func noop()     {}
+func noop1(int) {}
+func New(h Hooks) Hooks {
+	if h.B == nil {
+		panic("p: nil B")
+	}
+	return h
+}
+func Make() (Hooks, []Opts, Pair) {
+	return New(Hooks{noop, noop}), []Opts{{Must: noop1, May: noop1}, {Must: noop1, N: 1}}, Pair{noop, nil}
+}
+func Run(h Hooks, o Opts, pr Pair, l *Lone) {
+	if h.A != nil {
+		h.A()
+	}
+	h.B()
+	if nil != o.Must && (o.May == nil) {
+		o.Must(o.N)
+	}
+	if pr.Y != nil {
+		pr.Y()
+	}
+	if l.F != nil {
+		l.F()
+	}
+}
+`,
+		"cmd": `package main
+import "p"
+type local struct{ G func() }
+func main() {
+	l := local{G: func() {}}
+	if l.G != nil {
+		p.Run(p.New(p.Hooks{A: l.G, B: l.G}), p.Opts{Must: func(int) {}}, p.Pair{X: l.G}, nil)
+	}
+	_, _, _ = p.Make()
+}
+`,
+	}
+	fset := token.NewFileSet()
+	var pkgs []*srcPackage
+	for _, path := range []string{"p", "cmd"} {
+		f, err := parser.ParseFile(fset, path+".go", sources[path], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, &srcPackage{path: path, key: path, files: []*ast.File{f}, user: path == "cmd"})
+	}
+	tm, err := typeCheck(fset, pkgs, importer.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, err := nilCheckedRequired(tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sortedKeys(found)
+	if want := []string{"p.Hooks.A", "p.Opts.Must"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("nil-checked required hooks = %v, want %v", got, want)
 	}
 }
 

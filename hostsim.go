@@ -800,17 +800,14 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 // build creates the plan's hosts on one switch fabric.
 func (p *plan) build() *world {
 	eng := sim.NewEngine(p.cfg.Seed)
-	hosts := make([]*core.Host, p.fab.Hosts)
-	for i := range hosts {
-		var name string
-		if len(p.fab.HostNames) > 0 {
-			name = p.fab.HostNames[i]
-		} else {
-			name = fmt.Sprintf("host%03d", i)
+	names := p.fab.HostNames
+	if len(names) == 0 {
+		names = make([]string, p.fab.Hosts)
+		for i := range names {
+			names[i] = fmt.Sprintf("host%03d", i)
 		}
-		hosts[i] = core.NewHost(name, eng, p.spec, p.costs, p.opts)
 	}
-	cluster := core.ConnectFabric(hosts, fabric.Config{
+	cluster := core.NewCluster(eng, names, p.spec, p.costs, p.opts, fabric.Config{
 		LinkRate:     p.spec.LinkRate,
 		SharedBuffer: units.Bytes(p.fab.SharedBufferKB) * units.KB,
 		Alpha:        p.fab.Alpha,
@@ -823,7 +820,7 @@ func (p *plan) build() *world {
 		// link draws no random numbers.
 		cluster.Fabric().Port(0).Out().SetLossRate(0)
 	}
-	return &world{cfg: &p.cfg, eng: eng, spec: p.spec, cluster: cluster, hosts: hosts}
+	return &world{cfg: &p.cfg, eng: eng, spec: p.spec, cluster: cluster, hosts: cluster.Hosts()}
 }
 
 // CostNames lists the valid Config.CostScale keys: every scalar knob of

@@ -10,9 +10,9 @@ import (
 )
 
 // AttachChecker registers the conservation-law audit rules for a cluster
-// on ck and arms each host's cycle ledger. Call after ConnectFabric and
-// before the simulation runs; the rules are pure reads, so a checked run
-// follows the exact trajectory of an unchecked one.
+// on ck and arms each host's cycle ledger. Call before the simulation
+// runs; the rules are pure reads, so a checked run follows the exact
+// trajectory of an unchecked one.
 //
 // The laws, each exact at event boundaries:
 //

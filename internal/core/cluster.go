@@ -3,17 +3,20 @@ package core
 import (
 	"time"
 
+	"hostsim/internal/cpumodel"
 	"hostsim/internal/fabric"
 	"hostsim/internal/nic"
+	"hostsim/internal/sim"
 	"hostsim/internal/skb"
+	"hostsim/internal/topology"
 )
 
 // Cluster is N hosts attached to a single-stage switch fabric — every
 // topology hostsim builds, the default sender/receiver pair included (a
-// 2-port fabric). Construction wires every host's NIC to its fabric
-// ingress port, records each host's port so OpenConn can register routes,
-// and shares the fast-path pools and the flow table (ids and endpoints by
-// id) cluster-wide.
+// 2-port fabric). NewCluster builds it whole: every host, the fabric and
+// every host's NIC wired to its fabric ingress port, with each host's
+// port recorded so OpenConn can register routes, and the fast-path pools
+// and the flow table (ids and endpoints by id) shared cluster-wide.
 //
 // The pools are cluster-wide (not per-host) because a frame is born on
 // one host and dies on another, so only a pool spanning every producer
@@ -27,43 +30,49 @@ type Cluster struct {
 	fab   *fabric.Fabric
 }
 
-// ConnectFabric attaches hosts to a new switch fabric and instantiates
-// their NICs. Call exactly once per host set, before opening connections.
-// Zero-valued fcfg.Ports/LinkRate/Delay default to the host count and the
-// machine spec's link rate and one-way delay.
-func ConnectFabric(hosts []*Host, fcfg fabric.Config) *Cluster {
-	if len(hosts) < 2 {
+// NewCluster builds one host per name on eng, all with the same machine,
+// cost model and stack options, and attaches them to a new switch fabric,
+// host i on port i. Zero-valued fcfg.LinkRate/Delay default to the
+// machine spec's link rate and one-way delay; fcfg.Ports is the host
+// count. Construction draws no random numbers and schedules no events.
+func NewCluster(eng *sim.Engine, names []string, spec topology.MachineSpec,
+	costs *cpumodel.Costs, opts Options, fcfg fabric.Config) *Cluster {
+	if len(names) < 2 {
 		panic("core: a fabric needs at least 2 hosts")
 	}
-	for _, h := range hosts {
-		if h.NIC != nil {
-			panic("core: host already connected")
-		}
+	if err := opts.Validate(); err != nil {
+		panic(err)
 	}
-	spec := hosts[0].spec
-	fcfg.Ports = len(hosts)
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
+	fcfg.Ports = len(names)
 	if fcfg.LinkRate == 0 {
 		fcfg.LinkRate = spec.LinkRate
 	}
 	if fcfg.Delay == 0 {
 		fcfg.Delay = time.Duration(spec.OneWayDelay) * time.Nanosecond
 	}
-	c := &Cluster{hosts: hosts}
-	c.fab = fabric.New(hosts[0].eng, fcfg, func(port int) func(*skb.Frame) {
-		h := hosts[port]
+	flows := newFlowTable()
+	c := &Cluster{hosts: make([]*Host, len(names))}
+	for i, name := range names {
+		c.hosts[i] = newHost(name, eng, spec, costs, opts, flows)
+	}
+	c.fab = fabric.New(eng, fcfg, func(port int) func(*skb.Frame) {
+		h := c.hosts[port]
 		return func(f *skb.Frame) { h.NIC.ReceiveFromWire(f) }
 	})
 	skbs, frames := &skb.Pool{}, &skb.FramePool{}
-	flows := hosts[0].flows
-	for i, h := range hosts {
+	for i, h := range c.hosts {
 		h.fab, h.port = c.fab, i
-		h.NIC = nic.New(h.eng, h.Sys, h.Alloc, h.DCA, h.opts.nicConfig(), skbs, frames, c.fab.Port(i), h.deliver)
-		h.NIC.SetTxComplete(h.txComplete)
-		h.flows = flows
-		h.installSteering()
+		h.NIC = nic.New(eng, h.Sys, h.Alloc, h.DCA, opts.nicConfig(), skbs, frames, c.fab.Port(i),
+			h.steering(), h.deliver, h.txComplete)
 	}
 	return c
 }
+
+// Hosts returns the cluster's hosts, host i attached to fabric port i.
+func (c *Cluster) Hosts() []*Host { return c.hosts }
 
 // Fabric returns the switch.
 func (c *Cluster) Fabric() *fabric.Fabric { return c.fab }

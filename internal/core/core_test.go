@@ -24,12 +24,14 @@ type rig struct {
 func newRig(t *testing.T, opts Options) *rig {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	costs := cpumodel.Default()
-	spec := topology.Default()
-	a := NewHost("a", eng, spec, costs, opts)
-	b := NewHost("b", eng, spec, costs, opts)
-	ConnectFabric([]*Host{a, b}, fabric.Config{})
-	return &rig{eng: eng, a: a, b: b}
+	c := newPair(eng, opts)
+	return &rig{eng: eng, a: c.hosts[0], b: c.hosts[1]}
+}
+
+// newPair builds hosts "a" and "b" of the default machine on a 2-port
+// fabric.
+func newPair(eng *sim.Engine, opts Options) *Cluster {
+	return NewCluster(eng, []string{"a", "b"}, topology.Default(), cpumodel.Default(), opts, fabric.Config{})
 }
 
 func (r *rig) run(d time.Duration) { r.eng.Run(sim.Time(d)) }
@@ -115,26 +117,22 @@ func TestOpenConnRegistersEndpoints(t *testing.T) {
 	}
 }
 
-func TestConnectTwicePanics(t *testing.T) {
-	r := newRig(t, AllOpts())
-	defer func() {
-		if recover() == nil {
-			t.Error("second ConnectFabric should panic")
-		}
-	}()
-	ConnectFabric([]*Host{r.a, r.b}, fabric.Config{})
-}
-
-func TestOpenConnBeforeConnectPanics(t *testing.T) {
+// Every host comes with its NIC, and a connection joins two hosts of
+// one cluster only: no route joins two fabrics.
+func TestOpenConnAcrossClustersPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
-	a := NewHost("a", eng, topology.Default(), cpumodel.Default(), AllOpts())
-	b := NewHost("b", eng, topology.Default(), cpumodel.Default(), AllOpts())
+	one, two := newPair(eng, AllOpts()), newPair(eng, AllOpts())
+	for _, h := range append(one.Hosts(), two.Hosts()...) {
+		if h.NIC == nil {
+			t.Fatalf("host %s built without its NIC", h.Name())
+		}
+	}
 	defer func() {
-		if recover() == nil {
-			t.Error("OpenConn before ConnectFabric should panic")
+		if r := recover(); r != "core: OpenConn needs two hosts of one cluster" {
+			t.Errorf("OpenConn across clusters: recovered %v", r)
 		}
 	}()
-	OpenConn(a, 0, b, 0)
+	OpenConn(one.hosts[0], 0, two.hosts[1], 0)
 }
 
 // transfer pushes bytes from epA's app to epB's and returns delivered.

@@ -52,7 +52,7 @@ type Host struct {
 	DCA   *cache.DCA
 	NIC   *nic.NIC
 
-	flows *flowTable  // shared cluster-wide after ConnectFabric
+	flows *flowTable  // shared cluster-wide
 	eps   []*Endpoint // local endpoints in tx-flow order
 
 	sndInUse units.Bytes // in-use send-buffer bytes (sender cache model)
@@ -82,17 +82,15 @@ type Host struct {
 	schedIdx     []int         // rotation offset into schedGroups
 	schedStarted bool
 
-	fab  *fabric.Fabric // the switch this host attaches to (ConnectFabric)
+	fab  *fabric.Fabric // the switch this host attaches to
 	port int            // this host's port on fab
 }
 
-// SetTracer installs an event tracer (nil disables tracing). The NIC, if
-// already connected, shares it for drop and GRO-flush events.
+// SetTracer installs an event tracer (nil disables tracing). The NIC
+// shares it for drop and GRO-flush events.
 func (h *Host) SetTracer(tr *trace.Tracer) {
 	h.tracer = tr
-	if h.NIC != nil {
-		h.NIC.SetTrace(tr, h.name)
-	}
+	h.NIC.SetTrace(tr, h.name)
 }
 
 // EnableProfiler attaches a cycle profiler (nil detaches): every work
@@ -133,15 +131,10 @@ func (h *Host) installChargeLog() {
 // detached tracer costs nothing on the hot path.
 func (h *Host) EnableMsgTrace(t *mtrace.Tracer) { h.mt = t }
 
-// NewHost builds a host. The NIC is instantiated later by ConnectFabric.
-func NewHost(name string, eng *sim.Engine, spec topology.MachineSpec,
-	costs *cpumodel.Costs, opts Options) *Host {
-	if err := opts.Validate(); err != nil {
-		panic(err)
-	}
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
+// newHost builds a host on the cluster's flow table. NewCluster, which
+// validated opts and spec, gives it its NIC once the fabric exists.
+func newHost(name string, eng *sim.Engine, spec topology.MachineSpec,
+	costs *cpumodel.Costs, opts Options, flows *flowTable) *Host {
 	h := &Host{
 		name:     name,
 		eng:      eng,
@@ -150,7 +143,7 @@ func NewHost(name string, eng *sim.Engine, spec topology.MachineSpec,
 		opts:     opts,
 		Sys:      exec.NewSystem(eng, spec, costs),
 		Alloc:    mem.NewAllocator(spec, costs),
-		flows:    newFlowTable(),
+		flows:    flows,
 		senderWS: cache.WorkingSet{Capacity: spec.L3PerNode, BaseMiss: senderBaseMiss},
 		latency:  metrics.NewLatency(),
 		skbSizes: metrics.NewSize(),
@@ -196,8 +189,8 @@ func (h *Host) txComplete(flow skb.FlowID, bytes units.Bytes) {
 	ep.softirq(ep.txCompFn)
 }
 
-// installSteering installs the NIC steering for the configured policy.
-func (h *Host) installSteering() {
+// steering returns the NIC steering of the configured policy.
+func (h *Host) steering() nic.Steering {
 	all := make([]int, h.spec.NumCores())
 	for i := range all {
 		all[i] = i
@@ -205,9 +198,9 @@ func (h *Host) installSteering() {
 	switch h.opts.Steering {
 	case SteerRSSHash, SteerRFS, SteerRPS:
 		// Hardware only hashes (RSS); software modes forward afterwards.
-		h.NIC.SetSteering(nic.RSS{Cores: all})
+		return nic.RSS{Cores: all}
 	default:
-		h.NIC.SetSteering(pinnedSteering{h: h, rss: nic.RSS{Cores: all}})
+		return pinnedSteering{h: h, rss: nic.RSS{Cores: all}}
 	}
 }
 
@@ -329,9 +322,9 @@ func (h *Host) process(ctx *exec.Ctx, ep *Endpoint, s *skb.SKB) {
 }
 
 // EnableTelemetry registers this host's metrics into reg, prefixed with
-// the host name (e.g. "sender/copied_bytes"). Call after ConnectFabric (the
-// NIC's gauges ride along) and before opening connections (endpoints
-// register per-flow gauges as they appear). No-op on a nil registry.
+// the host name (e.g. "sender/copied_bytes"), the NIC's gauges included.
+// Call before opening connections (endpoints register per-flow gauges as
+// they appear). No-op on a nil registry.
 func (h *Host) EnableTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -347,9 +340,7 @@ func (h *Host) EnableTelemetry(reg *telemetry.Registry) {
 		dst[5] = float64(h.unsteered)
 		dst[6] = float64(h.steerMiss)
 	})
-	if h.NIC != nil {
-		h.NIC.RegisterTelemetry(reg, p+"nic/")
-	}
+	h.NIC.RegisterTelemetry(reg, p+"nic/")
 	if h.DCA != nil {
 		reg.Block(p, ddioCols, func(dst []float64) {
 			dst[0] = 1 - h.DCA.Stats().MissRate()
@@ -535,8 +526,8 @@ func (h *Host) receiver(flow skb.FlowID) *Endpoint {
 // traverse the fabric in reverse, which the ingress-exclusion routing
 // rule handles without per-frame state.
 func OpenConn(a *Host, aCore int, b *Host, bCore int) (*Endpoint, *Endpoint) {
-	if a.fab == nil || a.fab != b.fab {
-		panic("core: OpenConn needs two hosts attached to one fabric by ConnectFabric")
+	if a.fab != b.fab {
+		panic("core: OpenConn needs two hosts of one cluster")
 	}
 	flowAB := a.flows.alloc()
 	flowBA := a.flows.alloc()

@@ -28,9 +28,7 @@ func (h *Host) RegisterInspect(reg *telemetry.Registry) {
 		return
 	}
 	p := h.name + "/"
-	if h.NIC != nil {
-		h.NIC.RegisterQueueTelemetry(reg, p+"nic/")
-	}
+	h.NIC.RegisterQueueTelemetry(reg, p+"nic/")
 	sys := h.Sys
 	n := h.spec.NumCores()
 	reg.Block(p, coreBacklogCols.get(n), func(dst []float64) {

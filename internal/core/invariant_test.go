@@ -11,10 +11,8 @@ import (
 
 	"hostsim/internal/check"
 	"hostsim/internal/cpumodel"
-	"hostsim/internal/fabric"
 	"hostsim/internal/sim"
 	"hostsim/internal/skb"
-	"hostsim/internal/topology"
 	"hostsim/internal/units"
 )
 
@@ -29,14 +27,10 @@ type checkedRig struct {
 func newCheckedRig(t testing.TB, opts Options) *checkedRig {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	costs := cpumodel.Default()
-	spec := topology.Default()
-	a := NewHost("a", eng, spec, costs, opts)
-	b := NewHost("b", eng, spec, costs, opts)
-	c := ConnectFabric([]*Host{a, b}, fabric.Config{})
+	c := newPair(eng, opts)
 	ck := check.New(eng, true)
 	AttachChecker(ck, c)
-	return &checkedRig{rig: &rig{eng: eng, a: a, b: b}, ck: ck}
+	return &checkedRig{rig: &rig{eng: eng, a: c.hosts[0], b: c.hosts[1]}, ck: ck}
 }
 
 // violationsFor filters the collected violations down to one rule.
@@ -82,9 +76,8 @@ func TestEveryRuleFires(t *testing.T) {
 			// A send that dies after counting the frame sent, before it
 			// is in flight or dropped.
 			l := r.b.fab.Port(r.b.port).Out()
-			l.SetTap(func(*skb.Frame, bool) { panic("tap") })
+			l.AddTap(func(*skb.Frame, bool) { panic("tap") })
 			survive(func() { l.Send(&skb.Frame{Len: 1500}) })
-			l.SetTap(nil)
 			return "link fabric->b: 1 frames sent != 0 delivered + 0 dropped + 0 in flight (leak of 1)"
 		}},
 		{"fabric-port-conservation", func(r *checkedRig) string {
@@ -202,14 +195,10 @@ func TestEveryRuleFires(t *testing.T) {
 
 func TestCheckerFailFastPanicsWithFailure(t *testing.T) {
 	eng := sim.NewEngine(1)
-	costs := cpumodel.Default()
-	spec := topology.Default()
-	a := NewHost("a", eng, spec, costs, AllOpts())
-	b := NewHost("b", eng, spec, costs, AllOpts())
-	c := ConnectFabric([]*Host{a, b}, fabric.Config{})
+	c := newPair(eng, AllOpts())
 	ck := check.New(eng, false) // fail-fast
 	AttachChecker(ck, c)
-	a.NIC.SKBPool().Get(&skb.Frame{Len: 100})
+	c.hosts[0].NIC.SKBPool().Get(&skb.Frame{Len: 100})
 	defer func() {
 		f, ok := recover().(*check.Failure)
 		if !ok {

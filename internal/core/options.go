@@ -5,11 +5,11 @@
 // hit rates, NAPI-to-copy latency, and post-GRO skb sizes.
 //
 // A Host owns cores, a page allocator, a DDIO cache and a NIC; Endpoints
-// are sockets bound to application cores. ConnectFabric attaches hosts to
-// a switch fabric (two hosts on a 2-port fabric make the paper's testbed
-// pair); OpenConn creates a connection between cores of two attached
-// hosts, routed through the fabric, with flow steering per the
-// configured policy.
+// are sockets bound to application cores. NewCluster builds hosts on a
+// switch fabric, each with its NIC (two hosts on a 2-port fabric make the
+// paper's testbed pair); OpenConn creates a connection between cores of
+// two hosts of one cluster, routed through the fabric, with flow steering
+// per the configured policy.
 package core
 
 import (

@@ -199,18 +199,10 @@ func (fb *Fabric) Occupancy() units.Bytes {
 }
 
 // Register pins a flow to its two attached ports. Routing is symmetric:
-// data frames enter at one end, the flow's reverse-direction pure ACKs at
-// the other, and the egress is always "the port that isn't the ingress" —
-// so one entry covers both travel directions. candidates lists the
-// equal-cost egress choices toward the destination; today's single-stage
-// fabric always has exactly one, but the selection is already a
-// deterministic hash over the flow id (ECMP-ready for a multi-stage
-// extension). Register returns the chosen port.
-func (fb *Fabric) Register(flow skb.FlowID, srcPort int, candidates ...int) int {
-	if len(candidates) == 0 {
-		panic("fabric: no candidate egress port")
-	}
-	dst := candidates[PickPath(flow, len(candidates))]
+// data frames enter at srcPort, the flow's reverse-direction pure ACKs at
+// dst, and the egress is always "the port that isn't the ingress" — so
+// one entry covers both travel directions.
+func (fb *Fabric) Register(flow skb.FlowID, srcPort, dst int) {
 	if srcPort < 0 || srcPort >= len(fb.ports) || dst < 0 || dst >= len(fb.ports) {
 		panic(fmt.Sprintf("fabric: route %d->%d outside [0,%d)", srcPort, dst, len(fb.ports)))
 	}
@@ -227,19 +219,6 @@ func (fb *Fabric) Register(flow skb.FlowID, srcPort int, candidates ...int) int 
 		panic(fmt.Sprintf("fabric: duplicate route for flow %d", flow))
 	}
 	fb.routes[flow] = [2]int{srcPort, dst}
-	return dst
-}
-
-// PickPath deterministically selects one of n equal-cost paths for a flow:
-// FNV-1a over the flow id's bytes, reduced mod n. Stable across runs and
-// processes — no RNG, no map iteration.
-func PickPath(flow skb.FlowID, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < 4; i++ {
-		h ^= uint32(flow>>(8*i)) & 0xff
-		h *= 16777619
-	}
-	return int(h % uint32(n))
 }
 
 // Rate implements wire.Egress: the port's line rate paces the host NIC's

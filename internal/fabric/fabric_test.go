@@ -41,26 +41,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestPickPath pins the path hash: in range, deterministic, and spread
-// across candidates (not constant) over a run of flow ids.
-func TestPickPath(t *testing.T) {
-	const n = 4
-	seen := make(map[int]bool)
-	for flow := skb.FlowID(1); flow <= 64; flow++ {
-		p := PickPath(flow, n)
-		if p < 0 || p >= n {
-			t.Fatalf("PickPath(%d, %d) = %d out of range", flow, n, p)
-		}
-		if p != PickPath(flow, n) {
-			t.Fatalf("PickPath(%d, %d) not deterministic", flow, n)
-		}
-		seen[p] = true
-	}
-	if len(seen) != n {
-		t.Errorf("64 flows hashed onto only %d of %d paths", len(seen), n)
-	}
-}
-
 // TestRoutingBothDirections pins the ingress-exclusion rule: one Register
 // entry routes the flow's data frames from their source port AND its
 // reverse-direction pure ACKs from the destination port.

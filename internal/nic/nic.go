@@ -268,25 +268,29 @@ func (s *pageStash) take(dst []mem.Page) {
 	s.base = s.base[:len(s.base)-k]
 }
 
-// New builds a NIC. dca may be nil (DCA disabled). skbs and frames are
-// the receive fast path's recycling pools, typically shared with the peer
-// NICs of the same fabric. egress is the wire attachment — the host's
-// fabric ingress port, whose egress twin toward this host calls
-// ReceiveFromWire; deliver is the Rx upcall.
-func New(eng *sim.Engine, sys *exec.System, alloc *mem.Allocator, dca *cache.DCA,
-	cfg Config, skbs *skb.Pool, frames *skb.FramePool, egress wire.Egress, deliver DeliverFunc) *NIC {
+// New builds a NIC wired to everything it calls. dca may be nil (DCA
+// disabled). skbs and frames are the receive fast path's recycling pools,
+// typically shared with the peer NICs of the same fabric. egress is the
+// wire attachment — the host's fabric ingress port, whose egress twin
+// toward this host calls ReceiveFromWire. steer picks each received
+// flow's Rx queue, deliver is the Rx upcall and txComplete the per-data-
+// frame wire-departure notification; all three are required.
+func New(eng *sim.Engine, sys *exec.System, alloc *mem.Allocator, dca *cache.DCA, cfg Config,
+	skbs *skb.Pool, frames *skb.FramePool, egress wire.Egress,
+	steer Steering, deliver DeliverFunc, txComplete TxCompleteFunc) *NIC {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if eng == nil || sys == nil || alloc == nil || skbs == nil || frames == nil || egress == nil || deliver == nil {
+	if eng == nil || sys == nil || alloc == nil || skbs == nil || frames == nil || egress == nil ||
+		steer == nil || deliver == nil || txComplete == nil {
 		panic("nic: nil dependency")
 	}
 	cores := sys.Spec().NumCores()
 	n := &NIC{
 		eng: eng, sys: sys, alloc: alloc, dca: dca, cfg: cfg,
 		skbPool: skbs, framePool: frames,
-		egress: egress, txRate: egress.Rate(), deliver: deliver,
-		steer:   RSS{Cores: []int{0}},
+		egress: egress, txRate: egress.Rate(),
+		steer: steer, deliver: deliver, txComplete: txComplete,
 		queues:  make([]*rxQueue, cores),
 		txqs:    make([]*txq, cores),
 		txReady: make([]uint64, (cores+63)/64),
@@ -307,14 +311,6 @@ func (n *NIC) DCAHazard() float64 {
 	ringPages := float64(n.cfg.RxRing * pagesPerFrame)
 	h := n.cfg.DCAHazardFactor * ringPages / float64(n.dca.Capacity())
 	return min(h, maxHazard)
-}
-
-// SetSteering installs the receive flow steering policy.
-func (n *NIC) SetSteering(s Steering) {
-	if s == nil {
-		panic("nic: nil steering")
-	}
-	n.steer = s
 }
 
 // Config returns the NIC configuration.
@@ -342,9 +338,6 @@ func (n *NIC) queue(core int) *rxQueue {
 	}
 	return q
 }
-
-// SetTxComplete installs the Tx completion callback.
-func (n *NIC) SetTxComplete(fn TxCompleteFunc) { n.txComplete = fn }
 
 // SKBPool returns the NIC's SKB pool.
 func (n *NIC) SKBPool() *skb.Pool { return n.skbPool }
@@ -593,7 +586,7 @@ func (n *NIC) pumpTx() {
 		n.framePool.PutAck(ack)
 		n.framePool.Put(f)
 	}
-	if n.txComplete != nil && ack == nil && payload > 0 {
+	if ack == nil && payload > 0 {
 		n.txComplete(flow, payload)
 	}
 	n.txAt = n.eng.Now().Add(ser)

@@ -17,7 +17,8 @@ import (
 	"hostsim/internal/wire"
 )
 
-// rig wires a NIC to a loopback link and a collecting consumer.
+// rig wires a NIC to a loopback link, a collecting consumer and a
+// Tx-completion tally.
 type rig struct {
 	eng    *sim.Engine
 	sys    *exec.System
@@ -26,9 +27,12 @@ type rig struct {
 	nic    *NIC
 	frames *skb.FramePool
 	got    []*skb.SKB
+
+	completions int         // Tx-completion callbacks
+	completed   units.Bytes // payload bytes they reported
 }
 
-func newRig(t *testing.T, cfg Config, withDCA bool) *rig {
+func newRig(t *testing.T, cfg Config, withDCA bool, steer Steering) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine(1)}
 	spec := topology.Default()
@@ -47,12 +51,17 @@ func newRig(t *testing.T, cfg Config, withDCA bool) *rig {
 		n.ReceiveFromWire(f)
 	})
 	r.frames = &skb.FramePool{}
-	n = New(r.eng, r.sys, r.alloc, r.dca, cfg, &skb.Pool{}, r.frames, link, func(ctx *exec.Ctx, s *skb.SKB) {
-		r.got = append(r.got, s)
-	})
+	n = New(r.eng, r.sys, r.alloc, r.dca, cfg, &skb.Pool{}, r.frames, link, steer,
+		func(ctx *exec.Ctx, s *skb.SKB) { r.got = append(r.got, s) },
+		func(_ skb.FlowID, b units.Bytes) { r.completions++; r.completed += b })
 	r.nic = n
 	return r
 }
+
+// discardRx and ignoreTxComplete are the Rx upcall and Tx-completion
+// callback of a NIC whose test watches neither.
+func discardRx(*exec.Ctx, *skb.SKB)            {}
+func ignoreTxComplete(skb.FlowID, units.Bytes) {}
 
 // inject delivers a data frame directly from the "wire".
 func (r *rig) inject(flow skb.FlowID, seq int64, l units.Bytes) {
@@ -63,8 +72,7 @@ func (r *rig) run(d time.Duration) { r.eng.Run(sim.Time(d)) }
 
 func TestSingleFrameDeliveredAfterModeration(t *testing.T) {
 	cfg := DefaultConfig()
-	r := newRig(t, cfg, true)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, true, FixedCore(0))
 	r.inject(1, 0, 4096)
 	r.run(time.Millisecond)
 	if len(r.got) != 1 {
@@ -85,8 +93,7 @@ func TestSingleFrameDeliveredAfterModeration(t *testing.T) {
 func TestBurstTriggersEarlyIRQ(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ModerationDelay = time.Millisecond // would be far too late
-	r := newRig(t, cfg, true)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, true, FixedCore(0))
 	for i := 0; i < moderationFrames; i++ {
 		r.inject(1, int64(i)*1500, 1500)
 	}
@@ -98,8 +105,7 @@ func TestBurstTriggersEarlyIRQ(t *testing.T) {
 
 func TestGROAggregatesWithinPoll(t *testing.T) {
 	cfg := DefaultConfig()
-	r := newRig(t, cfg, true)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, true, FixedCore(0))
 	// 7 contiguous jumbo frames, one flow: one ~62KB skb.
 	mss := cfg.MTU - FrameHeader
 	for i := 0; i < 7; i++ {
@@ -117,8 +123,7 @@ func TestGROAggregatesWithinPoll(t *testing.T) {
 func TestGRODisabledDeliversPerFrame(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GRO = false
-	r := newRig(t, cfg, true)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, true, FixedCore(0))
 	for i := 0; i < 5; i++ {
 		r.inject(1, int64(i)*1500, 1500)
 	}
@@ -131,8 +136,7 @@ func TestGRODisabledDeliversPerFrame(t *testing.T) {
 func TestLROCoalescesWithoutCPU(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LRO = true
-	r := newRig(t, cfg, true)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, true, FixedCore(0))
 	mss := cfg.MTU - FrameHeader
 	for i := 0; i < 5; i++ {
 		r.inject(1, int64(i)*int64(mss), mss)
@@ -150,8 +154,7 @@ func TestDescriptorExhaustionDrops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RxRing = 4
 	cfg.ModerationDelay = 10 * time.Millisecond // keep NAPI away; 4 frames stay below moderationFrames
-	r := newRig(t, cfg, true)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, true, FixedCore(0))
 	fp := r.frames
 	for i := 0; i < 10; i++ {
 		r.inject(1, int64(i)*1500, 1500)
@@ -173,8 +176,7 @@ func TestDescriptorExhaustionDrops(t *testing.T) {
 func TestReplenishRestoresDescriptors(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RxRing = 4
-	r := newRig(t, cfg, true)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, true, FixedCore(0))
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 4; i++ {
 			r.inject(1, int64(round*4+i)*1500, 1500)
@@ -192,17 +194,16 @@ func TestReplenishRestoresDescriptors(t *testing.T) {
 
 func TestDDIOInsertsOnlyNICLocalPages(t *testing.T) {
 	cfg := DefaultConfig()
-	r := newRig(t, cfg, true)
-	// Steer to core 12 (node 2, NIC-remote): pages allocate on node 2 and
-	// must not enter the node-0 DCA.
-	r.nic.SetSteering(FixedCore(12))
+	// Flow 1 steers to core 12 (node 2, NIC-remote): its pages allocate
+	// on node 2 and must not enter the node-0 DCA. Flow 2 steers to the
+	// NIC-local core 0.
+	r := newRig(t, cfg, true, Pinned{Table: []int{-1, 12, 0}})
 	r.inject(1, 0, 9000-66)
 	r.run(time.Millisecond)
 	if got := r.dca.Stats().Inserts; got != 0 {
 		t.Errorf("remote-node DMA inserted %d pages into DCA, want 0", got)
 	}
 	// Now a NIC-local queue.
-	r.nic.SetSteering(FixedCore(0))
 	r.inject(2, 0, 9000-66)
 	r.run(2 * time.Millisecond)
 	if got := r.dca.Stats().Inserts; got == 0 {
@@ -213,8 +214,7 @@ func TestDDIOInsertsOnlyNICLocalPages(t *testing.T) {
 func TestNAPIBudgetSplitsLargeBacklog(t *testing.T) {
 	const frames = 4 * napiWeight
 	cfg := DefaultConfig()
-	r := newRig(t, cfg, true)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, true, FixedCore(0))
 	// Keep core 0 busy so the IRQ that moderationFrames fires early finds
 	// the whole backlog in place when its poll runs.
 	r.sys.Core(0).RaiseSoftirq(func(ctx *exec.Ctx) { ctx.Charge(cpumodel.Etc, 100_000) })
@@ -283,7 +283,7 @@ func TestDCAHazardGrowsWithRing(t *testing.T) {
 	mk := func(ring int) float64 {
 		cfg := DefaultConfig()
 		cfg.RxRing = ring
-		r := newRig(t, cfg, true)
+		r := newRig(t, cfg, true, FixedCore(0))
 		return r.nic.DCAHazard()
 	}
 	small, large := mk(128), mk(8192)
@@ -294,7 +294,7 @@ func TestDCAHazardGrowsWithRing(t *testing.T) {
 		t.Errorf("hazard must respect maxHazard, got %v", large)
 	}
 	cfg := DefaultConfig()
-	r := newRig(t, cfg, false)
+	r := newRig(t, cfg, false, FixedCore(0))
 	if r.nic.DCAHazard() != 0 {
 		t.Error("hazard without DCA should be 0")
 	}
@@ -302,8 +302,7 @@ func TestDCAHazardGrowsWithRing(t *testing.T) {
 
 func TestSendFramesChargesDoorbellAndTransmits(t *testing.T) {
 	cfg := DefaultConfig()
-	r := newRig(t, cfg, true)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, true, FixedCore(0))
 	frames := []*skb.Frame{
 		{Flow: 1, Seq: 0, Len: 8934},
 		{Flow: 1, Seq: 8934, Len: 8934},
@@ -329,8 +328,7 @@ func TestSendFramesChargesDoorbellAndTransmits(t *testing.T) {
 
 func TestPageConservationThroughRxPath(t *testing.T) {
 	cfg := DefaultConfig()
-	r := newRig(t, cfg, true)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, true, FixedCore(0))
 	for i := 0; i < 20; i++ {
 		r.inject(1, int64(i)*4096, 4096)
 	}
@@ -373,6 +371,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// New builds a NIC whole: a nil steering policy, Rx upcall or
+// Tx-completion callback is refused at construction, not found on the
+// first frame.
+func TestNewPanicsOnNilCallback(t *testing.T) {
+	eng := sim.NewEngine(1)
+	spec := topology.Default()
+	sys := exec.NewSystem(eng, spec, cpumodel.Default())
+	alloc := mem.NewAllocator(spec, cpumodel.Default())
+	egress := &txEgress{rate: spec.LinkRate}
+	for _, c := range []struct {
+		name     string
+		steer    Steering
+		deliver  DeliverFunc
+		complete TxCompleteFunc
+	}{
+		{"steering", nil, discardRx, ignoreTxComplete},
+		{"deliver", FixedCore(0), nil, ignoreTxComplete},
+		{"tx completion", FixedCore(0), discardRx, nil},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "nic: nil dependency" {
+					t.Errorf("nil %s: recovered %v, want the nil-dependency panic", c.name, r)
+				}
+			}()
+			New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, &skb.FramePool{}, egress, c.steer, c.deliver, c.complete)
+		}()
+	}
+}
+
 func TestTxRoundRobinInterleavesCores(t *testing.T) {
 	// Frames submitted from two cores must interleave frame-by-frame on
 	// the wire — the multi-queue DMA scheduling that defeats per-flow
@@ -383,7 +411,7 @@ func TestTxRoundRobinInterleavesCores(t *testing.T) {
 	alloc := mem.NewAllocator(spec, cpumodel.Default())
 	var order []skb.FlowID
 	link := wire.NewLink(eng, spec.LinkRate, 0, func(f *skb.Frame) { order = append(order, f.Flow) })
-	n := New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, &skb.FramePool{}, link, func(*exec.Ctx, *skb.SKB) {})
+	n := New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, &skb.FramePool{}, link, FixedCore(0), discardRx, ignoreTxComplete)
 
 	burst := func(flow skb.FlowID) []*skb.Frame {
 		out := make([]*skb.Frame, 6)
@@ -421,13 +449,7 @@ func TestTxRoundRobinInterleavesCores(t *testing.T) {
 
 func TestTxCompleteCallbackPerDataFrame(t *testing.T) {
 	cfg := DefaultConfig()
-	r := newRig(t, cfg, false)
-	var completed units.Bytes
-	var frames int
-	r.nic.SetTxComplete(func(flow skb.FlowID, b units.Bytes) {
-		completed += b
-		frames++
-	})
+	r := newRig(t, cfg, false, FixedCore(0))
 	r.sys.Core(0).RaiseSoftirq(func(ctx *exec.Ctx) {
 		ctx.Charge(cpumodel.TCPIP, 100)
 		r.nic.SendFrames(ctx, []*skb.Frame{
@@ -437,8 +459,8 @@ func TestTxCompleteCallbackPerDataFrame(t *testing.T) {
 		})
 	})
 	r.run(time.Millisecond)
-	if frames != 2 || completed != 2*8934 {
-		t.Errorf("completions = %d frames / %v bytes, want 2 / %v", frames, completed, units.Bytes(2*8934))
+	if r.completions != 2 || r.completed != 2*8934 {
+		t.Errorf("completions = %d frames / %v bytes, want 2 / %v", r.completions, r.completed, units.Bytes(2*8934))
 	}
 }
 
@@ -452,8 +474,7 @@ func TestTxCompleteCallbackPerDataFrame(t *testing.T) {
 func TestRxPagesFollowFlatStashOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RxRing = 4
-	r := newRig(t, cfg, false)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, false, FixedCore(0))
 	twin := mem.NewAllocator(topology.Default(), cpumodel.Default())
 	for _, a := range []*mem.Allocator{r.alloc, twin} {
 		a.AppendAlloc(cpumodel.Discard{}, 9, 2, nil)
@@ -507,8 +528,7 @@ func TestRxPagesFollowFlatStashOrder(t *testing.T) {
 // and no page slice is ever built for it.
 func TestAckOnlyQueueLeavesPrefillReserved(t *testing.T) {
 	cfg := DefaultConfig()
-	r := newRig(t, cfg, false)
-	r.nic.SetSteering(FixedCore(0))
+	r := newRig(t, cfg, false, FixedCore(0))
 	for i := 0; i < 50; i++ {
 		r.nic.ReceiveFromWire(&skb.Frame{Flow: 1, Ack: &skb.AckInfo{Cum: int64(i)}})
 	}
@@ -726,8 +746,7 @@ func TestTxPumpMatchesPerFrameEvents(t *testing.T) {
 		var n *NIC
 		got, gotFired := txScenario(seed, func(eng *sim.Engine, sys *exec.System, egress wire.Egress, complete TxCompleteFunc) txPath {
 			alloc := mem.NewAllocator(topology.Default(), cpumodel.Default())
-			n = New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, &skb.FramePool{}, egress, func(*exec.Ctx, *skb.SKB) {})
-			n.SetTxComplete(complete)
+			n = New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, &skb.FramePool{}, egress, FixedCore(0), discardRx, complete)
 			return txPath{send: n.SendFrames, land: n.enqueueTx}
 		})
 		var ref *refTx
@@ -802,7 +821,7 @@ func TestTxRoundRobinPastOneWord(t *testing.T) {
 		last = got
 		sent++
 	}
-	n := New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, &skb.FramePool{}, egress, func(*exec.Ctx, *skb.SKB) {})
+	n := New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, &skb.FramePool{}, egress, FixedCore(0), discardRx, ignoreTxComplete)
 	land := func(p, k int) {
 		fs := make([]*skb.Frame, k)
 		for i := range fs {
@@ -865,14 +884,14 @@ func TestRefusedFramesReturnToPool(t *testing.T) {
 		return false
 	}}
 	fp := &skb.FramePool{}
-	n := New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, fp, egress, func(*exec.Ctx, *skb.SKB) {})
 	var completed units.Bytes
-	n.SetTxComplete(func(flow skb.FlowID, b units.Bytes) {
-		if flow != 5 {
-			t.Errorf("completion for flow %d, want 5", flow)
-		}
-		completed += b
-	})
+	n := New(eng, sys, alloc, nil, DefaultConfig(), &skb.Pool{}, fp, egress, FixedCore(0), discardRx,
+		func(flow skb.FlowID, b units.Bytes) {
+			if flow != 5 {
+				t.Errorf("completion for flow %d, want 5", flow)
+			}
+			completed += b
+		})
 	const data = 9
 	var frames []*skb.Frame
 	for i := 0; i < data; i++ {

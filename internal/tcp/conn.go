@@ -75,8 +75,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Hooks connects a Conn to its host. All fields are required except
-// OnWritable/OnReadable, which may be nil.
+// Hooks connects a Conn to its host. All fields are required.
 type Hooks struct {
 	// SendSegment transmits [seq, seq+len) of the connection's tx flow,
 	// charging the tx data path to ctx. retrans marks retransmissions.
@@ -199,8 +198,9 @@ func New(eng *sim.Engine, costs *cpumodel.Costs, cfg Config, flow skb.FlowID,
 	if eng == nil || costs == nil || cc == nil {
 		panic("tcp: nil dependency")
 	}
-	if hooks.SendSegment == nil || hooks.SendAck == nil || hooks.Softirq == nil || hooks.SendProbe == nil ||
-		hooks.OnAckedPages == nil || hooks.Recycle == nil || hooks.NewAck == nil {
+	if hooks.SendSegment == nil || hooks.SendAck == nil || hooks.SendProbe == nil || hooks.Softirq == nil ||
+		hooks.OnReadable == nil || hooks.OnWritable == nil || hooks.OnAckedPages == nil ||
+		hooks.Recycle == nil || hooks.NewAck == nil {
 		panic("tcp: missing required hook")
 	}
 	if cfg.TSQBytes == 0 {
@@ -522,7 +522,7 @@ func (c *Conn) onAck(ctx *exec.Ctx, a *skb.AckInfo) {
 		c.retransmitHoles(ctx)
 	}
 	c.pump(ctx)
-	if c.hooks.OnWritable != nil && newlyAcked > 0 {
+	if newlyAcked > 0 {
 		c.hooks.OnWritable(ctx, c)
 	}
 	c.emitProbe(ctx.Now(), ProbeAck, units.Bytes(newlyAcked))
@@ -848,9 +848,7 @@ func (c *Conn) acceptInOrder(ctx *exec.Ctx, s *skb.SKB) {
 		// burst are still acknowledged.
 		c.delAckTimer = c.eng.After(delAckTime, c.delAckFn)
 	}
-	if c.hooks.OnReadable != nil {
-		c.hooks.OnReadable(ctx, c)
-	}
+	c.hooks.OnReadable(ctx, c)
 }
 
 // delAckBody is the delayed-ACK timer handler (softirq context).

@@ -273,7 +273,7 @@ func TestLossRecoveryAllocatesNothing(t *testing.T) {
 	var ack skb.AckInfo
 	rcv.hooks.NewAck = func() *skb.AckInfo { return &ack }
 	rcv.hooks.SendAck = func(*exec.Ctx, *Conn, *skb.AckInfo) {}
-	rcv.hooks.OnReadable = nil
+	rcv.hooks.OnReadable = func(*exec.Ctx, *Conn) {}
 	snd.sndUna, snd.sndNxt = 0, 1<<20
 
 	// Eight SACKed blocks, reported up to three at a time, in shuffled

@@ -85,6 +85,8 @@ func newPipe(t testing.TB, seed int64, ccName string, mss units.Bytes,
 				ctx.Defer(func() { out.Send(f) })
 			},
 			Softirq:      func(fn func(*exec.Ctx)) { p.sys.Core(core).RaiseSoftirq(fn) },
+			OnReadable:   func(*exec.Ctx, *Conn) {},
+			OnWritable:   func(*exec.Ctx, *Conn) {},
 			OnAckedPages: func(*exec.Ctx, *Conn, []mem.Page) {},
 			Recycle: func(s *skb.SKB) {
 				p.frames.PutAck(s.Ack)
@@ -505,6 +507,37 @@ func TestConfigValidation(t *testing.T) {
 		if cfg.Validate() == nil {
 			t.Errorf("mutation %d should fail validation", i)
 		}
+	}
+}
+
+// Every hook is required: New refuses a Hooks with any one of them nil,
+// so no hook is nil-checked on the data path.
+func TestNewPanicsOnMissingHook(t *testing.T) {
+	p := newPipe(t, 1, "cubic", 1448, nil, 0)
+	for _, c := range []struct {
+		name  string
+		unset func(*Hooks)
+	}{
+		{"SendSegment", func(h *Hooks) { h.SendSegment = nil }},
+		{"SendAck", func(h *Hooks) { h.SendAck = nil }},
+		{"SendProbe", func(h *Hooks) { h.SendProbe = nil }},
+		{"Softirq", func(h *Hooks) { h.Softirq = nil }},
+		{"OnReadable", func(h *Hooks) { h.OnReadable = nil }},
+		{"OnWritable", func(h *Hooks) { h.OnWritable = nil }},
+		{"OnAckedPages", func(h *Hooks) { h.OnAckedPages = nil }},
+		{"Recycle", func(h *Hooks) { h.Recycle = nil }},
+		{"NewAck", func(h *Hooks) { h.NewAck = nil }},
+	} {
+		hooks := p.a.hooks
+		c.unset(&hooks)
+		func() {
+			defer func() {
+				if r := recover(); r != "tcp: missing required hook" {
+					t.Errorf("nil %s: recovered %v, want the missing-hook panic", c.name, r)
+				}
+			}()
+			New(p.eng, cpumodel.Default(), p.a.cfg, 3, NewCC("cubic", 1448), hooks)
+		}()
 	}
 }
 

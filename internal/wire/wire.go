@@ -117,20 +117,17 @@ func (l *Link) SetECNThreshold(thresh units.Bytes) {
 	l.ecnThreshold = thresh
 }
 
-// SetTap installs a frame observer (nil detaches), invoked once for every
-// frame accepted by Send — after the ECN-marking and switch-drop decisions,
-// so the callback sees the frame exactly as the wire does (dropped reports
-// the switch's verdict). The tap must be a pure read: it may not mutate or
-// retain the frame (delivered frames are recycled by the receiver, dropped
-// ones by the sender), so a tapped run follows the exact trajectory of an
-// untapped one. With no tap
-// attached, Send pays only a pointer test.
-func (l *Link) SetTap(tap func(f *skb.Frame, dropped bool)) { l.tap = tap }
-
-// AddTap composes tap after any observer already installed, so independent
-// subsystems (the inspector's capture, the fabric observatory) can watch
-// the same link without clobbering each other — the same chaining contract
-// as Conn.AddProbe. The composed tap is subject to the SetTap purity rules.
+// AddTap installs a frame observer, invoked once for every frame accepted
+// by Send — after the ECN-marking and switch-drop decisions, so the
+// callback sees the frame exactly as the wire does (dropped reports the
+// switch's verdict). It composes tap after any observer already
+// installed, so independent subsystems (the inspector's capture, the
+// fabric observatory) can watch the same link without clobbering each
+// other — the same chaining contract as Conn.AddProbe. A tap must be a
+// pure read: it may not mutate or retain the frame (delivered frames are
+// recycled by the receiver, dropped ones by the sender), so a tapped run
+// follows the exact trajectory of an untapped one. With no tap attached,
+// Send pays only a pointer test.
 func (l *Link) AddTap(tap func(f *skb.Frame, dropped bool)) {
 	if tap == nil {
 		panic("wire: nil tap")
@@ -147,7 +144,7 @@ func (l *Link) AddTap(tap func(f *skb.Frame, dropped bool)) {
 
 // SetDeliverTap installs a delivery observer (nil detaches), invoked once
 // for every frame handed to the receiver, immediately before delivery —
-// the egress-edge counterpart of SetTap's switch-edge view, giving an
+// the egress-edge counterpart of AddTap's switch-edge view, giving an
 // observer both ends of the hop. Like a tap it must be a pure read: the
 // receiver may recycle the frame the moment delivery completes. With no
 // observer attached, delivery pays only a pointer test.

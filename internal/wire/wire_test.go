@@ -487,7 +487,7 @@ func TestSendReportsLossDrops(t *testing.T) {
 			l.SetLossRate(c.loss)
 			l.SetECNThreshold(c.ecn)
 			var tapped bool
-			l.SetTap(func(_ *skb.Frame, dropped bool) { tapped = dropped })
+			l.AddTap(func(_ *skb.Frame, dropped bool) { tapped = dropped })
 			var reported int64
 			for i := 0; i < 500; i++ {
 				before := l.Stats().Dropped

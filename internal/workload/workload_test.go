@@ -15,12 +15,8 @@ import (
 func newPair(t *testing.T) (*sim.Engine, *core.Host, *core.Host) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	costs := cpumodel.Default()
-	spec := topology.Default()
-	a := core.NewHost("a", eng, spec, costs, core.AllOpts())
-	b := core.NewHost("b", eng, spec, costs, core.AllOpts())
-	core.ConnectFabric([]*core.Host{a, b}, fabric.Config{})
-	return eng, a, b
+	c := core.NewCluster(eng, []string{"a", "b"}, topology.Default(), cpumodel.Default(), core.AllOpts(), fabric.Config{})
+	return eng, c.Hosts()[0], c.Hosts()[1]
 }
 
 // rpcIncast opens n client connections, one from each of cores 0..n-1

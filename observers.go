@@ -374,7 +374,7 @@ func (o *inspectObs) attach(w *world) {
 		for i, h := range hosts {
 			peer := hosts[1-i]
 			cap := inspect.NewCapture(w.eng, h.Name()+"->"+peer.Name(), i)
-			w.cluster.Fabric().Port(1 - i).Out().SetTap(cap.Tap())
+			w.cluster.Fabric().Port(1 - i).Out().AddTap(cap.Tap())
 			o.captures = append(o.captures, cap)
 		}
 	}

@@ -10,27 +10,35 @@ import (
 	"hostsim"
 )
 
-// TestRunAllocationBudget guards the hot-path allocation purge on five
+// TestRunAllocationBudget guards the hot-path allocation purge on six
 // runs that reach different datapaths: the default single flow (aRFS),
 // the same flow with every optimization off (worst-case IRQ steering,
 // 1500 B frames, no GRO), a 64-host incast through the switch fabric
 // (per-host build cost, slab warm-up, idle ACK-only Rx queues), a
-// 16-host buffered incast with every observer armed, and a bulk flow
-// beside 4 RPC flows at 0.5 % wire loss (SACK recovery, out-of-order
-// queueing, dropped frames). The first three
-// object budgets leave ~2.5x headroom over the measured count, so they
-// only trip on a real regression: a per-packet or per-event allocation
-// reappearing multiplies the count by orders of magnitude, not
-// percentages. The observed run's ceiling sits ~15 % over its measured
-// 7.37k: its observers keep per-run records, so a per-item cost shows as
-// thousands, such as the 5.2k wrapper closures a flow-tagged softirq once
-// allocated, the ~8k per-message allocations the message tracer once
-// made, or the ~7k closures and names the samplers made when they
-// registered one gauge per column instead of one block per source.
-// The incast made 16.6k objects per run while each application write got
-// its own page slab and each fresh pooled skb its own allocation, and
-// 12.4k once both were carved from blocks; its budget went from 42,000
-// to 31,000 with it.
+// 16-host buffered incast with every observer armed, a bulk flow beside
+// 4 RPC flows at 0.5 % wire loss (SACK recovery, out-of-order queueing,
+// dropped frames), and 16 clients of 4 KB ping-pongs (timer churn, one
+// socket pair per client). Every object budget sits about 10 % over the
+// run's measured count, so a per-socket cost crept back in trips it, not
+// only a per-packet or per-event one, which multiplies the count by
+// orders of magnitude. Past budgets and what each caught:
+//   - The observed run's observers keep per-run records, so a per-item
+//     cost shows as thousands: the 5.2k wrapper closures a flow-tagged
+//     softirq once allocated, the ~8k per-message allocations the message
+//     tracer once made, or the ~7k closures and names the samplers made
+//     when they registered one gauge per column instead of one block per
+//     source.
+//   - The incast made 16.6k objects per run while each application write
+//     got its own page slab and each fresh pooled skb its own allocation,
+//     and 12.1k once both were carved from blocks.
+//   - Opening a socket made 19 objects while the tcp.Hooks were nine
+//     method values and every timer a closure, and each host 24 Core
+//     objects. With the connection inside its Endpoint and the cores one
+//     array the counts fell: default 613 → 526, no-optimizations 1,230 →
+//     1,143, incast 12,120 → 8,499, observed 6,565 → 5,718, lossy 1,085 →
+//     831 and RPC 1,955 → 1,107. The budgets went from 1,800, 4,000,
+//     31,000, 8,500, 1,350 and none to 580, 1,260, 9,350, 6,300, 915 and
+//     1,220.
 //
 // Objects alone miss a log that regrows by append: a slice that keeps
 // growing shows as a handful of allocations however many bytes it
@@ -41,11 +49,11 @@ import (
 // allocated 5.40 MB before each DCA allocated its arrays on first use,
 // and 4.81 MB after: its 63 senders' NICs never DMA a data page. The
 // unused tails of the slab and skb blocks took it to 4.87 MB.
-// The lossy run's budgets sit ~10 % over its measured 1,212 objects and
-// 0.271 MB. It made 3,301 objects and 0.354 MB while the SACK merge
-// sorted through sort.Slice, the out-of-order drain leaked its queue's
-// front capacity, and frames the switch dropped were left to the GC.
-// Carved skbs and page slabs took it to 1,091 objects and 0.274 MB.
+// The lossy run's bytes ceiling sits ~10 % over its measured 0.271 MB.
+// It made 3,301 objects and 0.354 MB while the SACK merge sorted through
+// sort.Slice, the out-of-order drain leaked its queue's front capacity,
+// and frames the switch dropped were left to the GC. The RPC run's
+// ceiling sits 10 % over its 0.204 MB.
 // TestRunBytesFlatInDuration guards bytes that grow with the window.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
@@ -69,6 +77,8 @@ func TestRunAllocationBudget(t *testing.T) {
 	lossy := benchRunCfg()
 	lossy.Warmup, lossy.Duration = 20*time.Millisecond, 30*time.Millisecond
 	lossy.LossRate = 0.005
+	rpc := benchRunCfg()
+	rpc.Warmup, rpc.Duration = 20*time.Millisecond, 30*time.Millisecond
 	single := hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)
 	for _, c := range []struct {
 		name   string
@@ -77,11 +87,12 @@ func TestRunAllocationBudget(t *testing.T) {
 		budget float64 // objects per run
 		mb     float64 // MB per run; 0 leaves bytes unbounded
 	}{
-		{"default", benchRunCfg(), single, 1800, 0},
-		{"no-optimizations", noOpt, single, 4000, 0},
-		{"incast64", incast, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), 31000, 5.3},
-		{"observed16", observed, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), 8500, 4.2},
-		{"lossy-mixed", lossy, hostsim.MixedWorkload(4, 16384), 1350, 0.3},
+		{"default", benchRunCfg(), single, 580, 0},
+		{"no-optimizations", noOpt, single, 1260, 0},
+		{"incast64", incast, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), 9350, 5.3},
+		{"observed16", observed, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), 6300, 4.2},
+		{"lossy-mixed", lossy, hostsim.MixedWorkload(4, 16384), 915, 0.3},
+		{"rpc-incast", rpc, hostsim.RPCIncastWorkload(16, 4096), 1220, 0.225},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			allocs, mb := perRun(3, func() {

@@ -387,3 +387,35 @@ func TestLROBypassesGROCPU(t *testing.T) {
 		t.Errorf("LRO mean skb = %.0fB, want aggregates", avg)
 	}
 }
+
+// A socket is one allocation: OpenConn makes each endpoint's Endpoint,
+// with its tcp.Conn inside, its congestion controller and its bound
+// Tx-completion body, six objects a pair. AllocsPerRun truncates to whole
+// objects, so the amortized growth of the flow table and the endpoint
+// lists, well under one object a pair, does not count. A method value or
+// closure bound per socket again adds two objects a pair and fails.
+func TestOpenConnAllocations(t *testing.T) {
+	r := newRig(t, AllOpts())
+	if allocs := testing.AllocsPerRun(200, func() { OpenConn(r.a, 0, r.b, 0) }); allocs > 6 {
+		t.Errorf("OpenConn allocated %v objects per pair, want at most 6", allocs)
+	}
+}
+
+// BenchmarkNewCluster64 measures the build of a 64-host incast with no
+// simulated time: every host with its cores, allocator and NIC, the
+// fabric, and one connection from each of 63 senders into host 0.
+func BenchmarkNewCluster64(b *testing.B) {
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("h%d", i)
+	}
+	spec, costs := topology.Default(), cpumodel.Default()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := NewCluster(sim.NewEngine(1), names, spec, costs, AllOpts(), fabric.Config{})
+		hosts := c.Hosts()
+		for j, h := range hosts[1:] {
+			OpenConn(h, j%spec.NumCores(), hosts[0], j%spec.NumCores())
+		}
+	}
+}

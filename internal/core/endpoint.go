@@ -20,14 +20,16 @@ type Notify struct {
 }
 
 // Endpoint is a socket on a host: one TCP connection endpoint bound to an
-// application core, wired through the full Fig. 1 data path.
+// application core, wired through the full Fig. 1 data path. Like a
+// kernel tcp_sock, which embeds its generic socket, it holds its
+// connection by value and is itself the connection's tcp.Hooks, so one
+// socket is one allocation.
 type Endpoint struct {
 	host    *Host
 	appCore int
 	irqCore int // where the NIC steers this socket's frames under pinned steering
 	txFlow  skb.FlowID
 	rxFlow  skb.FlowID
-	conn    *tcp.Conn
 	notify  Notify
 
 	txCompPending   units.Bytes // wire departures awaiting completion softirq
@@ -35,10 +37,14 @@ type Endpoint struct {
 	txCompFn        func(*exec.Ctx) // bound completion softirq body, allocated once
 
 	// Hot-path scratch: reused across calls, never retained by callees.
-	segSizes []units.Bytes // sendSegment segmentation scratch
-	txFrames []*skb.Frame  // sendSegment frame-batch scratch
-	oneFrame [1]*skb.Frame // sendAck/sendProbe single-frame scratch
+	segSizes []units.Bytes // SendSegment segmentation scratch
+	txFrames []*skb.Frame  // SendSegment frame-batch scratch
+	oneFrame [1]*skb.Frame // SendAck/SendProbe single-frame scratch
+
+	conn tcp.Conn
 }
+
+var _ tcp.Hooks = (*Endpoint)(nil)
 
 func newEndpoint(h *Host, appCore int, txFlow, rxFlow skb.FlowID) *Endpoint {
 	ep := &Endpoint{host: h, appCore: appCore, txFlow: txFlow, rxFlow: rxFlow}
@@ -62,17 +68,7 @@ func newEndpoint(h *Host, appCore int, txFlow, rxFlow skb.FlowID) *Endpoint {
 		cfg.RcvBufMax = h.spec.DCACapacity()
 	}
 	cc := tcp.NewCC(h.opts.CC, cfg.MSS)
-	ep.conn = tcp.New(h.eng, h.costs, cfg, txFlow, cc, tcp.Hooks{
-		SendSegment:  ep.sendSegment,
-		SendAck:      ep.sendAck,
-		SendProbe:    ep.sendProbe,
-		Softirq:      ep.softirq,
-		OnReadable:   ep.onReadable,
-		OnWritable:   ep.onWritable,
-		OnAckedPages: ep.onAckedPages,
-		Recycle:      ep.recycleSKB,
-		NewAck:       func() *skb.AckInfo { return ep.host.NIC.FramePool().GetAck() },
-	})
+	tcp.Init(&ep.conn, h.eng, h.costs, cfg, txFlow, cc, ep)
 	ep.txCompFn = func(ctx *exec.Ctx) {
 		ep.txCompScheduled = false
 		pend := ep.txCompPending
@@ -99,7 +95,7 @@ func (ep *Endpoint) RxFlow() skb.FlowID { return ep.rxFlow }
 func (ep *Endpoint) Host() *Host { return ep.host }
 
 // Conn exposes the TCP state (stats, buffers).
-func (ep *Endpoint) Conn() *tcp.Conn { return ep.conn }
+func (ep *Endpoint) Conn() *tcp.Conn { return &ep.conn }
 
 // SetNotify installs the application callbacks.
 func (ep *Endpoint) SetNotify(n Notify) { ep.notify = n }
@@ -165,9 +161,9 @@ func (ep *Endpoint) Write(ctx *exec.Ctx, n units.Bytes) units.Bytes {
 	return w
 }
 
-// sendSegment is the TCP tx hook: protocol processing, segmentation and
-// handoff to the NIC.
-func (ep *Endpoint) sendSegment(ctx *exec.Ctx, c *tcp.Conn, seq int64, length units.Bytes, retrans bool) {
+// SendSegment implements tcp.Hooks: protocol processing, segmentation
+// and handoff to the NIC.
+func (ep *Endpoint) SendSegment(ctx *exec.Ctx, c *tcp.Conn, seq int64, length units.Bytes, retrans bool) {
 	h := ep.host
 	costs := h.costs
 	ctx.Charge(cpumodel.TCPIP, costs.TCPTxPerSKB)
@@ -214,7 +210,8 @@ func (ep *Endpoint) sendSegment(ctx *exec.Ctx, c *tcp.Conn, seq int64, length un
 	ep.txFrames = frames[:0]
 }
 
-func (ep *Endpoint) sendAck(ctx *exec.Ctx, c *tcp.Conn, info *skb.AckInfo) {
+// SendAck implements tcp.Hooks: a pure ACK to the NIC.
+func (ep *Endpoint) SendAck(ctx *exec.Ctx, c *tcp.Conn, info *skb.AckInfo) {
 	ep.host.tracer.Emit(trace.Event{At: ctx.Now(), Host: ep.host.name, Core: ctx.Core().ID(),
 		Flow: ep.rxFlow, Kind: trace.AckSent, A: info.Cum, B: int64(info.Window)})
 	ctx.Charge(cpumodel.Netdev, ep.host.costs.QdiscEnqueue/2)
@@ -227,7 +224,8 @@ func (ep *Endpoint) sendAck(ctx *exec.Ctx, c *tcp.Conn, info *skb.AckInfo) {
 	ep.oneFrame[0] = nil
 }
 
-func (ep *Endpoint) sendProbe(ctx *exec.Ctx, c *tcp.Conn) {
+// SendProbe implements tcp.Hooks: a zero-length window probe to the NIC.
+func (ep *Endpoint) SendProbe(ctx *exec.Ctx, c *tcp.Conn) {
 	f := ep.host.NIC.FramePool().Get()
 	f.Flow = c.Flow()
 	ep.oneFrame[0] = f
@@ -235,10 +233,11 @@ func (ep *Endpoint) sendProbe(ctx *exec.Ctx, c *tcp.Conn) {
 	ep.oneFrame[0] = nil
 }
 
-// recycleSKB returns a fully consumed skb to the cluster's pool. An
-// attached AckInfo dies here — the skb is the record's last reference —
-// so it goes back to the frame pool the peer's sendAck draws from.
-func (ep *Endpoint) recycleSKB(s *skb.SKB) {
+// Recycle implements tcp.Hooks: it returns a fully consumed skb to the
+// cluster's pool. An attached AckInfo dies here — the skb is the record's
+// last reference — so it goes back to the frame pool the peer's SendAck
+// draws from.
+func (ep *Endpoint) Recycle(s *skb.SKB) {
 	if s.Ack != nil {
 		ep.host.NIC.FramePool().PutAck(s.Ack)
 		s.Ack = nil
@@ -246,26 +245,36 @@ func (ep *Endpoint) recycleSKB(s *skb.SKB) {
 	ep.host.NIC.SKBPool().Put(s)
 }
 
-// softirq runs fn on the endpoint's TCP-processing core (timer handlers,
-// Tx completion), its charges tagged with the endpoint's tx flow.
-func (ep *Endpoint) softirq(fn func(*exec.Ctx)) {
+// NewAck implements tcp.Hooks: ACK records come from the cluster's frame
+// pool, where the peer's Recycle returns them.
+func (ep *Endpoint) NewAck() *skb.AckInfo { return ep.host.NIC.FramePool().GetAck() }
+
+// Softirq implements tcp.Hooks: it runs fn on the endpoint's
+// TCP-processing core (timer handlers, Tx completion), its charges tagged
+// with the endpoint's tx flow.
+func (ep *Endpoint) Softirq(fn func(*exec.Ctx)) {
 	ep.host.Sys.Core(ep.host.processingCoreFor(ep)).RaiseTaggedSoftirq(fn, int32(ep.txFlow))
 }
 
-func (ep *Endpoint) onReadable(ctx *exec.Ctx, c *tcp.Conn) {
+// OnReadable implements tcp.Hooks: it forwards to the application's
+// Readable callback.
+func (ep *Endpoint) OnReadable(ctx *exec.Ctx, c *tcp.Conn) {
 	if ep.notify.Readable != nil {
 		ep.notify.Readable(ctx, ep)
 	}
 }
 
-func (ep *Endpoint) onWritable(ctx *exec.Ctx, c *tcp.Conn) {
+// OnWritable implements tcp.Hooks: it forwards to the application's
+// Writable callback.
+func (ep *Endpoint) OnWritable(ctx *exec.Ctx, c *tcp.Conn) {
 	if ep.notify.Writable != nil {
 		ep.notify.Writable(ctx, ep)
 	}
 }
 
-// onAckedPages frees sender pages once the peer acknowledged the bytes.
-func (ep *Endpoint) onAckedPages(ctx *exec.Ctx, c *tcp.Conn, pages []mem.Page) {
+// OnAckedPages implements tcp.Hooks: it frees sender pages once the peer
+// acknowledged the bytes.
+func (ep *Endpoint) OnAckedPages(ctx *exec.Ctx, c *tcp.Conn, pages []mem.Page) {
 	h := ep.host
 	ctx.Charge(cpumodel.SKBMgmt, h.costs.SKBRelease)
 	ctx.Charge(cpumodel.Memory, h.costs.SKBFree)
@@ -326,7 +335,7 @@ func (ep *Endpoint) Read(ctx *exec.Ctx, max units.Bytes) units.Bytes {
 				h.prof.Lifecycle().Record(s, ctx.Now())
 			}
 			h.mt.OnDeliver(s, ctx.Now())
-			ep.recycleSKB(s)
+			ep.Recycle(s)
 			continue
 		}
 		// Copy cost page by page: DDIO hit, local DRAM, or remote DRAM.
@@ -370,7 +379,7 @@ func (ep *Endpoint) Read(ctx *exec.Ctx, max units.Bytes) units.Bytes {
 			h.prof.Lifecycle().Record(s, ctx.Now())
 		}
 		h.mt.OnDeliver(s, ctx.Now())
-		ep.recycleSKB(s)
+		ep.Recycle(s)
 	}
 	h.copied += total
 	h.tracer.Emit(trace.Event{At: ctx.Now(), Host: h.name, Core: ep.appCore,

@@ -186,7 +186,7 @@ func (h *Host) txComplete(flow skb.FlowID, bytes units.Bytes) {
 		return
 	}
 	ep.txCompScheduled = true
-	ep.softirq(ep.txCompFn)
+	ep.Softirq(ep.txCompFn)
 }
 
 // steering returns the NIC steering of the configured policy.
@@ -362,7 +362,7 @@ func (h *Host) EnableTelemetry(reg *telemetry.Registry) {
 // registerFlowTelemetry adds per-flow TCP gauges for a newly opened
 // endpoint (sender-side state: cwnd, srtt, retransmits, receive buffer).
 func (h *Host) registerFlowTelemetry(ep *Endpoint) {
-	conn := ep.conn
+	conn := &ep.conn
 	h.telemetry.Block(fmt.Sprintf("%s/flow%03d/", h.name, ep.txFlow), flowTelemCols, func(dst []float64) {
 		dst[0] = float64(conn.CC().Cwnd())
 		dst[1] = float64(conn.SRTT().Nanoseconds())

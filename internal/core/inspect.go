@@ -38,7 +38,7 @@ func (h *Host) RegisterInspect(reg *telemetry.Registry) {
 		}
 	})
 	for _, ep := range h.eps {
-		conn := ep.conn
+		conn := &ep.conn
 		// RTT-class gauges report nanoseconds, the repo-wide latency unit
 		// (see package stage) shared with the passive RTT monitor's
 		// rtt_*_ns gauges and the tail report.

@@ -4,8 +4,25 @@ import (
 	"testing"
 
 	"hostsim/internal/cpumodel"
+	"hostsim/internal/sim"
+	"hostsim/internal/topology"
 	"hostsim/internal/units"
 )
+
+// A host's cores are one array: NewSystem makes as many objects for 48
+// cores as for 4, where a pointer per core once made one object per core.
+func TestNewSystemAllocationsFlatInCores(t *testing.T) {
+	eng, costs := sim.NewEngine(1), cpumodel.Default()
+	build := func(nodes, perNode int) float64 {
+		spec := topology.Default()
+		spec.NUMANodes, spec.CoresPerNode = nodes, perNode
+		return testing.AllocsPerRun(20, func() { NewSystem(eng, spec, costs) })
+	}
+	small, large := build(1, 4), build(4, 12)
+	if small != large {
+		t.Errorf("NewSystem allocates %v objects for 4 cores and %v for 48, want the same", small, large)
+	}
+}
 
 // With no charge log installed (nil profiler) the per-charge hooks —
 // Charge, SetFlowTag — must be free: plain field updates, zero

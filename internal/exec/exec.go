@@ -52,7 +52,7 @@ type System struct {
 	eng         *sim.Engine
 	spec        topology.MachineSpec
 	costs       *cpumodel.Costs
-	cores       []*Core
+	cores       []Core // one array: a host's cores are a single allocation
 	granularity units.Cycles
 	sleepCredit units.Cycles
 	spanObs     SpanObserver
@@ -147,15 +147,15 @@ func NewSystem(eng *sim.Engine, spec topology.MachineSpec, costs *cpumodel.Costs
 	s := &System{eng: eng, spec: spec, costs: costs,
 		granularity: units.CyclesIn(DefaultGranularity, spec.Frequency),
 		sleepCredit: units.CyclesIn(SleeperCredit, spec.Frequency)}
-	s.cores = make([]*Core, spec.NumCores())
+	s.cores = make([]Core, spec.NumCores())
 	for i := range s.cores {
-		s.cores[i] = &Core{sys: s, id: i}
+		s.cores[i].sys, s.cores[i].id = s, i
 	}
 	return s
 }
 
 // Core returns core i.
-func (s *System) Core(i int) *Core { return s.cores[i] }
+func (s *System) Core(i int) *Core { return &s.cores[i] }
 
 // NumCores returns the core count.
 func (s *System) NumCores() int { return len(s.cores) }
@@ -164,8 +164,8 @@ func (s *System) NumCores() int { return len(s.cores) }
 // — the host-wide backlog depth for ss-style queue diagnostics.
 func (s *System) SoftirqBacklogTotal() int {
 	total := 0
-	for _, c := range s.cores {
-		total += c.SoftirqBacklog()
+	for i := range s.cores {
+		total += s.cores[i].SoftirqBacklog()
 	}
 	return total
 }
@@ -176,7 +176,8 @@ func (s *System) Spec() topology.MachineSpec { return s.spec }
 // ResetAccounting zeroes all cores' cycle accounting and busy time; used
 // to discard warm-up before a measurement window.
 func (s *System) ResetAccounting() {
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		c.acct = cpumodel.Breakdown{}
 		c.busy = 0
 		c.softirqBusy = 0
@@ -192,8 +193,8 @@ func (s *System) ResetAccounting() {
 // clock tick per item — callers bounding busy-vs-cycles drift need this.
 func (s *System) CompletedItems() int64 {
 	var n int64
-	for _, c := range s.cores {
-		n += c.items
+	for i := range s.cores {
+		n += s.cores[i].items
 	}
 	return n
 }
@@ -201,8 +202,8 @@ func (s *System) CompletedItems() int64 {
 // TotalBusy returns the summed busy time across cores.
 func (s *System) TotalBusy() time.Duration {
 	var t time.Duration
-	for _, c := range s.cores {
-		t += c.busy
+	for i := range s.cores {
+		t += s.cores[i].busy
 	}
 	return t
 }
@@ -210,8 +211,8 @@ func (s *System) TotalBusy() time.Duration {
 // TotalBreakdown returns the merged per-category accounting of all cores.
 func (s *System) TotalBreakdown() cpumodel.Breakdown {
 	var b cpumodel.Breakdown
-	for _, c := range s.cores {
-		b.Merge(&c.acct)
+	for i := range s.cores {
+		b.Merge(&s.cores[i].acct)
 	}
 	return b
 }

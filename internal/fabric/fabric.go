@@ -212,8 +212,8 @@ func (fb *Fabric) Register(flow skb.FlowID, srcPort, dst int) {
 	if flow < 0 {
 		panic(fmt.Sprintf("fabric: negative flow id %d", flow))
 	}
-	if n := int(flow) + 1; n > len(fb.routes) {
-		fb.routes = append(fb.routes, make([][2]int, n-len(fb.routes))...)
+	for int(flow) >= len(fb.routes) {
+		fb.routes = append(fb.routes, [2]int{})
 	}
 	if fb.routes[flow] != ([2]int{}) {
 		panic(fmt.Sprintf("fabric: duplicate route for flow %d", flow))

@@ -386,10 +386,21 @@ func (p *pacerState) schedule(c *Conn) {
 	if now := c.eng.Now(); at < now {
 		at = now
 	}
-	p.timer = c.eng.At(at, func() {
-		c.hooks.Softirq(func(ctx *exec.Ctx) { p.release(ctx, c) })
-	})
+	p.timer = c.eng.AtArg(at, pacerEv, c)
 }
+
+// pacerEv is the pacing timer: it raises the connection's paced release
+// in softirq context.
+func pacerEv(a any) {
+	c := a.(*Conn)
+	if c.pacerBody == nil {
+		c.pacerBody = c.pacedRelease
+	}
+	c.hooks.Softirq(c.pacerBody)
+}
+
+// pacedRelease is the pacing timer's softirq body.
+func (c *Conn) pacedRelease(ctx *exec.Ctx) { c.pacer.release(ctx, c) }
 
 func (p *pacerState) release(ctx *exec.Ctx, c *Conn) {
 	if !c.canSendNext() {

@@ -234,11 +234,7 @@ func TestPacerSpacing(t *testing.T) {
 	// Paced releases of a BBR sender must be spaced ~length/rate apart.
 	p := newPipe(t, 41, "bbr", 8934, nil, 0)
 	var releases []sim.Time
-	origHooks := p.a.hooks.SendSegment
-	p.a.hooks.SendSegment = func(ctx *exec.Ctx, c *Conn, seq int64, l units.Bytes, retrans bool) {
-		releases = append(releases, p.eng.Now())
-		origHooks(ctx, c, seq, l, retrans)
-	}
+	p.ea.onSend = func(int64, units.Bytes) { releases = append(releases, p.eng.Now()) }
 	p.send(2 * units.MB)
 	p.run(10 * time.Millisecond)
 	if len(releases) < 4 {
@@ -254,5 +250,34 @@ func TestPacerSpacing(t *testing.T) {
 	}
 	if spaced < len(releases)/2 {
 		t.Errorf("only %d/%d releases were spaced in time", spaced, len(releases)-1)
+	}
+}
+
+// Paced sending allocates nothing per release once warm: the pacing timer
+// schedules a package-level function with the connection as its argument,
+// and the softirq body it raises is bound once per connection. The sender
+// is muted and its windows held open, so the pacer alone clocks it.
+func TestPacedReleaseAllocatesNothing(t *testing.T) {
+	p := newPipe(t, 41, "bbr", 8934, nil, 0)
+	snd := p.a
+	released := 0
+	p.ea.mute = true
+	p.ea.onSend = func(int64, units.Bytes) { released++ }
+	snd.rightEdge = 1 << 40
+	snd.cc.(*BBR).cwnd = 1 << 40
+	p.sys.Core(1).RaiseSoftirq(func(ctx *exec.Ctx) { snd.SendData(ctx, snd.SndBufFree(), nil) })
+	release := func() {
+		for n := released; released == n; {
+			p.eng.Run(p.eng.Now() + sim.Time(time.Microsecond))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		release()
+	}
+	if allocs := testing.AllocsPerRun(20, release); allocs != 0 {
+		t.Errorf("a paced release allocates %v objects, want 0", allocs)
+	}
+	if snd.Stats().Timeouts != 0 {
+		t.Errorf("the sender timed out %d times; releases must come from the pacer alone", snd.Stats().Timeouts)
 	}
 }

@@ -75,31 +75,34 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Hooks connects a Conn to its host. All fields are required.
-type Hooks struct {
+// Hooks connects a Conn to its host. The host's socket implements it, so a
+// connection reaches its host through one interface value, the way a
+// kernel socket reaches its device through shared ops tables rather than
+// per-socket closures.
+type Hooks interface {
 	// SendSegment transmits [seq, seq+len) of the connection's tx flow,
 	// charging the tx data path to ctx. retrans marks retransmissions.
-	SendSegment func(ctx *exec.Ctx, c *Conn, seq int64, length units.Bytes, retrans bool)
+	SendSegment(ctx *exec.Ctx, c *Conn, seq int64, length units.Bytes, retrans bool)
 	// SendAck emits a pure ACK on the reverse path.
-	SendAck func(ctx *exec.Ctx, c *Conn, info *skb.AckInfo)
+	SendAck(ctx *exec.Ctx, c *Conn, info *skb.AckInfo)
 	// SendProbe emits a zero-length window probe.
-	SendProbe func(ctx *exec.Ctx, c *Conn)
+	SendProbe(ctx *exec.Ctx, c *Conn)
 	// Softirq runs fn in softirq context on the connection's core
-	// (timer handlers: RTO, persist, pacer).
-	Softirq func(fn func(*exec.Ctx))
+	// (timer handlers: RTO, persist, delayed ACK, pacer).
+	Softirq(fn func(*exec.Ctx))
 	// OnReadable fires when new in-order data enters the receive queue.
-	OnReadable func(ctx *exec.Ctx, c *Conn)
+	OnReadable(ctx *exec.Ctx, c *Conn)
 	// OnWritable fires when send-buffer space opens.
-	OnWritable func(ctx *exec.Ctx, c *Conn)
+	OnWritable(ctx *exec.Ctx, c *Conn)
 	// OnAckedPages releases the sender-side pages backing acked bytes.
-	OnAckedPages func(ctx *exec.Ctx, c *Conn, pages []mem.Page)
+	OnAckedPages(ctx *exec.Ctx, c *Conn, pages []mem.Page)
 	// Recycle receives skbs the connection has fully consumed (pure ACKs,
 	// probes, duplicates) so the host can return them to its receive-path
 	// pool.
-	Recycle func(s *skb.SKB)
+	Recycle(s *skb.SKB)
 	// NewAck supplies the AckInfo record of each outgoing ACK (typically
 	// from a pool shared with the peer, where the records die).
-	NewAck func() *skb.AckInfo
+	NewAck() *skb.AckInfo
 }
 
 // Stats tracks a connection's protocol activity.
@@ -175,54 +178,63 @@ type Conn struct {
 	stats Stats
 	probe ProbeFunc // nil = congestion tracing off
 
-	// Hot-path scratch and once-allocated timer callbacks: armed timers and
-	// per-ack page releases run millions of times per run, so their
-	// closures/slices are created once here and reused.
-	rtoFn     func()
-	persistFn func()
-	delAckFn  func()
+	// Timer softirq bodies, each bound to the connection the first time
+	// its timer fires: the timers themselves schedule package-level
+	// functions with the connection as their argument, so arming one never
+	// allocates, and a connection whose timer never fires never binds it.
+	rtoBody, persistBody, delAckBody, pacerBody func(*exec.Ctx)
+
+	// Hot-path scratch, reused across calls: each slice starts on the
+	// inline array beside it, so its first growth steps allocate nothing.
 	freed     []mem.Page   // releaseAcked scratch
 	slabFree  [][]mem.Page // released chunk page slabs, for PageSlab
 	slabBlock []mem.Page   // unused tail of the block fresh slabs are cut from
 	slabCut   int          // pages cut into fresh slabs so far; sizes the next block
 	readOut   []*skb.SKB   // Read result scratch; valid until the next Read
+
+	freedBuf    [freedInline]mem.Page
+	slabFreeBuf [slabFreeInline][]mem.Page
+	readOutBuf  [readOutInline]*skb.SKB
 }
 
-// New builds a connection endpoint for flow, transmitting via hooks and
-// governed by cc.
-func New(eng *sim.Engine, costs *cpumodel.Costs, cfg Config, flow skb.FlowID,
-	cc CongestionControl, hooks Hooks) *Conn {
+// The lengths of the scratch slices' inline arrays: most acks release at
+// most freedInline pages, hold at most slabFreeInline released slabs
+// before the next write takes one back, and most reads take at most
+// readOutInline skbs.
+const (
+	freedInline    = 16
+	slabFreeInline = 8
+	readOutInline  = 4
+)
+
+// Init initialises the zero Conn c in place as a connection endpoint for
+// flow, transmitting via hooks and governed by cc. The host holds the
+// connection inside its own socket object, so the two are one allocation.
+// c must not be copied afterwards: its scratch slices point into it.
+func Init(c *Conn, eng *sim.Engine, costs *cpumodel.Costs, cfg Config, flow skb.FlowID,
+	cc CongestionControl, hooks Hooks) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if eng == nil || costs == nil || cc == nil {
 		panic("tcp: nil dependency")
 	}
-	if hooks.SendSegment == nil || hooks.SendAck == nil || hooks.SendProbe == nil || hooks.Softirq == nil ||
-		hooks.OnReadable == nil || hooks.OnWritable == nil || hooks.OnAckedPages == nil ||
-		hooks.Recycle == nil || hooks.NewAck == nil {
-		panic("tcp: missing required hook")
+	if hooks == nil {
+		panic("tcp: nil hooks")
 	}
 	if cfg.TSQBytes == 0 {
 		cfg.TSQBytes = 256 * units.KB
 	}
-	c := &Conn{
-		eng: eng, costs: costs, cfg: cfg, hooks: hooks, cc: cc, flow: flow,
-		initCwnd:  10 * cfg.MSS,
-		rcvBuf:    cfg.RcvBuf,
-		rightEdge: int64(cfg.RcvBuf), // peer starts with its initial window
-		srtt:      0,
-		wndClamp:  -1,
-	}
+	c.eng, c.costs, c.cfg, c.hooks, c.cc, c.flow = eng, costs, cfg, hooks, cc, flow
+	c.initCwnd = 10 * cfg.MSS
+	c.rcvBuf = cfg.RcvBuf
+	c.rightEdge = int64(cfg.RcvBuf) // peer starts with its initial window
 	c.lastAdvWnd = cfg.RcvBuf
-	// Bind the timer handlers once: the timer callback and the softirq body
-	// are both stored so re-arming (and firing) never allocates.
-	onRTO, persist, delAck := c.onRTO, c.persistBody, c.delAckBody
-	c.rtoFn = func() { c.hooks.Softirq(onRTO) }
-	c.persistFn = func() { c.hooks.Softirq(persist) }
-	c.delAckFn = func() { c.hooks.Softirq(delAck) }
+	c.wndClamp = -1
+	c.freed = c.freedBuf[:0]
+	c.slabFree = c.slabFreeBuf[:0]
+	c.readOut = c.readOutBuf[:0]
 	cc.Init(c)
-	return c
 }
 
 // Flow returns the transmit-direction flow id.
@@ -615,7 +627,16 @@ func (c *Conn) armRTO() {
 	if c.rtoTimer.Reset(c.eng.Now().Add(c.RTO())) {
 		return
 	}
-	c.rtoTimer = c.eng.After(c.RTO(), c.rtoFn)
+	c.rtoTimer = c.eng.AfterArg(c.RTO(), rtoEv, c)
+}
+
+// rtoEv is the retransmission timer: it raises onRTO in softirq context.
+func rtoEv(a any) {
+	c := a.(*Conn)
+	if c.rtoBody == nil {
+		c.rtoBody = c.onRTO
+	}
+	c.hooks.Softirq(c.rtoBody)
 }
 
 func (c *Conn) onRTO(ctx *exec.Ctx) {
@@ -764,11 +785,21 @@ func (c *Conn) maybePersist() {
 	if c.persistTimer.Pending() {
 		return
 	}
-	c.persistTimer = c.eng.After(persistTime, c.persistFn)
+	c.persistTimer = c.eng.AfterArg(persistTime, persistEv, c)
 }
 
-// persistBody is the zero-window probe timer handler (softirq context).
-func (c *Conn) persistBody(ctx *exec.Ctx) {
+// persistEv is the zero-window probe timer: it raises onPersist in
+// softirq context.
+func persistEv(a any) {
+	c := a.(*Conn)
+	if c.persistBody == nil {
+		c.persistBody = c.onPersist
+	}
+	c.hooks.Softirq(c.persistBody)
+}
+
+// onPersist is the zero-window probe timer handler (softirq context).
+func (c *Conn) onPersist(ctx *exec.Ctx) {
 	if c.sndNxt < c.appLimit && c.sndNxt >= c.rightEdge {
 		c.stats.Probes++
 		ctx.Charge(cpumodel.Etc, c.costs.TimerFire)
@@ -846,13 +877,23 @@ func (c *Conn) acceptInOrder(ctx *exec.Ctx, s *skb.SKB) {
 	} else if !c.delAckTimer.Pending() {
 		// Trailing-edge delayed ACK so the final sub-threshold bytes of a
 		// burst are still acknowledged.
-		c.delAckTimer = c.eng.After(delAckTime, c.delAckFn)
+		c.delAckTimer = c.eng.AfterArg(delAckTime, delAckEv, c)
 	}
 	c.hooks.OnReadable(ctx, c)
 }
 
-// delAckBody is the delayed-ACK timer handler (softirq context).
-func (c *Conn) delAckBody(ctx *exec.Ctx) {
+// delAckEv is the delayed-ACK timer: it raises onDelAck in softirq
+// context.
+func delAckEv(a any) {
+	c := a.(*Conn)
+	if c.delAckBody == nil {
+		c.delAckBody = c.onDelAck
+	}
+	c.hooks.Softirq(c.delAckBody)
+}
+
+// onDelAck is the delayed-ACK timer handler (softirq context).
+func (c *Conn) onDelAck(ctx *exec.Ctx) {
 	if c.unacked > 0 {
 		ctx.Charge(cpumodel.Etc, c.costs.TimerFire)
 		c.sendAck(ctx, false)

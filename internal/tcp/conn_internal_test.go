@@ -269,11 +269,7 @@ func TestOOOInsertKeepsOrder(t *testing.T) {
 func TestLossRecoveryAllocatesNothing(t *testing.T) {
 	p := newPipe(t, 86, "cubic", 8934, nil, 0)
 	snd, rcv := p.a, p.b
-	snd.hooks.SendSegment = func(*exec.Ctx, *Conn, int64, units.Bytes, bool) {}
-	var ack skb.AckInfo
-	rcv.hooks.NewAck = func() *skb.AckInfo { return &ack }
-	rcv.hooks.SendAck = func(*exec.Ctx, *Conn, *skb.AckInfo) {}
-	rcv.hooks.OnReadable = func(*exec.Ctx, *Conn) {}
+	p.ea.mute, p.eb.mute, p.autoRead = true, true, false
 	snd.sndUna, snd.sndNxt = 0, 1<<20
 
 	// Eight SACKed blocks, reported up to three at a time, in shuffled

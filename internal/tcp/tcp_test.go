@@ -14,6 +14,14 @@ import (
 	"hostsim/internal/wire"
 )
 
+// New builds a connection on the heap: Init on a fresh Conn.
+func New(eng *sim.Engine, costs *cpumodel.Costs, cfg Config, flow skb.FlowID,
+	cc CongestionControl, hooks Hooks) *Conn {
+	c := new(Conn)
+	Init(c, eng, costs, cfg, flow, cc, hooks)
+	return c
+}
+
 // pipe wires two connection endpoints through wire.Links, bypassing the
 // NIC: segments become MSS-sized frames, ACKs become pure-ACK frames.
 type pipe struct {
@@ -22,6 +30,8 @@ type pipe struct {
 	a, b   *Conn         // a transmits flow 1 to b
 	skbs   skb.Pool      // builds the skb of each frame the wires deliver
 	frames skb.FramePool // recycles the AckInfo records of consumed ACKs
+
+	ea, eb *pipeEnd // a's and b's hooks
 
 	recvd  []*skb.SKB // what b's app read
 	recvdB units.Bytes
@@ -59,65 +69,94 @@ func newPipe(t testing.TB, seed int64, ccName string, mss units.Bytes,
 		})
 	})
 
-	hooks := func(out *wire.Link, core int) Hooks {
-		return Hooks{
-			SendSegment: func(ctx *exec.Ctx, c *Conn, seq int64, length units.Bytes, retrans bool) {
-				ctx.Charge(cpumodel.TCPIP, 500)
-				segs := skb.SegmentSizes(length, c.cfg.MSS)
-				s := seq
-				frames := make([]*skb.Frame, 0, len(segs))
-				for _, l := range segs {
-					frames = append(frames, &skb.Frame{Flow: c.flow, Seq: s, Len: l})
-					s += int64(l)
-				}
-				ctx.Defer(func() {
-					for _, f := range frames {
-						out.Send(f)
-					}
-				})
-			},
-			SendAck: func(ctx *exec.Ctx, c *Conn, info *skb.AckInfo) {
-				f := &skb.Frame{Flow: c.flow, Ack: info}
-				ctx.Defer(func() { out.Send(f) })
-			},
-			SendProbe: func(ctx *exec.Ctx, c *Conn) {
-				f := &skb.Frame{Flow: c.flow}
-				ctx.Defer(func() { out.Send(f) })
-			},
-			Softirq:      func(fn func(*exec.Ctx)) { p.sys.Core(core).RaiseSoftirq(fn) },
-			OnReadable:   func(*exec.Ctx, *Conn) {},
-			OnWritable:   func(*exec.Ctx, *Conn) {},
-			OnAckedPages: func(*exec.Ctx, *Conn, []mem.Page) {},
-			Recycle: func(s *skb.SKB) {
-				p.frames.PutAck(s.Ack)
-				s.Ack = nil
-				p.skbs.Put(s)
-			},
-			NewAck: p.frames.GetAck,
-		}
-	}
-
-	ha := hooks(toB, 1) // a runs on core 1, sends toward b
-	hb := hooks(toA, 0) // b runs on core 0 (acks travel toA? no: b acks flow 1 via toA)
-	hb.OnReadable = func(ctx *exec.Ctx, c *Conn) {
-		if !p.autoRead {
-			return
-		}
-		max := p.readChunk
-		if max == 0 {
-			max = units.Bytes(1 << 40)
-		}
-		for _, s := range c.Read(ctx, max) {
-			p.recvd = append(p.recvd, s)
-			p.recvdB += s.Len
-		}
-		ctx.Charge(cpumodel.DataCopy, 100)
-	}
-
-	p.a = New(p.eng, cpumodel.Default(), cfg, 1, NewCC(ccName, cfg.MSS), ha)
-	p.b = New(p.eng, cpumodel.Default(), cfg, 2, NewCC(ccName, cfg.MSS), hb)
+	p.ea = &pipeEnd{p: p, out: toB, core: 1}               // a runs on core 1, sends toward b
+	p.eb = &pipeEnd{p: p, out: toA, core: 0, reader: true} // b acks flow 1 via toA
+	p.a = New(p.eng, cpumodel.Default(), cfg, 1, NewCC(ccName, cfg.MSS), p.ea)
+	p.b = New(p.eng, cpumodel.Default(), cfg, 2, NewCC(ccName, cfg.MSS), p.eb)
 	return p
 }
+
+// pipeEnd is the Hooks of one pipe endpoint: segments, ACKs and probes
+// become frames on out, and timer work runs on core.
+type pipeEnd struct {
+	p      *pipe
+	out    *wire.Link
+	core   int
+	reader bool // the application reads on every readable event (b)
+	// mute drops segments and probes and returns ACK records to the pool,
+	// for tests that feed the connection directly.
+	mute bool
+	// onSend, when set, sees each segment the connection transmits.
+	onSend func(seq int64, length units.Bytes)
+}
+
+func (e *pipeEnd) SendSegment(ctx *exec.Ctx, c *Conn, seq int64, length units.Bytes, retrans bool) {
+	if e.onSend != nil {
+		e.onSend(seq, length)
+	}
+	if e.mute {
+		return
+	}
+	ctx.Charge(cpumodel.TCPIP, 500)
+	segs := skb.SegmentSizes(length, c.cfg.MSS)
+	s := seq
+	frames := make([]*skb.Frame, 0, len(segs))
+	for _, l := range segs {
+		frames = append(frames, &skb.Frame{Flow: c.flow, Seq: s, Len: l})
+		s += int64(l)
+	}
+	ctx.Defer(func() {
+		for _, f := range frames {
+			e.out.Send(f)
+		}
+	})
+}
+
+func (e *pipeEnd) SendAck(ctx *exec.Ctx, c *Conn, info *skb.AckInfo) {
+	if e.mute {
+		e.p.frames.PutAck(info)
+		return
+	}
+	f := &skb.Frame{Flow: c.flow, Ack: info}
+	ctx.Defer(func() { e.out.Send(f) })
+}
+
+func (e *pipeEnd) SendProbe(ctx *exec.Ctx, c *Conn) {
+	if e.mute {
+		return
+	}
+	f := &skb.Frame{Flow: c.flow}
+	ctx.Defer(func() { e.out.Send(f) })
+}
+
+func (e *pipeEnd) Softirq(fn func(*exec.Ctx)) { e.p.sys.Core(e.core).RaiseSoftirq(fn) }
+
+func (e *pipeEnd) OnReadable(ctx *exec.Ctx, c *Conn) {
+	p := e.p
+	if !e.reader || !p.autoRead {
+		return
+	}
+	max := p.readChunk
+	if max == 0 {
+		max = units.Bytes(1 << 40)
+	}
+	for _, s := range c.Read(ctx, max) {
+		p.recvd = append(p.recvd, s)
+		p.recvdB += s.Len
+	}
+	ctx.Charge(cpumodel.DataCopy, 100)
+}
+
+func (e *pipeEnd) OnWritable(*exec.Ctx, *Conn)               {}
+func (e *pipeEnd) OnAckedPages(*exec.Ctx, *Conn, []mem.Page) {}
+
+func (e *pipeEnd) Recycle(s *skb.SKB) {
+	e.p.frames.PutAck(s.Ack)
+	s.Ack = nil
+	e.p.skbs.Put(s)
+}
+
+func (e *pipeEnd) NewAck() *skb.AckInfo { return e.p.frames.GetAck() }
 
 // send queues n bytes on a from softirq context, respecting the buffer.
 func (p *pipe) send(n units.Bytes) {
@@ -510,35 +549,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// Every hook is required: New refuses a Hooks with any one of them nil,
-// so no hook is nil-checked on the data path.
+// The hooks are required: Init refuses a nil Hooks, so no hook is
+// nil-checked on the data path.
 func TestNewPanicsOnMissingHook(t *testing.T) {
-	p := newPipe(t, 1, "cubic", 1448, nil, 0)
-	for _, c := range []struct {
-		name  string
-		unset func(*Hooks)
-	}{
-		{"SendSegment", func(h *Hooks) { h.SendSegment = nil }},
-		{"SendAck", func(h *Hooks) { h.SendAck = nil }},
-		{"SendProbe", func(h *Hooks) { h.SendProbe = nil }},
-		{"Softirq", func(h *Hooks) { h.Softirq = nil }},
-		{"OnReadable", func(h *Hooks) { h.OnReadable = nil }},
-		{"OnWritable", func(h *Hooks) { h.OnWritable = nil }},
-		{"OnAckedPages", func(h *Hooks) { h.OnAckedPages = nil }},
-		{"Recycle", func(h *Hooks) { h.Recycle = nil }},
-		{"NewAck", func(h *Hooks) { h.NewAck = nil }},
-	} {
-		hooks := p.a.hooks
-		c.unset(&hooks)
-		func() {
-			defer func() {
-				if r := recover(); r != "tcp: missing required hook" {
-					t.Errorf("nil %s: recovered %v, want the missing-hook panic", c.name, r)
-				}
-			}()
-			New(p.eng, cpumodel.Default(), p.a.cfg, 3, NewCC("cubic", 1448), hooks)
-		}()
-	}
+	defer func() {
+		if r := recover(); r != "tcp: nil hooks" {
+			t.Errorf("nil Hooks: recovered %v, want the nil-hooks panic", r)
+		}
+	}()
+	New(sim.NewEngine(1), cpumodel.Default(), DefaultConfig(1448), 3, NewCC("cubic", 1448), nil)
 }
 
 func TestUnknownCCPanics(t *testing.T) {

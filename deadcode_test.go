@@ -37,7 +37,6 @@ var keptUnreferenced = map[string]string{
 	"internal/sim.Timer.When":                  "state accessor the timer tests read",
 	"internal/telemetry.Sampler.Evicted":       "ring-eviction count the sampler tests read",
 	"internal/figures.CacheSize":               "memo size the figure-cache tests read",
-	"internal/trace.Tracer.Dump":               "text dump the tracer tests read",
 	"internal/core.Host.Written":               "bytes-written counter the core tests read",
 	"internal/core.Host.Endpoints":             "endpoint count the core tests read",
 	"internal/profile.Profiler.TotalCycles":    "profile total the profiler tests reconcile",

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hostsim"
 )
@@ -108,6 +109,34 @@ func TestRunAllocationBudget(t *testing.T) {
 				t.Errorf("Run allocated %.3f MB, budget %.3f MB; a log or table may be regrowing by copying", mb, c.mb)
 			}
 		})
+	}
+}
+
+// TestTracedRunHoldsOneRing arms a 4,096-event trace on the default
+// single flow and bounds what it adds to the run's bytes at 15 % over one
+// ring: Result.Trace is the tracer's ring, handed over whole. While the
+// run copied the ring into a second slice of another event type, the
+// trace added both, about 0.52 MB.
+func TestTracedRunHoldsOneRing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting run is not short")
+	}
+	const events = 4096
+	runMB := func(cfg hostsim.Config) float64 {
+		_, mb := perRun(3, func() {
+			if _, err := hostsim.Run(cfg, hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return mb
+	}
+	traced := benchRunCfg()
+	traced.TraceEvents = events
+	extra := runMB(traced) - runMB(benchRunCfg())
+	ring := float64(events*unsafe.Sizeof(hostsim.TraceEvent{})) / 1e6
+	t.Logf("tracing added %.3f MB; one ring is %.3f MB", extra, ring)
+	if extra > 1.15*ring {
+		t.Errorf("tracing added %.3f MB, want at most %.3f MB (1.15 rings): the trace is held twice", extra, 1.15*ring)
 	}
 }
 

@@ -489,17 +489,17 @@ type FlowStats struct {
 	Ssthresh        int64 // final slow-start threshold, bytes (0 for BBR)
 }
 
-// TraceEvent is one recorded data-path occurrence (see Config.TraceEvents).
-// A and B are kind-specific: sequence/length for data events, cumulative
-// ack/window for "ack-sent".
-type TraceEvent struct {
-	At   time.Duration // since simulation start
-	Host string        // "sender" or "receiver"
-	Core int
-	Flow int32
-	Kind string // app-write, app-read, tx-segment, retransmit, deliver-skb, ack-sent
-	A, B int64
-}
+// TraceEvent is one recorded data-path occurrence (see Config.TraceEvents):
+// At is the time since simulation start, Host the host's name ("sender"
+// or "receiver" on the default pair, any Fabric.HostNames entry on a
+// fabric), Flow the flow id (0 for span events), and Kind one of
+// app-write, app-read, tx-segment, retransmit, deliver-skb, ack-sent,
+// drop, gro-flush, softirq-start, softirq-end, thread-start and
+// thread-end. A and B are kind-specific: sequence/length for data events
+// and NIC drops, cumulative ack/window for ack-sent, skbs/bytes for
+// gro-flush, and the dominant Table-1 category index and cycles charged
+// for the span kinds.
+type TraceEvent = trace.Event
 
 // Pattern names the Fig. 2 traffic patterns.
 type Pattern string
@@ -600,7 +600,8 @@ type Result struct {
 	FairnessIndex float64
 
 	// Trace holds the recorded data-path events when Config.TraceEvents
-	// was set, oldest first, across both hosts.
+	// was set, oldest first, across all hosts: the tracer's ring itself,
+	// handed over without a copy. Nil when the ring recorded nothing.
 	Trace []TraceEvent
 
 	// Timeline holds the sampled metric timeseries when Config.Telemetry
@@ -660,9 +661,9 @@ type Result struct {
 	// was set, ordered by start time (empty if none, nil when off).
 	BurstEvents []BurstEvent
 
-	traceEvents []trace.Event     // raw events for the trace artifact; non-nil when traced
-	prof        *profile.Profiler // backs the pprof and folded artifacts
-	mt          *mtrace.Tracer    // backs the tail artifact, the trace's message tracks and MessageRecords
+	traced bool              // the event tracer was armed: lists the trace artifact
+	prof   *profile.Profiler // backs the pprof and folded artifacts
+	mt     *mtrace.Tracer    // backs the tail artifact, the trace's message tracks and MessageRecords
 }
 
 // Artifact is one file a run can write. Write renders its primary
@@ -709,7 +710,7 @@ func (r *Result) Artifacts() []Artifact {
 		}
 		out = append(out, Artifact{"tail", tail, nil})
 	}
-	if r.traceEvents != nil || r.mt != nil || r.FabricTimeline != nil {
+	if r.traced || r.mt != nil || r.FabricTimeline != nil {
 		out = append(out, Artifact{"trace", r.writeTrace, nil})
 	}
 	if r.FabricTimeline != nil {
@@ -727,7 +728,7 @@ func (r *Result) Artifacts() []Artifact {
 // then the message exemplars, then the fabric tracks, each from whichever
 // of those producers the run armed.
 func (r *Result) writeTrace(w io.Writer) error {
-	spans := append(telemetry.EventSpans(r.traceEvents), r.mt.Spans()...)
+	spans := append(telemetry.EventSpans(r.Trace), r.mt.Spans()...)
 	if r.FabricTimeline != nil {
 		spans = append(spans, fabricobs.Spans(r.PortReports, r.FabricTimeline, r.BurstEvents)...)
 	}
@@ -944,6 +945,7 @@ func hostStats(h *core.Host, window time.Duration) HostStats {
 		}
 	}
 	lat := h.Latency()
+	conns := h.AggregateConnStats()
 	sizes := h.SKBSizes()
 	skb64 := 0.0
 	if sizes.Count() > 0 {
@@ -961,7 +963,7 @@ func hostStats(h *core.Host, window time.Duration) HostStats {
 		SKB64KBShare:    skb64,
 		CopiedGB:        float64(h.Copied()) / 1e9,
 		NICDrops:        h.NIC.Stats().RxDropped,
-		Retransmits:     hostRetransmits(h),
-		AcksSent:        hostAcksSent(h),
+		Retransmits:     conns.Retransmits,
+		AcksSent:        conns.AcksSent,
 	}
 }

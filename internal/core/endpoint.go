@@ -152,8 +152,8 @@ func (ep *Endpoint) Write(ctx *exec.Ctx, n units.Bytes) units.Bytes {
 		h.sndInUse += w
 	}
 	h.written += w
-	h.tracer.Emit(trace.Event{At: ctx.Now(), Host: h.name, Core: ep.appCore,
-		Flow: ep.txFlow, Kind: trace.AppWrite, B: int64(w)})
+	h.tracer.Emit(trace.Event{At: ctx.Now().Duration(), Host: h.name, Core: ep.appCore,
+		Flow: int32(ep.txFlow), Kind: trace.AppWrite, B: int64(w)})
 	// Message tracing: register the accepted bytes before TCP sees them,
 	// so segments emitted inside this SendData attach to their message.
 	h.mt.OnWrite(ep.txFlow, int64(w), ctx.Now())
@@ -171,8 +171,8 @@ func (ep *Endpoint) SendSegment(ctx *exec.Ctx, c *tcp.Conn, seq int64, length un
 	if retrans {
 		kind = trace.Retransmit
 	}
-	h.tracer.Emit(trace.Event{At: ctx.Now(), Host: h.name, Core: ctx.Core().ID(),
-		Flow: c.Flow(), Kind: kind, A: seq, B: int64(length)})
+	h.tracer.Emit(trace.Event{At: ctx.Now().Duration(), Host: h.name, Core: ctx.Core().ID(),
+		Flow: int32(c.Flow()), Kind: kind, A: seq, B: int64(length)})
 	sizes := skb.AppendSegmentSizes(ep.segSizes[:0], length, h.opts.MSS())
 	ep.segSizes = sizes
 	if !h.opts.TSO && h.opts.GSO && len(sizes) > 1 {
@@ -212,8 +212,8 @@ func (ep *Endpoint) SendSegment(ctx *exec.Ctx, c *tcp.Conn, seq int64, length un
 
 // SendAck implements tcp.Hooks: a pure ACK to the NIC.
 func (ep *Endpoint) SendAck(ctx *exec.Ctx, c *tcp.Conn, info *skb.AckInfo) {
-	ep.host.tracer.Emit(trace.Event{At: ctx.Now(), Host: ep.host.name, Core: ctx.Core().ID(),
-		Flow: ep.rxFlow, Kind: trace.AckSent, A: info.Cum, B: int64(info.Window)})
+	ep.host.tracer.Emit(trace.Event{At: ctx.Now().Duration(), Host: ep.host.name, Core: ctx.Core().ID(),
+		Flow: int32(ep.rxFlow), Kind: trace.AckSent, A: info.Cum, B: int64(info.Window)})
 	ctx.Charge(cpumodel.Netdev, ep.host.costs.QdiscEnqueue/2)
 	// The ACK acknowledges the incoming flow: it carries rxFlow so the
 	// peer's NIC steers it to the data sender's queue and socket.
@@ -326,49 +326,39 @@ func (ep *Endpoint) Read(ctx *exec.Ctx, max units.Bytes) units.Bytes {
 					h.DCA.Drop(p.ID)
 				}
 			}
-			ctx.Charge(cpumodel.SKBMgmt, costs.SKBRelease)
-			ctx.Charge(cpumodel.Memory, costs.SKBFree)
-			if len(s.Pages) > 0 {
-				h.Alloc.Free(ctx, ep.appCore, s.Pages)
+		} else {
+			// Copy cost page by page: DDIO hit, local DRAM, or remote DRAM.
+			remaining := s.Len
+			for _, p := range s.Pages {
+				chunk := h.spec.PageSize
+				if chunk > remaining {
+					chunk = remaining
+				}
+				remaining -= chunk
+				var per units.PerByte
+				resident := false
+				if h.DCA != nil && p.Node == nicNode {
+					resident = h.DCA.Consume(p.ID)
+				}
+				switch {
+				case resident && p.Node == readerNode:
+					per = costs.CopyHit
+					h.copyHitB += chunk
+				case resident && p.Node != readerNode:
+					// Data sits in the NIC-local L3 but the reader is on
+					// another socket: a cross-socket access, effectively a
+					// miss for the reader.
+					per = costs.CopyMissRemote
+					h.copyMissB += chunk
+				case p.Node == readerNode:
+					per = costs.CopyMissLocal
+					h.copyMissB += chunk
+				default:
+					per = costs.CopyMissRemote
+					h.copyMissB += chunk
+				}
+				ctx.ChargeBytes(cpumodel.DataCopy, per, chunk)
 			}
-			if h.prof != nil {
-				h.prof.Lifecycle().Record(s, ctx.Now())
-			}
-			h.mt.OnDeliver(s, ctx.Now())
-			ep.Recycle(s)
-			continue
-		}
-		// Copy cost page by page: DDIO hit, local DRAM, or remote DRAM.
-		remaining := s.Len
-		for _, p := range s.Pages {
-			chunk := h.spec.PageSize
-			if chunk > remaining {
-				chunk = remaining
-			}
-			remaining -= chunk
-			var per units.PerByte
-			resident := false
-			if h.DCA != nil && p.Node == nicNode {
-				resident = h.DCA.Consume(p.ID)
-			}
-			switch {
-			case resident && p.Node == readerNode:
-				per = costs.CopyHit
-				h.copyHitB += chunk
-			case resident && p.Node != readerNode:
-				// Data sits in the NIC-local L3 but the reader is on
-				// another socket: a cross-socket access, effectively a
-				// miss for the reader.
-				per = costs.CopyMissRemote
-				h.copyMissB += chunk
-			case p.Node == readerNode:
-				per = costs.CopyMissLocal
-				h.copyMissB += chunk
-			default:
-				per = costs.CopyMissRemote
-				h.copyMissB += chunk
-			}
-			ctx.ChargeBytes(cpumodel.DataCopy, per, chunk)
 		}
 		ctx.Charge(cpumodel.SKBMgmt, costs.SKBRelease)
 		ctx.Charge(cpumodel.Memory, costs.SKBFree)
@@ -382,7 +372,7 @@ func (ep *Endpoint) Read(ctx *exec.Ctx, max units.Bytes) units.Bytes {
 		ep.Recycle(s)
 	}
 	h.copied += total
-	h.tracer.Emit(trace.Event{At: ctx.Now(), Host: h.name, Core: ep.appCore,
-		Flow: ep.rxFlow, Kind: trace.AppRead, B: int64(total)})
+	h.tracer.Emit(trace.Event{At: ctx.Now().Duration(), Host: h.name, Core: ep.appCore,
+		Flow: int32(ep.rxFlow), Kind: trace.AppRead, B: int64(total)})
 	return total
 }

@@ -315,8 +315,8 @@ func (h *Host) process(ctx *exec.Ctx, ep *Endpoint, s *skb.SKB) {
 	}
 	if s.Ack == nil && s.Len > 0 {
 		h.skbSizes.Record(float64(s.Len))
-		h.tracer.Emit(trace.Event{At: ctx.Now(), Host: h.name, Core: ctx.Core().ID(),
-			Flow: s.Flow, Kind: trace.DeliverSKB, A: s.Seq, B: int64(s.Len)})
+		h.tracer.Emit(trace.Event{At: ctx.Now().Duration(), Host: h.name, Core: ctx.Core().ID(),
+			Flow: int32(s.Flow), Kind: trace.DeliverSKB, A: s.Seq, B: int64(s.Len)})
 	}
 	ep.conn.OnSegment(ctx, s)
 }
@@ -391,9 +391,9 @@ func (h *Host) EnableSpanTrace() {
 				dom = i
 			}
 		}
-		h.tracer.Emit(trace.Event{At: start, Host: h.name, Core: core,
+		h.tracer.Emit(trace.Event{At: start.Duration(), Host: h.name, Core: core,
 			Kind: startKind, A: int64(dom), B: int64(cycles)})
-		h.tracer.Emit(trace.Event{At: end, Host: h.name, Core: core,
+		h.tracer.Emit(trace.Event{At: end.Duration(), Host: h.name, Core: core,
 			Kind: endKind, A: int64(dom), B: int64(cycles)})
 	})
 }

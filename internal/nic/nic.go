@@ -654,7 +654,7 @@ func (n *NIC) ReceiveFromWire(f *skb.Frame) {
 		n.stats.RxDropped++
 		n.stats.RxDroppedBytes += f.Len
 		n.tracer.Emit(trace.Event{
-			At: n.eng.Now(), Host: n.traceHost, Core: core, Flow: f.Flow,
+			At: n.eng.Now().Duration(), Host: n.traceHost, Core: core, Flow: int32(f.Flow),
 			Kind: trace.Drop, A: f.Seq, B: int64(f.Len),
 		})
 		n.framePool.PutAck(f.Ack)
@@ -800,7 +800,7 @@ func (q *rxQueue) poll(ctx *exec.Ctx) {
 			bytes += int64(s.Len)
 		}
 		n.tracer.Emit(trace.Event{
-			At: ctx.Now(), Host: n.traceHost, Core: q.core,
+			At: ctx.Now().Duration(), Host: n.traceHost, Core: q.core,
 			Kind: trace.GROFlush, A: int64(len(out)), B: bytes,
 		})
 	}

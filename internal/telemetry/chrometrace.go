@@ -91,7 +91,7 @@ func EventSpans(events []trace.Event) []Span {
 		default:
 			spans = append(spans, Span{
 				Process: e.Host, Thread: e.Core,
-				Name: e.Kind.String(), Cat: "flow", Instant: true,
+				Name: e.Kind, Cat: "flow", Instant: true,
 				StartNS: int64(e.At),
 				Args:    map[string]any{"flow": int64(e.Flow), "a": e.A, "b": e.B},
 			})

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hostsim/internal/sim"
 	"hostsim/internal/trace"
 )
 
@@ -23,8 +22,6 @@ type chromeEvent struct {
 	S    string         `json:"s"`
 	Args map[string]any `json:"args"`
 }
-
-func at(d time.Duration) sim.Time { return sim.Time(d) }
 
 func TestChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
@@ -42,12 +39,12 @@ func TestChromeTraceEmpty(t *testing.T) {
 
 func TestChromeTraceSpansAndInstants(t *testing.T) {
 	events := []trace.Event{
-		{At: at(0), Host: "sender", Core: 0, Kind: trace.ThreadStart, A: 0, B: 500},
-		{At: at(2 * time.Microsecond), Host: "sender", Core: 0, Kind: trace.ThreadEnd, A: 0, B: 500},
-		{At: at(3 * time.Microsecond), Host: "receiver", Core: 1, Kind: trace.SoftirqStart, A: 2, B: 900},
-		{At: at(4 * time.Microsecond), Host: "receiver", Core: 1, Flow: 1,
+		{At: 0, Host: "sender", Core: 0, Kind: trace.ThreadStart, A: 0, B: 500},
+		{At: 2 * time.Microsecond, Host: "sender", Core: 0, Kind: trace.ThreadEnd, A: 0, B: 500},
+		{At: 3 * time.Microsecond, Host: "receiver", Core: 1, Kind: trace.SoftirqStart, A: 2, B: 900},
+		{At: 4 * time.Microsecond, Host: "receiver", Core: 1, Flow: 1,
 			Kind: trace.DeliverSKB, A: 4096, B: 65536},
-		{At: at(5 * time.Microsecond), Host: "receiver", Core: 1, Kind: trace.SoftirqEnd, A: 2, B: 900},
+		{At: 5 * time.Microsecond, Host: "receiver", Core: 1, Kind: trace.SoftirqEnd, A: 2, B: 900},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeSpans(&buf, EventSpans(events)); err != nil {
@@ -103,7 +100,7 @@ func TestChromeTraceSpansAndInstants(t *testing.T) {
 // rather than producing a broken span.
 func TestChromeTraceSkipsOrphanEnd(t *testing.T) {
 	events := []trace.Event{
-		{At: at(time.Microsecond), Host: "h", Core: 0, Kind: trace.SoftirqEnd, A: 1, B: 10},
+		{At: time.Microsecond, Host: "h", Core: 0, Kind: trace.SoftirqEnd, A: 1, B: 10},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeSpans(&buf, EventSpans(events)); err != nil {
@@ -116,9 +113,9 @@ func TestChromeTraceSkipsOrphanEnd(t *testing.T) {
 
 func TestChromeTraceDeterministicBytes(t *testing.T) {
 	events := []trace.Event{
-		{At: at(0), Host: "a", Core: 0, Kind: trace.ThreadStart, A: 1, B: 2},
-		{At: at(time.Microsecond), Host: "a", Core: 0, Kind: trace.ThreadEnd, A: 1, B: 2},
-		{At: at(2 * time.Microsecond), Host: "b", Core: 3, Flow: 9,
+		{At: 0, Host: "a", Core: 0, Kind: trace.ThreadStart, A: 1, B: 2},
+		{At: time.Microsecond, Host: "a", Core: 0, Kind: trace.ThreadEnd, A: 1, B: 2},
+		{At: 2 * time.Microsecond, Host: "b", Core: 3, Flow: 9,
 			Kind: trace.GROFlush, A: 4, B: 180000},
 	}
 	var b1, b2 bytes.Buffer

@@ -1,84 +1,49 @@
 // Package trace provides a lightweight event tracer for the simulated
 // data path — the equivalent of the paper's kernel instrumentation
-// scripts. Hosts emit typed events (syscalls, segment transmissions,
-// deliveries, acks, retransmissions) into a bounded ring; tools dump a
-// flow's timeline for debugging and teaching.
+// scripts. Hosts emit events (syscalls, segment transmissions,
+// deliveries, acks, retransmissions) into a bounded ring, which the run
+// hands over whole as its recorded timeline.
 //
 // A nil *Tracer is valid and free: every method no-ops, so the data path
 // carries no tracing cost unless a tracer is installed.
 package trace
 
 import (
-	"fmt"
-	"io"
 	"slices"
-
-	"hostsim/internal/sim"
-	"hostsim/internal/skb"
+	"time"
 )
 
-// Kind classifies a traced event.
-type Kind uint8
-
-// Event kinds along the Fig. 1 data path. The span kinds (SoftirqStart
-// through ThreadEnd) delimit per-core execution of one work item; for
-// those, A carries the dominant Table-1 category index and B the cycles
-// charged. Drop marks a NIC descriptor drop; GROFlush marks the end of a
-// NAPI poll's aggregation (A = skbs delivered up, B = payload bytes).
+// Event kinds along the Fig. 1 data path; the names are the public
+// identifiers in the run's trace and its Chrome-trace export. The span
+// kinds (SoftirqStart through ThreadEnd) delimit per-core execution of
+// one work item; for those, A carries the dominant Table-1 category index
+// and B the cycles charged. Drop marks a NIC descriptor drop; GROFlush
+// marks the end of a NAPI poll's aggregation (A = skbs delivered up,
+// B = payload bytes).
 const (
-	AppWrite     Kind = iota // application write syscall accepted bytes
-	AppRead                  // application read syscall copied bytes
-	TxSegment                // TCP handed a segment to the NIC
-	Retransmit               // TCP retransmitted a range
-	DeliverSKB               // an skb reached TCP/IP Rx processing
-	AckSent                  // receiver emitted an ACK
-	Drop                     // NIC dropped a frame (no Rx descriptor)
-	GROFlush                 // NAPI poll flushed its GRO aggregates
-	SoftirqStart             // a softirq work item began executing
-	SoftirqEnd               // a softirq work item finished
-	ThreadStart              // a thread quantum began executing
-	ThreadEnd                // a thread quantum finished
-	numKinds
+	AppWrite     = "app-write"     // application write syscall accepted bytes
+	AppRead      = "app-read"      // application read syscall copied bytes
+	TxSegment    = "tx-segment"    // TCP handed a segment to the NIC
+	Retransmit   = "retransmit"    // TCP retransmitted a range
+	DeliverSKB   = "deliver-skb"   // an skb reached TCP/IP Rx processing
+	AckSent      = "ack-sent"      // receiver emitted an ACK
+	Drop         = "drop"          // NIC dropped a frame (no Rx descriptor)
+	GROFlush     = "gro-flush"     // NAPI poll flushed its GRO aggregates
+	SoftirqStart = "softirq-start" // a softirq work item began executing
+	SoftirqEnd   = "softirq-end"   // a softirq work item finished
+	ThreadStart  = "thread-start"  // a thread quantum began executing
+	ThreadEnd    = "thread-end"    // a thread quantum finished
 )
-
-var kindNames = [numKinds]string{
-	"app-write", "app-read", "tx-segment", "retransmit", "deliver-skb", "ack-sent",
-	"drop", "gro-flush", "softirq-start", "softirq-end", "thread-start", "thread-end",
-}
-
-func (k Kind) String() string {
-	if k >= numKinds {
-		return "invalid"
-	}
-	return kindNames[k]
-}
 
 // Event is one traced occurrence. A and B are kind-specific: sequence
 // number and length for data events, cumulative ack and window for acks.
 type Event struct {
-	At   sim.Time
+	At   time.Duration // since simulation start
 	Host string
 	Core int
-	Flow skb.FlowID
-	Kind Kind
+	Flow int32
+	Kind string
 	A, B int64
-}
-
-func (e Event) String() string {
-	switch e.Kind {
-	case AckSent:
-		return fmt.Sprintf("%-12v %-8s core%-3d flow%-4d %-11s cum=%d wnd=%d",
-			e.At, e.Host, e.Core, e.Flow, e.Kind, e.A, e.B)
-	case SoftirqStart, SoftirqEnd, ThreadStart, ThreadEnd:
-		return fmt.Sprintf("%-12v %-8s core%-3d flow%-4d %-11s cat=%d cyc=%d",
-			e.At, e.Host, e.Core, e.Flow, e.Kind, e.A, e.B)
-	case GROFlush:
-		return fmt.Sprintf("%-12v %-8s core%-3d flow%-4d %-11s skbs=%d bytes=%d",
-			e.At, e.Host, e.Core, e.Flow, e.Kind, e.A, e.B)
-	default:
-		return fmt.Sprintf("%-12v %-8s core%-3d flow%-4d %-11s seq=%d len=%d",
-			e.At, e.Host, e.Core, e.Flow, e.Kind, e.A, e.B)
-	}
 }
 
 // Tracer is a bounded ring of events. The zero value is unusable;
@@ -88,8 +53,7 @@ type Tracer struct {
 	max     int
 	next    int
 	wrapped bool
-	flow    skb.FlowID // 0 = all flows
-	dropped int64
+	flow    int32 // 0 = all flows
 }
 
 // initialRing bounds the events New allocates up front; the ring grows
@@ -107,7 +71,7 @@ func New(max int) *Tracer {
 }
 
 // FilterFlow restricts recording to one flow (0 = all).
-func (t *Tracer) FilterFlow(f skb.FlowID) {
+func (t *Tracer) FilterFlow(f int32) {
 	if t == nil {
 		return
 	}
@@ -129,28 +93,11 @@ func (t *Tracer) Emit(e Event) {
 	t.ring[t.next] = e
 	t.next = (t.next + 1) % t.max
 	t.wrapped = true
-	t.dropped++
-}
-
-// Events returns the recorded events, oldest first.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	if !t.wrapped {
-		out := make([]Event, len(t.ring))
-		copy(out, t.ring)
-		return out
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
 }
 
 // Take returns the recorded events, oldest first, and empties the ring.
-// Unlike Events it copies nothing: it orders the ring in place and hands
-// it over, so call it when the tracer is done recording.
+// It copies nothing: it orders the ring in place and hands it over, so
+// call it when the tracer is done recording.
 func (t *Tracer) Take() []Event {
 	if t == nil {
 		return nil
@@ -164,27 +111,4 @@ func (t *Tracer) Take() []Event {
 	}
 	t.ring, t.next, t.wrapped = nil, 0, false
 	return out
-}
-
-// Dropped returns how many events were evicted from the ring.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
-// Dump writes the timeline to w, oldest first.
-func (t *Tracer) Dump(w io.Writer) error {
-	for _, e := range t.Events() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	if d := t.Dropped(); d > 0 {
-		if _, err := fmt.Fprintf(w, "(%d earlier events evicted)\n", d); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"hostsim/internal/mtrace"
 	"hostsim/internal/profile"
 	"hostsim/internal/sim"
-	"hostsim/internal/skb"
 	"hostsim/internal/stage"
 	"hostsim/internal/telemetry"
 	"hostsim/internal/topology"
@@ -141,7 +140,7 @@ func (o *traceObs) validate(*Config) error {
 
 func (o *traceObs) attach(w *world) {
 	o.tr = trace.New(o.events)
-	o.tr.FilterFlow(skb.FlowID(o.flow))
+	o.tr.FilterFlow(o.flow)
 	for _, h := range w.hosts {
 		h.SetTracer(o.tr)
 		if o.spans {
@@ -150,20 +149,13 @@ func (o *traceObs) attach(w *world) {
 	}
 }
 
-// finish hands the tracer's ring over to the Result: the tracer records
-// nothing after the run, so its ring needs no copy.
+// finish hands the tracer's ring to the Result as Result.Trace: the
+// tracer records nothing after the run, so its ring needs no copy. An
+// empty ring leaves Result.Trace nil.
 func (o *traceObs) finish(res *Result) error {
-	res.traceEvents = o.tr.Take()
-	if len(res.traceEvents) == 0 {
-		return nil
-	}
-	res.Trace = make([]TraceEvent, len(res.traceEvents))
-	for i, e := range res.traceEvents {
-		res.Trace[i] = TraceEvent{
-			At:   e.At.Duration(),
-			Host: e.Host, Core: e.Core, Flow: int32(e.Flow),
-			Kind: e.Kind.String(), A: e.A, B: e.B,
-		}
+	res.traced = true
+	if ev := o.tr.Take(); len(ev) > 0 {
+		res.Trace = ev
 	}
 	return nil
 }

@@ -324,13 +324,3 @@ func jain(xs []float64) float64 {
 	}
 	return sum * sum / (float64(len(xs)) * sq)
 }
-
-func hostRetransmits(h *core.Host) int64 {
-	st := h.AggregateConnStats()
-	return st.Retransmits
-}
-
-func hostAcksSent(h *core.Host) int64 {
-	st := h.AggregateConnStats()
-	return st.AcksSent
-}

@@ -1,6 +1,7 @@
 package hostsim
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -10,6 +11,34 @@ import (
 // quickCfg is a short window for API-surface tests.
 func quickCfg(s Stack) Config {
 	return Config{Stack: s, Seed: 5, Warmup: 6 * time.Millisecond, Duration: 8 * time.Millisecond}
+}
+
+// A Config's JSON is the figures' run-memo key, and bench's specs and the
+// fuzz targets fill Stack and Tuning field by field, so the names and the
+// order of those fields are pinned: a rename or a reorder of either
+// struct fails here.
+func TestConfigJSONPinned(t *testing.T) {
+	cfg := Config{
+		Stack: Stack{TSO: true, GSO: true, GRO: true, LRO: true, JumboFrames: true, ARFS: true, DCA: true, IOMMU: true,
+			CC: "dctcp", Steering: "rfs", ZeroCopyTx: true, ZeroCopyRx: true, DCAAwareDRS: true, RcvSchedulerK: 2,
+			RxDescriptors: 256, RcvBufBytes: 3 << 20, SndBufBytes: 1 << 20},
+		Tuning: &Tuning{TSQBytes: 1 << 17, SchedGranularity: 33 * time.Microsecond, ModerationDelay: 5 * time.Microsecond,
+			PagesetCap: -1, DCAHazardFactor: 0.5},
+	}
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"Stack":{"TSO":true,"GSO":true,"GRO":true,"LRO":true,"JumboFrames":true,"ARFS":true,"DCA":true,` +
+		`"IOMMU":true,"CC":"dctcp","Steering":"rfs","ZeroCopyTx":true,"ZeroCopyRx":true,"DCAAwareDRS":true,` +
+		`"RcvSchedulerK":2,"RxDescriptors":256,"RcvBufBytes":3145728,"SndBufBytes":1048576},` +
+		`"Tuning":{"TSQBytes":131072,"SchedGranularity":33000,"ModerationDelay":5000,"PagesetCap":-1,"DCAHazardFactor":0.5},` +
+		`"CostScale":null,"LinkGbps":0,"LossRate":0,"ECNMarkKB":0,"Warmup":0,"Duration":0,"Seed":0,` +
+		`"TraceEvents":0,"TraceFlow":0,"TraceSpans":false,"Profile":null,"Telemetry":null,"Check":null,` +
+		`"Inspect":null,"Fabric":null,"FabricObs":null,"MsgTrace":null}`
+	if string(b) != want {
+		t.Errorf("Config JSON =\n%s\nwant\n%s", b, want)
+	}
 }
 
 // TestRunRejectsBadConfigs pins each bad input to its error. Several of
@@ -88,6 +117,9 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		}), incast, "hostsim: FabricObs.BurstThresholdKB 9223372036854775807 exceeds 9007199254740991"},
 		{"send buffer below one skb", stack(func(s *Stack) { s.SndBufBytes = 67 }), single,
 			"core: SndBufBytes 67 below the 65536-byte transmit skb"},
+		{"negative Rx ring", stack(func(s *Stack) { s.RxDescriptors = -1 }), single, "core: negative RxDescriptors"},
+		{"negative receive buffer", stack(func(s *Stack) { s.RcvBufBytes = -1 }), single, "core: negative RcvBufBytes"},
+		{"negative send buffer", stack(func(s *Stack) { s.SndBufBytes = -1 }), single, "core: negative SndBufBytes"},
 		{"spans with trace flow", Config{Stack: AllOptimizations(), TraceEvents: 10, TraceFlow: 1, TraceSpans: true}, single,
 			"hostsim: TraceSpans needs TraceFlow 0: span events carry flow 0"},
 		{"negative scheduler K", stack(func(s *Stack) { s.RcvSchedulerK = -2 }), single, "core: negative RcvSchedulerK"},

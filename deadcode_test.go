@@ -41,8 +41,6 @@ var keptUnreferenced = map[string]string{
 	"internal/core.Host.Endpoints":             "endpoint count the core tests read",
 	"internal/profile.Profiler.TotalCycles":    "profile total the profiler tests reconcile",
 	"internal/profile.Profiler.CategoryTotals": "per-category totals the profiler tests reconcile",
-	"internal/core.AllOpts":                    "stack preset the core tests build hosts with",
-	"internal/core.NoOpts":                     "stack preset the core tests build hosts with",
 	"internal/metrics.Histogram.RecordN":       "bulk record the histogram tests check against Record",
 	"internal/metrics.Histogram.Buckets":       "bucket view the histogram tests read",
 	"internal/skb.SegmentSizes":                "GSO/TSO split the skb and tcp tests check segments against",
@@ -370,11 +368,12 @@ func fieldWriters(tm *typedModule) writers {
 	return w
 }
 
-// outside reports whether a package other than pkg writes field f: the
-// library defaulting its own option is not a caller choosing a value.
+// outside reports whether a package other than pkg and other than f's
+// own writes field f: a library defaulting or presetting an option it
+// declares or re-exports is not a caller choosing a value.
 func (w writers) outside(f types.Object, pkg string) bool {
 	for p := range w[f] {
-		if p != pkg {
+		if p != pkg && p != f.Pkg().Path() {
 			return true
 		}
 	}
@@ -382,10 +381,10 @@ func (w writers) outside(f types.Object, pkg string) bool {
 }
 
 // uncalledKnobs returns how many knobs package root's Config reaches and
-// the ones no other package writes, keyed "Type.Field" by the name root
-// gives the type. The knobs are Config's exported fields and,
-// recursively, those of the struct types they name, through pointers and
-// aliases.
+// the ones no package but root and the field's own writes, keyed
+// "Type.Field" by the name root gives the type. The knobs are Config's
+// exported fields and, recursively, those of the struct types they name,
+// through pointers and aliases.
 func uncalledKnobs(tm *typedModule, w writers, root string) (int, map[string]token.Position, error) {
 	pkg, err := tm.imp.Import(root)
 	if err != nil {
@@ -675,8 +674,8 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 }
 
 // TestEveryConfigKnobHasACaller fails for any knob reachable from
-// hostsim.Config that no non-test code outside the hostsim package sets,
-// by the rule of uncalledKnobs, and for any exported field of an internal
+// hostsim.Config that no non-test code outside the hostsim package and
+// the knob's declaring package sets, by the rule of uncalledKnobs, and for any exported field of an internal
 // *Config or *Options struct that no non-test code outside its own
 // package sets, by the rule of uncalledOptions.
 func TestEveryConfigKnobHasACaller(t *testing.T) {
@@ -783,14 +782,19 @@ func main() { p.Reset(p.New()); _ = p.Names(p.Dead{}); _, _, _ = p.Sorted{}, p.L
 // literal key, an assignment, an increment through a pointer field and
 // &c.Addr; p's own write does not count, unexported fields are no knobs,
 // and the field of a struct reached through an alias is named by the
-// alias. Under internal/, r's option structs count: a field that only r
-// writes (Own) or nobody writes (Never) is flagged, while one that p, a
-// library package, writes (Other) or the main package writes (Lit) is
-// not; Plain is no option struct, and its field is never counted.
+// alias. A write from the package that declares the aliased struct does
+// not count either: q's preset sets Stack.Preset and nothing else does,
+// so it is flagged, while the main package's Stack.Chosen is not. Under
+// internal/, r's option structs count: a field that only r writes (Own)
+// or nobody writes (Never) is flagged, while one that p, a library
+// package, writes (Other) or the main package writes (Lit) is not; Plain
+// is no option struct, and its field is never counted.
 func TestUncalledKnobsRule(t *testing.T) {
 	sources := map[string]string{
 		"q": `package q
 type Options struct{ Classes int }
+type Stack struct{ Preset, Chosen int }
+func Default() Stack { return Stack{Preset: 1} }
 `,
 		"internal/r": `package r
 type Config struct{ Own, Other, Lit, hidden int }
@@ -804,17 +808,20 @@ type Config struct {
 	Lit, Assign, Addr, Own, Never int
 	Inner *Inner
 	Alias *Opts
+	Stack Stack
 	hidden int
 }
 type Inner struct{ Set, Unset int }
 type Opts = q.Options
+type Stack = q.Stack
 func (c *Config) defaults() { c.Own, c.hidden = 1, 2 }
 func Build() r.Config { c := r.Default(); c.Other = 3; return c }
 `,
 		"cmd": `package main
-import ("flag"; "internal/r"; "p")
+import ("flag"; "internal/r"; "p"; "q")
 func main() {
-	c := p.Config{Lit: 1, Inner: &p.Inner{}}
+	c := p.Config{Lit: 1, Inner: &p.Inner{}, Stack: q.Default()}
+	c.Stack.Chosen = 2
 	c.Assign = 2
 	flag.IntVar(&c.Addr, "addr", 0, "")
 	c.Inner.Set++
@@ -844,7 +851,7 @@ func main() {
 		want []string
 	}{
 		{"uncalledKnobs", func() (int, map[string]token.Position, error) { return uncalledKnobs(tm, w, "p") },
-			10, []string{"Config.Never", "Config.Own", "Inner.Unset", "Opts.Classes"}},
+			13, []string{"Config.Never", "Config.Own", "Inner.Unset", "Opts.Classes", "Stack.Preset"}},
 		{"uncalledOptions", func() (int, map[string]token.Position, error) { return uncalledOptions(tm, w, "internal/") },
 			4, []string{"r.Config.Own", "r.Options.Never"}},
 	} {

@@ -40,106 +40,25 @@ import (
 	"hostsim/internal/units"
 )
 
-// Stack mirrors the paper's stack configuration knobs.
-type Stack struct {
-	TSO         bool   // hardware segmentation offload
-	GSO         bool   // software segmentation when TSO is off
-	GRO         bool   // software receive aggregation
-	LRO         bool   // hardware receive aggregation (instead of GRO)
-	JumboFrames bool   // 9000B MTU
-	ARFS        bool   // accelerated receive flow steering
-	DCA         bool   // DDIO into the NIC-local L3
-	IOMMU       bool   // IOMMU map/unmap per DMA page
-	CC          string // "cubic" (default), "reno", "dctcp", "bbr"
-
-	// Steering overrides the flow steering policy: "arfs", "worst"
-	// (the paper's deterministic aRFS-off pinning), "rss", "rfs"
-	// (software flow steering), "rps" (software packet steering) or
-	// "same-numa" (IRQs on a different core of the app's NUMA node).
-	// Empty derives from the ARFS flag: arfs when set, worst otherwise.
-	Steering string
-
-	// ZeroCopyTx enables MSG_ZEROCOPY-style transmission (§4 of the
-	// paper): application pages are pinned and DMAed directly, skipping
-	// the user-to-kernel copy at a small pin/completion cost.
-	ZeroCopyTx bool
-	// ZeroCopyRx enables the paper's mmap-based receive path: payload
-	// pages are mapped into the application instead of copied, at a
-	// per-page remap cost.
-	ZeroCopyRx bool
-
-	// DCAAwareDRS caps receive-buffer autotuning at the DDIO capacity —
-	// the paper's §4 proposal that buffer tuning should account for L3
-	// size. Ignored when RcvBufBytes pins the buffer.
-	DCAAwareDRS bool
-
-	// RcvSchedulerK enables a Homa/pHost-inspired receiver-driven
-	// scheduler (§4): at most K connections per receiving core hold a
-	// window at a time, rotated every millisecond. 0 = off; negative is
-	// an error.
-	RcvSchedulerK int
-
-	RxDescriptors int   // NIC Rx ring size; 0 = 1024
-	RcvBufBytes   int64 // fixed TCP receive buffer; 0 = autotune (max 6MB)
-	SndBufBytes   int64 // send buffer; 0 = 4MB
-}
+// Stack is the paper's stack configuration: the offloads, MTU, steering,
+// DCA/IOMMU, congestion control, buffers and §4 extensions;
+// core.Stack documents every field.
+type Stack = core.Stack
 
 // AllOptimizations returns the paper's fully optimized stack: TSO/GRO,
 // jumbo frames, aRFS, DCA on, IOMMU off, CUBIC.
-func AllOptimizations() Stack {
-	return Stack{TSO: true, GSO: true, GRO: true, JumboFrames: true, ARFS: true, DCA: true, CC: "cubic"}
-}
+func AllOptimizations() Stack { return core.AllOptimizations() }
 
 // NoOptimizations returns the paper's baseline configuration (GSO
 // disabled as in their modified kernel, MTU 1500, worst-case steering).
-func NoOptimizations() Stack {
-	return Stack{DCA: true, CC: "cubic"}
-}
-
-func (s Stack) options() (core.Options, error) {
-	steer := core.SteerWorstCase
-	if s.ARFS {
-		steer = core.SteerARFS
-	}
-	switch s.Steering {
-	case "":
-	case "arfs":
-		steer = core.SteerARFS
-	case "worst":
-		steer = core.SteerWorstCase
-	case "rss":
-		steer = core.SteerRSSHash
-	case "rfs":
-		steer = core.SteerRFS
-	case "rps":
-		steer = core.SteerRPS
-	case "same-numa":
-		steer = core.SteerSameNUMA
-	default:
-		return core.Options{}, fmt.Errorf("hostsim: unknown steering %q", s.Steering)
-	}
-	return core.Options{
-		TSO: s.TSO, GSO: s.GSO, GRO: s.GRO, LRO: s.LRO, Jumbo: s.JumboFrames,
-		DCA: s.DCA, IOMMU: s.IOMMU, Steering: steer, CC: s.CC,
-		ZeroCopyTx: s.ZeroCopyTx, ZeroCopyRx: s.ZeroCopyRx,
-		DCAAwareDRS: s.DCAAwareDRS, RcvSchedulerK: s.RcvSchedulerK,
-		RxRing:      s.RxDescriptors,
-		RcvBufBytes: units.Bytes(s.RcvBufBytes),
-		SndBufBytes: units.Bytes(s.SndBufBytes),
-	}, nil
-}
+func NoOptimizations() Stack { return core.NoOptimizations() }
 
 // Tuning exposes the simulator's internal model knobs for ablation
-// studies. Zero values keep the calibrated defaults; -1 disables a
-// mechanism where noted. Any other negative value, and a DCAHazardFactor
-// that is NaN or infinite, is an error.
-type Tuning struct {
-	TSQBytes         int64         // per-connection qdisc bound (default 256KB; >= 0)
-	SchedGranularity time.Duration // scheduler wakeup granularity (default 250us; >= 0)
-	ModerationDelay  time.Duration // NIC IRQ coalescing delay (default 12us; >= 0)
-	PagesetCap       int           // per-core pageset capacity (default 512; -1 = none, else >= 0)
-	DCAHazardFactor  float64       // descriptor eviction hazard scale (default 0.035; -1 = off, else finite and >= 0)
-}
+// studies; core.Tuning documents every field. Zero values keep the
+// calibrated defaults; -1 disables a mechanism where noted. Any other
+// negative value, and a DCAHazardFactor that is NaN or infinite, is an
+// error.
+type Tuning = core.Tuning
 
 // Config describes one simulation run.
 type Config struct {
@@ -808,7 +727,7 @@ func (p *plan) build() *world {
 			names[i] = fmt.Sprintf("host%03d", i)
 		}
 	}
-	cluster := core.NewCluster(eng, names, p.spec, p.costs, p.opts, fabric.Config{
+	cluster := core.NewCluster(eng, names, p.spec, p.costs, p.cfg.Stack, p.tuning, fabric.Config{
 		LinkRate:     p.spec.LinkRate,
 		SharedBuffer: units.Bytes(p.fab.SharedBufferKB) * units.KB,
 		Alpha:        p.fab.Alpha,

@@ -31,16 +31,18 @@ type Cluster struct {
 }
 
 // NewCluster builds one host per name on eng, all with the same machine,
-// cost model and stack options, and attaches them to a new switch fabric,
-// host i on port i. Zero-valued fcfg.LinkRate/Delay default to the
+// cost model, stack and tuning, and attaches them to a new switch fabric,
+// host i on port i. The stack and tuning are resolved once, here; a pair
+// Validate rejects panics. Zero-valued fcfg.LinkRate/Delay default to the
 // machine spec's link rate and one-way delay; fcfg.Ports is the host
 // count. Construction draws no random numbers and schedules no events.
 func NewCluster(eng *sim.Engine, names []string, spec topology.MachineSpec,
-	costs *cpumodel.Costs, opts Options, fcfg fabric.Config) *Cluster {
+	costs *cpumodel.Costs, stack Stack, tuning Tuning, fcfg fabric.Config) *Cluster {
 	if len(names) < 2 {
 		panic("core: a fabric needs at least 2 hosts")
 	}
-	if err := opts.Validate(); err != nil {
+	settings, err := resolve(stack, tuning, spec)
+	if err != nil {
 		panic(err)
 	}
 	if err := spec.Validate(); err != nil {
@@ -56,7 +58,7 @@ func NewCluster(eng *sim.Engine, names []string, spec topology.MachineSpec,
 	flows := newFlowTable()
 	c := &Cluster{hosts: make([]*Host, len(names))}
 	for i, name := range names {
-		c.hosts[i] = newHost(name, eng, spec, costs, opts, flows)
+		c.hosts[i] = newHost(name, eng, spec, costs, settings, flows)
 	}
 	c.fab = fabric.New(eng, fcfg, func(port int) func(*skb.Frame) {
 		h := c.hosts[port]
@@ -65,7 +67,7 @@ func NewCluster(eng *sim.Engine, names []string, spec topology.MachineSpec,
 	skbs, frames := &skb.Pool{}, &skb.FramePool{}
 	for i, h := range c.hosts {
 		h.fab, h.port = c.fab, i
-		h.NIC = nic.New(eng, h.Sys, h.Alloc, h.DCA, opts.nicConfig(), skbs, frames, c.fab.Port(i),
+		h.NIC = nic.New(eng, h.Sys, h.Alloc, h.DCA, settings.nic, skbs, frames, c.fab.Port(i),
 			h.steering(), h.deliver, h.txComplete)
 	}
 	return c

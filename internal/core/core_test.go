@@ -9,7 +9,10 @@ import (
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/exec"
 	"hostsim/internal/fabric"
+	"hostsim/internal/mem"
+	"hostsim/internal/nic"
 	"hostsim/internal/sim"
+	"hostsim/internal/tcp"
 	"hostsim/internal/topology"
 	"hostsim/internal/trace"
 	"hostsim/internal/units"
@@ -21,66 +24,123 @@ type rig struct {
 	a, b *Host
 }
 
-func newRig(t *testing.T, opts Options) *rig {
+func newRig(t *testing.T, s Stack) *rig { return newTunedRig(t, s, Tuning{}) }
+
+func newTunedRig(t *testing.T, s Stack, tn Tuning) *rig {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	c := newPair(eng, opts)
+	c := newPair(eng, s, tn)
 	return &rig{eng: eng, a: c.hosts[0], b: c.hosts[1]}
 }
 
 // newPair builds hosts "a" and "b" of the default machine on a 2-port
 // fabric.
-func newPair(eng *sim.Engine, opts Options) *Cluster {
-	return NewCluster(eng, []string{"a", "b"}, topology.Default(), cpumodel.Default(), opts, fabric.Config{})
+func newPair(eng *sim.Engine, s Stack, tn Tuning) *Cluster {
+	return NewCluster(eng, []string{"a", "b"}, topology.Default(), cpumodel.Default(), s, tn, fabric.Config{})
 }
 
 func (r *rig) run(d time.Duration) { r.eng.Run(sim.Time(d)) }
 
+// Validate and NewCluster reject the same configurations, each with an
+// error naming the field the caller set.
 func TestOptionsValidate(t *testing.T) {
-	good := AllOpts()
-	if err := good.Validate(); err != nil {
-		t.Fatalf("AllOpts invalid: %v", err)
+	if err := Validate(AllOptimizations(), Tuning{}); err != nil {
+		t.Fatalf("AllOptimizations invalid: %v", err)
 	}
-	bad := []func(*Options){
-		func(o *Options) { o.LRO = true; o.GRO = true },
-		func(o *Options) { o.RxRing = -1 },
-		func(o *Options) { o.RcvBufBytes = -1 },
-		func(o *Options) { o.CC = "vegas" },
-		func(o *Options) { o.Steering = SteeringMode(9) },
+	bad := []struct {
+		edit func(*Stack, *Tuning)
+		want string
+	}{
+		{func(s *Stack, _ *Tuning) { s.LRO = true }, "core: LRO and GRO are mutually exclusive"},
+		{func(s *Stack, _ *Tuning) { s.RxDescriptors = -1 }, "core: negative RxDescriptors"},
+		{func(s *Stack, _ *Tuning) { s.RcvBufBytes = -1 }, "core: negative RcvBufBytes"},
+		{func(s *Stack, _ *Tuning) { s.SndBufBytes = -1 }, "core: negative SndBufBytes"},
+		{func(s *Stack, _ *Tuning) { s.CC = "vegas" }, `core: unknown congestion control "vegas"`},
+		{func(s *Stack, _ *Tuning) { s.Steering = "aRFS" }, `hostsim: unknown steering "aRFS"`},
+		{func(_ *Stack, tn *Tuning) { tn.PagesetCap = -2 }, "core: PagesetCap -2 below -1 (none)"},
 	}
-	for i, f := range bad {
-		o := AllOpts()
-		f(&o)
-		if o.Validate() == nil {
-			t.Errorf("mutation %d should fail", i)
+	for _, c := range bad {
+		s, tn := AllOptimizations(), Tuning{}
+		c.edit(&s, &tn)
+		if err := Validate(s, tn); err == nil || err.Error() != c.want {
+			t.Errorf("Validate: got %v, want %q", err, c.want)
 		}
+		func() {
+			defer func() {
+				if r, ok := recover().(error); !ok || r.Error() != c.want {
+					t.Errorf("NewCluster: recovered %v, want %q", r, c.want)
+				}
+			}()
+			newPair(sim.NewEngine(1), s, tn)
+		}()
 	}
 }
 
+// resolve applies every default and off switch of a Stack and Tuning in
+// one place: the MTU, MSS and skb size, the parsed steering slug, and
+// the zero-means-default and -1-means-off tuning rules.
 func TestOptionsDerived(t *testing.T) {
-	o := AllOpts()
-	if o.MTU() != 9000 || o.MSS() != 9000-66 {
-		t.Errorf("jumbo MTU/MSS = %d/%d", o.MTU(), o.MSS())
+	spec := topology.Default()
+	res := func(s Stack, tn Tuning) stackSettings {
+		t.Helper()
+		c, err := resolve(s, tn, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	o.Jumbo = false
-	if o.MTU() != 1500 {
-		t.Errorf("MTU = %d, want 1500", o.MTU())
+	all := res(AllOptimizations(), Tuning{})
+	if all.nic != nic.DefaultConfig() {
+		t.Errorf("all-optimizations NIC config = %+v, want the default %+v", all.nic, nic.DefaultConfig())
 	}
-	if o.SegmentBytes() != 64*units.KB {
-		t.Errorf("SegmentBytes with TSO = %d, want 64KB", o.SegmentBytes())
+	if want := tcp.DefaultConfig(9000 - 66); all.tcp != want {
+		t.Errorf("all-optimizations TCP config = %+v, want %+v", all.tcp, want)
 	}
-	o.TSO, o.GSO = false, false
-	if o.SegmentBytes() != o.MSS() {
-		t.Errorf("SegmentBytes without TSO/GSO = %d, want MSS", o.SegmentBytes())
+	if all.steer != SteerARFS || all.granularity != exec.DefaultGranularity || all.pagesetCap != mem.DefaultPagesetCap {
+		t.Errorf("all-optimizations steer/granularity/pageset = %d/%v/%d", all.steer, all.granularity, all.pagesetCap)
 	}
-	no := NoOpts()
-	if no.SegmentBytes() != no.MSS() {
-		t.Error("NoOpts should send MSS-sized skbs")
+	s := AllOptimizations()
+	s.JumboFrames = false
+	if c := res(s, Tuning{}); c.nic.MTU != 1500 || c.tcp.SegmentBytes != 64*units.KB {
+		t.Errorf("1500B MTU/skb = %d/%d, want 1500/64KB", c.nic.MTU, c.tcp.SegmentBytes)
+	}
+	s.TSO, s.GSO = false, false
+	if c := res(s, Tuning{}); c.tcp.SegmentBytes != c.tcp.MSS {
+		t.Errorf("SegmentBytes without TSO/GSO = %d, want MSS", c.tcp.SegmentBytes)
+	}
+	if no := res(NoOptimizations(), Tuning{}); no.tcp.SegmentBytes != no.tcp.MSS || no.steer != SteerWorstCase {
+		t.Error("NoOptimizations should send MSS-sized skbs under worst-case steering")
+	}
+	for slug, want := range map[string]SteeringMode{"arfs": SteerARFS, "worst": SteerWorstCase, "rss": SteerRSSHash,
+		"rfs": SteerRFS, "rps": SteerRPS, "same-numa": SteerSameNUMA} {
+		s := NoOptimizations()
+		s.Steering = slug
+		if got := res(s, Tuning{}).steer; got != want {
+			t.Errorf("steering %q = %d, want %d", slug, got, want)
+		}
+	}
+	s = AllOptimizations()
+	s.DCAAwareDRS = true
+	if c := res(s, Tuning{}); c.tcp.RcvBufMax != spec.DCACapacity() {
+		t.Errorf("DCA-aware autotuning cap = %d, want %d", c.tcp.RcvBufMax, spec.DCACapacity())
+	}
+	s.RcvBufBytes, s.SndBufBytes, s.RxDescriptors = 3200<<10, 1<<20, 256
+	if c := res(s, Tuning{}); c.tcp.RcvBuf != 3200*units.KB || c.tcp.RcvBufMax != 0 || c.tcp.SndBuf != units.MB || c.nic.RxRing != 256 {
+		t.Errorf("pinned buffers: rcv %d (max %d), snd %d, ring %d", c.tcp.RcvBuf, c.tcp.RcvBufMax, c.tcp.SndBuf, c.nic.RxRing)
+	}
+	set := res(AllOptimizations(), Tuning{TSQBytes: 1 << 17, SchedGranularity: time.Microsecond,
+		ModerationDelay: 3 * time.Microsecond, PagesetCap: 7, DCAHazardFactor: 0.5})
+	if set.tcp.TSQBytes != 128*units.KB || set.granularity != time.Microsecond || set.nic.ModerationDelay != 3*time.Microsecond ||
+		set.pagesetCap != 7 || set.nic.DCAHazardFactor != 0.5 {
+		t.Errorf("tuning not applied: %+v", set)
+	}
+	if off := res(AllOptimizations(), Tuning{PagesetCap: -1, DCAHazardFactor: -1}); off.pagesetCap != 0 || off.nic.DCAHazardFactor != 0 {
+		t.Errorf("-1 should turn off the pageset and the hazard: cap %d, factor %v", off.pagesetCap, off.nic.DCAHazardFactor)
 	}
 }
 
 func TestSteeringCoreARFS(t *testing.T) {
-	r := newRig(t, AllOpts())
+	r := newRig(t, AllOptimizations())
 	for _, core := range []int{0, 5, 13, 23} {
 		if got := r.a.steeringCoreFor(core); got != core {
 			t.Errorf("aRFS steering for core %d = %d, want same", core, got)
@@ -89,7 +149,7 @@ func TestSteeringCoreARFS(t *testing.T) {
 }
 
 func TestSteeringCoreWorstCase(t *testing.T) {
-	r := newRig(t, NoOpts())
+	r := newRig(t, NoOptimizations())
 	spec := r.a.spec
 	for _, core := range []int{0, 5, 7, 23} {
 		got := r.a.steeringCoreFor(core)
@@ -104,7 +164,7 @@ func TestSteeringCoreWorstCase(t *testing.T) {
 }
 
 func TestOpenConnRegistersEndpoints(t *testing.T) {
-	r := newRig(t, AllOpts())
+	r := newRig(t, AllOptimizations())
 	epA, epB := OpenConn(r.a, 2, r.b, 3)
 	if epA.AppCore() != 2 || epB.AppCore() != 3 {
 		t.Error("app cores not bound")
@@ -121,7 +181,7 @@ func TestOpenConnRegistersEndpoints(t *testing.T) {
 // one cluster only: no route joins two fabrics.
 func TestOpenConnAcrossClustersPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
-	one, two := newPair(eng, AllOpts()), newPair(eng, AllOpts())
+	one, two := newPair(eng, AllOptimizations(), Tuning{}), newPair(eng, AllOptimizations(), Tuning{})
 	for _, h := range append(one.Hosts(), two.Hosts()...) {
 		if h.NIC == nil {
 			t.Fatalf("host %s built without its NIC", h.Name())
@@ -182,9 +242,9 @@ func startTransfer(r *rig, epA, epB *Endpoint, total units.Bytes) *units.Bytes {
 // events.
 func TestRcvSchedulerDeterministic(t *testing.T) {
 	run := func() string {
-		opts := AllOpts()
-		opts.RcvSchedulerK = 1
-		r := newRig(t, opts)
+		s := AllOptimizations()
+		s.RcvSchedulerK = 1
+		r := newRig(t, s)
 		tr := trace.New(1 << 20)
 		r.a.SetTracer(tr)
 		r.b.SetTracer(tr)
@@ -226,7 +286,7 @@ func TestRcvSchedulerDeterministic(t *testing.T) {
 }
 
 func TestEndToEndByteConservation(t *testing.T) {
-	r := newRig(t, AllOpts())
+	r := newRig(t, AllOptimizations())
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	const total = 2 * units.MB
 	got := transfer(t, r, epA, epB, total, 50*time.Millisecond)
@@ -242,7 +302,7 @@ func TestEndToEndByteConservation(t *testing.T) {
 }
 
 func TestDataPathChargesExpectedCategories(t *testing.T) {
-	r := newRig(t, AllOpts())
+	r := newRig(t, AllOptimizations())
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	transfer(t, r, epA, epB, units.MB, 50*time.Millisecond)
 	sBd := r.a.Sys.TotalBreakdown()
@@ -270,9 +330,9 @@ func TestDataPathChargesExpectedCategories(t *testing.T) {
 }
 
 func TestIOMMUChargesMemory(t *testing.T) {
-	with := AllOpts()
+	with := AllOptimizations()
 	with.IOMMU = true
-	r1 := newRig(t, AllOpts())
+	r1 := newRig(t, AllOptimizations())
 	epA, epB := OpenConn(r1.a, 0, r1.b, 0)
 	transfer(t, r1, epA, epB, units.MB, 50*time.Millisecond)
 	base := r1.b.Sys.TotalBreakdown()[cpumodel.Memory]
@@ -287,7 +347,7 @@ func TestIOMMUChargesMemory(t *testing.T) {
 }
 
 func TestWorstCaseSteeringUsesTwoCores(t *testing.T) {
-	r := newRig(t, NoOpts())
+	r := newRig(t, NoOptimizations())
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	transfer(t, r, epA, epB, units.MB, 80*time.Millisecond)
 	// Receiver: app on core 0, IRQ/softirq on a remote-node core.
@@ -305,7 +365,7 @@ func TestWorstCaseSteeringUsesTwoCores(t *testing.T) {
 
 func TestRemoteNUMACopyCostsMore(t *testing.T) {
 	// App on NIC-remote node: every copied byte pays the remote/DRAM rate.
-	r := newRig(t, AllOpts())
+	r := newRig(t, AllOptimizations())
 	remoteCore := r.b.spec.CoresOnNode(2)[0]
 	epA, epB := OpenConn(r.a, 0, r.b, remoteCore)
 	transfer(t, r, epA, epB, units.MB, 50*time.Millisecond)
@@ -315,7 +375,7 @@ func TestRemoteNUMACopyCostsMore(t *testing.T) {
 }
 
 func TestLatencyAndSKBMetricsPopulated(t *testing.T) {
-	r := newRig(t, AllOpts())
+	r := newRig(t, AllOptimizations())
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	transfer(t, r, epA, epB, units.MB, 50*time.Millisecond)
 	if r.b.Latency().Count() == 0 {
@@ -330,7 +390,7 @@ func TestLatencyAndSKBMetricsPopulated(t *testing.T) {
 }
 
 func TestResetMetrics(t *testing.T) {
-	r := newRig(t, AllOpts())
+	r := newRig(t, AllOptimizations())
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	transfer(t, r, epA, epB, units.MB, 50*time.Millisecond)
 	r.b.ResetMetrics()
@@ -343,7 +403,7 @@ func TestResetMetrics(t *testing.T) {
 }
 
 func TestAggregateConnStats(t *testing.T) {
-	r := newRig(t, AllOpts())
+	r := newRig(t, AllOptimizations())
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	transfer(t, r, epA, epB, units.MB, 50*time.Millisecond)
 	aSt := r.a.AggregateConnStats()
@@ -360,13 +420,13 @@ func TestAggregateConnStats(t *testing.T) {
 }
 
 func TestNoOptSmallSKBs(t *testing.T) {
-	r := newRig(t, NoOpts())
+	r := newRig(t, NoOptimizations())
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	transfer(t, r, epA, epB, 256*units.KB, 100*time.Millisecond)
 	if avg := r.b.SKBSizes().Mean(); avg > 1500 {
 		t.Errorf("no-opt mean skb = %.0fB, want MTU-sized (<=1500)", avg)
 	}
-	r2 := newRig(t, AllOpts())
+	r2 := newRig(t, AllOptimizations())
 	epA2, epB2 := OpenConn(r2.a, 0, r2.b, 0)
 	transfer(t, r2, epA2, epB2, 256*units.KB, 100*time.Millisecond)
 	if avg := r2.b.SKBSizes().Mean(); avg < 9000 {
@@ -375,7 +435,7 @@ func TestNoOptSmallSKBs(t *testing.T) {
 }
 
 func TestLROBypassesGROCPU(t *testing.T) {
-	lro := AllOpts()
+	lro := AllOptimizations()
 	lro.GRO, lro.LRO = false, true
 	r := newRig(t, lro)
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
@@ -395,7 +455,7 @@ func TestLROBypassesGROCPU(t *testing.T) {
 // lists, well under one object a pair, does not count. A method value or
 // closure bound per socket again adds two objects a pair and fails.
 func TestOpenConnAllocations(t *testing.T) {
-	r := newRig(t, AllOpts())
+	r := newRig(t, AllOptimizations())
 	if allocs := testing.AllocsPerRun(200, func() { OpenConn(r.a, 0, r.b, 0) }); allocs > 6 {
 		t.Errorf("OpenConn allocated %v objects per pair, want at most 6", allocs)
 	}
@@ -412,7 +472,7 @@ func BenchmarkNewCluster64(b *testing.B) {
 	spec, costs := topology.Default(), cpumodel.Default()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c := NewCluster(sim.NewEngine(1), names, spec, costs, AllOpts(), fabric.Config{})
+		c := NewCluster(sim.NewEngine(1), names, spec, costs, AllOptimizations(), Tuning{}, fabric.Config{})
 		hosts := c.Hosts()
 		for j, h := range hosts[1:] {
 			OpenConn(h, j%spec.NumCores(), hosts[0], j%spec.NumCores())

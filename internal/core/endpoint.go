@@ -48,27 +48,8 @@ var _ tcp.Hooks = (*Endpoint)(nil)
 
 func newEndpoint(h *Host, appCore int, txFlow, rxFlow skb.FlowID) *Endpoint {
 	ep := &Endpoint{host: h, appCore: appCore, txFlow: txFlow, rxFlow: rxFlow}
-	cfg := tcp.DefaultConfig(h.opts.MSS())
-	cfg.SegmentBytes = h.opts.SegmentBytes()
-	if h.opts.SndBufBytes > 0 {
-		cfg.SndBuf = h.opts.SndBufBytes
-	}
-	if h.opts.TSQBytes > 0 {
-		cfg.TSQBytes = h.opts.TSQBytes
-	}
-	if h.opts.RcvBufBytes > 0 {
-		// The paper's override pins tcp_rmem, i.e. sk_rcvbuf itself (half
-		// of which is advertised as window, per tcp_adv_win_scale=1).
-		cfg.RcvBuf = h.opts.RcvBufBytes
-		cfg.RcvBufMax = 0 // fixed, as in the Fig. 3e/3f overrides
-	} else if h.opts.DCAAwareDRS {
-		// §4 prototype: cap autotuning at the DDIO capacity so the
-		// advertised window (= half the buffer) stays within ~half the
-		// DCA slice and DMAed data survives until the copy.
-		cfg.RcvBufMax = h.spec.DCACapacity()
-	}
-	cc := tcp.NewCC(h.opts.CC, cfg.MSS)
-	tcp.Init(&ep.conn, h.eng, h.costs, cfg, txFlow, cc, ep)
+	cc := tcp.NewCC(h.stack.CC, h.stack.tcp.MSS)
+	tcp.Init(&ep.conn, h.eng, h.costs, h.stack.tcp, txFlow, cc, ep)
 	ep.txCompFn = func(ctx *exec.Ctx) {
 		ep.txCompScheduled = false
 		pend := ep.txCompPending
@@ -125,14 +106,14 @@ func (ep *Endpoint) Write(ctx *exec.Ctx, n units.Bytes) units.Bytes {
 	// Socket lock from process context.
 	ctx.Charge(cpumodel.Lock, costs.SockLockFast)
 	// One kernel skb per tx aggregate.
-	segs := int((w + h.opts.SegmentBytes() - 1) / h.opts.SegmentBytes())
+	segs := int((w + h.stack.tcp.SegmentBytes - 1) / h.stack.tcp.SegmentBytes)
 	if segs < 1 {
 		segs = 1
 	}
 	ctx.Charge(cpumodel.Memory, costs.SKBAlloc*units.Cycles(segs))
 	ctx.Charge(cpumodel.SKBMgmt, costs.SKBBuild*units.Cycles(segs))
 	var pages []mem.Page
-	if h.opts.ZeroCopyTx {
+	if h.stack.ZeroCopyTx {
 		// MSG_ZEROCOPY: pin the application's pages and DMA them in
 		// place — no user-to-kernel copy, but get_user_pages and a
 		// completion notification are paid per send.
@@ -173,9 +154,9 @@ func (ep *Endpoint) SendSegment(ctx *exec.Ctx, c *tcp.Conn, seq int64, length un
 	}
 	h.tracer.Emit(trace.Event{At: ctx.Now().Duration(), Host: h.name, Core: ctx.Core().ID(),
 		Flow: int32(c.Flow()), Kind: kind, A: seq, B: int64(length)})
-	sizes := skb.AppendSegmentSizes(ep.segSizes[:0], length, h.opts.MSS())
+	sizes := skb.AppendSegmentSizes(ep.segSizes[:0], length, h.stack.tcp.MSS)
 	ep.segSizes = sizes
-	if !h.opts.TSO && h.opts.GSO && len(sizes) > 1 {
+	if !h.stack.TSO && h.stack.GSO && len(sizes) > 1 {
 		// Software segmentation in the netdevice subsystem.
 		ctx.Charge(cpumodel.Netdev, costs.GSOSegment*units.Cycles(len(sizes)))
 		ctx.Charge(cpumodel.SKBMgmt, costs.SKBSplit*units.Cycles(len(sizes)))
@@ -317,7 +298,7 @@ func (ep *Endpoint) Read(ctx *exec.Ctx, max units.Bytes) units.Bytes {
 	for _, s := range skbs {
 		h.latency.Record(float64(ctx.Now() - s.Born))
 		total += s.Len
-		if h.opts.ZeroCopyRx {
+		if h.stack.ZeroCopyRx {
 			// mmap-based receive: remap the payload pages into the
 			// application instead of copying; pay the page-table work.
 			ctx.Charge(cpumodel.Memory, costs.ZCRxMap*units.Cycles(len(s.Pages)))

@@ -45,7 +45,7 @@ type Host struct {
 	eng   *sim.Engine
 	spec  topology.MachineSpec
 	costs *cpumodel.Costs
-	opts  Options
+	stack stackSettings
 
 	Sys   *exec.System
 	Alloc *mem.Allocator
@@ -77,7 +77,7 @@ type Host struct {
 
 	telemetry *telemetry.Registry // nil = telemetry off
 
-	// Receiver-driven scheduler state (Options.RcvSchedulerK), by app core.
+	// Receiver-driven scheduler state (Stack.RcvSchedulerK), by app core.
 	schedGroups  [][]*Endpoint // receiving endpoints
 	schedIdx     []int         // rotation offset into schedGroups
 	schedStarted bool
@@ -132,15 +132,15 @@ func (h *Host) installChargeLog() {
 func (h *Host) EnableMsgTrace(t *mtrace.Tracer) { h.mt = t }
 
 // newHost builds a host on the cluster's flow table. NewCluster, which
-// validated opts and spec, gives it its NIC once the fabric exists.
+// resolved stack and validated spec, gives it its NIC once the fabric exists.
 func newHost(name string, eng *sim.Engine, spec topology.MachineSpec,
-	costs *cpumodel.Costs, opts Options, flows *flowTable) *Host {
+	costs *cpumodel.Costs, stack stackSettings, flows *flowTable) *Host {
 	h := &Host{
 		name:     name,
 		eng:      eng,
 		spec:     spec,
 		costs:    costs,
-		opts:     opts,
+		stack:    stack,
 		Sys:      exec.NewSystem(eng, spec, costs),
 		Alloc:    mem.NewAllocator(spec, costs),
 		flows:    flows,
@@ -148,20 +148,14 @@ func newHost(name string, eng *sim.Engine, spec topology.MachineSpec,
 		latency:  metrics.NewLatency(),
 		skbSizes: metrics.NewSize(),
 	}
-	if opts.RcvSchedulerK > 0 {
+	if stack.RcvSchedulerK > 0 {
 		h.schedGroups = make([][]*Endpoint, spec.NumCores())
 		h.schedIdx = make([]int, spec.NumCores())
 	}
-	h.Alloc.SetIOMMU(opts.IOMMU)
-	if opts.SchedGranularity > 0 {
-		h.Sys.SetGranularity(opts.SchedGranularity)
-	}
-	if opts.PagesetCap > 0 {
-		h.Alloc.SetPagesetCap(opts.PagesetCap)
-	} else if opts.PagesetCap < 0 {
-		h.Alloc.SetPagesetCap(0)
-	}
-	if opts.DCA {
+	h.Alloc.SetIOMMU(stack.IOMMU)
+	h.Sys.SetGranularity(stack.granularity)
+	h.Alloc.SetPagesetCap(stack.pagesetCap)
+	if stack.DCA {
 		h.DCA = cache.NewDCA(cache.DCAConfig{
 			Capacity: spec.DCACapacity(),
 			PageSize: spec.PageSize,
@@ -195,7 +189,7 @@ func (h *Host) steering() nic.Steering {
 	for i := range all {
 		all[i] = i
 	}
-	switch h.opts.Steering {
+	switch h.stack.steer {
 	case SteerRSSHash, SteerRFS, SteerRPS:
 		// Hardware only hashes (RSS); software modes forward afterwards.
 		return nic.RSS{Cores: all}
@@ -228,7 +222,7 @@ func (p pinnedSteering) QueueFor(flow skb.FlowID) int {
 // policy: the app core under aRFS, or an explicit worst-case core on a
 // different NUMA node.
 func (h *Host) steeringCoreFor(appCore int) int {
-	switch h.opts.Steering {
+	switch h.stack.steer {
 	case SteerARFS:
 		return appCore
 	case SteerWorstCase:
@@ -251,7 +245,7 @@ func (h *Host) steeringCoreFor(appCore int) int {
 // software steering (RPS/RFS) this differs from the hardware IRQ core,
 // which register computed once as ep.irqCore.
 func (h *Host) processingCoreFor(ep *Endpoint) int {
-	switch h.opts.Steering {
+	switch h.stack.steer {
 	case SteerRFS:
 		return ep.appCore // software flow steering finds the app's core
 	case SteerRPS:
@@ -278,7 +272,7 @@ func (h *Host) deliver(ctx *exec.Ctx, s *skb.SKB) {
 		return
 	}
 	target := h.processingCoreFor(ep)
-	if (h.opts.Steering == SteerRPS || h.opts.Steering == SteerRFS) &&
+	if (h.stack.steer == SteerRPS || h.stack.steer == SteerRFS) &&
 		ctx.Core().ID() != target {
 		// enqueue_to_backlog + IPI, then TCP/IP in the target's softirq.
 		ctx.Charge(cpumodel.Netdev, h.costs.RPSSteer)
@@ -550,7 +544,7 @@ func (h *Host) register(ep *Endpoint) {
 	if h.telemetry != nil {
 		h.registerFlowTelemetry(ep)
 	}
-	if h.opts.RcvSchedulerK > 0 {
+	if h.stack.RcvSchedulerK > 0 {
 		h.schedGroups[ep.appCore] = append(h.schedGroups[ep.appCore], ep)
 		h.startRcvScheduler()
 	}
@@ -570,7 +564,7 @@ func (h *Host) startRcvScheduler() {
 		return
 	}
 	h.schedStarted = true
-	k := h.opts.RcvSchedulerK
+	k := h.stack.RcvSchedulerK
 	clamp := h.spec.DCACapacity() / units.Bytes(2*k)
 	var tick func()
 	tick = func() {

@@ -24,10 +24,10 @@ type checkedRig struct {
 	ck *check.Checker
 }
 
-func newCheckedRig(t testing.TB, opts Options) *checkedRig {
+func newCheckedRig(t testing.TB, s Stack) *checkedRig {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	c := newPair(eng, opts)
+	c := newPair(eng, s, Tuning{})
 	ck := check.New(eng, true)
 	AttachChecker(ck, c)
 	return &checkedRig{rig: &rig{eng: eng, a: c.hosts[0], b: c.hosts[1]}, ck: ck}
@@ -45,7 +45,7 @@ func (r *checkedRig) violationsFor(rule string) []check.Violation {
 }
 
 func TestCheckerCleanOnIdlePair(t *testing.T) {
-	r := newCheckedRig(t, AllOpts())
+	r := newCheckedRig(t, AllOptimizations())
 	r.run(2 * time.Millisecond)
 	r.ck.Audit()
 	if vs := r.ck.Violations(); len(vs) != 0 {
@@ -135,7 +135,7 @@ func TestEveryRuleFires(t *testing.T) {
 	for _, row := range rows {
 		named[row.rule] = true
 		t.Run(row.rule, func(t *testing.T) {
-			r := newCheckedRig(t, AllOpts())
+			r := newCheckedRig(t, AllOptimizations())
 			want := row.seed(r)
 			if vs := r.ck.Violations(); len(vs) != 0 {
 				t.Fatalf("violations before the fault was seeded: %v", vs)
@@ -195,7 +195,7 @@ func TestEveryRuleFires(t *testing.T) {
 
 func TestCheckerFailFastPanicsWithFailure(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := newPair(eng, AllOpts())
+	c := newPair(eng, AllOptimizations(), Tuning{})
 	ck := check.New(eng, false) // fail-fast
 	AttachChecker(ck, c)
 	c.hosts[0].NIC.SKBPool().Get(&skb.Frame{Len: 100})
@@ -213,7 +213,7 @@ func TestCheckerFailFastPanicsWithFailure(t *testing.T) {
 }
 
 func TestLedgerResetMatchesAccountingReset(t *testing.T) {
-	r := newCheckedRig(t, AllOpts())
+	r := newCheckedRig(t, AllOptimizations())
 	r.run(time.Millisecond)
 	r.a.ResetMetrics()
 	r.b.ResetMetrics()
@@ -226,7 +226,7 @@ func TestLedgerResetMatchesAccountingReset(t *testing.T) {
 // checkedTransfer is a checked pair with a bulk transfer in flight, so
 // every rule, the per-connection ones included, has live state to read.
 func checkedTransfer(t testing.TB) *checkedRig {
-	r := newCheckedRig(t, AllOpts())
+	r := newCheckedRig(t, AllOptimizations())
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	startTransfer(r.rig, epA, epB, 64*units.MB)
 	r.run(2 * time.Millisecond)

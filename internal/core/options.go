@@ -17,7 +17,11 @@ import (
 	"math"
 	"time"
 
+	"hostsim/internal/exec"
+	"hostsim/internal/mem"
 	"hostsim/internal/nic"
+	"hostsim/internal/tcp"
+	"hostsim/internal/topology"
 	"hostsim/internal/units"
 )
 
@@ -48,166 +52,214 @@ const (
 	SteerSameNUMA
 )
 
-func (s SteeringMode) String() string {
-	switch s {
-	case SteerARFS:
-		return "aRFS"
-	case SteerWorstCase:
-		return "worst-case"
-	case SteerRSSHash:
-		return "rss-hash"
-	case SteerRFS:
-		return "rfs"
-	case SteerRPS:
-		return "rps"
-	case SteerSameNUMA:
-		return "same-numa"
-	default:
-		return "invalid"
-	}
-}
+// Stack mirrors the paper's stack configuration knobs.
+type Stack struct {
+	TSO         bool   // hardware segmentation offload
+	GSO         bool   // software segmentation when TSO is off
+	GRO         bool   // software receive aggregation
+	LRO         bool   // hardware receive aggregation (instead of GRO)
+	JumboFrames bool   // 9000B MTU
+	ARFS        bool   // accelerated receive flow steering
+	DCA         bool   // DDIO into the NIC-local L3
+	IOMMU       bool   // IOMMU map/unmap per DMA page
+	CC          string // "cubic" (default), "reno", "dctcp", "bbr"
 
-// Options is the stack configuration under study: the optimization knobs
-// of Fig. 3a plus the ablation toggles of later sections.
-type Options struct {
-	TSO      bool // hardware segmentation offload
-	GSO      bool // software segmentation (used when TSO is off)
-	GRO      bool // software receive aggregation
-	LRO      bool // hardware receive aggregation (instead of GRO)
-	Jumbo    bool // 9000B MTU instead of 1500B
-	DCA      bool // DDIO: NIC DMAs into the NIC-local L3
-	IOMMU    bool // IOMMU map/unmap on every DMA page
-	Steering SteeringMode
+	// Steering overrides the flow steering policy: "arfs", "worst"
+	// (the paper's deterministic aRFS-off pinning), "rss", "rfs"
+	// (software flow steering), "rps" (software packet steering) or
+	// "same-numa" (IRQs on a different core of the app's NUMA node).
+	// Empty derives from the ARFS flag: arfs when set, worst otherwise.
+	Steering string
 
-	CC string // congestion control: "cubic", "dctcp", "bbr", "reno"
-
-	// ZeroCopyTx/ZeroCopyRx enable the §4 "future directions" zero-copy
-	// mechanisms: MSG_ZEROCOPY transmission (pin user pages, skip the
-	// user-to-kernel copy) and mmap-based reception (remap payload pages
-	// into the application instead of copying).
+	// ZeroCopyTx enables MSG_ZEROCOPY-style transmission (§4 of the
+	// paper): application pages are pinned and DMAed directly, skipping
+	// the user-to-kernel copy at a small pin/completion cost.
 	ZeroCopyTx bool
+	// ZeroCopyRx enables the paper's mmap-based receive path: payload
+	// pages are mapped into the application instead of copied, at a
+	// per-page remap cost.
 	ZeroCopyRx bool
 
-	// DCAAwareDRS caps receive-buffer autotuning at the DDIO capacity
-	// (so the advertised window stays within ~half the DCA slice) — the
-	// §4 proposal that "window size tuning should take into account ...
-	// L3 sizes".
+	// DCAAwareDRS caps receive-buffer autotuning at the DDIO capacity —
+	// the paper's §4 proposal that buffer tuning should account for L3
+	// size. Ignored when RcvBufBytes pins the buffer.
 	DCAAwareDRS bool
 
-	// RcvSchedulerK, when positive, enables a Homa/pHost-inspired
-	// receiver-driven scheduler (§4): on each receiving core at most K
-	// connections are granted window at a time, rotated round-robin, each
-	// clamped to an equal share of the DCA capacity. Reduces cache
-	// contention under incast at the cost of scheduling granularity.
-	// 0 = off; negative is invalid.
+	// RcvSchedulerK enables a Homa/pHost-inspired receiver-driven
+	// scheduler (§4): at most K connections per receiving core hold a
+	// window at a time, rotated every millisecond. 0 = off; negative is
+	// an error.
 	RcvSchedulerK int
 
-	RxRing      int         // NIC Rx descriptors per queue (0 = 1024)
-	RcvBufBytes units.Bytes // fixed TCP receive buffer; 0 = autotune to 6MB
-	SndBufBytes units.Bytes // socket send buffer (0 = 4MB)
-
-	// ModerationDelay overrides the IRQ coalescing delay (0 = the NIC
-	// default; negative is invalid).
-	ModerationDelay time.Duration
-
-	// ---- advanced model knobs (0 = defaults), used by the ablation
-	// experiments to isolate individual design choices. Negative values
-	// are invalid except -1 where noted.
-	TSQBytes         units.Bytes   // per-connection unsent-in-qdisc bound
-	SchedGranularity time.Duration // CFS-like wakeup/preemption granularity
-	PagesetCap       int           // per-core pageset capacity (-1 = none)
-	DCAHazardFactor  float64       // descriptor-count eviction hazard scale, finite (-1 = off)
+	RxDescriptors int   // NIC Rx ring size; 0 = 1024
+	RcvBufBytes   int64 // fixed TCP receive buffer; 0 = autotune (max 6MB)
+	SndBufBytes   int64 // send buffer; 0 = 4MB
 }
 
-// AllOpts returns the paper's "all optimizations enabled" configuration:
-// TSO/GRO + jumbo frames + aRFS, DCA on, IOMMU off, CUBIC.
-func AllOpts() Options {
-	return Options{
-		TSO: true, GSO: true, GRO: true, Jumbo: true,
-		DCA: true, Steering: SteerARFS, CC: "cubic",
+// AllOptimizations returns the paper's fully optimized stack: TSO/GRO,
+// jumbo frames, aRFS, DCA on, IOMMU off, CUBIC.
+func AllOptimizations() Stack {
+	return Stack{TSO: true, GSO: true, GRO: true, JumboFrames: true, ARFS: true, DCA: true, CC: "cubic"}
+}
+
+// NoOptimizations returns the paper's baseline configuration (GSO
+// disabled as in their modified kernel, MTU 1500, worst-case steering).
+func NoOptimizations() Stack {
+	return Stack{DCA: true, CC: "cubic"}
+}
+
+// Tuning exposes the simulator's internal model knobs for ablation
+// studies. Zero values keep the calibrated defaults; -1 disables a
+// mechanism where noted. Any other negative value, and a DCAHazardFactor
+// that is NaN or infinite, is an error.
+type Tuning struct {
+	TSQBytes         int64         // per-connection qdisc bound (default 256KB; >= 0)
+	SchedGranularity time.Duration // scheduler wakeup granularity (default 250us; >= 0)
+	ModerationDelay  time.Duration // NIC IRQ coalescing delay (default 12us; >= 0)
+	PagesetCap       int           // per-core pageset capacity (default 512; -1 = none, else >= 0)
+	DCAHazardFactor  float64       // descriptor eviction hazard scale (default 0.035; -1 = off, else finite and >= 0)
+}
+
+// Validate checks a stack and its tuning: NewCluster panics on exactly
+// the configurations it rejects.
+func Validate(s Stack, t Tuning) error {
+	_, err := validate(s, t)
+	return err
+}
+
+// validate checks s and t and returns the steering mode s names.
+func validate(s Stack, t Tuning) (SteeringMode, error) {
+	var steer SteeringMode
+	switch s.Steering {
+	case "":
+		steer = SteerWorstCase
+		if s.ARFS {
+			steer = SteerARFS
+		}
+	case "arfs":
+		steer = SteerARFS
+	case "worst":
+		steer = SteerWorstCase
+	case "rss":
+		steer = SteerRSSHash
+	case "rfs":
+		steer = SteerRFS
+	case "rps":
+		steer = SteerRPS
+	case "same-numa":
+		steer = SteerSameNUMA
+	default:
+		// Stack is public as hostsim.Stack, so its slug error says so.
+		return 0, fmt.Errorf("hostsim: unknown steering %q", s.Steering)
 	}
+	seg := segmentBytes(s)
+	switch {
+	case s.LRO && s.GRO:
+		return 0, fmt.Errorf("core: LRO and GRO are mutually exclusive")
+	case s.RxDescriptors < 0:
+		return 0, fmt.Errorf("core: negative RxDescriptors")
+	case s.RcvBufBytes < 0:
+		return 0, fmt.Errorf("core: negative RcvBufBytes")
+	case s.SndBufBytes < 0:
+		return 0, fmt.Errorf("core: negative SndBufBytes")
+	case s.SndBufBytes > 0 && units.Bytes(s.SndBufBytes) < seg:
+		// TCP never splits a transmit skb across the send buffer.
+		return 0, fmt.Errorf("core: SndBufBytes %d below the %d-byte transmit skb", s.SndBufBytes, seg)
+	case s.RcvSchedulerK < 0:
+		return 0, fmt.Errorf("core: negative RcvSchedulerK")
+	case t.ModerationDelay < 0:
+		return 0, fmt.Errorf("core: negative ModerationDelay")
+	case t.TSQBytes < 0:
+		return 0, fmt.Errorf("core: negative TSQBytes")
+	case t.SchedGranularity < 0:
+		return 0, fmt.Errorf("core: negative SchedGranularity")
+	case t.PagesetCap < -1:
+		return 0, fmt.Errorf("core: PagesetCap %d below -1 (none)", t.PagesetCap)
+	case !(t.DCAHazardFactor == -1 || t.DCAHazardFactor >= 0 && t.DCAHazardFactor <= math.MaxFloat64):
+		// The negated form also rejects NaN.
+		return 0, fmt.Errorf("core: DCAHazardFactor %v is neither -1 (off) nor finite and >= 0", t.DCAHazardFactor)
+	}
+	switch s.CC {
+	case "", "cubic", "reno", "dctcp", "bbr":
+	default:
+		return 0, fmt.Errorf("core: unknown congestion control %q", s.CC)
+	}
+	return steer, nil
 }
 
-// NoOpts returns the paper's baseline: no segmentation offload (GSO
-// disabled as in the paper's modified kernel), no aggregation, 1500B MTU,
-// worst-case IRQ steering. DCA stays on (the testbed default).
-func NoOpts() Options {
-	return Options{DCA: true, Steering: SteerWorstCase, CC: "cubic"}
-}
-
-// MTU returns the configured MTU.
-func (o Options) MTU() units.Bytes {
-	if o.Jumbo {
+// mtu returns the wire MTU: 9000B with jumbo frames, 1500B otherwise.
+func mtu(s Stack) units.Bytes {
+	if s.JumboFrames {
 		return 9000
 	}
 	return 1500
 }
 
-// MSS returns the wire payload per frame.
-func (o Options) MSS() units.Bytes { return o.MTU() - nic.FrameHeader }
-
-// SegmentBytes returns the transmit skb size: 64KB aggregates under
+// segmentBytes returns the transmit skb size: 64KB aggregates under
 // TSO/GSO, a single MSS otherwise (the paper's "no optimizations" mode).
-func (o Options) SegmentBytes() units.Bytes {
-	if o.TSO || o.GSO {
+func segmentBytes(s Stack) units.Bytes {
+	if s.TSO || s.GSO {
 		return 64 * units.KB
 	}
-	return o.MSS()
+	return mtu(s) - nic.FrameHeader
 }
 
-// Validate checks internal consistency.
-func (o Options) Validate() error {
-	switch {
-	case o.LRO && o.GRO:
-		return fmt.Errorf("core: LRO and GRO are mutually exclusive")
-	case o.RxRing < 0:
-		return fmt.Errorf("core: negative RxRing")
-	case o.RcvBufBytes < 0 || o.SndBufBytes < 0:
-		return fmt.Errorf("core: negative buffer size")
-	case o.SndBufBytes > 0 && o.SndBufBytes < o.SegmentBytes():
-		// TCP never splits a transmit skb across the send buffer.
-		return fmt.Errorf("core: SndBufBytes %d below the %d-byte transmit skb", o.SndBufBytes, o.SegmentBytes())
-	case o.Steering < SteerARFS || o.Steering > SteerSameNUMA:
-		return fmt.Errorf("core: invalid steering mode")
-	case o.RcvSchedulerK < 0:
-		return fmt.Errorf("core: negative RcvSchedulerK")
-	case o.ModerationDelay < 0:
-		return fmt.Errorf("core: negative ModerationDelay")
-	case o.TSQBytes < 0:
-		return fmt.Errorf("core: negative TSQBytes")
-	case o.SchedGranularity < 0:
-		return fmt.Errorf("core: negative SchedGranularity")
-	case o.PagesetCap < -1:
-		return fmt.Errorf("core: PagesetCap %d below -1 (none)", o.PagesetCap)
-	case !(o.DCAHazardFactor == -1 || o.DCAHazardFactor >= 0 && o.DCAHazardFactor <= math.MaxFloat64):
-		// The negated form also rejects NaN.
-		return fmt.Errorf("core: DCAHazardFactor %v is neither -1 (off) nor finite and >= 0", o.DCAHazardFactor)
-	}
-	switch o.CC {
-	case "", "cubic", "reno", "dctcp", "bbr":
-	default:
-		return fmt.Errorf("core: unknown congestion control %q", o.CC)
-	}
-	return nil
+// stackSettings is a Stack and its Tuning resolved for one cluster: the
+// steering slug parsed and every zero-means-default and -1-means-off
+// rule applied. Each host holds a copy.
+type stackSettings struct {
+	Stack
+	steer       SteeringMode
+	nic         nic.Config
+	tcp         tcp.Config    // every connection's config before tcp.Init
+	granularity time.Duration // scheduler wakeup granularity
+	pagesetCap  int           // per-core pageset capacity in pages
 }
 
-// nicConfig translates Options into the NIC configuration.
-func (o Options) nicConfig() nic.Config {
-	cfg := nic.DefaultConfig()
-	cfg.MTU = o.MTU()
-	cfg.TSO = o.TSO
-	cfg.GRO = o.GRO
-	cfg.LRO = o.LRO
-	if o.RxRing > 0 {
-		cfg.RxRing = o.RxRing
+// resolve checks s and t and resolves them for hosts of spec.
+func resolve(s Stack, t Tuning, spec topology.MachineSpec) (stackSettings, error) {
+	steer, err := validate(s, t)
+	if err != nil {
+		return stackSettings{}, err
 	}
-	if o.ModerationDelay > 0 {
-		cfg.ModerationDelay = o.ModerationDelay
+	c := stackSettings{Stack: s, steer: steer, nic: nic.DefaultConfig(), tcp: tcp.DefaultConfig(mtu(s) - nic.FrameHeader),
+		granularity: exec.DefaultGranularity, pagesetCap: mem.DefaultPagesetCap}
+	c.nic.MTU = mtu(s)
+	c.nic.TSO, c.nic.GRO, c.nic.LRO = s.TSO, s.GRO, s.LRO
+	if s.RxDescriptors > 0 {
+		c.nic.RxRing = s.RxDescriptors
 	}
-	if o.DCAHazardFactor > 0 {
-		cfg.DCAHazardFactor = o.DCAHazardFactor
-	} else if o.DCAHazardFactor == -1 {
-		cfg.DCAHazardFactor = 0
+	if t.ModerationDelay > 0 {
+		c.nic.ModerationDelay = t.ModerationDelay
 	}
-	return cfg
+	if t.DCAHazardFactor > 0 {
+		c.nic.DCAHazardFactor = t.DCAHazardFactor
+	} else if t.DCAHazardFactor == -1 {
+		c.nic.DCAHazardFactor = 0
+	}
+	c.tcp.SegmentBytes = segmentBytes(s)
+	if s.SndBufBytes > 0 {
+		c.tcp.SndBuf = units.Bytes(s.SndBufBytes)
+	}
+	if t.TSQBytes > 0 {
+		c.tcp.TSQBytes = units.Bytes(t.TSQBytes)
+	}
+	if s.RcvBufBytes > 0 {
+		// The paper's override pins tcp_rmem, i.e. sk_rcvbuf itself (half
+		// of which is advertised as window, per tcp_adv_win_scale=1).
+		c.tcp.RcvBuf = units.Bytes(s.RcvBufBytes)
+		c.tcp.RcvBufMax = 0 // fixed, as in the Fig. 3e/3f overrides
+	} else if s.DCAAwareDRS {
+		// §4 prototype: cap autotuning at the DDIO capacity so the
+		// advertised window (= half the buffer) stays within ~half the
+		// DCA slice and DMAed data survives until the copy.
+		c.tcp.RcvBufMax = spec.DCACapacity()
+	}
+	if t.SchedGranularity > 0 {
+		c.granularity = t.SchedGranularity
+	}
+	if t.PagesetCap != 0 {
+		c.pagesetCap = max(t.PagesetCap, 0) // -1: no pageset
+	}
+	return c, nil
 }

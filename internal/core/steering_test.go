@@ -8,23 +8,10 @@ import (
 	"hostsim/internal/units"
 )
 
-func TestSteeringModeStrings(t *testing.T) {
-	want := map[SteeringMode]string{
-		SteerARFS: "aRFS", SteerWorstCase: "worst-case", SteerRSSHash: "rss-hash",
-		SteerRFS: "rfs", SteerRPS: "rps", SteerSameNUMA: "same-numa",
-		SteeringMode(42): "invalid",
-	}
-	for m, s := range want {
-		if m.String() != s {
-			t.Errorf("%d.String() = %q, want %q", m, m.String(), s)
-		}
-	}
-}
-
 func TestSameNUMASteeringStaysOnNode(t *testing.T) {
-	opts := AllOpts()
-	opts.Steering = SteerSameNUMA
-	r := newRig(t, opts)
+	s := AllOptimizations()
+	s.Steering = "same-numa"
+	r := newRig(t, s)
 	spec := r.a.spec
 	for _, core := range []int{0, 5, 7, 23} {
 		irq := r.a.steeringCoreFor(core)
@@ -38,9 +25,9 @@ func TestSameNUMASteeringStaysOnNode(t *testing.T) {
 }
 
 func TestRFSProcessesOnAppCore(t *testing.T) {
-	opts := AllOpts()
-	opts.Steering = SteerRFS
-	r := newRig(t, opts)
+	s := AllOptimizations()
+	s.Steering = "rfs"
+	r := newRig(t, s)
 	epA, epB := OpenConn(r.a, 0, r.b, 3)
 	if got := r.b.processingCoreFor(epB); got != 3 {
 		t.Errorf("RFS processing core = %d, want app core 3", got)
@@ -64,9 +51,9 @@ func TestRFSProcessesOnAppCore(t *testing.T) {
 }
 
 func TestRPSProcessingCoreIsStable(t *testing.T) {
-	opts := AllOpts()
-	opts.Steering = SteerRPS
-	r := newRig(t, opts)
+	s := AllOptimizations()
+	s.Steering = "rps"
+	r := newRig(t, s)
 	_, epB := OpenConn(r.a, 0, r.b, 0)
 	c1 := r.b.processingCoreFor(epB)
 	c2 := r.b.processingCoreFor(epB)
@@ -79,9 +66,9 @@ func TestRPSProcessingCoreIsStable(t *testing.T) {
 }
 
 func TestZeroCopyTxSkipsCopyAndPages(t *testing.T) {
-	opts := AllOpts()
-	opts.ZeroCopyTx = true
-	r := newRig(t, opts)
+	s := AllOptimizations()
+	s.ZeroCopyTx = true
+	r := newRig(t, s)
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	transfer(t, r, epA, epB, units.MB, 60*time.Millisecond)
 	sBd := r.a.Sys.TotalBreakdown()
@@ -97,9 +84,9 @@ func TestZeroCopyTxSkipsCopyAndPages(t *testing.T) {
 }
 
 func TestZeroCopyRxSkipsCopy(t *testing.T) {
-	opts := AllOpts()
-	opts.ZeroCopyRx = true
-	r := newRig(t, opts)
+	s := AllOptimizations()
+	s.ZeroCopyRx = true
+	r := newRig(t, s)
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	got := transfer(t, r, epA, epB, units.MB, 60*time.Millisecond)
 	if got != units.MB {
@@ -116,11 +103,7 @@ func TestZeroCopyRxSkipsCopy(t *testing.T) {
 }
 
 func TestTuningKnobsReachSubsystems(t *testing.T) {
-	opts := AllOpts()
-	opts.SchedGranularity = 33 * time.Microsecond
-	opts.PagesetCap = 7
-	opts.TSQBytes = 96 * units.KB
-	r := newRig(t, opts)
+	r := newTunedRig(t, AllOptimizations(), Tuning{SchedGranularity: 33 * time.Microsecond, PagesetCap: 7, TSQBytes: 96 << 10})
 	epA, epB := OpenConn(r.a, 0, r.b, 0)
 	// TSQ cap: the conn never holds more than the budget + one segment.
 	transfer(t, r, epA, epB, units.MB, 60*time.Millisecond)

@@ -15,7 +15,7 @@ import (
 func newPair(t *testing.T) (*sim.Engine, *core.Host, *core.Host) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	c := core.NewCluster(eng, []string{"a", "b"}, topology.Default(), cpumodel.Default(), core.AllOpts(), fabric.Config{})
+	c := core.NewCluster(eng, []string{"a", "b"}, topology.Default(), cpumodel.Default(), core.AllOptimizations(), core.Tuning{}, fabric.Config{})
 	return eng, c.Hosts()[0], c.Hosts()[1]
 }
 

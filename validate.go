@@ -25,7 +25,7 @@ const maxKB = math.MaxInt64 / int64(units.KB)
 // model inputs derived from it, and the armed observers in attach order.
 type plan struct {
 	cfg      Config
-	opts     core.Options
+	tuning   Tuning // Config.Tuning, zero when nil
 	costs    *cpumodel.Costs
 	spec     topology.MachineSpec
 	fab      FabricOptions // the topology; the testbed pair when Config.Fabric is nil
@@ -56,18 +56,11 @@ func validate(cfg Config, wl Workload) (*plan, error) {
 	if !(cfg.LossRate >= 0 && cfg.LossRate <= 1) {
 		return nil, fmt.Errorf("hostsim: loss rate %v outside [0,1]", cfg.LossRate)
 	}
-	opts, err := cfg.Stack.options()
-	if err != nil {
-		return nil, err
+	var tuning Tuning
+	if cfg.Tuning != nil {
+		tuning = *cfg.Tuning
 	}
-	if tn := cfg.Tuning; tn != nil {
-		opts.TSQBytes = units.Bytes(tn.TSQBytes)
-		opts.SchedGranularity = tn.SchedGranularity
-		opts.ModerationDelay = tn.ModerationDelay
-		opts.PagesetCap = tn.PagesetCap
-		opts.DCAHazardFactor = tn.DCAHazardFactor
-	}
-	if err := opts.Validate(); err != nil {
+	if err := core.Validate(cfg.Stack, tuning); err != nil {
 		return nil, err
 	}
 	costs := cpumodel.Default()
@@ -104,7 +97,7 @@ func validate(cfg Config, wl Workload) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{cfg: cfg, opts: opts, costs: costs, spec: spec, fab: fo, conns: conns}
+	p := &plan{cfg: cfg, tuning: tuning, costs: costs, spec: spec, fab: fo, conns: conns}
 	for _, a := range attachOrder {
 		o := a.arm(&p.cfg)
 		if o == nil {

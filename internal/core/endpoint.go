@@ -303,8 +303,8 @@ func (ep *Endpoint) Read(ctx *exec.Ctx, max units.Bytes) units.Bytes {
 			// application instead of copying; pay the page-table work.
 			ctx.Charge(cpumodel.Memory, costs.ZCRxMap*units.Cycles(len(s.Pages)))
 			for _, p := range s.Pages {
-				if h.DCA != nil && p.Node == nicNode {
-					h.DCA.Drop(p.ID)
+				if h.DCA != nil && p.Node() == nicNode {
+					h.DCA.Drop(p.ID())
 				}
 			}
 		} else {
@@ -318,20 +318,20 @@ func (ep *Endpoint) Read(ctx *exec.Ctx, max units.Bytes) units.Bytes {
 				remaining -= chunk
 				var per units.PerByte
 				resident := false
-				if h.DCA != nil && p.Node == nicNode {
-					resident = h.DCA.Consume(p.ID)
+				if h.DCA != nil && p.Node() == nicNode {
+					resident = h.DCA.Consume(p.ID())
 				}
 				switch {
-				case resident && p.Node == readerNode:
+				case resident && p.Node() == readerNode:
 					per = costs.CopyHit
 					h.copyHitB += chunk
-				case resident && p.Node != readerNode:
+				case resident && p.Node() != readerNode:
 					// Data sits in the NIC-local L3 but the reader is on
 					// another socket: a cross-socket access, effectively a
 					// miss for the reader.
 					per = costs.CopyMissRemote
 					h.copyMissB += chunk
-				case p.Node == readerNode:
+				case p.Node() == readerNode:
 					per = costs.CopyMissLocal
 					h.copyMissB += chunk
 				default:

@@ -20,11 +20,49 @@ import (
 	"hostsim/internal/units"
 )
 
-// Page is one kernel page handed to the NIC or the stack.
-type Page struct {
-	ID   cache.PageID // globally unique, stable for cache placement
-	Node int          // NUMA node the page's memory lives on
+// Page is one kernel page handed to the NIC or the stack, packed into one
+// word: its id (globally unique, stable for cache placement) in the low 56
+// bits and the NUMA node its memory lives on in the high 8. Every
+// page array on the datapath (send-buffer slabs, Rx frame pages and
+// stashes, pagesets) so costs 8 bytes a page. MakePage and Fresh.Page are
+// its constructors; the zero Page is id 0 on node 0.
+type Page struct{ w uint64 }
+
+const idBits = 56
+
+const (
+	// maxPageID is the largest id a Page holds.
+	maxPageID cache.PageID = 1<<idBits - 1
+	// maxNodes bounds a Page's node, which lies in [0, maxNodes); it is
+	// topology.MaxNUMANodes, to which MachineSpec.Validate holds a machine.
+	maxNodes = 1 << (64 - idBits)
+)
+
+// MakePage packs id and node into a Page. It panics on an id outside
+// [0, 2^56) or a node outside [0, 256).
+func MakePage(id cache.PageID, node int) Page {
+	if uint64(id) > uint64(maxPageID) || uint(node) >= maxNodes {
+		panic(badPage{id, node})
+	}
+	return Page{uint64(id) | uint64(node)<<idBits}
 }
+
+// badPage is MakePage's panic value: a value, not a formatted string, so
+// that MakePage stays small enough to inline.
+type badPage struct {
+	id   cache.PageID
+	node int
+}
+
+func (b badPage) Error() string {
+	return fmt.Sprintf("mem: page id %d on node %d out of range", b.id, b.node)
+}
+
+// ID returns the page's id.
+func (p Page) ID() cache.PageID { return cache.PageID(p.w & uint64(maxPageID)) }
+
+// Node returns the NUMA node the page's memory lives on.
+func (p Page) Node() int { return int(p.w >> idBits) }
 
 // DefaultPagesetCap is the per-core pageset capacity in pages. Linux pcp
 // lists hold a few hundred pages per order-0 zone list.
@@ -101,7 +139,7 @@ type Fresh struct {
 }
 
 // Page returns the i-th page of the run.
-func (f Fresh) Page(i int) Page { return Page{ID: f.First + cache.PageID(i), Node: f.Node} }
+func (f Fresh) Page(i int) Page { return MakePage(f.First+cache.PageID(i), f.Node) }
 
 // Reserve is AppendAlloc with no CPU charge whose global-allocator pages stay a
 // range: pageset pages are appended to dst in AppendAlloc's order, and the fresh
@@ -131,6 +169,9 @@ func (a *Allocator) reserve(ch cpumodel.Charger, core, n int, dst []Page) ([]Pag
 	}
 	a.freelists[core] = fl[:len(fl)-k]
 	fresh := Fresh{First: a.nextID + 1, N: n - k, Node: node}
+	if cache.PageID(fresh.N) > maxPageID-a.nextID {
+		panic(fmt.Sprintf("mem: page ids exhausted: %d more after id %d, past maxPageID", fresh.N, a.nextID))
+	}
 	// Charges are additive, so one per kind equals one per page.
 	if k > 0 {
 		ch.Charge(cpumodel.Memory, a.costs.PageAllocPCP*units.Cycles(k))
@@ -151,7 +192,7 @@ func (a *Allocator) Free(ch cpumodel.Charger, core int, pages []Page) {
 	node := a.spec.NodeOf(core)
 	fl := a.freelists[core]
 	for _, p := range pages {
-		if p.Node == node {
+		if p.Node() == node {
 			if len(fl) < a.pagesetCap {
 				fl = append(fl, p)
 				ch.Charge(cpumodel.Memory, a.costs.PageFreePCP)

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"hostsim/internal/cache"
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/topology"
 	"hostsim/internal/units"
@@ -29,10 +31,10 @@ func TestAllocPlacesOnLocalNode(t *testing.T) {
 		t.Fatalf("got %d pages, want 3", len(pages))
 	}
 	for _, p := range pages {
-		if p.Node != 1 {
-			t.Errorf("page on node %d, want 1", p.Node)
+		if p.Node() != 1 {
+			t.Errorf("page on node %d, want 1", p.Node())
 		}
-		if p.ID == 0 {
+		if p.ID() == 0 {
 			t.Error("page ID must be non-zero")
 		}
 	}
@@ -46,10 +48,10 @@ func TestUniquePageIDs(t *testing.T) {
 	seen := map[int64]bool{}
 	for core := 0; core < 4; core++ {
 		for _, p := range a.AppendAlloc(cpumodel.Discard{}, core, 50, nil) {
-			if seen[int64(p.ID)] {
-				t.Fatalf("duplicate page ID %d", p.ID)
+			if seen[int64(p.ID())] {
+				t.Fatalf("duplicate page ID %d", p.ID())
 			}
-			seen[int64(p.ID)] = true
+			seen[int64(p.ID())] = true
 		}
 	}
 }
@@ -72,8 +74,8 @@ func TestPagesetRecycling(t *testing.T) {
 		t.Fatalf("recycled allocation should be served by pageset: charged %d, want %d", got, 10*costs.PageAllocPCP)
 	}
 	// LIFO: most recently freed page comes back first.
-	if again[0].ID != pages[9].ID {
-		t.Errorf("pageset should be LIFO: got %d, want %d", again[0].ID, pages[9].ID)
+	if again[0].ID() != pages[9].ID() {
+		t.Errorf("pageset should be LIFO: got %d, want %d", again[0].ID(), pages[9].ID())
 	}
 }
 
@@ -117,8 +119,8 @@ func TestRemoteFreeNeverEntersLocalPageset(t *testing.T) {
 	}
 	// And a subsequent node-1 alloc gets node-1 pages.
 	q := a.AppendAlloc(cpumodel.Discard{}, 6, 1, nil)
-	if q[0].Node != 1 {
-		t.Errorf("node = %d, want 1", q[0].Node)
+	if q[0].Node() != 1 {
+		t.Errorf("node = %d, want 1", q[0].Node())
 	}
 }
 
@@ -244,7 +246,7 @@ func TestReserveMatchesAlloc(t *testing.T) {
 				t.Fatalf("n=%d: Alloc page %d = %+v, want the pageset's LIFO %+v", n, i, want[i], freed[pageset-1-i])
 			}
 		}
-		prefix := []Page{{ID: 999, Node: 0}}
+		prefix := []Page{MakePage(999, 0)}
 		got, fresh := twins[1].Reserve(2, n, prefix)
 		if got[0] != prefix[0] {
 			t.Fatalf("n=%d: Reserve overwrote dst", n)
@@ -283,5 +285,100 @@ func TestAppendAllocGrowsOnce(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("AppendAlloc of 20 pages into nil made %.0f allocations, want 1", allocs)
+	}
+}
+
+// TestPageIsOneWord pins Page at 8 bytes: every page array on the datapath
+// is sized by it.
+func TestPageIsOneWord(t *testing.T) {
+	if got := unsafe.Sizeof(Page{}); got != 8 {
+		t.Errorf("unsafe.Sizeof(Page{}) = %d, want 8", got)
+	}
+}
+
+// TestPageRoundTrip checks that a Page gives back the id and node it was
+// made from at both ends of each range, and that its bounds are 2^56 ids
+// and the machine's 256 nodes.
+func TestPageRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"maxPageID", int64(maxPageID), 1<<56 - 1},
+		{"maxNodes", maxNodes, 256},
+		{"topology.MaxNUMANodes", topology.MaxNUMANodes, 256},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	for _, id := range []cache.PageID{0, 1, 1<<32 + 5, maxPageID} {
+		for _, node := range []int{0, 1, 3, 255} {
+			p := MakePage(id, node)
+			if p.ID() != id || p.Node() != node {
+				t.Errorf("MakePage(%d, %d) reads back id %d node %d", id, node, p.ID(), p.Node())
+			}
+		}
+	}
+	if p := (Page{}); p.ID() != 0 || p.Node() != 0 {
+		t.Errorf("zero Page is id %d node %d, want 0 and 0", p.ID(), p.Node())
+	}
+}
+
+func TestMakePagePanicsOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		id   cache.PageID
+		node int
+	}{{maxPageID + 1, 0}, {-1, 0}, {1, -1}, {1, 256}, {1 << 62, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MakePage(%d, %d) should panic", c.id, c.node)
+				}
+			}()
+			MakePage(c.id, c.node)
+		}()
+	}
+}
+
+// TestAllocatorIDsStayInRange checks that the allocator hands out ids up
+// to maxPageID and panics rather than wrap past it, while the pageset
+// still serves the pages it holds.
+func TestAllocatorIDsStayInRange(t *testing.T) {
+	a := newAlloc()
+	a.nextID = maxPageID - 2
+	pages := a.AppendAlloc(cpumodel.Discard{}, 0, 2, nil)
+	if pages[0].ID() != maxPageID-1 || pages[1].ID() != maxPageID || pages[1].Node() != 0 {
+		t.Fatalf("last two pages %d and %d on node %d, want %d and %d on node 0",
+			pages[0].ID(), pages[1].ID(), pages[1].Node(), maxPageID-1, maxPageID)
+	}
+	a.Free(cpumodel.Discard{}, 0, pages)
+	if again := a.AppendAlloc(cpumodel.Discard{}, 0, 2, nil); again[0] != pages[1] || again[1] != pages[0] {
+		t.Errorf("pageset pages after the last id: %v, want %v reversed", again, pages)
+	}
+	for _, n := range []int{1, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("allocating %d fresh pages past id %d should panic", n, maxPageID)
+				}
+			}()
+			a.Reserve(0, n, nil)
+		}()
+	}
+}
+
+// BenchmarkAllocFree runs a warm pageset cycle: 16 pages allocated into a
+// reused slice, then freed, all served by the core's pageset. It should
+// allocate nothing.
+func BenchmarkAllocFree(b *testing.B) {
+	a := newAlloc()
+	pages := a.AppendAlloc(cpumodel.Discard{}, 0, 16, nil)
+	a.Free(cpumodel.Discard{}, 0, pages)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pages = a.AppendAlloc(cpumodel.Discard{}, 0, 16, pages[:0])
+		a.Free(cpumodel.Discard{}, 0, pages)
 	}
 }

@@ -683,8 +683,8 @@ func (n *NIC) ReceiveFromWire(f *skb.Frame) {
 	if n.dca != nil {
 		nicNode := n.sys.Spec().NICNode
 		for _, p := range f.Pages {
-			if p.Node == nicNode {
-				n.dca.Insert(p.ID)
+			if p.Node() == nicNode {
+				n.dca.Insert(p.ID())
 			}
 		}
 	}

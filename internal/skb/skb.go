@@ -48,10 +48,10 @@ type AckInfo struct {
 // Frame is one unit on the wire.
 type Frame struct {
 	Flow  FlowID
+	CE    bool        // ECN congestion-experienced mark (set by a switch)
 	Seq   int64       // first payload byte's sequence number
 	Len   units.Bytes // payload bytes (0 for a pure ACK)
 	Ack   *AckInfo    // non-nil for pure ACKs
-	CE    bool        // ECN congestion-experienced mark (set by a switch)
 	Pages []mem.Page  // receive-side DMA pages (set by the receiving NIC)
 	Born  sim.Time    // when NAPI processed this frame at the receiver
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/mem"
@@ -15,7 +16,7 @@ func newTestGRO() *GRO { return NewGRO(cpumodel.Default(), &Pool{}, &FramePool{}
 
 func frame(flow FlowID, seq int64, l units.Bytes) *Frame {
 	return &Frame{Flow: flow, Seq: seq, Len: l,
-		Pages: []mem.Page{{ID: 1}, {ID: 2}}}
+		Pages: []mem.Page{mem.MakePage(1, 0), mem.MakePage(2, 0)}}
 }
 
 func TestSegmentSizes(t *testing.T) {
@@ -312,18 +313,18 @@ func (t *tally) Charge(cat cpumodel.Category, c units.Cycles) { t.got.Add(cat, c
 func TestPoolRecyclesSKBs(t *testing.T) {
 	p := &Pool{}
 	f := &Frame{Flow: 3, Seq: 100, Len: 500, CE: true,
-		Pages: []mem.Page{{ID: 1}, {ID: 2}}, Born: 7}
+		Pages: []mem.Page{mem.MakePage(1, 0), mem.MakePage(2, 0)}, Born: 7}
 	s := p.Get(f)
 	if s.Flow != 3 || s.Seq != 100 || s.Len != 500 || !s.CE || s.Frames != 1 || s.Born != 7 {
 		t.Fatalf("Get produced wrong skb: %+v", s)
 	}
-	if len(s.Pages) != 2 || s.Pages[0].ID != 1 {
+	if len(s.Pages) != 2 || s.Pages[0].ID() != 1 {
 		t.Fatalf("Get did not carry pages: %+v", s.Pages)
 	}
 	// Pool Gets copy the page refs; mutating the frame's slice must not
 	// corrupt the SKB.
-	f.Pages[0] = mem.Page{ID: 99}
-	if s.Pages[0].ID != 1 {
+	f.Pages[0] = mem.MakePage(99, 0)
+	if s.Pages[0].ID() != 1 {
 		t.Error("Get aliased the frame's page slice")
 	}
 	p.Put(s)
@@ -348,7 +349,7 @@ func TestPoolRecyclesSKBs(t *testing.T) {
 // block slot, and the counters see only skbs.
 func TestPoolCarvesFreshSKBsFromBlocks(t *testing.T) {
 	p := &Pool{}
-	f := &Frame{Flow: 1, Len: 100, Pages: []mem.Page{{ID: 7}}}
+	f := &Frame{Flow: 1, Len: 100, Pages: []mem.Page{mem.MakePage(7, 0)}}
 	first := p.Get(f)
 	rest := p.block // the first block after its slot 0
 	if len(rest) != skbBlockLen-1 {
@@ -367,12 +368,12 @@ func TestPoolCarvesFreshSKBsFromBlocks(t *testing.T) {
 		t.Fatalf("skb %d did not start a new block (%d slots left)", skbBlockLen+1, len(p.block))
 	}
 	for s := range seen {
-		if len(s.Pages) != 1 || s.Pages[0].ID != 7 || s.Flow != 1 {
+		if len(s.Pages) != 1 || s.Pages[0].ID() != 7 || s.Flow != 1 {
 			t.Fatalf("carved skb not built from its frame: %+v", s)
 		}
 	}
-	first.Pages[0] = mem.Page{ID: 99}
-	if rest[0].Pages[0].ID != 7 {
+	first.Pages[0] = mem.MakePage(99, 0)
+	if rest[0].Pages[0].ID() != 7 {
 		t.Error("skbs of one block share page storage")
 	}
 
@@ -392,10 +393,10 @@ func TestPoolCarvesFreshSKBsFromBlocks(t *testing.T) {
 func TestPoolGetCopiesPages(t *testing.T) {
 	p := &Pool{}
 	p.Put(&SKB{}) // ensure the recycled path
-	f := &Frame{Flow: 1, Len: 100, Pages: []mem.Page{{ID: 5}}}
+	f := &Frame{Flow: 1, Len: 100, Pages: []mem.Page{mem.MakePage(5, 0)}}
 	s := p.Get(f)
-	f.Pages[0] = mem.Page{ID: 42}
-	if s.Pages[0].ID != 5 {
+	f.Pages[0] = mem.MakePage(42, 0)
+	if s.Pages[0].ID() != 5 {
 		t.Error("pooled Get aliased the frame's page slice")
 	}
 }
@@ -403,7 +404,7 @@ func TestPoolGetCopiesPages(t *testing.T) {
 func TestFramePoolClearsState(t *testing.T) {
 	fp := &FramePool{}
 	f := &Frame{Flow: 9, Seq: 5, Len: 3, CE: true, Born: 11,
-		Ack: &AckInfo{Cum: 1}, Pages: []mem.Page{{ID: 1}}}
+		Ack: &AckInfo{Cum: 1}, Pages: []mem.Page{mem.MakePage(1, 0)}}
 	fp.Put(f)
 	g := fp.Get()
 	if g != f {
@@ -414,6 +415,14 @@ func TestFramePoolClearsState(t *testing.T) {
 	}
 	if cap(g.Pages) == 0 {
 		t.Error("recycled frame should keep its page-slice capacity")
+	}
+}
+
+// TestFrameSize pins Frame at 96 bytes: CE sits in Flow's padding, so a
+// frameBlockLen block of fresh frames fills the 6,144 B size class.
+func TestFrameSize(t *testing.T) {
+	if got := unsafe.Sizeof(Frame{}); got != 96 {
+		t.Errorf("unsafe.Sizeof(Frame{}) = %d, want 96", got)
 	}
 }
 

@@ -586,7 +586,7 @@ func (c *Conn) PageSlab(n int) []mem.Page {
 }
 
 // The bounds, in pages, of a block fresh send-buffer slabs are cut from
-// (a mem.Page is 16 bytes, so the largest block is 2 KB). A single slab
+// (a mem.Page is 8 bytes, so the largest block is 1 KB). A single slab
 // larger than slabBlockMax gets a block of its own size.
 const (
 	slabBlockMin = 8

@@ -14,7 +14,7 @@ import (
 // fillSlab appends n pages with ids from first on to s.
 func fillSlab(s []mem.Page, first, n int) []mem.Page {
 	for i := 0; i < n; i++ {
-		s = append(s, mem.Page{ID: cache.PageID(first + i)})
+		s = append(s, mem.MakePage(cache.PageID(first+i), 0))
 	}
 	return s
 }
@@ -36,13 +36,13 @@ func TestPageSlabAppendNeverOverlaps(t *testing.T) {
 	_, c := bareConn(t)
 	a := fillSlab(c.PageSlab(3), 0, 3)
 	b := fillSlab(c.PageSlab(4), 100, 4)
-	a = append(a, mem.Page{ID: 999})
+	a = append(a, mem.MakePage(999, 0))
 	for i, p := range b {
-		if p.ID != cache.PageID(100+i) {
-			t.Fatalf("appending to a full slab overwrote the next slab: b[%d] = %d, want %d", i, p.ID, 100+i)
+		if p.ID() != cache.PageID(100+i) {
+			t.Fatalf("appending to a full slab overwrote the next slab: b[%d] = %d, want %d", i, p.ID(), 100+i)
 		}
 	}
-	if len(a) != 4 || a[3].ID != 999 {
+	if len(a) != 4 || a[3].ID() != 999 {
 		t.Errorf("append to a full slab lost a page: %v", a)
 	}
 }
@@ -58,7 +58,7 @@ func TestPageSlabDropsTooSmallSlab(t *testing.T) {
 	if cap(s) != 3 || len(c.slabFree) != 0 {
 		t.Fatalf("PageSlab(3) after a 2-page release: cap %d, %d slabs kept; want a fresh 3-page slab and none kept", cap(s), len(c.slabFree))
 	}
-	if s = fillSlab(s, 10, 3); small[0].ID != 0 || small[1].ID != 1 {
+	if s = fillSlab(s, 10, 3); small[0].ID() != 0 || small[1].ID() != 1 {
 		t.Error("the fresh slab shares storage with the dropped one")
 	}
 	c.slabFree = append(c.slabFree, s[:0])

@@ -24,6 +24,10 @@ type MachineSpec struct {
 	OneWayDelay  int64           // wire propagation one-way, nanoseconds
 }
 
+// MaxNUMANodes bounds MachineSpec.NUMANodes: a mem.Page packs its node
+// into 8 bits.
+const MaxNUMANodes = 256
+
 // Default returns the paper's testbed host.
 func Default() MachineSpec {
 	return MachineSpec{
@@ -45,8 +49,8 @@ func Default() MachineSpec {
 // Validate reports whether the spec is internally consistent.
 func (m MachineSpec) Validate() error {
 	switch {
-	case m.NUMANodes <= 0:
-		return fmt.Errorf("topology: NUMANodes = %d, want > 0", m.NUMANodes)
+	case m.NUMANodes <= 0 || m.NUMANodes > MaxNUMANodes:
+		return fmt.Errorf("topology: NUMANodes = %d, want 1..%d", m.NUMANodes, MaxNUMANodes)
 	case m.CoresPerNode <= 0:
 		return fmt.Errorf("topology: CoresPerNode = %d, want > 0", m.CoresPerNode)
 	case m.Frequency <= 0:

@@ -91,6 +91,7 @@ func TestPagesFor(t *testing.T) {
 func TestValidateRejectsBadSpecs(t *testing.T) {
 	mut := []func(*MachineSpec){
 		func(m *MachineSpec) { m.NUMANodes = 0 },
+		func(m *MachineSpec) { m.NUMANodes = MaxNUMANodes + 1 },
 		func(m *MachineSpec) { m.CoresPerNode = -1 },
 		func(m *MachineSpec) { m.Frequency = 0 },
 		func(m *MachineSpec) { m.L3PerNode = 0 },
@@ -108,6 +109,11 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		if m.Validate() == nil {
 			t.Errorf("mutation %d should invalidate spec", i)
 		}
+	}
+	m := Default()
+	m.NUMANodes, m.CoresPerNode = MaxNUMANodes, 1
+	if err := m.Validate(); err != nil {
+		t.Errorf("%d nodes should validate: %v", MaxNUMANodes, err)
 	}
 }
 
